@@ -7,7 +7,8 @@ output directory.
 
 Exit codes: 0 when a certificate is found or verification passes, 1 when
 the search is exhausted or verification fails, 2 for usage or input
-errors.  Every run ends with one machine-readable "status=..." line on
+errors, 3 when an LP or SDP of the search failed to solve and no level
+certified.  Every run ends with one machine-readable "status=..." line on
 standard error.  Verbosity comes from LYAPCERT_LOG (quiet, info, debug).
 """
 
@@ -36,6 +37,7 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_USAGE = 2
+EXIT_SOLVER_FAILURE = 3
 
 
 class SpecFileError(ValueError):
@@ -360,7 +362,10 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
             (out / f"lp-d{d}-r{r}-s{sweep}.lp").write_text(text)
 
     outcome = cop_lp.run_hierarchy(system, schedule, accept_margin=margin,
-                                   threads=args.threads, lp_dump=dump)
+                                   lp_dump=dump)
+    if not outcome.found and outcome.solver_failure:
+        _status(f"solver-failure detail={outcome.solver_failure!r}")
+        return EXIT_SOLVER_FAILURE
     if not outcome.found:
         levels = "; ".join(
             f"d={lv.degree} r={lv.r} sweeps={lv.sweeps_done} "
@@ -405,6 +410,7 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
         def dump(sdp, deg, slack):
             (out / f"sdp-deg{deg}-s{slack}.dat-s").write_text(
                 dump_sdpa_sparse(sdp))
+    failure = None
     for deg in degrees:
         outcome = sos_cert.solve_certificate(system, deg, tier=tier,
                                              eps_pd=eps_pd, sdpa_dump=dump)
@@ -424,6 +430,11 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
                     f"margin={cert.margin!r} file={path}")
             return EXIT_OK
         logger.info("degree %d: %s (%s)", deg, outcome.status, outcome.detail)
+        if outcome.status == "stalled":
+            failure = failure or f"degree {deg}: {outcome.detail}"
+    if failure:
+        _status(f"solver-failure tier={tier} detail={failure!r}")
+        return EXIT_SOLVER_FAILURE
     _status(f"exhausted-degrees degrees={degrees} tier={tier}")
     return EXIT_NOT_FOUND
 
@@ -526,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tau-act", type=float, dest="tau_act", default=None,
                        help="constraint activation tolerance")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--density", type=int, default=10_000,
                        help="oracle grid density per section")
         p.add_argument("--samples", type=int, default=10_000,

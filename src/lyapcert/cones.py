@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linprog import EQ, GE, LinearProgram, solve
+# unused here; perfbench/tracing.py patches `solve` on this module by name
+from .linprog import solve  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -214,41 +215,6 @@ def _orthant_signs(dimension: int):
     return list(itertools.product((1.0, -1.0), repeat=dimension))
 
 
-def _orthant_has_full_section(cone: PolyhedralCone, signs) -> bool:
-    """Interior-point LP: maximize the common slack on the l1 section.
-
-    A maximal slack <= FEAS_TOL means the cone meets this orthant in a set
-    with empty interior, which the orthant split treats as empty (any such
-    boundary piece reappears inside a neighboring full orthant).
-    """
-    n = cone.dimension
-    rows = []
-    rels = []
-    rhs = []
-    for row in cone.C:
-        rows.append(np.concatenate([row, [-1.0]]))
-        rels.append(GE)
-        rhs.append(0.0)
-    for i, s in enumerate(signs):
-        e = np.zeros(n + 1)
-        e[i] = s
-        e[n] = -1.0
-        rows.append(e)
-        rels.append(GE)
-        rhs.append(0.0)
-    rows.append(np.concatenate([np.array(signs), [0.0]]))
-    rels.append(EQ)
-    rhs.append(1.0)
-    obj = np.zeros(n + 1)
-    obj[n] = 1.0
-    bounds = [(None, None)] * n + [(None, 1.0)]
-    result = solve(LinearProgram(objective=obj, A=np.array(rows),
-                                 relations=rels, b=np.array(rhs),
-                                 bounds=bounds))
-    return result.status == "optimal" and result.value is not None \
-        and result.value > FEAS_TOL
-
-
 def _extreme_rays(ineq_rows: np.ndarray, eq_rows: np.ndarray,
                   tol: float = 1e-9) -> list[np.ndarray]:
     """Extreme rays of the pointed cone {x : ineq x >= 0, eq x = 0}.
@@ -348,12 +314,13 @@ def cone_orthant_sections(cone: PolyhedralCone
     n = cone.dimension
     sections: list[tuple[int, Simplex]] = []
     for oid, signs in enumerate(_orthant_signs(n)):
-        if not _orthant_has_full_section(cone, signs):
-            continue
         ineq = np.vstack([cone.C, np.diag(signs)]) if cone.num_rows \
             else np.diag(signs)
         rays = _extreme_rays(ineq, np.zeros((0, n)))
-        if not rays:
+        # the orthant piece is pointed, so it has interior exactly when its
+        # extreme rays span R^n; a thinner piece reappears in a neighbor
+        if not rays or \
+                np.linalg.matrix_rank(np.array(rays), tol=FEAS_TOL) < n:
             continue
         rays.sort(key=lambda r: tuple(np.round(r, 11)))
         for cell in _triangulate_vertices(rays):

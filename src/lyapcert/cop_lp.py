@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -157,6 +156,7 @@ class LevelReport:
 class HierarchyOutcome:
     certificate: ConicCertificate | None
     levels: list[LevelReport]
+    solver_failure: str | None = None  # first margin LP that did not solve
 
     @property
     def found(self) -> bool:
@@ -302,8 +302,7 @@ def _face_branches_for_cell(w: Polynomial, verts: list[np.ndarray],
 
 
 def assemble_lp(system: ConicSystem, degree: int, r: int,
-                sections: list[SectionState], level: _LevelData | None = None,
-                threads: int = 1
+                sections: list[SectionState], level: _LevelData | None = None
                 ) -> tuple[linprog.LinearProgram, list[RowProvenance]]:
     """The margin LP: maximize t subject to every tuple row >= t, |coeffs| <= 1.
 
@@ -316,26 +315,14 @@ def assemble_lp(system: ConicSystem, degree: int, r: int,
         level = _LevelData(system, degree, r)
     ncoef = len(level.h_basis)
 
-    jobs = []
-    for sec_idx, state in enumerate(sections):
-        for cell_idx, cell in enumerate(state.partition.cells):
-            jobs.append((state, sec_idx, cell_idx, cell))
-
-    def work(job):
-        state, sec_idx, cell_idx, cell = job
-        return _cell_rows(level, state, sec_idx, cell_idx, cell, ncoef)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(job) for job in jobs]
-
     rows: list[np.ndarray] = []
     prov: list[RowProvenance] = []
-    for cell_rows, cell_prov in results:
-        rows.extend(cell_rows)
-        prov.extend(cell_prov)
+    for sec_idx, state in enumerate(sections):
+        for cell_idx, cell in enumerate(state.partition.cells):
+            cell_rows, cell_prov = _cell_rows(level, state, sec_idx, cell_idx,
+                                              cell, ncoef)
+            rows.extend(cell_rows)
+            prov.extend(cell_prov)
 
     A = np.array(rows).reshape(len(rows), ncoef + 1)
     objective = np.zeros(ncoef + 1)
@@ -391,7 +378,6 @@ def corner_flags(sections: list[SectionState], tol: float = 1e-9) -> list[str]:
 def run_hierarchy(system: ConicSystem,
                   schedule: list[tuple[int, int, int]],
                   accept_margin: float = DEFAULT_ACCEPT_MARGIN,
-                  threads: int = 1,
                   lp_dump=None) -> HierarchyOutcome:
     """Algorithm over (degree, r, sweep budget) levels.
 
@@ -400,9 +386,11 @@ def run_hierarchy(system: ConicSystem,
     re-checking every row; otherwise the cells owning rows active at the
     optimum are bisected (all refinable cells when none can be identified)
     until the sweep budget is exhausted.  Returns the first certificate or
-    a per-level report of best margins.
+    a per-level report of best margins; a level whose LP fails to solve
+    ends early and is named in solver_failure.
     """
     levels: list[LevelReport] = []
+    failure = None
     base_sections = initial_sections(system)
     flags = corner_flags(base_sections)
     for degree, r, max_sweeps in schedule:
@@ -413,13 +401,17 @@ def run_hierarchy(system: ConicSystem,
         best_margin = -np.inf
         sweeps = 0
         while True:
-            lp, prov = assemble_lp(system, degree, r, sections, level, threads)
+            lp, prov = assemble_lp(system, degree, r, sections, level)
             if lp_dump is not None:
                 lp_dump(lp, degree, r, sweeps)
             result = linprog.solve(lp)
             if result.status != "optimal":
+                # the LP is feasible (h = 0, t = 0) and bounded by
+                # construction, so any other status is a solver failure
                 logger.warning("margin LP returned %s at level (%d, %d)",
                                result.status, degree, r)
+                failure = failure or (f"margin LP {result.status} at d={degree}"
+                                      f" r={r} sweep={sweeps}")
                 break
             margin = float(result.value)
             best_margin = max(best_margin, margin)
@@ -449,7 +441,7 @@ def run_hierarchy(system: ConicSystem,
             sweeps += 1
         levels.append(LevelReport(degree, r, sweeps, best_margin,
                                   len(prov) if prov else 0))
-    return HierarchyOutcome(None, levels)
+    return HierarchyOutcome(None, levels, failure)
 
 
 def _refine(sections: list[SectionState], lp: linprog.LinearProgram,

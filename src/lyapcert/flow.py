@@ -56,12 +56,12 @@ class Trajectory:
         if self.v_values is not None:
             header.append("V")
         lines = [",".join(header)]
+        # repr of a numpy scalar is "np.float64(...)", which CSV readers reject
         for k, t in enumerate(self.times):
-            row = [repr(t)] + [repr(v) for v in self.states[k]] \
-                + [repr(v) for v in self.eta_log[k]]
+            values = [t, *self.states[k], *self.eta_log[k]]
             if self.v_values is not None:
-                row.append(repr(self.v_values[k]))
-            lines.append(",".join(row))
+                values.append(self.v_values[k])
+            lines.append(",".join(repr(float(v)) for v in values))
         return "\n".join(lines) + "\n"
 
 

@@ -1,28 +1,28 @@
-"""Self-contained dense linear-programming solver.
+"""Linear programs, solved by HiGHS through scipy.
 
-Two-phase primal simplex on an explicit tableau.  Pricing is Dantzig
-(most negative reduced cost, lowest column index on ties) with an
-automatic switch to Bland's rule after a run of degenerate pivots, which
-guarantees termination; everything is index-based and deterministic, so
-identical inputs produce identical pivot sequences and output.
+`LinearProgram` holds a problem in the form the certificate builders
+write it: one relation per row and optional bounds per variable.  `solve`
+hands it to HiGHS's dual simplex (`scipy.optimize.linprog`,
+`method="highs"`; Huangfu & Hall, Math. Prog. Comp. 10, 2018) and
+re-checks the returned point against the original rows and bounds before
+calling it optimal.
 
-Bounds are folded into constraint rows and free variables are split into
-positive parts, which keeps the core loop a plain standard-form simplex.
-Problem sizes here are at most a few thousand rows, where a dense tableau
-is both fast enough and far easier to keep deterministic than a sparse
-factorization.
+`scipy.optimize` is imported on the first solve, not with this module: a
+run that never solves an LP (the SDP tier, verification, simulation)
+never pays for that import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 LE, EQ, GE = "<=", "=", ">="
 
-_DEGENERATE_RUN_FOR_BLAND = 40
+# scipy.optimize.linprog status codes other than 0 (optimal)
+_STATUS = {2: "infeasible", 3: "unbounded"}
 
 
 @dataclass
@@ -68,291 +68,51 @@ class LinearProgram:
 class LpResult:
     """Outcome of a solve.
 
-    status is one of "optimal", "infeasible", "unbounded", "stalled".
-    For "optimal": x, value, duals (one per user row), dual_value.
-    For "infeasible": farkas, a user-row multiplier vector with
-    sum_i farkas_i * a_i = 0 and a strictly positive contradiction margin.
-    For "unbounded": ray, a feasible direction with improving objective.
+    status is one of "optimal", "infeasible", "unbounded", "stalled"; the
+    last covers every other solver outcome, including an "optimal" point
+    that fails the recheck.  x and value are set only when optimal.
+    pivots is the solver's iteration count.
     """
 
     status: str
     x: np.ndarray | None = None
     value: float | None = None
-    duals: np.ndarray | None = None
-    dual_value: float | None = None
-    farkas: np.ndarray | None = None
-    ray: np.ndarray | None = None
     pivots: int = 0
-    pivot_log: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _expand(lp: LinearProgram):
-    """Fold bounds into rows; orient every row as >= with the user sign kept."""
-    rows = [np.array(r, dtype=float) for r in lp.A]
-    rels = list(lp.relations)
-    rhs = list(lp.b)
-    n = len(lp.objective)
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None:
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append(e)
-            rels.append(GE)
-            rhs.append(float(lo))
-        if hi is not None:
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append(e)
-            rels.append(LE)
-            rhs.append(float(hi))
-    return np.array(rows).reshape(len(rhs), n), rels, np.array(rhs)
-
-
-class _Tableau:
-    """Standard-form tableau min c.z, M z = q, z >= 0 with explicit basis.
-
-    Pristine copies of the data are kept so the final basic solution and
-    the duals can be recomputed from the original coefficients, which wipes
-    out error accumulated by long runs of dense eliminations.
-    """
-
-    def __init__(self, M: np.ndarray, q: np.ndarray, pivot_tol: float):
-        self.M0 = M.copy()
-        self.q0 = q.copy()
-        self.M = M
-        self.q = q
-        self.pivot_tol = pivot_tol
-        self.m, self.ncols = M.shape
-        self.basis = np.full(self.m, -1, dtype=int)
-        self.pivots = 0
-        self.pivot_log: list[tuple[int, int]] = []
-
-    def repaired_solution(self) -> np.ndarray | None:
-        """Basic solution recomputed from pristine data; None if singular."""
-        B = self.M0[:, self.basis]
-        try:
-            zb = np.linalg.solve(B, self.q0)
-        except np.linalg.LinAlgError:
-            return None
-        z = np.zeros(self.ncols)
-        z[self.basis] = zb
-        return z
-
-    def basis_duals(self, c: np.ndarray) -> np.ndarray | None:
-        B = self.M0[:, self.basis]
-        try:
-            return np.linalg.solve(B.T, c[self.basis])
-        except np.linalg.LinAlgError:
-            return None
-
-    def install_basis(self, cols: Sequence[int]) -> None:
-        for i, j in enumerate(cols):
-            self.basis[i] = j
-
-    def reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        cb = c[self.basis]
-        return c - cb @ self.M
-
-    def pivot(self, row: int, col: int) -> None:
-        piv = self.M[row, col]
-        self.M[row] /= piv
-        self.q[row] /= piv
-        for i in range(self.m):
-            if i != row and abs(self.M[i, col]) > 0.0:
-                f = self.M[i, col]
-                self.M[i] -= f * self.M[row]
-                self.q[i] -= f * self.q[row]
-        # guard rounding: entering column must be a unit vector
-        self.M[:, col] = 0.0
-        self.M[row, col] = 1.0
-        self.q[self.q < 0] = np.where(self.q[self.q < 0] > -1e-12, 0.0,
-                                      self.q[self.q < 0])
-        self.basis[row] = col
-        self.pivots += 1
-        self.pivot_log.append((row, col))
-
-    def run(self, c: np.ndarray, allowed: np.ndarray, max_pivots: int
-            ) -> tuple[str, int]:
-        """Iterate to optimality.  Returns (status, entering col or -1)."""
-        degenerate_run = 0
-        while True:
-            if self.pivots >= max_pivots:
-                return "stalled", -1
-            r = self.reduced_costs(c)
-            r[~allowed] = 0.0
-            use_bland = degenerate_run >= _DEGENERATE_RUN_FOR_BLAND
-            if use_bland:
-                negatives = np.flatnonzero(r < -self.pivot_tol)
-                if negatives.size == 0:
-                    return "optimal", -1
-                col = int(negatives[0])
-            else:
-                col = int(np.argmin(r))
-                if r[col] >= -self.pivot_tol:
-                    return "optimal", -1
-            colvec = self.M[:, col]
-            eligible = np.flatnonzero(colvec > self.pivot_tol)
-            if eligible.size == 0:
-                return "unbounded", col
-            ratios = self.q[eligible] / colvec[eligible]
-            best = ratios.min()
-            ties = eligible[np.flatnonzero(ratios <= best + 1e-12)]
-            # lowest basis-variable index among ties blocks cycling in Bland
-            # mode and keeps Dantzig mode deterministic
-            row = int(ties[np.argmin(self.basis[ties])])
-            if best <= 1e-12:
-                degenerate_run += 1
-            else:
-                degenerate_run = 0
-            self.pivot(row, col)
-
-
-def solve(lp: LinearProgram, feas_tol: float = 1e-8,
-          pivot_tol: float = 1e-10, max_pivots: int = 10 ** 6) -> LpResult:
+def solve(lp: LinearProgram, feas_tol: float = 1e-8) -> LpResult:
     """Solve an LP; never returns a wrong answer silently.
 
-    Optimal solutions are basic feasible points satisfying every
-    constraint within feas_tol; infeasibility carries a Farkas-style
-    certificate verified to 1e-8 before being reported; numerical stall
-    yields the explicit "stalled" status.
+    An optimal point is reported only when it satisfies every row and
+    bound of lp within feas_tol; otherwise the status is "stalled".
     """
-    A, rels, b = _expand(lp)
-    m, n = A.shape
-    sense = -1.0 if lp.maximize else 1.0
-    c_user = sense * lp.objective  # internal minimization
+    from scipy.optimize import linprog as highs_linprog
 
-    # Orient every row so that, wherever possible, its slack column can
-    # start in the basis: <= rows with nonnegative rhs need no artificial.
-    # flips records the net sign against the user row for dual recovery.
-    nsplit = 2 * n
-    oriented_rows = np.empty((m, nsplit))
-    q = np.empty(m)
-    internal_rel: list[str] = []
-    flips = np.ones(m)
-    for i in range(m):
-        row = np.concatenate([A[i], -A[i]])
-        rhs = b[i]
-        rel = rels[i]
-        if rel == GE:
-            row, rhs, rel = -row, -rhs, LE
-            flips[i] = -flips[i]
-        if rhs < 0:
-            row, rhs = -row, -rhs
-            rel = GE if rel == LE else EQ
-            flips[i] = -flips[i]
-        oriented_rows[i] = row
-        q[i] = rhs
-        internal_rel.append(rel)
+    rels = np.asarray(lp.relations)
+    le, ge, eq = rels == LE, rels == GE, rels == EQ
+    sense = 1.0 if lp.maximize else -1.0
+    res = highs_linprog(
+        -sense * lp.objective,
+        A_ub=np.vstack([lp.A[le], -lp.A[ge]]),
+        b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
+        A_eq=lp.A[eq], b_eq=lp.b[eq], bounds=lp.bounds, method="highs")
+    pivots = int(res.nit)
+    if res.status != 0:
+        return LpResult(_STATUS.get(res.status, "stalled"), pivots=pivots)
 
-    art_rows = [i for i in range(m) if internal_rel[i] != LE]
-    nart = len(art_rows)
-    ncols = nsplit + m
-    M = np.zeros((m, ncols + nart))
-    M[:, :nsplit] = oriented_rows
-    basis0 = np.empty(m, dtype=int)
-    for i in range(m):
-        if internal_rel[i] == LE:
-            M[i, nsplit + i] = 1.0
-            basis0[i] = nsplit + i
-        elif internal_rel[i] == GE:
-            M[i, nsplit + i] = -1.0
-    for k, i in enumerate(art_rows):
-        M[i, ncols + k] = 1.0
-        basis0[i] = ncols + k
-
-    tab = _Tableau(M, q, pivot_tol)
-    tab.install_basis(basis0)
-    allowed = np.ones(ncols + nart, dtype=bool)
-
-    if nart:
-        c1 = np.zeros(ncols + nart)
-        c1[ncols:] = 1.0
-        status, _ = tab.run(c1, allowed, max_pivots)
-        if status == "stalled":
-            return LpResult(status="stalled", pivots=tab.pivots,
-                            pivot_log=tab.pivot_log)
-        phase1_value = float(c1[tab.basis] @ tab.q)
-        if phase1_value > feas_tol:
-            farkas = _verified_farkas(tab, c1, lp, A, rels, b, flips, feas_tol)
-            if farkas is None:
-                return LpResult(status="stalled", pivots=tab.pivots,
-                                pivot_log=tab.pivot_log)
-            return LpResult(status="infeasible", farkas=farkas[:len(lp.b)],
-                            pivots=tab.pivots, pivot_log=tab.pivot_log)
-        # pivot residual artificials out of the basis where possible
-        for i in range(m):
-            if tab.basis[i] >= ncols:
-                candidates = np.flatnonzero(
-                    np.abs(tab.M[i, :ncols]) > pivot_tol)
-                if candidates.size:
-                    tab.pivot(i, int(candidates[0]))
-        allowed[ncols:] = False
-
-    c2 = np.zeros(ncols + nart)
-    c2[:n] = c_user
-    c2[n:nsplit] = -c_user
-    status, enter_col = tab.run(c2, allowed, max_pivots)
-    if status == "stalled":
-        return LpResult(status="stalled", pivots=tab.pivots,
-                        pivot_log=tab.pivot_log)
-    if status == "unbounded":
-        ray_split = np.zeros(ncols + nart)
-        ray_split[enter_col] = 1.0
-        for i in range(m):
-            ray_split[tab.basis[i]] = -tab.M[i, enter_col]
-        ray = ray_split[:n] - ray_split[n:nsplit]
-        return LpResult(status="unbounded", ray=ray, pivots=tab.pivots,
-                        pivot_log=tab.pivot_log)
-
-    z = tab.repaired_solution()
-    if z is None or z[tab.basis].min() < -1e-7:
-        z = np.zeros(ncols + nart)
-        z[tab.basis] = tab.q
-    x = z[:n] - z[n:nsplit]
-    residual = A @ x - b
-    ok = all(
-        (rel == LE and res <= feas_tol)
-        or (rel == GE and res >= -feas_tol)
-        or (rel == EQ and abs(res) <= feas_tol)
-        for rel, res in zip(rels, residual))
+    # adding 0.0 turns -0.0 into 0.0, keeping printed values deterministic
+    x = np.asarray(res.x, dtype=float) + 0.0
+    lo = np.array([-np.inf if l is None else l for l, _ in lp.bounds], float)
+    hi = np.array([np.inf if h is None else h for _, h in lp.bounds], float)
+    residual = lp.A @ x - lp.b
+    ok = ((residual[le] <= feas_tol).all()
+          and (residual[ge] >= -feas_tol).all()
+          and (np.abs(residual[eq]) <= feas_tol).all()
+          and (x >= lo - feas_tol).all() and (x <= hi + feas_tol).all())
     if not ok:
-        return LpResult(status="stalled", pivots=tab.pivots,
-                        pivot_log=tab.pivot_log)
-
-    y_internal = tab.basis_duals(c2)
-    if y_internal is None:
-        y_internal = np.zeros(m)
-    y = sense * flips * y_internal
-    value = float(lp.objective @ x)
-    dual_value = float(y @ b)
-    return LpResult(status="optimal", x=x, value=value,
-                    duals=y[:len(lp.b)], dual_value=dual_value,
-                    pivots=tab.pivots, pivot_log=tab.pivot_log)
-
-
-def _verified_farkas(tab: _Tableau, c1: np.ndarray, lp: LinearProgram,
-                     A: np.ndarray, rels, b: np.ndarray, flips: np.ndarray,
-                     feas_tol: float) -> np.ndarray | None:
-    """Farkas certificate from the phase-1 basis, verified before use.
-
-    Returns user-row multipliers y with sum_i y_i a_i ~ 0, y sign-compatible
-    with each relation, and y . b > 0; None when verification fails.
-    """
-    y_internal = tab.basis_duals(c1)
-    if y_internal is None:
-        return None
-    y = flips * y_internal
-    combo = y @ A
-    margin = float(y @ b)
-    scale = max(1.0, float(np.abs(y).max()))
-    if margin <= feas_tol or np.abs(combo).max() > 1e-8 * scale:
-        return None
-    for i, rel in enumerate(rels):
-        if rel == LE and y[i] > feas_tol:
-            return None
-        if rel == GE and y[i] < -feas_tol:
-            return None
-    return y
+        return LpResult("stalled", pivots=pivots)
+    return LpResult("optimal", x=x, value=float(lp.objective @ x) + 0.0,
+                    pivots=pivots)
 
 
 def dump_lp_text(lp: LinearProgram) -> str:

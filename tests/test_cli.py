@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lyapcert.cli import (EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE,
-                          SpecFileError, default_cone_schedule, main,
-                          parse_spec, read_certificate_candidate)
+from lyapcert import linprog
+from lyapcert.cli import (EXIT_NOT_FOUND, EXIT_OK, EXIT_SOLVER_FAILURE,
+                          EXIT_USAGE, SpecFileError, default_cone_schedule,
+                          main, parse_spec, read_certificate_candidate)
 from lyapcert.cop_lp import ConicSystem
 from lyapcert.sos_cert import SemialgebraicSystem
 
@@ -185,6 +191,38 @@ def test_unstable_system_exhausts(tmp_path):
     code = main(["find-lyap-cone", str(path), "--deg", "2", "--r", "0",
                  "--sweeps", "4", "--out", str(tmp_path / "o")])
     assert code == EXIT_NOT_FOUND
+
+
+@pytest.mark.parametrize("command, spec_name", [
+    (["find-lyap-cone", "--deg", "2", "--r", "0"], "cone_spec"),
+    (["find-lyap-sos", "--deg", "2", "--tier", "dsos"], "cusp_spec"),
+], ids=["cone", "dsos"])
+def test_stalled_lp_is_solver_failure(command, spec_name, request, tmp_path,
+                                      monkeypatch, capsys):
+    monkeypatch.setattr(linprog, "solve",
+                        lambda lp, **kw: linprog.LpResult("stalled"))
+    spec = request.getfixturevalue(spec_name)
+    code = main([command[0], str(spec), *command[1:],
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER_FAILURE
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "status=solver-failure")
+
+
+def test_dsos_certificate_independent_of_blas_threads(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "PYTHONPATH": str(root / "src"),
+               "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run(
+            [sys.executable, "-m", "lyapcert.cli", "find-lyap-sos",
+             str(root / "specs" / "cusp_box.spec"), "--deg", "2",
+             "--tier", "dsos", "--out", str(out)],
+            env=env, check=True, capture_output=True)
+        texts.append((out / "certificate.txt").read_text())
+    assert texts[0] == texts[1]
 
 
 def test_outputs_deterministic(cone_spec, tmp_path):

@@ -165,3 +165,14 @@ def test_csv_layout():
     assert lines[0] == "t,x1,x2,eta1,eta2,V"
     assert len(lines) == len(traj) + 1
     assert all(len(line.split(",")) == 6 for line in lines[1:])
+
+
+def test_csv_reads_back_with_loadtxt(tmp_path):
+    traj = simulate([0.8, 0.2], T=0.01, dt=1e-3, system=wedge_system(),
+                    V=PRINTED_V)
+    path = tmp_path / "trajectory.csv"
+    path.write_text(traj.to_csv())
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert table.shape == (len(traj), 6)
+    assert np.array_equal(table[:, 0], traj.times)
+    assert np.array_equal(table[:, 1:3], np.array(traj.states))
