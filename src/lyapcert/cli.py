@@ -8,7 +8,7 @@ output directory.
 Exit codes: 0 when a certificate is found or verification passes, 1 when
 the search is exhausted or verification fails, 2 for usage or input
 errors, 3 when an LP or SDP of the search failed to solve and no level
-certified.  Every run ends with one machine-readable "status=..." line on
+certified, or when a linear-algebra step raised LinAlgError.  Every run ends with one machine-readable "status=..." line on
 standard error.  Verbosity comes from LYAPCERT_LOG (quiet, info, debug).
 """
 
@@ -606,6 +606,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args, spec)
+    except np.linalg.LinAlgError as exc:
+        _status(f"solver-failure detail={str(exc)!r}")
+        return EXIT_SOLVER_FAILURE
     except (SpecFileError, PolynomialParseError, ValueError) as exc:
         _status(f"input-error detail={str(exc)!r}")
         return EXIT_USAGE

@@ -177,32 +177,6 @@ class SimplicialPartition:
     def refine_all(self) -> "SimplicialPartition":
         return self.refine_cells(range(len(self.cells)))
 
-    def halve_diameter(self) -> "SimplicialPartition":
-        """One uniform sweep: bisect until the diameter is half the entry value."""
-        target = 0.5 * self.diameter() + 1e-12
-        part = self
-        while part.diameter() > target:
-            too_big = [i for i, cell in enumerate(part.cells)
-                       if cell.diameter() > target]
-            part = part.refine_cells(too_big)
-        return part
-
-    def locate(self, x, tol: float = 1e-9) -> int | None:
-        """Index of a cell containing x (barycentric test), or None."""
-        for i, cell in enumerate(self.cells):
-            try:
-                lam = barycentric(x, cell)
-            except ConeGeometryError:
-                continue
-            if lam.min() >= -tol:
-                return i
-        return None
-
-
-def partition_diameter(partition: SimplicialPartition) -> float:
-    """Max over cells of the max pairwise vertex distance (l2)."""
-    return partition.diameter()
-
 
 # -- orthant and face sections -------------------------------------------------
 

@@ -5,17 +5,18 @@ by three families of inequalities: h >= 0 on the cone, the interior
 decrease polynomial s0 >= 0 on the cone, and the face decrease s_i >= 0 on
 each cone face.  By homogeneity everything is checked on l1-sphere
 sections, each section is partitioned into simplices, and on every cell
-nonnegativity of all symmetric-tensor evaluations at vertex multisets
-implies nonnegativity of the polynomial on the cell.  Those tensor
-evaluations are linear in the coefficients of h, which yields one LP per
-partition; cells whose rows bind at the optimum are bisected and the LP is
-re-solved, driving the partition diameter down until the margin clears the
-acceptance threshold or the sweep budget runs out.
+nonnegativity of the polynomial's Bernstein coefficients (its polar-form
+values at the vertex multisets, solved from its values at the simplicial
+lattice points) implies nonnegativity of the polynomial on the cell.
+Those coefficients are linear in the coefficients of h, which yields one
+LP per partition; cells whose rows bind at the optimum are bisected and
+the LP is re-solved, driving the partition diameter down until the margin
+clears the acceptance threshold or the sweep budget runs out.
 
 Faces carry two polynomial branches of the projected velocity switched by
 the sign of w_i(x) = <c_i, f(x)>; a cell certifies w's sign with the same
-tensor test and receives the matching branch rows, or both when the sign
-is mixed, which is conservative but sound.
+Bernstein test and receives the matching branch rows, or both when the
+sign is mixed, which is conservative but sound.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import numpy as np
 
 from . import linprog
 from .cones import PolyhedralCone, SimplicialPartition, Simplex, cone_orthant_sections, face_sections
-from .poly import Mono, Polynomial, SymmetricTensor, monomials_of_degree, norm_squared
-from .tangency import FaceEtaBranches, face_eta_polynomial
+from .poly import (Mono, Polynomial, bernstein_coefficients,
+                   monomials_of_degree, norm_squared)
+from .tangency import face_eta_polynomial
 
 logger = logging.getLogger(__name__)
 
@@ -217,12 +219,8 @@ def build_si(h_basis: list[Mono], r: int, f: list[Polynomial],
     return out
 
 
-def _tensor_or_none(p: Polynomial) -> SymmetricTensor | None:
-    return None if p.is_zero() else p.to_tensor()
-
-
 class _LevelData:
-    """Per-(d, r) precomputation: bases and tensors reused across sweeps."""
+    """Per-(d, r) bases and row polynomials, reused across sweeps."""
 
     def __init__(self, system: ConicSystem, degree: int, r: int):
         n = system.dimension
@@ -230,59 +228,50 @@ class _LevelData:
         self.r = r
         self.h_basis = monomials_of_degree(n, degree)
         self.s0_order = degree + system.field_degree + 1
-        self.h_tensors = [Polynomial.monomial(m).to_tensor()
-                          for m in self.h_basis]
-        self.s0_tensors = [_tensor_or_none(p)
-                           for p in build_s0(self.h_basis, r, system.f)]
-        self.face_b_tensors: dict[int, list[SymmetricTensor | None]] = {}
-        self.face_w: dict[int, FaceEtaBranches] = {}
+        self.h_polys = [Polynomial.monomial(m) for m in self.h_basis]
+        self.s0_polys = build_s0(self.h_basis, r, system.f)
+        self.face_b_polys: dict[int, list[Polynomial]] = {}
+        self.face_w: dict[int, Polynomial] = {}
         for i in range(1, system.cone.num_rows + 1):
-            self.face_w[i] = face_eta_polynomial(system.cone, i, system.f)
-            self.face_b_tensors[i] = [
-                _tensor_or_none(p)
-                for p in build_si(self.h_basis, r, system.f, system.cone, i, "b")]
+            self.face_w[i] = face_eta_polynomial(system.cone, i, system.f).w
+            self.face_b_polys[i] = build_si(self.h_basis, r, system.f,
+                                            system.cone, i, "b")
 
 
 def _cell_rows(level: _LevelData, state: SectionState, section_idx: int,
-               cell_idx: int, cell: Simplex, ncoef: int
+               cell_idx: int, cell: Simplex
                ) -> tuple[list[np.ndarray], list[RowProvenance]]:
-    """All tuple rows for one cell; the final column is the margin variable."""
-    verts = [np.array(v) for v in cell.vertices]
-    rows: list[np.ndarray] = []
+    """All multiset rows for one cell; the final column is the margin variable."""
+    blocks: list[np.ndarray] = []
     prov: list[RowProvenance] = []
 
-    def tensor_rows(tensors, order: int, row_kind: str):
-        for combo in itertools.combinations_with_replacement(
-                range(len(verts)), order):
-            pts = [verts[i] for i in combo]
-            row = np.zeros(ncoef + 1)
-            for m, T in enumerate(tensors):
-                if T is not None:
-                    row[m] = float(T.eval(pts))
-            row[ncoef] = -1.0
-            rows.append(row)
-            prov.append(RowProvenance(section_idx, cell_idx, row_kind, combo))
+    def add_rows(polys: list[Polynomial], order: int, row_kind: str):
+        coeffs = bernstein_coefficients(polys, cell.vertices, order)
+        blocks.append(np.hstack([coeffs, -np.ones((len(coeffs), 1))]))
+        prov.extend(RowProvenance(section_idx, cell_idx, row_kind, combo)
+                    for combo in itertools.combinations_with_replacement(
+                        range(cell.num_vertices), order))
 
     if state.kind == "cone":
-        tensor_rows(level.h_tensors, level.degree, "h")
-        tensor_rows(level.s0_tensors, level.s0_order, "s0")
+        add_rows(level.h_polys, level.degree, "h")
+        add_rows(level.s0_polys, level.s0_order, "s0")
     else:
         face = state.label
-        w = level.face_w[face].w
-        branches = _face_branches_for_cell(w, verts)
+        branches = _face_branches_for_cell(level.face_w[face], cell.vertices)
         if "a" in branches:
-            tensor_rows(level.s0_tensors, level.s0_order, "face-a")
+            add_rows(level.s0_polys, level.s0_order, "face-a")
         if "b" in branches:
-            tensor_rows(level.face_b_tensors[face], level.s0_order, "face-b")
-    return rows, prov
+            add_rows(level.face_b_polys[face], level.s0_order, "face-b")
+    return blocks, prov
 
 
-def _face_branches_for_cell(w: Polynomial, verts: list[np.ndarray],
-                            tol: float = 1e-12) -> set[str]:
+def _face_branches_for_cell(w: Polynomial, verts, tol: float = 1e-12
+                            ) -> set[str]:
     """Branches required on a face cell, from the certified sign of w.
 
-    Sign certification uses the same vertex-multiset tensor test as the
-    main inequalities, so it is exact for linear fields and sound for
+    The sign is read from the Bernstein coefficients of w at the
+    simplicial lattice of the cell, the same test as the main
+    inequalities, so it is exact for linear fields and sound for
     higher-degree ones; an uncertain sign requires both branches.
     """
     if w.is_zero():
@@ -290,13 +279,10 @@ def _face_branches_for_cell(w: Polynomial, verts: list[np.ndarray],
     order = w.is_homogeneous()
     if order is None:
         raise ConicSetupError("switching polynomial must be homogeneous")
-    T = w.to_tensor()
-    vals = [float(T.eval([verts[i] for i in combo]))
-            for combo in itertools.combinations_with_replacement(
-                range(len(verts)), order)]
-    if all(v >= -tol for v in vals):
+    vals = bernstein_coefficients([w], verts, order)[:, 0]
+    if (vals >= -tol).all():
         return {"a"}
-    if all(v <= tol for v in vals):
+    if (vals <= tol).all():
         return {"b"}
     return {"a", "b"}
 
@@ -315,23 +301,23 @@ def assemble_lp(system: ConicSystem, degree: int, r: int,
         level = _LevelData(system, degree, r)
     ncoef = len(level.h_basis)
 
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     prov: list[RowProvenance] = []
     for sec_idx, state in enumerate(sections):
         for cell_idx, cell in enumerate(state.partition.cells):
-            cell_rows, cell_prov = _cell_rows(level, state, sec_idx, cell_idx,
-                                              cell, ncoef)
-            rows.extend(cell_rows)
+            cell_blocks, cell_prov = _cell_rows(level, state, sec_idx,
+                                                cell_idx, cell)
+            blocks.extend(cell_blocks)
             prov.extend(cell_prov)
 
-    A = np.array(rows).reshape(len(rows), ncoef + 1)
+    A = np.vstack(blocks)
     objective = np.zeros(ncoef + 1)
     objective[ncoef] = 1.0
     bounds: list[tuple[float | None, float | None]] = \
         [(-1.0, 1.0)] * ncoef + [(None, None)]
     lp = linprog.LinearProgram(
-        objective=objective, A=A, relations=[linprog.GE] * len(rows),
-        b=np.zeros(len(rows)), bounds=bounds, maximize=True)
+        objective=objective, A=A, relations=[linprog.GE] * len(prov),
+        b=np.zeros(len(prov)), bounds=bounds, maximize=True)
     return lp, prov
 
 

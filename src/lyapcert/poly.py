@@ -5,8 +5,10 @@ A polynomial is a map from exponent tuples to rational coefficients
 symmetrization are exact; floats enter only at solver and sampler
 boundaries.  A homogeneous polynomial of degree d has an equivalent
 symmetric order-d tensor whose diagonal restriction reproduces it; its
-evaluations on tuples of simplex vertices are what turn copositivity into
-finitely many linear constraints.
+evaluations on tuples of simplex vertices are the polynomial's Bernstein
+coefficients on that simplex, which turn copositivity into finitely many
+linear constraints.  bernstein_coefficients computes them from values at
+the simplicial lattice points.
 
 Monomial order is graded lexicographic (total degree ascending, exponent
 tuple descending within a degree) and is used everywhere a coefficient
@@ -19,8 +21,10 @@ certificate files; see parse_polynomial / format_polynomial.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from typing import Iterator, Mapping, Sequence
 
@@ -415,33 +419,47 @@ class SymmetricTensor:
                 f"{len(self.entries)} entries)")
 
 
-def coefficient_row(basis: Sequence[Mono],
-                    points: Sequence[Sequence[float]]) -> np.ndarray:
-    """Row c with tensor_eval(sum_i c_i m_i, points) = c . coefficients.
+@lru_cache(maxsize=None)
+def _bernstein_lattice(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice weights alpha/d and the inverse of M with M[alpha, beta] =
+    B_beta(alpha/d), the Bernstein polynomials at the lattice points.
 
-    For each basis monomial, the value of its symmetrized tensor on the
-    given point tuple; used to assemble one LP constraint row per vertex
-    tuple with the polynomial coefficients left symbolic.
+    Rows and columns run over the multisets of d indices from range(k) in
+    combinations_with_replacement order; both arrays are read-only.
     """
-    if not basis:
-        return np.zeros(0)
-    order = sum(basis[0])
-    if len(points) != order:
-        raise ValueError(f"expected {order} points, got {len(points)}")
-    pts = [np.asarray(p, dtype=float) for p in points]
-    row = np.zeros(len(basis))
-    for col, mono in enumerate(basis):
-        if sum(mono) != order:
-            raise ValueError("basis monomials must share one degree")
-        idx = _mono_to_indices(mono)
-        s = 0.0
-        for perm in distinct_permutations(idx):
-            term = 1.0
-            for k in range(order):
-                term *= pts[k][perm[k]]
-            s += term
-        row[col] = s / _permutation_count(idx)
-    return row
+    alphas = np.array([np.bincount(c, minlength=k) for c in
+                       itertools.combinations_with_replacement(range(k), d)])
+    lattice = alphas / d
+    multinomial = np.array([factorial(d) / prod(factorial(int(b)) for b in beta)
+                            for beta in alphas])
+    M = multinomial * np.prod(lattice[:, None, :] ** alphas[None, :, :], axis=2)
+    M_inv = np.linalg.inv(M)
+    lattice.setflags(write=False)
+    M_inv.setflags(write=False)
+    return lattice, M_inv
+
+
+def bernstein_coefficients(polys: Sequence[Polynomial], vertices,
+                           order: int) -> np.ndarray:
+    """Bernstein coefficients of homogeneous polynomials on one simplex.
+
+    Returns a (multisets x polys) array whose row j belongs to the j-th
+    vertex multiset of combinations_with_replacement(range(k), order).
+    Writing x = lambda V on the cell, p(lambda V) = sum_beta b_beta
+    B_beta(lambda), and b_beta is the polar-form value H[v_{i1}, ...,
+    v_{id}] at the multiset beta; the coefficients are solved from the
+    values at the simplicial lattice points alpha V / d.  Every polynomial
+    must be zero or homogeneous of degree `order`.
+    """
+    for p in polys:
+        if not p.is_zero() and p.is_homogeneous() != order:
+            raise ValueError(
+                f"Bernstein coefficients of order {order} need polynomials "
+                f"homogeneous of that degree")
+    V = np.asarray(vertices, dtype=float)
+    lattice, M_inv = _bernstein_lattice(len(V), order)
+    points = lattice @ V
+    return M_inv @ np.column_stack([p.eval_many(points) for p in polys])
 
 
 def norm_squared(dimension: int) -> Polynomial:

@@ -72,30 +72,6 @@ class SemialgebraicSet:
         return bool((self.values(x) >= -tol).all())
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Indices (0-based) of constraints active at a point, with the band used."""
-
-    indices: tuple[int, ...]
-    activation_tol: float
-
-
-def active_set(S: SemialgebraicSet, x, activation_tol: float = DEFAULT_ACTIVATION_TOL
-               ) -> ActiveSet:
-    """Constraints with |g_i(x)| <= activation_tol.
-
-    The point must be feasible within the same band; a deeper violation is
-    an error, not an empty answer.
-    """
-    vals = S.values(x)
-    worst = float(vals.min())
-    if worst < -activation_tol:
-        raise TangencyError(
-            f"point is infeasible by {-worst:.3e} (> {activation_tol:.1e})")
-    idx = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= activation_tol))
-    return ActiveSet(idx, activation_tol)
-
-
 def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None,
          tol: float = 1e-11) -> np.ndarray:
     """Lawson-Hanson nonnegative least squares: argmin_{x>=0} ||Ax - b||.
@@ -190,13 +166,6 @@ class FaceEtaBranches:
     w: Polynomial
     eta_b_scaled: tuple[Polynomial, ...]
     c_norm_sq: Fraction
-
-    def eta_at(self, x) -> np.ndarray:
-        """Numeric eta(x) by branch selection at a concrete point."""
-        if float(self.w.evaluate(tuple(x))) >= 0.0:
-            return np.zeros(len(x))
-        return np.array([float(p.evaluate(tuple(x))) / float(self.c_norm_sq)
-                         for p in self.eta_b_scaled])
 
 
 def face_eta_polynomial(cone: PolyhedralCone, face_index: int,

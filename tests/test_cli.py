@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapcert import linprog
+from lyapcert import linprog, sos_cert
 from lyapcert.cli import (EXIT_NOT_FOUND, EXIT_OK, EXIT_SOLVER_FAILURE,
                           EXIT_USAGE, SpecFileError, default_cone_schedule,
                           main, parse_spec, read_certificate_candidate)
@@ -207,6 +207,27 @@ def test_stalled_lp_is_solver_failure(command, spec_name, request, tmp_path,
     assert code == EXIT_SOLVER_FAILURE
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "status=solver-failure")
+
+
+@pytest.mark.parametrize("command, spec_name, owner, name", [
+    (["find-lyap-cone", "--deg", "2", "--r", "0"], "cone_spec", linprog,
+     "solve"),
+    (["find-lyap-sos", "--deg", "2", "--tier", "sdp"], "cusp_spec", sos_cert,
+     "solve_sdp"),
+], ids=["cone", "sdp"])
+def test_linalg_error_is_solver_failure(command, spec_name, owner, name,
+                                        request, tmp_path, monkeypatch,
+                                        capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(owner, name, singular)
+    spec = request.getfixturevalue(spec_name)
+    code = main([command[0], str(spec), *command[1:],
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER_FAILURE
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "status=solver-failure detail='Singular matrix'"
 
 
 def test_dsos_certificate_independent_of_blas_threads(tmp_path):

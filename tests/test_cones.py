@@ -6,8 +6,7 @@ import pytest
 from lyapcert.cones import (ConeGeometryError, PolyhedralCone, Simplex,
                             SimplicialPartition, barycentric,
                             bisect_longest_edge, cone_orthant_sections,
-                            dump_partition_lines, face_sections,
-                            partition_diameter)
+                            dump_partition_lines, face_sections)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 
@@ -165,12 +164,33 @@ def test_midpoints_stay_on_l1_sphere():
             assert abs(np.abs(np.array(v)).sum() - 1.0) <= 1e-12
 
 
+def halve_diameter(part):
+    """Bisect every cell above half the entry diameter until none is left."""
+    target = 0.5 * part.diameter() + 1e-12
+    while part.diameter() > target:
+        part = part.refine_cells([i for i, cell in enumerate(part.cells)
+                                  if cell.diameter() > target])
+    return part
+
+
+def locate(part, x, tol=1e-9):
+    """Index of a cell containing x (barycentric test), or None."""
+    for i, cell in enumerate(part.cells):
+        try:
+            lam = barycentric(x, cell)
+        except ConeGeometryError:
+            continue
+        if lam.min() >= -tol:
+            return i
+    return None
+
+
 def test_uniform_sweeps_halve_diameter():
     part = SimplicialPartition(Simplex.from_rows(np.eye(3)))
     d0 = part.diameter()
     assert abs(d0 - math.sqrt(2)) <= 1e-15
     for k in range(1, 4):
-        part = part.halve_diameter()
+        part = halve_diameter(part)
         assert part.diameter() <= d0 / 2 ** k + 1e-12
 
 
@@ -178,11 +198,11 @@ def test_uniform_sweeps_halve_diameter():
 
 def test_partition_diameter_values():
     one = SimplicialPartition(Simplex.from_rows([[1, 0], [0, 1]]))
-    assert abs(partition_diameter(one) - math.sqrt(2)) <= 1e-15
+    assert abs(one.diameter() - math.sqrt(2)) <= 1e-15
     refined = one.refine_all()
-    assert abs(partition_diameter(refined) - math.sqrt(0.5)) <= 1e-12
+    assert abs(refined.diameter() - math.sqrt(0.5)) <= 1e-12
     singleton = SimplicialPartition(Simplex.from_rows([[0.8, 0.2]]))
-    assert partition_diameter(singleton) == 0.0
+    assert singleton.diameter() == 0.0
 
 
 def test_partition_diameter_brute_force_oracle():
@@ -198,7 +218,7 @@ def test_partition_diameter_brute_force_oracle():
         for i in range(len(V)):
             for j in range(len(V)):
                 best = max(best, float(np.linalg.norm(V[i] - V[j])))
-    assert abs(partition_diameter(part) - best) <= 1e-15
+    assert abs(part.diameter() - best) <= 1e-15
 
 
 def test_cover_property_after_refinement():
@@ -212,7 +232,7 @@ def test_cover_property_after_refinement():
     V = parent.vertex_array()
     for _ in range(1000):
         x = rng.dirichlet([1.0, 1.0, 1.0]) @ V
-        assert part.locate(x) is not None
+        assert locate(part, x) is not None
 
 
 def test_interiors_disjoint_by_sampling():

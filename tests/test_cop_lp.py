@@ -7,12 +7,13 @@ import pytest
 from lyapcert import linprog
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import (ConicSetupError, ConicSystem,
-                             RationalLyapunovCandidate, assemble_lp, build_s0,
-                             build_si, initial_sections,
-                             interior_decrease_polynomial, run_hierarchy)
+                             RationalLyapunovCandidate, SectionState,
+                             assemble_lp, build_s0, build_si,
+                             initial_sections, interior_decrease_polynomial,
+                             run_hierarchy)
 from lyapcert.poly import (Polynomial, SymmetricTensor, monomials_of_degree,
                            norm_squared, parse_polynomial)
-from lyapcert.tangency import eta_projection
+from lyapcert.tangency import eta_projection, face_eta_polynomial
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -163,6 +164,76 @@ def test_zero_candidate_has_zero_margin():
     zero_with_best_t = np.zeros(lp.A.shape[1])
     rows = lp.A[:, :-1] @ zero_with_best_t[:-1]
     assert rows.min() == 0.0  # so the accepted margin threshold excludes h = 0
+
+
+SQ3D = ConicSystem(
+    [parse_polynomial("-1*x1 + 2*x2 - 0.2*x3", 3),
+     parse_polynomial("-2*x1 - 1*x2 + 0.1*x3", 3),
+     parse_polynomial("0.3*x1 - 0.5*x3", 3)],
+    PolyhedralCone([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]]))
+
+
+def polar_form_lp(system, degree, r, sections, tol=1e-12):
+    """Reference rows and provenance from each row polynomial's tensor."""
+    basis = monomials_of_degree(system.dimension, degree)
+    order = degree + system.field_degree + 1
+
+    def tensors(polys):
+        return [None if p.is_zero() else p.to_tensor() for p in polys]
+
+    h = tensors([Polynomial.monomial(m) for m in basis])
+    s0 = tensors(build_s0(basis, r, system.f))
+    rows, prov = [], []
+    for sec, state in enumerate(sections):
+        for ci, cell in enumerate(state.partition.cells):
+            verts = [np.array(v) for v in cell.vertices]
+
+            def multisets(k):
+                return itertools.combinations_with_replacement(
+                    range(len(verts)), k)
+
+            def add(ts, k, kind):
+                for combo in multisets(k):
+                    pts = [verts[i] for i in combo]
+                    rows.append([0.0 if T is None else float(T.eval(pts))
+                                 for T in ts] + [-1.0])
+                    prov.append((sec, ci, kind, combo))
+
+            if state.kind == "cone":
+                add(h, degree, "h")
+                add(s0, order, "s0")
+                continue
+            W = face_eta_polynomial(system.cone, state.label,
+                                    system.f).w.to_tensor()
+            w = [float(W.eval([verts[i] for i in combo]))
+                 for combo in multisets(system.field_degree)]
+            if min(w) >= -tol or max(w) > tol:
+                add(s0, order, "face-a")
+            if min(w) < -tol:
+                add(tensors(build_si(basis, r, system.f, system.cone,
+                                     state.label, "b")), order, "face-b")
+    return np.array(rows), prov
+
+
+@pytest.mark.parametrize("degree, r, sweeps, nrows", [
+    (2, 0, 0, 228), (2, 0, 1, 436), (2, 0, 2, 852), (4, 1, 0, 428)])
+def test_assembled_lp_matches_polar_form_reference(degree, r, sweeps, nrows,
+                                                   monkeypatch):
+    sections = initial_sections(SQ3D)
+    for _ in range(sweeps):
+        sections = [SectionState(s.kind, s.label, s.partition.refine_all())
+                    for s in sections]
+    A_ref, prov_ref = polar_form_lp(SQ3D, degree, r, sections)
+
+    def no_tensor_eval(self, points):
+        raise AssertionError("LP assembly evaluated a symmetric tensor")
+
+    monkeypatch.setattr(SymmetricTensor, "eval", no_tensor_eval)
+    lp, prov = assemble_lp(SQ3D, degree, r, sections)
+    assert lp.A.shape == A_ref.shape == (nrows, A_ref.shape[1])
+    assert [(p.section, p.cell, p.row_kind, p.vertex_tuple)
+            for p in prov] == prov_ref
+    assert np.abs(lp.A - A_ref).max() <= 1e-12
 
 
 def test_empty_sections_rejected():

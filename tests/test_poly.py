@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyapcert.poly import (Polynomial, PolynomialParseError, SymmetricTensor,
-                           coefficient_row, format_polynomial,
+                           bernstein_coefficients, format_polynomial,
                            monomials_of_degree, monomials_up_to_degree,
                            parse_polynomial)
 
@@ -179,26 +179,57 @@ def test_tensor_roundtrip_diagonal_polynomial():
     assert p.to_tensor().diagonal_polynomial() == p
 
 
-# -- coefficient rows ----------------------------------------------------------------
+# -- Bernstein coefficients ------------------------------------------------------------
 
-def test_coefficient_row_symmetrized():
-    basis = [(2, 0), (1, 1), (0, 2)]
-    row = coefficient_row(basis, [(1, 0), (0, 1)])
-    assert np.allclose(row, [0.0, 0.5, 0.0])
-    row2 = coefficient_row(basis, [(1, 0), (1, 0)])
-    assert np.allclose(row2, [1.0, 0.0, 0.0])
+def polar_form_rows(polys, vertices, order):
+    """Reference: each polynomial's tensor at every vertex multiset."""
+    combos = list(itertools.combinations_with_replacement(range(len(vertices)),
+                                                          order))
+    out = np.zeros((len(combos), len(polys)))
+    for col, p in enumerate(polys):
+        if p.is_zero():
+            continue
+        T = p.to_tensor()
+        for row, combo in enumerate(combos):
+            out[row, col] = float(T.eval([vertices[i] for i in combo]))
+    return out
 
 
-def test_coefficient_row_consistency_with_tensor_eval():
+def test_bernstein_coefficients_match_tensor_eval():
     rng = np.random.default_rng(7)
-    h = parse_polynomial("2.9*x1^2 + 1*x1*x2 + 1*x2^2", 2)
-    basis = monomials_of_degree(2, 2)
-    coeffs = h.coefficient_vector(basis)
-    H = h.to_tensor()
-    for _ in range(20):
-        pts = rng.uniform(-2, 2, size=(2, 2))
-        row = coefficient_row(basis, pts)
-        assert abs(row @ coeffs - float(H.eval(pts))) <= 1e-10
+    basis = [Polynomial.monomial(m) for m in monomials_of_degree(2, 2)]
+    printed = parse_polynomial("2.9*x1^2 + 1*x1*x2 + 1*x2^2", 2)
+    # (polys, vertices, order, rows known in closed form or None)
+    cases = [
+        (basis, [(1, 0), (0, 1)], 2, {1: [0.0, 0.5, 0.0]}),
+        (basis, [(1, 0), (1, 0)], 2, {1: [1.0, 0.0, 0.0]}),
+    ]
+    cases += [([printed], rng.uniform(-2, 2, size=(2, 2)), 2, None)
+              for _ in range(5)]
+    for n in (2, 3, 4):
+        for k in range(1, n + 1):
+            for order in range(1, 7):
+                p = Polynomial(n, {
+                    m: Fraction(rng.uniform(-2, 2)).limit_denominator(499)
+                    for m in monomials_of_degree(n, order)})
+                mono = Polynomial.monomial(monomials_of_degree(n, order)[-1])
+                vertices = rng.uniform(-2, 2, size=(k, n))
+                cases.append(([p, Polynomial.zero(n), mono], vertices, order,
+                              None))
+    for polys, vertices, order, known in cases:
+        got = bernstein_coefficients(polys, vertices, order)
+        ref = polar_form_rows(polys, vertices, order)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        for row, values in (known or {}).items():
+            assert np.abs(got[row] - values).max() <= 1e-12
+
+
+def test_bernstein_coefficients_reject_wrong_degree():
+    with pytest.raises(ValueError):
+        bernstein_coefficients([X1 ** 2 + X2], [(1, 0), (0, 1)], 2)
+    with pytest.raises(ValueError):
+        bernstein_coefficients([X1 ** 3], [(1, 0), (0, 1)], 2)
 
 
 # -- invariants -----------------------------------------------------------------------

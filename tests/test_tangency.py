@@ -3,7 +3,7 @@ import pytest
 
 from lyapcert.cones import PolyhedralCone
 from lyapcert.poly import Polynomial, parse_polynomial
-from lyapcert.tangency import (SemialgebraicSet, TangencyError, active_set,
+from lyapcert.tangency import (SemialgebraicSet, TangencyError,
                                eta_projection, face_eta_polynomial, nnls)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
@@ -15,26 +15,6 @@ def cusp_set():
     return SemialgebraicSet(
         [parse_polynomial("x1 - x2^2", 2), parse_polynomial("1 - x1", 2)],
         [(-0.5, 1.5), (-1.5, 1.5)])
-
-
-# -- active sets -------------------------------------------------------------------
-
-def test_active_set_on_line_face():
-    J = active_set(cusp_set(), (1.0, 0.0), 1e-9)
-    assert J.indices == (1,)  # only g2 = 1 - x1 vanishes
-
-
-def test_active_set_interior_empty():
-    assert active_set(cusp_set(), (0.5, 0.1)).indices == ()
-
-
-def test_active_set_corner_both():
-    assert active_set(cusp_set(), (1.0, 1.0)).indices == (0, 1)
-
-
-def test_active_set_rejects_infeasible():
-    with pytest.raises(TangencyError):
-        active_set(cusp_set(), (2.0, 0.0), 1e-9)
 
 
 def test_set_must_contain_origin():
@@ -132,18 +112,24 @@ def test_zero_gradient_rejected():
 
 # -- face branches ------------------------------------------------------------------
 
+def branch_b(br, x):
+    """Branch B of eta at x: -(w(x) / |c|^2) c, from its scaled polynomials."""
+    return np.array([p.evaluate_float(x) for p in br.eta_b_scaled]) / \
+        float(br.c_norm_sq)
+
+
 def test_branches_coincide_when_field_tangent():
     f = [parse_polynomial("-1*x1", 2), parse_polynomial("-1*x2", 2)]
     br = face_eta_polynomial(PolyhedralCone(np.eye(2)), 1, f)
     # face x1 = 0: w(x) = -x1 vanishes on the face, eta = 0 either way
     assert float(br.w.evaluate_float((0.0, 1.0))) == 0.0
-    assert np.allclose(br.eta_at((0.0, 1.0)), 0.0)
+    assert np.allclose(branch_b(br, (0.0, 1.0)), 0.0)
 
 
 def test_branch_selection_at_ray_point():
     br = face_eta_polynomial(WEDGE, 1, WEDGE_FIELD)
     assert abs(br.w.evaluate_float((0.8, 0.2)) - (-0.7)) <= 1e-12
-    eta = br.eta_at((0.8, 0.2))
+    eta = branch_b(br, (0.8, 0.2))  # w < 0 selects branch B
     assert eta @ np.array([-0.25, 1.0]) > 0  # pushes back into the cone
 
 
@@ -155,7 +141,7 @@ def test_branch_matches_projection_along_face():
     for _ in range(100):
         x = rng.uniform(0.05, 5.0) * np.array([0.8, 0.2])
         fx = np.array([p.evaluate_float(x) for p in WEDGE_FIELD])
-        a = br.eta_at(x)
+        a = branch_b(br, x)  # w < 0 along this ray
         b = eta_projection(fx, [c])
         worst = max(worst, float(np.abs(a - b).max()))
     assert worst <= 1e-10
