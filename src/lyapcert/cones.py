@@ -3,8 +3,11 @@
 A cone {x : Cx >= 0} is cut by each closed orthant and by the unit l1
 sphere; inside one orthant the l1 norm is linear, so every such section is
 a polytope whose vertices are the l1-normalized extreme rays of the
-orthant piece.  Sections with more vertices than their affine dimension
-plus one are triangulated, so downstream code only ever sees simplices.
+orthant piece.  Sections are built in exact integer arithmetic: each
+extreme ray is the integer null vector of n-1 primitive integer rows, kept
+with the rows tight at it, and a section with more vertices than its
+affine dimension plus one is cut by a pulling triangulation of those tight
+sets (no qhull), so downstream code only ever sees simplices.
 
 Refinement is longest-edge bisection with l1 renormalization of the
 midpoint; it keeps all partition vertices on the l1 sphere and drives the
@@ -13,16 +16,17 @@ partition diameter to zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import logging
+import math
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 # unused here; perfbench/tracing.py patches `solve` on this module by name
 from .linprog import solve  # noqa: F401
-
-logger = logging.getLogger(__name__)
 
 FEAS_TOL = 1e-9
 MAX_ORTHANT_DIMENSION = 12  # 2^n orthant enumeration; cost is exponential in n
@@ -100,26 +104,6 @@ class Simplex:
         return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
 
 
-def barycentric(x, simplex: Simplex, residual_tol: float = 1e-8) -> np.ndarray:
-    """Barycentric coordinates of x with respect to the simplex vertices.
-
-    Least-squares solve of [V^T; 1] lam = [x; 1]; a residual above
-    residual_tol means x is outside the affine hull and is an error.
-    Coordinates sum to one; they are >= -1e-9 exactly when x is in the
-    simplex.
-    """
-    x = np.asarray(x, dtype=float)
-    V = simplex.vertex_array()
-    A = np.vstack([V.T, np.ones(len(V))])
-    rhs = np.concatenate([x, [1.0]])
-    lam, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    residual = np.linalg.norm(A @ lam - rhs)
-    if residual > residual_tol:
-        raise ConeGeometryError(
-            f"point is outside the affine hull (residual {residual:.3e})")
-    return lam
-
-
 def bisect_longest_edge(simplex: Simplex) -> tuple[Simplex, Simplex]:
     """Split at the midpoint of the longest edge, renormalized to the l1 sphere.
 
@@ -181,98 +165,114 @@ class SimplicialPartition:
 # -- orthant and face sections -------------------------------------------------
 
 
-def _orthant_signs(dimension: int):
-    if dimension > MAX_ORTHANT_DIMENSION:
-        raise ConeGeometryError(
-            f"dimension {dimension} exceeds the orthant-enumeration cap "
-            f"{MAX_ORTHANT_DIMENSION}")
-    return list(itertools.product((1.0, -1.0), repeat=dimension))
+def _coprime(ints) -> tuple[int, ...]:
+    g = math.gcd(*ints) or 1
+    return tuple(a // g for a in ints)
 
 
-def _extreme_rays(ineq_rows: np.ndarray, eq_rows: np.ndarray,
-                  tol: float = 1e-9) -> list[np.ndarray]:
-    """Extreme rays of the pointed cone {x : ineq x >= 0, eq x = 0}.
+def _primitive(row) -> tuple[int, ...]:
+    """The coprime integer row with the direction of the exact stored floats."""
+    fracs = [Fraction(float(v)) for v in row]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return _coprime([int(f * den) for f in fracs])
 
-    Enumerates active sets: an extreme ray is the one-dimensional nullspace
-    of the equality rows plus n-1-rank(eq) active inequality rows.  Cost is
-    combinatorial in the row count, which the orthant cap keeps small.
+
+def _echelon(rows) -> list[tuple[int, tuple[int, ...]]]:
+    """Fraction-free Gauss-Jordan form of integer rows: (pivot, row) pairs."""
+    done, todo = [], [r for r in rows if any(r)]
+    while todo:
+        p = todo.pop()
+        col = next(j for j, a in enumerate(p) if a)
+
+        def clear(r):
+            return _coprime([a * p[col] - r[col] * b for a, b in zip(r, p)])
+
+        todo = [r for r in map(clear, todo) if any(r)]
+        done = [(c, clear(r)) for c, r in done] + [(col, p)]
+    return done
+
+
+def _rank(vectors) -> int:
+    return len(_echelon(vectors))
+
+
+def _null_ray(rows, n: int) -> tuple[int, ...] | None:
+    """Primitive integer null vector of n-1 rows; None when their rank is lower."""
+    done = _echelon(rows)
+    if len(done) != n - 1:
+        return None
+    free = (set(range(n)) - {c for c, _ in done}).pop()
+    scale = math.lcm(*(r[c] for c, r in done))
+    x = [0] * n
+    x[free] = scale
+    for c, r in done:
+        x[c] = -r[free] * (scale // r[c])
+    return _coprime(x)
+
+
+def _l1_point(ray) -> tuple[Fraction, ...]:
+    norm = sum(abs(a) for a in ray)
+    return tuple(Fraction(a, norm) for a in ray)
+
+
+def _full_pieces(cone: PolyhedralCone):
+    return _pieces(tuple(_primitive(row) for row in cone.C), cone.dimension)
+
+
+@functools.lru_cache(maxsize=16)
+def _pieces(cone_rows: tuple[tuple[int, ...], ...], n: int):
+    """Orthant pieces with interior, as (orthant id, rays, tight) triples.
+
+    A ray is the primitive null vector of n-1 rows; rays are sorted by their
+    exact l1 points, and tight[k] holds the rows tight at ray k (cone rows,
+    then sign rows).  Cached: the cone and face sections all start here.
     """
-    n = ineq_rows.shape[1]
-    rank_eq = 0
-    if eq_rows.size:
-        rank_eq = int(np.linalg.matrix_rank(eq_rows, tol=1e-11))
-    need = n - 1 - rank_eq
-    if need < 0:
-        return []
-    rays: list[np.ndarray] = []
-    seen: set[tuple] = set()
-    for combo in itertools.combinations(range(len(ineq_rows)), need):
-        block = [eq_rows] if eq_rows.size else []
-        if combo:
-            block.append(ineq_rows[list(combo)])
-        if block:
-            mat = np.vstack(block)
-        else:
-            mat = np.zeros((0, n))
-        if mat.shape[0] == 0:
-            continue  # need >= 1 whenever n >= 2; n == 1 handled below
-        _, sv, vt = np.linalg.svd(mat)
-        null_dim = n - int((sv > 1e-11 * max(1.0, sv[0] if sv.size else 1.0)).sum())
-        if null_dim != 1:
-            continue
-        u = vt[-1]
-        for cand in (u, -u):
-            if (ineq_rows @ cand >= -tol).all() and \
-                    (not eq_rows.size or np.abs(eq_rows @ cand).max() <= tol):
-                norm1 = float(np.abs(cand).sum())
-                if norm1 <= tol:
-                    continue
-                ray = cand / norm1
-                key = tuple(np.round(ray, 11))
-                if key not in seen:
-                    seen.add(key)
-                    rays.append(ray)
-    if n == 1:
-        for cand in (np.array([1.0]), np.array([-1.0])):
-            if (ineq_rows @ cand >= -tol).all() and \
-                    (not eq_rows.size or np.abs(eq_rows @ cand).max() <= tol):
-                key = tuple(np.round(cand, 11))
-                if key not in seen:
-                    seen.add(key)
-                    rays.append(cand)
-    return rays
+    if n > MAX_ORTHANT_DIMENSION:
+        raise ConeGeometryError(
+            f"dimension {n} exceeds the orthant-enumeration cap "
+            f"{MAX_ORTHANT_DIMENSION}")
+    pieces = []
+    for oid, signs in enumerate(itertools.product((1, -1), repeat=n)):
+        rows = cone_rows + tuple(tuple(s * (j == k) for j in range(n))
+                                 for k, s in enumerate(signs))
+        rays = {}
+        for combo in itertools.combinations(rows, n - 1):
+            u = _null_ray(combo, n)
+            if u is None:
+                continue
+            dots = [sum(map(operator.mul, row, u)) for row in rows]
+            if min(dots) < 0:
+                u, dots = tuple(-a for a in u), [-d for d in dots]
+            if min(dots) >= 0:
+                rays[u] = frozenset(i for i, d in enumerate(dots) if d == 0)
+        # a pointed piece has interior exactly when its rays span R^n; a
+        # thinner piece lies in the pieces of neighboring orthants
+        if _rank(list(rays)) == n:
+            order = tuple(sorted(rays, key=_l1_point))
+            pieces.append((oid, order, tuple(rays[r] for r in order)))
+    return tuple(pieces)
 
 
-def _triangulate_vertices(rays: list[np.ndarray]) -> list[Simplex]:
-    """Split conv(rays) into simplices; rays are polytope vertices."""
-    V = np.array(rays)
-    k = len(rays)
-    if k == 0:
-        return []
-    if k == 1:
-        return [Simplex.from_rows(V)]
-    base = V[0]
-    diffs = V[1:] - base
-    u, sv, vt = np.linalg.svd(diffs, full_matrices=False)
-    dim = int((sv > 1e-10 * max(1.0, sv[0])).sum())
-    if k == dim + 1:
-        return [Simplex.from_rows(V)]
-    frame = vt[:dim]
-    coords = (V - base) @ frame.T
-    if dim == 1:
-        order = np.argsort(coords[:, 0])
-        return [Simplex.from_rows(V[[order[i], order[i + 1]]])
-                for i in range(k - 1)]
-    from scipy.spatial import Delaunay
+def _pull(rays, tight, members: tuple[int, ...], rank: int
+          ) -> list[tuple[int, ...]]:
+    """Pulling triangulation of the face spanned by rays[members].
 
-    tri = Delaunay(coords, qhull_options="QJ")
-    cells = []
-    for simplex_idx in sorted(tuple(sorted(s)) for s in tri.simplices):
-        sub = V[list(simplex_idx)]
-        d = np.linalg.matrix_rank(sub[1:] - sub[0], tol=1e-10)
-        if d == len(simplex_idx) - 1:
-            cells.append(Simplex.from_rows(sub))
-    return cells
+    Cones from the first member over the facets that miss it, each pulled
+    the same way; a facet is the set of members tight at one row whose
+    rank is one less than rank, the rank of the face's rays.
+    """
+    if len(members) == rank:
+        return [members]
+    facets = {tuple(m for m in members if row in tight[m])
+              for m in members for row in tight[m] - tight[members[0]]}
+    return [members[:1] + cell for facet in facets
+            if _rank([rays[m] for m in facet]) == rank - 1
+            for cell in _pull(rays, tight, facet, rank - 1)]
+
+
+def _cells(rays, tight, members: tuple[int, ...], rank: int) -> list[Simplex]:
+    return [Simplex.from_rows(_l1_point(rays[k]) for k in cell)
+            for cell in sorted(_pull(rays, tight, members, rank))]
 
 
 def cone_orthant_sections(cone: PolyhedralCone
@@ -282,54 +282,32 @@ def cone_orthant_sections(cone: PolyhedralCone
     Returns (orthant id, simplex) pairs; one orthant can contribute several
     simplices when its section needs triangulation.  Orthants whose
     intersection has empty interior are omitted; an empty result signals
-    that the cone itself has empty interior in every orthant (a trivial
-    problem).
+    that the cone itself has empty interior (a trivial problem).
     """
-    n = cone.dimension
-    sections: list[tuple[int, Simplex]] = []
-    for oid, signs in enumerate(_orthant_signs(n)):
-        ineq = np.vstack([cone.C, np.diag(signs)]) if cone.num_rows \
-            else np.diag(signs)
-        rays = _extreme_rays(ineq, np.zeros((0, n)))
-        # the orthant piece is pointed, so it has interior exactly when its
-        # extreme rays span R^n; a thinner piece reappears in a neighbor
-        if not rays or \
-                np.linalg.matrix_rank(np.array(rays), tol=FEAS_TOL) < n:
-            continue
-        rays.sort(key=lambda r: tuple(np.round(r, 11)))
-        for cell in _triangulate_vertices(rays):
-            sections.append((oid, cell))
-    return sections
+    return [(oid, cell) for oid, rays, tight in _full_pieces(cone)
+            for cell in _cells(rays, tight, tuple(range(len(rays))),
+                               cone.dimension)]
 
 
 def face_sections(cone: PolyhedralCone, face_index: int) -> list[Simplex]:
-    """l1 sections of the face {x in K : (Cx)_i = 0} across orthants.
+    """l1 sections of the face {x in K : (Cx)_i = 0}, as simplices.
 
-    face_index is 1-based to match the row numbering of C.  Duplicate
-    sections arising from points shared by adjacent orthants are removed.
+    face_index is 1-based to match the row numbering of C.  The face is
+    cut by the orthant pieces with interior; a part of lower rank than the
+    largest lies inside the others, and a part on an orthant boundary can
+    come from two pieces, so both are dropped.
     """
     if not 1 <= face_index <= cone.num_rows:
         raise ConeGeometryError(f"face index {face_index} out of range")
-    n = cone.dimension
-    eq = cone.C[face_index - 1].reshape(1, n)
-    keyed: list[tuple[frozenset, Simplex]] = []
-    seen: set[frozenset] = set()
-    for signs in _orthant_signs(n):
-        ineq = np.vstack([cone.C, np.diag(signs)])
-        rays = _extreme_rays(ineq, eq)
-        if not rays:
-            continue
-        rays.sort(key=lambda r: tuple(np.round(r, 11)))
-        for cell in _triangulate_vertices(rays):
-            key = frozenset(tuple(np.round(np.array(v), 10)) for v in cell.vertices)
-            if key not in seen:
-                seen.add(key)
-                keyed.append((key, cell))
-    # orthant-boundary traces duplicate part of an adjacent full piece;
-    # drop any section whose vertex set is contained in another's
-    out = [cell for key, cell in keyed
-           if not any(key < other for other, _ in keyed)]
-    return out
+    parts = {}
+    for _, rays, tight in _full_pieces(cone):
+        members = tuple(k for k, t in enumerate(tight) if face_index - 1 in t)
+        if members:
+            parts.setdefault(frozenset(rays[k] for k in members), (
+                rays, tight, members, _rank([rays[k] for k in members])))
+    top = max((part[3] for part in parts.values()), default=0)
+    return [cell for part in parts.values() if part[3] == top
+            for cell in _cells(*part)]
 
 
 def dump_partition_lines(partitions: list[SimplicialPartition]) -> list[str]:

@@ -335,21 +335,21 @@ def initial_sections(system: ConicSystem) -> list[SectionState]:
     return out
 
 
-def corner_flags(sections: list[SectionState], tol: float = 1e-9) -> list[str]:
+def corner_flags(sections: list[SectionState]) -> list[str]:
     """Notes for partition vertices shared by several faces.
 
     At such corners the face-only construction does not define a single
     eta; constraints from every adjacent face are imposed there, which is
-    conservative, and certificates carry these flags.
+    conservative, and certificates carry these flags.  Vertices compare
+    exactly: a ray shared by two faces rounds to the same floats in both.
     """
-    face_vertices: dict[int, set[tuple]] = {}
+    face_vertices: dict[int, set[tuple[float, ...]]] = {}
     for state in sections:
         if state.kind != "face":
             continue
         acc = face_vertices.setdefault(state.label, set())
         for cell in state.partition.cells:
-            for v in cell.vertices:
-                acc.add(tuple(np.round(np.array(v), 10)))
+            acc.update(cell.vertices)
     flags = []
     faces = sorted(face_vertices)
     for a, b in itertools.combinations(faces, 2):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,17 @@ def cone_spec(tmp_path):
     path = tmp_path / "cone.spec"
     path.write_text(CONE_SPEC)
     return path
+
+
+SQ3D_SPEC = Path(__file__).resolve().parents[1] / "specs" / "sq3d.spec"
+
+
+@pytest.fixture(scope="module")
+def sq3d_run(tmp_path_factory):
+    """find-lyap-cone on the bundled square-cone spec: exit code, certificate."""
+    out = tmp_path_factory.mktemp("sq3d")
+    code = main(["find-lyap-cone", str(SQ3D_SPEC), "--out", str(out)])
+    return code, (out / "certificate.txt").read_text()
 
 
 @pytest.fixture
@@ -123,6 +135,25 @@ def test_find_lyap_cone_end_to_end(cone_spec, tmp_path):
                   "--certificate", str(out / "certificate.txt"),
                   "--out", str(tmp_path / "v")])
     assert code2 == EXIT_OK
+
+
+def test_find_lyap_cone_on_square_cone_spec(sq3d_run):
+    # the spec's schedule is "4 1 0": degree 4, r = 1, no refinement sweep
+    code, cert_text = sq3d_run
+    assert code == EXIT_OK
+    assert "sweeps: 0\n" in cert_text
+    assert "lp-rows: 428\n" in cert_text
+    assert "oracle-pass: true" in cert_text
+
+
+def test_corner_flags_print_plain_floats(sq3d_run):
+    _, cert_text = sq3d_run
+    assert "np.float64(" not in cert_text
+    vertices = re.findall(r"^corner-flag: .* share vertex \(([^)]*)\)",
+                          cert_text, re.M)
+    assert len(vertices) == 4  # the four corner rays of the square cone
+    for vertex in vertices:
+        assert len([float(c) for c in vertex.split(", ")]) == 3
 
 
 def test_find_lyap_sos_end_to_end(cusp_spec, tmp_path):

@@ -1,12 +1,18 @@
+import itertools
 import math
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lyapcert import cones
+from lyapcert.cli import parse_spec
 from lyapcert.cones import (ConeGeometryError, PolyhedralCone, Simplex,
-                            SimplicialPartition, barycentric,
-                            bisect_longest_edge, cone_orthant_sections,
-                            dump_partition_lines, face_sections)
+                            SimplicialPartition, bisect_longest_edge,
+                            cone_orthant_sections, dump_partition_lines,
+                            face_sections)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 
@@ -104,9 +110,122 @@ def test_three_dimensional_face_segment():
     assert vertex_set(secs[0]) == {(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
 
 
+def test_face_touching_an_orthant_only_at_a_ray():
+    # the face x1 = x2 meets the orthant (+, -, +) only in the x3 axis; that
+    # ray already ends both segments of the face, so it adds no cell
+    cone = PolyhedralCone([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    secs = face_sections(cone, 1)
+    assert len(secs) == 2
+    assert {frozenset(vertex_set(s)) for s in secs} == {
+        frozenset({(0.5, 0.5, 0.0), (0.0, 0.0, 1.0)}),
+        frozenset({(-0.5, -0.5, 0.0), (0.0, 0.0, 1.0)})}
+
+
 def test_face_index_out_of_range():
     with pytest.raises(ConeGeometryError):
         face_sections(WEDGE, 3)
+
+
+# -- exact sections ----------------------------------------------------------------
+
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.spec"))
+EXACT_CONES = {
+    **{path.stem: spec.system.cone for path in SPECS
+       if (spec := parse_spec(path)).is_conic},
+    "wedge": WEDGE,
+    "quadrant": PolyhedralCone(np.eye(2)),
+    "octant": PolyhedralCone(np.eye(3)),
+    "two-rows": PolyhedralCone([[1.0, 1.0, 0.2], [0.3, 1.0, 1.0]]),
+    "square": PolyhedralCone([[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1]]),
+    "plane": PolyhedralCone(np.zeros((0, 2)), dimension=2),
+    # the benchmark's square cone x3 >= 2|x1|, x3 >= 2|x2|
+    "bench-sq3d": PolyhedralCone([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5],
+                                  [0, -1, 0.5]]),
+    # a cube-based cone: its sections are cubes, three pulling levels deep
+    "cube4": PolyhedralCone([[s * (i == j) for j in range(3)] + [0.5]
+                             for i in range(3) for s in (1, -1)]),
+}
+
+
+def det(M):
+    """Exact determinant by expansion along the first row."""
+    if not M:
+        return Fraction(1)
+    return sum((-1) ** j * M[0][j] * det([row[:j] + row[j + 1:]
+                                          for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def projected_edges(points, cell, coords):
+    return [[points[v][j] - points[cell[0]][j] for j in coords]
+            for v in cell[1:]]
+
+
+def exact_parts(cone):
+    """Every orthant piece and every face part of it, as pulling inputs."""
+    for _, rays, tight in cones._full_pieces(cone):
+        yield rays, tight, tuple(range(len(rays))), cone.dimension
+        for row in range(cone.num_rows):
+            members = tuple(k for k, t in enumerate(tight) if row in t)
+            if members:
+                yield rays, tight, members, cones._rank(
+                    [rays[k] for k in members])
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CONES))
+def test_exact_sections_cover_by_volume_and_barycentric(name):
+    cone = EXACT_CONES[name]
+    rows = [[Fraction(float(c)) for c in row] for row in cone.C]
+    rng = random.Random(15)
+    exact_vertices = set()
+    for rays, tight, members, rank in exact_parts(cone):
+        points = {k: cones._l1_point(rays[k]) for k in members}
+        for p in points.values():
+            assert all(sum(c * x for c, x in zip(row, p)) >= 0 for row in rows)
+            assert sum(abs(x) for x in p) == 1
+            exact_vertices.add(tuple(float(x) for x in p))
+        pulled = cones._pull(rays, tight, members, rank)
+        other = cones._pull(rays, tight, members[-1:] + members[:-1], rank)
+        assert all(len(cell) == rank for cell in pulled + other)
+        # coordinates on which the projection of the affine hull is injective
+        coords = next(c for c in itertools.combinations(range(cone.dimension),
+                                                        rank - 1)
+                      if det(projected_edges(points, pulled[0], c)))
+        volumes = [[abs(det(projected_edges(points, cell, coords)))
+                    for cell in cells] for cells in (pulled, other)]
+        assert min(volumes[0] + volumes[1]) > 0
+        assert sum(volumes[0]) == sum(volumes[1])
+        frames = [barycentric_frame(points, cell, coords) for cell in pulled]
+        for _ in range(200):
+            weights = [rng.randint(0, 9) for _ in members]
+            weights[rng.randrange(len(members))] += 1
+            x = [sum(w * points[k][j] for w, k in zip(weights, members))
+                 / sum(weights) for j in range(cone.dimension)]
+            assert any(in_cell(frame, coords, x) for frame in frames)
+    floats = {v for _, s in cone_orthant_sections(cone) for v in s.vertices}
+    floats |= {v for i in range(1, cone.num_rows + 1)
+               for s in face_sections(cone, i) for v in s.vertices}
+    assert floats <= exact_vertices
+
+
+def barycentric_frame(points, cell, coords):
+    """The cell's base vertex and the exact matrix taking x - base to the
+    coordinates of its edges (cofactors over the determinant)."""
+    edges = projected_edges(points, cell, coords)
+    full = det(edges)
+    d = len(edges)
+    return points[cell[0]], [
+        [(-1) ** (i + j) * det([row[:j] + row[j + 1:]
+                                for k, row in enumerate(edges) if k != i])
+         / full for j in range(d)] for i in range(d)]
+
+
+def in_cell(frame, coords, x):
+    """Whether x has nonnegative exact barycentric coordinates in the cell."""
+    base, inverse = frame
+    y = [x[j] - base[j] for j in coords]
+    lam = [sum(a * b for a, b in zip(row, y)) for row in inverse]
+    return min(lam, default=0) >= 0 and sum(lam) <= 1
 
 
 # -- barycentric coordinates --------------------------------------------------------
@@ -171,6 +290,26 @@ def halve_diameter(part):
         part = part.refine_cells([i for i, cell in enumerate(part.cells)
                                   if cell.diameter() > target])
     return part
+
+
+def barycentric(x, simplex, residual_tol=1e-8):
+    """Barycentric coordinates of x with respect to the simplex vertices.
+
+    Least-squares solve of [V^T; 1] lam = [x; 1]; a residual above
+    residual_tol means x is outside the affine hull and is an error.
+    Coordinates sum to one; they are >= -1e-9 exactly when x is in the
+    simplex.
+    """
+    x = np.asarray(x, dtype=float)
+    V = simplex.vertex_array()
+    A = np.vstack([V.T, np.ones(len(V))])
+    rhs = np.concatenate([x, [1.0]])
+    lam, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    residual = np.linalg.norm(A @ lam - rhs)
+    if residual > residual_tol:
+        raise ConeGeometryError(
+            f"point is outside the affine hull (residual {residual:.3e})")
+    return lam
 
 
 def locate(part, x, tol=1e-9):

@@ -143,7 +143,8 @@ def test_recheck_rejects_points_outside_feas_tol(monkeypatch):
 
 def test_cone_setup_does_not_import_the_lp_solver(tmp_path):
     # the orthant test is a rank test, so building sections needs no LP;
-    # a square cone in 3-D also takes the Delaunay path of the triangulation
+    # a square cone in 3-D has quadrilateral sections, so it also runs the
+    # triangulation, which needs no hull code
     spec = tmp_path / "square.spec"
     spec.write_text("dim: 3\nf1: -1*x1 + 2*x2\nf2: -2*x1 - 1*x2\n"
                     "f3: -0.5*x3\ncone1: 1*x1 + 0.5*x3\n"
@@ -154,12 +155,13 @@ def test_cone_setup_does_not_import_the_lp_solver(tmp_path):
             "from lyapcert import cop_lp\n"
             f"spec = cli.parse_spec({str(spec)!r})\n"
             "assert cop_lp.initial_sections(spec.system)\n"
-            "print('scipy.optimize' in sys.modules)\n")
+            "print('scipy.optimize' in sys.modules,"
+            " 'scipy.spatial' in sys.modules)\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_bad_shapes_rejected():
