@@ -8,8 +8,10 @@ output directory.
 Exit codes: 0 when a certificate is found or verification passes, 1 when
 the search is exhausted or verification fails, 2 for usage or input
 errors, 3 when an LP or SDP of the search failed to solve and no level
-certified, or when a linear-algebra step raised LinAlgError.  Every run ends with one machine-readable "status=..." line on
-standard error.  Verbosity comes from LYAPCERT_LOG (quiet, info, debug).
+certified, or when a linear-algebra step raised LinAlgError or a normal-cone
+projection failed (TangencyError).  Every run ends with one
+machine-readable "status=..." line on standard error.  Verbosity comes from
+LYAPCERT_LOG (quiet, info, debug).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .cop_lp import ConicSystem, RationalLyapunovCandidate
 from .poly import (Polynomial, PolynomialParseError, format_polynomial,
                    parse_polynomial)
 from .sos_cert import SemialgebraicSystem
-from .tangency import SemialgebraicSet
+from .tangency import SemialgebraicSet, TangencyError
 
 logger = logging.getLogger(__name__)
 
@@ -606,7 +608,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args, spec)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, TangencyError) as exc:
         _status(f"solver-failure detail={str(exc)!r}")
         return EXIT_SOLVER_FAILURE
     except (SpecFileError, PolynomialParseError, ValueError) as exc:

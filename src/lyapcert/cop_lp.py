@@ -103,15 +103,7 @@ class RationalLyapunovCandidate:
 
     def value(self, x) -> float:
         nrm2 = float(sum(v * v for v in x))
-        return float(self.h.evaluate(tuple(x))) / nrm2 ** self.r
-
-    def gradient_at(self, x) -> np.ndarray:
-        """Closed-form gradient (|x|^2 grad h - 2 r h x) / |x|^(2(r+1))."""
-        x = np.asarray(x, dtype=float)
-        nrm2 = float(x @ x)
-        gh = np.array([g.evaluate_float(x) for g in self.h.gradient()])
-        hval = self.h.evaluate_float(x)
-        return (nrm2 * gh - 2.0 * self.r * hval * x) / nrm2 ** (self.r + 1)
+        return float(self.h.evaluate_float(x)) / nrm2 ** self.r
 
 
 @dataclass

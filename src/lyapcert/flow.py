@@ -3,9 +3,10 @@
 The catching-up discretization x+ = proj_S(x + dt f(x)) with a fixed step:
 the projection realizes the velocity selection, and eta_used recovers the
 discrete multiplier (x+ - x)/dt - f(x).  Projection onto a polyhedral cone
-is exact via nonnegative least squares on the face multipliers; projection
-onto a general convex semialgebraic set runs Dykstra's alternating scheme
-with a Newton sub-step per smooth constraint.
+is z + eta_projection(z, C) (Moreau's decomposition: z minus its projection
+onto the polar cone), the same map the oracle uses for its face checks;
+projection onto a general convex semialgebraic set runs Dykstra's
+alternating scheme with a Newton sub-step per smooth constraint.
 
 Trajectories record states, multipliers, and optionally a Lyapunov
 function candidate along the way; the CSV layout is
@@ -24,7 +25,8 @@ from .cones import PolyhedralCone
 from .cop_lp import ConicSystem
 from .poly import Polynomial
 from .sos_cert import SemialgebraicSystem
-from .tangency import SemialgebraicSet, nnls
+# nnls stays a module attribute: the benchmark's tracer patches flow.nnls
+from .tangency import SemialgebraicSet, eta_projection, nnls  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -66,18 +68,10 @@ class Trajectory:
 
 
 def project_cone(z: np.ndarray, cone: PolyhedralCone) -> np.ndarray:
-    """Euclidean projection onto {x : Cx >= 0} via NNLS multipliers."""
-    if cone.num_rows == 0:
+    """Euclidean projection onto {x : Cx >= 0} (Moreau: z + eta)."""
+    if (cone.C @ z >= -FEAS_TOL).all():
         return z
-    residuals = cone.C @ z
-    violated = np.flatnonzero(residuals < -FEAS_TOL)
-    if violated.size == 0:
-        return z
-    if violated.size == 1 and cone.num_rows == 1:
-        c = cone.C[0]
-        return z - (residuals[0] / (c @ c)) * c
-    lam = nnls(cone.C.T, -z)
-    return z + cone.C.T @ lam
+    return z + eta_projection(z, cone.C)
 
 
 def project_set(z: np.ndarray, S: SemialgebraicSet) -> np.ndarray:

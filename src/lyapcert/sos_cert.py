@@ -185,19 +185,6 @@ class EqualitySystem:
                 self.free_groups[name] = basis
         self.rows.extend(other.rows)
 
-    def residual(self, gram_values: dict[str, np.ndarray],
-                 free_values: dict[str, dict[Mono, float]]) -> float:
-        """Worst row violation for a concrete assignment."""
-        worst = 0.0
-        for _, expr in self.rows:
-            acc = float(expr.constant)
-            for (name, i, j), coeff in expr.gram.items():
-                acc += float(coeff) * float(gram_values[name][i, j])
-            for (group, mono), coeff in expr.free.items():
-                acc += float(coeff) * float(free_values.get(group, {}).get(mono, 0.0))
-            worst = max(worst, abs(acc))
-        return worst
-
 
 def _add_gram_coefficients(expr: LinearExpr, block: GramBlock, mono: Mono,
                            scale: Fraction) -> None:
@@ -388,20 +375,6 @@ def assemble_condition_iii(system: SemialgebraicSystem, deg_v: int, j: int,
     return sys_eq
 
 
-def gram_from_sos_terms(block: GramBlock,
-                        squares: list[tuple[float, Mono]]) -> np.ndarray:
-    """Diagonal Gram for an explicit sum  sum_k c_k (x^m_k)^2, c_k >= 0."""
-    G = np.zeros((block.size, block.size))
-    index = {m: i for i, m in enumerate(block.basis)}
-    for coeff, mono in squares:
-        if coeff < 0:
-            raise SosSetupError("squared terms need nonnegative coefficients")
-        if tuple(mono) not in index:
-            raise SosSetupError(f"monomial {mono} not in gram basis")
-        G[index[tuple(mono)], index[tuple(mono)]] += coeff
-    return G
-
-
 # -- certificate container ------------------------------------------------------
 
 
@@ -426,13 +399,6 @@ class SosCertificate:
     decrease_margin: Polynomial | None
     flags: list[str] = field(default_factory=list)
     oracle_summary: dict | None = None
-
-    def worst_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
-
-    def worst_gram_eigenvalue(self) -> float:
-        return min((m.min_eigenvalue for m in self.multipliers.values()),
-                   default=0.0)
 
 
 @dataclass

@@ -2,10 +2,12 @@
 
 At a boundary point the admitted velocity is f(x) + eta with -eta the
 Euclidean projection of f(x) onto the normal cone spanned by the outward
-constraint normals.  The projection is computed by nonnegative least
-squares over the multipliers (Lawson-Hanson active set): the constraint
-counts here are small, and the active-set loop terminates exactly, so no
-external QP solver is needed.
+constraint normals, so f + eta is the projection of f onto the tangent
+cone (Moreau's decomposition).  With one active normal c the projection
+has the closed form eta = max(0, -<c, f>/|c|^2) c; with several, the
+multipliers come from nonnegative least squares (scipy's Lawson-Hanson).
+The same map projects a point onto a polyhedral cone {x : Cx >= 0}:
+proj(z) = z + eta with C's rows as the normals.
 
 On a single cone face the projection has a closed polynomial form with two
 branches switched by the sign of w_i(x) = <c_i, f(x)>; corner points with
@@ -72,83 +74,55 @@ class SemialgebraicSet:
         return bool((self.values(x) >= -tol).all())
 
 
-def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None,
-         tol: float = 1e-11) -> np.ndarray:
-    """Lawson-Hanson nonnegative least squares: argmin_{x>=0} ||Ax - b||.
+def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nonnegative least squares argmin_{x>=0} ||Ax - b|| (scipy).
 
-    Exact-terminating active-set iteration; max_iter guards against stalls
-    on degenerate data and raises instead of returning a wrong answer.
+    scipy.optimize is imported on first call, so set-up never loads it; a
+    solve that hits the iteration cap raises TangencyError.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if max_iter is None:
-        max_iter = 100 * max(n, 1)
-    x = np.zeros(n)
-    passive: list[int] = []
-    w = A.T @ (b - A @ x)
-    iters = 0
-    while True:
-        candidates = [j for j in range(n) if j not in passive and w[j] > tol]
-        if not candidates:
-            return x
-        j_new = max(candidates, key=lambda j: (w[j], -j))
-        passive.append(j_new)
-        passive.sort()
-        while True:
-            iters += 1
-            if iters > max_iter:
-                raise TangencyError("nonnegative least squares did not converge")
-            sub = A[:, passive]
-            z_sub, *_ = np.linalg.lstsq(sub, b, rcond=None)
-            if (z_sub > tol).all():
-                x = np.zeros(n)
-                x[passive] = z_sub
-                break
-            # step toward z until the first passive coordinate hits zero
-            alphas = []
-            for k, j in enumerate(passive):
-                if z_sub[k] <= tol:
-                    denom = x[j] - z_sub[k]
-                    alphas.append(x[j] / denom if denom > 0 else 0.0)
-            alpha = min(alphas)
-            z_full = np.zeros(n)
-            z_full[passive] = z_sub
-            x = x + alpha * (z_full - x)
-            passive = [j for j in passive if x[j] > tol]
-            for j in range(n):
-                if j not in passive:
-                    x[j] = 0.0
-        w = A.T @ (b - A @ x)
+    from scipy.optimize import nnls as lawson_hanson
+    try:
+        x, _ = lawson_hanson(np.asarray(A, dtype=float),
+                             np.asarray(b, dtype=float))
+    except RuntimeError as exc:
+        raise TangencyError(
+            f"nonnegative least squares did not converge: {exc}") from exc
+    return x
 
 
 def eta_projection(f_at_x: np.ndarray, active_gradients: Sequence[np.ndarray],
                    tol: float = 1e-9) -> np.ndarray:
-    """The tangential correction eta at a boundary point.
+    """The tangential correction eta at a boundary point, or at many.
 
-    -eta is the projection of f onto the normal cone spanned by the
-    outward normals -grad(g_j); computed as eta = -G lambda with
-    G = [-grad g_j] columns and lambda the NNLS multipliers.  Afterward
-    f + eta satisfies <grad g_j, f + eta> >= -tol with complementarity.
+    f_at_x is one field value (n,) or an (m, n) array of them that share
+    the active gradients g_j.  eta = sum_j lambda_j g_j with lambda >= 0
+    minimizing |f + eta|, so -eta is the projection of f onto the normal
+    cone spanned by -g_j.  Afterward f + eta satisfies
+    <g_j, f + eta> >= -tol with complementarity, or TangencyError.
     """
     f = np.asarray(f_at_x, dtype=float)
-    grads = [np.asarray(g, dtype=float) for g in active_gradients]
-    if not grads:
+    F = np.atleast_2d(f)
+    G = np.asarray(active_gradients, dtype=float).reshape(-1, F.shape[1])
+    if len(G) == 0:
         return np.zeros_like(f)
-    for g in grads:
-        if np.linalg.norm(g) == 0.0:
-            raise TangencyError("active constraint gradient vanishes")
-    G = -np.column_stack(grads)
-    lam = nnls(G, f)
-    eta = -G @ lam
-    v = f + eta
-    for g, lam_j in zip(grads, lam):
-        s = float(g @ v)
-        if s < -max(tol, 1e-12 * np.linalg.norm(g) * np.linalg.norm(v)):
-            raise TangencyError(f"tangency violated after projection: {s:.3e}")
-        if lam_j * s > max(tol, 1e-9 * abs(lam_j)):
-            raise TangencyError("complementarity violated after projection")
-    return eta
+    norm_sq = np.einsum("ij,ij->i", G, G)
+    if (norm_sq == 0.0).any():
+        raise TangencyError("active constraint gradient vanishes")
+    if len(G) == 1:
+        lam = np.maximum(0.0, -(F @ G[0]) / norm_sq[0])[:, None]
+    else:
+        lam = np.array([nnls(G.T, -row) for row in F])
+    eta = lam @ G
+    V = F + eta
+    S = V @ G.T
+    slack = np.maximum(tol, 1e-12 * np.sqrt(norm_sq)
+                       * np.linalg.norm(V, axis=1)[:, None])
+    if (S < -slack).any():
+        raise TangencyError(
+            f"tangency violated after projection: {S.min():.3e}")
+    if (lam * S > np.maximum(tol, 1e-9 * lam)).any():
+        raise TangencyError("complementarity violated after projection")
+    return eta.reshape(f.shape)
 
 
 @dataclass(frozen=True)

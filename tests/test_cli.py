@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapcert import linprog, sos_cert
+from lyapcert import linprog, oracle, sos_cert, tangency
 from lyapcert.cli import (EXIT_NOT_FOUND, EXIT_OK, EXIT_SOLVER_FAILURE,
                           EXIT_USAGE, SpecFileError, default_cone_schedule,
                           main, parse_spec, read_certificate_candidate)
+from lyapcert.cones import face_sections
 from lyapcert.cop_lp import ConicSystem
 from lyapcert.sos_cert import SemialgebraicSystem
 
@@ -259,6 +260,44 @@ def test_linalg_error_is_solver_failure(command, spec_name, owner, name,
     assert code == EXIT_SOLVER_FAILURE
     assert capsys.readouterr().err.splitlines()[-1] == \
         "status=solver-failure detail='Singular matrix'"
+
+
+def test_failed_projection_is_solver_failure(sq3d_run, tmp_path,
+                                            monkeypatch, capsys):
+    # multipliers far too large: the complementarity check after NNLS fails
+    monkeypatch.setattr(tangency, "nnls",
+                        lambda A, b: np.full(A.shape[1], 10.0))
+    cert = tmp_path / "certificate.txt"
+    cert.write_text(sq3d_run[1])
+    code = main(["verify", str(SQ3D_SPEC), "--certificate", str(cert),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER_FAILURE
+    status = capsys.readouterr().err.splitlines()[-1]
+    assert status.startswith("status=solver-failure")
+    assert "complementarity" in status
+
+
+def test_verify_calls_nnls_only_at_corner_samples(sq3d_run, tmp_path,
+                                                  monkeypatch):
+    system = parse_spec(str(SQ3D_SPEC)).system
+    C = system.cone.C
+    corners = 0
+    for i in range(1, system.cone.num_rows + 1):
+        for simplex in face_sections(system.cone, i):
+            pts = oracle.barycentric_grid(simplex, 1000)
+            scaled = np.abs(pts @ C.T) / np.linalg.norm(C, axis=1)
+            corners += int(((scaled <= 1e-8).sum(axis=1) >= 2).sum())
+    calls = []
+    solve = tangency.nnls
+    monkeypatch.setattr(tangency, "nnls",
+                        lambda A, b: calls.append(A.shape) or solve(A, b))
+    cert = tmp_path / "certificate.txt"
+    cert.write_text(sq3d_run[1])
+    assert main(["verify", str(SQ3D_SPEC), "--certificate", str(cert),
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert corners > 0
+    assert len(calls) == corners
+    assert all(shape[1] >= 2 for shape in calls)
 
 
 def test_dsos_certificate_independent_of_blas_threads(tmp_path):

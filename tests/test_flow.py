@@ -6,9 +6,11 @@ from lyapcert.cop_lp import ConicSystem
 from lyapcert.flow import FlowError, project_cone, project_set, simulate, step
 from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
-from lyapcert.tangency import SemialgebraicSet, face_eta_polynomial
+from lyapcert.tangency import (SemialgebraicSet, eta_projection,
+                               face_eta_polynomial)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
+SQUARE = PolyhedralCone([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
                parse_polynomial("-1*x1 - 1*x2", 2)]
 PRINTED_V = parse_polynomial("2.9*x1^2 + 1*x1*x2 + 1*x2^2", 2)
@@ -52,6 +54,20 @@ def test_cone_projection_optimality():
             rad = rng.uniform(0, 3)
             y = rad * (lam * np.array([0.8, 0.2]) + (1 - lam) * np.array([0.2, 0.8]))
             assert np.linalg.norm(z - p) <= np.linalg.norm(z - y) + 1e-9
+
+
+@pytest.mark.parametrize("cone", [WEDGE, SQUARE], ids=["wedge", "square"])
+def test_cone_projection_is_the_moreau_form_of_eta(cone):
+    rng = np.random.default_rng(73)
+    outside = 0
+    for _ in range(200):
+        z = rng.uniform(-2, 2, size=cone.dimension)
+        if cone.contains(z):
+            continue
+        outside += 1
+        assert np.array_equal(project_cone(z, cone),
+                              z + eta_projection(z, cone.C))
+    assert outside >= 50
 
 
 def test_set_projection_feasible_and_close():

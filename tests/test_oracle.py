@@ -1,14 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
+from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import ConicSystem, RationalLyapunovCandidate
-from lyapcert.oracle import (barycentric_grid, fd_gradient_check, verify_conic,
-                             verify_sos)
+from lyapcert.oracle import barycentric_grid, verify_conic, verify_sos
 from lyapcert.cones import Simplex
 from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import SemialgebraicSet, eta_projection
+from reference import candidate_gradient, fd_gradient_check
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -69,6 +73,48 @@ def test_grid_min_respects_lp_margin():
     report = verify_conic(cert.candidate, wedge_system())
     h_min = next(c for c in report.checks if c.name == "h-on-sections")
     assert h_min.min_value >= cert.margin - 1e-6
+
+
+def face_decrease_reference(x, system, h, r, activation_tol=1e-8):
+    """The face check one point at a time: field, active rows, NNLS eta."""
+    fx = system.field_at(x)
+    rows = system.cone.C
+    scaled = np.abs(rows @ x) / np.linalg.norm(rows, axis=1)
+    active = rows[scaled <= activation_tol]
+    eta = np.zeros_like(fx)
+    if len(active):
+        lam, _ = nnls(active.T, -fx)
+        eta = lam @ active
+    gh = np.array([g.evaluate_float(x) for g in h.gradient()])
+    lhs = float(x @ x) * gh - 2.0 * r * h.evaluate_float(x) * x
+    return float(-(lhs @ (fx + eta))), len(active)
+
+
+SQ3D_SPEC = Path(__file__).resolve().parents[1] / "specs" / "sq3d.spec"
+
+
+@pytest.mark.parametrize("case", ["wedge", "sq3d"])
+def test_face_samples_match_the_per_point_reference(case):
+    if case == "wedge":
+        system, h, r = wedge_system(), PRINTED_V, 0
+    else:
+        system = parse_spec(str(SQ3D_SPEC)).system
+        h = parse_polynomial(
+            "3*x1^4 + 2*x2^4 + 1*x3^4 + 1*x1*x2*x3^2 - 0.5*x1^3*x3", 3)
+        r = 1
+    report = verify_conic(RationalLyapunovCandidate(h, r), system,
+                          grid_density=2000, collect_samples=True)
+    rows = [(x, v) for x, name, v in report.sample_rows
+            if name.startswith("face")]
+    assert rows
+    corners = 0
+    for x, value in rows:
+        ref, active = face_decrease_reference(np.array(x), system, h, r)
+        assert active >= 1
+        corners += active >= 2
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+    # the square cone's face grids reach its edges, where two rows are active
+    assert corners > 0 if case == "sq3d" else corners == 0
 
 
 def test_barycentric_grid_density_and_membership():
@@ -150,7 +196,7 @@ def test_r_zero_matches_plain_gradient():
     candidate = RationalLyapunovCandidate(h, 0)
     x = np.array([1.3, -0.4])
     plain = np.array([g.evaluate_float(x) for g in h.gradient()])
-    assert np.allclose(candidate.gradient_at(x), plain, atol=1e-14)
+    assert np.allclose(candidate_gradient(candidate, x), plain, atol=1e-14)
 
 
 def test_fd_points_too_close_to_origin_rejected():

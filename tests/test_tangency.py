@@ -105,6 +105,27 @@ def test_projection_idempotent():
     assert np.abs(again).max() <= 1e-9
 
 
+@pytest.mark.parametrize("normals", [
+    [[-0.25, 1.0, 0.3]],
+    [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]],
+], ids=["one-normal", "two-normals"])
+def test_batched_projection_matches_row_by_row(normals):
+    rng = np.random.default_rng(26)
+    F = rng.standard_normal((40, 3)) * 2
+    batched = eta_projection(F, normals)
+    assert batched.shape == F.shape
+    for f, eta in zip(F, batched):
+        assert np.allclose(eta, eta_projection(f, normals), rtol=0, atol=1e-15)
+
+
+def test_batched_projection_keeps_the_posterior_check(monkeypatch):
+    from lyapcert import tangency
+    monkeypatch.setattr(tangency, "nnls",
+                        lambda A, b: np.full(A.shape[1], 10.0))
+    with pytest.raises(TangencyError, match="complementarity"):
+        eta_projection(np.ones((3, 2)), [[1.0, 0.0], [0.0, 1.0]])
+
+
 def test_zero_gradient_rejected():
     with pytest.raises(TangencyError):
         eta_projection(np.array([1.0]), [np.array([0.0])])
