@@ -63,7 +63,7 @@ class ParsedSpec:
 
 
 _OPTION_KEYS = {"schedule", "margin", "tau_act", "seed", "deg", "tier",
-                "eps_pd", "x0", "T", "dt", "sweeps", "r"}
+                "eps_pd", "x0", "T", "dt"}
 
 
 def parse_spec(path: str | Path) -> ParsedSpec:
@@ -533,19 +533,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "compact semialgebraic sets)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    oracle_flags = {
+        "--seed": dict(type=int, default=None, help="oracle sampling seed"),
+        "--tau-act": dict(type=float, dest="tau_act", default=None,
+                          help="constraint activation tolerance"),
+        "--density": dict(type=int, default=10_000,
+                          help="oracle grid density per section"),
+        "--samples": dict(type=int, default=10_000,
+                          help="oracle sample count for semialgebraic sets"),
+    }
+
+    def common(p, *flags):
+        """The spec, --out, and the oracle flags the command reads."""
         p.add_argument("spec", help="system spec file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tau-act", type=float, dest="tau_act", default=None,
-                       help="constraint activation tolerance")
-        p.add_argument("--density", type=int, default=10_000,
-                       help="oracle grid density per section")
-        p.add_argument("--samples", type=int, default=10_000,
-                       help="oracle sample count for semialgebraic sets")
+        for flag in flags:
+            p.add_argument(flag, **oracle_flags[flag])
 
     p = sub.add_parser("find-lyap-cone", help="run the cone LP hierarchy")
-    common(p)
+    common(p, "--tau-act", "--density")
     p.add_argument("--deg", type=int, help="single level: degree of h")
     p.add_argument("--r", type=int, help="single level: denominator power")
     p.add_argument("--sweeps", type=int, default=8)
@@ -554,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_find_lyap_cone)
 
     p = sub.add_parser("find-lyap-sos", help="run the SOS hierarchy")
-    common(p)
+    common(p, "--seed", "--samples")
     p.add_argument("--deg", type=int, help="single degree for V")
     p.add_argument("--tier", choices=("dsos", "sdp"))
     p.add_argument("--eps-pd", type=float, dest="eps_pd")
@@ -562,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_find_lyap_sos)
 
     p = sub.add_parser("verify", help="oracle-check a candidate")
-    common(p)
+    common(p, *oracle_flags)
     p.add_argument("--candidate", help="polynomial text (h or V)")
     p.add_argument("--r", type=int, help="denominator power for cone mode")
     p.add_argument("--certificate", help="certificate file to re-verify")

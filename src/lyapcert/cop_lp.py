@@ -102,7 +102,13 @@ class RationalLyapunovCandidate:
         self.degree = deg
 
     def value(self, x) -> float:
+        """V(x); at the origin its limit 0 when deg h > 2r, else ValueError."""
         nrm2 = float(sum(v * v for v in x))
+        if nrm2 == 0.0:
+            if self.degree > 2 * self.r:
+                return 0.0
+            raise ValueError(f"V = h/|x|^{2 * self.r} has no value at the "
+                             f"origin: deg h = {self.degree} <= 2r")
         return float(self.h.evaluate_float(x)) / nrm2 ** self.r
 
 

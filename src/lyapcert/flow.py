@@ -83,7 +83,6 @@ def project_set(z: np.ndarray, S: SemialgebraicSet) -> np.ndarray:
     vals = S.values(z)
     if (vals >= -FEAS_TOL).all():
         return z
-    grads = [g.gradient() for g in S.generators]
 
     def project_one(y: np.ndarray, i: int) -> np.ndarray:
         g = S.generators[i]
@@ -91,7 +90,7 @@ def project_set(z: np.ndarray, S: SemialgebraicSet) -> np.ndarray:
             val = g.evaluate_float(y)
             if val >= -FEAS_TOL:
                 return y
-            grad = np.array([c.evaluate_float(y) for c in grads[i]])
+            grad = np.array([c.evaluate_float(y) for c in S.gradients[i]])
             nrm2 = float(grad @ grad)
             if nrm2 == 0.0:
                 raise FlowError("constraint gradient vanished during projection")

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -104,15 +106,19 @@ def barycentric_grid(simplex: Simplex, density: int) -> np.ndarray:
         lam = np.linspace(0.0, 1.0, max(density, 2))
         return np.outer(lam, V[0]) + np.outer(1.0 - lam, V[1])
     resolution = 1
-    while _composition_count(resolution + 1, k) <= density:
+    while comb(resolution + k, k - 1) <= density:
         resolution += 1
-    combos = np.array(list(_compositions(resolution, k)), dtype=float)
-    return (combos / resolution) @ V
+    return _lattice(resolution, k) @ V
 
 
-def _composition_count(resolution: int, parts: int) -> int:
-    from math import comb
-    return comb(resolution + parts - 1, parts - 1)
+@lru_cache(maxsize=None)
+def _lattice(resolution: int, parts: int) -> np.ndarray:
+    """Weights c / resolution for every composition c of resolution into
+    `parts` parts, in lexicographic order; read-only, one per simplex size."""
+    weights = np.array(list(_compositions(resolution, parts)),
+                       dtype=float) / resolution
+    weights.setflags(write=False)
+    return weights
 
 
 def _compositions(total: int, parts: int):
@@ -289,15 +295,15 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
                                            offorigin, strict=True))
 
     # alignment <grad V, grad g_j> <= 0 on the active bands
-    for j, g in enumerate(S.generators, start=1):
-        band_pts = _band_points(g, S, pts, band_width)
+    for j, grad_g in enumerate(S.gradients, start=1):
+        band_pts = _band_points(j - 1, S, pts, band_width)
         if len(band_pts) == 0:
             report.notes.append(f"band of g_{j} not reached by the sampler")
             continue
         align = np.zeros(len(band_pts))
-        gg = g.gradient()
         for i in range(n):
-            align += grad_v[i].eval_many(band_pts) * gg[i].eval_many(band_pts)
+            align += grad_v[i].eval_many(band_pts) * \
+                grad_g[i].eval_many(band_pts)
         record(band_pts, f"alignment-g{j}", -align)
         check = _min_with_witness(f"alignment-g{j}", -align, band_pts)
         report.checks.append(check)
@@ -305,11 +311,12 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
     return report
 
 
-def _band_points(g: Polynomial, S, pts: np.ndarray, band_width: float
+def _band_points(index: int, S, pts: np.ndarray, band_width: float
                  ) -> np.ndarray:
-    """Newton-project samples onto g = 0, keep points still inside the set."""
+    """Newton-project samples onto g = 0 for g = S.generators[index], keep
+    points still inside the set."""
     out = []
-    grads = g.gradient()
+    g, grads = S.generators[index], S.gradients[index]
     for x in pts:
         y = x.copy()
         ok = False

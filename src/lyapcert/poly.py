@@ -214,10 +214,6 @@ class Polynomial:
     def coefficient(self, mono: Mono) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
-    def coefficient_vector(self, basis: Sequence[Mono]) -> np.ndarray:
-        """Float coefficients laid out along `basis` (solver boundary)."""
-        return np.array([float(self.terms.get(m, Fraction(0))) for m in basis])
-
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 

@@ -10,13 +10,18 @@ the Gram matrices of the multipliers, and a free polynomial per face:
                                         + phi_j g_j          (one per j)
 
 Every multiplier except phi_j must be a sum of squares; coefficient
-matching per monomial gives the linear equalities.  The SDP tier shifts
-every Gram by a common margin t (G - t I psd) and maximizes t; the DSOS
-tier replaces positive semidefiniteness by diagonal dominance, which is an
-LP and a strictly smaller but cheaper certificate class.  A certificate is
-accepted only after substituting the Grams back and re-deriving every
-identity within tolerance; a failed recheck is an error, never a silent
-acceptance.
+matching per monomial gives the linear equalities.  All three come from one
+builder, _assemble_identity, for sum_m V_m lhs_m - offset = s_0 +
+sum_i s_i g_i (+ phi_j g_j); the public assemble_condition_* functions only
+choose lhs, offset, degree and names.  Both tiers read the rows through one
+float layout (_FloatLayout: Gram entries, then free coefficients) and
+unpack their solutions through it.  The SDP tier shifts every Gram by a
+common margin t (G - t I psd) and maximizes t; the DSOS tier replaces
+positive semidefiniteness by diagonal dominance, which is an LP and a
+strictly smaller but cheaper certificate class.  A certificate is accepted
+only after substituting the Grams back into the exact rows and re-deriving
+every identity within tolerance; a failed recheck is an error, never a
+silent acceptance.
 
 With the default zero decrease margin the certificate is flagged "weak
 decrease" and strict negativity off the origin must be confirmed by the
@@ -29,6 +34,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -186,13 +192,6 @@ class EqualitySystem:
         self.rows.extend(other.rows)
 
 
-def _add_gram_coefficients(expr: LinearExpr, block: GramBlock, mono: Mono,
-                           scale: Fraction) -> None:
-    """Coefficient of `mono` in scale * (basis' G basis), entered into expr."""
-    for i, j in block.pairs_by_monomial.get(mono, []):
-        expr.add_gram(block.name, i, j, scale * (1 if i == j else 2))
-
-
 def _even_up(value: int) -> int:
     value = max(value, 0)
     return value if value % 2 == 0 else value + 1
@@ -203,72 +202,91 @@ def _v_basis(dimension: int, deg_v: int) -> list[Mono]:
     return monomials_up_to_degree(dimension, deg_v, include_constant=False)
 
 
-def _grad_dot(mono: Mono, vec: list[Polynomial]) -> Polynomial:
+def _grad_dot(mono: Mono, vec: Sequence[Polynomial]) -> Polynomial:
     """<grad x^mono, vec> as an exact polynomial."""
-    n = len(mono)
-    acc = Polynomial.zero(n)
-    for grad_i, vec_i in zip(Polynomial.monomial(mono).gradient(), vec):
-        acc = acc + grad_i * vec_i
-    return acc
+    grad = Polynomial.monomial(mono).gradient()
+    return sum((d * v for d, v in zip(grad, vec)), Polynomial.zero(len(mono)))
 
 
-def _collect_monomials(*sources) -> list[Mono]:
-    out: set[Mono] = set()
-    for src in sources:
-        out.update(src)
-    return sorted(out, key=lambda m: (sum(m), tuple(-e for e in m)))
+def _shifted(monos, g: Polynomial) -> set[Mono]:
+    """Support of (sum of the monomials) * g."""
+    return {tuple(a + b for a, b in zip(m, nu))
+            for m in monos for nu in g.terms}
 
 
-def _gram_product_support(block: GramBlock, g: Polynomial | None) -> set[Mono]:
-    monos = set(block.pairs_by_monomial)
-    if g is None:
-        return monos
-    out = set()
-    for mono in monos:
-        for nu in g.terms:
-            out.add(tuple(a + b for a, b in zip(mono, nu)))
-    return out
+def _assemble_identity(system: SemialgebraicSystem, label: str, prefix: str,
+                       lhs_per_v: dict[Mono, Polynomial], offset: Polynomial,
+                       lhs_deg: int, slack: int, face: int | None = None
+                       ) -> EqualitySystem:
+    """Rows for sum_m V_m lhs_m - offset = s_0 + sum_i s_i g_i (+ phi_j g_j).
+
+    lhs_per_v maps each monomial of V's basis to the polynomial its
+    coefficient multiplies.  The SOS multipliers are named prefix_0 and
+    prefix_i; when face = j (1-based), g_j gets the free polynomial phi_j
+    instead.  One row per monomial of the support, labelled label:mono.
+    """
+    n = system.dimension
+    eq = EqualitySystem()
+    eq.free_groups["V"] = list(lhs_per_v)
+    products: list[tuple[GramBlock, Polynomial]] = []
+    for i, g in enumerate([Polynomial.constant(n, 1), *system.S.generators]):
+        if i != face:
+            deg = _even_up(lhs_deg - g.degree() + slack)
+            _, block = gram_parameterize(deg, n, name=f"{prefix}_{i}")
+            eq.blocks[block.name] = block
+            products.append((block, g))
+    support = set(offset.terms)
+    for p in lhs_per_v.values():
+        support.update(p.terms)
+    for block, g in products:
+        support |= _shifted(block.pairs_by_monomial, g)
+    if face is not None:
+        gj = system.S.generators[face - 1]
+        phi_name = f"phi_{face}"
+        phi_basis = monomials_up_to_degree(
+            n, max(lhs_deg - gj.degree(), 0) + slack)
+        eq.free_groups[phi_name] = phi_basis
+        support |= _shifted(phi_basis, gj)
+        phi_set = set(phi_basis)
+
+    lhs_at: dict[Mono, list[tuple[Mono, Fraction]]] = {}
+    for vmono, p in lhs_per_v.items():
+        for mono, c in p.terms.items():
+            lhs_at.setdefault(mono, []).append((vmono, c))
+    for mono in sorted(support, key=lambda m: (sum(m), tuple(-e for e in m))):
+        expr = LinearExpr()
+        for vmono, c in lhs_at.get(mono, ()):
+            expr.add_free("V", vmono, c)
+        expr.constant -= offset.coefficient(mono)
+        # mono = diff + nu; a diff with a negative exponent matches nothing
+        for block, g in products:
+            for nu, gcoeff in g.terms.items():
+                diff = tuple(a - b for a, b in zip(mono, nu))
+                for i, j in block.pairs_by_monomial.get(diff, ()):
+                    expr.add_gram(block.name, i, j,
+                                  -gcoeff * (1 if i == j else 2))
+        if face is not None:
+            for nu, gcoeff in gj.terms.items():
+                diff = tuple(a - b for a, b in zip(mono, nu))
+                if diff in phi_set:
+                    expr.add_free(phi_name, diff, -gcoeff)
+        eq.rows.append((f"{label}:{mono}", expr))
+    return eq
 
 
 def assemble_condition_i(system: SemialgebraicSystem, deg_v: int,
                          eps_pd: float = 1e-3, slack: int = 0
                          ) -> EqualitySystem:
     """Rows for V - eps_pd |x|^2 = sigma_0 + sum sigma_i g_i."""
-    n = system.dimension
-    gens = system.S.generators
-    for i, g in enumerate(gens):
+    for i, g in enumerate(system.S.generators):
         if g.degree() > deg_v:
             raise DegreeScheduleError(
                 f"deg g_{i + 1} = {g.degree()} exceeds deg V = {deg_v}")
-    sys_eq = EqualitySystem()
-    sys_eq.free_groups["V"] = _v_basis(n, deg_v)
-    _, sigma0 = gram_parameterize(_even_up(deg_v + slack), n, name="sigma_0")
-    sys_eq.blocks[sigma0.name] = sigma0
-    sigmas = []
-    for i, g in enumerate(gens):
-        deg = _even_up(deg_v - g.degree() + slack)
-        _, blk = gram_parameterize(deg, n, name=f"sigma_{i + 1}")
-        sys_eq.blocks[blk.name] = blk
-        sigmas.append(blk)
-
-    shift = norm_squared(n).scale(Fraction(eps_pd))
-    support = _collect_monomials(
-        sys_eq.free_groups["V"], shift.terms,
-        _gram_product_support(sigma0, None),
-        *[_gram_product_support(blk, g) for blk, g in zip(sigmas, gens)])
-    for mono in support:
-        expr = LinearExpr()
-        if mono in sys_eq.free_groups["V"]:
-            expr.add_free("V", mono, Fraction(1))
-        expr.constant += -shift.coefficient(mono)
-        _add_gram_coefficients(expr, sigma0, mono, Fraction(-1))
-        for blk, g in zip(sigmas, gens):
-            for nu, gcoeff in g.terms.items():
-                diff = tuple(a - b for a, b in zip(mono, nu))
-                if all(e >= 0 for e in diff):
-                    _add_gram_coefficients(expr, blk, diff, -gcoeff)
-        sys_eq.rows.append((f"positivity:{mono}", expr))
-    return sys_eq
+    n = system.dimension
+    lhs = {m: Polynomial.monomial(m) for m in _v_basis(n, deg_v)}
+    return _assemble_identity(system, "positivity", "sigma", lhs,
+                              norm_squared(n).scale(Fraction(eps_pd)),
+                              deg_v, slack)
 
 
 def assemble_condition_ii(system: SemialgebraicSystem, deg_v: int,
@@ -276,43 +294,12 @@ def assemble_condition_ii(system: SemialgebraicSystem, deg_v: int,
                           slack: int = 0) -> EqualitySystem:
     """Rows for -<grad V, f> - margin = chi_0 + sum chi_i g_i."""
     n = system.dimension
-    gens = system.S.generators
-    deg_f = max(c.degree() for c in system.f)
-    lhs_deg = deg_v - 1 + deg_f
-    sys_eq = EqualitySystem()
-    vbasis = _v_basis(n, deg_v)
-    sys_eq.free_groups["V"] = vbasis
-    _, chi0 = gram_parameterize(_even_up(lhs_deg + slack), n, name="chi_0")
-    sys_eq.blocks[chi0.name] = chi0
-    chis = []
-    for i, g in enumerate(gens):
-        deg = _even_up(lhs_deg - g.degree() + slack)
-        _, blk = gram_parameterize(deg, n, name=f"chi_{i + 1}")
-        sys_eq.blocks[blk.name] = blk
-        chis.append(blk)
-
-    lhs_per_v = {mono: -_grad_dot(mono, system.f) for mono in vbasis}
+    lhs = {m: -_grad_dot(m, system.f) for m in _v_basis(n, deg_v)}
     margin = decrease_margin if decrease_margin is not None \
         else Polynomial.zero(n)
-    support = _collect_monomials(
-        *[p.terms for p in lhs_per_v.values()], margin.terms,
-        _gram_product_support(chi0, None),
-        *[_gram_product_support(blk, g) for blk, g in zip(chis, gens)])
-    for mono in support:
-        expr = LinearExpr()
-        for vmono, p in lhs_per_v.items():
-            c = p.coefficient(mono)
-            if c:
-                expr.add_free("V", vmono, c)
-        expr.constant += -margin.coefficient(mono)
-        _add_gram_coefficients(expr, chi0, mono, Fraction(-1))
-        for blk, g in zip(chis, gens):
-            for nu, gcoeff in g.terms.items():
-                diff = tuple(a - b for a, b in zip(mono, nu))
-                if all(e >= 0 for e in diff):
-                    _add_gram_coefficients(expr, blk, diff, -gcoeff)
-        sys_eq.rows.append((f"decrease:{mono}", expr))
-    return sys_eq
+    deg_f = max(c.degree() for c in system.f)
+    return _assemble_identity(system, "decrease", "chi", lhs, margin,
+                              deg_v - 1 + deg_f, slack)
 
 
 def assemble_condition_iii(system: SemialgebraicSystem, deg_v: int, j: int,
@@ -322,57 +309,16 @@ def assemble_condition_iii(system: SemialgebraicSystem, deg_v: int, j: int,
     j is 1-based.  phi_j is a free polynomial (it multiplies the locally
     vanishing generator, so its sign is immaterial on the face).
     """
-    n = system.dimension
     gens = system.S.generators
     if not 1 <= j <= len(gens):
         raise SosSetupError(f"face index {j} out of range")
-    gj = gens[j - 1]
-    grad_gj = list(gj.gradient())
-    lhs_deg = deg_v - 1 + max(gj.degree() - 1, 0)
-    sys_eq = EqualitySystem()
-    vbasis = _v_basis(n, deg_v)
-    sys_eq.free_groups["V"] = vbasis
-    _, chi0 = gram_parameterize(_even_up(lhs_deg + slack), n, name=f"chi_{j}_0")
-    sys_eq.blocks[chi0.name] = chi0
-    chis: list[tuple[int, GramBlock]] = []
-    for i, g in enumerate(gens):
-        if i + 1 == j:
-            continue
-        deg = _even_up(lhs_deg - g.degree() + slack)
-        _, blk = gram_parameterize(deg, n, name=f"chi_{j}_{i + 1}")
-        sys_eq.blocks[blk.name] = blk
-        chis.append((i, blk))
-    phi_deg = max(lhs_deg - gj.degree(), 0) + slack
-    phi_basis = monomials_up_to_degree(n, phi_deg)
-    phi_name = f"phi_{j}"
-    sys_eq.free_groups[phi_name] = phi_basis
-
-    lhs_per_v = {mono: -_grad_dot(mono, grad_gj) for mono in vbasis}
-    phi_support = {tuple(a + b for a, b in zip(mono, nu))
-                   for mono in phi_basis for nu in gj.terms}
-    support = _collect_monomials(
-        *[p.terms for p in lhs_per_v.values()],
-        _gram_product_support(chi0, None),
-        *[_gram_product_support(blk, gens[i]) for i, blk in chis],
-        phi_support)
-    for mono in support:
-        expr = LinearExpr()
-        for vmono, p in lhs_per_v.items():
-            c = p.coefficient(mono)
-            if c:
-                expr.add_free("V", vmono, c)
-        _add_gram_coefficients(expr, chi0, mono, Fraction(-1))
-        for i, blk in chis:
-            for nu, gcoeff in gens[i].terms.items():
-                diff = tuple(a - b for a, b in zip(mono, nu))
-                if all(e >= 0 for e in diff):
-                    _add_gram_coefficients(expr, blk, diff, -gcoeff)
-        for nu, gcoeff in gj.terms.items():
-            diff = tuple(a - b for a, b in zip(mono, nu))
-            if all(e >= 0 for e in diff) and diff in set(phi_basis):
-                expr.add_free(phi_name, diff, -gcoeff)
-        sys_eq.rows.append((f"face{j}:{mono}", expr))
-    return sys_eq
+    n = system.dimension
+    grad_gj = system.S.gradients[j - 1]
+    lhs = {m: -_grad_dot(m, grad_gj) for m in _v_basis(n, deg_v)}
+    return _assemble_identity(system, f"face{j}", f"chi_{j}", lhs,
+                              Polynomial.zero(n),
+                              deg_v - 1 + max(gens[j - 1].degree() - 1, 0),
+                              slack, face=j)
 
 
 # -- certificate container ------------------------------------------------------
@@ -428,49 +374,82 @@ def _assemble_full(system: SemialgebraicSystem, deg_v: int, eps_pd: float,
     return full
 
 
-def _free_layout(eq: EqualitySystem) -> tuple[list[tuple[str, Mono]], dict]:
-    order = []
-    for group in sorted(eq.free_groups):
-        for mono in eq.free_groups[group]:
-            order.append((group, mono))
-    return order, {key: i for i, key in enumerate(order)}
+class _FloatLayout:
+    """The float rows of an EqualitySystem over one column map.
+
+    Columns are the Gram entries (block, i, j) with i <= j, block by block
+    in sorted name order, then the free coefficients group by group in
+    sorted name order; column maps each key to its index.  rows[k] holds
+    row k's (column, value) terms in the order they were entered, Gram
+    terms first; rhs[k] is -constant.
+    """
+
+    def __init__(self, eq: EqualitySystem):
+        self.blocks = sorted(eq.blocks)
+        self.sizes = [eq.blocks[name].size for name in self.blocks]
+        self.entries = [(name, i, j)
+                        for name, s in zip(self.blocks, self.sizes)
+                        for i in range(s) for j in range(i, s)]
+        self.free = [(group, mono) for group in sorted(eq.free_groups)
+                     for mono in eq.free_groups[group]]
+        self.column = {key: c for c, key in
+                       enumerate(self.entries + self.free)}
+        self.rows = [[(self.column[key], float(coeff)) for key, coeff
+                      in (*expr.gram.items(), *expr.free.items())]
+                     for _, expr in eq.rows]
+        self.rhs = [-float(expr.constant) for _, expr in eq.rows]
+
+    def unpack(self, entries: np.ndarray, free: np.ndarray
+               ) -> tuple[dict[str, np.ndarray], dict[str, dict[Mono, float]]]:
+        """Symmetric Grams and free values from column-ordered values."""
+        grams: dict[str, np.ndarray] = {}
+        start = 0
+        for name, s in zip(self.blocks, self.sizes):
+            upper = np.triu_indices(s)
+            G = np.zeros((s, s))
+            G[upper] = G[upper[::-1]] = entries[start:start + len(upper[0])]
+            grams[name] = G
+            start += len(upper[0])
+        frees: dict[str, dict[Mono, float]] = {}
+        for (group, mono), value in zip(self.free, free):
+            frees.setdefault(group, {})[mono] = float(value)
+        return grams, frees
 
 
 def _solve_sdp_tier(eq: EqualitySystem, gap_tol: float = 1e-9,
                     on_sdp=None
                     ) -> tuple[SdpResult, dict[str, np.ndarray], dict, float]:
     """Max t with every Gram shifted: blocks are Y = G - t I >= 0."""
-    block_names = sorted(eq.blocks)
-    block_index = {name: i for i, name in enumerate(block_names)}
-    sizes = [eq.blocks[name].size for name in block_names]
-    free_order, free_index = _free_layout(eq)
-    k = len(free_order) + 2  # + t + cap slack... cap slack is a block
-    nt = len(free_order)     # index of t among free scalars
+    layout = _FloatLayout(eq)
+    sizes = layout.sizes
+    block_index = {name: i for i, name in enumerate(layout.blocks)}
+    ne = len(layout.entries)
+    nt = len(layout.free)    # index of t among free scalars
 
     equalities: list[EqualityRow] = []
-    for label, expr in eq.rows:
-        mats: list[np.ndarray | None] = [None] * len(block_names)
+    for terms, rhs in zip(layout.rows, layout.rhs):
+        mats: list[np.ndarray | None] = [None] * len(sizes)
         free_row = np.zeros(nt + 1)
         t_coeff = 0.0
-        for (name, i, j), coeff in expr.gram.items():
+        for col, c in terms:
+            if col >= ne:
+                free_row[col - ne] += c
+                continue
+            name, i, j = layout.entries[col]
             bi = block_index[name]
             if mats[bi] is None:
                 mats[bi] = np.zeros((sizes[bi], sizes[bi]))
-            c = float(coeff)
             if i == j:
                 mats[bi][i, i] += c
                 t_coeff += c  # G_ii = Y_ii + t
             else:
                 mats[bi][i, j] += c / 2.0
                 mats[bi][j, i] += c / 2.0
-        for (group, mono), coeff in expr.free.items():
-            free_row[free_index[(group, mono)]] += float(coeff)
         free_row[nt] = t_coeff
-        equalities.append(EqualityRow(blocks=mats + [None],
-                                      free=free_row,
-                                      rhs=-float(expr.constant)))
+        equalities.append(EqualityRow(blocks=mats + [None], free=free_row,
+                                      rhs=rhs))
     # cap: t + s = 1 with s the extra 1x1 block
-    cap_mats: list[np.ndarray | None] = [None] * len(block_names) + [np.ones((1, 1))]
+    cap_mats: list[np.ndarray | None] = [None] * len(sizes) + [np.ones((1, 1))]
     cap_free = np.zeros(nt + 1)
     cap_free[nt] = 1.0
     equalities.append(EqualityRow(blocks=cap_mats, free=cap_free, rhs=1.0))
@@ -486,62 +465,45 @@ def _solve_sdp_tier(eq: EqualitySystem, gap_tol: float = 1e-9,
     if on_sdp is not None:
         on_sdp(sdp)
     result = solve_sdp(sdp, gap_tol=gap_tol)
-    grams: dict[str, np.ndarray] = {}
-    frees: dict[str, dict[Mono, float]] = {}
-    t_star = float("nan")
+    grams, frees, t_star = {}, {}, float("nan")
     if result.blocks is not None and result.free is not None:
         t_star = float(result.free[nt])
-        for name in block_names:
-            bi = block_index[name]
-            grams[name] = result.blocks[bi] + t_star * np.eye(sizes[bi])
-        for (group, mono), idx in free_index.items():
-            frees.setdefault(group, {})[mono] = float(result.free[idx])
+        entries = np.concatenate([(Y + t_star * np.eye(s))[np.triu_indices(s)]
+                                  for Y, s in zip(result.blocks, sizes)])
+        grams, frees = layout.unpack(entries, result.free[:nt])
     return result, grams, frees, t_star
 
 
 def _solve_dsos_tier(eq: EqualitySystem
                      ) -> tuple[object, dict[str, np.ndarray], dict, float]:
-    """Diagonal-dominance relaxation: one LP over Gram entries."""
-    block_names = sorted(eq.blocks)
-    entry_index: dict[tuple[str, int, int], int] = {}
-    cols = 0
-    for name in block_names:
-        s = eq.blocks[name].size
-        for i in range(s):
-            for j in range(i, s):
-                entry_index[(name, i, j)] = cols
-                cols += 1
-    abs_index: dict[tuple[str, int, int], int] = {}
-    for name in block_names:
-        s = eq.blocks[name].size
-        for i in range(s):
-            for j in range(i + 1, s):
-                abs_index[(name, i, j)] = cols
-                cols += 1
-    free_order, free_index = _free_layout(eq)
-    free_offset = cols
-    cols += len(free_order)
-    t_col = cols
-    cols += 1
+    """Diagonal-dominance relaxation: one LP over Gram entries.
+
+    Columns: the layout's Gram entries, u_ij >= |G_ij| per off-diagonal
+    entry, the layout's free coefficients, then t.
+    """
+    layout = _FloatLayout(eq)
+    ne = len(layout.entries)
+    abs_index = {key: ne + k for k, key in
+                 enumerate(key for key in layout.entries if key[1] != key[2])}
+    free_offset = ne + len(abs_index)
+    t_col = free_offset + len(layout.free)
+    cols = t_col + 1
 
     rows: list[np.ndarray] = []
     rels: list[str] = []
     rhs: list[float] = []
-    for label, expr in eq.rows:
+    for terms, value in zip(layout.rows, layout.rhs):
         row = np.zeros(cols)
-        for key, coeff in expr.gram.items():
-            row[entry_index[key]] += float(coeff)
-        for fkey, coeff in expr.free.items():
-            row[free_offset + free_index[fkey]] += float(coeff)
+        for col, c in terms:
+            row[col if col < ne else col - ne + free_offset] += c
         rows.append(row)
         rels.append(linprog.EQ)
-        rhs.append(-float(expr.constant))
+        rhs.append(value)
     # diagonal dominance with shift: G_kk - t - sum_j u_kj >= 0
-    for name in block_names:
-        s = eq.blocks[name].size
+    for name, s in zip(layout.blocks, layout.sizes):
         for i in range(s):
             row = np.zeros(cols)
-            row[entry_index[(name, i, i)]] = 1.0
+            row[layout.column[(name, i, i)]] = 1.0
             row[t_col] = -1.0
             for j in range(s):
                 if j == i:
@@ -555,7 +517,7 @@ def _solve_dsos_tier(eq: EqualitySystem
     for (name, i, j), ui in abs_index.items():
         for sign in (1.0, -1.0):
             row = np.zeros(cols)
-            row[entry_index[(name, i, j)]] = sign
+            row[layout.column[(name, i, j)]] = sign
             row[ui] = -1.0
             rows.append(row)
             rels.append(linprog.LE)
@@ -571,20 +533,11 @@ def _solve_dsos_tier(eq: EqualitySystem
                                relations=rels, b=np.array(rhs), bounds=bounds,
                                maximize=True)
     result = linprog.solve(lp)
-    grams: dict[str, np.ndarray] = {}
-    frees: dict[str, dict[Mono, float]] = {}
-    t_star = float("nan")
+    grams, frees, t_star = {}, {}, float("nan")
     if result.status == "optimal":
         t_star = float(result.x[t_col])
-        for name in block_names:
-            s = eq.blocks[name].size
-            G = np.zeros((s, s))
-            for i in range(s):
-                for j in range(i, s):
-                    G[i, j] = G[j, i] = result.x[entry_index[(name, i, j)]]
-            grams[name] = G
-        for fkey, idx in free_index.items():
-            frees.setdefault(fkey[0], {})[fkey[1]] = float(result.x[free_offset + idx])
+        grams, frees = layout.unpack(result.x[:ne],
+                                     result.x[free_offset:t_col])
     return result, grams, frees, t_star
 
 

@@ -17,7 +17,7 @@ conservatively by the callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,11 +38,14 @@ class SemialgebraicSet:
     """Set {x : g_i(x) >= 0} with a sampling bounding box.
 
     The set must contain the origin (g_i(0) >= 0 is checked); the box is
-    used only by samplers and never constrains the set itself.
+    used only by samplers and never constrains the set itself.  gradients[i]
+    holds grad g_i, built once here for the projections and samplers.
     """
 
     generators: list[Polynomial]
     box: list[tuple[float, float]]
+    gradients: list[tuple[Polynomial, ...]] = field(init=False, repr=False,
+                                                    compare=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -62,6 +65,7 @@ class SemialgebraicSet:
                 raise TangencyError(
                     f"generator {i + 1} excludes the origin: g({origin}) = "
                     f"{float(g.evaluate(origin))}")
+        self.gradients = [g.gradient() for g in self.generators]
 
     @property
     def dimension(self) -> int:

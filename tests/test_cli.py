@@ -209,6 +209,44 @@ def test_partition_dump(cone_spec, capsys):
             assert len(vertex.split(",")) == 2
 
 
+def test_simulate_from_the_origin(tmp_path, capsys):
+    """V = h/|x|^(2r) at x = 0: 0 when deg h > 2r, else an input error."""
+    common = ["simulate", str(SQ3D_SPEC), "--x0=0,0,0", "--T", "0.05",
+              "--dt", "0.01", "--r", "1"]
+    code = main(common + ["--candidate", "1*x1^2 + 1*x2^2 + 1*x3^2",
+                          "--out", str(tmp_path / "deg2")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "status=input-error")
+    out = tmp_path / "deg4"
+    code = main(common + ["--candidate", "1*x1^4 + 1*x3^4", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["0.0"] * 6
+
+
+@pytest.mark.parametrize("command, flag, spec_name", [
+    (["partition-dump"], "--seed", "cone_spec"),
+    (["simulate", "--x0=2,0.5"], "--density", "cone_spec"),
+    (["find-lyap-cone", "--deg", "2"], "--samples", "cone_spec"),
+    (["find-lyap-sos", "--deg", "2"], "--tau-act", "cusp_spec"),
+], ids=["partition-dump", "simulate", "find-lyap-cone", "find-lyap-sos"])
+def test_flags_a_command_does_not_read_are_usage_errors(
+        command, flag, spec_name, request, tmp_path):
+    spec = request.getfixturevalue(spec_name)
+    assert main([command[0], str(spec), *command[1:], flag, "5",
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+
+def test_spec_keys_nothing_reads_are_input_errors(tmp_path, capsys):
+    for key in ("sweeps: 3", "r: 1"):
+        path = tmp_path / "cone.spec"
+        path.write_text(CONE_SPEC + key + "\n")
+        assert main(["partition-dump", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "status=input-error")
+
+
 def test_missing_spec_is_usage_error(tmp_path):
     assert main(["find-lyap-cone", str(tmp_path / "none.spec")]) == EXIT_USAGE
 

@@ -290,7 +290,7 @@ def test_certificate_rows_reevaluate_above_margin():
     system = wedge_system()
     lp, prov = assemble_lp(system, cert.degree, cert.r, cert.sections)
     basis = monomials_of_degree(2, cert.degree)
-    coeffs = cert.candidate.h.coefficient_vector(basis)
+    coeffs = np.array([float(cert.candidate.h.coefficient(m)) for m in basis])
     rows = lp.A[:, :-1] @ coeffs
     assert rows.min() >= cert.margin - 1e-8
 
@@ -378,3 +378,13 @@ def test_candidate_gradient_closed_form():
         e[i] = step
         fd = (cand.value(x + e) - cand.value(x - e)) / (2 * step)
         assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
+
+
+def test_candidate_value_at_the_origin():
+    """The limit 0 when deg h > 2r; no value (ValueError) when deg h <= 2r."""
+    quartic = parse_polynomial("x1^4 + x2^4", 2)
+    assert RationalLyapunovCandidate(quartic, 1).value([0.0, 0.0]) == 0.0
+    assert RationalLyapunovCandidate(quartic, 0).value([0.0, 0.0]) == 0.0
+    for r in (2, 3):
+        with pytest.raises(ValueError):
+            RationalLyapunovCandidate(quartic, r).value([0.0, 0.0])

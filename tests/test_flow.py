@@ -83,6 +83,14 @@ def test_set_projection_feasible_and_close():
                 assert np.linalg.norm(z - p) <= np.linalg.norm(z - y) + 1e-6
 
 
+def test_set_projection_reuses_the_generator_gradients(monkeypatch):
+    S = cusp_system().S
+    monkeypatch.setattr(Polynomial, "gradient",
+                        lambda self: pytest.fail("gradient rebuilt"))
+    p = project_set(np.array([1.3, 0.2]), S)
+    assert S.contains(p, tol=1e-9)
+
+
 # -- single steps --------------------------------------------------------------------
 
 def test_interior_step_is_plain_euler():

@@ -1,3 +1,5 @@
+import itertools
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,24 @@ def test_barycentric_grid_density_and_membership():
     assert pts.min() >= 0.0
 
 
+@pytest.mark.parametrize("k, density", [(3, 1000), (4, 1000), (5, 300)])
+def test_barycentric_grid_points_in_lexicographic_order(k, density):
+    """The weights c/resolution over the compositions c of the largest
+    resolution that fits the density, in lexicographic order, for every
+    simplex of k vertices (the lattice is built once and shared)."""
+    resolution = max(t for t in range(1, density)
+                     if comb(t + k - 1, k - 1) <= density)
+    compositions = sorted(c for c in itertools.product(range(resolution + 1),
+                                                       repeat=k)
+                          if sum(c) == resolution)
+    weights = np.array(compositions, dtype=float) / resolution
+    rng = np.random.default_rng(k)
+    for _ in range(2):
+        simplex = Simplex.from_rows(rng.standard_normal((k, k)))
+        assert np.array_equal(barycentric_grid(simplex, density),
+                              weights @ simplex.vertex_array())
+
+
 # -- sos verification -------------------------------------------------------------
 
 def test_cusp_candidate_passes():
@@ -133,6 +153,17 @@ def test_cusp_candidate_passes():
     names = {c.name for c in report.checks}
     assert "decrease-strict" in names
     assert "alignment-g1" in names and "alignment-g2" in names
+
+
+def test_sos_oracle_differentiates_only_the_candidate(monkeypatch):
+    """The generators' gradients come from the set, built once."""
+    system = cusp_system()
+    calls = []
+    gradient = Polynomial.gradient
+    monkeypatch.setattr(Polynomial, "gradient",
+                        lambda self: calls.append(self) or gradient(self))
+    verify_sos(parse_polynomial("x1^2 + x2^2", 2), system, samples=200)
+    assert len(calls) == 1
 
 
 def test_alignment_identity_on_parabola_band():

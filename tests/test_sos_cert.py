@@ -1,9 +1,13 @@
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from lyapcert.poly import Polynomial, parse_polynomial
+from lyapcert.poly import Polynomial, norm_squared, parse_polynomial
 from lyapcert.sos_cert import (DegreeScheduleError, SemialgebraicSystem,
-                               SosSetupError, assemble_condition_i,
+                               SosSetupError, _assemble_full,
+                               assemble_condition_i,
                                assemble_condition_ii, assemble_condition_iii,
                                gram_parameterize,
                                solve_certificate)
@@ -259,3 +263,70 @@ def test_certificate_multipliers_reproduce_identities():
     diff = lhs - rhs
     worst = max((abs(float(c)) for c in diff.terms.values()), default=0.0)
     assert worst <= 1e-6
+
+
+# -- the stacked equality system, pinned ------------------------------------------
+
+def ball_system():
+    S = SemialgebraicSet([parse_polynomial("1 - x1^2 - x2^2 - x3^2", 3)],
+                         [(-1.0, 1.0)] * 3)
+    return SemialgebraicSystem(
+        [parse_polynomial(t, 3) for t in
+         ("-1*x1 + 1*x2", "-1*x1 - 1*x2", "-1*x3")], S)
+
+
+def equality_system_digest(eq) -> str:
+    """Hash of every block and free basis and of each row's label, terms in
+    insertion order, and constant."""
+    h = hashlib.sha256()
+    for name, block in eq.blocks.items():
+        h.update(repr(("block", name, block.basis)).encode())
+    for name, basis in eq.free_groups.items():
+        h.update(repr(("free", name, basis)).encode())
+    for label, expr in eq.rows:
+        h.update(repr((label, list(expr.gram.items()),
+                       list(expr.free.items()), expr.constant)).encode())
+    return h.hexdigest()[:16]
+
+
+# (system, deg V, multiplier slack, with a decrease margin) -> (digest, rows).
+# Recorded when each condition had its own assembler; the solvers' inputs
+# (and the dumped SDPA files) follow this row layout term for term.
+EQUALITY_DIGESTS = {
+    ("cusp", 2, 0, False): ("960553d0b2f3708a", 39),
+    ("cusp", 2, 0, True): ("c8e14dfe35528a16", 39),
+    ("cusp", 2, 2, False): ("6ee97cd120e21c71", 83),
+    ("cusp", 2, 2, True): ("a5315af262d2a885", 83),
+    ("cusp", 4, 0, False): ("a3a972aead5c45d5", 83),
+    ("cusp", 4, 0, True): ("8cf5ad66114816c2", 83),
+    ("cusp", 4, 2, False): ("23f77cb856cc8104", 143),
+    ("cusp", 4, 2, True): ("165f0a26a5fbc160", 143),
+    ("cusp", 6, 0, False): ("a9fc5e5b63313fd2", 143),
+    ("cusp", 6, 0, True): ("eb4b1b8e4b8051b8", 143),
+    ("cusp", 6, 2, False): ("3fb3f7adc672bdfb", 219),
+    ("cusp", 6, 2, True): ("6219ffe4290b028e", 219),
+    ("ball", 2, 0, False): ("d7a0b079b5758f3e", 30),
+    ("ball", 2, 0, True): ("15ef834bfebe36ad", 30),
+    ("ball", 2, 2, False): ("26bd50971cf7c28e", 105),
+    ("ball", 2, 2, True): ("a8177426ebd042ed", 105),
+    ("ball", 4, 0, False): ("31512dcbed21f968", 105),
+    ("ball", 4, 0, True): ("cfecec08c1dae678", 105),
+    ("ball", 4, 2, False): ("4ebbea6eecb9cbb8", 252),
+    ("ball", 4, 2, True): ("5b05686d75edfb3c", 252),
+    ("ball", 6, 0, False): ("37cc74e43c630890", 252),
+    ("ball", 6, 0, True): ("782b696a85f81d69", 252),
+    ("ball", 6, 2, False): ("d240eb6bb99156fe", 495),
+    ("ball", 6, 2, True): ("0850b328bbb79bce", 495),
+}
+
+
+@pytest.mark.parametrize("case", EQUALITY_DIGESTS,
+                         ids=["-".join(map(str, c)) for c in EQUALITY_DIGESTS])
+def test_stacked_equality_system_is_pinned(case):
+    name, deg, slack, with_margin = case
+    system = cusp_system() if name == "cusp" else ball_system()
+    margin = norm_squared(system.dimension).scale(Fraction(1, 1000)) \
+        if with_margin else None
+    eq = _assemble_full(system, deg, 1e-3, margin, slack)
+    assert (equality_system_digest(eq), len(eq.rows)) == \
+        EQUALITY_DIGESTS[case]
