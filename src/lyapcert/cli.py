@@ -8,8 +8,9 @@ output directory.
 Exit codes: 0 when a certificate is found or verification passes, 1 when
 the search is exhausted or verification fails, 2 for usage or input
 errors, 3 when an LP or SDP of the search failed to solve and no level
-certified, or when a linear-algebra step raised LinAlgError or a normal-cone
-projection failed (TangencyError).  Every run ends with one
+certified, or when a linear-algebra step raised LinAlgError, a normal-cone
+projection failed (TangencyError) or the simulator failed numerically (a
+projection that fails, a state that leaves the set).  Every run ends with one
 machine-readable "status=..." line on standard error.  Verbosity comes from
 LYAPCERT_LOG (quiet, info, debug).
 """
@@ -492,9 +493,12 @@ def cmd_simulate(args, spec: ParsedSpec) -> int:
             V = poly
     try:
         traj = flow.simulate(x0, T, dt, spec.system, V=V)
-    except flow.FlowError as exc:
+    except flow.FlowInputError as exc:
         _status(f"simulation-error detail={str(exc)!r}")
         return EXIT_USAGE
+    except flow.FlowError as exc:
+        _status(f"solver-failure detail={str(exc)!r}")
+        return EXIT_SOLVER_FAILURE
     out = _out_dir(args)
     path = out / "trajectory.csv"
     path.write_text(traj.to_csv())

@@ -101,15 +101,22 @@ class RationalLyapunovCandidate:
             raise ConicSetupError("h must be homogeneous")
         self.degree = deg
 
-    def value(self, x) -> float:
-        """V(x); at the origin its limit 0 when deg h > 2r, else ValueError."""
-        nrm2 = float(sum(v * v for v in x))
-        if nrm2 == 0.0:
-            if self.degree > 2 * self.r:
-                return 0.0
+    def value(self, x):
+        """V at one point (n,), as a float, or at each row of an (m, n) array.
+
+        At the origin V takes its limit 0 when deg h > 2r; when
+        deg h <= 2r it has none, and a point at the origin is a ValueError.
+        """
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        nrm2 = np.einsum("ij,ij->i", pts, pts)
+        away = nrm2 != 0.0
+        if not away.all() and self.degree <= 2 * self.r:
             raise ValueError(f"V = h/|x|^{2 * self.r} has no value at the "
                              f"origin: deg h = {self.degree} <= 2r")
-        return float(self.h.evaluate_float(x)) / nrm2 ** self.r
+        values = np.zeros(len(pts))
+        values[away] = self.h.eval_many(pts[away]) / nrm2[away] ** self.r
+        return float(values[0]) if x.ndim == 1 else values
 
 
 @dataclass

@@ -8,9 +8,9 @@ onto the polar cone), the same map the oracle uses for its face checks;
 projection onto a general convex semialgebraic set runs Dykstra's
 alternating scheme with a Newton sub-step per smooth constraint.
 
-Trajectories record states, multipliers, and optionally a Lyapunov
-function candidate along the way; the CSV layout is
-"t,x1..xn,eta1..etan[,V]".
+Trajectories record states and multipliers along the way, and optionally
+a Lyapunov function candidate, evaluated on all states at once after the
+last step; the CSV layout is "t,x1..xn,eta1..etan[,V]".
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ MAX_PROJECTION_ITER = 500
 
 
 class FlowError(RuntimeError):
-    pass
+    """A numerical failure: a projection that fails or a state that leaves
+    the set."""
+
+
+class FlowInputError(FlowError):
+    """A start state outside the set, or T or dt not positive."""
 
 
 @dataclass
@@ -145,35 +150,29 @@ def step(x: np.ndarray, dt: float, system: System,
 
 
 def simulate(x0: Sequence[float], T: float, dt: float, system: System,
-             V: Callable[[np.ndarray], float] | Polynomial | None = None,
+             V: Callable[[np.ndarray], np.ndarray] | Polynomial | None = None,
              feas_tol: float = 1e-8) -> Trajectory:
     """Fixed-step projected Euler from a feasible start.
 
-    Records eta along the way and V when provided; every recorded state is
-    feasible within feas_tol or the step raises.
+    Records eta along the way; every recorded state is feasible within
+    feas_tol or the step raises.  V, when given, is a Polynomial or a map
+    from an (m, n) array of states to an array of their m values (such as
+    RationalLyapunovCandidate.value); it is evaluated once, on all stored
+    states, after the last step.
     """
     x = np.asarray(x0, dtype=float)
     if not _feasible(system, x, feas_tol):
-        raise FlowError("initial state is outside the constraint set")
+        raise FlowInputError("initial state is outside the constraint set")
     if dt <= 0 or T <= 0:
-        raise FlowError("T and dt must be positive")
+        raise FlowInputError("T and dt must be positive")
     projector = _projector(system)
 
-    if V is None:
-        v_eval = None
-    elif isinstance(V, Polynomial):
-        v_eval = V.evaluate_float
-    else:
-        v_eval = V
-
-    traj = Trajectory(v_values=[] if v_eval is not None else None)
+    traj = Trajectory()
     steps = int(round(T / dt))
     t = 0.0
     for k in range(steps + 1):
         traj.times.append(t)
         traj.states.append(x.copy())
-        if v_eval is not None:
-            traj.v_values.append(v_eval(x))
         if k == steps:
             traj.eta_log.append(np.zeros_like(x))
             break
@@ -183,4 +182,7 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
         traj.eta_log.append(eta_used)
         x = x_next
         t += dt
+    if V is not None:
+        v_of = V.eval_many if isinstance(V, Polynomial) else V
+        traj.v_values = v_of(np.array(traj.states)).tolist()
     return traj

@@ -5,9 +5,13 @@ inequalities are sampled on dense deterministic grids, and eta comes from
 the projection tangency.eta_projection (never from the branch polynomials
 used in LP assembly).  Each face grid is evaluated at once with eval_many
 and projected once per pattern of active cone rows: the closed form where
-one row is active, nonnegative least squares at corners.  A certificate is
-accepted only when this module agrees, so a shared bug cannot
-self-certify.
+one row is active, nonnegative least squares at corners.  The semialgebraic
+checks are batched the same way: every sample set is evaluated with
+eval_many, and the boundary bands come from one Newton iteration over all
+samples at once, with a per-point mask that retires converged points and
+drops those whose gradient vanishes or that do not converge in 50 passes.
+A certificate is accepted only when this module agrees, so a shared bug
+cannot self-certify.
 
 All randomized sampling uses a caller-fixed seed (default 0); reports are
 byte-stable for a fixed seed.
@@ -313,24 +317,35 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
 
 def _band_points(index: int, S, pts: np.ndarray, band_width: float
                  ) -> np.ndarray:
-    """Newton-project samples onto g = 0 for g = S.generators[index], keep
-    points still inside the set."""
-    out = []
+    """Newton-project all samples onto g = 0 at once, g = S.generators[index].
+
+    Each pass evaluates g and its cached gradient (S.gradients[index]) with
+    eval_many on the points still live, and steps those points by
+    y <- y - g(y) grad g(y) / |grad g(y)|^2.  A point retires as converged
+    once |g(y)| <= band_width; it is dropped when |grad g(y)|^2 < 1e-30 or
+    when it has not converged after 50 passes.  A converged point is kept
+    if every other generator is >= -1e-9 there; kept points stay in input
+    order.
+    """
     g, grads = S.generators[index], S.gradients[index]
-    for x in pts:
-        y = x.copy()
-        ok = False
-        for _ in range(50):
-            val = g.evaluate_float(y)
-            if abs(val) <= band_width:
-                ok = True
-                break
-            grad = np.array([c.evaluate_float(y) for c in grads])
-            nrm2 = float(grad @ grad)
-            if nrm2 < 1e-30:
-                break
-            y = y - (val / nrm2) * grad
-        if ok and all(other.evaluate_float(y) >= -1e-9
-                      for other in S.generators if other is not g):
-            out.append(y)
-    return np.array(out) if out else np.zeros((0, pts.shape[1]))
+    y = np.array(pts, dtype=float)
+    live = np.arange(len(y))
+    converged = np.zeros(len(y), dtype=bool)
+    for _ in range(50):
+        val = g.eval_many(y[live])
+        done = np.abs(val) <= band_width
+        converged[live[done]] = True
+        live, val = live[~done], val[~done]
+        if len(live) == 0:
+            break
+        grad = np.column_stack([c.eval_many(y[live]) for c in grads])
+        nrm2 = np.einsum("ij,ij->i", grad, grad)
+        moving = nrm2 >= 1e-30
+        live = live[moving]
+        y[live] -= (val[moving] / nrm2[moving])[:, None] * grad[moving]
+    y = y[converged]
+    keep = np.ones(len(y), dtype=bool)
+    for other in S.generators:
+        if other is not g:
+            keep &= other.eval_many(y) >= -1e-9
+    return y[keep]

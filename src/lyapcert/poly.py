@@ -79,7 +79,7 @@ class Polynomial:
     instances, values are safe to share between threads.
     """
 
-    __slots__ = ("dimension", "terms", "_exps", "_coefs", "_pyterms")
+    __slots__ = ("dimension", "terms", "_powers", "_coefs", "_pyterms")
 
     def __init__(self, dimension: int,
                  terms: Mapping[Mono, Scalar] | None = None):
@@ -99,7 +99,7 @@ class Polynomial:
                 acc = clean.get(mono)
                 clean[mono] = c if acc is None else acc + c
         self.terms = {m: c for m, c in clean.items() if c != 0}
-        self._exps = None
+        self._powers = None
         self._coefs = None
         self._pyterms = None
 
@@ -256,24 +256,55 @@ class Polynomial:
             total += v
         return total
 
-    def _numeric_cache(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._exps is None:
+    def _numeric_cache(self) -> tuple[tuple, np.ndarray]:
+        """The power table layout of eval_many and the coefficients, built
+        once per polynomial.
+
+        Column j of `distinct` holds the distinct exponents of x_j in
+        increasing order (0 past the last).  For each variable that occurs,
+        `gathers` holds each term's column in the flattened (row, variable)
+        table: row * n + j, the row holding the term's exponent of x_j.
+        Coefficients are in graded-lex term order.
+        """
+        if self._coefs is None:
             items = self.sorted_terms()
-            self._exps = np.array([m for m, _ in items], dtype=np.int64).reshape(
-                len(items), self.dimension)
+            n = self.dimension
+            exponents = [sorted({m[j] for m, _ in items}) for j in range(n)]
+            distinct = np.zeros((max(map(len, exponents)), n), dtype=np.int64)
+            gathers = []
+            for j, column in enumerate(exponents):
+                distinct[:len(column), j] = column
+                if column[-1]:
+                    row = {e: u for u, e in enumerate(column)}
+                    gathers.append(np.array([row[m[j]] * n + j
+                                             for m, _ in items]))
+            self._powers = (distinct, gathers)
             self._coefs = np.array([float(c) for _, c in items])
-        return self._exps, self._coefs
+        return self._powers, self._coefs
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation on an (m, n) array of points."""
+        """Vectorized float evaluation on an (m, n) array of points.
+
+        A power table holds x_j ** e once per point and distinct exponent e
+        of x_j.  Each term's monomial gathers its columns and multiplies
+        them variable by variable, and one (m, T) @ coefs product sums the
+        terms.  The table is the broadcast `points[:, None, :] ** exps` of
+        the distinct exponents: numpy's pow can round differently with the
+        operands' strides (SIMD or scalar loop), and this layout gives the
+        values of the same broadcast over one row per term, bit for bit.
+        """
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points.reshape(1, -1)
         if not self.terms:
             return np.zeros(points.shape[0])
-        exps, coefs = self._numeric_cache()
-        powers = points[:, None, :] ** exps[None, :, :]
-        return powers.prod(axis=2) @ coefs
+        (distinct, gathers), coefs = self._numeric_cache()
+        table = (points[:, None, :] ** distinct).reshape(len(points),
+                                                          distinct.size)
+        monomials = np.ones((len(points), len(coefs)))
+        for columns in gathers:
+            monomials *= np.take(table, columns, axis=1)
+        return monomials @ coefs
 
     # -- tensor representation ----------------------------------------------
 

@@ -1,8 +1,10 @@
 """Reference implementations that only the tests use.
 
 They check the library from outside it: the closed-form gradient of
-V = h/|x|^(2r) against central differences, and the coefficient-matching
-rows of the SOS conditions against hand-written Gram matrices.
+V = h/|x|^(2r) against central differences, the coefficient-matching
+rows of the SOS conditions against hand-written Gram matrices, and the
+batched evaluation and band projection of the oracle against the
+row-per-term broadcast and the per-point Newton loop they replaced.
 """
 
 import numpy as np
@@ -65,3 +67,42 @@ def worst_residual(cert) -> float:
 def worst_gram_eigenvalue(cert) -> float:
     return min((m.min_eigenvalue for m in cert.multipliers.values()),
                default=0.0)
+
+
+def eval_many_broadcast(poly, points) -> np.ndarray:
+    """Polynomial values by one pow per (point, term, variable)."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points.reshape(1, -1)
+    if not poly.terms:
+        return np.zeros(points.shape[0])
+    items = poly.sorted_terms()
+    exps = np.array([m for m, _ in items], dtype=np.int64).reshape(
+        len(items), poly.dimension)
+    coefs = np.array([float(c) for _, c in items])
+    powers = points[:, None, :] ** exps[None, :, :]
+    return powers.prod(axis=2) @ coefs
+
+
+def band_points_per_point(index, S, pts, band_width) -> np.ndarray:
+    """Newton-project each sample onto g = 0 on its own, g = S.generators[index];
+    keep the converged points still inside the set."""
+    out = []
+    g, grads = S.generators[index], S.gradients[index]
+    for x in pts:
+        y = x.copy()
+        ok = False
+        for _ in range(50):
+            val = g.evaluate_float(y)
+            if abs(val) <= band_width:
+                ok = True
+                break
+            grad = np.array([c.evaluate_float(y) for c in grads])
+            nrm2 = float(grad @ grad)
+            if nrm2 < 1e-30:
+                break
+            y = y - (val / nrm2) * grad
+        if ok and all(other.evaluate_float(y) >= -1e-9
+                      for other in S.generators if other is not g):
+            out.append(y)
+    return np.array(out) if out else np.zeros((0, pts.shape[1]))

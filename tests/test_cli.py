@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapcert import linprog, oracle, sos_cert, tangency
+from lyapcert import flow, linprog, oracle, sos_cert, tangency
 from lyapcert.cli import (EXIT_NOT_FOUND, EXIT_OK, EXIT_SOLVER_FAILURE,
                           EXIT_USAGE, SpecFileError, default_cone_schedule,
                           main, parse_spec, read_certificate_candidate)
@@ -313,6 +313,29 @@ def test_failed_projection_is_solver_failure(sq3d_run, tmp_path,
     status = capsys.readouterr().err.splitlines()[-1]
     assert status.startswith("status=solver-failure")
     assert "complementarity" in status
+
+
+def test_simulator_failure_is_solver_failure(cone_spec, tmp_path,
+                                             monkeypatch, capsys):
+    # a projection that does nothing: the state leaves the cone
+    monkeypatch.setattr(flow, "project_cone", lambda z, cone: z)
+    code = main(["simulate", str(cone_spec), "--T", "1.0", "--dt", "1e-3",
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER_FAILURE
+    status = capsys.readouterr().err.splitlines()[-1]
+    assert status.startswith("status=solver-failure")
+    assert "left the set" in status
+
+
+@pytest.mark.parametrize("flags", [["--x0=-1,-1"], ["--dt", "0"], ["--T=-1"]],
+                         ids=["start-outside", "dt-zero", "T-negative"])
+def test_bad_simulation_input_is_simulation_error(flags, cone_spec, tmp_path,
+                                                  capsys):
+    code = main(["simulate", str(cone_spec), *flags,
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "status=simulation-error")
 
 
 def test_verify_calls_nnls_only_at_corner_samples(sq3d_run, tmp_path,

@@ -388,3 +388,17 @@ def test_candidate_value_at_the_origin():
     for r in (2, 3):
         with pytest.raises(ValueError):
             RationalLyapunovCandidate(quartic, r).value([0.0, 0.0])
+
+
+def test_candidate_value_is_batched():
+    cand = RationalLyapunovCandidate(parse_polynomial("x1^4 + 2*x1*x2^3", 2), 1)
+    pts = np.array([[1.0, 2.0], [0.0, 0.0], [-0.5, 0.25], [3.0, -1.0]])
+    values = cand.value(pts)
+    assert values.shape == (4,)
+    assert values[1] == 0.0
+    assert [cand.value(x) for x in pts] == values.tolist()
+    for x, v in zip(pts[[0, 2, 3]], values[[0, 2, 3]]):
+        plain = cand.h.evaluate_float(x) / float(x @ x)
+        assert abs(v - plain) <= 1e-15 * abs(plain)
+    with pytest.raises(ValueError):
+        RationalLyapunovCandidate(parse_polynomial("x1^2 + x2^2", 2), 1).value(pts)

@@ -190,6 +190,22 @@ def test_cusp_trajectory_v_decrease():
     assert worst >= -1e-8
 
 
+def test_v_is_evaluated_once_on_all_states():
+    calls = []
+
+    def first_coordinate(states):
+        calls.append(states.shape)
+        return states[:, 0]
+
+    traj = simulate([0.8, 0.2], T=0.01, dt=1e-3, system=wedge_system(),
+                    V=first_coordinate)
+    assert calls == [(len(traj), 2)]
+    assert traj.v_values == [float(s[0]) for s in traj.states]
+    poly = simulate([0.8, 0.2], T=0.01, dt=1e-3, system=wedge_system(),
+                    V=PRINTED_V)
+    assert poly.v_values == PRINTED_V.eval_many(np.array(poly.states)).tolist()
+
+
 def test_csv_layout():
     system = wedge_system()
     traj = simulate([0.8, 0.2], T=0.01, dt=1e-3, system=system, V=PRINTED_V)

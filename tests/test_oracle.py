@@ -9,12 +9,14 @@ from scipy.optimize import nnls
 from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import ConicSystem, RationalLyapunovCandidate
-from lyapcert.oracle import barycentric_grid, verify_conic, verify_sos
+from lyapcert.oracle import (BAND_WIDTH, _band_points, barycentric_grid,
+                             verify_conic, verify_sos)
 from lyapcert.cones import Simplex
 from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import SemialgebraicSet, eta_projection
-from reference import candidate_gradient, fd_gradient_check
+from reference import (band_points_per_point, candidate_gradient,
+                       fd_gradient_check)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -32,6 +34,11 @@ def cusp_system():
         [(-0.5, 1.5), (-1.5, 1.5)])
     return SemialgebraicSystem(
         [parse_polynomial("-1*x1^2", 2), Polynomial.zero(2)], S)
+
+
+def ball_set():
+    return SemialgebraicSet([parse_polynomial("1 - x1^2 - x2^2 - x3^2", 3)],
+                            [(-1.0, 1.0)] * 3)
 
 
 # -- conic verification ----------------------------------------------------------
@@ -205,6 +212,48 @@ def test_reports_deterministic_for_fixed_seed():
                    samples=2000, seed=7)
     assert a.to_text() == b.to_text()
     assert a.to_csv() == b.to_csv()
+
+
+@pytest.mark.parametrize("make_set", [lambda: cusp_system().S, ball_set],
+                         ids=["cusp_box", "ball"])
+def test_band_points_match_the_per_point_reference(make_set):
+    S = make_set()
+    n = S.dimension
+    rng = np.random.default_rng(91)
+    lo, hi = np.array(S.box).T
+    pts = rng.uniform(lo, hi, size=(3000, n))
+    pts = pts[np.all([g.eval_many(pts) >= 0 for g in S.generators], axis=0)]
+    # on the ball: the origin (grad g = 0, dropped), a point that needs 53
+    # Newton passes (dropped at the cap of 50) and one that needs 47 (kept)
+    e1 = np.eye(n)[0]
+    pts = np.vstack([np.zeros(n), 1e-15 * e1, 1e-13 * e1, pts])
+    for index in range(len(S.generators)):
+        got = _band_points(index, S, pts, BAND_WIDTH)
+        want = band_points_per_point(index, S, pts, BAND_WIDTH)
+        assert got.shape == want.shape
+        assert len(got) > 0
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_band_points_drop_vanishing_gradients_and_slow_samples():
+    S = ball_set()
+    e1 = np.eye(3)[0]
+    pts = np.array([np.zeros(3), 1e-15 * e1, 1e-13 * e1, 0.5 * e1])
+    got = _band_points(0, S, pts, BAND_WIDTH)
+    assert np.allclose(got, [e1, e1], atol=1e-6)
+
+
+def test_verify_sos_evaluates_no_point_alone(monkeypatch):
+    def per_point(self, point):
+        raise AssertionError("per-point evaluation inside the sampling oracle")
+
+    system = cusp_system()
+    monkeypatch.setattr(Polynomial, "evaluate_float", per_point)
+    report = verify_sos(parse_polynomial("x1^2 + x2^2", 2), system,
+                        samples=2000)
+    names = [c.name for c in report.checks]
+    assert "alignment-g1" in names and "alignment-g2" in names
+    assert all(c.samples > 0 for c in report.checks)
 
 
 # -- gradient checks ----------------------------------------------------------------

@@ -9,6 +9,7 @@ from lyapcert.poly import (Polynomial, PolynomialParseError, SymmetricTensor,
                            bernstein_coefficients, format_polynomial,
                            monomials_of_degree, monomials_up_to_degree,
                            parse_polynomial)
+from reference import eval_many_broadcast
 
 X1 = Polynomial.variable(2, 0)
 X2 = Polynomial.variable(2, 1)
@@ -83,6 +84,32 @@ def test_gradient_finite_differences():
             fd = (p.evaluate_float(x + e) - p.evaluate_float(x - e)) / (2 * step)
             scale = max(abs(grad[i]), 1.0)
             assert abs(fd - grad[i]) / scale <= 1e-6
+
+
+# -- float evaluation ---------------------------------------------------------------
+
+def test_eval_many_is_bit_identical_to_the_broadcast_reference():
+    """The power table gives the same floats as one pow per (point, term,
+    variable), on random polynomials and points with zero coordinates."""
+    rng = np.random.default_rng(2026)
+    polys = [Polynomial.zero(3), Polynomial.constant(2, Fraction(7, 3))]
+    for _ in range(200):
+        n, degree = int(rng.integers(1, 5)), int(rng.integers(0, 9))
+        basis = monomials_up_to_degree(n, degree)
+        chosen = rng.choice(len(basis), size=int(rng.integers(1, len(basis) + 1)),
+                            replace=False)
+        polys.append(Polynomial(n, {basis[i]: float(rng.normal())
+                                    for i in chosen}))
+    for p in polys:
+        n = p.dimension
+        pts = rng.normal(size=(int(rng.integers(1, 300)), n)) \
+            * rng.uniform(0.1, 3.0)
+        pts[::7, 0] = 0.0
+        for points in (pts, pts[-1], np.zeros((0, n))):
+            got = p.eval_many(points)
+            want = eval_many_broadcast(p, points)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 # -- homogeneity --------------------------------------------------------------------
