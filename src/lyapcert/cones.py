@@ -40,11 +40,13 @@ class ConeGeometryError(ValueError):
 class PolyhedralCone:
     """Cone {x : Cx >= 0}; rows are stored exactly as given.
 
-    An empty row block (m = 0) means the whole space.
+    An empty row block (m = 0) means the whole space.  rows holds C's rows
+    as tuples of floats, for checks at one point without numpy.
     """
 
     C: np.ndarray
     dimension: int
+    rows: tuple[tuple[float, ...], ...]
 
     def __init__(self, C, dimension: int | None = None):
         C = np.asarray(C, dtype=float)
@@ -62,6 +64,7 @@ class PolyhedralCone:
                 raise ConeGeometryError(f"zero row {i + 1} in cone matrix")
         self.C = C
         self.dimension = C.shape[1]
+        self.rows = tuple(map(tuple, C.tolist()))
 
     @property
     def num_rows(self) -> int:

@@ -244,15 +244,21 @@ class Polynomial:
         return total
 
     def evaluate_float(self, point) -> float:
-        """Float evaluation at one point; the fast path for inner loops."""
+        """Float evaluation at one point; the fast path for inner loops.
+
+        Terms are summed in graded-lex order; each starts from its
+        coefficient and multiplies in x_j ** e for its nonzero exponents in
+        variable order (x ** 1 is x, bit for bit).
+        """
         if self._pyterms is None:
-            self._pyterms = [(m, float(c)) for m, c in self.sorted_terms()]
+            self._pyterms = [
+                (float(c), tuple((j, e) for j, e in enumerate(m) if e))
+                for m, c in self.sorted_terms()]
         total = 0.0
-        for mono, coeff in self._pyterms:
+        for coeff, factors in self._pyterms:
             v = coeff
-            for x, e in zip(point, mono):
-                if e:
-                    v *= x ** e
+            for j, e in factors:
+                v *= point[j] if e == 1 else point[j] ** e
             total += v
         return total
 
@@ -287,11 +293,13 @@ class Polynomial:
 
         A power table holds x_j ** e once per point and distinct exponent e
         of x_j.  Each term's monomial gathers its columns and multiplies
-        them variable by variable, and one (m, T) @ coefs product sums the
-        terms.  The table is the broadcast `points[:, None, :] ** exps` of
-        the distinct exponents: numpy's pow can round differently with the
-        operands' strides (SIMD or scalar loop), and this layout gives the
-        values of the same broadcast over one row per term, bit for bit.
+        them variable by variable, starting from the first gathered factor
+        (1.0 * a is a, so no buffer of ones is needed), and one
+        (m, T) @ coefs product sums the terms.  The table is the broadcast
+        `points[:, None, :] ** exps` of the distinct exponents: numpy's pow
+        can round differently with the operands' strides (SIMD or scalar
+        loop), and this layout gives the values of the same broadcast over
+        one row per term, bit for bit.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
@@ -299,10 +307,12 @@ class Polynomial:
         if not self.terms:
             return np.zeros(points.shape[0])
         (distinct, gathers), coefs = self._numeric_cache()
+        if not gathers:  # a constant: its one monomial is 1
+            return np.ones((len(points), 1)) @ coefs
         table = (points[:, None, :] ** distinct).reshape(len(points),
                                                           distinct.size)
-        monomials = np.ones((len(points), len(coefs)))
-        for columns in gathers:
+        monomials = np.take(table, gathers[0], axis=1)
+        for columns in gathers[1:]:
             monomials *= np.take(table, columns, axis=1)
         return monomials @ coefs
 

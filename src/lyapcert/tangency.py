@@ -39,13 +39,16 @@ class SemialgebraicSet:
 
     The set must contain the origin (g_i(0) >= 0 is checked); the box is
     used only by samplers and never constrains the set itself.  gradients[i]
-    holds grad g_i, built once here for the projections and samplers.
+    holds grad g_i and hessians[i][j][k] the second partial d^2 g_i /
+    dx_j dx_k, both built once here for the projections and samplers.
     """
 
     generators: list[Polynomial]
     box: list[tuple[float, float]]
     gradients: list[tuple[Polynomial, ...]] = field(init=False, repr=False,
                                                     compare=False)
+    hessians: list[tuple[tuple[Polynomial, ...], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -66,6 +69,8 @@ class SemialgebraicSet:
                     f"generator {i + 1} excludes the origin: g({origin}) = "
                     f"{float(g.evaluate(origin))}")
         self.gradients = [g.gradient() for g in self.generators]
+        self.hessians = [tuple(d.gradient() for d in grad)
+                         for grad in self.gradients]
 
     @property
     def dimension(self) -> int:

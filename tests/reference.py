@@ -2,9 +2,11 @@
 
 They check the library from outside it: the closed-form gradient of
 V = h/|x|^(2r) against central differences, the coefficient-matching
-rows of the SOS conditions against hand-written Gram matrices, and the
+rows of the SOS conditions against hand-written Gram matrices, the
 batched evaluation and band projection of the oracle against the
-row-per-term broadcast and the per-point Newton loop they replaced.
+row-per-term broadcast and the per-point Newton loop they replaced, the
+simulator's float-tuple steps against its numpy step loop, and the set
+projection against scipy's SLSQP.
 """
 
 import numpy as np
@@ -106,3 +108,37 @@ def band_points_per_point(index, S, pts, band_width) -> np.ndarray:
                       for other in S.generators if other is not g):
             out.append(y)
     return np.array(out) if out else np.zeros((0, pts.shape[1]))
+
+
+def simulate_cone_numpy(x0, T, dt, system, feas_tol=1e-8):
+    """The simulator's step loop on numpy vectors, for a cone system: the
+    field by field_at, z = x + dt f, project_cone, a containment check and
+    eta = (x+ - x)/dt - f at every step.  Returns (states, eta) arrays."""
+    from lyapcert.flow import project_cone
+    x = np.asarray(x0, dtype=float)
+    states, etas = [x.copy()], []
+    for _ in range(int(round(T / dt))):
+        fx = system.field_at(x)
+        x_next = project_cone(x + dt * fx, system.cone)
+        assert system.cone.contains(x_next, feas_tol)
+        etas.append((x_next - x) / dt - fx)
+        x = x_next
+        states.append(x.copy())
+    etas.append(np.zeros_like(x))
+    return np.array(states), np.array(etas)
+
+
+def slsqp_projection(z, S) -> np.ndarray:
+    """argmin |y - z| over {g_i >= 0} by scipy's SLSQP, from the origin."""
+    from scipy.optimize import minimize
+    z = np.asarray(z, dtype=float)
+    constraints = [
+        {"type": "ineq", "fun": lambda y, g=g: g.evaluate_float(y),
+         "jac": lambda y, grad=grad: np.array([d.evaluate_float(y)
+                                                for d in grad])}
+        for g, grad in zip(S.generators, S.gradients)]
+    result = minimize(lambda y: 0.5 * float((y - z) @ (y - z)),
+                      np.zeros_like(z), jac=lambda y: y - z,
+                      constraints=constraints, method="SLSQP",
+                      options={"ftol": 1e-16, "maxiter": 1000})
+    return result.x

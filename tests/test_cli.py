@@ -327,6 +327,21 @@ def test_simulator_failure_is_solver_failure(cone_spec, tmp_path,
     assert "left the set" in status
 
 
+def test_unconverged_set_projection_is_solver_failure(tmp_path, monkeypatch,
+                                                      capsys):
+    spec = tmp_path / "cusp.spec"
+    spec.write_text(CUSP_SPEC)
+    # a start on g1 = 0: the first step projects, and a cap of two
+    # iterations leaves no room for the check after the Newton steps
+    monkeypatch.setattr(flow, "MAX_PROJECTION_ITER", 2)
+    code = main(["simulate", str(spec), "--x0=0.25,0.5", "--T", "0.1",
+                 "--dt", "1e-3", "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER_FAILURE
+    status = capsys.readouterr().err.splitlines()[-1]
+    assert status.startswith("status=solver-failure")
+    assert "did not converge" in status
+
+
 @pytest.mark.parametrize("flags", [["--x0=-1,-1"], ["--dt", "0"], ["--T=-1"]],
                          ids=["start-outside", "dt-zero", "T-negative"])
 def test_bad_simulation_input_is_simulation_error(flags, cone_spec, tmp_path,

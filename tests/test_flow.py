@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
+from lyapcert import flow, tangency
+from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import ConicSystem
 from lyapcert.flow import FlowError, project_cone, project_set, simulate, step
@@ -8,6 +13,7 @@ from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import (SemialgebraicSet, eta_projection,
                                face_eta_polynomial)
+from reference import simulate_cone_numpy, slsqp_projection
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 SQUARE = PolyhedralCone([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]])
@@ -85,10 +91,62 @@ def test_set_projection_feasible_and_close():
 
 def test_set_projection_reuses_the_generator_gradients(monkeypatch):
     S = cusp_system().S
+    hessians = S.hessians
     monkeypatch.setattr(Polynomial, "gradient",
                         lambda self: pytest.fail("gradient rebuilt"))
-    p = project_set(np.array([1.3, 0.2]), S)
-    assert S.contains(p, tol=1e-9)
+    monkeypatch.setattr(Polynomial, "__init__",
+                        lambda self, *args: pytest.fail("polynomial built"))
+    # the first point meets only the linear g2; the second needs the
+    # Hessian term of g1 = x1 - x2^2
+    for z in ([1.3, 0.2], [-0.3, 0.8]):
+        p = project_set(np.array(z), S)
+        assert S.contains(p, tol=1e-9)
+    assert S.hessians is hessians
+
+
+def normal_cone_residual(p, z, S, active_tol=1e-9):
+    """|p - z - sum lam_i grad g_i(p)| for the best lam >= 0 over the
+    generators active at p; 0 when z - p lies in N_S(p)."""
+    active = [i for i, g in enumerate(S.generators)
+              if g.evaluate_float(p) <= active_tol]
+    G = np.array([[d.evaluate_float(p) for d in S.gradients[i]]
+                  for i in active]).reshape(-1, len(p))
+    _, residual = nnls(G.T, np.asarray(p) - np.asarray(z))
+    return residual, active
+
+
+def test_set_projection_matches_slsqp_and_is_normal():
+    S = cusp_system().S
+    rng = np.random.default_rng(75)
+    far, corners = [], []
+    while len(far) < 40:
+        z = rng.uniform([-1.0, -2.0], [2.0, 2.0])
+        if S.contains(z, tol=0.0):
+            continue
+        ref = slsqp_projection(z, S)
+        if 0.15 <= np.linalg.norm(z - ref) <= 0.5:
+            far.append((z, ref))
+    for _ in range(10):
+        z = rng.uniform([1.0, 1.0], [1.5, 1.5]) * [1, rng.choice([-1, 1])]
+        corners.append((z, slsqp_projection(z, S)))
+    for z, ref in far + corners:
+        p = np.array(project_set(z, S))
+        assert np.linalg.norm(p - ref) <= 1e-7, (z, p, ref)
+        residual, active = normal_cone_residual(p, z, S)
+        assert residual <= 1e-9 * np.linalg.norm(p - z), (z, p)
+        assert S.contains(p, tol=1e-10)
+    for z, _ in corners:  # both generators bind at (1, +-1)
+        p = project_set(z, S)
+        assert normal_cone_residual(p, z, S)[1] == [0, 1]
+        assert np.allclose(p, [1.0, np.sign(z[1])], atol=1e-12)
+
+
+def test_set_projection_that_does_not_converge_raises(monkeypatch):
+    S = cusp_system().S
+    assert project_set([0.5, 0.1], S) == (0.5, 0.1)  # inside: unchanged
+    monkeypatch.setattr(flow, "MAX_PROJECTION_ITER", 2)
+    with pytest.raises(FlowError, match="did not converge"):
+        project_set([-0.3, 0.8], S)
 
 
 # -- single steps --------------------------------------------------------------------
@@ -128,6 +186,32 @@ def test_step_rejects_infeasible_start():
 
 
 # -- trajectories ---------------------------------------------------------------------
+
+SQ3D = parse_spec(str(Path(__file__).resolve().parents[1] / "specs"
+                      / "sq3d.spec")).system
+
+
+@pytest.mark.parametrize("system, starts, T, dt", [
+    (wedge_system(), [[2.0, 0.5], [0.3, 1.1], [1.6, 0.4]], 3.0, 1e-3),
+    (SQ3D, [[0.1, 0.2, 0.9], [-0.3, 0.35, 0.8], [0.4, -0.1, 0.85]],
+     20.0, 1e-2),
+], ids=["wedge", "sq3d"])
+def test_cone_trajectories_match_the_numpy_step_loop(system, starts, T, dt,
+                                                     monkeypatch):
+    several_rows = []
+    tangency_nnls = tangency.nnls
+    monkeypatch.setattr(tangency, "nnls", lambda A, b: several_rows.append(1)
+                        or tangency_nnls(A, b))
+    projected = 0
+    for x0 in starts:
+        traj = simulate(x0, T, dt, system)
+        states, eta = simulate_cone_numpy(x0, T, dt, system)
+        assert np.asarray(traj.states).tobytes() == states.tobytes()
+        assert np.asarray(traj.eta_log).tobytes() == eta.tobytes()
+        projected += int((eta != 0).any(axis=1).sum())
+    assert projected >= 100
+    if system.dimension == 3:  # corner steps, where two rows bind
+        assert several_rows
 
 def test_wedge_trajectory_reaches_origin():
     traj = simulate([2.0, 0.5], T=20.0, dt=1e-3, system=wedge_system(),
