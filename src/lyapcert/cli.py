@@ -8,9 +8,10 @@ output directory.
 Exit codes: 0 when a certificate is found or verification passes, 1 when
 the search is exhausted or verification fails, 2 for usage or input
 errors, 3 when an LP or SDP of the search failed to solve and no level
-certified, or when a linear-algebra step raised LinAlgError, a normal-cone
-projection failed (TangencyError) or the simulator failed numerically (a
-projection that fails, a state that leaves the set).  Every run ends with one
+certified, or when a linear-algebra step raised LinAlgError, the search
+built a malformed SDP (SdpError), a normal-cone projection failed
+(TangencyError) or the simulator failed numerically (a projection that
+fails, a state that leaves the set).  Every run ends with one
 machine-readable "status=..." line on standard error.  Verbosity comes from
 LYAPCERT_LOG (quiet, info, debug).
 """
@@ -32,6 +33,7 @@ from .cones import (MAX_ORTHANT_DIMENSION, PolyhedralCone,
 from .cop_lp import ConicSystem, RationalLyapunovCandidate
 from .poly import (Polynomial, PolynomialParseError, format_polynomial,
                    parse_polynomial)
+from .sdpsolve import SdpError, dump_sdpa_sparse
 from .sos_cert import SemialgebraicSystem
 from .tangency import SemialgebraicSet, TangencyError
 
@@ -408,8 +410,6 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
 
     dump = None
     if args.dump_sdpa:
-        from .sdpsolve import dump_sdpa_sparse
-
         def dump(sdp, deg, slack):
             (out / f"sdp-deg{deg}-s{slack}.dat-s").write_text(
                 dump_sdpa_sparse(sdp))
@@ -618,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args, spec)
-    except (np.linalg.LinAlgError, TangencyError) as exc:
+    except (np.linalg.LinAlgError, TangencyError, SdpError) as exc:
         _status(f"solver-failure detail={str(exc)!r}")
         return EXIT_SOLVER_FAILURE
     except (SpecFileError, PolynomialParseError, ValueError) as exc:

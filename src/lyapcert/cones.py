@@ -28,7 +28,6 @@ import numpy as np
 # unused here; perfbench/tracing.py patches `solve` on this module by name
 from .linprog import solve  # noqa: F401
 
-FEAS_TOL = 1e-9
 MAX_ORTHANT_DIMENSION = 12  # 2^n orthant enumeration; cost is exponential in n
 
 
@@ -69,12 +68,6 @@ class PolyhedralCone:
     @property
     def num_rows(self) -> int:
         return self.C.shape[0]
-
-    def contains(self, x, tol: float = FEAS_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self.num_rows == 0:
-            return True
-        return bool((self.C @ x >= -tol).all())
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,6 @@ class ConicSystem:
     def dimension(self) -> int:
         return self.cone.dimension
 
-    def field_at(self, x) -> np.ndarray:
-        return np.array([c.evaluate_float(x) for c in self.f])
-
 
 @dataclass
 class RationalLyapunovCandidate:

@@ -9,9 +9,20 @@ predictor-corrector step, on problems in the block form
 
 All factorizations are dense; the intended scale is blocks of a few tens
 of rows and a few hundred equalities, where dense Cholesky on the Schur
-complement is both fast and numerically uneventful.  Callers are expected
-to pose problems with interior (the certificate drivers always add an
-identity-shift variable), so no Slater checking is attempted.
+complement is both fast and numerically uneventful.
+
+Per iteration: the NT scaling R of each block, R^-1 X R^-T = R^T Z R =
+diag(lam), from two Cholesky factors and one SVD; the Schur complement
+M_ij = sum_b <A_i, W A_j W>, W = R R^T, from one broadcast product per
+block; one Cholesky factor L of M and one inverse L^-1, so that every
+solve with M (predictor, corrector, refinement, free-variable saddle) is
+two matrix products; and step lengths in the NT frame, where X + a dX is
+PSD exactly when diag(lam) + a R^-1 dX R^-T is (Z likewise with
+R^T dZ R).  numpy only: the SOS tier imports no scipy.
+
+Callers are expected to pose problems with interior (the certificate
+drivers always add an identity-shift variable), so no Slater checking is
+attempted.
 
 Infeasibility is reported heuristically: dual objective divergence beyond
 a threshold while the dual residual stays small.  The flag on the result
@@ -30,8 +41,9 @@ logger = logging.getLogger(__name__)
 DIVERGENCE_THRESHOLD = 1e8
 
 
-class SdpError(ValueError):
-    pass
+class SdpError(RuntimeError):
+    """A malformed SDP.  The certificate drivers build every SDP from a
+    parsed spec, so this is a numerical failure, never bad user input."""
 
 
 @dataclass
@@ -140,27 +152,34 @@ class _Workspace:
 
 
 def _nt_scaling(X: np.ndarray, Z: np.ndarray):
-    """NT scaling factor R and eigenvalue vector lam with
-    R^-1 X R^-T = R^T Z R = diag(lam)."""
+    """R, R^-1 and lam with R^-1 X R^-T = R^T Z R = diag(lam): from the SVD
+    Lz^T Lx = U diag(lam) V^T, R = Lx V lam^-1/2, R^-1 = lam^-1/2 U^T Lz^T."""
     Lx = np.linalg.cholesky(X)
     Lz = np.linalg.cholesky(Z)
-    U, sv, Vt = np.linalg.svd(Lz.T @ Lx)
-    lam = sv
-    R = Lx @ Vt.T @ np.diag(1.0 / np.sqrt(sv))
-    Rinv = np.diag(np.sqrt(sv)) @ Vt @ np.linalg.inv(Lx)
+    U, lam, Vt = np.linalg.svd(Lz.T @ Lx)
+    s = 1.0 / np.sqrt(lam)
+    R = (Lx @ Vt.T) * s
+    Rinv = s[:, None] * (U.T @ Lz.T)
     return R, Rinv, lam
 
 
-def _max_step(M: np.ndarray, dM: np.ndarray, fraction: float = 0.98) -> float:
-    """Largest step alpha <= 1 with M + alpha dM staying PSD (fraction back-off)."""
-    L = np.linalg.cholesky(M)
-    Linv = np.linalg.inv(L)
-    S = Linv @ dM @ Linv.T
-    w = np.linalg.eigvalsh(0.5 * (S + S.T))
-    wmin = w.min()
-    if wmin >= 0:
-        return 1.0
-    return min(1.0, fraction / (-wmin))
+def _nt_step(lam: np.ndarray, dMh: np.ndarray) -> float:
+    """Largest step alpha <= 1 keeping diag(lam) + alpha dMh PSD, backed off
+    by 0.98: I + alpha lam^-1/2 dMh lam^-1/2 must stay PSD."""
+    s = 1.0 / np.sqrt(lam)
+    S = s[:, None] * dMh * s
+    wmin = np.linalg.eigvalsh(0.5 * (S + S.T)).min()
+    return 1.0 if wmin >= 0 else min(1.0, 0.98 / -wmin)
+
+
+def _nt_frame(scal, dX: list[np.ndarray], dZ: list[np.ndarray]):
+    """The directions in the NT frame, R^-1 dX R^-T and R^T dZ R per block,
+    and the primal and dual step lengths they allow."""
+    dXh = [Rinv @ dXb @ Rinv.T for (_, Rinv, _), dXb in zip(scal, dX)]
+    dZh = [R.T @ dZb @ R for (R, _, _), dZb in zip(scal, dZ)]
+    alpha_p = min(_nt_step(lam, h) for (_, _, lam), h in zip(scal, dXh))
+    alpha_d = min(_nt_step(lam, h) for (_, _, lam), h in zip(scal, dZh))
+    return dXh, dZh, alpha_p, alpha_d
 
 
 def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
@@ -238,14 +257,9 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
 
         # Schur complement M_ij = sum_b <A_i, W A_j W>
         M = np.zeros((m, m))
-        WEW = []
-        for bi in range(ws.nb):
-            size = sdp.block_sizes[bi]
-            Eb = ws.E[bi]
-            T = Eb.reshape(m, size, size)
-            TW = np.einsum("pq,iqr,rs->ips", W[bi], T, W[bi], optimize=True)
-            WEW.append(TW.reshape(m, size * size))
-            M += WEW[bi] @ Eb.T
+        for Eb, Wb, size in zip(ws.E, W, sdp.block_sizes):
+            WEW = Wb @ Eb.reshape(m, size, size) @ Wb
+            M += WEW.reshape(m, size * size) @ Eb.T
         ridge = 1e-13 * max(1.0, np.trace(M) / m)
 
         def factor(Mmat, ridge):
@@ -260,23 +274,22 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
             L, ridge = factor(M, ridge)
         except np.linalg.LinAlgError:
             break
+        # one triangular inverse per iteration: every solve is two products
+        Linv = np.linalg.inv(L)
 
         def solve_M(rhs):
-            return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+            return Linv.T @ (Linv @ rhs)
 
         if k:
             MiD = solve_M(ws.D)
             S_free = ws.D.T @ MiD + 1e-13 * np.eye(k)
 
         def saddle(rhs1, rhs2):
-            if k:
-                t = solve_M(rhs1)
-                du = np.linalg.solve(S_free, ws.D.T @ t - rhs2)
-                dy = solve_M(rhs1 - ws.D @ du)
-            else:
-                du = np.zeros(0)
-                dy = solve_M(rhs1)
-            return dy, du
+            t = solve_M(rhs1)
+            if not k:
+                return t, np.zeros(0)
+            du = np.linalg.solve(S_free, ws.D.T @ t - rhs2)
+            return t - MiD @ du, du
 
         def newton(F: list[np.ndarray]):
             """Linearized KKT solve for a centrality target F, with
@@ -315,10 +328,8 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
             return dX, du, dy, dZ
 
         # predictor (affine scaling) step
-        F_aff = [-X[bi] for bi in range(ws.nb)]
-        dX_aff, du_aff, dy_aff, dZ_aff = newton(F_aff)
-        alpha_p = min(_max_step(X[bi], dX_aff[bi]) for bi in range(ws.nb))
-        alpha_d = min(_max_step(Z[bi], dZ_aff[bi]) for bi in range(ws.nb))
+        dX_aff, du_aff, dy_aff, dZ_aff = newton([-Xb for Xb in X])
+        dXh_aff, dZh_aff, alpha_p, alpha_d = _nt_frame(scal, dX_aff, dZ_aff)
         mu_aff = sum(
             float(np.tensordot(X[bi] + alpha_p * dX_aff[bi],
                                Z[bi] + alpha_d * dZ_aff[bi]))
@@ -327,18 +338,14 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
 
         # corrector in the scaled space
         F = []
-        for bi in range(ws.nb):
-            R, Rinv, lam = scal[bi]
-            dXh = Rinv @ dX_aff[bi] @ Rinv.T
-            dZh = R.T @ dZ_aff[bi] @ R
+        for (R, _, lam), dXh, dZh in zip(scal, dXh_aff, dZh_aff):
             corr = 0.5 * (dXh @ dZh + dZh @ dXh)
             E = sigma * mu * np.eye(len(lam)) - np.diag(lam ** 2) - corr
             denom = lam[:, None] + lam[None, :]
             S = 2.0 * E / denom
             F.append(R @ S @ R.T)
         dX, du, dy, dZ = newton(F)
-        alpha_p = min(_max_step(X[bi], dX[bi]) for bi in range(ws.nb))
-        alpha_d = min(_max_step(Z[bi], dZ[bi]) for bi in range(ws.nb))
+        _, _, alpha_p, alpha_d = _nt_frame(scal, dX, dZ)
 
         for bi in range(ws.nb):
             X[bi] = X[bi] + alpha_p * dX[bi]

@@ -86,9 +86,6 @@ class SemialgebraicSystem:
     def dimension(self) -> int:
         return self.S.dimension
 
-    def field_at(self, x) -> np.ndarray:
-        return np.array([c.evaluate_float(x) for c in self.f])
-
 
 # -- Gram parameterization -----------------------------------------------------
 

@@ -26,8 +26,6 @@ import numpy as np
 from .cones import PolyhedralCone
 from .poly import Polynomial
 
-DEFAULT_ACTIVATION_TOL = 1e-9
-
 
 class TangencyError(ValueError):
     pass
@@ -75,12 +73,6 @@ class SemialgebraicSet:
     @property
     def dimension(self) -> int:
         return self.generators[0].dimension
-
-    def values(self, x) -> np.ndarray:
-        return np.array([g.evaluate_float(x) for g in self.generators])
-
-    def contains(self, x, tol: float = DEFAULT_ACTIVATION_TOL) -> bool:
-        return bool((self.values(x) >= -tol).all())
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,11 +5,36 @@ V = h/|x|^(2r) against central differences, the coefficient-matching
 rows of the SOS conditions against hand-written Gram matrices, the
 batched evaluation and band projection of the oracle against the
 row-per-term broadcast and the per-point Newton loop they replaced, the
-simulator's float-tuple steps against its numpy step loop, and the set
-projection against scipy's SLSQP.
+simulator's float-tuple steps against its numpy step loop, the set
+projection against scipy's SLSQP, and the SDP solver's step lengths in the
+NT frame against a bound from the Cholesky factor.  The point checks of a system (field_at,
+cone_contains, set_values, set_contains) evaluate one point at a time.
 """
 
 import numpy as np
+
+
+def field_at(system, x) -> np.ndarray:
+    """f(x) of a ConicSystem or SemialgebraicSystem."""
+    return np.array([c.evaluate_float(x) for c in system.f])
+
+
+def cone_contains(cone, x, tol: float = 1e-9) -> bool:
+    """Cx >= -tol; a cone with no rows is the whole space."""
+    x = np.asarray(x, dtype=float)
+    if cone.num_rows == 0:
+        return True
+    return bool((cone.C @ x >= -tol).all())
+
+
+def set_values(S, x) -> np.ndarray:
+    """The generator values g_i(x) of a SemialgebraicSet."""
+    return np.array([g.evaluate_float(x) for g in S.generators])
+
+
+def set_contains(S, x, tol: float = 1e-9) -> bool:
+    """g_i(x) >= -tol for every generator."""
+    return bool((set_values(S, x) >= -tol).all())
 
 
 def candidate_gradient(candidate, x) -> np.ndarray:
@@ -118,9 +143,9 @@ def simulate_cone_numpy(x0, T, dt, system, feas_tol=1e-8):
     x = np.asarray(x0, dtype=float)
     states, etas = [x.copy()], []
     for _ in range(int(round(T / dt))):
-        fx = system.field_at(x)
+        fx = field_at(system, x)
         x_next = project_cone(x + dt * fx, system.cone)
-        assert system.cone.contains(x_next, feas_tol)
+        assert cone_contains(system.cone, x_next, feas_tol)
         etas.append((x_next - x) / dt - fx)
         x = x_next
         states.append(x.copy())
@@ -142,3 +167,17 @@ def slsqp_projection(z, S) -> np.ndarray:
                       constraints=constraints, method="SLSQP",
                       options={"ftol": 1e-16, "maxiter": 1000})
     return result.x
+
+
+def max_step(M, dM, fraction: float = 0.98) -> float:
+    """Largest step alpha <= 1 with M + alpha dM staying PSD (fraction
+    back-off), from the Cholesky factor of M and the eigenvalues of
+    L^-1 dM L^-T."""
+    L = np.linalg.cholesky(M)
+    Linv = np.linalg.inv(L)
+    S = Linv @ dM @ Linv.T
+    w = np.linalg.eigvalsh(0.5 * (S + S.T))
+    wmin = w.min()
+    if wmin >= 0:
+        return 1.0
+    return min(1.0, fraction / (-wmin))

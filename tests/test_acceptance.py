@@ -26,8 +26,8 @@ from lyapcert.sos_cert import (SemialgebraicSystem, assemble_condition_ii,
 from lyapcert.tangency import SemialgebraicSet
 from lyapcert.cones import Simplex
 from reference import (equality_residual, fd_gradient_check,
-                       gram_from_sos_terms, worst_gram_eigenvalue,
-                       worst_residual)
+                       gram_from_sos_terms, set_contains, set_values,
+                       worst_gram_eigenvalue, worst_residual)
 
 CONE_SPEC = """\
 dim: 2
@@ -381,13 +381,13 @@ def test_criterion_6_simulator():
     count = 0
     while count < 20:
         x = rng.uniform([0.0, -1.0], [1.0, 1.0])
-        if not cusp.S.contains(x, tol=0.0):
+        if not set_contains(cusp.S, x, tol=0.0):
             continue
         count += 1
         traj = simulate(x, T=5.0, dt=dt, system=cusp, V=cusp_cert.V)
         cusp_trajs.append(traj)
         cusp_viol = max(cusp_viol, max(
-            float(-min(cusp.S.values(s))) for s in traj.states))
+            float(-min(set_values(cusp.S, s))) for s in traj.states))
     c_cusp = _fit_and_check_decrease(cusp_trajs, dt)
 
     free = ConicSystem(WEDGE_FIELD,

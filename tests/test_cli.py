@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapcert import flow, linprog, oracle, sos_cert, tangency
+from lyapcert import flow, linprog, oracle, sdpsolve, sos_cert, tangency
 from lyapcert.cli import (EXIT_NOT_FOUND, EXIT_OK, EXIT_SOLVER_FAILURE,
                           EXIT_USAGE, SpecFileError, default_cone_schedule,
                           main, parse_spec, read_certificate_candidate)
@@ -298,6 +298,22 @@ def test_linalg_error_is_solver_failure(command, spec_name, owner, name,
     assert code == EXIT_SOLVER_FAILURE
     assert capsys.readouterr().err.splitlines()[-1] == \
         "status=solver-failure detail='Singular matrix'"
+
+
+def test_malformed_sdp_is_solver_failure(cusp_spec, tmp_path, monkeypatch,
+                                         capsys):
+    # the search builds every SDP itself, so a malformed one is a solver
+    # failure: here the SDP loses its last block and SdpError rejects it
+    def one_block_short(block_sizes, **kwargs):
+        return sdpsolve.SemidefiniteProgram(block_sizes=block_sizes[:-1],
+                                            **kwargs)
+
+    monkeypatch.setattr(sos_cert, "SemidefiniteProgram", one_block_short)
+    code = main(["find-lyap-sos", str(cusp_spec), "--deg", "2", "--tier",
+                 "sdp", "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER_FAILURE
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "status=solver-failure detail='one objective matrix per block required'"
 
 
 def test_failed_projection_is_solver_failure(sq3d_run, tmp_path,

@@ -16,7 +16,7 @@ from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import SemialgebraicSet, eta_projection
 from reference import (band_points_per_point, candidate_gradient,
-                       fd_gradient_check)
+                       fd_gradient_check, field_at)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -86,7 +86,7 @@ def test_grid_min_respects_lp_margin():
 
 def face_decrease_reference(x, system, h, r, activation_tol=1e-8):
     """The face check one point at a time: field, active rows, NNLS eta."""
-    fx = system.field_at(x)
+    fx = field_at(system, x)
     rows = system.cone.C
     scaled = np.abs(rows @ x) / np.linalg.norm(rows, axis=1)
     active = rows[scaled <= activation_tol]

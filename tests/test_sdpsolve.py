@@ -1,8 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lyapcert import sos_cert
+from lyapcert.cli import parse_spec
 from lyapcert.sdpsolve import (EqualityRow, SdpError, SemidefiniteProgram,
-                               dump_sdpa_sparse, solve_sdp)
+                               _nt_frame, _nt_scaling, dump_sdpa_sparse,
+                               solve_sdp)
+from reference import max_step
+
+CUSP_BOX_SPEC = Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
 
 
 def sym_unit(n, i, j):
@@ -122,3 +133,78 @@ def test_sdpa_dump_format():
     assert lines[1] == "2"          # psd block + free-variable diagonal block
     assert lines[2].split() == ["2", "-2"]
     assert len(lines) > 4
+
+
+def random_psd(rng, n):
+    Q = rng.standard_normal((n, n))
+    return Q @ Q.T + 1e-2 * np.eye(n)
+
+
+def random_sym(rng, n):
+    Q = rng.standard_normal((n, n))
+    return 0.5 * (Q + Q.T)
+
+
+def test_nt_scaling_identities():
+    rng = np.random.default_rng(45)
+    for n in (1, 2, 5, 12):
+        for _ in range(10):
+            X, Z = random_psd(rng, n), random_psd(rng, n)
+            R, Rinv, lam = _nt_scaling(X, Z)
+            scale = np.abs(lam).max()
+            assert np.abs(Rinv @ R - np.eye(n)).max() <= 1e-10
+            assert np.abs(Rinv @ X @ Rinv.T - np.diag(lam)).max() <= 1e-10 * scale
+            assert np.abs(R.T @ Z @ R - np.diag(lam)).max() <= 1e-10 * scale
+
+
+def test_nt_step_lengths_match_the_cholesky_bound():
+    # X + a dX >= 0 iff diag(lam) + a R^-1 dX R^-T >= 0, and likewise for Z
+    # with R^T dZ R; the step lengths in the NT frame must match the bound
+    # computed from X and Z themselves
+    rng = np.random.default_rng(46)
+    clipped = 0
+    for n in (1, 2, 5, 12):
+        for _ in range(25):
+            X, Z = random_psd(rng, n), random_psd(rng, n)
+            scal = _nt_scaling(X, Z)
+            dX = [rng.uniform(0.1, 10.0) * random_sym(rng, n)]
+            dZ = [rng.uniform(0.1, 10.0) * random_sym(rng, n)]
+            _, _, alpha_p, alpha_d = _nt_frame([scal], dX, dZ)
+            for alpha, ref in ((alpha_p, max_step(X, dX[0])),
+                               (alpha_d, max_step(Z, dZ[0]))):
+                assert abs(alpha - ref) <= 1e-10 * ref
+                clipped += ref < 1.0
+    assert clipped >= 100
+
+
+@pytest.mark.parametrize("deg", [2, 6])
+def test_cusp_box_iterations_do_not_rise(deg, monkeypatch):
+    # 15 iterations at both degrees is the count with step lengths from a
+    # Cholesky factor of X and Z; the certificate comes from the first SDP
+    iterations = []
+
+    def counted(sdp, **kwargs):
+        result = solve_sdp(sdp, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(sos_cert, "solve_sdp", counted)
+    system = parse_spec(CUSP_BOX_SPEC).system
+    outcome = sos_cert.solve_certificate(system, deg, tier="sdp")
+    assert outcome.status == "certificate"
+    assert iterations and iterations[0] <= 15
+
+
+def test_sdp_tier_does_not_import_scipy(tmp_path):
+    # the SDP tier is numpy-only; scipy would add its import time and
+    # memory to every SOS search
+    code = ("import sys\n"
+            "from lyapcert.cli import main\n"
+            f"code = main(['find-lyap-sos', {str(CUSP_BOX_SPEC)!r}, '--deg',"
+            f" '2', '--tier', 'sdp', '--out', {str(tmp_path / 'o')!r}])\n"
+            "print(code, 'scipy' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "0 False"
