@@ -10,7 +10,9 @@ the search is exhausted or verification fails, 2 for usage or input
 errors, 3 when an LP or SDP of the search failed to solve and no level
 certified, or when a linear-algebra step raised LinAlgError, the search
 built a malformed SDP (SdpError), a normal-cone projection failed
-(TangencyError) or the simulator failed numerically (a projection that
+(TangencyError), a simplex bisection degenerated (ConeGeometryError: spec
+validation rejects bad cones before any command runs, so past it the error
+is numerical) or the simulator failed numerically (a projection that
 fails, a state that leaves the set).  Every run ends with one
 machine-readable "status=..." line on standard error.  Verbosity comes from
 LYAPCERT_LOG (quiet, info, debug).
@@ -28,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cop_lp, flow, linprog, oracle, sos_cert
-from .cones import (MAX_ORTHANT_DIMENSION, PolyhedralCone,
-                    dump_partition_lines)
+from .cones import (MAX_ORTHANT_DIMENSION, ConeGeometryError,
+                    PolyhedralCone, dump_partition_lines)
 from .cop_lp import ConicSystem, RationalLyapunovCandidate
 from .poly import (Polynomial, PolynomialParseError, format_polynomial,
                    parse_polynomial)
@@ -618,7 +620,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args, spec)
-    except (np.linalg.LinAlgError, TangencyError, SdpError) as exc:
+    except (np.linalg.LinAlgError, TangencyError, SdpError,
+            ConeGeometryError) as exc:
         _status(f"solver-failure detail={str(exc)!r}")
         return EXIT_SOLVER_FAILURE
     except (SpecFileError, PolynomialParseError, ValueError) as exc:

@@ -3,14 +3,19 @@
 Everything here is deliberately redundant with the construction code:
 inequalities are sampled on dense deterministic grids, and eta comes from
 the projection tangency.eta_projection (never from the branch polynomials
-used in LP assembly).  Each face grid is evaluated at once with eval_many
-and projected once per pattern of active cone rows: the closed form where
-one row is active, nonnegative least squares at corners.  The semialgebraic
-checks are batched the same way: every sample set is evaluated with
-eval_many, and the boundary bands come from one Newton iteration over all
-samples at once, with a per-point mask that retires converged points and
-drops those whose gradient vanishes or that do not converge in 50 passes.
-A certificate is accepted only when this module agrees, so a shared bug
+used in LP assembly).  Every polynomial value comes from one private
+evaluator, _values, called once per point set for all the polynomials
+that set needs: it fills a table of every monomial at every point in
+graded order, each monomial its parent times one coordinate, and one
+coefficient-matrix product gives all the values.  It shares no code with
+Polynomial.eval_many, which assembles the LP rows (bernstein_coefficients),
+so an evaluation fault in one cannot hide in the other.  Each face grid is
+projected once per pattern of active cone rows: the closed form where one
+row is active, nonnegative least squares at corners.  The boundary bands of
+the semialgebraic checks come from one Newton iteration over all samples at
+once, with a per-point mask that retires converged points and drops those
+whose gradient vanishes or that do not converge in 50 passes.  A
+certificate is accepted only when this module agrees, so a shared bug
 cannot self-certify.
 
 All randomized sampling uses a caller-fixed seed (default 0); reports are
@@ -29,7 +34,7 @@ import numpy as np
 from .cones import cone_orthant_sections, face_sections, Simplex
 from .cop_lp import (ConicSystem, RationalLyapunovCandidate,
                      interior_decrease_polynomial)
-from .poly import Polynomial
+from .poly import Polynomial, grlex_key
 from .sos_cert import SemialgebraicSystem
 from .tangency import eta_projection
 
@@ -134,6 +139,48 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def _values(polys, points) -> np.ndarray:
+    """Every polynomial of `polys` at every point, as (m, len(polys)).
+
+    The table holds each monomial that a polynomial uses, and the chain of
+    parents down to 1, at every point, in graded-lex order.  A monomial's
+    parent drops one power of its last variable, so each row is one
+    multiply of an earlier row by a coordinate.  One (polys x monomials)
+    coefficient matrix times the table sums the terms.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points.reshape(1, -1)
+    n = points.shape[1]
+    monos = {m for p in polys for m in p.terms}
+    for mono in list(monos):
+        while any(mono):
+            mono = _parent(mono)[0]
+            if mono in monos:
+                break
+            monos.add(mono)
+    order = sorted(monos | {(0,) * n}, key=grlex_key)
+    row = {mono: i for i, mono in enumerate(order)}
+    cols = np.ascontiguousarray(points.T)
+    table = np.empty((len(order), len(points)))
+    table[0] = 1.0
+    for i, mono in enumerate(order[1:], start=1):
+        parent, j = _parent(mono)
+        np.multiply(table[row[parent]], cols[j], out=table[i])
+    coefs = np.zeros((len(polys), len(order)))
+    for k, p in enumerate(polys):
+        for mono, c in p.terms.items():
+            coefs[k, row[mono]] = float(c)
+    return (coefs @ table).T
+
+
+def _parent(mono: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The monomial with one power less of its last variable, and that
+    variable."""
+    j = max(i for i, e in enumerate(mono) if e)
+    return mono[:j] + (mono[j] - 1,) + mono[j + 1:], j
+
+
 def _min_with_witness(name: str, values: np.ndarray, points: np.ndarray,
                       strict: bool = False) -> CheckResult:
     idx = int(np.argmin(values))
@@ -174,8 +221,7 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     s0_checks = []
     for oid, simplex in cone_orthant_sections(system.cone):
         pts = barycentric_grid(simplex, grid_density)
-        h_vals = h.eval_many(pts)
-        s0_vals = s0.eval_many(pts)
+        h_vals, s0_vals = _values([h, s0], pts).T
         record(pts, f"h:orthant{oid}", h_vals)
         record(pts, f"s0:orthant{oid}", s0_vals)
         h_checks.append(_min_with_witness(f"h:orthant{oid}", h_vals, pts))
@@ -207,19 +253,35 @@ def _face_decrease(pts: np.ndarray, system: ConicSystem, h: Polynomial,
     once for all points that share a set of active rows.
     """
     C = system.cone.C
-    F = np.column_stack([c.eval_many(pts) for c in system.f])
+    n = len(system.f)
+    vals = _values([*system.f, *grad_h, h], pts)
+    F, gh, h_vals = vals[:, :n], vals[:, n:2 * n], vals[:, 2 * n]
     scaled = np.abs(pts @ C.T) / np.linalg.norm(C, axis=1)
-    patterns, which = np.unique(scaled <= activation_tol, axis=0,
-                                return_inverse=True)
-    which = which.ravel()
+    patterns, which = _row_patterns(scaled <= activation_tol)
     eta = np.zeros_like(F)
     for k, pattern in enumerate(patterns):
         group = which == k
         eta[group] = eta_projection(F[group], C[pattern])
     nrm2 = np.einsum("ij,ij->i", pts, pts)
-    gh = np.column_stack([g.eval_many(pts) for g in grad_h])
-    lhs = nrm2[:, None] * gh - 2.0 * r * h.eval_many(pts)[:, None] * pts
+    lhs = nrm2[:, None] * gh - 2.0 * r * h_vals[:, None] * pts
     return -np.einsum("ij,ij->i", lhs, F + eta)
+
+
+def _row_patterns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a boolean (m, k) matrix, and the index of each
+    row's pattern among them.
+
+    Rows are grouped by the integer whose bit j is column j, so a 1-D sort
+    replaces the row-wise one; past 62 columns the codes would overflow and
+    the rows are sorted whole.
+    """
+    if mask.shape[1] > 62:
+        patterns, which = np.unique(mask, axis=0, return_inverse=True)
+        return patterns, which.ravel()
+    codes = mask @ (1 << np.arange(mask.shape[1]))
+    _, first, which = np.unique(codes, return_index=True,
+                                return_inverse=True)
+    return mask[first], which
 
 
 def verify_sos(V: Polynomial, system: SemialgebraicSystem,
@@ -235,24 +297,7 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
     rng = np.random.default_rng(seed)
     S = system.S
     n = S.dimension
-    lo = np.array([b[0] for b in S.box])
-    hi = np.array([b[1] for b in S.box])
-
-    accepted: list[np.ndarray] = []
-    attempts = 0
-    max_attempts = 200 * samples
-    while len(accepted) < samples and attempts < max_attempts:
-        batch = rng.uniform(lo, hi, size=(min(4096, samples * 4), n))
-        attempts += len(batch)
-        mask = np.ones(len(batch), dtype=bool)
-        for g in S.generators:
-            mask &= g.eval_many(batch) >= 0.0
-        accepted.extend(batch[mask])
-        if attempts >= max_attempts:
-            break
-    if not accepted:
-        raise ValueError("empty sample: bounding box misconfigured for the set")
-    pts = np.array(accepted[:samples])
+    pts = _rejection_sample(S, samples, rng)
 
     report = Report(kind="sos", sample_rows=[] if collect_samples else None)
 
@@ -269,13 +314,11 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
         dirs = rng.standard_normal((4 * max(len(pts) // 8, 64), n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         shell = radius * dirs
-        mask = np.ones(len(shell), dtype=bool)
-        for g in S.generators:
-            mask &= g.eval_many(shell) >= 0.0
-        shell = shell[mask]
+        vals = _values([*S.generators, V], shell)
+        mask = (vals[:, :-1] >= 0.0).all(axis=1)
+        shell, shell_vals = shell[mask], vals[mask, -1]
         if len(shell) == 0:
             continue
-        shell_vals = V.eval_many(shell)
         record(shell, f"V-shell-{radius}", shell_vals)
         shell_checks.append(_min_with_witness(
             f"V-shell-{radius}", shell_vals, shell, strict=True))
@@ -286,14 +329,12 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
                             "checked on interior samples only")
         inner = pts[np.linalg.norm(pts, axis=1) > 1e-6]
         report.checks.append(_min_with_witness(
-            "V-positivity-interior", V.eval_many(inner), inner, strict=True))
+            "V-positivity-interior", _values([V], inner)[:, 0], inner,
+            strict=True))
 
     # strict decrease on the interior sample set (away from the origin)
     offorigin = pts[np.linalg.norm(pts, axis=1) > 1e-8]
-    decrease = np.zeros(len(offorigin))
-    for i in range(n):
-        decrease += grad_v[i].eval_many(offorigin) * \
-            system.f[i].eval_many(offorigin)
+    decrease = _inner_products(grad_v, system.f, offorigin)
     record(offorigin, "decrease-strict", -decrease)
     report.checks.append(_min_with_witness("decrease-strict", -decrease,
                                            offorigin, strict=True))
@@ -304,10 +345,7 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
         if len(band_pts) == 0:
             report.notes.append(f"band of g_{j} not reached by the sampler")
             continue
-        align = np.zeros(len(band_pts))
-        for i in range(n):
-            align += grad_v[i].eval_many(band_pts) * \
-                grad_g[i].eval_many(band_pts)
+        align = _inner_products(grad_v, grad_g, band_pts)
         record(band_pts, f"alignment-g{j}", -align)
         check = _min_with_witness(f"alignment-g{j}", -align, band_pts)
         report.checks.append(check)
@@ -315,12 +353,43 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
     return report
 
 
+def _rejection_sample(S, samples: int, rng: np.random.Generator
+                      ) -> np.ndarray:
+    """The first `samples` uniform draws from the bounding box that lie in
+    the set, in draw order; fewer when 200 * samples draws do not find them.
+
+    Draws come in batches of min(4096, 4 * samples) points; the accepted
+    rows of each batch are kept and joined once at the end.
+    """
+    n = S.dimension
+    lo = np.array([b[0] for b in S.box])
+    hi = np.array([b[1] for b in S.box])
+    accepted: list[np.ndarray] = []
+    count = attempts = 0
+    max_attempts = 200 * samples
+    while count < samples and attempts < max_attempts:
+        batch = rng.uniform(lo, hi, size=(min(4096, samples * 4), n))
+        attempts += len(batch)
+        batch = batch[(_values(S.generators, batch) >= 0.0).all(axis=1)]
+        accepted.append(batch)
+        count += len(batch)
+    if not count:
+        raise ValueError("empty sample: bounding box misconfigured for the set")
+    return np.concatenate(accepted)[:samples]
+
+
+def _inner_products(us, ws, points: np.ndarray) -> np.ndarray:
+    """sum_i u_i(x) w_i(x) at each point, for equal-length polynomial lists."""
+    vals = _values([*us, *ws], points)
+    return np.einsum("ij,ij->i", vals[:, :len(us)], vals[:, len(us):])
+
+
 def _band_points(index: int, S, pts: np.ndarray, band_width: float
                  ) -> np.ndarray:
     """Newton-project all samples onto g = 0 at once, g = S.generators[index].
 
-    Each pass evaluates g and its cached gradient (S.gradients[index]) with
-    eval_many on the points still live, and steps those points by
+    Each pass evaluates g and its cached gradient (S.gradients[index]) in
+    one table on the points still live, and steps those points by
     y <- y - g(y) grad g(y) / |grad g(y)|^2.  A point retires as converged
     once |g(y)| <= band_width; it is dropped when |grad g(y)|^2 < 1e-30 or
     when it has not converged after 50 passes.  A converged point is kept
@@ -332,20 +401,17 @@ def _band_points(index: int, S, pts: np.ndarray, band_width: float
     live = np.arange(len(y))
     converged = np.zeros(len(y), dtype=bool)
     for _ in range(50):
-        val = g.eval_many(y[live])
-        done = np.abs(val) <= band_width
+        vals = _values([g, *grads], y[live])
+        done = np.abs(vals[:, 0]) <= band_width
         converged[live[done]] = True
-        live, val = live[~done], val[~done]
+        live, vals = live[~done], vals[~done]
         if len(live) == 0:
             break
-        grad = np.column_stack([c.eval_many(y[live]) for c in grads])
+        val, grad = vals[:, 0], vals[:, 1:]
         nrm2 = np.einsum("ij,ij->i", grad, grad)
         moving = nrm2 >= 1e-30
         live = live[moving]
         y[live] -= (val[moving] / nrm2[moving])[:, None] * grad[moving]
     y = y[converged]
-    keep = np.ones(len(y), dtype=bool)
-    for other in S.generators:
-        if other is not g:
-            keep &= other.eval_many(y) >= -1e-9
-    return y[keep]
+    others = [other for other in S.generators if other is not g]
+    return y[(_values(others, y) >= -1e-9).all(axis=1)]

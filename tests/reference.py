@@ -3,8 +3,9 @@
 They check the library from outside it: the closed-form gradient of
 V = h/|x|^(2r) against central differences, the coefficient-matching
 rows of the SOS conditions against hand-written Gram matrices, the
-batched evaluation and band projection of the oracle against the
-row-per-term broadcast and the per-point Newton loop they replaced, the
+batched evaluation, band projection and rejection sampler of the oracle
+against the row-per-term broadcast, the per-point Newton loop and the
+row-by-row sample list they replaced, the
 simulator's float-tuple steps against its numpy step loop, the set
 projection against scipy's SLSQP, and the SDP solver's step lengths in the
 NT frame against a bound from the Cholesky factor.  The point checks of a system (field_at,
@@ -133,6 +134,28 @@ def band_points_per_point(index, S, pts, band_width) -> np.ndarray:
                       for other in S.generators if other is not g):
             out.append(y)
     return np.array(out) if out else np.zeros((0, pts.shape[1]))
+
+
+def rejection_sample_per_row(S, samples, rng) -> np.ndarray:
+    """The oracle's rejection sampler as a list of accepted rows: batches of
+    min(4096, 4 * samples) box draws, each generator by eval_many, until
+    `samples` rows are in or 200 * samples draws are spent."""
+    n = S.dimension
+    lo = np.array([b[0] for b in S.box])
+    hi = np.array([b[1] for b in S.box])
+    accepted = []
+    attempts = 0
+    max_attempts = 200 * samples
+    while len(accepted) < samples and attempts < max_attempts:
+        batch = rng.uniform(lo, hi, size=(min(4096, samples * 4), n))
+        attempts += len(batch)
+        mask = np.ones(len(batch), dtype=bool)
+        for g in S.generators:
+            mask &= g.eval_many(batch) >= 0.0
+        accepted.extend(batch[mask])
+    if not accepted:
+        raise ValueError("empty sample: bounding box misconfigured for the set")
+    return np.array(accepted[:samples])
 
 
 def simulate_cone_numpy(x0, T, dt, system, feas_tol=1e-8):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapcert import flow, linprog, oracle, sdpsolve, sos_cert, tangency
+from lyapcert import (cones, flow, linprog, oracle, sdpsolve, sos_cert,
+                      tangency)
 from lyapcert.cli import (EXIT_NOT_FOUND, EXIT_OK, EXIT_SOLVER_FAILURE,
                           EXIT_USAGE, SpecFileError, default_cone_schedule,
                           main, parse_spec, read_certificate_candidate)
@@ -314,6 +315,32 @@ def test_malformed_sdp_is_solver_failure(cusp_spec, tmp_path, monkeypatch,
     assert code == EXIT_SOLVER_FAILURE
     assert capsys.readouterr().err.splitlines()[-1] == \
         "status=solver-failure detail='one objective matrix per block required'"
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition-dump", "{cone}", "--sweeps", "1"],
+    # the square cone's field of the benchmark that certifies only after
+    # one refinement sweep
+    ["find-lyap-cone", "{refine}", "--deg", "2", "--r", "0", "--sweeps", "4"],
+], ids=["partition-dump", "find-lyap-cone"])
+def test_degenerate_bisection_is_solver_failure(argv, cone_spec, tmp_path,
+                                                monkeypatch, capsys):
+    # spec validation rejects bad cones, so a ConeGeometryError past it is
+    # numerical: here every bisection meets a midpoint at the origin
+    def degenerate(simplex):
+        raise cones.ConeGeometryError("degenerate edge midpoint at the origin")
+
+    refine = tmp_path / "refine.spec"
+    refine.write_text(SQ3D_SPEC.read_text().replace(
+        "f1: -1*x1 + 2*x2 - 0.2*x3\nf2: -2*x1 - 1*x2 + 0.1*x3\n"
+        "f3: 0.3*x1 - 0.5*x3",
+        "f1: -1.5*x1 + 2.5*x2\nf2: -1.5*x1 - 1.2*x2 - 0.8*x3\n"
+        "f3: 0.2*x1 - 0.3*x2"))
+    monkeypatch.setattr(cones, "bisect_longest_edge", degenerate)
+    argv = [a.format(cone=cone_spec, refine=refine) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_SOLVER_FAILURE
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "status=solver-failure detail='degenerate edge midpoint at the origin'"
 
 
 def test_failed_projection_is_solver_failure(sq3d_run, tmp_path,

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -9,14 +10,16 @@ from scipy.optimize import nnls
 from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import ConicSystem, RationalLyapunovCandidate
-from lyapcert.oracle import (BAND_WIDTH, _band_points, barycentric_grid,
+from lyapcert.oracle import (BAND_WIDTH, _band_points, _rejection_sample,
+                             _row_patterns, _values, barycentric_grid,
                              verify_conic, verify_sos)
 from lyapcert.cones import Simplex
-from lyapcert.poly import Polynomial, parse_polynomial
+from lyapcert.cop_lp import run_hierarchy
+from lyapcert.poly import Polynomial, monomials_up_to_degree, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import SemialgebraicSet, eta_projection
 from reference import (band_points_per_point, candidate_gradient,
-                       fd_gradient_check, field_at)
+                       fd_gradient_check, field_at, rejection_sample_per_row)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -100,6 +103,7 @@ def face_decrease_reference(x, system, h, r, activation_tol=1e-8):
 
 
 SQ3D_SPEC = Path(__file__).resolve().parents[1] / "specs" / "sq3d.spec"
+CUSP_BOX_SPEC = SQ3D_SPEC.with_name("cusp_box.spec")
 
 
 @pytest.mark.parametrize("case", ["wedge", "sq3d"])
@@ -126,6 +130,45 @@ def test_face_samples_match_the_per_point_reference(case):
     assert corners > 0 if case == "sq3d" else corners == 0
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_row_patterns_group_like_the_row_sort(seed):
+    rng = np.random.default_rng(seed)
+    # 70 columns: past the width of the integer codes, rows sorted whole
+    for k in (1, 2, 4, 7, 70):
+        mask = rng.random((500, k)) < rng.uniform(0.05, 0.6)
+        patterns, which = _row_patterns(mask)
+        want_patterns, want_which = np.unique(mask, axis=0,
+                                              return_inverse=True)
+        want_which = want_which.ravel()
+        assert len(patterns) == len(want_patterns)
+        assert np.array_equal(patterns[which], mask)
+        # the same partition of the rows, whatever the order of the groups
+        groups = {tuple(np.flatnonzero(which == g))
+                  for g in range(len(patterns))}
+        want = {tuple(np.flatnonzero(want_which == g))
+                for g in range(len(want_patterns))}
+        assert groups == want
+
+
+REFINE1_FIELD = ["-1.5*x1 + 2.5*x2", "-1.5*x1 - 1.2*x2 - 0.8*x3",
+                 "0.2*x1 - 0.3*x2"]
+
+
+def test_conic_sample_counts_on_refine1():
+    """The refine1 field of the benchmark on the square cone certifies at
+    d=2, r=0 after one sweep; its check covers every grid point."""
+    cone = parse_spec(str(SQ3D_SPEC)).system.cone
+    system = ConicSystem([parse_polynomial(t, 3) for t in REFINE1_FIELD],
+                         cone)
+    cert = run_hierarchy(system, [(2, 0, 4)]).certificate
+    assert cert.sweeps_used == 1
+    report = verify_conic(cert.candidate, system)
+    assert report.passed
+    assert {c.name: c.samples for c in report.checks} == {
+        "h-on-sections": 78_960, "s0-on-sections": 78_960,
+        "face-decrease": 8_000}
+
+
 def test_barycentric_grid_density_and_membership():
     simplex = Simplex.from_rows(np.eye(3))
     pts = barycentric_grid(simplex, 10_000)
@@ -150,6 +193,63 @@ def test_barycentric_grid_points_in_lexicographic_order(k, density):
         simplex = Simplex.from_rows(rng.standard_normal((k, k)))
         assert np.array_equal(barycentric_grid(simplex, density),
                               weights @ simplex.vertex_array())
+
+
+# -- the oracle's evaluator ----------------------------------------------------------
+
+def _random_polynomial(rng, n, monos):
+    chosen = rng.choice(len(monos), size=rng.integers(1, min(12, len(monos))
+                                                      + 1), replace=False)
+    return Polynomial(n, {monos[i]: Fraction(int(rng.integers(-40, 41)),
+                                             int(rng.integers(1, 13)))
+                          for i in chosen})
+
+
+def _assert_values_within_rounding(polys, points):
+    """Every value within gamma_k * sum_t |c_t x^t| of the exact one, with
+    k = degree + terms + 1 roundings: the coefficient, the monomial's
+    products, the term's product and the sum (gamma_k = k u / (1 - k u),
+    u = 2^-53)."""
+    points = np.asarray(points, dtype=float)
+    got = _values(polys, points)
+    assert got.shape == (len(points), len(polys))
+    for x, row in zip(points, got):
+        exact_x = [Fraction(v) for v in x]
+        for p, value in zip(polys, row):
+            exact = p.evaluate(exact_x)
+            scale = Polynomial(p.dimension, {m: abs(c) for m, c
+                                             in p.terms.items()}).evaluate(
+                [abs(v) for v in exact_x])
+            k = p.degree() + len(p.terms) + 1 if p.terms else 0
+            gamma = Fraction(k, 2**53 - k)
+            assert abs(Fraction(value) - exact) <= gamma * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_values_match_exact_evaluation(n):
+    rng = np.random.default_rng(40 + n)
+    for degree in range(0, 9):
+        monos = monomials_up_to_degree(n, degree)
+        polys = [_random_polynomial(rng, n, monos) for _ in range(3)]
+        # polynomials that share monomials, and the zero polynomial
+        polys += [polys[0] * 2 + polys[1], polys[0] - polys[0]]
+        points = rng.uniform(-1.5, 1.5, size=(6, n))
+        points[rng.random(points.shape) < 0.2] = 0.0
+        _assert_values_within_rounding(polys, points)
+
+
+def test_values_edge_cases():
+    p = parse_polynomial("3*x1^2*x2 - 1/3*x2 + 7", 2)
+    constant = Polynomial.constant(2, Fraction(1, 3))
+    zero = Polynomial.zero(2)
+    _assert_values_within_rounding([p, constant, zero],
+                                   [[0.0, 0.0], [0.0, -2.5], [1e-3, 0.0]])
+    one = _values([p, constant, zero], np.array([0.5, 2.0]))
+    assert one.shape == (1, 3)
+    assert one[0, 2] == 0.0 and one[0, 1] == float(Fraction(1, 3))
+    assert _values([p, zero], np.zeros((0, 2))).shape == (0, 2)
+    assert np.array_equal(_values([constant], np.zeros((4, 2))),
+                          np.full((4, 1), float(Fraction(1, 3))))
 
 
 # -- sos verification -------------------------------------------------------------
@@ -233,6 +333,38 @@ def test_band_points_match_the_per_point_reference(make_set):
         assert got.shape == want.shape
         assert len(got) > 0
         assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make_set, samples", [
+    (lambda: cusp_system().S, 2000), (ball_set, 5000),
+    # a disc of area 0.0126 in a box of area 4: 200 * samples draws find
+    # about 0.63 * samples points, so the draw budget ends the loop
+    (lambda: SemialgebraicSet([parse_polynomial("0.004 - x1^2 - x2^2", 2)],
+                              [(-1.0, 1.0)] * 2), 300),
+], ids=["cusp_box", "ball", "budget"])
+def test_rejection_sample_matches_the_per_row_loop(make_set, samples):
+    S = make_set()
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = _rejection_sample(S, samples, rng)
+    want = rejection_sample_per_row(S, samples, ref_rng)
+    assert 0 < len(want) <= samples
+    assert np.array_equal(got, want)
+    # the same draws were spent, so the shells that follow see the same rng
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sos_sample_counts_on_cusp_box():
+    system = parse_spec(str(CUSP_BOX_SPEC)).system
+    report = verify_sos(parse_polynomial("x1^2 + x2^2", 2), system,
+                        samples=5000, collect_samples=True)
+    assert {c.name: c.samples for c in report.checks} == {
+        "V-positivity-shells": 3119, "decrease-strict": 5000,
+        "alignment-g1": 5000, "alignment-g2": 5000}
+    shells = {}
+    for _, name, _ in report.sample_rows:
+        shells[name] = shells.get(name, 0) + 1
+    assert {k: v for k, v in shells.items() if k.startswith("V-shell")} == {
+        "V-shell-0.01": 1263, "V-shell-0.1": 1153, "V-shell-1.0": 703}
 
 
 def test_band_points_drop_vanishing_gradients_and_slow_samples():
