@@ -25,12 +25,13 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import linprog
 from .cones import PolyhedralCone, SimplicialPartition, Simplex, cone_orthant_sections, face_sections
-from .poly import (Mono, Polynomial, bernstein_coefficients,
+from .poly import (Mono, Polynomial, bernstein_coefficients, float_kernel,
                    monomials_of_degree, norm_squared)
 from .tangency import face_eta_polynomial
 
@@ -81,6 +82,11 @@ class ConicSystem:
     @property
     def dimension(self) -> int:
         return self.cone.dimension
+
+    @cached_property
+    def field_kernel(self):
+        """poly.float_kernel of f, built on first use."""
+        return float_kernel(self.f)
 
 
 @dataclass

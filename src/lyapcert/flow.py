@@ -3,19 +3,26 @@
 The catching-up discretization x+ = proj_S(x + dt f(x)) with a fixed step
 (Moreau's scheme; Acary & Brogliato, Numerical Methods for Nonsmooth
 Dynamical Systems, 2008): the projection realizes the velocity selection,
-and eta_used recovers the discrete multiplier (x+ - x)/dt - f(x).  One
-trajectory is sequential, so a step works on a tuple of Python floats and
-calls numpy only inside a cone projection: on 2- and 3-vectors a numpy
-call costs more than the arithmetic.  The constraint values at
-z = x + dt f(x) decide whether to project and, when z is kept, are also
-the feasibility check of the stored state.
+and eta_used recovers the discrete multiplier (x+ - x)/dt - f(x).  A step
+that keeps z = x + dt f(x) records eta exactly 0, since N_S(x) = {0}
+there.  One trajectory is sequential, so a step works on a tuple of Python
+floats and calls numpy only inside a cone projection: on 2- and 3-vectors
+a numpy call costs more than the arithmetic.  The field and the set's
+generators, gradients and Hessians are evaluated by float kernels
+(poly.float_kernel, one straight-line function per polynomial list),
+built once per system.  The constraint values at z decide whether to
+project and, when z is kept, are also the feasibility check of the stored
+state.
 
 Projection onto a polyhedral cone is z + eta_projection(z, C) (Moreau's
 decomposition: z minus its projection onto the polar cone), the same map
-the oracle uses for its face checks.  Projection onto a convex
-semialgebraic set is Newton's method on the KKT system of
-min 1/2 |y - z|^2 subject to g_i(y) >= 0, with an active set and a
-posterior check that z - y lies in the normal cone N_S(y).
+the oracle uses for its face checks; when one row is violated, its
+closed-form half-space projection is taken if it lies in the cone.
+Projection onto a convex semialgebraic set is Newton's method on the KKT
+system of min 1/2 |y - z|^2 subject to g_i(y) >= 0, with an active set
+and a posterior check that z - y lies in the normal cone N_S(y).  Along a
+trajectory it is warm-started from the previous step's multipliers, so a
+step that slides along the boundary takes one Newton solve.
 
 Trajectories hold times, states and multipliers as arrays built after the
 last step, and optionally a Lyapunov function candidate, evaluated on all
@@ -78,50 +85,71 @@ class Trajectory:
             header.append("V")
             columns.append(np.array(self.v_values)[:, None])
         # tolist gives Python floats (repr of a numpy scalar is
-        # "np.float64(...)", which CSV readers reject); row by row, so no
-        # list of all values is held at once
-        lines = [",".join(header)] + [",".join(map(repr, row.tolist()))
-                                      for row in np.hstack(columns)]
+        # "np.float64(...)", which CSV readers reject)
+        lines = [",".join(header)] + [",".join(map(repr, row))
+                                      for row in np.hstack(columns).tolist()]
         return "\n".join(lines) + "\n"
 
 
 def project_cone(z, cone: PolyhedralCone) -> np.ndarray:
-    """Euclidean projection onto {x : Cx >= 0} (Moreau: z + eta)."""
+    """Euclidean projection onto {x : Cx >= 0} (Moreau: z + eta).
+
+    With one row c violated by more than FEAS_TOL, the projection onto the
+    half-space c.x >= 0 is the answer when it satisfies every row within
+    FEAS_TOL; otherwise, and with several rows violated, eta comes from
+    all rows of C.
+    """
     z = np.asarray(z, dtype=float)
-    if (cone.C @ z >= -FEAS_TOL).all():
+    violated = cone.C @ z < -FEAS_TOL
+    if not violated.any():
         return z
+    if violated.sum() == 1:
+        p = z + eta_projection(z, cone.C[violated])
+        if (cone.C @ p >= -FEAS_TOL).all():
+            return p
     return z + eta_projection(z, cone.C)
 
 
-def project_set(z, S: SemialgebraicSet) -> tuple[float, ...]:
+def project_set(z, S: SemialgebraicSet,
+                multipliers: dict[int, float] | None = None
+                ) -> tuple[float, ...]:
     """Euclidean projection onto a convex {g_i >= 0} set, as float tuple.
 
     Newton's method on the KKT system of min 1/2 |y - z|^2 subject to
     g_i(y) = 0 for the active generators A:
         y - z - sum_A lam_i grad g_i(y) = 0,   g_A(y) = 0,
     whose Jacobian carries the Hessian term I - sum_A lam_i hess g_i(y)
-    (S.gradients and S.hessians, built once per set).  Each step solves
-    the (n + |A|) linear system in floats.  A starts as the generators
-    that z violates by more than FEAS_TOL, lam at 0, so a point inside the
-    set comes back unchanged.  Whenever the KKT residual of the current A
-    is below KKT_TOL (1 + |z|), A changes: a generator with lam_i < 0
-    leaves it, else the generators that y violates by more than FEAS_TOL
-    join it.  y is returned when neither happens, which is the posterior
-    check: lam >= 0, every g_i(y) >= -FEAS_TOL and
-    y - z = sum_A lam_i grad g_i(y), so z - y lies in N_S(y).  Convexity
-    is assumed, not verified.  A singular system, or no pass of the check
-    within MAX_PROJECTION_ITER iterations, raises FlowError.
+    (S.float_kernels, built once per set).  Each step solves the
+    (n + |A|) linear system in floats.  A starts as the generators that z
+    violates by more than FEAS_TOL, lam at 0 and y at z, so a point inside
+    the set comes back unchanged.  multipliers, when given, is the record
+    {i: lam_i} of the previous projection along a trajectory: lam_i starts
+    from it for each i in A, y at z + sum_A lam_i grad g_i(z), and on
+    return the record holds the final A and lam.  Whenever the KKT
+    residual of the current A is below KKT_TOL (1 + |z|), A changes: a
+    generator with lam_i < 0 leaves it, else the generators that y
+    violates by more than FEAS_TOL join it.  y is returned when neither
+    happens, which is the posterior check: lam >= 0, every
+    g_i(y) >= -FEAS_TOL and y - z = sum_A lam_i grad g_i(y), so z - y lies
+    in N_S(y).  Convexity is assumed, not verified.  A singular system, or
+    no pass of the check within MAX_PROJECTION_ITER iterations, raises
+    FlowError.
     """
     z = tuple(map(float, z))
     n = len(z)
-    gens, gradients, hessians = S.generators, S.gradients, S.hessians
+    values_at, gradient_at, hessian_at = S.float_kernels
     tol = KKT_TOL * (1.0 + max(map(abs, z)))
-    y = z
-    values = [g.evaluate_float(y) for g in gens]
+    values = values_at(z)
     active = [i for i, v in enumerate(values) if v < -FEAS_TOL]
-    lam = [0.0] * len(active)
+    lam = [multipliers.get(i, 0.0) if multipliers else 0.0 for i in active]
+    y = z
+    for i, li in zip(active, lam):
+        if li:
+            y = tuple([a + li * b for a, b in zip(y, gradient_at[i](z))])
+    if y is not z:
+        values = values_at(y)
     for _ in range(MAX_PROJECTION_ITER):
-        J = [[d.evaluate_float(y) for d in gradients[i]] for i in active]
+        J = [gradient_at[i](y) for i in active]
         r = list(map(sub, y, z))
         small = True
         for i, li, row in zip(active, lam, J):
@@ -135,6 +163,9 @@ def project_set(z, S: SemialgebraicSet) -> tuple[float, ...]:
             joining = [i for i, v in enumerate(values)
                        if v < -FEAS_TOL and i not in active]
             if not joining:
+                if multipliers is not None:
+                    multipliers.clear()
+                    multipliers.update(zip(active, lam))
                 return y
             active += joining
             lam += [0.0] * len(joining)
@@ -144,18 +175,18 @@ def project_set(z, S: SemialgebraicSet) -> tuple[float, ...]:
              for j in range(n)]
         for i, li in zip(active, lam):
             if li:
-                hess = hessians[i]
+                upper = iter(hessian_at[i](y))
                 for j in range(n):
                     for k in range(j, n):
-                        h = li * hess[j][k].evaluate_float(y)
+                        h = li * next(upper)
                         M[j][k] -= h
                         if k != j:
                             M[k][j] -= h
-        M += [row + [0.0] * len(J) for row in J]
+        M += [list(row) + [0.0] * len(J) for row in J]
         delta = _solve(M, [-v for v in r] + [-values[i] for i in active])
         y = tuple(map(add, y, delta))
         lam = list(map(add, lam, delta[n:]))
-        values = [g.evaluate_float(y) for g in gens]
+        values = values_at(y)
     raise FlowError(f"set projection did not converge in "
                     f"{MAX_PROJECTION_ITER} iterations")
 
@@ -192,31 +223,37 @@ def _lowest(system: System, x) -> float:
     if isinstance(system, ConicSystem):
         return min([sum(map(mul, row, x)) for row in system.cone.rows],
                    default=math.inf)
-    return min([g.evaluate_float(x) for g in system.S.generators])
+    return min(system.S.float_kernels[0](x))
 
 
 def step(x: Sequence[float], dt: float, system: System,
-         feas_tol: float = STATE_TOL
+         feas_tol: float = STATE_TOL,
+         multipliers: dict[int, float] | None = None
          ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """One projected Euler step on float tuples; returns (x_next, eta_used).
 
-    z = x + dt f(x) is kept when no constraint value there is below
-    -FEAS_TOL; otherwise x_next is its projection and the constraints are
+    z = x + dt f(x) is kept, with eta_used exactly 0 and the multipliers
+    record cleared, when no constraint value there is below -FEAS_TOL;
+    otherwise x_next is its projection (a set projection warm-started from
+    and updating the record, see project_set) and the constraints are
     evaluated again at x_next.  x_next below -feas_tol, or a NaN value,
     raises FlowError.
     """
-    fx = [c.evaluate_float(x) for c in system.f]
+    fx = system.field_kernel(x)
     z = tuple([a + dt * b for a, b in zip(x, fx)])
-    x_next, lowest = z, _lowest(system, z)
+    x_next, lowest, eta_used = z, _lowest(system, z), (0.0,) * len(z)
     if not lowest >= -FEAS_TOL:
         if isinstance(system, ConicSystem):
             x_next = tuple(map(float, project_cone(z, system.cone)))
         else:
-            x_next = project_set(z, system.S)
+            x_next = project_set(z, system.S, multipliers)
         lowest = _lowest(system, x_next)
+        eta_used = tuple([(a - b) / dt - c
+                          for a, b, c in zip(x_next, x, fx)])
+    elif multipliers:
+        multipliers.clear()
     if not lowest >= -feas_tol:
         raise FlowError("state left the set")
-    eta_used = tuple([(a - b) / dt - c for a, b, c in zip(x_next, x, fx)])
     return x_next, eta_used
 
 
@@ -227,8 +264,9 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
 
     Records eta along the way; every recorded state is feasible within
     feas_tol or the step raises.  The states stay float tuples until the
-    last step.  V, when given, is a Polynomial or a map from an (m, n)
-    array of states to an array of their m values (such as
+    last step, and one multipliers record warm-starts each set projection
+    from the previous step's.  V, when given, is a Polynomial or a map
+    from an (m, n) array of states to an array of their m values (such as
     RationalLyapunovCandidate.value); it is evaluated once, on all stored
     states, after the last step.
     """
@@ -239,11 +277,12 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
         raise FlowInputError("T and dt must be positive")
 
     times, states, etas = [0.0], [x], []
+    multipliers: dict[int, float] = {}
     t = 0.0
     for _ in range(int(round(T / dt))):
         try:
             # through the module global, so a wrapped step sees every call
-            x, eta_used = step(x, dt, system, feas_tol)
+            x, eta_used = step(x, dt, system, feas_tol, multipliers)
         except FlowError as exc:
             raise FlowError(f"{exc} at t = {t + dt}") from exc
         t += dt

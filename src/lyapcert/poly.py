@@ -8,7 +8,9 @@ symmetric order-d tensor whose diagonal restriction reproduces it; its
 evaluations on tuples of simplex vertices are the polynomial's Bernstein
 coefficients on that simplex, which turn copositivity into finitely many
 linear constraints.  bernstein_coefficients computes them from values at
-the simplicial lattice points.
+the simplicial lattice points.  float_kernel generates one straight-line
+float function for a list of polynomials, for inner loops that evaluate
+them at one point at a time.
 
 Monomial order is graded lexicographic (total degree ascending, exponent
 tuple descending within a degree) and is used everywhere a coefficient
@@ -26,7 +28,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -79,7 +81,7 @@ class Polynomial:
     instances, values are safe to share between threads.
     """
 
-    __slots__ = ("dimension", "terms", "_powers", "_coefs", "_pyterms")
+    __slots__ = ("dimension", "terms", "_powers", "_coefs", "_kernel")
 
     def __init__(self, dimension: int,
                  terms: Mapping[Mono, Scalar] | None = None):
@@ -101,7 +103,7 @@ class Polynomial:
         self.terms = {m: c for m, c in clean.items() if c != 0}
         self._powers = None
         self._coefs = None
-        self._pyterms = None
+        self._kernel = None
 
     # -- constructors -------------------------------------------------------
 
@@ -244,23 +246,11 @@ class Polynomial:
         return total
 
     def evaluate_float(self, point) -> float:
-        """Float evaluation at one point; the fast path for inner loops.
-
-        Terms are summed in graded-lex order; each starts from its
-        coefficient and multiplies in x_j ** e for its nonzero exponents in
-        variable order (x ** 1 is x, bit for bit).
-        """
-        if self._pyterms is None:
-            self._pyterms = [
-                (float(c), tuple((j, e) for j, e in enumerate(m) if e))
-                for m, c in self.sorted_terms()]
-        total = 0.0
-        for coeff, factors in self._pyterms:
-            v = coeff
-            for j, e in factors:
-                v *= point[j] if e == 1 else point[j] ** e
-            total += v
-        return total
+        """Float evaluation at one point, by the float_kernel of [self]
+        (built on first use)."""
+        if self._kernel is None:
+            self._kernel = float_kernel([self])
+        return self._kernel(point)[0]
 
     def _numeric_cache(self) -> tuple[tuple, np.ndarray]:
         """The power table layout of eval_many and the coefficients, built
@@ -343,6 +333,47 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.dimension}, {format_polynomial(self)!r})"
+
+
+_KERNEL_CHUNK = 64  # terms per statement; one long sum nests too deep to compile
+
+
+def float_kernel(polys: Sequence[Polynomial]
+                 ) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """One straight-line float function for a list of polynomials.
+
+    The returned function maps a point (a sequence of exactly n numbers)
+    to the tuple of the polynomials' values.  Its source is generated once from
+    float literals and exponents, as collections.namedtuple builds its
+    class: each value is summed from 0.0 in graded-lex term order, and
+    each term is its coefficient times x_j ** e for its nonzero exponents
+    in variable order (x_j itself for e = 1), so a value is bit for bit
+    what that term loop gives.
+    """
+    polys = list(polys)
+    dims = {p.dimension for p in polys}
+    if len(dims) > 1:
+        raise ValueError(f"dimension mismatch in float kernel: {sorted(dims)}")
+    names = [f"x{j}" for j in range(dims.pop())] if polys else []
+    lines = ["def kernel(p):"]
+    if names:
+        lines.append(f"    {', '.join(names)}, = p")
+    for i, p in enumerate(polys):
+        terms = ["*".join([repr(float(c))] + [
+                     names[j] if e == 1 else f"{names[j]}**{e}"
+                     for j, e in enumerate(m) if e])
+                 for m, c in p.sorted_terms()]
+        head = "0.0"
+        for k in range(0, len(terms), _KERNEL_CHUNK):
+            lines.append(f"    v{i} = {head} + "
+                         + " + ".join(terms[k:k + _KERNEL_CHUNK]))
+            head = f"v{i}"
+        if not terms:
+            lines.append(f"    v{i} = 0.0")
+    lines.append(f"    return ({''.join(f'v{i}, ' for i in range(len(polys)))})")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
 
 
 def _mono_to_indices(mono: Mono) -> Mono:
@@ -555,10 +586,9 @@ def parse_polynomial(text: str, dimension: int) -> Polynomial:
     terms: dict[Mono, Fraction] = {}
     i = 0
 
-    def parse_term(start: int) -> int:
-        nonlocal terms
+    def parse_term(start: int, sign: Fraction) -> int:
         i = start
-        coeff = Fraction(1)
+        coeff = sign
         exps = [0] * dimension
         saw_factor = False
         while i < len(tokens):
@@ -608,13 +638,7 @@ def parse_polynomial(text: str, dimension: int) -> Polynomial:
         sign = Fraction(-1) if tokens[0][1] == "-" else Fraction(1)
         i = 1
     while True:
-        before = dict(terms)
-        i = parse_term(i)
-        # apply pending sign to the term just parsed
-        for mono in set(terms) | set(before):
-            delta = terms.get(mono, Fraction(0)) - before.get(mono, Fraction(0))
-            if delta:
-                terms[mono] = before.get(mono, Fraction(0)) + sign * delta
+        i = parse_term(i, sign)
         if i >= len(tokens):
             break
         kind, value, col = tokens[i]

@@ -34,12 +34,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import linprog
-from .poly import (Mono, Polynomial, monomials_of_degree,
+from .poly import (Mono, Polynomial, float_kernel, monomials_of_degree,
                    monomials_up_to_degree, norm_squared)
 from .sdpsolve import EqualityRow, SdpResult, SemidefiniteProgram, solve_sdp
 from .tangency import SemialgebraicSet
@@ -85,6 +86,11 @@ class SemialgebraicSystem:
     @property
     def dimension(self) -> int:
         return self.S.dimension
+
+    @cached_property
+    def field_kernel(self):
+        """poly.float_kernel of f, built on first use."""
+        return float_kernel(self.f)
 
 
 # -- Gram parameterization -----------------------------------------------------

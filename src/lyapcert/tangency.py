@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .cones import PolyhedralCone
-from .poly import Polynomial
+from .poly import Polynomial, float_kernel
 
 
 class TangencyError(ValueError):
@@ -73,6 +74,18 @@ class SemialgebraicSet:
     @property
     def dimension(self) -> int:
         return self.generators[0].dimension
+
+    @cached_property
+    def float_kernels(self):
+        """(values, gradients, hessians): poly.float_kernel of the
+        generators, one of each gradient, and one of the upper triangle
+        of each Hessian (j <= k, row by row)."""
+        n = self.dimension
+        return (float_kernel(self.generators),
+                [float_kernel(grad) for grad in self.gradients],
+                [float_kernel([hess[j][k] for j in range(n)
+                               for k in range(j, n)])
+                 for hess in self.hessians])
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Reference implementations that only the tests use.
 
-They check the library from outside it: the closed-form gradient of
+They check the library from outside it: the float kernels against a loop
+over the terms, the closed-form gradient of
 V = h/|x|^(2r) against central differences, the coefficient-matching
 rows of the SOS conditions against hand-written Gram matrices, the
 batched evaluation, band projection and rejection sampler of the oracle
@@ -97,6 +98,20 @@ def worst_gram_eigenvalue(cert) -> float:
                default=0.0)
 
 
+def evaluate_float_terms(poly, point) -> float:
+    """Float value at one point by a loop over the terms: summed from 0.0
+    in graded-lex order, each term its coefficient times x_j ** e for its
+    nonzero exponents in variable order (x_j itself for e = 1)."""
+    total = 0.0
+    for mono, coeff in poly.sorted_terms():
+        v = float(coeff)
+        for j, e in enumerate(mono):
+            if e:
+                v *= point[j] if e == 1 else point[j] ** e
+        total += v
+    return total
+
+
 def eval_many_broadcast(poly, points) -> np.ndarray:
     """Polynomial values by one pow per (point, term, variable)."""
     points = np.asarray(points, dtype=float)
@@ -161,15 +176,20 @@ def rejection_sample_per_row(S, samples, rng) -> np.ndarray:
 def simulate_cone_numpy(x0, T, dt, system, feas_tol=1e-8):
     """The simulator's step loop on numpy vectors, for a cone system: the
     field by field_at, z = x + dt f, project_cone, a containment check and
-    eta = (x+ - x)/dt - f at every step.  Returns (states, eta) arrays."""
-    from lyapcert.flow import project_cone
+    eta = (x+ - x)/dt - f at every step, or eta = 0 when z is in the cone
+    within FEAS_TOL and kept.  Returns (states, eta) arrays."""
+    from lyapcert.flow import FEAS_TOL, project_cone
     x = np.asarray(x0, dtype=float)
     states, etas = [x.copy()], []
     for _ in range(int(round(T / dt))):
         fx = field_at(system, x)
-        x_next = project_cone(x + dt * fx, system.cone)
+        z = x + dt * fx
+        x_next = project_cone(z, system.cone)
         assert cone_contains(system.cone, x_next, feas_tol)
-        etas.append((x_next - x) / dt - fx)
+        if cone_contains(system.cone, z, FEAS_TOL):
+            etas.append(np.zeros_like(x))
+        else:
+            etas.append((x_next - x) / dt - fx)
         x = x_next
         states.append(x.copy())
     etas.append(np.zeros_like(x))

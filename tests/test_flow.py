@@ -65,16 +65,23 @@ def test_cone_projection_optimality():
 
 @pytest.mark.parametrize("cone", [WEDGE, SQUARE], ids=["wedge", "square"])
 def test_cone_projection_is_the_moreau_form_of_eta(cone):
+    """z + eta_projection(z, [c]) when c is the one violated row and that
+    point is in the cone, else z + eta_projection(z, C)."""
     rng = np.random.default_rng(73)
-    outside = 0
+    branches = {"one row": 0, "all rows": 0}
     for _ in range(200):
         z = rng.uniform(-2, 2, size=cone.dimension)
-        if cone_contains(cone, z):
+        if cone_contains(cone, z, tol=flow.FEAS_TOL):
             continue
-        outside += 1
-        assert np.array_equal(project_cone(z, cone),
-                              z + eta_projection(z, cone.C))
-    assert outside >= 50
+        expected, branch = z + eta_projection(z, cone.C), "all rows"
+        violated = cone.C @ z < -flow.FEAS_TOL
+        if violated.sum() == 1:
+            p = z + eta_projection(z, cone.C[violated])
+            if cone_contains(cone, p, tol=flow.FEAS_TOL):
+                expected, branch = p, "one row"
+        branches[branch] += 1
+        assert np.array_equal(project_cone(z, cone), expected)
+    assert min(branches.values()) >= 20, branches
 
 
 def test_set_projection_feasible_and_close():
@@ -142,6 +149,56 @@ def test_set_projection_matches_slsqp_and_is_normal():
         assert np.allclose(p, [1.0, np.sign(z[1])], atol=1e-12)
 
 
+BALL = SemialgebraicSet([parse_polynomial("1 - x1^2 - x2^2 - x3^2", 3)],
+                        [(-1.0, 1.0)] * 3)
+
+
+def assert_warm_matches_cold(z, S, record):
+    """project_set from the record agrees with the cold projection within
+    KKT_TOL (1 + |z|), is normal, and leaves the final multipliers in the
+    record."""
+    cold = np.array(project_set(z, S))
+    warm = np.array(project_set(z, S, record))
+    assert np.abs(warm - cold).max() <= \
+        flow.KKT_TOL * (1.0 + np.abs(z).max()), (z, warm, cold)
+    residual, active = normal_cone_residual(warm, z, S)
+    assert residual <= 1e-9 * np.linalg.norm(warm - z), (z, warm)
+    assert set_contains(S, warm, tol=1e-10)
+    assert sorted(record) == active
+    assert min(record.values()) > 0.0
+
+
+@pytest.mark.parametrize("S, lo, hi", [
+    (cusp_system().S, [-1.0, -2.0], [2.0, 2.0]),
+    (BALL, [-1.5] * 3, [1.5] * 3),
+    (cusp_system().S, [1.0, 1.0], [1.5, 1.5]),  # both generators bind
+], ids=["cusp", "ball", "cusp-corner"])
+def test_warm_started_set_projection_matches_the_cold_one(S, lo, hi):
+    rng = np.random.default_rng(76)
+    tested = 0
+    while tested < 40:
+        z = rng.uniform(lo, hi)
+        if set_contains(S, z, tol=0.0):
+            continue
+        tested += 1
+        record = {}  # the multipliers of a nearby projection
+        project_set(z + rng.normal(scale=0.01, size=len(z)), S, record)
+        assert record
+        assert_warm_matches_cold(z, S, record)
+
+
+@pytest.mark.parametrize("z, record", [
+    ([0.2, 0.8], {0: 0.3, 1: 0.2}),   # g2 is recorded, z violates g1 only
+    ([0.2, 0.8], {1: 0.5}),           # the violated g1 is not recorded
+    ([1.3, 0.2], {0: 0.4}),           # recorded g1, z violates g2 only
+    ([0.9, 1.45], {1: 0.1}),          # g1 violated, the projection joins g2
+    ([1.4, 1.4], {0: 2.0, 1: 3.0}),   # far-off multipliers at the corner
+], ids=["extra", "missing", "other", "joining", "far-off"])
+def test_warm_record_with_another_active_set(z, record):
+    S = cusp_system().S
+    assert_warm_matches_cold(np.array(z), S, record)
+
+
 def test_set_projection_that_does_not_converge_raises(monkeypatch):
     S = cusp_system().S
     assert project_set([0.5, 0.1], S) == (0.5, 0.1)  # inside: unchanged
@@ -181,6 +238,47 @@ def test_boundary_step_eta_aligns_with_branch():
     assert angle <= 1e-3
 
 
+def test_free_step_records_exactly_zero_eta():
+    record = {0: 0.2}
+    _, eta = step((0.5, 0.1), 1e-3, cusp_system(), multipliers=record)
+    assert eta == (0.0, 0.0)
+    assert record == {}  # a step that keeps z clears the warm start
+
+
+def test_projected_cusp_boundary_step_makes_one_solve(monkeypatch):
+    solves, per_step = [], []
+    solve, flow_step = flow._solve, flow.step
+    monkeypatch.setattr(flow, "_solve",
+                        lambda M, b: solves.append(1) or solve(M, b))
+
+    def counted_step(*args):
+        before = len(solves)
+        result = flow_step(*args)
+        per_step.append(len(solves) - before)
+        return result
+    monkeypatch.setattr(flow, "step", counted_step)
+    traj = simulate([0.49, 0.7], T=0.5, dt=1e-3, system=cusp_system())
+    assert (traj.eta_log[:-1] != 0).any(axis=1).all()  # every step projects
+    assert per_step[0] <= 2  # the first projection starts cold
+    assert per_step[1:] == [1] * 499
+
+
+def test_tracer_hooks_see_every_projection(monkeypatch):
+    """The benchmark's tracer wraps these module attributes; simulate and
+    step must call them through the module globals."""
+    for name in ("step", "project_set", "project_cone", "nnls"):
+        assert callable(getattr(flow, name))
+    calls = []
+    project_set = flow.project_set
+    monkeypatch.setattr(flow, "project_set", lambda *args: calls.append(1)
+                        or project_set(*args))
+    # interior at first, on the boundary x1 = x2^2 from t = 0.67
+    traj = simulate([0.3, 0.5], T=1.0, dt=1e-3, system=cusp_system())
+    projected = int((traj.eta_log != 0).any(axis=1).sum())
+    assert 100 <= projected <= 900
+    assert len(calls) == projected
+
+
 def test_step_rejects_infeasible_start():
     with pytest.raises(FlowError):
         simulate([-1.0, -1.0], 1.0, 1e-2, wedge_system())
@@ -192,12 +290,21 @@ SQ3D = parse_spec(str(Path(__file__).resolve().parents[1] / "specs"
                       / "sq3d.spec")).system
 
 
-@pytest.mark.parametrize("system, starts, T, dt", [
-    (wedge_system(), [[2.0, 0.5], [0.3, 1.1], [1.6, 0.4]], 3.0, 1e-3),
+# pushed into the edge x1 = x2 = x3/2 of the square cone, where two rows bind
+SQUARE_EDGE = ConicSystem([parse_polynomial(t, 3) for t in
+                           ("1*x3 - 1*x1", "1*x3 - 1*x2", "-1*x3")], SQUARE)
+
+
+@pytest.mark.parametrize("system, starts, T, dt, min_projected, corners", [
+    (wedge_system(), [[2.0, 0.5], [0.3, 1.1], [1.6, 0.4]], 3.0, 1e-3, 100,
+     False),
     (SQ3D, [[0.1, 0.2, 0.9], [-0.3, 0.35, 0.8], [0.4, -0.1, 0.85]],
-     20.0, 1e-2),
-], ids=["wedge", "sq3d"])
+     20.0, 1e-2, 20, False),
+    (SQUARE_EDGE, [[0.0, 0.0, 1.0], [0.1, -0.05, 0.9]], 5.0, 1e-2, 100,
+     True),
+], ids=["wedge", "sq3d", "square-edge"])
 def test_cone_trajectories_match_the_numpy_step_loop(system, starts, T, dt,
+                                                     min_projected, corners,
                                                      monkeypatch):
     several_rows = []
     tangency_nnls = tangency.nnls
@@ -210,8 +317,8 @@ def test_cone_trajectories_match_the_numpy_step_loop(system, starts, T, dt,
         assert np.asarray(traj.states).tobytes() == states.tobytes()
         assert np.asarray(traj.eta_log).tobytes() == eta.tobytes()
         projected += int((eta != 0).any(axis=1).sum())
-    assert projected >= 100
-    if system.dimension == 3:  # corner steps, where two rows bind
+    assert projected >= min_projected  # free steps record eta exactly 0
+    if corners:  # steps where two rows bind take NNLS
         assert several_rows
 
 def test_wedge_trajectory_reaches_origin():

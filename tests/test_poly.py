@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lyapcert.poly import (Polynomial, PolynomialParseError, SymmetricTensor,
-                           bernstein_coefficients, format_polynomial,
-                           monomials_of_degree, monomials_up_to_degree,
-                           parse_polynomial)
-from reference import eval_many_broadcast
+                           bernstein_coefficients, float_kernel,
+                           format_polynomial, monomials_of_degree,
+                           monomials_up_to_degree, parse_polynomial)
+from reference import eval_many_broadcast, evaluate_float_terms
 
 X1 = Polynomial.variable(2, 0)
 X2 = Polynomial.variable(2, 1)
@@ -113,6 +113,43 @@ def test_eval_many_is_bit_identical_to_the_broadcast_reference():
 
 
 # -- homogeneity --------------------------------------------------------------------
+
+def kernel_cases(rng):
+    """(polynomials of one dimension, points) cases for the float kernels."""
+    cases = []
+    for dimension, many in ((1, 80), (2, 12), (3, 8)):
+        polys = [rand_poly(rng, dimension, max_degree=d, terms=t)
+                 for d, t in ((0, 1), (2, 3), (4, 8), (6, 20))]
+        polys += [Polynomial.zero(dimension),
+                  Polynomial.constant(dimension, Fraction(-7, 3)),
+                  # high exponents and negative coefficients only
+                  Polynomial(dimension, {(11,) + (0,) * (dimension - 1): -2,
+                                         (0,) * (dimension - 1) + (9,):
+                                         Fraction(-1, 3)}),
+                  # more terms than one generated statement holds
+                  Polynomial(dimension, {
+                      m: Fraction(rng.uniform(-10, 10)).limit_denominator(997)
+                      for m in monomials_up_to_degree(dimension, many)})]
+        points = rng.uniform(-1.5, 1.5, size=(30, dimension))
+        cases.append((polys, points))
+    return cases
+
+
+def test_float_kernel_is_bit_identical_to_the_term_loop():
+    rng = np.random.default_rng(91)
+    for polys, points in kernel_cases(rng):
+        kernel = float_kernel(polys)
+        assert len(polys[-1].terms) > 64
+        for x in points:
+            for point in (tuple(x.tolist()), x):
+                want = [evaluate_float_terms(p, point).hex() for p in polys]
+                assert [float(v).hex() for v in kernel(point)] == want
+                assert [float(p.evaluate_float(point)).hex()
+                        for p in polys] == want
+    assert float_kernel([])((0.5, 0.5)) == ()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        float_kernel([X1, Polynomial.variable(3, 0)])
+
 
 def test_is_homogeneous():
     assert (X1 ** 2 + X1 * X2).is_homogeneous() == 2
@@ -336,6 +373,28 @@ def test_parse_errors_carry_column():
         parse_polynomial("x1 +", 2)
     with pytest.raises(PolynomialParseError):
         parse_polynomial("x1^y", 2)
+
+
+def test_long_input_parses_like_the_term_by_term_sum():
+    """400 signed terms with repeated monomials, against the sum of the
+    terms parsed one at a time."""
+    rng = np.random.default_rng(92)
+    basis = monomials_up_to_degree(3, 5)
+    parts, reference = [], Polynomial.zero(3)
+    for k in range(400):
+        mono = basis[int(rng.integers(len(basis)))]
+        coeff = (f"{int(rng.integers(1, 50))}/{int(rng.integers(1, 50))}"
+                 if k % 2 else f"{rng.uniform(0.01, 9):.4f}")
+        body = "*".join([coeff] + [f"x{j + 1}^{e}" for j, e in enumerate(mono)
+                                   if e])
+        sign = "-" if rng.integers(2) else "+"
+        parts.append(f"{sign} {body}")
+        term = parse_polynomial(body, 3)
+        reference = reference + (-term if sign == "-" else term)
+    text = " ".join(parts)
+    assert len(reference.terms) >= 40
+    assert parse_polynomial(text, 3) == reference
+    assert parse_polynomial(text.removeprefix("+ "), 3) == reference
 
 
 def test_format_float_coefficients_roundtrip():
