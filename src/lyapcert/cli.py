@@ -384,7 +384,6 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
     report = oracle.verify_conic(
         cert.candidate, system, grid_density=args.density,
         **({"activation_tol": tau} if tau is not None else {}))
-    cert.oracle_summary = report.summary_dict()
     out = _out_dir(args)
     path = out / "certificate.txt"
     path.write_text(format_conic_certificate(cert, system, report))
@@ -423,7 +422,6 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
             cert = outcome.certificate
             report = oracle.verify_sos(cert.V, system, samples=args.samples,
                                        seed=_seed(args, spec))
-            cert.oracle_summary = report.summary_dict()
             path = out / "certificate.txt"
             path.write_text(format_sos_certificate(cert, system, report))
             (out / "report.txt").write_text(report.to_text())

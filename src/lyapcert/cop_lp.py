@@ -33,7 +33,7 @@ from . import linprog
 from .cones import PolyhedralCone, SimplicialPartition, Simplex, cone_orthant_sections, face_sections
 from .poly import (Mono, Polynomial, bernstein_coefficients, float_kernel,
                    monomials_of_degree, norm_squared)
-from .tangency import face_eta_polynomial
+from .tangency import FaceEtaBranches, face_eta_polynomial
 
 logger = logging.getLogger(__name__)
 
@@ -150,7 +150,6 @@ class ConicCertificate:
     lp_rows: int
     lp_pivots: int
     corner_flags: list[str] = field(default_factory=list)
-    oracle_summary: dict | None = None
 
 
 @dataclass
@@ -159,7 +158,6 @@ class LevelReport:
     r: int
     sweeps_done: int
     best_margin: float
-    last_rows: int
 
 
 @dataclass
@@ -173,58 +171,39 @@ class HierarchyOutcome:
         return self.certificate is not None
 
 
-def build_s0(h_basis: list[Mono], r: int, f: list[Polynomial]
-             ) -> list[Polynomial]:
-    """Interior decrease contributions, one polynomial per h-basis monomial.
+def decrease_polynomials(hs: list[Polynomial], r: int,
+                         velocity: list[Polynomial]) -> list[Polynomial]:
+    """-|x|^2 <grad h, v> + 2 r h <x, v> for each h, along the field v.
 
-    s0(x) = -|x|^2 <grad h, f> + 2 r h <x, f>, which is linear in the
-    coefficients of h; entry m is s0 for h = the m-th basis monomial.
+    This is |x|^(2r+2) times the derivative of V = h / |x|^(2r) along v,
+    so it has V's decrease sign, and it is linear in h.  With v = f it is
+    the interior decrease s0.
     """
-    n = f[0].dimension
+    n = velocity[0].dimension
     nrm = norm_squared(n)
-    xdotf = Polynomial.zero(n)
-    for i in range(n):
-        xdotf = xdotf + Polynomial.variable(n, i) * f[i]
+    xdotv = Polynomial.zero(n)
+    for i, vi in enumerate(velocity):
+        xdotv = xdotv + Polynomial.variable(n, i) * vi
     out = []
-    for mono in h_basis:
-        hm = Polynomial.monomial(mono)
-        grad = hm.gradient()
-        gdotf = Polynomial.zero(n)
-        for gi, fi in zip(grad, f):
-            gdotf = gdotf + gi * fi
-        s0m = -(nrm * gdotf) + (2 * r) * (hm * xdotf)
-        out.append(s0m)
+    for h in hs:
+        gdotv = Polynomial.zero(n)
+        for gi, vi in zip(h.gradient(), velocity):
+            gdotv = gdotv + gi * vi
+        out.append(-(nrm * gdotv) + (2 * r) * (h * xdotv))
     return out
 
 
-def build_si(h_basis: list[Mono], r: int, f: list[Polynomial],
-             cone: PolyhedralCone, face_index: int, branch: str
-             ) -> list[Polynomial]:
-    """Face decrease contributions for one branch, per h-basis monomial.
+def build_si(hs: list[Polynomial], r: int, f: list[Polynomial],
+             branches: FaceEtaBranches) -> list[Polynomial]:
+    """Face decrease on eta branch "b" of one face, for each h.
 
-    Branch "a" is eta = 0 and coincides with s0 on the face.  Branch "b"
-    uses the closed-form projection; the result is premultiplied by
-    |c_i|^2 to clear the denominator, which preserves signs.
+    Branch "b" moves along the closed-form projection f + eta_b, here
+    premultiplied by |c_i|^2 to clear the denominator, which preserves
+    signs.  Branch "a" is eta = 0, whose rows are s0's.
     """
-    if branch == "a":
-        return build_s0(h_basis, r, f)
-    if branch != "b":
-        raise ConicSetupError(f"unknown branch {branch!r}")
-    n = f[0].dimension
-    branches = face_eta_polynomial(cone, face_index, f)
-    velocity = [f[i].scale(branches.c_norm_sq) + branches.eta_b_scaled[i]
-                for i in range(n)]
-    nrm = norm_squared(n)
-    out = []
-    for mono in h_basis:
-        hm = Polynomial.monomial(mono)
-        grad = hm.gradient()
-        total = Polynomial.zero(n)
-        for i in range(n):
-            lhs_i = nrm * grad[i] - (2 * r) * (hm * Polynomial.variable(n, i))
-            total = total + lhs_i * velocity[i]
-        out.append(-total)
-    return out
+    velocity = [fi.scale(branches.c_norm_sq) + eta
+                for fi, eta in zip(f, branches.eta_b_scaled)]
+    return decrease_polynomials(hs, r, velocity)
 
 
 class _LevelData:
@@ -237,13 +216,14 @@ class _LevelData:
         self.h_basis = monomials_of_degree(n, degree)
         self.s0_order = degree + system.field_degree + 1
         self.h_polys = [Polynomial.monomial(m) for m in self.h_basis]
-        self.s0_polys = build_s0(self.h_basis, r, system.f)
+        self.s0_polys = decrease_polynomials(self.h_polys, r, system.f)
         self.face_b_polys: dict[int, list[Polynomial]] = {}
         self.face_w: dict[int, Polynomial] = {}
         for i in range(1, system.cone.num_rows + 1):
-            self.face_w[i] = face_eta_polynomial(system.cone, i, system.f).w
-            self.face_b_polys[i] = build_si(self.h_basis, r, system.f,
-                                            system.cone, i, "b")
+            branches = face_eta_polynomial(system.cone, i, system.f)
+            self.face_w[i] = branches.w
+            self.face_b_polys[i] = build_si(self.h_polys, r, system.f,
+                                            branches)
 
 
 def _cell_rows(level: _LevelData, state: SectionState, section_idx: int,
@@ -426,15 +406,13 @@ def run_hierarchy(system: ConicSystem,
                         margin=margin, sections=sections, degree=degree, r=r,
                         sweeps_used=sweeps, lp_rows=len(prov),
                         lp_pivots=result.pivots, corner_flags=list(flags))
-                    levels.append(LevelReport(degree, r, sweeps, margin,
-                                              len(prov)))
+                    levels.append(LevelReport(degree, r, sweeps, margin))
                     return HierarchyOutcome(cert, levels)
             if sweeps >= max_sweeps:
                 break
             sections = _refine(sections, lp, prov, result)
             sweeps += 1
-        levels.append(LevelReport(degree, r, sweeps, best_margin,
-                                  len(prov) if prov else 0))
+        levels.append(LevelReport(degree, r, sweeps, best_margin))
     return HierarchyOutcome(None, levels, failure)
 
 
@@ -467,16 +445,3 @@ def _refine(sections: list[SectionState], lp: linprog.LinearProgram,
             out.append(state)
     return out
 
-
-def interior_decrease_polynomial(candidate: RationalLyapunovCandidate,
-                                 f: list[Polynomial]) -> Polynomial:
-    """s0 for a concrete candidate: -|x|^2 <grad h, f> + 2 r h <x, f>."""
-    n = candidate.h.dimension
-    nrm = norm_squared(n)
-    grad = candidate.h.gradient()
-    gdotf = Polynomial.zero(n)
-    xdotf = Polynomial.zero(n)
-    for i in range(n):
-        gdotf = gdotf + grad[i] * f[i]
-        xdotf = xdotf + Polynomial.variable(n, i) * f[i]
-    return -(nrm * gdotf) + (2 * candidate.r) * (candidate.h * xdotf)

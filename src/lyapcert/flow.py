@@ -50,6 +50,8 @@ STATE_TOL = 1e-8         # every stored state is this close to the set
 KKT_TOL = 1e-12          # set projection residual, relative to 1 + |z|
 MAX_PROJECTION_ITER = 100  # iterations of one set projection
 
+System = ConicSystem | SemialgebraicSystem
+
 
 class FlowError(RuntimeError):
     """A numerical failure: a projection that fails or a state that leaves
@@ -236,12 +238,17 @@ def step(x: Sequence[float], dt: float, system: System,
     record cleared, when no constraint value there is below -FEAS_TOL;
     otherwise x_next is its projection (a set projection warm-started from
     and updating the record, see project_set) and the constraints are
-    evaluated again at x_next.  x_next below -feas_tol, or a NaN value,
-    raises FlowError.
+    evaluated again at x_next.  x_next below -feas_tol, a NaN value, or a
+    value past the float range raises FlowError.
     """
-    fx = system.field_kernel(x)
-    z = tuple([a + dt * b for a, b in zip(x, fx)])
-    x_next, lowest, eta_used = z, _lowest(system, z), (0.0,) * len(z)
+    try:
+        fx = system.field_kernel(x)
+        z = tuple([a + dt * b for a, b in zip(x, fx)])
+        lowest = _lowest(system, z)
+    except OverflowError as exc:
+        # float ** raises where * gives inf: the state has blown up
+        raise FlowError("state overflowed the float range") from exc
+    x_next, eta_used = z, (0.0,) * len(z)
     if not lowest >= -FEAS_TOL:
         if isinstance(system, ConicSystem):
             x_next = tuple(map(float, project_cone(z, system.cone)))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cones import cone_orthant_sections, face_sections, Simplex
 from .cop_lp import (ConicSystem, RationalLyapunovCandidate,
-                     interior_decrease_polynomial)
+                     decrease_polynomials)
 from .poly import Polynomial, grlex_key
 from .sos_cert import SemialgebraicSystem
 from .tangency import eta_projection
@@ -73,9 +73,6 @@ class Report:
 
     def worst(self) -> CheckResult | None:
         return min(self.checks, key=lambda c: c.min_value, default=None)
-
-    def summary_dict(self) -> dict:
-        return {c.name: c.min_value for c in self.checks}
 
     def to_text(self) -> str:
         lines = [f"oracle-report: {self.kind}",
@@ -208,7 +205,7 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     """
     h = candidate.h
     r = candidate.r
-    s0 = interior_decrease_polynomial(candidate, system.f)
+    s0, = decrease_polynomials([candidate.h], candidate.r, system.f)
     report = Report(kind="conic",
                     sample_rows=[] if collect_samples else None)
 

@@ -4,8 +4,13 @@ Primal-dual path following with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step, on problems in the block form
 
     minimize    sum_b <C_b, X_b>  +  c . u
-    subject to  sum_b <A_ib, X_b> +  d_i . u  =  b_i,   i = 1..m
+    subject to  sum_b <A_b[i], X_b> +  D[i] . u  =  b[i],   i = 1..m
                 X_b  positive semidefinite,   u free.
+
+SemidefiniteProgram holds exactly what the iteration reads: per block b
+one (m, s_b, s_b) array A_b of symmetric coefficient matrices, whose
+(m, s_b^2) reshape is the block's vectorized equality matrix, the (m, k)
+matrix D, the right-hand side b and the objective.
 
 All factorizations are dense; the intended scale is blocks of a few tens
 of rows and a few hundred equalities, where dense Cholesky on the Schur
@@ -13,8 +18,8 @@ complement is both fast and numerically uneventful.
 
 Per iteration: the NT scaling R of each block, R^-1 X R^-T = R^T Z R =
 diag(lam), from two Cholesky factors and one SVD; the Schur complement
-M_ij = sum_b <A_i, W A_j W>, W = R R^T, from one broadcast product per
-block; one Cholesky factor L of M and one inverse L^-1, so that every
+M_ij = sum_b <A_b[i], W A_b[j] W>, W = R R^T, from one broadcast product
+per block; one Cholesky factor L of M and one inverse L^-1, so that every
 solve with M (predictor, corrector, refinement, free-variable saddle) is
 two matrix products; and step lengths in the NT frame, where X + a dX is
 PSD exactly when diag(lam) + a R^-1 dX R^-T is (Z likewise with
@@ -32,7 +37,7 @@ records that this is evidence, not a certificate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,59 +52,67 @@ class SdpError(RuntimeError):
 
 
 @dataclass
-class EqualityRow:
-    """One linear equality: sum_b <blocks[b], X_b> + free . u = rhs.
+class SemidefiniteProgram:
+    """minimize sum_b <C_b, X_b> + c . u  subject to
+    sum_b <A_b[i], X_b> + D[i] . u = b[i]  for i = 1..m.
 
-    blocks entries may be None for blocks the row does not touch.
+    A holds one (m, s_b, s_b) array of symmetric coefficient matrices per
+    block, objective_blocks the s_b x s_b matrices C_b, D is (m, k) and
+    free_objective the k entries of c.  The arrays are checked and
+    symmetrized block by block, and the solver reads them as they are.
     """
 
-    blocks: list[np.ndarray | None]
-    free: np.ndarray
-    rhs: float
-
-
-@dataclass
-class SemidefiniteProgram:
-    block_sizes: list[int]
+    A: list[np.ndarray]
+    D: np.ndarray
+    b: np.ndarray
     objective_blocks: list[np.ndarray]
-    equalities: list[EqualityRow]
-    free_objective: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    free_objective: np.ndarray
 
     def __post_init__(self):
-        if not self.block_sizes:
+        if not self.A:
             raise SdpError("at least one block required")
-        if any(s < 1 for s in self.block_sizes):
-            raise SdpError("block sizes must be >= 1")
-        if len(self.objective_blocks) != len(self.block_sizes):
-            raise SdpError("one objective matrix per block required")
-        if not self.equalities:
+        self.b = np.asarray(self.b, dtype=float).reshape(-1)
+        m = len(self.b)
+        if m == 0:
             raise SdpError("at least one equality required")
-        self.free_objective = np.asarray(self.free_objective, dtype=float)
-        for b, (size, mat) in enumerate(zip(self.block_sizes,
-                                            self.objective_blocks)):
-            self.objective_blocks[b] = _check_sym(mat, size, f"objective block {b}")
-        for i, row in enumerate(self.equalities):
-            if len(row.blocks) != len(self.block_sizes):
-                raise SdpError(f"equality {i} has wrong block count")
-            row.blocks = [None if m is None else
-                          _check_sym(m, s, f"equality {i} block {b}")
-                          for b, (m, s) in enumerate(zip(row.blocks,
-                                                         self.block_sizes))]
-            row.free = np.asarray(row.free, dtype=float).reshape(
-                len(self.free_objective))
+        sizes = [np.shape(Ab)[-1] for Ab in self.A]
+        if min(sizes) < 1:
+            raise SdpError("block sizes must be >= 1")
+        if len(self.objective_blocks) != len(self.A):
+            raise SdpError("one objective matrix per block required")
+        self.free_objective = np.asarray(self.free_objective,
+                                         dtype=float).reshape(-1)
+        self.D = np.asarray(self.D, dtype=float)
+        if self.D.shape != (m, self.num_free):
+            raise SdpError(f"D has shape {self.D.shape}, expected "
+                           f"{(m, self.num_free)}")
+        for bi, size in enumerate(sizes):
+            self.objective_blocks[bi] = _check_sym(
+                self.objective_blocks[bi], (size, size), f"objective block {bi}")
+            self.A[bi] = _check_sym(self.A[bi], (m, size, size),
+                                    f"equality block {bi}")
+
+    @property
+    def block_sizes(self) -> list[int]:
+        return [Ab.shape[-1] for Ab in self.A]
 
     @property
     def num_free(self) -> int:
         return len(self.free_objective)
 
 
-def _check_sym(mat, size: int, what: str) -> np.ndarray:
+def _check_sym(mat, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """mat as floats of the given shape, with its last two axes symmetric
+    within 1e-12 relative; an exactly symmetric array comes back as is."""
     mat = np.asarray(mat, dtype=float)
-    if mat.shape != (size, size):
-        raise SdpError(f"{what} has shape {mat.shape}, expected {(size, size)}")
-    if np.abs(mat - mat.T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
+    if mat.shape != shape:
+        raise SdpError(f"{what} has shape {mat.shape}, expected {shape}")
+    skew = mat - mat.swapaxes(-1, -2)
+    if not skew.any():
+        return mat
+    if np.abs(skew).max() > 1e-12 * max(1.0, np.abs(mat).max()):
         raise SdpError(f"{what} is not symmetric")
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 @dataclass
@@ -115,40 +128,6 @@ class SdpResult:
     equality_residual: float | None = None
     iterations: int = 0
     infeasibility_is_heuristic: bool = False
-
-
-class _Workspace:
-    """Dense per-solve state; one workspace per solve call."""
-
-    def __init__(self, sdp: SemidefiniteProgram):
-        self.sdp = sdp
-        self.nb = len(sdp.block_sizes)
-        self.m = len(sdp.equalities)
-        self.k = sdp.num_free
-        self.b = np.array([row.rhs for row in sdp.equalities])
-        self.D = np.array([row.free for row in sdp.equalities]).reshape(
-            self.m, self.k)
-        # per block: dense (m, n*n) matrix of vectorized equality coefficients
-        self.E = []
-        for bidx, size in enumerate(sdp.block_sizes):
-            Eb = np.zeros((self.m, size * size))
-            for i, row in enumerate(sdp.equalities):
-                if row.blocks[bidx] is not None:
-                    Eb[i] = row.blocks[bidx].ravel()
-            self.E.append(Eb)
-        self.total_dim = sum(sdp.block_sizes)
-
-    def apply_A(self, X: list[np.ndarray]) -> np.ndarray:
-        out = np.zeros(self.m)
-        for Eb, Xb in zip(self.E, X):
-            out += Eb @ Xb.ravel()
-        return out
-
-    def apply_At(self, y: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for Eb, size in zip(self.E, self.sdp.block_sizes):
-            out.append((Eb.T @ y).reshape(size, size))
-        return out
 
 
 def _nt_scaling(X: np.ndarray, Z: np.ndarray):
@@ -191,44 +170,55 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
     targets the tighter gap_tol internally).  "maxiter" after max_iter
     iterations is reported distinctly from "infeasible".
     """
-    ws = _Workspace(sdp)
-    m, k = ws.m, ws.k
+    m, k, nb = len(sdp.b), sdp.num_free, len(sdp.A)
+    b, D = sdp.b, sdp.D
+    total_dim = sum(sdp.block_sizes)
+    # per block: A_b viewed as an (m, s*s) matrix of vectorized equalities
+    E = [Ab.reshape(m, -1) for Ab in sdp.A]
+
+    def apply_A(X: list[np.ndarray]) -> np.ndarray:
+        out = np.zeros(m)
+        for Eb, Xb in zip(E, X):
+            out += Eb @ Xb.ravel()
+        return out
+
+    def apply_At(y: np.ndarray) -> list[np.ndarray]:
+        return [(Eb.T @ y).reshape(s, s) for Eb, s in zip(E, sdp.block_sizes)]
 
     # rows that touch nothing decide feasibility immediately
-    for i, row in enumerate(sdp.equalities):
-        touched = any(b is not None and np.abs(b).max() > 0 for b in row.blocks)
-        touched = touched or (k and np.abs(row.free).max() > 0)
-        if not touched and abs(row.rhs) > feas_tol:
-            return SdpResult(status="infeasible",
-                             infeasibility_is_heuristic=False)
+    touched = (D != 0).any(axis=1)
+    for Eb in E:
+        touched |= (Eb != 0).any(axis=1)
+    if (np.abs(b[~touched]) > feas_tol).any():
+        return SdpResult(status="infeasible", infeasibility_is_heuristic=False)
 
-    scale = max(1.0, float(np.abs(ws.b).max()))
+    scale = max(1.0, float(np.abs(b).max()))
     X = [scale * np.eye(s) for s in sdp.block_sizes]
     Z = [scale * np.eye(s) for s in sdp.block_sizes]
     y = np.zeros(m)
     u = np.zeros(k)
 
-    norm_b = 1.0 + np.linalg.norm(ws.b)
+    norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + max(np.linalg.norm(Cb) for Cb in sdp.objective_blocks) \
         + (np.linalg.norm(sdp.free_objective) if k else 0.0)
 
     status = "maxiter"
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        Aty = ws.apply_At(y)
-        r_p = ws.b - ws.apply_A(X) - (ws.D @ u if k else 0.0)
-        R_d = [sdp.objective_blocks[bi] - Z[bi] - Aty[bi] for bi in range(ws.nb)]
-        r_f = sdp.free_objective - ws.D.T @ y if k else np.zeros(0)
+        Aty = apply_At(y)
+        r_p = b - apply_A(X) - (D @ u if k else 0.0)
+        R_d = [sdp.objective_blocks[bi] - Z[bi] - Aty[bi] for bi in range(nb)]
+        r_f = sdp.free_objective - D.T @ y if k else np.zeros(0)
 
-        mu = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z)) / ws.total_dim
+        mu = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z)) / total_dim
         pobj = sum(float(np.tensordot(Cb, Xb))
                    for Cb, Xb in zip(sdp.objective_blocks, X)) \
             + (float(sdp.free_objective @ u) if k else 0.0)
-        dobj = float(ws.b @ y)
+        dobj = float(b @ y)
         rel_p = np.linalg.norm(r_p) / norm_b
         rel_d = (max(np.linalg.norm(Rb) for Rb in R_d)
                  + (np.linalg.norm(r_f) if k else 0.0)) / norm_c
-        gap = mu * ws.total_dim / (1.0 + abs(pobj) + abs(dobj))
+        gap = mu * total_dim / (1.0 + abs(pobj) + abs(dobj))
 
         if rel_p <= feas_tol and rel_d <= feas_tol and gap <= gap_tol:
             status = "solution"
@@ -243,23 +233,22 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
 
         # NT scaling per block; nudge nearly singular iterates once
         try:
-            scal = [_nt_scaling(X[bi], Z[bi]) for bi in range(ws.nb)]
+            scal = [_nt_scaling(X[bi], Z[bi]) for bi in range(nb)]
         except np.linalg.LinAlgError:
-            for bi in range(ws.nb):
+            for bi in range(nb):
                 size = sdp.block_sizes[bi]
                 X[bi] = X[bi] + 1e-12 * max(1.0, np.trace(X[bi])) * np.eye(size)
                 Z[bi] = Z[bi] + 1e-12 * max(1.0, np.trace(Z[bi])) * np.eye(size)
             try:
-                scal = [_nt_scaling(X[bi], Z[bi]) for bi in range(ws.nb)]
+                scal = [_nt_scaling(X[bi], Z[bi]) for bi in range(nb)]
             except np.linalg.LinAlgError:
                 break
         W = [R @ R.T for R, _, _ in scal]
 
         # Schur complement M_ij = sum_b <A_i, W A_j W>
         M = np.zeros((m, m))
-        for Eb, Wb, size in zip(ws.E, W, sdp.block_sizes):
-            WEW = Wb @ Eb.reshape(m, size, size) @ Wb
-            M += WEW.reshape(m, size * size) @ Eb.T
+        for Ab, Eb, Wb in zip(sdp.A, E, W):
+            M += (Wb @ Ab @ Wb).reshape(m, -1) @ Eb.T
         ridge = 1e-13 * max(1.0, np.trace(M) / m)
 
         def factor(Mmat, ridge):
@@ -281,14 +270,14 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
             return Linv.T @ (Linv @ rhs)
 
         if k:
-            MiD = solve_M(ws.D)
-            S_free = ws.D.T @ MiD + 1e-13 * np.eye(k)
+            MiD = solve_M(D)
+            S_free = D.T @ MiD + 1e-13 * np.eye(k)
 
         def saddle(rhs1, rhs2):
             t = solve_M(rhs1)
             if not k:
                 return t, np.zeros(0)
-            du = np.linalg.solve(S_free, ws.D.T @ t - rhs2)
+            du = np.linalg.solve(S_free, D.T @ t - rhs2)
             return t - MiD @ du, du
 
         def newton(F: list[np.ndarray]):
@@ -296,9 +285,9 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
             iterative refinement against residual creep in ill-conditioned
             late iterations."""
             rhs1 = r_p.copy()
-            for bi in range(ws.nb):
+            for bi in range(nb):
                 G = F[bi] - W[bi] @ R_d[bi] @ W[bi]
-                rhs1 -= ws.E[bi] @ G.ravel()
+                rhs1 -= E[bi] @ G.ravel()
             dy, du = saddle(rhs1, r_f)
             dZ: list[np.ndarray] = []
             dX: list[np.ndarray] = []
@@ -306,8 +295,8 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
             def recompute_steps(dy_vec):
                 dZ.clear()
                 dX.clear()
-                Atdy = ws.apply_At(dy_vec)
-                for bi in range(ws.nb):
+                Atdy = apply_At(dy_vec)
+                for bi in range(nb):
                     dZb = R_d[bi] - Atdy[bi]
                     dZb = 0.5 * (dZb + dZb.T)
                     dXb = F[bi] - W[bi] @ dZb @ W[bi]
@@ -316,8 +305,8 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
 
             recompute_steps(dy)
             for _ in range(2):
-                res_p = r_p - ws.apply_A(dX) - (ws.D @ du if k else 0.0)
-                res_f = (r_f - ws.D.T @ dy) if k else np.zeros(0)
+                res_p = r_p - apply_A(dX) - (D @ du if k else 0.0)
+                res_f = (r_f - D.T @ dy) if k else np.zeros(0)
                 if np.abs(res_p).max(initial=0.0) <= 1e-13 * norm_b and \
                         np.abs(res_f).max(initial=0.0) <= 1e-13 * norm_c:
                     break
@@ -333,21 +322,21 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
         mu_aff = sum(
             float(np.tensordot(X[bi] + alpha_p * dX_aff[bi],
                                Z[bi] + alpha_d * dZ_aff[bi]))
-            for bi in range(ws.nb)) / ws.total_dim
+            for bi in range(nb)) / total_dim
         sigma = min(1.0, max(1e-12, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector in the scaled space
         F = []
         for (R, _, lam), dXh, dZh in zip(scal, dXh_aff, dZh_aff):
             corr = 0.5 * (dXh @ dZh + dZh @ dXh)
-            E = sigma * mu * np.eye(len(lam)) - np.diag(lam ** 2) - corr
+            target = sigma * mu * np.eye(len(lam)) - np.diag(lam ** 2) - corr
             denom = lam[:, None] + lam[None, :]
-            S = 2.0 * E / denom
+            S = 2.0 * target / denom
             F.append(R @ S @ R.T)
         dX, du, dy, dZ = newton(F)
         _, _, alpha_p, alpha_d = _nt_frame(scal, dX, dZ)
 
-        for bi in range(ws.nb):
+        for bi in range(nb):
             X[bi] = X[bi] + alpha_p * dX[bi]
             Z[bi] = Z[bi] + alpha_d * dZ[bi]
             X[bi] = 0.5 * (X[bi] + X[bi].T)
@@ -356,11 +345,11 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
         y = y + alpha_d * dy
 
     eq_residual = float(np.linalg.norm(
-        ws.b - ws.apply_A(X) - (ws.D @ u if k else 0.0), ord=np.inf))
+        b - apply_A(X) - (D @ u if k else 0.0), ord=np.inf))
     pobj = sum(float(np.tensordot(Cb, Xb))
                for Cb, Xb in zip(sdp.objective_blocks, X)) \
         + (float(sdp.free_objective @ u) if k else 0.0)
-    dobj = float(ws.b @ y)
+    dobj = float(b @ y)
     comp = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z))
     result = SdpResult(
         status=status,
@@ -385,38 +374,30 @@ def dump_sdpa_sparse(sdp: SemidefiniteProgram) -> str:
     standard  min (-b).y  s.t.  sum y_i F_i - F0 >= 0  with F_i = -A_i and
     F0 = -C; free-variable equalities become a paired diagonal block.
     """
-    m = len(sdp.equalities)
+    m = len(sdp.b)
     k = sdp.num_free
     sizes = list(sdp.block_sizes)
     if k:
         sizes.append(-2 * k)  # negative marks a diagonal block
     lines = [f"{m}", f"{len(sizes)}", " ".join(str(s) for s in sizes),
-             " ".join(repr(float(-row.rhs)) for row in sdp.equalities)]
+             " ".join(repr(float(-v)) for v in sdp.b)]
 
     def emit(matno: int, blkno: int, mat: np.ndarray):
-        for i in range(mat.shape[0]):
-            for j in range(i, mat.shape[1]):
-                if mat[i, j] != 0.0:
-                    lines.append(
-                        f"{matno} {blkno} {i + 1} {j + 1} {float(mat[i, j])!r}")
+        """The upper triangle of -mat: F_i = -A_i, F0 = -C."""
+        for i, j in zip(*np.nonzero(np.triu(mat))):
+            lines.append(f"{matno} {blkno} {i + 1} {j + 1} {-float(mat[i, j])!r}")
+
+    def emit_free(matno: int, values: np.ndarray):
+        for j in np.flatnonzero(values):
+            v = float(values[j])
+            lines.append(f"{matno} {len(sizes)} {j + 1} {j + 1} {v!r}")
+            lines.append(f"{matno} {len(sizes)} {k + j + 1} {k + j + 1} {-v!r}")
 
     for b, Cb in enumerate(sdp.objective_blocks):
-        emit(0, b + 1, -Cb)  # F0 = -C
-    if k:
-        for j, cj in enumerate(sdp.free_objective):
-            if cj != 0.0:
-                cj = float(cj)
-                lines.append(f"0 {len(sizes)} {j + 1} {j + 1} {cj!r}")
-                lines.append(f"0 {len(sizes)} {k + j + 1} {k + j + 1} {-cj!r}")
-    for i, row in enumerate(sdp.equalities):
-        for b, mat in enumerate(row.blocks):
-            if mat is not None:
-                emit(i + 1, b + 1, -mat)
-        if k:
-            for j, dj in enumerate(row.free):
-                if dj != 0.0:
-                    dj = float(dj)
-                    lines.append(f"{i + 1} {len(sizes)} {j + 1} {j + 1} {dj!r}")
-                    lines.append(
-                        f"{i + 1} {len(sizes)} {k + j + 1} {k + j + 1} {-dj!r}")
+        emit(0, b + 1, Cb)
+    emit_free(0, sdp.free_objective)
+    for i in range(m):
+        for b, Ab in enumerate(sdp.A):
+            emit(i + 1, b + 1, Ab[i])
+        emit_free(i + 1, sdp.D[i])
     return "\n".join(lines) + "\n"

@@ -14,14 +14,16 @@ matching per monomial gives the linear equalities.  All three come from one
 builder, _assemble_identity, for sum_m V_m lhs_m - offset = s_0 +
 sum_i s_i g_i (+ phi_j g_j); the public assemble_condition_* functions only
 choose lhs, offset, degree and names.  Both tiers read the rows through one
-float layout (_FloatLayout: Gram entries, then free coefficients) and
-unpack their solutions through it.  The SDP tier shifts every Gram by a
-common margin t (G - t I psd) and maximizes t; the DSOS tier replaces
-positive semidefiniteness by diagonal dominance, which is an LP and a
-strictly smaller but cheaper certificate class.  A certificate is accepted
-only after substituting the Grams back into the exact rows and re-deriving
-every identity within tolerance; a failed recheck is an error, never a
-silent acceptance.
+float layout (_FloatLayout: Gram entries, then free coefficients, with every
+row's terms as flat (row, column, value) arrays) and unpack their
+solutions through it.  The SDP tier shifts every Gram by a common margin t
+(G - t I psd), maximizes t, and scatters the terms straight into the
+solver's per-block coefficient arrays; the DSOS tier replaces positive
+semidefiniteness by diagonal dominance, which is an LP and a strictly
+smaller but cheaper certificate class, and scatters the same terms into
+the LP's equality rows.  A certificate is accepted only after substituting
+the Grams back into the exact rows and re-deriving every identity within
+tolerance; a failed recheck is an error, never a silent acceptance.
 
 With the default zero decrease margin the certificate is flagged "weak
 decrease" and strict negativity off the origin must be confirmed by the
@@ -42,7 +44,7 @@ import numpy as np
 from . import linprog
 from .poly import (Mono, Polynomial, float_kernel, monomials_of_degree,
                    monomials_up_to_degree, norm_squared)
-from .sdpsolve import EqualityRow, SdpResult, SemidefiniteProgram, solve_sdp
+from .sdpsolve import SdpResult, SemidefiniteProgram, solve_sdp
 from .tangency import SemialgebraicSet
 
 logger = logging.getLogger(__name__)
@@ -347,7 +349,6 @@ class SosCertificate:
     eps_pd: float
     decrease_margin: Polynomial | None
     flags: list[str] = field(default_factory=list)
-    oracle_summary: dict | None = None
 
 
 @dataclass
@@ -382,25 +383,36 @@ class _FloatLayout:
 
     Columns are the Gram entries (block, i, j) with i <= j, block by block
     in sorted name order, then the free coefficients group by group in
-    sorted name order; column maps each key to its index.  rows[k] holds
-    row k's (column, value) terms in the order they were entered, Gram
-    terms first; rhs[k] is -constant.
+    sorted name order.  entry_block, entry_i and entry_j give each Gram
+    column's block index and position.  row, col and val hold every term
+    of every row as flat arrays, row by row and, within a row, in the
+    order the terms were entered, Gram terms first; rhs[k] is row k's
+    -constant.  No (row, column) pair occurs twice.
     """
 
     def __init__(self, eq: EqualitySystem):
         self.blocks = sorted(eq.blocks)
         self.sizes = [eq.blocks[name].size for name in self.blocks]
-        self.entries = [(name, i, j)
-                        for name, s in zip(self.blocks, self.sizes)
-                        for i in range(s) for j in range(i, s)]
+        entries = [(b, i, j) for b, s in enumerate(self.sizes)
+                   for i in range(s) for j in range(i, s)]
+        self.entry_block, self.entry_i, self.entry_j = \
+            np.array(entries, dtype=np.intp).reshape(-1, 3).T
         self.free = [(group, mono) for group in sorted(eq.free_groups)
                      for mono in eq.free_groups[group]]
-        self.column = {key: c for c, key in
-                       enumerate(self.entries + self.free)}
-        self.rows = [[(self.column[key], float(coeff)) for key, coeff
-                      in (*expr.gram.items(), *expr.free.items())]
-                     for _, expr in eq.rows]
-        self.rhs = [-float(expr.constant) for _, expr in eq.rows]
+        column = {key: c for c, key in enumerate(
+            [(self.blocks[b], i, j) for b, i, j in entries] + self.free)}
+        terms = np.array([(k, column[key], float(coeff))
+                          for k, (_, expr) in enumerate(eq.rows)
+                          for key, coeff in (*expr.gram.items(),
+                                             *expr.free.items())],
+                         dtype=float).reshape(-1, 3)
+        self.row, self.col = terms[:, :2].astype(np.intp).T
+        self.val = terms[:, 2]
+        self.rhs = np.array([-float(expr.constant) for _, expr in eq.rows])
+
+    @property
+    def num_entries(self) -> int:
+        return len(self.entry_block)
 
     def unpack(self, entries: np.ndarray, free: np.ndarray
                ) -> tuple[dict[str, np.ndarray], dict[str, dict[Mono, float]]]:
@@ -422,48 +434,39 @@ class _FloatLayout:
 def _solve_sdp_tier(eq: EqualitySystem, gap_tol: float = 1e-9,
                     on_sdp=None
                     ) -> tuple[SdpResult, dict[str, np.ndarray], dict, float]:
-    """Max t with every Gram shifted: blocks are Y = G - t I >= 0."""
+    """Max t with every Gram shifted: blocks are Y = G - t I >= 0.
+
+    G_ii = Y_ii + t puts each row's sum of diagonal coefficients on t, an
+    off-diagonal coefficient c of G_ij is c/2 at (i, j) and (j, i) of the
+    row's matrix, and a last row caps t + s = 1 with s an extra 1 x 1
+    block.
+    """
     layout = _FloatLayout(eq)
-    sizes = layout.sizes
-    block_index = {name: i for i, name in enumerate(layout.blocks)}
-    ne = len(layout.entries)
-    nt = len(layout.free)    # index of t among free scalars
+    ne, nt = layout.num_entries, len(layout.free)   # nt: t's free index
+    m = len(layout.rhs) + 1
+    gram = layout.col < ne
+    row, col, val = layout.row[gram], layout.col[gram], layout.val[gram]
+    block = layout.entry_block[col]
+    i, j = layout.entry_i[col], layout.entry_j[col]
+    diag = i == j
+    half = np.where(diag, val, val / 2.0)
+    A = [np.zeros((m, s, s)) for s in layout.sizes + [1]]
+    for bi, Ab in enumerate(A[:-1]):
+        mine = block == bi
+        Ab[row[mine], i[mine], j[mine]] = half[mine]
+        Ab[row[mine], j[mine], i[mine]] = half[mine]
+    A[-1][-1] = 1.0
+    D = np.zeros((m, nt + 1))
+    D[layout.row[~gram], layout.col[~gram] - ne] = layout.val[~gram]
+    D[:-1, nt] = np.bincount(row[diag], weights=val[diag], minlength=m - 1)
+    D[-1, nt] = 1.0
 
-    equalities: list[EqualityRow] = []
-    for terms, rhs in zip(layout.rows, layout.rhs):
-        mats: list[np.ndarray | None] = [None] * len(sizes)
-        free_row = np.zeros(nt + 1)
-        t_coeff = 0.0
-        for col, c in terms:
-            if col >= ne:
-                free_row[col - ne] += c
-                continue
-            name, i, j = layout.entries[col]
-            bi = block_index[name]
-            if mats[bi] is None:
-                mats[bi] = np.zeros((sizes[bi], sizes[bi]))
-            if i == j:
-                mats[bi][i, i] += c
-                t_coeff += c  # G_ii = Y_ii + t
-            else:
-                mats[bi][i, j] += c / 2.0
-                mats[bi][j, i] += c / 2.0
-        free_row[nt] = t_coeff
-        equalities.append(EqualityRow(blocks=mats + [None], free=free_row,
-                                      rhs=rhs))
-    # cap: t + s = 1 with s the extra 1x1 block
-    cap_mats: list[np.ndarray | None] = [None] * len(sizes) + [np.ones((1, 1))]
-    cap_free = np.zeros(nt + 1)
-    cap_free[nt] = 1.0
-    equalities.append(EqualityRow(blocks=cap_mats, free=cap_free, rhs=1.0))
-
-    objective_blocks = [TRACE_PENALTY / s * np.eye(s) for s in sizes]
+    objective_blocks = [TRACE_PENALTY / s * np.eye(s) for s in layout.sizes]
     objective_blocks.append(np.zeros((1, 1)))
     free_objective = np.zeros(nt + 1)
     free_objective[nt] = -1.0  # maximize t
-    sdp = SemidefiniteProgram(block_sizes=sizes + [1],
+    sdp = SemidefiniteProgram(A=A, D=D, b=np.append(layout.rhs, 1.0),
                               objective_blocks=objective_blocks,
-                              equalities=equalities,
                               free_objective=free_objective)
     if on_sdp is not None:
         on_sdp(sdp)
@@ -472,7 +475,7 @@ def _solve_sdp_tier(eq: EqualitySystem, gap_tol: float = 1e-9,
     if result.blocks is not None and result.free is not None:
         t_star = float(result.free[nt])
         entries = np.concatenate([(Y + t_star * np.eye(s))[np.triu_indices(s)]
-                                  for Y, s in zip(result.blocks, sizes)])
+                                  for Y, s in zip(result.blocks, layout.sizes)])
         grams, frees = layout.unpack(entries, result.free[:nt])
     return result, grams, frees, t_star
 
@@ -482,59 +485,46 @@ def _solve_dsos_tier(eq: EqualitySystem
     """Diagonal-dominance relaxation: one LP over Gram entries.
 
     Columns: the layout's Gram entries, u_ij >= |G_ij| per off-diagonal
-    entry, the layout's free coefficients, then t.
+    entry, the layout's free coefficients, then t.  Rows: the layout's
+    equalities; per Gram diagonal G_kk - t - sum_j u_kj >= 0; per
+    off-diagonal entry G_ij - u_ij <= 0 and -G_ij - u_ij <= 0.
     """
     layout = _FloatLayout(eq)
-    ne = len(layout.entries)
-    abs_index = {key: ne + k for k, key in
-                 enumerate(key for key in layout.entries if key[1] != key[2])}
-    free_offset = ne + len(abs_index)
+    ne = layout.num_entries
+    block, i, j = layout.entry_block, layout.entry_i, layout.entry_j
+    diag = np.flatnonzero(i == j)
+    off = np.flatnonzero(i != j)
+    u = ne + np.arange(len(off))            # the column of u for each off
+    free_offset = ne + len(off)
     t_col = free_offset + len(layout.free)
-    cols = t_col + 1
+    n_eq, n_dd = len(layout.rhs), len(diag)
+    # dd[e] + k is the dominance row of G_kk in the block of entry e
+    dd = n_eq + np.cumsum([0] + layout.sizes)[block]
+    r0 = n_eq + n_dd + 2 * np.arange(len(off))
 
-    rows: list[np.ndarray] = []
-    rels: list[str] = []
-    rhs: list[float] = []
-    for terms, value in zip(layout.rows, layout.rhs):
-        row = np.zeros(cols)
-        for col, c in terms:
-            row[col if col < ne else col - ne + free_offset] += c
-        rows.append(row)
-        rels.append(linprog.EQ)
-        rhs.append(value)
-    # diagonal dominance with shift: G_kk - t - sum_j u_kj >= 0
-    for name, s in zip(layout.blocks, layout.sizes):
-        for i in range(s):
-            row = np.zeros(cols)
-            row[layout.column[(name, i, i)]] = 1.0
-            row[t_col] = -1.0
-            for j in range(s):
-                if j == i:
-                    continue
-                a, b = min(i, j), max(i, j)
-                row[abs_index[(name, a, b)]] -= 1.0
-            rows.append(row)
-            rels.append(linprog.GE)
-            rhs.append(0.0)
-    # |G_ij| <= u_ij
-    for (name, i, j), ui in abs_index.items():
-        for sign in (1.0, -1.0):
-            row = np.zeros(cols)
-            row[layout.column[(name, i, j)]] = sign
-            row[ui] = -1.0
-            rows.append(row)
-            rels.append(linprog.LE)
-            rhs.append(0.0)
+    A = np.zeros((n_eq + n_dd + 2 * len(off), t_col + 1))
+    A[layout.row, np.where(layout.col < ne, layout.col,
+                           layout.col - ne + free_offset)] = layout.val
+    A[dd[diag] + i[diag], diag] = 1.0
+    A[n_eq:n_eq + n_dd, t_col] = -1.0
+    A[dd[off] + i[off], u] = -1.0
+    A[dd[off] + j[off], u] = -1.0
+    A[r0, off] = 1.0
+    A[r0 + 1, off] = -1.0
+    A[r0, u] = A[r0 + 1, u] = -1.0
 
-    objective = np.zeros(cols)
+    objective = np.zeros(t_col + 1)
     objective[t_col] = 1.0
-    bounds: list[tuple[float | None, float | None]] = [(None, None)] * cols
-    for ui in abs_index.values():
+    bounds: list[tuple[float | None, float | None]] = [(None, None)] * (t_col + 1)
+    for ui in u:
         bounds[ui] = (0.0, None)
     bounds[t_col] = (None, 1.0)
-    lp = linprog.LinearProgram(objective=objective, A=np.array(rows),
-                               relations=rels, b=np.array(rhs), bounds=bounds,
-                               maximize=True)
+    lp = linprog.LinearProgram(
+        objective=objective, A=A,
+        relations=[linprog.EQ] * n_eq + [linprog.GE] * n_dd
+        + [linprog.LE] * (2 * len(off)),
+        b=np.concatenate([layout.rhs, np.zeros(n_dd + 2 * len(off))]),
+        bounds=bounds, maximize=True)
     result = linprog.solve(lp)
     grams, frees, t_star = {}, {}, float("nan")
     if result.status == "optimal":

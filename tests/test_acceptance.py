@@ -20,7 +20,7 @@ from lyapcert.flow import simulate
 from lyapcert.oracle import barycentric_grid, verify_conic
 from lyapcert.poly import (Polynomial, SymmetricTensor, monomials_of_degree,
                            parse_polynomial)
-from lyapcert.sdpsolve import EqualityRow, SemidefiniteProgram, solve_sdp
+from lyapcert.sdpsolve import SemidefiniteProgram, solve_sdp
 from lyapcert.sos_cert import (SemialgebraicSystem, assemble_condition_ii,
                                assemble_condition_iii, solve_certificate)
 from lyapcert.tangency import SemialgebraicSet
@@ -295,12 +295,13 @@ def test_criterion_4_solver_oracles():
     for _ in range(100):
         Q = rng.standard_normal((6, 6))
         A = 0.5 * (Q + Q.T)
-        eqs = [EqualityRow(blocks=[_sym_unit(6, i, j)],
-                           free=np.array([1.0 if i == j else 0.0]),
-                           rhs=float(A[i, j]))
-               for i in range(6) for j in range(i, 6)]
-        sdp = SemidefiniteProgram([6], [np.zeros((6, 6))], eqs,
-                                  free_objective=np.array([-1.0]))
+        pairs = [(i, j) for i in range(6) for j in range(i, 6)]
+        sdp = SemidefiniteProgram(
+            A=[np.array([_sym_unit(6, i, j) for i, j in pairs])],
+            D=np.array([[1.0 if i == j else 0.0] for i, j in pairs]),
+            b=np.array([A[i, j] for i, j in pairs]),
+            objective_blocks=[np.zeros((6, 6))],
+            free_objective=np.array([-1.0]))
         result = solve_sdp(sdp)
         assert result.status == "solution"
         sdp_worst = max(sdp_worst,

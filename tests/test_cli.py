@@ -305,9 +305,8 @@ def test_malformed_sdp_is_solver_failure(cusp_spec, tmp_path, monkeypatch,
                                          capsys):
     # the search builds every SDP itself, so a malformed one is a solver
     # failure: here the SDP loses its last block and SdpError rejects it
-    def one_block_short(block_sizes, **kwargs):
-        return sdpsolve.SemidefiniteProgram(block_sizes=block_sizes[:-1],
-                                            **kwargs)
+    def one_block_short(A, **kwargs):
+        return sdpsolve.SemidefiniteProgram(A=A[:-1], **kwargs)
 
     monkeypatch.setattr(sos_cert, "SemidefiniteProgram", one_block_short)
     code = main(["find-lyap-sos", str(cusp_spec), "--deg", "2", "--tier",
@@ -368,6 +367,20 @@ def test_simulator_failure_is_solver_failure(cone_spec, tmp_path,
     status = capsys.readouterr().err.splitlines()[-1]
     assert status.startswith("status=solver-failure")
     assert "left the set" in status
+
+
+def test_blow_up_is_solver_failure(tmp_path, capsys):
+    # x' = x^2 from x = 1 blows up at t = 1; Python's float ** raises
+    # OverflowError where * would give inf
+    spec = tmp_path / "blowup.spec"
+    spec.write_text("dim: 2\nf1: 1*x1^2\nf2: 1*x2^2\n"
+                    "cone1: 1*x1\ncone2: 1*x2\n")
+    code = main(["simulate", str(spec), "--x0", "1.0 1.0", "--T", "2",
+                 "--dt", "1e-3", "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER_FAILURE
+    status = capsys.readouterr().err.splitlines()[-1]
+    assert status.startswith("status=solver-failure")
+    assert "overflowed" in status
 
 
 def test_unconverged_set_projection_is_solver_failure(tmp_path, monkeypatch,

@@ -8,8 +8,8 @@ from lyapcert import linprog
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import (ConicSetupError, ConicSystem,
                              RationalLyapunovCandidate, SectionState,
-                             assemble_lp, build_s0, build_si,
-                             initial_sections, interior_decrease_polynomial,
+                             assemble_lp, build_si, decrease_polynomials,
+                             initial_sections,
                              run_hierarchy)
 from lyapcert.poly import (Polynomial, SymmetricTensor, monomials_of_degree,
                            norm_squared, parse_polynomial)
@@ -53,6 +53,10 @@ def test_constant_component_rejected():
 
 # -- s0 assembly -------------------------------------------------------------------
 
+def monomial_polys(basis):
+    return [Polynomial.monomial(m) for m in basis]
+
+
 def independent_s0(h, r, f):
     """Textbook formula built with plain polynomial calls, term by term."""
     n = h.dimension
@@ -68,7 +72,7 @@ def independent_s0(h, r, f):
 
 def test_s0_for_minus_x_is_two_norm_fourth():
     basis = monomials_of_degree(2, 2)
-    parts = build_s0(basis, 0, MINUS_X)
+    parts = decrease_polynomials(monomial_polys(basis), 0, MINUS_X)
     h = parse_polynomial("x1^2 + x2^2", 2)
     s0 = Polynomial.zero(2)
     for mono, part in zip(basis, parts):
@@ -80,7 +84,7 @@ def test_s0_for_minus_x_is_two_norm_fourth():
 
 def test_s0_with_r_matches_symbolic_oracle():
     basis = monomials_of_degree(2, 2)
-    parts = build_s0(basis, 1, MINUS_X)
+    parts = decrease_polynomials(monomial_polys(basis), 1, MINUS_X)
     h = parse_polynomial("x1^2 + x2^2", 2)
     built = Polynomial.zero(2)
     for mono, part in zip(basis, parts):
@@ -97,7 +101,8 @@ def test_s0_degree_arithmetic():
         df = int(rng.integers(1, 4))
         r = int(rng.integers(0, 3))
         f = [Polynomial.monomial((df, 0)), Polynomial.monomial((0, df))]
-        parts = build_s0(monomials_of_degree(2, d), r, f)
+        parts = decrease_polynomials(
+            monomial_polys(monomials_of_degree(2, d)), r, f)
         for part in parts:
             if not part.is_zero():
                 assert part.is_homogeneous() == d + df + 1
@@ -105,15 +110,10 @@ def test_s0_degree_arithmetic():
 
 # -- face assembly ------------------------------------------------------------------
 
-def test_branch_a_reduces_to_s0():
-    basis = monomials_of_degree(2, 2)
-    assert build_si(basis, 0, WEDGE_FIELD, WEDGE, 1, "a") == \
-        build_s0(basis, 0, WEDGE_FIELD)
-
-
 def test_branch_b_positive_at_ray_with_printed_candidate():
     basis = monomials_of_degree(2, 2)
-    parts = build_si(basis, 0, WEDGE_FIELD, WEDGE, 1, "b")
+    parts = build_si(monomial_polys(basis), 0, WEDGE_FIELD,
+                     face_eta_polynomial(WEDGE, 1, WEDGE_FIELD))
     x = np.array([0.8, 0.2])
     value = sum(float(PRINTED_H.coefficient(m)) * p.evaluate_float(x)
                 for m, p in zip(basis, parts))
@@ -130,7 +130,8 @@ def test_branch_b_positive_at_ray_with_printed_candidate():
 def test_face_rows_linear_in_coefficients():
     rng = np.random.default_rng(52)
     basis = monomials_of_degree(2, 2)
-    parts = build_si(basis, 1, WEDGE_FIELD, WEDGE, 2, "b")
+    parts = build_si(monomial_polys(basis), 1, WEDGE_FIELD,
+                     face_eta_polynomial(WEDGE, 2, WEDGE_FIELD))
     x = rng.uniform(0.2, 2.0, size=2)
     a = rng.uniform(-1, 1, size=3)
     b = rng.uniform(-1, 1, size=3)
@@ -183,7 +184,7 @@ def polar_form_lp(system, degree, r, sections, tol=1e-12):
         return [None if p.is_zero() else p.to_tensor() for p in polys]
 
     h = tensors([Polynomial.monomial(m) for m in basis])
-    s0 = tensors(build_s0(basis, r, system.f))
+    s0 = tensors(decrease_polynomials(monomial_polys(basis), r, system.f))
     rows, prov = [], []
     for sec, state in enumerate(sections):
         for ci, cell in enumerate(state.partition.cells):
@@ -211,8 +212,10 @@ def polar_form_lp(system, degree, r, sections, tol=1e-12):
             if min(w) >= -tol or max(w) > tol:
                 add(s0, order, "face-a")
             if min(w) < -tol:
-                add(tensors(build_si(basis, r, system.f, system.cone,
-                                     state.label, "b")), order, "face-b")
+                branches = face_eta_polynomial(system.cone, state.label,
+                                               system.f)
+                add(tensors(build_si(monomial_polys(basis), r, system.f,
+                                     branches)), order, "face-b")
     return np.array(rows), prov
 
 
@@ -358,7 +361,7 @@ def test_refinement_never_decreases_margin():
 def test_certified_decrease_transfers_across_radii():
     outcome = run_hierarchy(wedge_system(), [(2, 0, 6)])
     cand = outcome.certificate.candidate
-    s0 = interior_decrease_polynomial(cand, WEDGE_FIELD)
+    s0, = decrease_polynomials([cand.h], cand.r, WEDGE_FIELD)
     rng = np.random.default_rng(54)
     rays = np.array([[0.8, 0.2], [0.2, 0.8]])
     for radius in (0.1, 1.0, 10.0):

@@ -8,9 +8,8 @@ import pytest
 
 from lyapcert import sos_cert
 from lyapcert.cli import parse_spec
-from lyapcert.sdpsolve import (EqualityRow, SdpError, SemidefiniteProgram,
-                               _nt_frame, _nt_scaling, dump_sdpa_sparse,
-                               solve_sdp)
+from lyapcert.sdpsolve import (SdpError, SemidefiniteProgram, _nt_frame,
+                               _nt_scaling, dump_sdpa_sparse, solve_sdp)
 from reference import max_step
 
 CUSP_BOX_SPEC = Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
@@ -29,19 +28,23 @@ def sym_unit(n, i, j):
 def min_eig_program(A):
     """max t subject to A - t I psd, posed as min -t with Z + t I = A."""
     n = A.shape[0]
-    eqs = [EqualityRow(blocks=[sym_unit(n, i, j)],
-                       free=np.array([1.0 if i == j else 0.0]),
-                       rhs=float(A[i, j]))
-           for i in range(n) for j in range(i, n)]
-    return SemidefiniteProgram(block_sizes=[n],
-                               objective_blocks=[np.zeros((n, n))],
-                               equalities=eqs,
-                               free_objective=np.array([-1.0]))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return SemidefiniteProgram(
+        A=[np.array([sym_unit(n, i, j) for i, j in pairs])],
+        D=np.array([[1.0 if i == j else 0.0] for i, j in pairs]),
+        b=np.array([A[i, j] for i, j in pairs]),
+        objective_blocks=[np.zeros((n, n))], free_objective=np.array([-1.0]))
+
+
+def program_without_free(A, b, objective_blocks):
+    """min sum <C_b, X_b> subject to sum_b <A_b[i], X_b> = b_i."""
+    return SemidefiniteProgram(A=A, D=np.zeros((len(b), 0)), b=b,
+                               objective_blocks=objective_blocks,
+                               free_objective=np.zeros(0))
 
 
 def test_trace_minimization():
-    eqs = [EqualityRow(blocks=[sym_unit(2, 0, 0)], free=np.zeros(0), rhs=1.0)]
-    sdp = SemidefiniteProgram([2], [np.eye(2)], eqs)
+    sdp = program_without_free([sym_unit(2, 0, 0)[None]], [1.0], [np.eye(2)])
     result = solve_sdp(sdp)
     assert result.status == "solution"
     assert abs(result.primal_objective - 1.0) <= 1e-7
@@ -93,36 +96,46 @@ def test_equality_residual_tolerance():
 
 def test_multi_block_problem():
     # minimize tr(X1) + tr(X2) with X1_00 + X2_00 = 2, each psd
-    eqs = [EqualityRow(blocks=[sym_unit(2, 0, 0), sym_unit(3, 0, 0)],
-                       free=np.zeros(0), rhs=2.0)]
-    sdp = SemidefiniteProgram([2, 3], [np.eye(2), np.eye(3)], eqs)
+    sdp = program_without_free([sym_unit(2, 0, 0)[None], sym_unit(3, 0, 0)[None]],
+                               [2.0], [np.eye(2), np.eye(3)])
     result = solve_sdp(sdp)
     assert result.status == "solution"
     assert abs(result.primal_objective - 2.0) <= 1e-6
 
 
 def test_infeasible_contradictory_rows():
-    eqs = [EqualityRow(blocks=[sym_unit(2, 0, 0)], free=np.zeros(0), rhs=1.0),
-           EqualityRow(blocks=[sym_unit(2, 0, 0)], free=np.zeros(0), rhs=2.0)]
-    sdp = SemidefiniteProgram([2], [np.eye(2)], eqs)
+    sdp = program_without_free([np.array([sym_unit(2, 0, 0)] * 2)],
+                               [1.0, 2.0], [np.eye(2)])
     result = solve_sdp(sdp)
     assert result.status == "infeasible"
     assert result.infeasibility_is_heuristic
 
 
 def test_infeasible_empty_row_is_exact():
-    eqs = [EqualityRow(blocks=[np.zeros((2, 2))], free=np.zeros(0), rhs=1.0)]
-    sdp = SemidefiniteProgram([2], [np.eye(2)], eqs)
+    sdp = program_without_free([np.zeros((1, 2, 2))], [1.0], [np.eye(2)])
     result = solve_sdp(sdp)
     assert result.status == "infeasible"
     assert not result.infeasibility_is_heuristic
 
 
 def test_validation_rejects_asymmetric():
-    with pytest.raises(SdpError):
-        SemidefiniteProgram([2], [np.array([[0.0, 1.0], [0.0, 0.0]])],
-                            [EqualityRow(blocks=[sym_unit(2, 0, 0)],
-                                         free=np.zeros(0), rhs=1.0)])
+    with pytest.raises(SdpError, match="objective block 0 is not symmetric"):
+        program_without_free([sym_unit(2, 0, 0)[None]], [1.0],
+                             [np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+
+def test_validation_rejects_an_asymmetric_equality_matrix():
+    # one asymmetric matrix among the block's rows is enough
+    A = np.array([sym_unit(2, 0, 0), [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(SdpError, match="equality block 0 is not symmetric"):
+        program_without_free([A], [1.0, 1.0], [np.eye(2)])
+
+
+def test_validation_symmetrizes_within_tolerance():
+    A = sym_unit(2, 0, 1)[None] + np.array([[0.0, 1e-14], [0.0, 0.0]])
+    sdp = program_without_free([A], [1.0], [np.eye(2)])
+    assert np.array_equal(sdp.A[0], sdp.A[0].transpose(0, 2, 1))
+    assert sdp.A[0][0, 0, 1] == 0.5 + 0.5e-14
 
 
 def test_sdpa_dump_format():

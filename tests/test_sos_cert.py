@@ -4,9 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lyapcert import linprog
 from lyapcert.poly import Polynomial, norm_squared, parse_polynomial
+from lyapcert.sdpsolve import dump_sdpa_sparse
 from lyapcert.sos_cert import (DegreeScheduleError, SemialgebraicSystem,
                                SosSetupError, _assemble_full,
+                               _solve_dsos_tier, _solve_sdp_tier,
                                assemble_condition_i,
                                assemble_condition_ii, assemble_condition_iii,
                                gram_parameterize,
@@ -330,3 +333,78 @@ def test_stacked_equality_system_is_pinned(case):
     eq = _assemble_full(system, deg, 1e-3, margin, slack)
     assert (equality_system_digest(eq), len(eq.rows)) == \
         EQUALITY_DIGESTS[case]
+
+
+class _Captured(Exception):
+    """Stops a tier once its solver input has been built."""
+
+
+def _tier_equalities(name, deg, slack):
+    system = cusp_system() if name == "cusp" else ball_system()
+    return _assemble_full(system, deg, 1e-3, None, slack)
+
+
+# (system, deg V, multiplier slack) -> first 16 hex digits of the sha256 of
+# the SDPA dump of the SDP tier's input (eps_pd 1e-3, no decrease margin)
+SDPA_DIGESTS = {
+    ("cusp", 2, 0): "f8d9702b9c076c5e",
+    ("cusp", 2, 2): "290b009d15136b8c",
+    ("cusp", 4, 0): "de0be6d376bfbcf7",
+    ("cusp", 4, 2): "0bfa41bcd50aa006",
+    ("cusp", 6, 0): "bd98209acde17c00",
+    ("cusp", 6, 2): "66c12492bce868ec",
+    ("ball", 2, 0): "79ab1ffbb0d8f5e9",
+    ("ball", 2, 2): "e612e6129a0ae681",
+    ("ball", 4, 0): "8cb0afc4adf8c427",
+    ("ball", 4, 2): "038100dcf81c059c",
+    ("ball", 6, 0): "9bf089c4093eaa53",
+    ("ball", 6, 2): "eef1f12a4f18adf6",
+}
+
+
+@pytest.mark.parametrize("case", SDPA_DIGESTS,
+                         ids=["-".join(map(str, c)) for c in SDPA_DIGESTS])
+def test_sdp_tier_input_is_pinned(case):
+    def capture(sdp):
+        text = dump_sdpa_sparse(sdp)
+        raise _Captured(hashlib.sha256(text.encode()).hexdigest()[:16])
+
+    with pytest.raises(_Captured) as captured:
+        _solve_sdp_tier(_tier_equalities(*case), on_sdp=capture)
+    assert captured.value.args[0] == SDPA_DIGESTS[case]
+
+
+def lp_digest(lp) -> str:
+    """Hash of the LP's sense, objective, A (with its shape), b, relations
+    and bounds, every float bit for bit."""
+    h = hashlib.sha256()
+    h.update(repr((lp.maximize, lp.A.shape, list(lp.relations),
+                   [tuple(map(repr, pair)) for pair in lp.bounds])).encode())
+    for arr in (lp.objective, lp.A, lp.b):
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (system, deg V, multiplier slack) -> digest of the DSOS tier's LP
+DSOS_DIGESTS = {
+    ("cusp", 2, 0): "2c3849c4bb0039bd",
+    ("cusp", 2, 2): "a70a1d3fc1d5767c",
+    ("cusp", 4, 0): "d92a818b724f4d34",
+    ("cusp", 4, 2): "9c6d0fbaa4a993ce",
+    ("ball", 2, 0): "22d3f2e6622369b4",
+    ("ball", 2, 2): "5a46854681db9fe4",
+    ("ball", 4, 0): "65b6d8c0ec3bc79d",
+    ("ball", 4, 2): "7184e210f038d530",
+}
+
+
+@pytest.mark.parametrize("case", DSOS_DIGESTS,
+                         ids=["-".join(map(str, c)) for c in DSOS_DIGESTS])
+def test_dsos_tier_input_is_pinned(case, monkeypatch):
+    def capture(lp):
+        raise _Captured(lp_digest(lp))
+
+    monkeypatch.setattr(linprog, "solve", capture)
+    with pytest.raises(_Captured) as captured:
+        _solve_dsos_tier(_tier_equalities(*case))
+    assert captured.value.args[0] == DSOS_DIGESTS[case]
