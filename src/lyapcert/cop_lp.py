@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linprog
 from .cones import PolyhedralCone, SimplicialPartition, Simplex, cone_orthant_sections, face_sections
-from .poly import (Mono, Polynomial, bernstein_coefficients, float_kernel,
+from .poly import (Mono, Polynomial, bernstein_coefficients, euler_kernel,
                    monomials_of_degree, norm_squared)
 from .tangency import FaceEtaBranches, face_eta_polynomial
 
@@ -84,9 +84,9 @@ class ConicSystem:
         return self.cone.dimension
 
     @cached_property
-    def field_kernel(self):
-        """poly.float_kernel of f, built on first use."""
-        return float_kernel(self.f)
+    def euler_kernel(self):
+        """poly.euler_kernel of f with the rows of C, built on first use."""
+        return euler_kernel(self.f, self.cone.rows)
 
 
 @dataclass
@@ -177,19 +177,24 @@ def decrease_polynomials(hs: list[Polynomial], r: int,
 
     This is |x|^(2r+2) times the derivative of V = h / |x|^(2r) along v,
     so it has V's decrease sign, and it is linear in h.  With v = f it is
-    the interior decrease s0.
+    the interior decrease s0.  With r = 0 the second term is 0 and is not
+    formed.
     """
     n = velocity[0].dimension
     nrm = norm_squared(n)
     xdotv = Polynomial.zero(n)
-    for i, vi in enumerate(velocity):
-        xdotv = xdotv + Polynomial.variable(n, i) * vi
+    if r:
+        for i, vi in enumerate(velocity):
+            xdotv = xdotv + Polynomial.variable(n, i) * vi
     out = []
     for h in hs:
         gdotv = Polynomial.zero(n)
         for gi, vi in zip(h.gradient(), velocity):
             gdotv = gdotv + gi * vi
-        out.append(-(nrm * gdotv) + (2 * r) * (h * xdotv))
+        decrease = -(nrm * gdotv)
+        if r:
+            decrease = decrease + (2 * r) * (h * xdotv)
+        out.append(decrease)
     return out
 
 

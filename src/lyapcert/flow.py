@@ -6,23 +6,27 @@ Dynamical Systems, 2008): the projection realizes the velocity selection,
 and eta_used recovers the discrete multiplier (x+ - x)/dt - f(x).  A step
 that keeps z = x + dt f(x) records eta exactly 0, since N_S(x) = {0}
 there.  One trajectory is sequential, so a step works on a tuple of Python
-floats and calls numpy only inside a cone projection: on 2- and 3-vectors
-a numpy call costs more than the arithmetic.  The field and the set's
-generators, gradients and Hessians are evaluated by float kernels
-(poly.float_kernel, one straight-line function per polynomial list),
-built once per system.  The constraint values at z decide whether to
-project and, when z is kept, are also the feasibility check of the stored
-state.
+floats: on 2- and 3-vectors a numpy call costs more than the arithmetic,
+and numpy is used only for the NNLS of a cone projection where several
+rows bind and for the arrays built after the last step.  A free step is
+one call of the system's euler_kernel (poly.euler_kernel, one
+straight-line function per system, built once), which gives z = x + dt
+f(x), f(x) and the constraint values at z; those values decide whether
+to project and, when z is kept, are also the feasibility check of the
+stored state.  A z or a value that is not finite ends the run: the state
+has left the float range.
 
 Projection onto a polyhedral cone is z + eta_projection(z, C) (Moreau's
 decomposition: z minus its projection onto the polar cone), the same map
 the oracle uses for its face checks; when one row is violated, its
-closed-form half-space projection is taken if it lies in the cone.
-Projection onto a convex semialgebraic set is Newton's method on the KKT
-system of min 1/2 |y - z|^2 subject to g_i(y) >= 0, with an active set
-and a posterior check that z - y lies in the normal cone N_S(y).  Along a
-trajectory it is warm-started from the previous step's multipliers, so a
-step that slides along the boundary takes one Newton solve.
+closed-form half-space projection is taken on floats if it lies in the
+cone.  Projection onto a convex semialgebraic set is Newton's method on
+the KKT system of min 1/2 |y - z|^2 subject to g_i(y) >= 0, with an
+active set and a posterior check that z - y lies in the normal cone
+N_S(y); the set's generators, gradients and Hessians are evaluated by
+float kernels (poly.float_kernel).  Along a trajectory it is
+warm-started from the previous step's multipliers, so a step that slides
+along the boundary takes one Newton solve.
 
 Trajectories hold times, states and multipliers as arrays built after the
 last step, and optionally a Lyapunov function candidate, evaluated on all
@@ -43,12 +47,14 @@ from .cop_lp import ConicSystem
 from .poly import Polynomial
 from .sos_cert import SemialgebraicSystem
 # nnls stays a module attribute: the benchmark's tracer patches flow.nnls
-from .tangency import SemialgebraicSet, eta_projection, nnls  # noqa: F401
+from .tangency import (SemialgebraicSet, TangencyError,  # noqa: F401
+                       eta_projection, nnls)
 
 FEAS_TOL = 1e-10         # a point this close to the set is not projected
 STATE_TOL = 1e-8         # every stored state is this close to the set
 KKT_TOL = 1e-12          # set projection residual, relative to 1 + |z|
 MAX_PROJECTION_ITER = 100  # iterations of one set projection
+OVERFLOW = "state overflowed the float range"
 
 System = ConicSystem | SemialgebraicSystem
 
@@ -93,28 +99,50 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def project_cone(z, cone: PolyhedralCone) -> np.ndarray:
-    """Euclidean projection onto {x : Cx >= 0} (Moreau: z + eta).
+def project_cone(z, cone: PolyhedralCone) -> tuple[float, ...]:
+    """Euclidean projection onto {x : Cx >= 0} (Moreau: z + eta), as
+    float tuple.
 
     With one row c violated by more than FEAS_TOL, the projection onto the
-    half-space c.x >= 0 is the answer when it satisfies every row within
-    FEAS_TOL; otherwise, and with several rows violated, eta comes from
-    all rows of C.
+    half-space c.x >= 0 (_half_space) is the answer when it satisfies
+    every row within FEAS_TOL; otherwise, and with several rows violated,
+    eta comes from all rows of C by eta_projection.
     """
-    z = np.asarray(z, dtype=float)
-    violated = cone.C @ z < -FEAS_TOL
-    if not violated.any():
+    z = tuple(map(float, z))
+    values = [sum(map(mul, row, z)) for row in cone.rows]
+    violated = [i for i, v in enumerate(values) if v < -FEAS_TOL]
+    if not violated:
         return z
-    if violated.sum() == 1:
-        p = z + eta_projection(z, cone.C[violated])
-        if (cone.C @ p >= -FEAS_TOL).all():
+    if len(violated) == 1:
+        k = violated[0]
+        p = _half_space(z, cone.rows[k], values[k])
+        if all(sum(map(mul, row, p)) >= -FEAS_TOL for row in cone.rows):
             return p
-    return z + eta_projection(z, cone.C)
+    return tuple((np.array(z) + eta_projection(z, cone.C)).tolist())
+
+
+def _half_space(z: tuple[float, ...], c: tuple[float, ...], cz: float,
+                tol: float = 1e-9) -> tuple[float, ...]:
+    """z + lam c with lam = max(0, -cz / |c|^2), cz = <c, z>: the projection
+    onto c.x >= 0, with eta_projection's checks on the one row c:
+    tangency <c, p> >= -max(tol, 1e-12 |c| |p|) and complementarity
+    lam <c, p> <= max(tol, 1e-9 lam), else TangencyError."""
+    norm_sq = sum(map(mul, c, c))
+    if norm_sq == 0.0:
+        raise TangencyError("active constraint gradient vanishes")
+    lam = max(0.0, -cz / norm_sq)
+    p = tuple([a + lam * b for a, b in zip(z, c)])
+    cp = sum(map(mul, c, p))
+    if cp < -tol and cp < -1e-12 * math.sqrt(norm_sq) * math.hypot(*p):
+        raise TangencyError(f"tangency violated after projection: {cp:.3e}")
+    if lam * cp > max(tol, 1e-9 * lam):
+        raise TangencyError("complementarity violated after projection")
+    return p
 
 
 def project_set(z, S: SemialgebraicSet,
-                multipliers: dict[int, float] | None = None
-                ) -> tuple[float, ...]:
+                multipliers: dict[int, float] | None = None,
+                values: Sequence[float] | None = None) -> tuple[float, ...]:
     """Euclidean projection onto a convex {g_i >= 0} set, as float tuple.
 
     Newton's method on the KKT system of min 1/2 |y - z|^2 subject to
@@ -127,7 +155,8 @@ def project_set(z, S: SemialgebraicSet,
     the set comes back unchanged.  multipliers, when given, is the record
     {i: lam_i} of the previous projection along a trajectory: lam_i starts
     from it for each i in A, y at z + sum_A lam_i grad g_i(z), and on
-    return the record holds the final A and lam.  Whenever the KKT
+    return the record holds the final A and lam.  values, when given, are
+    the g_i(z), so they are not evaluated again.  Whenever the KKT
     residual of the current A is below KKT_TOL (1 + |z|), A changes: a
     generator with lam_i < 0 leaves it, else the generators that y
     violates by more than FEAS_TOL join it.  y is returned when neither
@@ -141,7 +170,8 @@ def project_set(z, S: SemialgebraicSet,
     n = len(z)
     values_at, gradient_at, hessian_at = S.float_kernels
     tol = KKT_TOL * (1.0 + max(map(abs, z)))
-    values = values_at(z)
+    if values is None:
+        values = values_at(z)
     active = [i for i, v in enumerate(values) if v < -FEAS_TOL]
     lam = [multipliers.get(i, 0.0) if multipliers else 0.0 for i in active]
     y = z
@@ -234,31 +264,35 @@ def step(x: Sequence[float], dt: float, system: System,
          ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """One projected Euler step on float tuples; returns (x_next, eta_used).
 
-    z = x + dt f(x) is kept, with eta_used exactly 0 and the multipliers
-    record cleared, when no constraint value there is below -FEAS_TOL;
+    One call of the system's euler_kernel gives z = x + dt f(x), f(x) and
+    the constraint values at z.  z is kept, with eta_used exactly 0 and
+    the multipliers record cleared, when no value is below -FEAS_TOL;
     otherwise x_next is its projection (a set projection warm-started from
-    and updating the record, see project_set) and the constraints are
-    evaluated again at x_next.  x_next below -feas_tol, a NaN value, or a
-    value past the float range raises FlowError.
+    and updating the record, see project_set, and given the values at z)
+    and the constraints are evaluated again at x_next.  x_next below
+    -feas_tol raises FlowError, and so does a z or a constraint value past
+    the float range: float ** raises OverflowError where * gives inf or
+    NaN.
     """
     try:
-        fx = system.field_kernel(x)
-        z = tuple([a + dt * b for a, b in zip(x, fx)])
-        lowest = _lowest(system, z)
+        z, fx, values = system.euler_kernel(x, dt)
     except OverflowError as exc:
-        # float ** raises where * gives inf: the state has blown up
-        raise FlowError("state overflowed the float range") from exc
-    x_next, eta_used = z, (0.0,) * len(z)
-    if not lowest >= -FEAS_TOL:
+        raise FlowError(OVERFLOW) from exc
+    if not all(map(math.isfinite, z + values)):
+        raise FlowError(OVERFLOW)
+    lowest = min(values) if values else math.inf
+    if lowest >= -FEAS_TOL:
+        if multipliers:
+            multipliers.clear()
+        x_next, eta_used = z, (0.0,) * len(z)
+    else:
         if isinstance(system, ConicSystem):
-            x_next = tuple(map(float, project_cone(z, system.cone)))
+            x_next = project_cone(z, system.cone)
         else:
-            x_next = project_set(z, system.S, multipliers)
+            x_next = project_set(z, system.S, multipliers, values)
         lowest = _lowest(system, x_next)
         eta_used = tuple([(a - b) / dt - c
                           for a, b, c in zip(x_next, x, fx)])
-    elif multipliers:
-        multipliers.clear()
     if not lowest >= -feas_tol:
         raise FlowError("state left the set")
     return x_next, eta_used

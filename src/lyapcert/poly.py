@@ -10,7 +10,9 @@ coefficients on that simplex, which turn copositivity into finitely many
 linear constraints.  bernstein_coefficients computes them from values at
 the simplicial lattice points.  float_kernel generates one straight-line
 float function for a list of polynomials, for inner loops that evaluate
-them at one point at a time.
+them at one point at a time; euler_kernel, from the same term emitter,
+generates one explicit Euler step of a field with the constraint values
+at the new point.
 
 Monomial order is graded lexicographic (total degree ascending, exponent
 tuple descending within a degree) and is used everywhere a coefficient
@@ -338,6 +340,39 @@ class Polynomial:
 _KERNEL_CHUNK = 64  # terms per statement; one long sum nests too deep to compile
 
 
+def _sum_lines(var: str, form: Polynomial | Sequence[float],
+               names: Sequence[str]) -> list[str]:
+    """Statements that set var to the value of form at the point names.
+
+    The value is summed from 0.0 term by term: a polynomial's terms in
+    graded-lex order, each its coefficient times names[j] ** e for its
+    nonzero exponents in variable order (names[j] itself for e = 1); a row
+    c of floats as c_j * names[j] over every column in order, zero
+    coefficients included.
+    """
+    if isinstance(form, Polynomial):
+        code = ["*".join([repr(float(c))] + [
+                    names[j] if e == 1 else f"{names[j]}**{e}"
+                    for j, e in enumerate(m) if e])
+                for m, c in form.sorted_terms()]
+    else:
+        code = [f"{float(c)!r}*{x}" for c, x in zip(form, names)]
+    lines, head = [], "0.0"
+    for k in range(0, len(code), _KERNEL_CHUNK):
+        lines.append(f"    {var} = {head} + "
+                     + " + ".join(code[k:k + _KERNEL_CHUNK]))
+        head = var
+    return lines or [f"    {var} = 0.0"]
+
+
+def _compile(lines: list[str], values: Sequence[str]) -> Callable:
+    """The function `kernel` of lines, returning the tuples of values."""
+    tuples = [f"({''.join(f'{v}, ' for v in names)})" for names in values]
+    namespace: dict = {}
+    exec("\n".join(lines + [f"    return {', '.join(tuples)}"]), namespace)
+    return namespace["kernel"]
+
+
 def float_kernel(polys: Sequence[Polynomial]
                  ) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """One straight-line float function for a list of polynomials.
@@ -359,21 +394,32 @@ def float_kernel(polys: Sequence[Polynomial]
     if names:
         lines.append(f"    {', '.join(names)}, = p")
     for i, p in enumerate(polys):
-        terms = ["*".join([repr(float(c))] + [
-                     names[j] if e == 1 else f"{names[j]}**{e}"
-                     for j, e in enumerate(m) if e])
-                 for m, c in p.sorted_terms()]
-        head = "0.0"
-        for k in range(0, len(terms), _KERNEL_CHUNK):
-            lines.append(f"    v{i} = {head} + "
-                         + " + ".join(terms[k:k + _KERNEL_CHUNK]))
-            head = f"v{i}"
-        if not terms:
-            lines.append(f"    v{i} = 0.0")
-    lines.append(f"    return ({''.join(f'v{i}, ' for i in range(len(polys)))})")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["kernel"]
+        lines += _sum_lines(f"v{i}", p, names)
+    return _compile(lines, [[f"v{i}" for i in range(len(polys))]])
+
+
+def euler_kernel(field: Sequence[Polynomial],
+                 constraints: Sequence[Polynomial | Sequence[float]]
+                 ) -> Callable[[Sequence[float], float],
+                               tuple[tuple, tuple, tuple]]:
+    """One straight-line float function for an explicit Euler step.
+
+    The returned kernel(x, dt) gives the tuples (z, f(x), values at z),
+    z_j = x_j + dt * f_j(x), for a field of n polynomials in n variables.
+    f and the constraint values are summed as in float_kernel; a
+    constraint that is a row c of floats is ((0.0 + c_1*z_1) + c_2*z_2)
+    + ..., which is sum(map(mul, c, z)) bit for bit.
+    """
+    n = len(field)
+    xs, fs, zs = ([f"{a}{j}" for j in range(n)] for a in "xfz")
+    vs = [f"v{i}" for i in range(len(constraints))]
+    lines = ["def kernel(p, dt):", f"    {', '.join(xs)}, = p"]
+    for f, p in zip(fs, field):
+        lines += _sum_lines(f, p, xs)
+    lines += [f"    {z} = {x} + dt*{f}" for x, f, z in zip(xs, fs, zs)]
+    for v, g in zip(vs, constraints):
+        lines += _sum_lines(v, g, zs)
+    return _compile(lines, [zs, fs, vs])
 
 
 def _mono_to_indices(mono: Mono) -> Mono:

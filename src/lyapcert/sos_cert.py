@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linprog
-from .poly import (Mono, Polynomial, float_kernel, monomials_of_degree,
+from .poly import (Mono, Polynomial, euler_kernel, monomials_of_degree,
                    monomials_up_to_degree, norm_squared)
 from .sdpsolve import SdpResult, SemidefiniteProgram, solve_sdp
 from .tangency import SemialgebraicSet
@@ -90,9 +90,9 @@ class SemialgebraicSystem:
         return self.S.dimension
 
     @cached_property
-    def field_kernel(self):
-        """poly.float_kernel of f, built on first use."""
-        return float_kernel(self.f)
+    def euler_kernel(self):
+        """poly.euler_kernel of f with the generators of S, built on first use."""
+        return euler_kernel(self.f, self.S.generators)
 
 
 # -- Gram parameterization -----------------------------------------------------

@@ -7,11 +7,14 @@ rows of the SOS conditions against hand-written Gram matrices, the
 batched evaluation, band projection and rejection sampler of the oracle
 against the row-per-term broadcast, the per-point Newton loop and the
 row-by-row sample list they replaced, the
-simulator's float-tuple steps against its numpy step loop, the set
+simulator's Euler kernel against the float kernels, tuple update and row
+sums it replaced, its float-tuple steps against its numpy step loop, the set
 projection against scipy's SLSQP, and the SDP solver's step lengths in the
 NT frame against a bound from the Cholesky factor.  The point checks of a system (field_at,
 cone_contains, set_values, set_contains) evaluate one point at a time.
 """
+
+from operator import mul
 
 import numpy as np
 
@@ -173,6 +176,22 @@ def rejection_sample_per_row(S, samples, rng) -> np.ndarray:
     return np.array(accepted[:samples])
 
 
+def euler_step_floats(system, x, dt):
+    """(z, f(x), constraint values at z) as the simulator's step formed
+    them before its Euler kernel: f by float_kernel(f), z by a tuple
+    update, a cone's values by one row sum per row of C, a set's by its
+    generators' float kernel."""
+    from lyapcert.cop_lp import ConicSystem
+    from lyapcert.poly import float_kernel
+    fx = float_kernel(system.f)(x)
+    z = tuple([a + dt * b for a, b in zip(x, fx)])
+    if isinstance(system, ConicSystem):
+        values = tuple([sum(map(mul, row, z)) for row in system.cone.rows])
+    else:
+        values = system.S.float_kernels[0](z)
+    return z, fx, values
+
+
 def simulate_cone_numpy(x0, T, dt, system, feas_tol=1e-8):
     """The simulator's step loop on numpy vectors, for a cone system: the
     field by field_at, z = x + dt f, project_cone, a containment check and
@@ -184,7 +203,7 @@ def simulate_cone_numpy(x0, T, dt, system, feas_tol=1e-8):
     for _ in range(int(round(T / dt))):
         fx = field_at(system, x)
         z = x + dt * fx
-        x_next = project_cone(z, system.cone)
+        x_next = np.asarray(project_cone(z, system.cone))
         assert cone_contains(system.cone, x_next, feas_tol)
         if cone_contains(system.cone, z, FEAS_TOL):
             etas.append(np.zeros_like(x))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -137,6 +138,36 @@ def test_find_lyap_cone_end_to_end(cone_spec, tmp_path):
                   "--certificate", str(out / "certificate.txt"),
                   "--out", str(tmp_path / "v")])
     assert code2 == EXIT_OK
+
+
+# a linear field on the square cone that certifies at d = 2, r = 0 after
+# one refinement sweep
+REFINE_SPEC = """\
+dim: 3
+f1: -1.5*x1 + 2.5*x2
+f2: -1.5*x1 - 1.2*x2 - 0.8*x3
+f3: 0.2*x1 - 0.3*x2
+cone1: 1*x1 + 0.5*x3
+cone2: -1*x1 + 0.5*x3
+cone3: 1*x2 + 0.5*x3
+cone4: -1*x2 + 0.5*x3
+"""
+
+
+def test_r0_margin_lps_are_pinned(tmp_path):
+    """The first 16 hex digits of sha256 of each --dump-lp file of a
+    d = 2, r = 0 find, recorded when the r = 0 decrease still formed
+    h <x, f> and scaled it by 0."""
+    spec = tmp_path / "refine.spec"
+    spec.write_text(REFINE_SPEC)
+    out = tmp_path / "out"
+    code = main(["find-lyap-cone", str(spec), "--deg", "2", "--r", "0",
+                 "--sweeps", "4", "--dump-lp", "--out", str(out)])
+    assert code == EXIT_OK
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+               for path in sorted(out.glob("*.lp"))}
+    assert digests == {"lp-d2-r0-s0.lp": "0ef7f967b564f7fa",
+                       "lp-d2-r0-s1.lp": "b4c7c2f2072f88dd"}
 
 
 def test_find_lyap_cone_on_square_cone_spec(sq3d_run):
@@ -381,6 +412,25 @@ def test_blow_up_is_solver_failure(tmp_path, capsys):
     status = capsys.readouterr().err.splitlines()[-1]
     assert status.startswith("status=solver-failure")
     assert "overflowed" in status
+
+
+@pytest.mark.parametrize("constraints", [
+    "cone1: 1*x1\ncone2: 1*x2\n",
+    "g1: 1 - x2\nbox1: -1 1\nbox2: -1 1\n",
+], ids=["cone", "set"])
+def test_state_past_the_float_range_is_solver_failure(constraints, tmp_path,
+                                                      capsys):
+    # float * overflows to inf without OverflowError: x1 is inf after two
+    # steps, and 0 * inf is NaN in the row sum of cone2
+    spec = tmp_path / "stiff.spec"
+    spec.write_text("dim: 2\nf1: 1e300*x1\nf2: -1*x2\n" + constraints)
+    code = main(["simulate", str(spec), "--x0", "1.0 1.0", "--T", "0.1",
+                 "--dt", "1e-3", "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER_FAILURE
+    status = capsys.readouterr().err.splitlines()[-1]
+    assert status.startswith("status=solver-failure")
+    assert "overflowed the float range" in status
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
 def test_unconverged_set_projection_is_solver_failure(tmp_path, monkeypatch,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from lyapcert import flow, tangency
+from lyapcert import cop_lp, flow, sos_cert, tangency
 from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import ConicSystem
@@ -13,8 +13,9 @@ from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import (SemialgebraicSet, eta_projection,
                                face_eta_polynomial)
-from reference import (cone_contains, field_at, set_contains, set_values,
-                       simulate_cone_numpy, slsqp_projection)
+from reference import (cone_contains, euler_step_floats, field_at,
+                       set_contains, set_values, simulate_cone_numpy,
+                       slsqp_projection)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 SQUARE = PolyhedralCone([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]])
@@ -82,6 +83,50 @@ def test_cone_projection_is_the_moreau_form_of_eta(cone):
         branches[branch] += 1
         assert np.array_equal(project_cone(z, cone), expected)
     assert min(branches.values()) >= 20, branches
+
+
+def test_one_row_projection_is_the_closed_form_of_eta():
+    """On a violated half-space c.x >= 0, project_cone's float form
+    z + max(0, -c.z/|c|^2) c agrees with z + eta_projection(z, [c])."""
+    rng = np.random.default_rng(77)
+    tested = 0
+    while tested < 300:
+        n = int(rng.integers(2, 4))
+        c = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+        c[rng.random(n) < 0.2] = 0.0
+        z = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        if not c.any() or c @ z >= -flow.FEAS_TOL:
+            continue
+        tested += 1
+        p = project_cone(z, PolyhedralCone([c]))
+        assert isinstance(p, tuple) and all(type(v) is float for v in p)
+        want = z + eta_projection(z, [c])
+        assert np.abs(np.array(p) - want).max() <= \
+            1e-15 * (1.0 + np.linalg.norm(z)), (c, z)
+
+
+def test_one_row_projection_outside_the_cone_takes_nnls(monkeypatch):
+    """One violated row whose half-space point leaves the cone is projected
+    with all rows of C, by NNLS (near the polar cone of the narrow wedge)."""
+    cone = WEDGE
+    calls = []
+    tangency_nnls = tangency.nnls
+    monkeypatch.setattr(tangency, "nnls", lambda A, b: calls.append(1)
+                        or tangency_nnls(A, b))
+    rng = np.random.default_rng(78)
+    tested = 0
+    while tested < 20:
+        z = rng.uniform(-2, 2, size=cone.dimension)
+        violated = cone.C @ z < -flow.FEAS_TOL
+        if violated.sum() != 1 or cone_contains(
+                cone, z + eta_projection(z, cone.C[violated]),
+                tol=flow.FEAS_TOL):
+            continue
+        tested += 1
+        before = len(calls)
+        p = project_cone(z, cone)
+        assert len(calls) == before + 1
+        assert np.array_equal(p, z + eta_projection(z, cone.C))
 
 
 def test_set_projection_feasible_and_close():
@@ -208,6 +253,85 @@ def test_set_projection_that_does_not_converge_raises(monkeypatch):
 
 
 # -- single steps --------------------------------------------------------------------
+
+# 2-D and 3-D cones with zero, negative and inexact coefficients (and a
+# -0.0), a cone without rows, and the cusp and ball sets
+KERNEL_SYSTEMS = {
+    "cone-2d": ConicSystem(
+        WEDGE_FIELD, PolyhedralCone([[-0.3, 1.7], [1.1, 0.0], [-0.0, 2.3]])),
+    "cone-3d": ConicSystem(
+        [parse_polynomial(t, 3) for t in ("-1*x1^3 + 0.7*x2*x3^2",
+                                          "-0.3*x1^2*x2 - 1*x2^3",
+                                          "0.1*x1*x2*x3 - 2.9*x3^3")],
+        PolyhedralCone(SQUARE.rows + ((0.3, -1.7, 0.9),))),
+    "no-rows": ConicSystem(
+        WEDGE_FIELD, PolyhedralCone(np.zeros((0, 2)), dimension=2)),
+    "cusp": cusp_system(),
+    "ball": SemialgebraicSystem(
+        [parse_polynomial(t, 3) for t in ("-1*x1 + 1*x2", "-1*x1 - 1*x2",
+                                          "-1*x3")], BALL),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_SYSTEMS))
+def test_euler_kernel_is_bit_identical_to_the_float_kernel_step(name):
+    system = KERNEL_SYSTEMS[name]
+    rng = np.random.default_rng(79)
+    for x in rng.uniform(-2, 2, size=(200, system.dimension)):
+        x = tuple(x.tolist())
+        for dt in (1e-3, 0.37):
+            got = system.euler_kernel(x, dt)
+            want = euler_step_floats(system, x, dt)
+            assert [[v.hex() for v in part] for part in got] == \
+                [[v.hex() for v in part] for part in want]
+    if name == "no-rows":
+        assert got[2] == ()
+
+
+def test_euler_kernel_is_built_once_per_system(monkeypatch):
+    built = []
+    for module in (cop_lp, sos_cert):
+        make = module.euler_kernel
+        monkeypatch.setattr(module, "euler_kernel",
+                            lambda *args, make=make: built.append(1)
+                            or make(*args))
+    for system, x0 in ((wedge_system(), [2.0, 0.5]),
+                       (cusp_system(), [0.49, 0.7])):
+        before = len(built)
+        for _ in range(2):
+            simulate(x0, T=0.05, dt=1e-3, system=system)
+        assert len(built) == before + 1
+
+
+@pytest.mark.parametrize("system, x", [(wedge_system(), (1.0, 1.0)),
+                                       (cusp_system(), (0.5, 0.1))],
+                         ids=["cone", "set"])
+def test_free_step_is_one_kernel_call_and_no_numpy(system, x, monkeypatch):
+    calls = []
+    kernel = system.euler_kernel
+    monkeypatch.setitem(system.__dict__, "euler_kernel",
+                        lambda x, dt: calls.append(1) or kernel(x, dt))
+    monkeypatch.setattr(flow, "np", None)
+    x_next, eta = step(x, 1e-3, system)
+    assert calls == [1]
+    assert eta == (0.0, 0.0)
+    assert x_next == kernel(x, 1e-3)[0]
+
+
+# z1 = 1 + 1e10 * 1e300 is inf, where float * gives inf without raising
+STIFF_FIELD = [parse_polynomial("1e300*x1", 2), parse_polynomial("-1*x2", 2)]
+
+
+@pytest.mark.parametrize("system", [
+    ConicSystem(STIFF_FIELD, PolyhedralCone(np.zeros((0, 2)), dimension=2)),
+    ConicSystem(STIFF_FIELD, PolyhedralCone(np.eye(2))),  # 0 * inf is NaN
+    SemialgebraicSystem(STIFF_FIELD, SemialgebraicSet(
+        [parse_polynomial("1 - x2", 2)], [(-1.0, 1.0)] * 2)),  # g1 finite
+], ids=["no-rows", "cone", "set"])
+def test_step_past_the_float_range_raises(system):
+    with pytest.raises(FlowError, match="overflowed the float range"):
+        step((1.0, 1.0), 1e10, system)
+
 
 def test_interior_step_is_plain_euler():
     system = wedge_system()
