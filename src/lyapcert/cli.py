@@ -351,6 +351,9 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
         _status("error detail=cone-command-needs-cone-spec")
         return EXIT_USAGE
     system: ConicSystem = spec.system
+    if args.r is not None and args.deg is None:
+        _status("input-error detail='--r sets a single level and needs --deg'")
+        return EXIT_USAGE
     if args.deg is not None:
         schedule = [(args.deg, args.r or 0, args.sweeps)]
     elif "schedule" in spec.options:
@@ -415,6 +418,7 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
             (out / f"sdp-deg{deg}-s{slack}.dat-s").write_text(
                 dump_sdpa_sparse(sdp))
     failure = None
+    rejected: dict[int, float] = {}  # degree -> worst oracle value
     for deg in degrees:
         outcome = sos_cert.solve_certificate(system, deg, tier=tier,
                                              eps_pd=eps_pd, sdpa_dump=dump)
@@ -422,22 +426,30 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
             cert = outcome.certificate
             report = oracle.verify_sos(cert.V, system, samples=args.samples,
                                        seed=_seed(args, spec))
-            path = out / "certificate.txt"
-            path.write_text(format_sos_certificate(cert, system, report))
-            (out / "report.txt").write_text(report.to_text())
-            if not report.passed:
-                _status(f"certificate-rejected-by-oracle degree={deg} "
-                        f"worst={report.worst().min_value!r}")
-                return EXIT_NOT_FOUND
-            _status(f"certificate-found degree={deg} tier={tier} "
-                    f"margin={cert.margin!r} file={path}")
-            return EXIT_OK
+            text = format_sos_certificate(cert, system, report)
+            if report.passed:
+                path = out / "certificate.txt"
+                path.write_text(text)
+                (out / "report.txt").write_text(report.to_text())
+                _status(f"certificate-found degree={deg} tier={tier} "
+                        f"margin={cert.margin!r} file={path}")
+                return EXIT_OK
+            # a rejected candidate is no certificate at this degree
+            (out / f"rejected-deg{deg}.txt").write_text(text)
+            rejected[deg] = report.worst().min_value
+            logger.info("degree %d: rejected by the oracle (worst %r)",
+                        deg, rejected[deg])
+            continue
         logger.info("degree %d: %s (%s)", deg, outcome.status, outcome.detail)
         if outcome.status == "stalled":
             failure = failure or f"degree {deg}: {outcome.detail}"
     if failure:
         _status(f"solver-failure tier={tier} detail={failure!r}")
         return EXIT_SOLVER_FAILURE
+    if rejected:
+        _status(f"certificate-rejected-by-oracle degrees={list(rejected)} "
+                f"tier={tier} worst={min(rejected.values())!r}")
+        return EXIT_NOT_FOUND
     _status(f"exhausted-degrees degrees={degrees} tier={tier}")
     return EXIT_NOT_FOUND
 
@@ -557,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-lyap-cone", help="run the cone LP hierarchy")
     common(p, "--tau-act", "--density")
     p.add_argument("--deg", type=int, help="single level: degree of h")
-    p.add_argument("--r", type=int, help="single level: denominator power")
+    p.add_argument("--r", type=int,
+                   help="single level, with --deg: denominator power")
     p.add_argument("--sweeps", type=int, default=8)
     p.add_argument("--margin", type=float, help="acceptance margin")
     p.add_argument("--dump-lp", action="store_true")

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import linprog
 from .cones import PolyhedralCone, SimplicialPartition, Simplex, cone_orthant_sections, face_sections
-from .poly import (Mono, Polynomial, bernstein_coefficients, euler_kernel,
-                   monomials_of_degree, norm_squared)
+from .poly import (Mono, MonomialTable, Polynomial, bernstein_coefficients,
+                   euler_kernel, monomials_of_degree, norm_squared)
 from .tangency import FaceEtaBranches, face_eta_polynomial
 
 logger = logging.getLogger(__name__)
@@ -118,7 +118,8 @@ class RationalLyapunovCandidate:
             raise ValueError(f"V = h/|x|^{2 * self.r} has no value at the "
                              f"origin: deg h = {self.degree} <= 2r")
         values = np.zeros(len(pts))
-        values[away] = self.h.eval_many(pts[away]) / nrm2[away] ** self.r
+        values[away] = MonomialTable([self.h])(pts[away])[:, 0] \
+            / nrm2[away] ** self.r
         return float(values[0]) if x.ndim == 1 else values
 
 
@@ -212,7 +213,9 @@ def build_si(hs: list[Polynomial], r: int, f: list[Polynomial],
 
 
 class _LevelData:
-    """Per-(d, r) bases and row polynomials, reused across sweeps."""
+    """Per-(d, r) bases and the monomial tables of the row polynomials,
+    reused across sweeps: one table each for h, s0, each face's b-branch
+    and each face's switching polynomial w."""
 
     def __init__(self, system: ConicSystem, degree: int, r: int):
         n = system.dimension
@@ -220,15 +223,19 @@ class _LevelData:
         self.r = r
         self.h_basis = monomials_of_degree(n, degree)
         self.s0_order = degree + system.field_degree + 1
-        self.h_polys = [Polynomial.monomial(m) for m in self.h_basis]
-        self.s0_polys = decrease_polynomials(self.h_polys, r, system.f)
-        self.face_b_polys: dict[int, list[Polynomial]] = {}
-        self.face_w: dict[int, Polynomial] = {}
+        h_polys = [Polynomial.monomial(m) for m in self.h_basis]
+        self.h_table = MonomialTable(h_polys)
+        self.s0_table = MonomialTable(decrease_polynomials(h_polys, r,
+                                                           system.f))
+        self.face_b_tables: dict[int, MonomialTable] = {}
+        # w = <c_i, f> is zero or homogeneous of the field's degree
+        self.w_order = system.field_degree
+        self.face_w: dict[int, MonomialTable] = {}
         for i in range(1, system.cone.num_rows + 1):
             branches = face_eta_polynomial(system.cone, i, system.f)
-            self.face_w[i] = branches.w
-            self.face_b_polys[i] = build_si(self.h_polys, r, system.f,
-                                            branches)
+            self.face_w[i] = MonomialTable([branches.w])
+            self.face_b_tables[i] = MonomialTable(
+                build_si(h_polys, r, system.f, branches))
 
 
 def _cell_rows(level: _LevelData, state: SectionState, section_idx: int,
@@ -238,41 +245,38 @@ def _cell_rows(level: _LevelData, state: SectionState, section_idx: int,
     blocks: list[np.ndarray] = []
     prov: list[RowProvenance] = []
 
-    def add_rows(polys: list[Polynomial], order: int, row_kind: str):
-        coeffs = bernstein_coefficients(polys, cell.vertices, order)
+    def add_rows(table: MonomialTable, order: int, row_kind: str):
+        coeffs = bernstein_coefficients(table, cell.vertices, order)
         blocks.append(np.hstack([coeffs, -np.ones((len(coeffs), 1))]))
         prov.extend(RowProvenance(section_idx, cell_idx, row_kind, combo)
                     for combo in itertools.combinations_with_replacement(
                         range(cell.num_vertices), order))
 
     if state.kind == "cone":
-        add_rows(level.h_polys, level.degree, "h")
-        add_rows(level.s0_polys, level.s0_order, "s0")
+        add_rows(level.h_table, level.degree, "h")
+        add_rows(level.s0_table, level.s0_order, "s0")
     else:
         face = state.label
-        branches = _face_branches_for_cell(level.face_w[face], cell.vertices)
+        branches = _face_branches_for_cell(level.face_w[face], level.w_order,
+                                           cell.vertices)
         if "a" in branches:
-            add_rows(level.s0_polys, level.s0_order, "face-a")
+            add_rows(level.s0_table, level.s0_order, "face-a")
         if "b" in branches:
-            add_rows(level.face_b_polys[face], level.s0_order, "face-b")
+            add_rows(level.face_b_tables[face], level.s0_order, "face-b")
     return blocks, prov
 
 
-def _face_branches_for_cell(w: Polynomial, verts, tol: float = 1e-12
-                            ) -> set[str]:
-    """Branches required on a face cell, from the certified sign of w.
+def _face_branches_for_cell(w: MonomialTable, order: int, verts,
+                            tol: float = 1e-12) -> set[str]:
+    """Branches required on a face cell, from the certified sign of w
+    (given as its MonomialTable and its degree; a zero w needs only "a").
 
     The sign is read from the Bernstein coefficients of w at the
     simplicial lattice of the cell, the same test as the main
     inequalities, so it is exact for linear fields and sound for
     higher-degree ones; an uncertain sign requires both branches.
     """
-    if w.is_zero():
-        return {"a"}
-    order = w.is_homogeneous()
-    if order is None:
-        raise ConicSetupError("switching polynomial must be homogeneous")
-    vals = bernstein_coefficients([w], verts, order)[:, 0]
+    vals = bernstein_coefficients(w, verts, order)[:, 0]
     if (vals >= -tol).all():
         return {"a"}
     if (vals <= tol).all():

@@ -44,7 +44,7 @@ import numpy as np
 
 from .cones import PolyhedralCone
 from .cop_lp import ConicSystem
-from .poly import Polynomial
+from .poly import MonomialTable, Polynomial
 from .sos_cert import SemialgebraicSystem
 # nnls stays a module attribute: the benchmark's tracer patches flow.nnls
 from .tangency import (SemialgebraicSet, TangencyError,  # noqa: F401
@@ -333,6 +333,7 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
     etas.append((0.0,) * len(x))
     traj = Trajectory(np.array(times), np.array(states), np.array(etas))
     if V is not None:
-        v_of = V.eval_many if isinstance(V, Polynomial) else V
-        traj.v_values = v_of(traj.states).tolist()
+        values = MonomialTable([V])(traj.states)[:, 0] \
+            if isinstance(V, Polynomial) else V(traj.states)
+        traj.v_values = values.tolist()
     return traj

@@ -3,20 +3,20 @@
 Everything here is deliberately redundant with the construction code:
 inequalities are sampled on dense deterministic grids, and eta comes from
 the projection tangency.eta_projection (never from the branch polynomials
-used in LP assembly).  Every polynomial value comes from one private
-evaluator, _values, called once per point set for all the polynomials
-that set needs: it fills a table of every monomial at every point in
-graded order, each monomial its parent times one coordinate, and one
-coefficient-matrix product gives all the values.  It shares no code with
-Polynomial.eval_many, which assembles the LP rows (bernstein_coefficients),
-so an evaluation fault in one cannot hide in the other.  Each face grid is
-projected once per pattern of active cone rows: the closed form where one
-row is active, nonnegative least squares at corners.  The boundary bands of
-the semialgebraic checks come from one Newton iteration over all samples at
-once, with a per-point mask that retires converged points and drops those
-whose gradient vanishes or that do not converge in 50 passes.  A
-certificate is accepted only when this module agrees, so a shared bug
-cannot self-certify.
+used in LP assembly).  Each face grid is projected once per pattern of
+active cone rows: the closed form where one row is active, nonnegative
+least squares at corners.  The boundary bands of the semialgebraic checks
+come from one Newton iteration over all samples at once, with a per-point
+mask that retires converged points and drops those whose gradient
+vanishes or that do not converge in 50 passes.  A certificate is accepted
+only when this module agrees, so a fault in the construction's geometry,
+branch logic or solvers cannot self-certify.
+
+Every polynomial value comes from a poly.MonomialTable, built once for
+each list of polynomials that a check needs.  The LP rows come from the
+same evaluator, so it is not checked here: the tests hold it to the exact
+rational values within a rounding bound, and the benchmark's checker
+evaluates certificates again with sympy, apart from lyapcert.
 
 All randomized sampling uses a caller-fixed seed (default 0); reports are
 byte-stable for a fixed seed.
@@ -34,7 +34,7 @@ import numpy as np
 from .cones import cone_orthant_sections, face_sections, Simplex
 from .cop_lp import (ConicSystem, RationalLyapunovCandidate,
                      decrease_polynomials)
-from .poly import Polynomial, grlex_key
+from .poly import MonomialTable, Polynomial
 from .sos_cert import SemialgebraicSystem
 from .tangency import eta_projection
 
@@ -136,48 +136,6 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _values(polys, points) -> np.ndarray:
-    """Every polynomial of `polys` at every point, as (m, len(polys)).
-
-    The table holds each monomial that a polynomial uses, and the chain of
-    parents down to 1, at every point, in graded-lex order.  A monomial's
-    parent drops one power of its last variable, so each row is one
-    multiply of an earlier row by a coordinate.  One (polys x monomials)
-    coefficient matrix times the table sums the terms.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(1, -1)
-    n = points.shape[1]
-    monos = {m for p in polys for m in p.terms}
-    for mono in list(monos):
-        while any(mono):
-            mono = _parent(mono)[0]
-            if mono in monos:
-                break
-            monos.add(mono)
-    order = sorted(monos | {(0,) * n}, key=grlex_key)
-    row = {mono: i for i, mono in enumerate(order)}
-    cols = np.ascontiguousarray(points.T)
-    table = np.empty((len(order), len(points)))
-    table[0] = 1.0
-    for i, mono in enumerate(order[1:], start=1):
-        parent, j = _parent(mono)
-        np.multiply(table[row[parent]], cols[j], out=table[i])
-    coefs = np.zeros((len(polys), len(order)))
-    for k, p in enumerate(polys):
-        for mono, c in p.terms.items():
-            coefs[k, row[mono]] = float(c)
-    return (coefs @ table).T
-
-
-def _parent(mono: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The monomial with one power less of its last variable, and that
-    variable."""
-    j = max(i for i, e in enumerate(mono) if e)
-    return mono[:j] + (mono[j] - 1,) + mono[j + 1:], j
-
-
 def _min_with_witness(name: str, values: np.ndarray, points: np.ndarray,
                       strict: bool = False) -> CheckResult:
     idx = int(np.argmin(values))
@@ -216,9 +174,10 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
 
     h_checks = []
     s0_checks = []
+    h_s0 = MonomialTable([h, s0])
     for oid, simplex in cone_orthant_sections(system.cone):
         pts = barycentric_grid(simplex, grid_density)
-        h_vals, s0_vals = _values([h, s0], pts).T
+        h_vals, s0_vals = h_s0(pts).T
         record(pts, f"h:orthant{oid}", h_vals)
         record(pts, f"s0:orthant{oid}", s0_vals)
         h_checks.append(_min_with_witness(f"h:orthant{oid}", h_vals, pts))
@@ -226,12 +185,12 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     report.checks.append(_merge_min(h_checks, "h-on-sections"))
     report.checks.append(_merge_min(s0_checks, "s0-on-sections"))
 
-    grad_h = h.gradient()
+    face_table = MonomialTable([*system.f, *h.gradient(), h])
     face_checks = []
     for i in range(1, system.cone.num_rows + 1):
         for simplex in face_sections(system.cone, i):
             pts = barycentric_grid(simplex, max(grid_density // 10, 100))
-            vals = _face_decrease(pts, system, h, grad_h, r, activation_tol)
+            vals = _face_decrease(pts, system, face_table, r, activation_tol)
             record(pts, f"face{i}", vals)
             face_checks.append(_min_with_witness(f"face{i}", vals, pts))
     if face_checks:
@@ -242,16 +201,18 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     return report
 
 
-def _face_decrease(pts: np.ndarray, system: ConicSystem, h: Polynomial,
-                   grad_h, r: int, activation_tol: float) -> np.ndarray:
-    """-<|x|^2 grad h - 2r h x, f + eta> at each point of a face grid.
+def _face_decrease(pts: np.ndarray, system: ConicSystem,
+                   table: MonomialTable, r: int,
+                   activation_tol: float) -> np.ndarray:
+    """-<|x|^2 grad h - 2r h x, f + eta> at each point of a face grid,
+    from the table of [*f, *grad h, h].
 
     Rows with |<c, x>|/|c| <= activation_tol are active; eta is projected
     once for all points that share a set of active rows.
     """
     C = system.cone.C
     n = len(system.f)
-    vals = _values([*system.f, *grad_h, h], pts)
+    vals = table(pts)
     F, gh, h_vals = vals[:, :n], vals[:, n:2 * n], vals[:, 2 * n]
     scaled = np.abs(pts @ C.T) / np.linalg.norm(C, axis=1)
     patterns, which = _row_patterns(scaled <= activation_tol)
@@ -307,11 +268,12 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
 
     # positivity on shells
     shell_checks = []
+    generators_v = MonomialTable([*S.generators, V])
     for radius in (1e-2, 1e-1, 1.0):
         dirs = rng.standard_normal((4 * max(len(pts) // 8, 64), n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         shell = radius * dirs
-        vals = _values([*S.generators, V], shell)
+        vals = generators_v(shell)
         mask = (vals[:, :-1] >= 0.0).all(axis=1)
         shell, shell_vals = shell[mask], vals[mask, -1]
         if len(shell) == 0:
@@ -326,7 +288,7 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
                             "checked on interior samples only")
         inner = pts[np.linalg.norm(pts, axis=1) > 1e-6]
         report.checks.append(_min_with_witness(
-            "V-positivity-interior", _values([V], inner)[:, 0], inner,
+            "V-positivity-interior", MonomialTable([V])(inner)[:, 0], inner,
             strict=True))
 
     # strict decrease on the interior sample set (away from the origin)
@@ -361,13 +323,14 @@ def _rejection_sample(S, samples: int, rng: np.random.Generator
     n = S.dimension
     lo = np.array([b[0] for b in S.box])
     hi = np.array([b[1] for b in S.box])
+    generators = MonomialTable(S.generators)
     accepted: list[np.ndarray] = []
     count = attempts = 0
     max_attempts = 200 * samples
     while count < samples and attempts < max_attempts:
         batch = rng.uniform(lo, hi, size=(min(4096, samples * 4), n))
         attempts += len(batch)
-        batch = batch[(_values(S.generators, batch) >= 0.0).all(axis=1)]
+        batch = batch[(generators(batch) >= 0.0).all(axis=1)]
         accepted.append(batch)
         count += len(batch)
     if not count:
@@ -377,7 +340,7 @@ def _rejection_sample(S, samples: int, rng: np.random.Generator
 
 def _inner_products(us, ws, points: np.ndarray) -> np.ndarray:
     """sum_i u_i(x) w_i(x) at each point, for equal-length polynomial lists."""
-    vals = _values([*us, *ws], points)
+    vals = MonomialTable([*us, *ws])(points)
     return np.einsum("ij,ij->i", vals[:, :len(us)], vals[:, len(us):])
 
 
@@ -394,11 +357,12 @@ def _band_points(index: int, S, pts: np.ndarray, band_width: float
     order.
     """
     g, grads = S.generators[index], S.gradients[index]
+    g_grad = MonomialTable([g, *grads])
     y = np.array(pts, dtype=float)
     live = np.arange(len(y))
     converged = np.zeros(len(y), dtype=bool)
     for _ in range(50):
-        vals = _values([g, *grads], y[live])
+        vals = g_grad(y[live])
         done = np.abs(vals[:, 0]) <= band_width
         converged[live[done]] = True
         live, vals = live[~done], vals[~done]
@@ -410,5 +374,5 @@ def _band_points(index: int, S, pts: np.ndarray, band_width: float
         live = live[moving]
         y[live] -= (val[moving] / nrm2[moving])[:, None] * grad[moving]
     y = y[converged]
-    others = [other for other in S.generators if other is not g]
-    return y[(_values(others, y) >= -1e-9).all(axis=1)]
+    others = MonomialTable([other for other in S.generators if other is not g])
+    return y[(others(y) >= -1e-9).all(axis=1)]

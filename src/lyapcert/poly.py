@@ -8,11 +8,16 @@ symmetric order-d tensor whose diagonal restriction reproduces it; its
 evaluations on tuples of simplex vertices are the polynomial's Bernstein
 coefficients on that simplex, which turn copositivity into finitely many
 linear constraints.  bernstein_coefficients computes them from values at
-the simplicial lattice points.  float_kernel generates one straight-line
-float function for a list of polynomials, for inner loops that evaluate
-them at one point at a time; euler_kernel, from the same term emitter,
-generates one explicit Euler step of a field with the constraint values
-at the new point.
+the simplicial lattice points.
+
+Floats are evaluated in two ways, each built once per polynomial list
+and held by its owner.  MonomialTable is the one batch evaluator: every
+polynomial at every row of a point array, from a graded table of
+monomials formed by multiplies alone.  float_kernel generates one
+straight-line float function for a list of polynomials, for inner loops
+that evaluate them at one point at a time; euler_kernel, from the same
+term emitter, generates one explicit Euler step of a field with the
+constraint values at the new point.
 
 Monomial order is graded lexicographic (total degree ascending, exponent
 tuple descending within a degree) and is used everywhere a coefficient
@@ -83,7 +88,7 @@ class Polynomial:
     instances, values are safe to share between threads.
     """
 
-    __slots__ = ("dimension", "terms", "_powers", "_coefs", "_kernel")
+    __slots__ = ("dimension", "terms", "_kernel")
 
     def __init__(self, dimension: int,
                  terms: Mapping[Mono, Scalar] | None = None):
@@ -103,8 +108,6 @@ class Polynomial:
                 acc = clean.get(mono)
                 clean[mono] = c if acc is None else acc + c
         self.terms = {m: c for m, c in clean.items() if c != 0}
-        self._powers = None
-        self._coefs = None
         self._kernel = None
 
     # -- constructors -------------------------------------------------------
@@ -254,60 +257,6 @@ class Polynomial:
             self._kernel = float_kernel([self])
         return self._kernel(point)[0]
 
-    def _numeric_cache(self) -> tuple[tuple, np.ndarray]:
-        """The power table layout of eval_many and the coefficients, built
-        once per polynomial.
-
-        Column j of `distinct` holds the distinct exponents of x_j in
-        increasing order (0 past the last).  For each variable that occurs,
-        `gathers` holds each term's column in the flattened (row, variable)
-        table: row * n + j, the row holding the term's exponent of x_j.
-        Coefficients are in graded-lex term order.
-        """
-        if self._coefs is None:
-            items = self.sorted_terms()
-            n = self.dimension
-            exponents = [sorted({m[j] for m, _ in items}) for j in range(n)]
-            distinct = np.zeros((max(map(len, exponents)), n), dtype=np.int64)
-            gathers = []
-            for j, column in enumerate(exponents):
-                distinct[:len(column), j] = column
-                if column[-1]:
-                    row = {e: u for u, e in enumerate(column)}
-                    gathers.append(np.array([row[m[j]] * n + j
-                                             for m, _ in items]))
-            self._powers = (distinct, gathers)
-            self._coefs = np.array([float(c) for _, c in items])
-        return self._powers, self._coefs
-
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation on an (m, n) array of points.
-
-        A power table holds x_j ** e once per point and distinct exponent e
-        of x_j.  Each term's monomial gathers its columns and multiplies
-        them variable by variable, starting from the first gathered factor
-        (1.0 * a is a, so no buffer of ones is needed), and one
-        (m, T) @ coefs product sums the terms.  The table is the broadcast
-        `points[:, None, :] ** exps` of the distinct exponents: numpy's pow
-        can round differently with the operands' strides (SIMD or scalar
-        loop), and this layout gives the values of the same broadcast over
-        one row per term, bit for bit.
-        """
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(1, -1)
-        if not self.terms:
-            return np.zeros(points.shape[0])
-        (distinct, gathers), coefs = self._numeric_cache()
-        if not gathers:  # a constant: its one monomial is 1
-            return np.ones((len(points), 1)) @ coefs
-        table = (points[:, None, :] ** distinct).reshape(len(points),
-                                                          distinct.size)
-        monomials = np.take(table, gathers[0], axis=1)
-        for columns in gathers[1:]:
-            monomials *= np.take(table, columns, axis=1)
-        return monomials @ coefs
-
     # -- tensor representation ----------------------------------------------
 
     def to_tensor(self) -> SymmetricTensor:
@@ -420,6 +369,63 @@ def euler_kernel(field: Sequence[Polynomial],
     for v, g in zip(vs, constraints):
         lines += _sum_lines(v, g, zs)
     return _compile(lines, [zs, fs, vs])
+
+
+class MonomialTable:
+    """Batch float values of a fixed list of polynomials.
+
+    Calling the table on an (m, n) array of points (or one point) gives
+    the (m, len(polys)) array of every polynomial at every point.  The
+    layout is built once: every monomial that a polynomial uses, and the
+    chain of parents down to 1, in graded-lex order, where a monomial's
+    parent drops one power of its last variable.  A call fills one row per
+    monomial, its parent's row times one coordinate, so only IEEE
+    multiplies form the monomials (no pow), and one (polys x monomials)
+    coefficient-matrix product sums the terms.  `degrees` holds the total
+    degrees of all the polynomials' terms.
+    """
+
+    __slots__ = ("degrees", "_steps", "_coefs")
+
+    def __init__(self, polys: Sequence[Polynomial]):
+        dims = {p.dimension for p in polys}
+        if len(dims) > 1:
+            raise ValueError(
+                f"dimension mismatch in monomial table: {sorted(dims)}")
+        monos = {m for p in polys for m in p.terms}
+        self.degrees = frozenset(map(sum, monos))
+        for mono in list(monos):
+            while any(mono):
+                mono = _parent(mono)[0]
+                if mono in monos:
+                    break
+                monos.add(mono)
+        one = (0,) * (dims.pop() if dims else 0)
+        order = sorted(monos | {one}, key=grlex_key)
+        row = {mono: i for i, mono in enumerate(order)}
+        self._steps = [(row[up], j) for up, j in map(_parent, order[1:])]
+        self._coefs = np.zeros((len(polys), len(order)))
+        for k, p in enumerate(polys):
+            for mono, c in p.terms.items():
+                self._coefs[k, row[mono]] = float(c)
+
+    def __call__(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1:
+            points = points.reshape(1, -1)
+        cols = np.ascontiguousarray(points.T)
+        table = np.empty((len(self._steps) + 1, len(points)))
+        table[0] = 1.0
+        for i, (parent, j) in enumerate(self._steps, start=1):
+            np.multiply(table[parent], cols[j], out=table[i])
+        return (self._coefs @ table).T
+
+
+def _parent(mono: Mono) -> tuple[Mono, int]:
+    """The monomial with one power less of its last variable, and that
+    variable."""
+    j = max(i for i, e in enumerate(mono) if e)
+    return mono[:j] + (mono[j] - 1,) + mono[j + 1:], j
 
 
 def _mono_to_indices(mono: Mono) -> Mono:
@@ -536,44 +542,44 @@ class SymmetricTensor:
 @lru_cache(maxsize=None)
 def _bernstein_lattice(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice weights alpha/d and the inverse of M with M[alpha, beta] =
-    B_beta(alpha/d), the Bernstein polynomials at the lattice points.
+    B_beta(alpha/d), the Bernstein polynomials at the lattice points (by a
+    MonomialTable, so by multiplies alone).
 
     Rows and columns run over the multisets of d indices from range(k) in
     combinations_with_replacement order; both arrays are read-only.
     """
-    alphas = np.array([np.bincount(c, minlength=k) for c in
-                       itertools.combinations_with_replacement(range(k), d)])
-    lattice = alphas / d
-    multinomial = np.array([factorial(d) / prod(factorial(int(b)) for b in beta)
-                            for beta in alphas])
-    M = multinomial * np.prod(lattice[:, None, :] ** alphas[None, :, :], axis=2)
-    M_inv = np.linalg.inv(M)
+    alphas = [tuple(np.bincount(c, minlength=k).tolist()) for c in
+              itertools.combinations_with_replacement(range(k), d)]
+    lattice = np.array(alphas) / d
+    bernstein = [Polynomial(k, {beta: factorial(d)
+                                // prod(map(factorial, beta))})
+                 for beta in alphas]
+    M_inv = np.linalg.inv(MonomialTable(bernstein)(lattice))
     lattice.setflags(write=False)
     M_inv.setflags(write=False)
     return lattice, M_inv
 
 
-def bernstein_coefficients(polys: Sequence[Polynomial], vertices,
+def bernstein_coefficients(table: MonomialTable, vertices,
                            order: int) -> np.ndarray:
     """Bernstein coefficients of homogeneous polynomials on one simplex.
 
-    Returns a (multisets x polys) array whose row j belongs to the j-th
-    vertex multiset of combinations_with_replacement(range(k), order).
-    Writing x = lambda V on the cell, p(lambda V) = sum_beta b_beta
-    B_beta(lambda), and b_beta is the polar-form value H[v_{i1}, ...,
-    v_{id}] at the multiset beta; the coefficients are solved from the
-    values at the simplicial lattice points alpha V / d.  Every polynomial
-    must be zero or homogeneous of degree `order`.
+    `table` is the MonomialTable of the polynomials.  Returns a
+    (multisets x polys) array whose row j belongs to the j-th vertex
+    multiset of combinations_with_replacement(range(k), order).  Writing
+    x = lambda V on the cell, p(lambda V) = sum_beta b_beta B_beta(lambda),
+    and b_beta is the polar-form value H[v_{i1}, ..., v_{id}] at the
+    multiset beta; the coefficients are solved from the values at the
+    simplicial lattice points alpha V / d.  Every polynomial must be zero
+    or homogeneous of degree `order`.
     """
-    for p in polys:
-        if not p.is_zero() and p.is_homogeneous() != order:
-            raise ValueError(
-                f"Bernstein coefficients of order {order} need polynomials "
-                f"homogeneous of that degree")
+    if table.degrees - {order}:
+        raise ValueError(
+            f"Bernstein coefficients of order {order} need polynomials "
+            f"homogeneous of that degree")
     V = np.asarray(vertices, dtype=float)
     lattice, M_inv = _bernstein_lattice(len(V), order)
-    points = lattice @ V
-    return M_inv @ np.column_stack([p.eval_many(points) for p in polys])
+    return M_inv @ table(lattice @ V)
 
 
 def norm_squared(dimension: int) -> Polynomial:

@@ -4,9 +4,10 @@ They check the library from outside it: the float kernels against a loop
 over the terms, the closed-form gradient of
 V = h/|x|^(2r) against central differences, the coefficient-matching
 rows of the SOS conditions against hand-written Gram matrices, the
-batched evaluation, band projection and rejection sampler of the oracle
-against the row-per-term broadcast, the per-point Newton loop and the
-row-by-row sample list they replaced, the
+monomial table against the per-call table the oracle built before it,
+the band projection and rejection sampler of the oracle against the
+per-point Newton loop and the row-by-row sample list they replaced (with
+values by one pow per point, term and variable), the
 simulator's Euler kernel against the float kernels, tuple update and row
 sums it replaced, its float-tuple steps against its numpy step loop, the set
 projection against scipy's SLSQP, and the SDP solver's step lengths in the
@@ -130,6 +131,44 @@ def eval_many_broadcast(poly, points) -> np.ndarray:
     return powers.prod(axis=2) @ coefs
 
 
+def values_per_call(polys, points) -> np.ndarray:
+    """Every polynomial at every point, as (m, len(polys)), with the
+    monomial layout rebuilt on each call: each monomial a polynomial uses,
+    and its chain of parents down to 1, in graded-lex order, each row its
+    parent's row times one coordinate; one coefficient-matrix product sums
+    the terms."""
+    from lyapcert.poly import grlex_key
+
+    def parent(mono):
+        j = max(i for i, e in enumerate(mono) if e)
+        return mono[:j] + (mono[j] - 1,) + mono[j + 1:], j
+
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points.reshape(1, -1)
+    n = points.shape[1]
+    monos = {m for p in polys for m in p.terms}
+    for mono in list(monos):
+        while any(mono):
+            mono = parent(mono)[0]
+            if mono in monos:
+                break
+            monos.add(mono)
+    order = sorted(monos | {(0,) * n}, key=grlex_key)
+    row = {mono: i for i, mono in enumerate(order)}
+    cols = np.ascontiguousarray(points.T)
+    table = np.empty((len(order), len(points)))
+    table[0] = 1.0
+    for i, mono in enumerate(order[1:], start=1):
+        up, j = parent(mono)
+        np.multiply(table[row[up]], cols[j], out=table[i])
+    coefs = np.zeros((len(polys), len(order)))
+    for k, p in enumerate(polys):
+        for mono, c in p.terms.items():
+            coefs[k, row[mono]] = float(c)
+    return (coefs @ table).T
+
+
 def band_points_per_point(index, S, pts, band_width) -> np.ndarray:
     """Newton-project each sample onto g = 0 on its own, g = S.generators[index];
     keep the converged points still inside the set."""
@@ -156,8 +195,8 @@ def band_points_per_point(index, S, pts, band_width) -> np.ndarray:
 
 def rejection_sample_per_row(S, samples, rng) -> np.ndarray:
     """The oracle's rejection sampler as a list of accepted rows: batches of
-    min(4096, 4 * samples) box draws, each generator by eval_many, until
-    `samples` rows are in or 200 * samples draws are spent."""
+    min(4096, 4 * samples) box draws, each generator by eval_many_broadcast,
+    until `samples` rows are in or 200 * samples draws are spent."""
     n = S.dimension
     lo = np.array([b[0] for b in S.box])
     hi = np.array([b[1] for b in S.box])
@@ -169,7 +208,7 @@ def rejection_sample_per_row(S, samples, rng) -> np.ndarray:
         attempts += len(batch)
         mask = np.ones(len(batch), dtype=bool)
         for g in S.generators:
-            mask &= g.eval_many(batch) >= 0.0
+            mask &= eval_many_broadcast(g, batch) >= 0.0
         accepted.extend(batch[mask])
     if not accepted:
         raise ValueError("empty sample: bounding box misconfigured for the set")

@@ -25,9 +25,9 @@ from lyapcert.sos_cert import (SemialgebraicSystem, assemble_condition_ii,
                                assemble_condition_iii, solve_certificate)
 from lyapcert.tangency import SemialgebraicSet
 from lyapcert.cones import Simplex
-from reference import (equality_residual, fd_gradient_check,
-                       gram_from_sos_terms, set_contains, set_values,
-                       worst_gram_eigenvalue, worst_residual)
+from reference import (equality_residual, eval_many_broadcast,
+                       fd_gradient_check, gram_from_sos_terms, set_contains,
+                       set_values, worst_gram_eigenvalue, worst_residual)
 
 CONE_SPEC = """\
 dim: 2
@@ -99,7 +99,7 @@ def test_criterion_1_cone_reproduction(tmp_path):
         rebuilt = rebuilt + g * f
     section = Simplex.from_rows([[0.8, 0.2], [0.2, 0.8]])
     grid = barycentric_grid(section, 10_000)
-    decrease_max = float(decrease.eval_many(grid).max())
+    decrease_max = float(eval_many_broadcast(decrease, grid).max())
 
     ok = (code == 0 and elapsed < 10.0 and grid_min >= -1e-9
           and printed_code == 0 and decrease == rebuilt and decrease_max < 0)
@@ -220,7 +220,7 @@ def test_criterion_3_vertex_multiset_suite():
         diag = H.diagonal_polynomial()
         V = np.array(vertices)
         lams = rng.dirichlet([1.0] * k, size=1000)
-        if diag.eval_many(lams @ V).min() >= -1e-10:
+        if eval_many_broadcast(diag, lams @ V).min() >= -1e-10:
             sound += 1
 
     adversarial_hits = 0
@@ -242,7 +242,7 @@ def test_criterion_3_vertex_multiset_suite():
         diag = Hbad.diagonal_polynomial()
         V = np.array(vertices)
         lams = rng.dirichlet([1.0] * k, size=1000)
-        if diag.eval_many(lams @ V).min() < 0:
+        if eval_many_broadcast(diag, lams @ V).min() < 0:
             adversarial_hits += 1
 
     ok = sound == 100 and adversarial_hits >= 95

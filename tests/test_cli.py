@@ -156,8 +156,8 @@ cone4: -1*x2 + 0.5*x3
 
 def test_r0_margin_lps_are_pinned(tmp_path):
     """The first 16 hex digits of sha256 of each --dump-lp file of a
-    d = 2, r = 0 find, recorded when the r = 0 decrease still formed
-    h <x, f> and scaled it by 0."""
+    d = 2, r = 0 find, recorded when the lattice values came from the
+    monomial table (multiplies only, no pow)."""
     spec = tmp_path / "refine.spec"
     spec.write_text(REFINE_SPEC)
     out = tmp_path / "out"
@@ -166,8 +166,8 @@ def test_r0_margin_lps_are_pinned(tmp_path):
     assert code == EXIT_OK
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
                for path in sorted(out.glob("*.lp"))}
-    assert digests == {"lp-d2-r0-s0.lp": "0ef7f967b564f7fa",
-                       "lp-d2-r0-s1.lp": "b4c7c2f2072f88dd"}
+    assert digests == {"lp-d2-r0-s0.lp": "fed7f92db91fe73c",
+                       "lp-d2-r0-s1.lp": "6e1510a5d8a11270"}
 
 
 def test_find_lyap_cone_on_square_cone_spec(sq3d_run):
@@ -201,6 +201,62 @@ def test_find_lyap_sos_end_to_end(cusp_spec, tmp_path):
                   "--certificate", str(out / "certificate.txt"),
                   "--out", str(tmp_path / "v")])
     assert code2 == EXIT_OK
+
+
+def _oracle_rejecting(monkeypatch, reject):
+    """Wrap oracle.verify_sos so that its report fails on the calls for
+    which reject(call index) is true."""
+    real, calls = oracle.verify_sos, []
+
+    def verify_sos(V, system, **kwargs):
+        report = real(V, system, **kwargs)
+        if reject(len(calls)):
+            report.checks.append(oracle.CheckResult("forced", -1.0, None, 1))
+        calls.append(V)
+        return report
+
+    monkeypatch.setattr(oracle, "verify_sos", verify_sos)
+
+
+def test_oracle_rejection_goes_on_to_the_next_degree(tmp_path, monkeypatch,
+                                                     capsys):
+    # without "deg:" the search runs degrees 2, 4, 6; the oracle rejects
+    # the degree-2 candidate, which is kept apart from certificate.txt
+    spec = tmp_path / "cusp.spec"
+    spec.write_text(CUSP_SPEC.replace("deg: 2\n", ""))
+    _oracle_rejecting(monkeypatch, lambda call: call == 0)
+    out = tmp_path / "out"
+    assert main(["find-lyap-sos", str(spec), "--samples", "1000",
+                 "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "status=certificate-found degree=4 ")
+    assert "oracle-pass: false" in (out / "rejected-deg2.txt").read_text()
+    assert "oracle-pass: true" in (out / "certificate.txt").read_text()
+
+
+def test_rejection_at_every_degree_writes_no_certificate(tmp_path,
+                                                         monkeypatch, capsys):
+    spec = tmp_path / "cusp.spec"
+    spec.write_text(CUSP_SPEC.replace("deg: 2\n", ""))
+    _oracle_rejecting(monkeypatch, lambda call: True)
+    out = tmp_path / "out"
+    assert main(["find-lyap-sos", str(spec), "--samples", "1000",
+                 "--out", str(out)]) == EXIT_NOT_FOUND
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "status=certificate-rejected-by-oracle degrees=[2, 4, 6] tier=sdp "
+        "worst=-1.0")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "rejected-deg2.txt", "rejected-deg4.txt", "rejected-deg6.txt"]
+
+
+def test_r_without_deg_is_an_input_error(cone_spec, tmp_path, capsys):
+    # --r sets a single level together with --deg; alone it would be
+    # ignored in favour of the spec's schedule
+    assert main(["find-lyap-cone", str(cone_spec), "--r", "7",
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "status=input-error")
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_printed_candidate(cone_spec, tmp_path):

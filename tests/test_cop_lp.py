@@ -4,17 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lyapcert import linprog
+from lyapcert import cop_lp, linprog
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import (ConicSetupError, ConicSystem,
                              RationalLyapunovCandidate, SectionState,
                              assemble_lp, build_si, decrease_polynomials,
                              initial_sections,
                              run_hierarchy)
-from lyapcert.poly import (Polynomial, SymmetricTensor, monomials_of_degree,
-                           norm_squared, parse_polynomial)
+from lyapcert.poly import (MonomialTable, Polynomial, SymmetricTensor,
+                           monomials_of_degree, norm_squared, parse_polynomial)
 from lyapcert.tangency import eta_projection, face_eta_polynomial
-from reference import candidate_gradient
+from reference import candidate_gradient, eval_many_broadcast
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -340,7 +340,7 @@ def test_vertex_multiset_nonnegativity_implies_cell_nonnegativity():
         diag = H.diagonal_polynomial()
         V = np.array(vertices)
         lams = rng.dirichlet([1.0] * k, size=1000)
-        values = diag.eval_many(lams @ V)
+        values = eval_many_broadcast(diag, lams @ V)
         assert values.min() >= -1e-10
 
 
@@ -358,6 +358,31 @@ def test_refinement_never_decreases_margin():
     assert t2 >= t1 - 1e-8
 
 
+def test_assembly_builds_its_tables_once_per_level(monkeypatch):
+    """One table each for h, s0 and every face's b-branch and w, however
+    many cells the partition has."""
+    built = []
+
+    class CountingTable(MonomialTable):
+        __slots__ = ()
+
+        def __init__(self, polys):
+            built.append(len(polys))
+            super().__init__(polys)
+
+    monkeypatch.setattr(cop_lp, "MonomialTable", CountingTable)
+    sections = initial_sections(SQ3D)
+    seen = []
+    for _ in range(3):
+        built.clear()
+        lp, _ = assemble_lp(SQ3D, 2, 0, sections)
+        seen.append((len(built), lp.A.shape[0]))
+        sections = [SectionState(s.kind, s.label, s.partition.refine_all())
+                    for s in sections]
+    assert seen[0][1] < seen[1][1] < seen[2][1]
+    assert [tables for tables, _ in seen] == [2 + 2 * SQ3D.cone.num_rows] * 3
+
+
 def test_certified_decrease_transfers_across_radii():
     outcome = run_hierarchy(wedge_system(), [(2, 0, 6)])
     cand = outcome.certificate.candidate
@@ -367,8 +392,8 @@ def test_certified_decrease_transfers_across_radii():
     for radius in (0.1, 1.0, 10.0):
         lams = rng.uniform(0.0, 1.0, size=1000)
         pts = radius * (np.outer(lams, rays[0]) + np.outer(1 - lams, rays[1]))
-        assert cand.h.eval_many(pts).min() > 0
-        assert s0.eval_many(pts).min() > 0
+        assert eval_many_broadcast(cand.h, pts).min() > 0
+        assert eval_many_broadcast(s0, pts).min() > 0
 
 
 def test_candidate_gradient_closed_form():

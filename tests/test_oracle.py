@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -11,15 +10,16 @@ from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import ConicSystem, RationalLyapunovCandidate
 from lyapcert.oracle import (BAND_WIDTH, _band_points, _rejection_sample,
-                             _row_patterns, _values, barycentric_grid,
+                             _row_patterns, barycentric_grid,
                              verify_conic, verify_sos)
 from lyapcert.cones import Simplex
 from lyapcert.cop_lp import run_hierarchy
-from lyapcert.poly import Polynomial, monomials_up_to_degree, parse_polynomial
+from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import SemialgebraicSet, eta_projection
 from reference import (band_points_per_point, candidate_gradient,
-                       fd_gradient_check, field_at, rejection_sample_per_row)
+                       eval_many_broadcast, fd_gradient_check, field_at,
+                       rejection_sample_per_row)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -195,63 +195,6 @@ def test_barycentric_grid_points_in_lexicographic_order(k, density):
                               weights @ simplex.vertex_array())
 
 
-# -- the oracle's evaluator ----------------------------------------------------------
-
-def _random_polynomial(rng, n, monos):
-    chosen = rng.choice(len(monos), size=rng.integers(1, min(12, len(monos))
-                                                      + 1), replace=False)
-    return Polynomial(n, {monos[i]: Fraction(int(rng.integers(-40, 41)),
-                                             int(rng.integers(1, 13)))
-                          for i in chosen})
-
-
-def _assert_values_within_rounding(polys, points):
-    """Every value within gamma_k * sum_t |c_t x^t| of the exact one, with
-    k = degree + terms + 1 roundings: the coefficient, the monomial's
-    products, the term's product and the sum (gamma_k = k u / (1 - k u),
-    u = 2^-53)."""
-    points = np.asarray(points, dtype=float)
-    got = _values(polys, points)
-    assert got.shape == (len(points), len(polys))
-    for x, row in zip(points, got):
-        exact_x = [Fraction(v) for v in x]
-        for p, value in zip(polys, row):
-            exact = p.evaluate(exact_x)
-            scale = Polynomial(p.dimension, {m: abs(c) for m, c
-                                             in p.terms.items()}).evaluate(
-                [abs(v) for v in exact_x])
-            k = p.degree() + len(p.terms) + 1 if p.terms else 0
-            gamma = Fraction(k, 2**53 - k)
-            assert abs(Fraction(value) - exact) <= gamma * scale
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_values_match_exact_evaluation(n):
-    rng = np.random.default_rng(40 + n)
-    for degree in range(0, 9):
-        monos = monomials_up_to_degree(n, degree)
-        polys = [_random_polynomial(rng, n, monos) for _ in range(3)]
-        # polynomials that share monomials, and the zero polynomial
-        polys += [polys[0] * 2 + polys[1], polys[0] - polys[0]]
-        points = rng.uniform(-1.5, 1.5, size=(6, n))
-        points[rng.random(points.shape) < 0.2] = 0.0
-        _assert_values_within_rounding(polys, points)
-
-
-def test_values_edge_cases():
-    p = parse_polynomial("3*x1^2*x2 - 1/3*x2 + 7", 2)
-    constant = Polynomial.constant(2, Fraction(1, 3))
-    zero = Polynomial.zero(2)
-    _assert_values_within_rounding([p, constant, zero],
-                                   [[0.0, 0.0], [0.0, -2.5], [1e-3, 0.0]])
-    one = _values([p, constant, zero], np.array([0.5, 2.0]))
-    assert one.shape == (1, 3)
-    assert one[0, 2] == 0.0 and one[0, 1] == float(Fraction(1, 3))
-    assert _values([p, zero], np.zeros((0, 2))).shape == (0, 2)
-    assert np.array_equal(_values([constant], np.zeros((4, 2))),
-                          np.full((4, 1), float(Fraction(1, 3))))
-
-
 # -- sos verification -------------------------------------------------------------
 
 def test_cusp_candidate_passes():
@@ -322,7 +265,8 @@ def test_band_points_match_the_per_point_reference(make_set):
     rng = np.random.default_rng(91)
     lo, hi = np.array(S.box).T
     pts = rng.uniform(lo, hi, size=(3000, n))
-    pts = pts[np.all([g.eval_many(pts) >= 0 for g in S.generators], axis=0)]
+    pts = pts[np.all([eval_many_broadcast(g, pts) >= 0
+                      for g in S.generators], axis=0)]
     # on the ball: the origin (grad g = 0, dropped), a point that needs 53
     # Newton passes (dropped at the cap of 50) and one that needs 47 (kept)
     e1 = np.eye(n)[0]

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyapcert.poly import (Polynomial, PolynomialParseError, SymmetricTensor,
-                           bernstein_coefficients, float_kernel,
-                           format_polynomial, monomials_of_degree,
-                           monomials_up_to_degree, parse_polynomial)
-from reference import eval_many_broadcast, evaluate_float_terms
+from lyapcert.poly import (MonomialTable, Polynomial, PolynomialParseError,
+                           SymmetricTensor, bernstein_coefficients,
+                           float_kernel, format_polynomial,
+                           monomials_of_degree, monomials_up_to_degree,
+                           parse_polynomial)
+from reference import evaluate_float_terms, values_per_call
 
 X1 = Polynomial.variable(2, 0)
 X2 = Polynomial.variable(2, 1)
@@ -88,28 +89,92 @@ def test_gradient_finite_differences():
 
 # -- float evaluation ---------------------------------------------------------------
 
-def test_eval_many_is_bit_identical_to_the_broadcast_reference():
-    """The power table gives the same floats as one pow per (point, term,
-    variable), on random polynomials and points with zero coordinates."""
+def test_monomial_table_is_bit_identical_to_the_per_call_reference():
+    """A table built once gives the same floats as the layout rebuilt on
+    each call, on random polynomial lists and points with zero
+    coordinates."""
     rng = np.random.default_rng(2026)
-    polys = [Polynomial.zero(3), Polynomial.constant(2, Fraction(7, 3))]
+    lists = [[Polynomial.zero(3)], [Polynomial.constant(2, Fraction(7, 3))]]
     for _ in range(200):
         n, degree = int(rng.integers(1, 5)), int(rng.integers(0, 9))
         basis = monomials_up_to_degree(n, degree)
-        chosen = rng.choice(len(basis), size=int(rng.integers(1, len(basis) + 1)),
-                            replace=False)
-        polys.append(Polynomial(n, {basis[i]: float(rng.normal())
-                                    for i in chosen}))
-    for p in polys:
-        n = p.dimension
+        polys = []
+        for _ in range(int(rng.integers(1, 4))):
+            chosen = rng.choice(len(basis),
+                                size=int(rng.integers(1, len(basis) + 1)),
+                                replace=False)
+            polys.append(Polynomial(n, {basis[i]: float(rng.normal())
+                                        for i in chosen}))
+        lists.append(polys)
+    for polys in lists:
+        n = polys[0].dimension
+        table = MonomialTable(polys)
         pts = rng.normal(size=(int(rng.integers(1, 300)), n)) \
             * rng.uniform(0.1, 3.0)
         pts[::7, 0] = 0.0
         for points in (pts, pts[-1], np.zeros((0, n))):
-            got = p.eval_many(points)
-            want = eval_many_broadcast(p, points)
+            got = table(points)
+            want = values_per_call(polys, points)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+
+def _random_polynomial(rng, n, monos):
+    chosen = rng.choice(len(monos), size=rng.integers(1, min(12, len(monos))
+                                                      + 1), replace=False)
+    return Polynomial(n, {monos[i]: Fraction(int(rng.integers(-40, 41)),
+                                             int(rng.integers(1, 13)))
+                          for i in chosen})
+
+
+def _assert_values_within_rounding(polys, points):
+    """Every value within gamma_k * sum_t |c_t x^t| of the exact one, with
+    k = degree + terms + 1 roundings: the coefficient, the monomial's
+    products, the term's product and the sum (gamma_k = k u / (1 - k u),
+    u = 2^-53)."""
+    points = np.asarray(points, dtype=float)
+    got = MonomialTable(polys)(points)
+    assert got.shape == (len(points), len(polys))
+    for x, row in zip(points, got):
+        exact_x = [Fraction(v) for v in x]
+        for p, value in zip(polys, row):
+            exact = p.evaluate(exact_x)
+            scale = Polynomial(p.dimension, {m: abs(c) for m, c
+                                             in p.terms.items()}).evaluate(
+                [abs(v) for v in exact_x])
+            k = p.degree() + len(p.terms) + 1 if p.terms else 0
+            gamma = Fraction(k, 2**53 - k)
+            assert abs(Fraction(value) - exact) <= gamma * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_values_match_exact_evaluation(n):
+    rng = np.random.default_rng(40 + n)
+    for degree in range(0, 9):
+        monos = monomials_up_to_degree(n, degree)
+        polys = [_random_polynomial(rng, n, monos) for _ in range(3)]
+        # polynomials that share monomials, and the zero polynomial
+        polys += [polys[0] * 2 + polys[1], polys[0] - polys[0]]
+        points = rng.uniform(-1.5, 1.5, size=(6, n))
+        points[rng.random(points.shape) < 0.2] = 0.0
+        _assert_values_within_rounding(polys, points)
+
+
+def test_values_edge_cases():
+    p = parse_polynomial("3*x1^2*x2 - 1/3*x2 + 7", 2)
+    constant = Polynomial.constant(2, Fraction(1, 3))
+    zero = Polynomial.zero(2)
+    _assert_values_within_rounding([p, constant, zero],
+                                   [[0.0, 0.0], [0.0, -2.5], [1e-3, 0.0]])
+    one = MonomialTable([p, constant, zero])(np.array([0.5, 2.0]))
+    assert one.shape == (1, 3)
+    assert one[0, 2] == 0.0 and one[0, 1] == float(Fraction(1, 3))
+    assert MonomialTable([p, zero])(np.zeros((0, 2))).shape == (0, 2)
+    assert np.array_equal(MonomialTable([constant])(np.zeros((4, 2))),
+                          np.full((4, 1), float(Fraction(1, 3))))
+    assert MonomialTable([])(np.zeros((3, 2))).shape == (3, 0)
+    with pytest.raises(ValueError):
+        MonomialTable([p, Polynomial.zero(3)])
 
 
 # -- homogeneity --------------------------------------------------------------------
@@ -281,7 +346,7 @@ def test_bernstein_coefficients_match_tensor_eval():
                 cases.append(([p, Polynomial.zero(n), mono], vertices, order,
                               None))
     for polys, vertices, order, known in cases:
-        got = bernstein_coefficients(polys, vertices, order)
+        got = bernstein_coefficients(MonomialTable(polys), vertices, order)
         ref = polar_form_rows(polys, vertices, order)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -291,9 +356,10 @@ def test_bernstein_coefficients_match_tensor_eval():
 
 def test_bernstein_coefficients_reject_wrong_degree():
     with pytest.raises(ValueError):
-        bernstein_coefficients([X1 ** 2 + X2], [(1, 0), (0, 1)], 2)
+        bernstein_coefficients(MonomialTable([X1 ** 2 + X2]),
+                               [(1, 0), (0, 1)], 2)
     with pytest.raises(ValueError):
-        bernstein_coefficients([X1 ** 3], [(1, 0), (0, 1)], 2)
+        bernstein_coefficients(MonomialTable([X1 ** 3]), [(1, 0), (0, 1)], 2)
 
 
 # -- invariants -----------------------------------------------------------------------
