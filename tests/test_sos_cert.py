@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,3 +412,67 @@ def test_dsos_tier_input_is_pinned(case, monkeypatch):
     with pytest.raises(_Captured) as captured:
         _solve_dsos_tier(_tier_equalities(*case))
     assert captured.value.args[0] == DSOS_DIGESTS[case]
+
+
+# -- find-lyap-sos output, pinned ----------------------------------------------
+
+BALL_SPEC = """\
+dim: 3
+f1: -1*x1 + 1*x2
+f2: -1*x1 - 1*x2
+f3: -1*x3
+g1: 1 - x1^2 - x2^2 - x3^2
+box1: -1.0 1.0
+box2: -1.0 1.0
+box3: -1.0 1.0
+"""
+
+# (system, tier, deg V) -> sha256 of the certificate.txt that
+# find-lyap-sos --samples 2000 writes with BLAS on one thread; the SDP
+# iterates depend on the BLAS thread count in their last bits
+CERTIFICATE_SHA256 = {
+    ("cusp", "sdp", 2):
+        "9d6c024f0de828d6f08708ed918cf9daf1dd3d810b7243712fde427ef26fc9e4",
+    ("cusp", "dsos", 2):
+        "a6766290c136f963f8dc58d5c759b4a32d538b9a37aeedb2c7e323de48bbedf0",
+    ("ball", "sdp", 4):
+        "211eafc238a9f6f4e4c31489c1669f77a00f92238bd6111f3c5f283d418be0b9",
+}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_SHA256,
+                         ids=["-".join(map(str, c)) for c in CERTIFICATE_SHA256])
+def test_sos_certificate_file_is_pinned(case, tmp_path):
+    name, tier, deg = case
+    if name == "cusp":
+        spec = Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
+    else:
+        spec = tmp_path / "ball.spec"
+        spec.write_text(BALL_SPEC)
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-m", "lyapcert.cli", "find-lyap-sos",
+                    str(spec), "--deg", str(deg), "--tier", tier,
+                    "--samples", "2000", "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    digest = hashlib.sha256((out / "certificate.txt").read_bytes()).hexdigest()
+    assert digest == CERTIFICATE_SHA256[case]
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_SHA256,
+                         ids=["-".join(map(str, c)) for c in CERTIFICATE_SHA256])
+def test_certificate_residual_is_the_reference_residual(case):
+    # the extraction's worst row residual, recomputed term by term from the
+    # certificate's Grams, V and phi, is the same float
+    name, tier, deg = case
+    system = cusp_system() if name == "cusp" else ball_system()
+    cert = solve_certificate(system, deg, tier=tier).certificate
+    eq = _assemble_full(system, deg, cert.eps_pd, None, 0)
+    assert {n: b.basis for n, b in eq.blocks.items()} == \
+        {n: m.basis for n, m in cert.multipliers.items()}
+    grams = {n: m.gram for n, m in cert.multipliers.items()}
+    frees = {group: {mono: float(c) for mono, c in p.terms.items()}
+             for group, p in {"V": cert.V, **cert.phi}.items()}
+    assert equality_residual(eq, grams, frees) == max(cert.residuals.values())
