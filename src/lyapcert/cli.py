@@ -388,13 +388,16 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
         cert.candidate, system, grid_density=args.density,
         **({"activation_tol": tau} if tau is not None else {}))
     out = _out_dir(args)
-    path = out / "certificate.txt"
-    path.write_text(format_conic_certificate(cert, system, report))
-    (out / "report.txt").write_text(report.to_text())
+    text = format_conic_certificate(cert, system, report)
     if not report.passed:
+        # a rejected candidate is no certificate
+        (out / f"rejected-d{cert.degree}-r{cert.r}.txt").write_text(text)
         _status(f"certificate-rejected-by-oracle margin={cert.margin!r} "
                 f"worst={report.worst().min_value!r}")
         return EXIT_NOT_FOUND
+    path = out / "certificate.txt"
+    path.write_text(text)
+    (out / "report.txt").write_text(report.to_text())
     _status(f"certificate-found degree={cert.degree} r={cert.r} "
             f"margin={cert.margin!r} sweeps={cert.sweeps_used} file={path}")
     return EXIT_OK

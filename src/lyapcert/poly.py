@@ -88,7 +88,7 @@ class Polynomial:
     instances, values are safe to share between threads.
     """
 
-    __slots__ = ("dimension", "terms", "_kernel")
+    __slots__ = ("dimension", "terms")
 
     def __init__(self, dimension: int,
                  terms: Mapping[Mono, Scalar] | None = None):
@@ -108,7 +108,6 @@ class Polynomial:
                 acc = clean.get(mono)
                 clean[mono] = c if acc is None else acc + c
         self.terms = {m: c for m, c in clean.items() if c != 0}
-        self._kernel = None
 
     # -- constructors -------------------------------------------------------
 
@@ -249,13 +248,6 @@ class Polynomial:
             total += coeff * prod(
                 x ** e for x, e in zip(point, mono) if e)
         return total
-
-    def evaluate_float(self, point) -> float:
-        """Float evaluation at one point, by the float_kernel of [self]
-        (built on first use)."""
-        if self._kernel is None:
-            self._kernel = float_kernel([self])
-        return self._kernel(point)[0]
 
     # -- tensor representation ----------------------------------------------
 

@@ -44,6 +44,9 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 DIVERGENCE_THRESHOLD = 1e8
+GAP_TOL = 1e-9       # relative duality gap the iteration stops at
+FEAS_TOL = 1e-9      # relative primal and dual residual it stops at
+MAX_ITER = 200
 
 
 class SdpError(RuntimeError):
@@ -161,14 +164,14 @@ def _nt_frame(scal, dX: list[np.ndarray], dZ: list[np.ndarray]):
     return dXh, dZh, alpha_p, alpha_d
 
 
-def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
-              feas_tol: float = 1e-9, max_iter: int = 200) -> SdpResult:
+def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
     """Solve the block SDP.
 
     A "solution" satisfies: min eigenvalue of each X block >= -1e-8,
     equality residual <= 1e-8, and relative duality gap <= 1e-7 (the solve
-    targets the tighter gap_tol internally).  "maxiter" after max_iter
-    iterations is reported distinctly from "infeasible".
+    targets the tighter GAP_TOL internally).  "maxiter" after MAX_ITER
+    iterations is reported distinctly from "infeasible".  No free variables
+    (k = 0) need no branch: numpy's empty products and solves give zeros.
     """
     m, k, nb = len(sdp.b), sdp.num_free, len(sdp.A)
     b, D = sdp.b, sdp.D
@@ -189,7 +192,7 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
     touched = (D != 0).any(axis=1)
     for Eb in E:
         touched |= (Eb != 0).any(axis=1)
-    if (np.abs(b[~touched]) > feas_tol).any():
+    if (np.abs(b[~touched]) > FEAS_TOL).any():
         return SdpResult(status="infeasible", infeasibility_is_heuristic=False)
 
     scale = max(1.0, float(np.abs(b).max()))
@@ -200,27 +203,27 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + max(np.linalg.norm(Cb) for Cb in sdp.objective_blocks) \
-        + (np.linalg.norm(sdp.free_objective) if k else 0.0)
+        + np.linalg.norm(sdp.free_objective)
 
     status = "maxiter"
     iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         Aty = apply_At(y)
-        r_p = b - apply_A(X) - (D @ u if k else 0.0)
+        r_p = b - apply_A(X) - D @ u
         R_d = [sdp.objective_blocks[bi] - Z[bi] - Aty[bi] for bi in range(nb)]
-        r_f = sdp.free_objective - D.T @ y if k else np.zeros(0)
+        r_f = sdp.free_objective - D.T @ y
 
         mu = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z)) / total_dim
         pobj = sum(float(np.tensordot(Cb, Xb))
                    for Cb, Xb in zip(sdp.objective_blocks, X)) \
-            + (float(sdp.free_objective @ u) if k else 0.0)
+            + float(sdp.free_objective @ u)
         dobj = float(b @ y)
         rel_p = np.linalg.norm(r_p) / norm_b
         rel_d = (max(np.linalg.norm(Rb) for Rb in R_d)
-                 + (np.linalg.norm(r_f) if k else 0.0)) / norm_c
+                 + np.linalg.norm(r_f)) / norm_c
         gap = mu * total_dim / (1.0 + abs(pobj) + abs(dobj))
 
-        if rel_p <= feas_tol and rel_d <= feas_tol and gap <= gap_tol:
+        if rel_p <= FEAS_TOL and rel_d <= FEAS_TOL and gap <= GAP_TOL:
             status = "solution"
             break
         if dobj > DIVERGENCE_THRESHOLD and rel_d <= 1e-4:
@@ -269,14 +272,11 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
         def solve_M(rhs):
             return Linv.T @ (Linv @ rhs)
 
-        if k:
-            MiD = solve_M(D)
-            S_free = D.T @ MiD + 1e-13 * np.eye(k)
+        MiD = solve_M(D)
+        S_free = D.T @ MiD + 1e-13 * np.eye(k)
 
         def saddle(rhs1, rhs2):
             t = solve_M(rhs1)
-            if not k:
-                return t, np.zeros(0)
             du = np.linalg.solve(S_free, D.T @ t - rhs2)
             return t - MiD @ du, du
 
@@ -305,8 +305,8 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
 
             recompute_steps(dy)
             for _ in range(2):
-                res_p = r_p - apply_A(dX) - (D @ du if k else 0.0)
-                res_f = (r_f - D.T @ dy) if k else np.zeros(0)
+                res_p = r_p - apply_A(dX) - D @ du
+                res_f = r_f - D.T @ dy
                 if np.abs(res_p).max(initial=0.0) <= 1e-13 * norm_b and \
                         np.abs(res_f).max(initial=0.0) <= 1e-13 * norm_c:
                     break
@@ -344,11 +344,10 @@ def solve_sdp(sdp: SemidefiniteProgram, gap_tol: float = 1e-9,
         u = u + alpha_p * du
         y = y + alpha_d * dy
 
-    eq_residual = float(np.linalg.norm(
-        b - apply_A(X) - (D @ u if k else 0.0), ord=np.inf))
+    eq_residual = float(np.linalg.norm(b - apply_A(X) - D @ u, ord=np.inf))
     pobj = sum(float(np.tensordot(Cb, Xb))
                for Cb, Xb in zip(sdp.objective_blocks, X)) \
-        + (float(sdp.free_objective @ u) if k else 0.0)
+        + float(sdp.free_objective @ u)
     dobj = float(b @ y)
     comp = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z))
     result = SdpResult(

@@ -13,15 +13,17 @@ Every multiplier except phi_j must be a sum of squares; coefficient
 matching per monomial gives the linear equalities.  All three come from one
 builder, _assemble_identity, for sum_m V_m lhs_m - offset = s_0 +
 sum_i s_i g_i (+ phi_j g_j); the public assemble_condition_* functions only
-choose lhs, offset, degree and names.  Both tiers read the rows through one
-float layout (_FloatLayout: Gram entries, then free coefficients, with every
-row's terms as flat (row, column, value) arrays) and unpack their
-solutions through it.  The SDP tier shifts every Gram by a common margin t
-(G - t I psd), maximizes t, and scatters the terms straight into the
-solver's per-block coefficient arrays; the DSOS tier replaces positive
-semidefiniteness by diagonal dominance, which is an LP and a strictly
-smaller but cheaper certificate class, and scatters the same terms into
-the LP's equality rows.  A certificate is accepted only after substituting
+choose lhs, offset, degree and names.  One float layout per equality
+system (_FloatLayout: Gram entries, then free coefficients, with every
+row's terms as flat (row, column, value) arrays) serves both tiers, which
+return their solution as one vector over its columns, and the extraction,
+which reads the Grams, V, phi and every row residual through it.  The
+SDP tier shifts every Gram by a common margin t (G - t I psd), maximizes
+t, and scatters the terms straight into the solver's per-block
+coefficient arrays; the DSOS tier replaces positive semidefiniteness by
+diagonal dominance, which is an LP and a strictly smaller but cheaper
+certificate class, and scatters the same terms into the LP's equality
+rows.  A certificate is accepted only after substituting
 the Grams back into the exact rows and re-deriving every identity within
 tolerance; a failed recheck is an error, never a silent acceptance.
 
@@ -42,9 +44,9 @@ from typing import Sequence
 import numpy as np
 
 from . import linprog
-from .poly import (Mono, Polynomial, euler_kernel, monomials_of_degree,
-                   monomials_up_to_degree, norm_squared)
-from .sdpsolve import SdpResult, SemidefiniteProgram, solve_sdp
+from .poly import (Mono, Polynomial, euler_kernel, monomials_up_to_degree,
+                   norm_squared)
+from .sdpsolve import SemidefiniteProgram, solve_sdp
 from .tangency import SemialgebraicSet
 
 logger = logging.getLogger(__name__)
@@ -105,17 +107,16 @@ class GramBlock:
     name: str
     basis: list[Mono]
     pairs_by_monomial: dict[Mono, list[tuple[int, int]]] = field(
-        default_factory=dict)
+        init=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.basis:
             raise SosSetupError(f"gram block {self.name} has an empty basis")
-        if not self.pairs_by_monomial:
-            for i in range(len(self.basis)):
-                for j in range(i, len(self.basis)):
-                    mono = tuple(a + b for a, b in zip(self.basis[i],
-                                                       self.basis[j]))
-                    self.pairs_by_monomial.setdefault(mono, []).append((i, j))
+        for i in range(len(self.basis)):
+            for j in range(i, len(self.basis)):
+                mono = tuple(a + b for a, b in zip(self.basis[i],
+                                                   self.basis[j]))
+                self.pairs_by_monomial.setdefault(mono, []).append((i, j))
 
     @property
     def size(self) -> int:
@@ -136,22 +137,16 @@ class GramBlock:
 
 
 def gram_parameterize(total_degree: int, dimension: int,
-                      homogeneous: bool = False,
                       name: str = "gram") -> tuple[list[Mono], GramBlock]:
     """Monomial basis and symbolic Gram for an SOS of the given degree.
 
-    The basis holds all monomials of degree <= total_degree/2, or exactly
-    total_degree/2 in homogeneous mode.
+    The basis holds all monomials of degree <= total_degree/2.
     """
     if total_degree < 0:
         raise SosSetupError("degree must be nonnegative")
     if total_degree % 2 != 0:
         raise SosSetupError("SOS degree must be even")
-    half = total_degree // 2
-    if homogeneous:
-        basis = monomials_of_degree(dimension, half)
-    else:
-        basis = monomials_up_to_degree(dimension, half)
+    basis = monomials_up_to_degree(dimension, total_degree // 2)
     return basis, GramBlock(name, basis)
 
 
@@ -358,10 +353,6 @@ class SosOutcome:
     margin: float | None = None
     detail: str = ""
 
-    @property
-    def found(self) -> bool:
-        return self.certificate is not None
-
 
 # -- solving --------------------------------------------------------------------
 
@@ -387,7 +378,8 @@ class _FloatLayout:
     column's block index and position.  row, col and val hold every term
     of every row as flat arrays, row by row and, within a row, in the
     order the terms were entered, Gram terms first; rhs[k] is row k's
-    -constant.  No (row, column) pair occurs twice.
+    -constant.  No (row, column) pair occurs twice.  A solution is one
+    vector over these columns.
     """
 
     def __init__(self, eq: EqualitySystem):
@@ -414,34 +406,17 @@ class _FloatLayout:
     def num_entries(self) -> int:
         return len(self.entry_block)
 
-    def unpack(self, entries: np.ndarray, free: np.ndarray
-               ) -> tuple[dict[str, np.ndarray], dict[str, dict[Mono, float]]]:
-        """Symmetric Grams and free values from column-ordered values."""
-        grams: dict[str, np.ndarray] = {}
-        start = 0
-        for name, s in zip(self.blocks, self.sizes):
-            upper = np.triu_indices(s)
-            G = np.zeros((s, s))
-            G[upper] = G[upper[::-1]] = entries[start:start + len(upper[0])]
-            grams[name] = G
-            start += len(upper[0])
-        frees: dict[str, dict[Mono, float]] = {}
-        for (group, mono), value in zip(self.free, free):
-            frees.setdefault(group, {})[mono] = float(value)
-        return grams, frees
 
-
-def _solve_sdp_tier(eq: EqualitySystem, gap_tol: float = 1e-9,
-                    on_sdp=None
-                    ) -> tuple[SdpResult, dict[str, np.ndarray], dict, float]:
+def _solve_sdp_tier(layout: _FloatLayout, on_sdp=None
+                    ) -> tuple[str, np.ndarray | None, float]:
     """Max t with every Gram shifted: blocks are Y = G - t I >= 0.
 
     G_ii = Y_ii + t puts each row's sum of diagonal coefficients on t, an
     off-diagonal coefficient c of G_ij is c/2 at (i, j) and (j, i) of the
     row's matrix, and a last row caps t + s = 1 with s an extra 1 x 1
-    block.
+    block.  Returns the status ("solved", "infeasible" or "stalled"), the
+    solution over the layout's columns and t*, or None and nan unsolved.
     """
-    layout = _FloatLayout(eq)
     ne, nt = layout.num_entries, len(layout.free)   # nt: t's free index
     m = len(layout.rhs) + 1
     gram = layout.col < ne
@@ -470,26 +445,26 @@ def _solve_sdp_tier(eq: EqualitySystem, gap_tol: float = 1e-9,
                               free_objective=free_objective)
     if on_sdp is not None:
         on_sdp(sdp)
-    result = solve_sdp(sdp, gap_tol=gap_tol)
-    grams, frees, t_star = {}, {}, float("nan")
-    if result.blocks is not None and result.free is not None:
-        t_star = float(result.free[nt])
-        entries = np.concatenate([(Y + t_star * np.eye(s))[np.triu_indices(s)]
-                                  for Y, s in zip(result.blocks, layout.sizes)])
-        grams, frees = layout.unpack(entries, result.free[:nt])
-    return result, grams, frees, t_star
+    result = solve_sdp(sdp)
+    if result.status != "solution":
+        return ("infeasible" if result.status == "infeasible" else "stalled",
+                None, float("nan"))
+    t_star = float(result.free[nt])
+    entries = [(Y + t_star * np.eye(s))[np.triu_indices(s)]
+               for Y, s in zip(result.blocks, layout.sizes)]
+    return "solved", np.concatenate([*entries, result.free[:nt]]), t_star
 
 
-def _solve_dsos_tier(eq: EqualitySystem
-                     ) -> tuple[object, dict[str, np.ndarray], dict, float]:
+def _solve_dsos_tier(layout: _FloatLayout
+                     ) -> tuple[str, np.ndarray | None, float]:
     """Diagonal-dominance relaxation: one LP over Gram entries.
 
     Columns: the layout's Gram entries, u_ij >= |G_ij| per off-diagonal
     entry, the layout's free coefficients, then t.  Rows: the layout's
     equalities; per Gram diagonal G_kk - t - sum_j u_kj >= 0; per
-    off-diagonal entry G_ij - u_ij <= 0 and -G_ij - u_ij <= 0.
+    off-diagonal entry G_ij - u_ij <= 0 and -G_ij - u_ij <= 0.  Returns
+    what _solve_sdp_tier returns.
     """
-    layout = _FloatLayout(eq)
     ne = layout.num_entries
     block, i, j = layout.entry_block, layout.entry_i, layout.entry_j
     diag = np.flatnonzero(i == j)
@@ -526,54 +501,65 @@ def _solve_dsos_tier(eq: EqualitySystem
         b=np.concatenate([layout.rhs, np.zeros(n_dd + 2 * len(off))]),
         bounds=bounds, maximize=True)
     result = linprog.solve(lp)
-    grams, frees, t_star = {}, {}, float("nan")
-    if result.status == "optimal":
-        t_star = float(result.x[t_col])
-        grams, frees = layout.unpack(result.x[:ne],
-                                     result.x[free_offset:t_col])
-    return result, grams, frees, t_star
+    if result.status != "optimal":
+        # "unbounded" cannot happen with the t cap; it counts as a stall
+        return ("infeasible" if result.status == "infeasible" else "stalled",
+                None, float("nan"))
+    x = result.x
+    return ("solved", np.concatenate([x[:ne], x[free_offset:t_col]]),
+            float(x[t_col]))
 
 
-def _extract_certificate(eq: EqualitySystem, grams: dict[str, np.ndarray],
-                         frees: dict[str, dict[Mono, float]], t_star: float,
-                         tier: str, eps_pd: float,
-                         decrease_margin: Polynomial | None,
+# the solver's own word for a stalled tier, kept in the outcome's detail
+_STALL_WORD = {"sdp": "maxiter", "dsos": "stalled"}
+
+
+def _extract_certificate(eq: EqualitySystem, layout: _FloatLayout,
+                         x: np.ndarray, t_star: float, tier: str,
+                         eps_pd: float, decrease_margin: Polynomial | None,
                          dimension: int) -> SosCertificate:
+    # each row's constant, then its terms in entry order: bincount adds a
+    # bin's weights in input order
+    n_rows = len(layout.rhs)
+    sums = np.bincount(np.concatenate([np.arange(n_rows), layout.row]),
+                       weights=np.concatenate([-layout.rhs,
+                                               layout.val * x[layout.col]]),
+                       minlength=n_rows)
     residual_by_condition: dict[str, float] = {}
-    for label, expr in eq.rows:
+    for (label, _), r in zip(eq.rows, np.abs(sums).tolist()):
         condition = label.split(":", 1)[0]
-        acc = float(expr.constant)
-        for (name, i, j), coeff in expr.gram.items():
-            acc += float(coeff) * float(grams[name][i, j])
-        for (group, mono), coeff in expr.free.items():
-            acc += float(coeff) * frees.get(group, {}).get(mono, 0.0)
         residual_by_condition[condition] = max(
-            residual_by_condition.get(condition, 0.0), abs(acc))
+            residual_by_condition.get(condition, 0.0), r)
     worst = max(residual_by_condition.values(), default=0.0)
     if worst > RESIDUAL_TOL:
         raise CertificateUnsoundError(
             f"substitution residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
     multipliers: dict[str, MultiplierRecord] = {}
-    for name in sorted(grams):
-        block = eq.blocks[name]
-        G = 0.5 * (grams[name] + grams[name].T)
+    start = 0
+    for name, s in zip(layout.blocks, layout.sizes):
+        upper = np.triu_indices(s)
+        G = np.zeros((s, s))
+        G[upper] = G[upper[::-1]] = x[start:start + len(upper[0])]
+        start += len(upper[0])
         eig = float(np.linalg.eigvalsh(G).min())
         if eig < -GRAM_EIG_TOL:
             raise CertificateUnsoundError(
                 f"gram {name} has eigenvalue {eig:.3e} below -{GRAM_EIG_TOL:.1e}")
+        block = eq.blocks[name]
         multipliers[name] = MultiplierRecord(
             name=name, basis=block.basis, gram=G, min_eigenvalue=eig,
             polynomial=block.expand(G))
 
-    vterms = {mono: Fraction(val) for mono, val in frees.get("V", {}).items()
-              if val != 0.0}
-    V = Polynomial(dimension, vterms)
-    phi = {}
-    for group, values in frees.items():
-        if group.startswith("phi_"):
-            phi[group] = Polynomial(dimension, {
-                m: Fraction(v) for m, v in values.items() if v != 0.0})
+    free_terms: dict[str, dict[Mono, Fraction]] = {}
+    for (group, mono), value in zip(layout.free,
+                                    x[layout.num_entries:].tolist()):
+        terms = free_terms.setdefault(group, {})
+        if value != 0.0:
+            terms[mono] = Fraction(value)
+    V = Polynomial(dimension, free_terms["V"])
+    phi = {group: Polynomial(dimension, terms)
+           for group, terms in free_terms.items() if group.startswith("phi_")}
     flags = ["decrease decomposition imposed on all of the set, not only "
              "where no constraint is active"]
     if decrease_margin is None or decrease_margin.is_zero():
@@ -600,34 +586,28 @@ def solve_certificate(system: SemialgebraicSystem, deg_v: int,
     best_margin = None
     for slack in (0, 2):
         eq = _assemble_full(system, deg_v, eps_pd, decrease_margin, slack)
+        layout = _FloatLayout(eq)
         if tier == "sdp":
             on_sdp = None
             if sdpa_dump is not None:
                 on_sdp = lambda sdp, s=slack: sdpa_dump(sdp, deg_v, s)
-            result, grams, frees, t_star = _solve_sdp_tier(eq, on_sdp=on_sdp)
-            status = result.status
-            solved = status == "solution"
+            status, x, t_star = _solve_sdp_tier(layout, on_sdp=on_sdp)
         else:
-            result, grams, frees, t_star = _solve_dsos_tier(eq)
-            status = result.status
-            solved = status == "optimal"
-            if status == "unbounded":
-                # cannot happen with the t cap; treat defensively
-                status = "stalled"
+            status, x, t_star = _solve_dsos_tier(layout)
         logger.info("deg %d tier %s slack %d: status %s margin %s",
                     deg_v, tier, slack, status,
                     f"{t_star:.3e}" if t_star == t_star else "n/a")
-        if solved and t_star >= ACCEPT_SHIFT:
-            cert = _extract_certificate(eq, grams, frees, t_star, tier,
-                                        eps_pd, decrease_margin,
-                                        system.dimension)
-            return SosOutcome("certificate", cert, margin=t_star)
-        if solved:
+        if status == "stalled":
+            return SosOutcome("stalled", margin=best_margin,
+                              detail=f"solver returned {_STALL_WORD[tier]}")
+        if status == "solved":
+            if t_star >= ACCEPT_SHIFT:
+                cert = _extract_certificate(eq, layout, x, t_star, tier,
+                                            eps_pd, decrease_margin,
+                                            system.dimension)
+                return SosOutcome("certificate", cert, margin=t_star)
             best_margin = t_star if best_margin is None else max(best_margin,
                                                                  t_star)
-        elif status in ("maxiter", "stalled"):
-            return SosOutcome("stalled", margin=best_margin,
-                              detail=f"solver returned {status}")
     detail = ("no feasible shift above the acceptance threshold"
               if best_margin is not None else "equality system infeasible")
     return SosOutcome("infeasible", margin=best_margin, detail=detail)

@@ -22,7 +22,7 @@ import numpy as np
 
 def field_at(system, x) -> np.ndarray:
     """f(x) of a ConicSystem or SemialgebraicSystem."""
-    return np.array([c.evaluate_float(x) for c in system.f])
+    return np.array([evaluate_float_terms(c, x) for c in system.f])
 
 
 def cone_contains(cone, x, tol: float = 1e-9) -> bool:
@@ -35,7 +35,7 @@ def cone_contains(cone, x, tol: float = 1e-9) -> bool:
 
 def set_values(S, x) -> np.ndarray:
     """The generator values g_i(x) of a SemialgebraicSet."""
-    return np.array([g.evaluate_float(x) for g in S.generators])
+    return np.array([evaluate_float_terms(g, x) for g in S.generators])
 
 
 def set_contains(S, x, tol: float = 1e-9) -> bool:
@@ -47,8 +47,8 @@ def candidate_gradient(candidate, x) -> np.ndarray:
     """Closed-form gradient (|x|^2 grad h - 2 r h x) / |x|^(2(r+1))."""
     x = np.asarray(x, dtype=float)
     nrm2 = float(x @ x)
-    gh = np.array([g.evaluate_float(x) for g in candidate.h.gradient()])
-    hval = candidate.h.evaluate_float(x)
+    gh = np.array([evaluate_float_terms(g, x) for g in candidate.h.gradient()])
+    hval = evaluate_float_terms(candidate.h, x)
     return (nrm2 * gh - 2.0 * candidate.r * hval * x) / nrm2 ** (candidate.r + 1)
 
 
@@ -178,16 +178,16 @@ def band_points_per_point(index, S, pts, band_width) -> np.ndarray:
         y = x.copy()
         ok = False
         for _ in range(50):
-            val = g.evaluate_float(y)
+            val = evaluate_float_terms(g, y)
             if abs(val) <= band_width:
                 ok = True
                 break
-            grad = np.array([c.evaluate_float(y) for c in grads])
+            grad = np.array([evaluate_float_terms(c, y) for c in grads])
             nrm2 = float(grad @ grad)
             if nrm2 < 1e-30:
                 break
             y = y - (val / nrm2) * grad
-        if ok and all(other.evaluate_float(y) >= -1e-9
+        if ok and all(evaluate_float_terms(other, y) >= -1e-9
                       for other in S.generators if other is not g):
             out.append(y)
     return np.array(out) if out else np.zeros((0, pts.shape[1]))
@@ -259,8 +259,8 @@ def slsqp_projection(z, S) -> np.ndarray:
     from scipy.optimize import minimize
     z = np.asarray(z, dtype=float)
     constraints = [
-        {"type": "ineq", "fun": lambda y, g=g: g.evaluate_float(y),
-         "jac": lambda y, grad=grad: np.array([d.evaluate_float(y)
+        {"type": "ineq", "fun": lambda y, g=g: evaluate_float_terms(g, y),
+         "jac": lambda y, grad=grad: np.array([evaluate_float_terms(d, y)
                                                 for d in grad])}
         for g, grad in zip(S.generators, S.gradients)]
     result = minimize(lambda y: 0.5 * float((y - z) @ (y - z)),

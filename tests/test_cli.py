@@ -249,6 +249,28 @@ def test_rejection_at_every_degree_writes_no_certificate(tmp_path,
         "rejected-deg2.txt", "rejected-deg4.txt", "rejected-deg6.txt"]
 
 
+def test_cone_oracle_rejection_writes_no_certificate(cone_spec, tmp_path,
+                                                     monkeypatch, capsys):
+    # the candidate the grid oracle rejects is kept apart, so no
+    # certificate.txt exists for verify --certificate to pass
+    real = oracle.verify_conic
+
+    def verify_conic(candidate, system, **kwargs):
+        report = real(candidate, system, **kwargs)
+        report.checks.append(oracle.CheckResult("forced", -1.0, None, 1))
+        return report
+
+    monkeypatch.setattr(oracle, "verify_conic", verify_conic)
+    out = tmp_path / "out"
+    assert main(["find-lyap-cone", str(cone_spec), "--deg", "2", "--r", "0",
+                 "--out", str(out)]) == EXIT_NOT_FOUND
+    status = capsys.readouterr().err.splitlines()[-1]
+    assert status.startswith("status=certificate-rejected-by-oracle margin=")
+    assert status.endswith(" worst=-1.0")
+    assert sorted(p.name for p in out.iterdir()) == ["rejected-d2-r0.txt"]
+    assert "oracle-pass: false" in (out / "rejected-d2-r0.txt").read_text()
+
+
 def test_r_without_deg_is_an_input_error(cone_spec, tmp_path, capsys):
     # --r sets a single level together with --deg; alone it would be
     # ignored in favour of the spec's schedule

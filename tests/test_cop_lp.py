@@ -14,7 +14,8 @@ from lyapcert.cop_lp import (ConicSetupError, ConicSystem,
 from lyapcert.poly import (MonomialTable, Polynomial, SymmetricTensor,
                            monomials_of_degree, norm_squared, parse_polynomial)
 from lyapcert.tangency import eta_projection, face_eta_polynomial
-from reference import candidate_gradient, eval_many_broadcast
+from reference import (candidate_gradient, eval_many_broadcast,
+                       evaluate_float_terms)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -115,13 +116,13 @@ def test_branch_b_positive_at_ray_with_printed_candidate():
     parts = build_si(monomial_polys(basis), 0, WEDGE_FIELD,
                      face_eta_polynomial(WEDGE, 1, WEDGE_FIELD))
     x = np.array([0.8, 0.2])
-    value = sum(float(PRINTED_H.coefficient(m)) * p.evaluate_float(x)
+    value = sum(float(PRINTED_H.coefficient(m)) * evaluate_float_terms(p, x)
                 for m, p in zip(basis, parts))
     assert value > 0
     # numeric cross-check through the projection (clears the |c|^2 factor)
-    fx = np.array([p.evaluate_float(x) for p in WEDGE_FIELD])
+    fx = np.array([evaluate_float_terms(p, x) for p in WEDGE_FIELD])
     eta = eta_projection(fx, [WEDGE.C[0]])
-    gh = np.array([g.evaluate_float(x) for g in PRINTED_H.gradient()])
+    gh = np.array([evaluate_float_terms(g, x) for g in PRINTED_H.gradient()])
     direct = -float(x @ x) * float(gh @ (fx + eta))
     c2 = float(WEDGE.C[0] @ WEDGE.C[0])
     assert abs(value - c2 * direct) <= 1e-10
@@ -135,7 +136,7 @@ def test_face_rows_linear_in_coefficients():
     x = rng.uniform(0.2, 2.0, size=2)
     a = rng.uniform(-1, 1, size=3)
     b = rng.uniform(-1, 1, size=3)
-    val = lambda coeffs: sum(c * p.evaluate_float(x)
+    val = lambda coeffs: sum(c * evaluate_float_terms(p, x)
                              for c, p in zip(coeffs, parts))
     assert abs(val(a + b) - (val(a) + val(b))) <= 1e-9
 
@@ -426,7 +427,7 @@ def test_candidate_value_is_batched():
     assert values[1] == 0.0
     assert [cand.value(x) for x in pts] == values.tolist()
     for x, v in zip(pts[[0, 2, 3]], values[[0, 2, 3]]):
-        plain = cand.h.evaluate_float(x) / float(x @ x)
+        plain = evaluate_float_terms(cand.h, x) / float(x @ x)
         assert abs(v - plain) <= 1e-15 * abs(plain)
     with pytest.raises(ValueError):
         RationalLyapunovCandidate(parse_polynomial("x1^2 + x2^2", 2), 1).value(pts)

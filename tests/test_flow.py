@@ -13,9 +13,9 @@ from lyapcert.poly import MonomialTable, Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import (SemialgebraicSet, eta_projection,
                                face_eta_polynomial)
-from reference import (cone_contains, euler_step_floats, field_at,
-                       set_contains, set_values, simulate_cone_numpy,
-                       slsqp_projection)
+from reference import (cone_contains, euler_step_floats,
+                       evaluate_float_terms, field_at, set_contains,
+                       set_values, simulate_cone_numpy, slsqp_projection)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 SQUARE = PolyhedralCone([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]])
@@ -161,8 +161,8 @@ def normal_cone_residual(p, z, S, active_tol=1e-9):
     """|p - z - sum lam_i grad g_i(p)| for the best lam >= 0 over the
     generators active at p; 0 when z - p lies in N_S(p)."""
     active = [i for i, g in enumerate(S.generators)
-              if g.evaluate_float(p) <= active_tol]
-    G = np.array([[d.evaluate_float(p) for d in S.gradients[i]]
+              if evaluate_float_terms(g, p) <= active_tol]
+    G = np.array([[evaluate_float_terms(d, p) for d in S.gradients[i]]
                   for i in active]).reshape(-1, len(p))
     _, residual = nnls(G.T, np.asarray(p) - np.asarray(z))
     return residual, active
@@ -343,10 +343,10 @@ def test_interior_step_is_plain_euler():
 
 def eta_at(branches, x):
     """eta(x) on a cone face by branch selection on the sign of w(x)."""
-    if branches.w.evaluate_float(x) >= 0.0:
+    if evaluate_float_terms(branches.w, x) >= 0.0:
         return np.zeros(len(x))
-    return np.array([p.evaluate_float(x) for p in branches.eta_b_scaled]) / \
-        float(branches.c_norm_sq)
+    return np.array([evaluate_float_terms(p, x)
+                     for p in branches.eta_b_scaled]) / float(branches.c_norm_sq)
 
 
 def test_boundary_step_eta_aligns_with_branch():

@@ -18,8 +18,8 @@ from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import SemialgebraicSet, eta_projection
 from reference import (band_points_per_point, candidate_gradient,
-                       eval_many_broadcast, fd_gradient_check, field_at,
-                       rejection_sample_per_row)
+                       eval_many_broadcast, evaluate_float_terms,
+                       fd_gradient_check, field_at, rejection_sample_per_row)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -55,9 +55,9 @@ def test_printed_candidate_passes():
 
 def test_spot_value_at_outer_ray():
     x = np.array([4.0, 1.0])
-    fx = np.array([p.evaluate_float(x) for p in WEDGE_FIELD])
+    fx = np.array([evaluate_float_terms(p, x) for p in WEDGE_FIELD])
     eta = eta_projection(fx, [WEDGE.C[0]])
-    grad = np.array([g.evaluate_float(x) for g in PRINTED_V.gradient()])
+    grad = np.array([evaluate_float_terms(g, x) for g in PRINTED_V.gradient()])
     assert np.allclose(grad, [24.2, 6.0])
     assert np.allclose(fx + eta, [-6.8235294117647065, -1.7058823529411766])
     assert abs(grad @ (fx + eta) - (-175.36470588235292)) <= 1e-9
@@ -74,7 +74,7 @@ def test_negative_pattern_fails_with_witness():
     assert worst.min_value < 0
     # witness re-evaluates to the claimed violation
     h_check = next(c for c in report.checks if c.name == "h-on-sections")
-    value = candidate.h.evaluate_float(np.array(h_check.witness))
+    value = evaluate_float_terms(candidate.h, np.array(h_check.witness))
     assert abs(value - h_check.min_value) <= 1e-12
 
 
@@ -97,8 +97,8 @@ def face_decrease_reference(x, system, h, r, activation_tol=1e-8):
     if len(active):
         lam, _ = nnls(active.T, -fx)
         eta = lam @ active
-    gh = np.array([g.evaluate_float(x) for g in h.gradient()])
-    lhs = float(x @ x) * gh - 2.0 * r * h.evaluate_float(x) * x
+    gh = np.array([evaluate_float_terms(g, x) for g in h.gradient()])
+    lhs = float(x @ x) * gh - 2.0 * r * evaluate_float_terms(h, x) * x
     return float(-(lhs @ (fx + eta))), len(active)
 
 
@@ -324,7 +324,7 @@ def test_verify_sos_evaluates_no_point_alone(monkeypatch):
         raise AssertionError("per-point evaluation inside the sampling oracle")
 
     system = cusp_system()
-    monkeypatch.setattr(Polynomial, "evaluate_float", per_point)
+    monkeypatch.setattr(Polynomial, "evaluate", per_point)
     report = verify_sos(parse_polynomial("x1^2 + x2^2", 2), system,
                         samples=2000)
     names = [c.name for c in report.checks]
@@ -351,7 +351,7 @@ def test_r_zero_matches_plain_gradient():
     h = parse_polynomial("2.9*x1^2 + 1*x1*x2 + 1*x2^2", 2)
     candidate = RationalLyapunovCandidate(h, 0)
     x = np.array([1.3, -0.4])
-    plain = np.array([g.evaluate_float(x) for g in h.gradient()])
+    plain = np.array([evaluate_float_terms(g, x) for g in h.gradient()])
     assert np.allclose(candidate_gradient(candidate, x), plain, atol=1e-14)
 
 

@@ -8,19 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapcert import linprog
+from lyapcert import linprog, sos_cert
 from lyapcert.poly import Polynomial, norm_squared, parse_polynomial
-from lyapcert.sdpsolve import dump_sdpa_sparse
+from lyapcert.sdpsolve import SdpResult, dump_sdpa_sparse
 from lyapcert.sos_cert import (DegreeScheduleError, SemialgebraicSystem,
-                               SosSetupError, _assemble_full,
+                               SosSetupError, _assemble_full, _FloatLayout,
                                _solve_dsos_tier, _solve_sdp_tier,
                                assemble_condition_i,
                                assemble_condition_ii, assemble_condition_iii,
                                gram_parameterize,
                                solve_certificate)
 from lyapcert.tangency import SemialgebraicSet
-from reference import (equality_residual, gram_from_sos_terms,
-                       worst_gram_eigenvalue, worst_residual)
+from reference import (equality_residual, evaluate_float_terms,
+                       gram_from_sos_terms, worst_gram_eigenvalue,
+                       worst_residual)
 
 
 def cusp_system():
@@ -44,10 +45,10 @@ V_UNIT = {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 0.0, (0, 1): 0.0, (1, 1): 0.0}
 
 # -- gram parameterization ----------------------------------------------------------
 
-def test_gram_parameterize_homogeneous_square():
-    basis, block = gram_parameterize(2, 2, homogeneous=True)
-    assert basis == [(1, 0), (0, 1)]
-    G = np.array([[1.0, -1.0], [-1.0, 1.0]])
+def test_gram_parameterize_square():
+    basis, block = gram_parameterize(2, 2)
+    assert basis == [(0, 0), (1, 0), (0, 1)]
+    G = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
     assert block.expand(G) == parse_polynomial("x1^2 - 2*x1*x2 + x2^2", 2)
 
 
@@ -114,7 +115,8 @@ def test_condition_i_eps_two_infeasible_for_pinned_v():
     witness = (0.5, 0.0)
     lhs = 0.5 ** 2 - 2.0 * 0.5 ** 2
     assert lhs < 0
-    assert all(g.evaluate_float(witness) >= 0 for g in system.S.generators)
+    assert all(evaluate_float_terms(g, witness) >= 0
+               for g in system.S.generators)
     # and the eps = 1e-3 hand decomposition indeed fails the eps = 2 rows
     eq = assemble_condition_i(system, 2, eps_pd=2.0)
     grams = {
@@ -238,6 +240,27 @@ def test_unstable_field_infeasible_on_box():
         assert outcome.margin is not None and outcome.margin < -1e-8
 
 
+@pytest.mark.parametrize("tier, owner, name, result, expected", [
+    ("sdp", sos_cert, "solve_sdp", SdpResult("maxiter"),
+     ("stalled", "solver returned maxiter")),
+    ("sdp", sos_cert, "solve_sdp", SdpResult("infeasible"),
+     ("infeasible", "equality system infeasible")),
+    ("dsos", linprog, "solve", linprog.LpResult("stalled"),
+     ("stalled", "solver returned stalled")),
+    ("dsos", linprog, "solve", linprog.LpResult("unbounded"),
+     ("stalled", "solver returned stalled")),
+    ("dsos", linprog, "solve", linprog.LpResult("infeasible"),
+     ("infeasible", "equality system infeasible")),
+], ids=["sdp-maxiter", "sdp-infeasible", "dsos-stalled", "dsos-unbounded",
+        "dsos-infeasible"])
+def test_solver_status_maps_to_the_outcome(tier, owner, name, result,
+                                           expected, monkeypatch):
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: result)
+    outcome = solve_certificate(cusp_system(), 2, tier=tier)
+    assert (outcome.status, outcome.detail) == expected
+    assert outcome.certificate is None and outcome.margin is None
+
+
 def test_scale_covariance_of_generators():
     base = cusp_system()
     scaled_S = SemialgebraicSet([g.scale(2) for g in base.S.generators],
@@ -344,8 +367,9 @@ class _Captured(Exception):
 
 
 def _tier_equalities(name, deg, slack):
+    """The float layout of a tier's equality system."""
     system = cusp_system() if name == "cusp" else ball_system()
-    return _assemble_full(system, deg, 1e-3, None, slack)
+    return _FloatLayout(_assemble_full(system, deg, 1e-3, None, slack))
 
 
 # (system, deg V, multiplier slack) -> first 16 hex digits of the sha256 of

@@ -5,6 +5,7 @@ from lyapcert.cones import PolyhedralCone
 from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.tangency import (SemialgebraicSet, TangencyError,
                                eta_projection, face_eta_polynomial, nnls)
+from reference import evaluate_float_terms
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -135,7 +136,7 @@ def test_zero_gradient_rejected():
 
 def branch_b(br, x):
     """Branch B of eta at x: -(w(x) / |c|^2) c, from its scaled polynomials."""
-    return np.array([p.evaluate_float(x) for p in br.eta_b_scaled]) / \
+    return np.array([evaluate_float_terms(p, x) for p in br.eta_b_scaled]) / \
         float(br.c_norm_sq)
 
 
@@ -143,13 +144,13 @@ def test_branches_coincide_when_field_tangent():
     f = [parse_polynomial("-1*x1", 2), parse_polynomial("-1*x2", 2)]
     br = face_eta_polynomial(PolyhedralCone(np.eye(2)), 1, f)
     # face x1 = 0: w(x) = -x1 vanishes on the face, eta = 0 either way
-    assert float(br.w.evaluate_float((0.0, 1.0))) == 0.0
+    assert float(evaluate_float_terms(br.w, (0.0, 1.0))) == 0.0
     assert np.allclose(branch_b(br, (0.0, 1.0)), 0.0)
 
 
 def test_branch_selection_at_ray_point():
     br = face_eta_polynomial(WEDGE, 1, WEDGE_FIELD)
-    assert abs(br.w.evaluate_float((0.8, 0.2)) - (-0.7)) <= 1e-12
+    assert abs(evaluate_float_terms(br.w, (0.8, 0.2)) - (-0.7)) <= 1e-12
     eta = branch_b(br, (0.8, 0.2))  # w < 0 selects branch B
     assert eta @ np.array([-0.25, 1.0]) > 0  # pushes back into the cone
 
@@ -161,7 +162,7 @@ def test_branch_matches_projection_along_face():
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(0.05, 5.0) * np.array([0.8, 0.2])
-        fx = np.array([p.evaluate_float(x) for p in WEDGE_FIELD])
+        fx = np.array([evaluate_float_terms(p, x) for p in WEDGE_FIELD])
         a = branch_b(br, x)  # w < 0 along this ray
         b = eta_projection(fx, [c])
         worst = max(worst, float(np.abs(a - b).max()))
@@ -173,8 +174,8 @@ def test_branch_consistency_on_switching_surface():
     f = [parse_polynomial("x2 - x1", 2), Polynomial.zero(2)]
     br = face_eta_polynomial(PolyhedralCone(np.eye(2)), 1, f)
     x = (0.0, 0.0)
-    assert br.w.evaluate_float(x) == 0.0
-    branch_b = np.array([p.evaluate_float(x) / float(br.c_norm_sq)
+    assert evaluate_float_terms(br.w, x) == 0.0
+    branch_b = np.array([evaluate_float_terms(p, x) / float(br.c_norm_sq)
                          for p in br.eta_b_scaled])
     assert np.allclose(branch_b, 0.0)
 
