@@ -11,8 +11,10 @@ values by one pow per point, term and variable), the
 simulator's Euler kernel against the float kernels, tuple update and row
 sums it replaced, its float-tuple steps against its numpy step loop, the set
 projection against scipy's SLSQP, and the SDP solver's step lengths in the
-NT frame against a bound from the Cholesky factor.  The point checks of a system (field_at,
-cone_contains, set_values, set_contains) evaluate one point at a time.
+NT frame against a bound from the Cholesky factor.  The point checks of a
+system (field_at, cone_contains, set_values, set_contains) evaluate one
+point at a time; a float value at one point is evaluate_float_terms, the
+term loop that the float kernels match bit for bit.
 """
 
 from operator import mul
