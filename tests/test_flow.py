@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +505,29 @@ def test_cusp_trajectory_v_decrease():
     assert np.diff(traj.v_values).max() <= 1e-9
     worst = min(min(float(v) for v in set_values(system.S, s)) for s in traj.states)
     assert worst >= -1e-8
+
+
+# sha256 of simulate(x0, T=5, dt=1e-3).to_csv(): both runs project at every
+# one of their 5,000 steps, the cusp along x1 = x2^2 and the ball (outward
+# field) on its sphere, where the Newton step factors a 3x3 matrix
+OUTWARD_BALL = SemialgebraicSystem(
+    [parse_polynomial(t, 3) for t in ("x1 + x2", "-1*x1 + x2", "0.5*x3")],
+    BALL)
+TRAJECTORY_PINS = {
+    "cusp": (cusp_system(), [0.49, 0.7], "c483e8353d54436be40951563fd45f51"
+             "2654a7d93508a279c3eb9d090efb1c56"),
+    "outward-ball": (OUTWARD_BALL, [0.6, 0.0, 0.8],
+                     "fbd4783f2e6d39d1fd25bda478de3d88"
+                     "62a15d6f9904b0cd32d756d89848f2e2"),
+}
+
+
+@pytest.mark.parametrize("name", list(TRAJECTORY_PINS))
+def test_set_trajectory_is_pinned(name):
+    system, x0, digest = TRAJECTORY_PINS[name]
+    traj = simulate(x0, T=5.0, dt=1e-3, system=system)
+    assert (traj.eta_log[:-1] != 0).any(axis=1).all()  # every step projects
+    assert hashlib.sha256(traj.to_csv().encode()).hexdigest() == digest
 
 
 def test_v_is_evaluated_once_on_all_states():
