@@ -23,10 +23,16 @@ closed-form half-space projection is taken on floats if it lies in the
 cone.  Projection onto a convex semialgebraic set is Newton's method on
 the KKT system of min 1/2 |y - z|^2 subject to g_i(y) >= 0, with an
 active set and a posterior check that z - y lies in the normal cone
-N_S(y); the set's generators, gradients and Hessians are evaluated by
-float kernels (poly.float_kernel).  Along a trajectory it is
+N_S(y).  With one active generator and a multiplier >= 0, a Newton step
+is one call of that generator's kernel (poly.newton_kernel: g, its
+gradient and Hessian, an unrolled LDL^T of I - lam hess g and the scalar
+Schur complement, in straight-line floats).  With two or more active
+generators, a negative multiplier, or a pivot or Schur complement that is
+not positive, the step solves the (n + |A|) KKT system by Gaussian
+elimination, from the float kernels of the generators, gradients and
+Hessians (poly.float_kernel).  Along a trajectory the projection is
 warm-started from the previous step's multipliers, so a step that slides
-along the boundary takes one Newton solve.
+along the boundary takes one Newton step.
 
 Trajectories hold times, states and multipliers as arrays built after the
 last step, and optionally a Lyapunov function candidate, evaluated on all
@@ -148,27 +154,31 @@ def project_set(z, S: SemialgebraicSet,
     Newton's method on the KKT system of min 1/2 |y - z|^2 subject to
     g_i(y) = 0 for the active generators A:
         y - z - sum_A lam_i grad g_i(y) = 0,   g_A(y) = 0,
-    whose Jacobian carries the Hessian term I - sum_A lam_i hess g_i(y)
-    (S.float_kernels, built once per set).  Each step solves the
-    (n + |A|) linear system in floats.  A starts as the generators that z
-    violates by more than FEAS_TOL, lam at 0 and y at z, so a point inside
-    the set comes back unchanged.  multipliers, when given, is the record
-    {i: lam_i} of the previous projection along a trajectory: lam_i starts
-    from it for each i in A, y at z + sum_A lam_i grad g_i(z), and on
-    return the record holds the final A and lam.  values, when given, are
-    the g_i(z), so they are not evaluated again.  Whenever the KKT
-    residual of the current A is below KKT_TOL (1 + |z|), A changes: a
-    generator with lam_i < 0 leaves it, else the generators that y
-    violates by more than FEAS_TOL join it.  y is returned when neither
-    happens, which is the posterior check: lam >= 0, every
-    g_i(y) >= -FEAS_TOL and y - z = sum_A lam_i grad g_i(y), so z - y lies
-    in N_S(y).  Convexity is assumed, not verified.  A singular system, or
-    no pass of the check within MAX_PROJECTION_ITER iterations, raises
-    FlowError.
+    whose Jacobian carries the Hessian term H = I - sum_A lam_i hess g_i(y).
+    With one active generator and lam >= 0, a step is one call of its
+    S.newton_kernels entry (poly.newton_kernel: an unrolled factorization
+    of the n x n H and the Schur complement a.H^-1 a, built once per set).
+    With two or more, with lam < 0, or when that kernel meets a pivot of
+    H or an a.H^-1 a that is not positive, the step solves the (n + |A|)
+    linear system by elimination (_kkt_step, from S.float_kernels).  A
+    starts as the generators that z violates by more than FEAS_TOL, lam
+    at 0 and y at z, so a point inside the set comes back unchanged.
+    multipliers, when given, is the record {i: lam_i} of the previous
+    projection along a trajectory: lam_i starts from it for each i in A,
+    y at z + sum_A lam_i grad g_i(z), and on return the record holds the
+    final A and lam.  values, when given, are the g_i(z), so they are not
+    evaluated again.  Whenever the KKT residual of the current A is below
+    KKT_TOL (1 + |z|), A changes: a generator with lam_i < 0 leaves it,
+    else the generators that y violates by more than FEAS_TOL join it.
+    y is returned when neither happens, which is the posterior check:
+    lam >= 0, every g_i(y) >= -FEAS_TOL and y - z = sum_A lam_i
+    grad g_i(y), so z - y lies in N_S(y).  Convexity is assumed, not
+    verified.  A singular system, or no pass of the check within
+    MAX_PROJECTION_ITER iterations, raises FlowError.
     """
     z = tuple(map(float, z))
-    n = len(z)
-    values_at, gradient_at, hessian_at = S.float_kernels
+    values_at, gradient_at, _ = S.float_kernels
+    newton_at = S.newton_kernels
     tol = KKT_TOL * (1.0 + max(map(abs, z)))
     if values is None:
         values = values_at(z)
@@ -181,46 +191,64 @@ def project_set(z, S: SemialgebraicSet,
     if y is not z:
         values = values_at(y)
     for _ in range(MAX_PROJECTION_ITER):
-        J = [gradient_at[i](y) for i in active]
-        r = list(map(sub, y, z))
-        small = True
-        for i, li, row in zip(active, lam, J):
-            r = [a - li * b for a, b in zip(r, row)]
-            small = small and abs(values[i]) <= tol * max(map(abs, row))
-        if small and max(map(abs, r)) <= tol:
-            if lam and min(lam) < 0.0:
-                k = lam.index(min(lam))
-                del active[k], lam[k]
-                continue
-            joining = [i for i, v in enumerate(values)
-                       if v < -FEAS_TOL and i not in active]
-            if not joining:
-                if multipliers is not None:
-                    multipliers.clear()
-                    multipliers.update(zip(active, lam))
-                return y
-            active += joining
-            lam += [0.0] * len(joining)
+        newton = None
+        if len(active) == 1 and lam[0] >= 0.0:
+            newton = newton_at[active[0]](y, z, lam[0], tol)
+        if newton is None:
+            newton = _kkt_step(y, z, S, active, lam, values, tol)
+        if newton is not True:
+            y, lam = newton[0], list(newton[1])
+            values = values_at(y)
             continue
-        # [[H, -J^T], [J, 0]] (dy, dlam) = -(r, g_A), H = I - sum lam hess g
-        M = [[float(j == k) for k in range(n)] + [-row[j] for row in J]
-             for j in range(n)]
-        for i, li in zip(active, lam):
-            if li:
-                upper = iter(hessian_at[i](y))
-                for j in range(n):
-                    for k in range(j, n):
-                        h = li * next(upper)
-                        M[j][k] -= h
-                        if k != j:
-                            M[k][j] -= h
-        M += [list(row) + [0.0] * len(J) for row in J]
-        delta = _solve(M, [-v for v in r] + [-values[i] for i in active])
-        y = tuple(map(add, y, delta))
-        lam = list(map(add, lam, delta[n:]))
-        values = values_at(y)
+        if lam and min(lam) < 0.0:
+            k = lam.index(min(lam))
+            del active[k], lam[k]
+            continue
+        joining = [i for i, v in enumerate(values)
+                   if v < -FEAS_TOL and i not in active]
+        if not joining:
+            if multipliers is not None:
+                multipliers.clear()
+                multipliers.update(zip(active, lam))
+            return y
+        active += joining
+        lam += [0.0] * len(joining)
     raise FlowError(f"set projection did not converge in "
                     f"{MAX_PROJECTION_ITER} iterations")
+
+
+def _kkt_step(y: tuple[float, ...], z: tuple[float, ...],
+              S: SemialgebraicSet, active: list[int], lam: list[float],
+              values: Sequence[float], tol: float):
+    """True when the KKT residual at (y, lam) is below tol: every
+    |g_i(y)| <= tol max|grad g_i(y)| and |y - z - sum_A lam_i grad g_i(y)|
+    <= tol in each coordinate; else the Newton step (y + dy, lam + dlam)
+    from the (n + |A|) system solved by _solve."""
+    n = len(z)
+    _, gradient_at, hessian_at = S.float_kernels
+    J = [gradient_at[i](y) for i in active]
+    r = list(map(sub, y, z))
+    small = True
+    for i, li, row in zip(active, lam, J):
+        r = [a - li * b for a, b in zip(r, row)]
+        small = small and abs(values[i]) <= tol * max(map(abs, row))
+    if small and max(map(abs, r)) <= tol:
+        return True
+    # [[H, -J^T], [J, 0]] (dy, dlam) = -(r, g_A), H = I - sum lam hess g
+    M = [[float(j == k) for k in range(n)] + [-row[j] for row in J]
+         for j in range(n)]
+    for i, li in zip(active, lam):
+        if li:
+            upper = iter(hessian_at[i](y))
+            for j in range(n):
+                for k in range(j, n):
+                    h = li * next(upper)
+                    M[j][k] -= h
+                    if k != j:
+                        M[k][j] -= h
+    M += [list(row) + [0.0] * len(J) for row in J]
+    delta = _solve(M, [-v for v in r] + [-values[i] for i in active])
+    return tuple(map(add, y, delta)), list(map(add, lam, delta[n:]))
 
 
 def _solve(M: list[list[float]], b: list[float]) -> list[float]:

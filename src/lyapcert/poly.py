@@ -17,7 +17,8 @@ monomials formed by multiplies alone.  float_kernel generates one
 straight-line float function for a list of polynomials, for inner loops
 that evaluate them at one point at a time; euler_kernel, from the same
 term emitter, generates one explicit Euler step of a field with the
-constraint values at the new point.
+constraint values at the new point, and newton_kernel one Newton step of
+the Euclidean projection onto {g >= 0}.
 
 Monomial order is graded lexicographic (total degree ascending, exponent
 tuple descending within a degree) and is used everywhere a coefficient
@@ -307,7 +308,8 @@ def _sum_lines(var: str, form: Polynomial | Sequence[float],
 
 
 def _compile(lines: list[str], values: Sequence[str]) -> Callable:
-    """The function `kernel` of lines, returning the tuples of values."""
+    """The function `kernel` of lines, returning the tuples of values
+    where the lines do not return first."""
     tuples = [f"({''.join(f'{v}, ' for v in names)})" for names in values]
     namespace: dict = {}
     exec("\n".join(lines + [f"    return {', '.join(tuples)}"]), namespace)
@@ -361,6 +363,70 @@ def euler_kernel(field: Sequence[Polynomial],
     for v, g in zip(vs, constraints):
         lines += _sum_lines(v, g, zs)
     return _compile(lines, [zs, fs, vs])
+
+
+def newton_kernel(g: Polynomial, gradient: Sequence[Polynomial],
+                  hessian: Sequence[Polynomial]) -> Callable:
+    """One straight-line Newton step of the projection onto {g >= 0}.
+
+    gradient is grad g and hessian the upper triangle of its Hessian
+    (j <= k, row by row).  The returned kernel(y, z, lam, tol) evaluates
+    g, a = grad g and the Hessian at y, summed as in float_kernel, and the
+    residual r = (y - z) - lam a of the KKT system of min 1/2 |y - z|^2
+    subject to g(y) = 0.  It returns True when |g| <= tol max|a_j| and
+    max|r_j| <= tol.  Otherwise it factors H = I - lam hess g as L D L^T
+    (Cholesky without square roots, unrolled), solves H u = -r and
+    H w = a, and returns (y + dy, (lam + dlam,)) with
+    dlam = (-g - a.u) / a.w and dy = u + dlam w, the solution of
+    [[H, -a], [a^T, 0]] (dy, dlam) = -(r, g).  It returns None, and takes
+    no step, when a pivot of D or a.w is not positive (or not a number).
+    """
+    n = g.dimension
+    xs, zs, rs = ([f"{c}{j}" for j in range(n)] for c in "xzr")
+    a, u, w = ([f"{c}{j}" for j in range(n)] for c in "auw")
+    h = [[f"h{j}_{k}" for k in range(n)] for j in range(n)]
+    lines = ["def kernel(p, q, lam, tol):", f"    {', '.join(xs)}, = p",
+             f"    {', '.join(zs)}, = q"]
+    lines += _sum_lines("g", g, xs)
+    for name, d in zip(a, gradient):
+        lines += _sum_lines(name, d, xs)
+    lines += [f"    {r} = ({x} - {z}) - lam*{aj}"
+              for r, x, z, aj in zip(rs, xs, zs, a)]
+    biggest = (lambda names: f"max({', '.join(names)})" if n > 1
+               else names[0])
+    lines += [f"    if abs(g) <= tol*{biggest([f'abs({v})' for v in a])} "
+              f"and {biggest([f'abs({v})' for v in rs])} <= tol:",
+              "        return True"]
+    upper = iter(hessian)
+    for j in range(n):
+        for k in range(j, n):
+            lines += _sum_lines(h[j][k], next(upper), xs)
+    # H = L D L^T: e_ij = l_ij d_j, d_j the pivots, l_jj = 1
+    for j in range(n):
+        head = f"(1.0 - lam*{h[j][j]})"
+        lines.append(f"    d{j} = {head}"
+                     + "".join(f" - l{j}_{k}*e{j}_{k}" for k in range(j)))
+        lines += [f"    if not d{j} > 0.0:", "        return None"]
+        for i in range(j + 1, n):
+            lines.append(f"    e{i}_{j} = -(lam*{h[j][i]})"
+                         + "".join(f" - l{i}_{k}*e{j}_{k}" for k in range(j)))
+            lines.append(f"    l{i}_{j} = e{i}_{j}/d{j}")
+    for x, b in ((u, [f"-{r}" for r in rs]), (w, a)):
+        for i in range(n):    # L v = b
+            lines.append(f"    {x[i]} = {b[i]}" + "".join(
+                f" - l{i}_{k}*{x[k]}" for k in range(i)))
+        for i in reversed(range(n)):    # L^T x = v / D
+            lines.append(f"    {x[i]} = {x[i]}/d{i}" + "".join(
+                f" - l{k}_{i}*{x[k]}" for k in range(i + 1, n)))
+    dot = (lambda left, right:
+           " + ".join(f"{p}*{q}" for p, q in zip(left, right)))
+    lines += [f"    aw = {dot(a, w)}", "    if not aw > 0.0:",
+              "        return None",
+              f"    dlam = (-g - ({dot(a, u)}))/aw",
+              "    lam = lam + dlam"]
+    lines += [f"    {x} = {x} + ({uj} + dlam*{wj})"
+              for x, uj, wj in zip(xs, u, w)]
+    return _compile(lines, [xs, ["lam"]])
 
 
 class MonomialTable:

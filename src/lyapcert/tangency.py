@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .cones import PolyhedralCone
-from .poly import Polynomial, float_kernel
+from .poly import Polynomial, float_kernel, newton_kernel
 
 
 class TangencyError(ValueError):
@@ -86,6 +86,17 @@ class SemialgebraicSet:
                 [float_kernel([hess[j][k] for j in range(n)
                                for k in range(j, n)])
                  for hess in self.hessians])
+
+    @cached_property
+    def newton_kernels(self):
+        """poly.newton_kernel of each generator: one Newton step of the
+        projection onto {g_i >= 0} alone, from the gradient and the upper
+        triangle of the Hessian (j <= k, row by row)."""
+        n = self.dimension
+        return [newton_kernel(g, grad, [hess[j][k] for j in range(n)
+                                        for k in range(j, n)])
+                for g, grad, hess in zip(self.generators, self.gradients,
+                                         self.hessians)]
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

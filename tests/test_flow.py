@@ -1,11 +1,12 @@
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from lyapcert import cop_lp, flow, sos_cert, tangency
+from lyapcert import cop_lp, flow, poly, sos_cert, tangency
 from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import ConicSystem
@@ -371,21 +372,113 @@ def test_free_step_records_exactly_zero_eta():
 
 
 def test_projected_cusp_boundary_step_makes_one_solve(monkeypatch):
-    solves, per_step = [], []
+    """Every boundary step after the first takes one Newton step, in the
+    generator's kernel: the elimination (_solve) is not called."""
+    system = cusp_system()
+    solves, kernel_steps, per_step = [], [], []
     solve, flow_step = flow._solve, flow.step
     monkeypatch.setattr(flow, "_solve",
                         lambda M, b: solves.append(1) or solve(M, b))
 
+    def counted(kernel):
+        def newton(*args):
+            result = kernel(*args)
+            if result is not True and result is not None:
+                kernel_steps.append(1)
+            return result
+        return newton
+    monkeypatch.setitem(system.S.__dict__, "newton_kernels",
+                        [counted(k) for k in system.S.newton_kernels])
+
     def counted_step(*args):
-        before = len(solves)
+        before = len(solves), len(kernel_steps)
         result = flow_step(*args)
-        per_step.append(len(solves) - before)
+        per_step.append((len(solves) - before[0],
+                         len(kernel_steps) - before[1]))
         return result
     monkeypatch.setattr(flow, "step", counted_step)
-    traj = simulate([0.49, 0.7], T=0.5, dt=1e-3, system=cusp_system())
+    traj = simulate([0.49, 0.7], T=0.5, dt=1e-3, system=system)
     assert (traj.eta_log[:-1] != 0).any(axis=1).all()  # every step projects
-    assert per_step[0] <= 2  # the first projection starts cold
-    assert per_step[1:] == [1] * 499
+    assert sum(per_step[0]) <= 2  # the first projection starts cold
+    assert [a + b for a, b in per_step[1:]] == [1] * 499
+    assert [a for a, _ in per_step[1:]] == [0] * 499
+
+
+def dense_concave_set():
+    """{1 - ((1 + x1 + x2 + x3)/2)^6 >= 0}: 84 terms, more than one
+    statement of a generated sum holds."""
+    x = [Polynomial.variable(3, j) for j in range(3)]
+    g = 1 - ((1 + x[0] + x[1] + x[2]).scale(Fraction(1, 2))) ** 6
+    return SemialgebraicSet([g], [(-3.0, 1.0)] * 3)
+
+
+@pytest.mark.parametrize("S, i, lo, hi", [
+    (cusp_system().S, 0, [-1.0, -2.0], [2.0, 2.0]),
+    (cusp_system().S, 1, [-1.0, -2.0], [2.0, 2.0]),  # linear: zero Hessian
+    (BALL, 0, [-1.5] * 3, [1.5] * 3),
+    (dense_concave_set(), 0, [-1.0] * 3, [0.5] * 3),
+], ids=["cusp-g1", "cusp-g2", "ball", "84-terms"])
+def test_newton_kernel_step_matches_the_elimination(S, i, lo, hi):
+    values_at = S.float_kernels[0]
+    rng = np.random.default_rng(80)
+    for _ in range(200):
+        y = tuple(rng.uniform(lo, hi).tolist())
+        z = tuple(rng.uniform(lo, hi).tolist())
+        lam = float(rng.uniform(0.0, 2.0))
+        got = S.newton_kernels[i](y, z, lam, 0.0)
+        want = flow._kkt_step(y, z, S, [i], [lam], values_at(y), 0.0)
+        got, want = (np.array(a + tuple(b)) for a, b in (got, want))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), \
+            (y, z, lam)
+
+
+def test_dense_generator_sum_takes_more_than_one_statement():
+    assert len(dense_concave_set().generators[0].terms) > poly._KERNEL_CHUNK
+
+
+def test_newton_kernel_reports_convergence_as_the_elimination_does():
+    S = cusp_system().S
+    rng = np.random.default_rng(81)
+    for _ in range(50):
+        z = rng.uniform([-0.4, -1.2], [0.9, 1.2])
+        record = {}
+        y = project_set(z, S, record)
+        if len(record) != 1:
+            continue
+        (i, lam), = record.items()
+        tol = flow.KKT_TOL * (1.0 + np.abs(z).max())
+        z = tuple(z.tolist())
+        assert S.newton_kernels[i](y, z, lam, tol) is True
+        assert flow._kkt_step(y, z, S, [i], [lam],
+                              S.float_kernels[0](y), tol) is True
+
+
+def test_kernel_with_a_negative_pivot_falls_back_to_the_elimination(
+        monkeypatch):
+    # g = 1 + x1^2 - x2: H = I - lam hess g has the pivot 1 - 2 lam < 0
+    # at lam = 1, so the kernel takes no step there
+    S = SemialgebraicSet([parse_polynomial("1 + x1^2 - x2", 2)],
+                         [(-2.0, 2.0)] * 2)
+    rng = np.random.default_rng(82)
+    for _ in range(20):
+        y, z = (tuple(rng.uniform(-2.0, 2.0, size=2).tolist())
+                for _ in range(2))
+        assert S.newton_kernels[0](y, z, 1.0, 0.0) is None
+    solves = []
+    solve = flow._solve
+    monkeypatch.setattr(flow, "_solve",
+                        lambda M, b: solves.append(1) or solve(M, b))
+    z = (0.3, 1.5)
+    got = project_set(z, S, {0: 1.0})
+    assert solves  # the warm start at lam = 1 took the elimination
+    monkeypatch.setitem(S.__dict__, "newton_kernels",
+                        [lambda *args: None])  # every step eliminates
+    want = project_set(z, S, {0: 1.0})
+    assert np.abs(np.subtract(got, want)).max() <= \
+        flow.KKT_TOL * (1.0 + max(z))
+    assert set_contains(S, got, tol=1e-10)
+    residual, active = normal_cone_residual(got, z, S)
+    assert active == [0] and residual <= 1e-9
 
 
 def test_tracer_hooks_see_every_projection(monkeypatch):
