@@ -45,6 +45,9 @@ EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_USAGE = 2
 EXIT_SOLVER_FAILURE = 3
+# --r is read only as the denominator power of a cone --candidate
+R_WITHOUT_CONE_CANDIDATE = ("input-error detail='--r needs --candidate on a "
+                            "cone spec'")
 
 
 class SpecFileError(ValueError):
@@ -461,6 +464,10 @@ def cmd_verify(args, spec: ParsedSpec) -> int:
     if args.candidate is None and args.certificate is None:
         _status("error detail=verify-needs-candidate-or-certificate")
         return EXIT_USAGE
+    if args.r is not None and (args.certificate is not None
+                               or not spec.is_conic):
+        _status(R_WITHOUT_CONE_CANDIDATE)
+        return EXIT_USAGE
     n = spec.system.dimension
     if args.certificate is not None:
         kind, poly, r = read_certificate_candidate(Path(args.certificate), n)
@@ -489,6 +496,9 @@ def cmd_verify(args, spec: ParsedSpec) -> int:
 
 
 def cmd_simulate(args, spec: ParsedSpec) -> int:
+    if args.r is not None and (args.candidate is None or not spec.is_conic):
+        _status(R_WITHOUT_CONE_CANDIDATE)
+        return EXIT_USAGE
     x0_text = args.x0 or spec.options.get("x0")
     if x0_text is None:
         _status("error detail=simulate-needs-x0")
@@ -590,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle-check a candidate")
     common(p, *oracle_flags)
     p.add_argument("--candidate", help="polynomial text (h or V)")
-    p.add_argument("--r", type=int, help="denominator power for cone mode")
+    p.add_argument("--r", type=int,
+                   help="denominator power of a cone --candidate")
     p.add_argument("--certificate", help="certificate file to re-verify")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -601,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--candidate", help="record this V along the trajectory")
-    p.add_argument("--r", type=int)
+    p.add_argument("--r", type=int,
+                   help="denominator power of a cone --candidate")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("partition-dump", help="dump section partitions")

@@ -60,6 +60,11 @@ def sq3d_run(tmp_path_factory):
 
 
 @pytest.fixture
+def sq3d_spec():
+    return SQ3D_SPEC
+
+
+@pytest.fixture
 def cusp_spec(tmp_path):
     path = tmp_path / "cusp.spec"
     path.write_text(CUSP_SPEC)
@@ -276,6 +281,31 @@ def test_r_without_deg_is_an_input_error(cone_spec, tmp_path, capsys):
     # ignored in favour of the spec's schedule
     assert main(["find-lyap-cone", str(cone_spec), "--r", "7",
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "status=input-error")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("spec_name, command", [
+    ("cusp_spec", ["simulate", "--x0=0.49,0.7", "--T", "0.01",
+                   "--candidate", "1*x1^2 + 1*x2^2"]),
+    ("cusp_spec", ["simulate", "--x0=0.49,0.7", "--T", "0.01"]),
+    ("cone_spec", ["simulate", "--T", "0.01"]),
+    ("cusp_spec", ["verify", "--candidate", "1*x1^2 + 1*x2^2"]),
+    ("sq3d_spec", ["verify", "--certificate", "{cert}"]),
+], ids=["simulate-set", "simulate-set-no-candidate",
+        "simulate-cone-no-candidate", "verify-set", "verify-certificate"])
+def test_r_that_nothing_reads_is_an_input_error(spec_name, command, request,
+                                                sq3d_run, tmp_path, capsys):
+    # --r is the denominator power of a cone --candidate; a set's V and a
+    # certificate's recorded r take no other
+    spec = request.getfixturevalue(spec_name)
+    cert = tmp_path / "certificate.txt"
+    cert.write_text(sq3d_run[1])
+    argv = [command[0], str(spec)] + [a.replace("{cert}", str(cert))
+                                      for a in command[1:]]
+    assert main(argv + ["--r", "1", "--out", str(tmp_path / "o")]) \
+        == EXIT_USAGE
     assert capsys.readouterr().err.splitlines()[-1].startswith(
         "status=input-error")
     assert not (tmp_path / "o").exists()
