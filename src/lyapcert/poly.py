@@ -403,8 +403,7 @@ def newton_kernel(g: Polynomial, gradient: Sequence[Polynomial],
             lines += _sum_lines(h[j][k], next(upper), xs)
     # H = L D L^T: e_ij = l_ij d_j, d_j the pivots, l_jj = 1
     for j in range(n):
-        head = f"(1.0 - lam*{h[j][j]})"
-        lines.append(f"    d{j} = {head}"
+        lines.append(f"    d{j} = (1.0 - lam*{h[j][j]})"
                      + "".join(f" - l{j}_{k}*e{j}_{k}" for k in range(j)))
         lines += [f"    if not d{j} > 0.0:", "        return None"]
         for i in range(j + 1, n):
