@@ -9,7 +9,7 @@ from scipy.optimize import nnls
 from lyapcert import cop_lp, flow, poly, sos_cert, tangency
 from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
-from lyapcert.cop_lp import ConicSystem
+from lyapcert.cop_lp import ConicSystem, RationalLyapunovCandidate
 from lyapcert.flow import FlowError, project_cone, project_set, simulate, step
 from lyapcert.poly import MonomialTable, Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
@@ -621,6 +621,62 @@ def test_set_trajectory_is_pinned(name):
     traj = simulate(x0, T=5.0, dt=1e-3, system=system)
     assert (traj.eta_log[:-1] != 0).any(axis=1).all()  # every step projects
     assert hashlib.sha256(traj.to_csv().encode()).hexdigest() == digest
+
+
+# the benchmark's refine1 field on the square cone
+REFINE1 = ConicSystem([parse_polynomial(t, 3) for t in (
+    "-1.5*x1 + 2.5*x2", "-1.5*x1 - 1.2*x2 - 0.8*x3", "0.2*x1 - 0.3*x2")],
+    SQUARE)
+REFINE1_V = RationalLyapunovCandidate(
+    parse_polynomial("x1^2 + x2^2 + x3^2", 3), 0).value
+
+
+def step_kinds(traj):
+    """The runs of free (False) and projected (True) steps, in order."""
+    runs = []
+    for projected in (traj.eta_log[:-1] != 0).any(axis=1).tolist():
+        if runs and runs[-1][0] == projected:
+            runs[-1][1] += 1
+        else:
+            runs.append([projected, 1])
+    return [kind for kind, _ in runs]
+
+
+# sha256 of simulate(x0, T, dt, V).to_csv() for trajectories with free steps
+FREE_STEP_PINS = {
+    "refine1": (REFINE1, [0.1, 0.2, 0.9], 200.0, 1e-2, REFINE1_V, [False],
+                "abbdbb78ca589bbeaab09872ead87cf76e47e0901487641d5bd827c3"
+                "08801a1b"),
+    "cusp-free-then-boundary": (
+        cusp_system(), [0.3, 0.5], 1.0, 1e-3, None, [False, True],
+        "78c8ce9f6c92ca1184c02860e7e164e8392e5f1143c0836df0466030bc5c9e05"),
+    "sq3d-free-projected-free": (
+        SQ3D, [-0.3, 0.35, 0.8], 20.0, 1e-2, None, [False, True, False],
+        "adf322e2a1fb33f035c60cda0d6e2f5ff20cd72de0af568bd37ef397de8aad22"),
+}
+
+
+@pytest.mark.parametrize("name", list(FREE_STEP_PINS))
+def test_trajectory_with_free_steps_is_pinned(name):
+    system, x0, T, dt, V, kinds, digest = FREE_STEP_PINS[name]
+    traj = simulate(x0, T, dt, system, V=V)
+    assert len(traj) == round(T / dt) + 1
+    assert step_kinds(traj) == kinds
+    assert hashlib.sha256(traj.to_csv().encode()).hexdigest() == digest
+
+
+def test_free_step_between_the_tolerances_leaves_the_set():
+    # x1 falls by dt = 0.25 per step from 0.75 - 2^-34, so the third step
+    # lands at x1 = -2^-34 (-5.8e-11): above -FEAS_TOL, so not projected,
+    # but below -feas_tol
+    system = ConicSystem([parse_polynomial("-1*x2", 2), Polynomial.zero(2)],
+                         PolyhedralCone(np.eye(2)))
+    with pytest.raises(FlowError, match=r"^state left the set at t = 0\.75$"):
+        simulate([0.75 - 2.0 ** -34, 1.0], T=2.0, dt=0.25, system=system,
+                 feas_tol=1e-12)
+    traj = simulate([0.75 - 2.0 ** -34, 1.0], T=0.5, dt=0.25, system=system,
+                    feas_tol=1e-12)
+    assert step_kinds(traj) == [False]
 
 
 def test_v_is_evaluated_once_on_all_states():
