@@ -349,11 +349,22 @@ def read_certificate_candidate(path: Path, dimension: int):
 # -- commands --------------------------------------------------------------------
 
 
+def _count_error(flag: str, value: int, least: int) -> bool:
+    """Print the input error of a count flag below its least value."""
+    if value >= least:
+        return False
+    _status(f"input-error detail='{flag} must be at least {least}, "
+            f"got {value}'")
+    return True
+
+
 def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
     if not spec.is_conic:
         _status("error detail=cone-command-needs-cone-spec")
         return EXIT_USAGE
     system: ConicSystem = spec.system
+    if _count_error("--sweeps", args.sweeps, 0):
+        return EXIT_USAGE
     if args.r is not None and args.deg is None:
         _status("input-error detail='--r sets a single level and needs --deg'")
         return EXIT_USAGE
@@ -411,6 +422,8 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
         _status("error detail=sos-command-needs-semialgebraic-spec")
         return EXIT_USAGE
     system: SemialgebraicSystem = spec.system
+    if _count_error("--samples", args.samples, 1):
+        return EXIT_USAGE
     degrees = [args.deg] if args.deg is not None else \
         [int(spec.options["deg"])] if "deg" in spec.options else [2, 4, 6]
     tier = args.tier or spec.options.get("tier", "sdp")
@@ -467,6 +480,8 @@ def cmd_verify(args, spec: ParsedSpec) -> int:
     if args.r is not None and (args.certificate is not None
                                or not spec.is_conic):
         _status(R_WITHOUT_CONE_CANDIDATE)
+        return EXIT_USAGE
+    if _count_error("--samples", args.samples, 1):
         return EXIT_USAGE
     n = spec.system.dimension
     if args.certificate is not None:
@@ -526,7 +541,8 @@ def cmd_simulate(args, spec: ParsedSpec) -> int:
         return EXIT_SOLVER_FAILURE
     out = _out_dir(args)
     path = out / "trajectory.csv"
-    path.write_text(traj.to_csv())
+    with path.open("w") as csv:
+        traj.write_csv(csv)
     final = traj.final_state()
     _status(f"simulated steps={len(traj) - 1} final-norm="
             f"{float(np.linalg.norm(final))!r} file={path}")
@@ -536,6 +552,8 @@ def cmd_simulate(args, spec: ParsedSpec) -> int:
 def cmd_partition_dump(args, spec: ParsedSpec) -> int:
     if not spec.is_conic:
         _status("error detail=partition-dump-needs-cone-spec")
+        return EXIT_USAGE
+    if _count_error("--sweeps", args.sweeps, 0):
         return EXIT_USAGE
     sections = cop_lp.initial_sections(spec.system)
     partitions = []

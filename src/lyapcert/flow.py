@@ -41,10 +41,11 @@ states at once; the CSV layout is "t,x1..xn,eta1..etan[,V]".
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from operator import add, mul, sub
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -61,6 +62,7 @@ STATE_TOL = 1e-8         # every stored state is this close to the set
 KKT_TOL = 1e-12          # set projection residual, relative to 1 + |z|
 MAX_PROJECTION_ITER = 100  # iterations of one set projection
 OVERFLOW = "state overflowed the float range"
+CSV_CHUNK = 4096         # trajectory rows formatted per write
 
 System = ConicSystem | SemialgebraicSystem
 
@@ -90,7 +92,9 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def to_csv(self) -> str:
+    def write_csv(self, out: TextIO) -> None:
+        """Write the CSV to out in chunks of CSV_CHUNK rows: each chunk is
+        one % format of its floats, and %r of a float is its repr."""
         n = self.states.shape[1]
         header = ["t"] + [f"x{i + 1}" for i in range(n)] \
             + [f"eta{i + 1}" for i in range(n)]
@@ -98,11 +102,18 @@ class Trajectory:
         if self.v_values is not None:
             header.append("V")
             columns.append(np.array(self.v_values)[:, None])
-        # tolist gives Python floats (repr of a numpy scalar is
-        # "np.float64(...)", which CSV readers reject)
-        lines = [",".join(header)] + [",".join(map(repr, row))
-                                      for row in np.hstack(columns).tolist()]
-        return "\n".join(lines) + "\n"
+        out.write(",".join(header) + "\n")
+        row = ",".join(["%r"] * len(header)) + "\n"
+        for k in range(0, len(self), CSV_CHUNK):
+            chunk = np.hstack([c[k:k + CSV_CHUNK] for c in columns])
+            # tolist gives Python floats (repr of a numpy scalar is
+            # "np.float64(...)", which CSV readers reject)
+            out.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+    def to_csv(self) -> str:
+        out = io.StringIO()
+        self.write_csv(out)
+        return out.getvalue()
 
 
 def project_cone(z, cone: PolyhedralCone) -> tuple[float, ...]:
@@ -288,13 +299,16 @@ def _lowest(system: System, x) -> float:
 
 def step(x: Sequence[float], dt: float, system: System,
          feas_tol: float = STATE_TOL,
-         multipliers: dict[int, float] | None = None
+         multipliers: dict[int, float] | None = None,
+         evaluated: tuple[tuple, tuple, tuple] | None = None
          ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """One projected Euler step on float tuples; returns (x_next, eta_used).
 
     One call of the system's euler_kernel gives z = x + dt f(x), f(x) and
-    the constraint values at z.  z is kept, with eta_used exactly 0 and
-    the multipliers record cleared, when no value is below -FEAS_TOL;
+    the constraint values at z; evaluated, when given, is that triple
+    already computed (by the kernel's free-step loop, see simulate), and
+    the kernel is not called.  z is kept, with eta_used exactly 0 and the
+    multipliers record cleared, when no value is below -FEAS_TOL;
     otherwise x_next is its projection (a set projection warm-started from
     and updating the record, see project_set, and given the values at z)
     and the constraints are evaluated again at x_next.  x_next below
@@ -302,10 +316,12 @@ def step(x: Sequence[float], dt: float, system: System,
     the float range: float ** raises OverflowError where * gives inf or
     NaN.
     """
-    try:
-        z, fx, values = system.euler_kernel(x, dt)
-    except OverflowError as exc:
-        raise FlowError(OVERFLOW) from exc
+    if evaluated is None:
+        try:
+            evaluated = system.euler_kernel(x, dt)
+        except OverflowError as exc:
+            raise FlowError(OVERFLOW) from exc
+    z, fx, values = evaluated
     if not all(map(math.isfinite, z + values)):
         raise FlowError(OVERFLOW)
     lowest = min(values) if values else math.inf
@@ -331,35 +347,68 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
              feas_tol: float = STATE_TOL) -> Trajectory:
     """Fixed-step projected Euler from a feasible start.
 
-    Records eta along the way; every recorded state is feasible within
-    feas_tol or the step raises.  The states stay float tuples until the
-    last step, and one multipliers record warm-starts each set projection
-    from the previous step's.  V, when given, is a Polynomial or a map
-    from an (m, n) array of states to an array of their m values (such as
-    RationalLyapunovCandidate.value); it is evaluated once, on all stored
-    states, after the last step.
+    round(T / dt) steps; T and dt must be finite and positive.  Runs of
+    free steps go through the system's euler_kernel.free_steps, which
+    keeps every step that step would keep as a free step: z and the
+    constraint values finite and every value >= max(-FEAS_TOL, -feas_tol).
+    The first step it does not keep goes to step with the values the loop
+    computed, so nothing is evaluated twice (after an OverflowError in the
+    loop, step evaluates that step again and raises).  After a projected
+    step, step takes each next step itself, until one is free again; a
+    trajectory that projects at every step is one step call per step.
+    Every recorded state is feasible within feas_tol or the run raises.
+    The states stay float tuples until the last step, and one multipliers
+    record warm-starts each set projection from the previous step's
+    (cleared by a free step, in the loop as in step).  eta_log is zero
+    except on the rows of projected steps.  V, when given, is a Polynomial
+    or a map from an (m, n) array of states to an array of their m values
+    (such as RationalLyapunovCandidate.value); it is evaluated once, on
+    all stored states, after the last step.
     """
     x = tuple(map(float, x0))
     if not _lowest(system, x) >= -feas_tol:
         raise FlowInputError("initial state is outside the constraint set")
-    if dt <= 0 or T <= 0:
-        raise FlowInputError("T and dt must be positive")
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf
+            and T / dt < math.inf):
+        raise FlowInputError("T and dt must be finite and positive, "
+                             "with T / dt finite")
 
-    times, states, etas = [0.0], [x], []
+    steps = int(round(T / dt))
+    floor = max(-FEAS_TOL, -feas_tol)
+    free_steps = system.euler_kernel.free_steps
+    times, states, projected = [0.0], [x], {}
     multipliers: dict[int, float] = {}
-    t = 0.0
-    for _ in range(int(round(T / dt))):
+    free = True
+    while len(states) <= steps:
+        evaluated = None
+        if free:
+            start = len(states)
+            try:
+                evaluated = free_steps(times, states, dt, steps + 1 - start,
+                                       floor)
+            except OverflowError:
+                pass    # step evaluates that step again and raises
+            if len(states) > start:
+                multipliers.clear()
+            if evaluated is None and len(states) > steps:
+                break
+        x, t = states[-1], times[-1]
         try:
             # through the module global, so a wrapped step sees every call
-            x, eta_used = step(x, dt, system, feas_tol, multipliers)
+            x, eta_used = step(x, dt, system, feas_tol, multipliers,
+                               evaluated)
         except FlowError as exc:
             raise FlowError(f"{exc} at t = {t + dt}") from exc
-        t += dt
-        times.append(t)
+        free = not any(eta_used)
+        if not free:
+            projected[len(states) - 1] = eta_used
+        times.append(t + dt)
         states.append(x)
-        etas.append(eta_used)
-    etas.append((0.0,) * len(x))
-    traj = Trajectory(np.array(times), np.array(states), np.array(etas))
+    states = np.array(states)
+    eta_log = np.zeros_like(states)
+    if projected:
+        eta_log[list(projected)] = list(projected.values())
+    traj = Trajectory(np.array(times), states, eta_log)
     if V is not None:
         values = MonomialTable([V])(traj.states)[:, 0] \
             if isinstance(V, Polynomial) else V(traj.states)

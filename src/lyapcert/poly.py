@@ -307,12 +307,17 @@ def _sum_lines(var: str, form: Polynomial | Sequence[float],
     return lines or [f"    {var} = 0.0"]
 
 
-def _compile(lines: list[str], values: Sequence[str]) -> Callable:
+def _tuples(values: Sequence[Sequence[str]]) -> str:
+    """The expression of the tuples of the names in values."""
+    return ", ".join(f"({''.join(f'{v}, ' for v in names)})"
+                     for names in values)
+
+
+def _compile(lines: list[str], values: Sequence[Sequence[str]]) -> Callable:
     """The function `kernel` of lines, returning the tuples of values
-    where the lines do not return first."""
-    tuples = [f"({''.join(f'{v}, ' for v in names)})" for names in values]
+    (None when there are none) where the lines do not return first."""
     namespace: dict = {}
-    exec("\n".join(lines + [f"    return {', '.join(tuples)}"]), namespace)
+    exec("\n".join(lines + [f"    return {_tuples(values)}"]), namespace)
     return namespace["kernel"]
 
 
@@ -352,17 +357,41 @@ def euler_kernel(field: Sequence[Polynomial],
     f and the constraint values are summed as in float_kernel; a
     constraint that is a row c of floats is ((0.0 + c_1*z_1) + c_2*z_2)
     + ..., which is sum(map(mul, c, z)) bit for bit.
+
+    kernel.free_steps(times, states, dt, count, floor) runs the same step
+    from states[-1] and times[-1] up to count times.  A step whose z and
+    values are finite and whose values are all >= floor is kept: it
+    appends times[-1] + dt to times and z to states and goes on from z.
+    At the first step that is not kept, it returns that step's (z, f(x),
+    values), as kernel would; after count kept steps it returns None.
+    The finiteness test is on the sum of z and the values, so a step whose
+    sum alone overflows is returned, not kept.
     """
     n = len(field)
     xs, fs, zs = ([f"{a}{j}" for j in range(n)] for a in "xfz")
     vs = [f"v{i}" for i in range(len(constraints))]
-    lines = ["def kernel(p, dt):", f"    {', '.join(xs)}, = p"]
+    body = []
     for f, p in zip(fs, field):
-        lines += _sum_lines(f, p, xs)
-    lines += [f"    {z} = {x} + dt*{f}" for x, f, z in zip(xs, fs, zs)]
+        body += _sum_lines(f, p, xs)
+    body += [f"    {z} = {x} + dt*{f}" for x, f, z in zip(xs, fs, zs)]
     for v, g in zip(vs, constraints):
-        lines += _sum_lines(v, g, zs)
-    return _compile(lines, [zs, fs, vs])
+        body += _sum_lines(v, g, zs)
+    kernel = _compile(["def kernel(p, dt):", f"    {', '.join(xs)}, = p"]
+                      + body, [zs, fs, vs])
+    kept = " and ".join([f"{v} >= floor" for v in vs]
+                        + [f"-inf < {' + '.join(zs + vs)} < inf"])
+    loop = ["def kernel(times, states, dt, count, floor):",
+            "    t = times[-1]", f"    {', '.join(xs)}, = states[-1]",
+            "    add_time, add_state = times.append, states.append",
+            "    inf = float('inf')", "    for _ in range(count):"]
+    loop += ["    " + line for line in body]
+    loop += [f"        if not ({kept}):",
+             f"            return {_tuples([zs, fs, vs])}",
+             "        t += dt", "        add_time(t)",
+             f"        add_state({_tuples([zs])})",
+             f"        {', '.join(xs)}, = {_tuples([zs])}"]
+    kernel.free_steps = _compile(loop, [])
+    return kernel
 
 
 def newton_kernel(g: Polynomial, gradient: Sequence[Polynomial],

@@ -567,6 +567,51 @@ def test_bad_simulation_input_is_simulation_error(flags, cone_spec, tmp_path,
         "status=simulation-error")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--T", "inf"], ["--T", "nan"], ["--dt", "nan"], ["--dt", "inf"],
+    ["--T=-inf"], ["--T", "1e300", "--dt", "1e-300"],
+], ids=["T-inf", "T-nan", "dt-nan", "dt-inf", "T-minus-inf", "T-over-dt-inf"])
+def test_non_finite_simulation_input_is_simulation_error(flags, cone_spec,
+                                                         tmp_path, capsys):
+    # round(T / dt) of inf or NaN raised before it was checked
+    code = main(["simulate", str(cone_spec), *flags,
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "status=simulation-error detail='T and dt must be finite and "
+        "positive, with T / dt finite'")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("spec_name, command, detail", [
+    ("cone_spec", ["find-lyap-cone", "--sweeps", "-1"],
+     "--sweeps must be at least 0, got -1"),
+    ("cone_spec", ["find-lyap-cone", "--deg", "2", "--sweeps", "-1"],
+     "--sweeps must be at least 0, got -1"),
+    ("cone_spec", ["partition-dump", "--sweeps", "-1"],
+     "--sweeps must be at least 0, got -1"),
+    ("cusp_spec", ["find-lyap-sos", "--deg", "2", "--samples", "0"],
+     "--samples must be at least 1, got 0"),
+    ("cusp_spec", ["find-lyap-sos", "--samples", "-5"],
+     "--samples must be at least 1, got -5"),
+    ("cusp_spec", ["verify", "--candidate", "1*x1^2 + 1*x2^2",
+                   "--samples", "0"], "--samples must be at least 1, got 0"),
+], ids=["find-cone-sweeps", "find-cone-deg-sweeps", "partition-dump-sweeps",
+        "find-sos-samples-zero", "find-sos-samples-negative",
+        "verify-samples-zero"])
+def test_counts_below_their_least_value_are_input_errors(
+        spec_name, command, detail, request, tmp_path, capsys):
+    # --sweeps -1 ran as 0 sweeps, and --samples 0 reported a
+    # misconfigured bounding box
+    spec = request.getfixturevalue(spec_name)
+    code = main([command[0], str(spec), *command[1:],
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"status=input-error detail='{detail}'"
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_calls_nnls_only_at_corner_samples(sq3d_run, tmp_path,
                                                   monkeypatch):
     system = parse_spec(str(SQ3D_SPEC)).system

@@ -679,6 +679,87 @@ def test_free_step_between_the_tolerances_leaves_the_set():
     assert step_kinds(traj) == [False]
 
 
+def counted_kernel(system, monkeypatch):
+    """Wrap the system's euler_kernel and its free-step loop; the returned
+    list gets one entry per Euler step either evaluates."""
+    evaluations = []
+    kernel = system.euler_kernel
+
+    def counted(x, dt):
+        evaluations.append(1)
+        return kernel(x, dt)
+
+    def free_steps(times, states, *args):
+        before = len(states)
+        handed_back = kernel.free_steps(times, states, *args)
+        evaluations.extend([1] * (len(states) - before
+                                  + (handed_back is not None)))
+        return handed_back
+    counted.free_steps = free_steps
+    monkeypatch.setitem(system.__dict__, "euler_kernel", counted)
+    return evaluations
+
+
+@pytest.mark.parametrize("name", ["cusp-boundary"] + list(FREE_STEP_PINS))
+def test_each_step_makes_one_euler_kernel_evaluation(name, monkeypatch):
+    """The loop hands the step it does not keep to flow.step with its
+    values, and flow.step takes each step after a projected one itself."""
+    if name == "cusp-boundary":
+        system, x0, T, dt, V = cusp_system(), [0.49, 0.7], 0.5, 1e-3, None
+    else:
+        system, x0, T, dt, V = FREE_STEP_PINS[name][:5]
+    evaluations = counted_kernel(system, monkeypatch)
+    calls = []
+    flow_step = flow.step
+    monkeypatch.setattr(flow, "step",
+                        lambda *args: calls.append(1) or flow_step(*args))
+    traj = simulate(x0, T, dt, system, V=V)
+    steps = len(traj) - 1
+    assert len(evaluations) == steps
+    projected = int((traj.eta_log[:-1] != 0).any(axis=1).sum())
+    kinds = step_kinds(traj)
+    if name == "cusp-boundary":
+        assert kinds == [True] and len(calls) == steps
+    # the steps that project, and the free step after each run of them
+    ends = sum(a and not b for a, b in zip(kinds, kinds[1:]))
+    assert len(calls) == projected + ends
+
+
+def test_overflow_in_the_loop_raises_at_its_step(monkeypatch):
+    # x' = x^2 from x = 1 blows up at t = 1: float ** raises OverflowError
+    # inside the loop, and flow.step evaluates that step again and raises
+    system = ConicSystem([parse_polynomial("1*x1^2", 2),
+                          parse_polynomial("1*x2^2", 2)],
+                         PolyhedralCone(np.eye(2)))
+    calls = []
+    flow_step = flow.step
+    monkeypatch.setattr(flow, "step",
+                        lambda *args: calls.append(args[-1]) or
+                        flow_step(*args))
+    with pytest.raises(FlowError, match=r"^state overflowed the float range "
+                       r"at t = 1\.0169999999999988$"):
+        simulate([1.0, 1.0], T=2.0, dt=1e-3, system=system)
+    assert calls == [None]
+
+
+def test_free_trajectory_never_calls_step(monkeypatch):
+    monkeypatch.setattr(flow, "step",
+                        lambda *args: pytest.fail("flow.step called"))
+    system, x0, T, dt, V = FREE_STEP_PINS["refine1"][:5]
+    traj = simulate(x0, T, dt, system, V=V)
+    assert len(traj) == 20001 and not traj.eta_log.any()
+
+
+@pytest.mark.parametrize("T, dt", [(np.inf, 1e-3), (np.nan, 1e-3),
+                                   (1.0, np.nan), (1.0, np.inf),
+                                   (1e300, 1e-300)],
+                         ids=["T-inf", "T-nan", "dt-nan", "dt-inf",
+                              "T-over-dt-inf"])
+def test_non_finite_times_are_input_errors(T, dt):
+    with pytest.raises(flow.FlowInputError, match="finite and positive"):
+        simulate([2.0, 0.5], T, dt, wedge_system())
+
+
 def test_v_is_evaluated_once_on_all_states():
     calls = []
 
