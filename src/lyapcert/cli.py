@@ -541,8 +541,8 @@ def cmd_simulate(args, spec: ParsedSpec) -> int:
         return EXIT_SOLVER_FAILURE
     out = _out_dir(args)
     path = out / "trajectory.csv"
-    with path.open("w") as csv:
-        traj.write_csv(csv)
+    with path.open("w") as stream:
+        traj.write_csv(stream)
     final = traj.final_state()
     _status(f"simulated steps={len(traj) - 1} final-norm="
             f"{float(np.linalg.norm(final))!r} file={path}")

@@ -389,8 +389,8 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
             except OverflowError:
                 pass    # step evaluates that step again and raises
             if len(states) > start:
-                multipliers.clear()
-            if evaluated is None and len(states) > steps:
+                multipliers.clear()    # as step does on a free step
+            if len(states) > steps:
                 break
         x, t = states[-1], times[-1]
         try:
@@ -399,7 +399,7 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
                                evaluated)
         except FlowError as exc:
             raise FlowError(f"{exc} at t = {t + dt}") from exc
-        free = not any(eta_used)
+        free = not any(eta_used)    # a kept z records eta exactly 0
         if not free:
             projected[len(states) - 1] = eta_used
         times.append(t + dt)
