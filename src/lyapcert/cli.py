@@ -363,7 +363,8 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
         _status("error detail=cone-command-needs-cone-spec")
         return EXIT_USAGE
     system: ConicSystem = spec.system
-    if _count_error("--sweeps", args.sweeps, 0):
+    if _count_error("--sweeps", args.sweeps, 0) \
+            or _count_error("--density", args.density, 1):
         return EXIT_USAGE
     if args.r is not None and args.deg is None:
         _status("input-error detail='--r sets a single level and needs --deg'")
@@ -481,7 +482,8 @@ def cmd_verify(args, spec: ParsedSpec) -> int:
                                or not spec.is_conic):
         _status(R_WITHOUT_CONE_CANDIDATE)
         return EXIT_USAGE
-    if _count_error("--samples", args.samples, 1):
+    if _count_error("--samples", args.samples, 1) \
+            or _count_error("--density", args.density, 1):
         return EXIT_USAGE
     n = spec.system.dimension
     if args.certificate is not None:

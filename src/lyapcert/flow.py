@@ -8,13 +8,17 @@ that keeps z = x + dt f(x) records eta exactly 0, since N_S(x) = {0}
 there.  One trajectory is sequential, so a step works on a tuple of Python
 floats: on 2- and 3-vectors a numpy call costs more than the arithmetic,
 and numpy is used only for the NNLS of a cone projection where several
-rows bind and for the arrays built after the last step.  A free step is
-one call of the system's euler_kernel (poly.euler_kernel, one
+rows bind and for the arrays built after the last step.  One Euler step
+is one evaluation of the system's euler_kernel (poly.euler_kernel, one
 straight-line function per system, built once), which gives z = x + dt
 f(x), f(x) and the constraint values at z; those values decide whether
 to project and, when z is kept, are also the feasibility check of the
 stored state.  A z or a value that is not finite ends the run: the state
-has left the float range.
+has left the float range.  simulate runs consecutive free steps inside
+the kernel's generated loop (euler_kernel.free_steps), which appends
+each kept time and state itself; the first step that must project, fails
+a check or overflows is handed to step with the values the loop computed,
+and step takes every next step until one is free again.
 
 Projection onto a polyhedral cone is z + eta_projection(z, C) (Moreau's
 decomposition: z minus its projection onto the polar cone), the same map
@@ -36,7 +40,9 @@ along the boundary takes one Newton step.
 
 Trajectories hold times, states and multipliers as arrays built after the
 last step, and optionally a Lyapunov function candidate, evaluated on all
-states at once; the CSV layout is "t,x1..xn,eta1..etan[,V]".
+states at once; the CSV layout is "t,x1..xn,eta1..etan[,V]", written in
+chunks of CSV_CHUNK rows to a stream (write_csv, which to_csv also uses),
+every value as its repr.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ monomials formed by multiplies alone.  float_kernel generates one
 straight-line float function for a list of polynomials, for inner loops
 that evaluate them at one point at a time; euler_kernel, from the same
 term emitter, generates one explicit Euler step of a field with the
-constraint values at the new point, and newton_kernel one Newton step of
-the Euclidean projection onto {g >= 0}.
+constraint values at the new point, and the loop of such steps while they
+stay in the set, and newton_kernel one Newton step of the Euclidean
+projection onto {g >= 0}.
 
 Monomial order is graded lexicographic (total degree ascending, exponent
 tuple descending within a degree) and is used everywhere a coefficient

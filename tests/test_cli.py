@@ -596,13 +596,17 @@ def test_non_finite_simulation_input_is_simulation_error(flags, cone_spec,
      "--samples must be at least 1, got -5"),
     ("cusp_spec", ["verify", "--candidate", "1*x1^2 + 1*x2^2",
                    "--samples", "0"], "--samples must be at least 1, got 0"),
+    ("cone_spec", ["find-lyap-cone", "--density", "0"],
+     "--density must be at least 1, got 0"),
+    ("cone_spec", ["verify", "--candidate", "1*x1^2 + 1*x2^2", "--r", "0",
+                   "--density", "-3"], "--density must be at least 1, got -3"),
 ], ids=["find-cone-sweeps", "find-cone-deg-sweeps", "partition-dump-sweeps",
         "find-sos-samples-zero", "find-sos-samples-negative",
-        "verify-samples-zero"])
+        "verify-samples-zero", "find-cone-density", "verify-density"])
 def test_counts_below_their_least_value_are_input_errors(
         spec_name, command, detail, request, tmp_path, capsys):
-    # --sweeps -1 ran as 0 sweeps, and --samples 0 reported a
-    # misconfigured bounding box
+    # --sweeps -1 ran as 0 sweeps, --samples 0 reported a misconfigured
+    # bounding box, and --density 0 verified on the section vertices alone
     spec = request.getfixturevalue(spec_name)
     code = main([command[0], str(spec), *command[1:],
                  "--out", str(tmp_path / "o")])
