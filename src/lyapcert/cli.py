@@ -48,6 +48,8 @@ EXIT_SOLVER_FAILURE = 3
 # --r is read only as the denominator power of a cone --candidate
 R_WITHOUT_CONE_CANDIDATE = ("input-error detail='--r needs --candidate on a "
                             "cone spec'")
+# sweep budget of a cone level that neither a schedule nor --sweeps sets
+DEFAULT_SWEEPS = 8
 
 
 class SpecFileError(ValueError):
@@ -70,8 +72,7 @@ class ParsedSpec:
         return isinstance(self.system, ConicSystem)
 
 
-_OPTION_KEYS = {"schedule", "margin", "tau_act", "seed", "deg", "tier",
-                "eps_pd", "x0", "T", "dt"}
+_OPTION_KEYS = {"schedule", "deg", "x0", "T", "dt"}
 
 
 def parse_spec(path: str | Path) -> ParsedSpec:
@@ -210,34 +211,24 @@ def _parse_schedule(text: str) -> list[tuple[int, int, int]]:
         if len(nums) != 3:
             raise SpecFileError("schedule entries are 'deg r sweeps'",
                                 None, "schedule")
-        out.append((int(nums[0]), int(nums[1]), int(nums[2])))
+        d, r, sweeps = map(int, nums)
+        if d < 1 or r < 0 or sweeps < 0:
+            raise SpecFileError(
+                f"schedule entry {d} {r} {sweeps}: deg must be at least 1, "
+                "r and sweeps at least 0", None, "schedule")
+        out.append((d, r, sweeps))
     if not out:
         raise SpecFileError("empty schedule", None, "schedule")
     return out
 
 
-def default_cone_schedule(sweeps: int = 8) -> list[tuple[int, int, int]]:
+def default_cone_schedule() -> list[tuple[int, int, int]]:
     schedule = []
     for d in (2, 4, 6):
         rs = {0, 1, (d - 2) // 2}
         for r in sorted(rs):
-            schedule.append((d, r, sweeps))
+            schedule.append((d, r, DEFAULT_SWEEPS))
     return schedule
-
-
-
-def _seed(args, spec: ParsedSpec) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(spec.options.get("seed", 0))
-
-
-def _tau_act(args, spec: ParsedSpec) -> float | None:
-    if args.tau_act is not None:
-        return args.tau_act
-    if "tau_act" in spec.options:
-        return float(spec.options["tau_act"])
-    return None
 
 
 def _status(line: str) -> None:
@@ -305,10 +296,8 @@ def format_sos_certificate(cert: sos_cert.SosCertificate,
     lines.append(f"degree: {cert.V.degree()}")
     lines.append(f"tier: {cert.tier}")
     lines.append(f"margin: {cert.margin!r}")
-    lines.append(f"eps-pd: {cert.eps_pd!r}")
-    dm = "0" if cert.decrease_margin is None or cert.decrease_margin.is_zero() \
-        else format_polynomial(cert.decrease_margin)
-    lines.append(f"decrease-margin: {dm}")
+    lines.append(f"eps-pd: {sos_cert.EPS_PD!r}")
+    lines.append("decrease-margin: 0")
     lines.append(f"V: {format_polynomial(cert.V)}")
     for name in sorted(cert.multipliers):
         rec = cert.multipliers[name]
@@ -349,9 +338,10 @@ def read_certificate_candidate(path: Path, dimension: int):
 # -- commands --------------------------------------------------------------------
 
 
-def _count_error(flag: str, value: int, least: int) -> bool:
-    """Print the input error of a count flag below its least value."""
-    if value >= least:
+def _count_error(flag: str, value: int | None, least: int) -> bool:
+    """Print the input error of a count flag below its least value; an
+    unset flag (None) is no error."""
+    if value is None or value >= least:
         return False
     _status(f"input-error detail='{flag} must be at least {least}, "
             f"got {value}'")
@@ -363,20 +353,21 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
         _status("error detail=cone-command-needs-cone-spec")
         return EXIT_USAGE
     system: ConicSystem = spec.system
-    if _count_error("--sweeps", args.sweeps, 0) \
+    if _count_error("--deg", args.deg, 1) \
+            or _count_error("--sweeps", args.sweeps, 0) \
             or _count_error("--density", args.density, 1):
         return EXIT_USAGE
     if args.r is not None and args.deg is None:
         _status("input-error detail='--r sets a single level and needs --deg'")
         return EXIT_USAGE
     if args.deg is not None:
-        schedule = [(args.deg, args.r or 0, args.sweeps)]
+        schedule = [(args.deg, args.r or 0, DEFAULT_SWEEPS)]
     elif "schedule" in spec.options:
         schedule = _parse_schedule(spec.options["schedule"])
     else:
-        schedule = default_cone_schedule(args.sweeps)
-    margin = args.margin if args.margin is not None else \
-        float(spec.options.get("margin", cop_lp.DEFAULT_ACCEPT_MARGIN))
+        schedule = default_cone_schedule()
+    if args.sweeps is not None:
+        schedule = [(d, r, args.sweeps) for d, r, _ in schedule]
 
     dump = None
     if args.dump_lp:
@@ -386,8 +377,7 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
             text = linprog.dump_lp_text(lp)
             (out / f"lp-d{d}-r{r}-s{sweep}.lp").write_text(text)
 
-    outcome = cop_lp.run_hierarchy(system, schedule, accept_margin=margin,
-                                   lp_dump=dump)
+    outcome = cop_lp.run_hierarchy(system, schedule, lp_dump=dump)
     if not outcome.found and outcome.solver_failure:
         _status(f"solver-failure detail={outcome.solver_failure!r}")
         return EXIT_SOLVER_FAILURE
@@ -398,10 +388,8 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
         _status(f"exhausted-schedule detail={levels!r}")
         return EXIT_NOT_FOUND
     cert = outcome.certificate
-    tau = _tau_act(args, spec)
-    report = oracle.verify_conic(
-        cert.candidate, system, grid_density=args.density,
-        **({"activation_tol": tau} if tau is not None else {}))
+    report = oracle.verify_conic(cert.candidate, system,
+                                 grid_density=args.density)
     out = _out_dir(args)
     text = format_conic_certificate(cert, system, report)
     if not report.passed:
@@ -427,9 +415,7 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
         return EXIT_USAGE
     degrees = [args.deg] if args.deg is not None else \
         [int(spec.options["deg"])] if "deg" in spec.options else [2, 4, 6]
-    tier = args.tier or spec.options.get("tier", "sdp")
-    eps_pd = args.eps_pd if args.eps_pd is not None else \
-        float(spec.options.get("eps_pd", 1e-3))
+    tier = args.tier
     out = _out_dir(args)
 
     dump = None
@@ -441,11 +427,11 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
     rejected: dict[int, float] = {}  # degree -> worst oracle value
     for deg in degrees:
         outcome = sos_cert.solve_certificate(system, deg, tier=tier,
-                                             eps_pd=eps_pd, sdpa_dump=dump)
+                                             sdpa_dump=dump)
         if outcome.status == "certificate":
             cert = outcome.certificate
             report = oracle.verify_sos(cert.V, system, samples=args.samples,
-                                       seed=_seed(args, spec))
+                                       seed=args.seed)
             text = format_sos_certificate(cert, system, report)
             if report.passed:
                 path = out / "certificate.txt"
@@ -493,16 +479,12 @@ def cmd_verify(args, spec: ParsedSpec) -> int:
         r = args.r or 0
     out = _out_dir(args)
     if spec.is_conic:
-        candidate = RationalLyapunovCandidate(poly, r)
-        tau = _tau_act(args, spec)
         report = oracle.verify_conic(
-            candidate, spec.system, grid_density=args.density,
-            collect_samples=args.csv,
-            **({"activation_tol": tau} if tau is not None else {}))
+            RationalLyapunovCandidate(poly, r), spec.system,
+            grid_density=args.density, collect_samples=args.csv)
     else:
         report = oracle.verify_sos(poly, spec.system, samples=args.samples,
-                                   seed=_seed(args, spec),
-                                   collect_samples=args.csv)
+                                   seed=args.seed, collect_samples=args.csv)
     (out / "report.txt").write_text(report.to_text())
     if args.csv:
         (out / "report.csv").write_text(report.to_csv())
@@ -583,9 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     oracle_flags = {
-        "--seed": dict(type=int, default=None, help="oracle sampling seed"),
-        "--tau-act": dict(type=float, dest="tau_act", default=None,
-                          help="constraint activation tolerance"),
+        "--seed": dict(type=int, default=0, help="oracle sampling seed"),
         "--density": dict(type=int, default=10_000,
                           help="oracle grid density per section"),
         "--samples": dict(type=int, default=10_000,
@@ -600,20 +580,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **oracle_flags[flag])
 
     p = sub.add_parser("find-lyap-cone", help="run the cone LP hierarchy")
-    common(p, "--tau-act", "--density")
+    common(p, "--density")
     p.add_argument("--deg", type=int, help="single level: degree of h")
     p.add_argument("--r", type=int,
                    help="single level, with --deg: denominator power")
-    p.add_argument("--sweeps", type=int, default=8)
-    p.add_argument("--margin", type=float, help="acceptance margin")
+    p.add_argument("--sweeps", type=int,
+                   help="sweep budget of every level (default: the spec "
+                        f"schedule's, else {DEFAULT_SWEEPS})")
     p.add_argument("--dump-lp", action="store_true")
     p.set_defaults(func=cmd_find_lyap_cone)
 
     p = sub.add_parser("find-lyap-sos", help="run the SOS hierarchy")
     common(p, "--seed", "--samples")
     p.add_argument("--deg", type=int, help="single degree for V")
-    p.add_argument("--tier", choices=("dsos", "sdp"))
-    p.add_argument("--eps-pd", type=float, dest="eps_pd")
+    p.add_argument("--tier", choices=("dsos", "sdp"), default="sdp")
     p.add_argument("--dump-sdpa", action="store_true")
     p.set_defaults(func=cmd_find_lyap_sos)
 

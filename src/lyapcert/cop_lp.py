@@ -37,7 +37,7 @@ from .tangency import FaceEtaBranches, face_eta_polynomial
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ACCEPT_MARGIN = 1e-6
+ACCEPT_MARGIN = 1e-6     # a level certifies once the LP margin reaches it
 ACTIVE_ROW_TOL = 1e-7
 ROW_RECHECK_TOL = 1e-8
 
@@ -52,7 +52,7 @@ class ConicSystem:
 
     f: list[Polynomial]
     cone: PolyhedralCone
-    field_degree: int = 0
+    field_degree: int = field(init=False)
 
     def __post_init__(self):
         n = self.cone.dimension
@@ -360,12 +360,11 @@ def corner_flags(sections: list[SectionState]) -> list[str]:
 
 def run_hierarchy(system: ConicSystem,
                   schedule: list[tuple[int, int, int]],
-                  accept_margin: float = DEFAULT_ACCEPT_MARGIN,
                   lp_dump=None) -> HierarchyOutcome:
     """Algorithm over (degree, r, sweep budget) levels.
 
     Each level starts from the unrefined sections, solves the margin LP,
-    and accepts as soon as the optimal margin reaches accept_margin after
+    and accepts as soon as the optimal margin reaches ACCEPT_MARGIN after
     re-checking every row; otherwise the cells owning rows active at the
     optimum are bisected (all refinable cells when none can be identified)
     until the sweep budget is exhausted.  Returns the first certificate or
@@ -400,7 +399,7 @@ def run_hierarchy(system: ConicSystem,
             best_margin = max(best_margin, margin)
             logger.info("level d=%d r=%d sweep %d: margin %.3e (%d rows)",
                         degree, r, sweeps, margin, len(prov))
-            if margin >= accept_margin:
+            if margin >= ACCEPT_MARGIN:
                 ncoef = len(level.h_basis)
                 row_values = lp.A[:, :ncoef] @ result.x[:ncoef]
                 if row_values.min() < margin - ROW_RECHECK_TOL:

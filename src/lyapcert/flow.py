@@ -16,8 +16,8 @@ to project and, when z is kept, are also the feasibility check of the
 stored state.  A z or a value that is not finite ends the run: the state
 has left the float range.  simulate runs consecutive free steps inside
 the kernel's generated loop (euler_kernel.free_steps), which appends
-each kept time and state itself; the first step that must project, fails
-a check or overflows is handed to step with the values the loop computed,
+each kept time and state itself; the first step that must project or
+overflows is handed to step with the values the loop computed,
 and step takes every next step until one is free again.
 
 Projection onto a polyhedral cone is z + eta_projection(z, C) (Moreau's
@@ -57,13 +57,14 @@ import numpy as np
 
 from .cones import PolyhedralCone
 from .cop_lp import ConicSystem
-from .poly import MonomialTable, Polynomial
+# FEAS_TOL: a point this close to the set is not projected; the free-step
+# loop that poly.euler_kernel generates holds the same bound
+from .poly import FEAS_TOL, MonomialTable, Polynomial
 from .sos_cert import SemialgebraicSystem
 # nnls stays a module attribute: the benchmark's tracer patches flow.nnls
 from .tangency import (SemialgebraicSet, TangencyError,  # noqa: F401
                        eta_projection, nnls)
 
-FEAS_TOL = 1e-10         # a point this close to the set is not projected
 STATE_TOL = 1e-8         # every stored state is this close to the set
 KKT_TOL = 1e-12          # set projection residual, relative to 1 + |z|
 MAX_PROJECTION_ITER = 100  # iterations of one set projection
@@ -304,7 +305,6 @@ def _lowest(system: System, x) -> float:
 
 
 def step(x: Sequence[float], dt: float, system: System,
-         feas_tol: float = STATE_TOL,
          multipliers: dict[int, float] | None = None,
          evaluated: tuple[tuple, tuple, tuple] | None = None
          ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -317,10 +317,10 @@ def step(x: Sequence[float], dt: float, system: System,
     multipliers record cleared, when no value is below -FEAS_TOL;
     otherwise x_next is its projection (a set projection warm-started from
     and updating the record, see project_set, and given the values at z)
-    and the constraints are evaluated again at x_next.  x_next below
-    -feas_tol raises FlowError, and so does a z or a constraint value past
-    the float range: float ** raises OverflowError where * gives inf or
-    NaN.
+    and the constraints are evaluated again at x_next.  A projected x_next
+    below -STATE_TOL raises FlowError (a kept z is within FEAS_TOL, which
+    is tighter), and so does a z or a constraint value past the float
+    range: float ** raises OverflowError where * gives inf or NaN.
     """
     if evaluated is None:
         try:
@@ -330,39 +330,34 @@ def step(x: Sequence[float], dt: float, system: System,
     z, fx, values = evaluated
     if not all(map(math.isfinite, z + values)):
         raise FlowError(OVERFLOW)
-    lowest = min(values) if values else math.inf
-    if lowest >= -FEAS_TOL:
+    if (min(values) if values else math.inf) >= -FEAS_TOL:
         if multipliers:
             multipliers.clear()
-        x_next, eta_used = z, (0.0,) * len(z)
+        return z, (0.0,) * len(z)
+    if isinstance(system, ConicSystem):
+        x_next = project_cone(z, system.cone)
     else:
-        if isinstance(system, ConicSystem):
-            x_next = project_cone(z, system.cone)
-        else:
-            x_next = project_set(z, system.S, multipliers, values)
-        lowest = _lowest(system, x_next)
-        eta_used = tuple([(a - b) / dt - c
-                          for a, b, c in zip(x_next, x, fx)])
-    if not lowest >= -feas_tol:
+        x_next = project_set(z, system.S, multipliers, values)
+    if not _lowest(system, x_next) >= -STATE_TOL:
         raise FlowError("state left the set")
-    return x_next, eta_used
+    return x_next, tuple([(a - b) / dt - c for a, b, c in zip(x_next, x, fx)])
 
 
 def simulate(x0: Sequence[float], T: float, dt: float, system: System,
-             V: Callable[[np.ndarray], np.ndarray] | Polynomial | None = None,
-             feas_tol: float = STATE_TOL) -> Trajectory:
+             V: Callable[[np.ndarray], np.ndarray] | Polynomial | None = None
+             ) -> Trajectory:
     """Fixed-step projected Euler from a feasible start.
 
     round(T / dt) steps; T and dt must be finite and positive.  Runs of
     free steps go through the system's euler_kernel.free_steps, which
     keeps every step that step would keep as a free step: z and the
-    constraint values finite and every value >= max(-FEAS_TOL, -feas_tol).
+    constraint values finite and every value >= -FEAS_TOL.
     The first step it does not keep goes to step with the values the loop
     computed, so nothing is evaluated twice (after an OverflowError in the
     loop, step evaluates that step again and raises).  After a projected
     step, step takes each next step itself, until one is free again; a
     trajectory that projects at every step is one step call per step.
-    Every recorded state is feasible within feas_tol or the run raises.
+    Every recorded state is feasible within STATE_TOL or the run raises.
     The states stay float tuples until the last step, and one multipliers
     record warm-starts each set projection from the previous step's
     (cleared by a free step, in the loop as in step).  eta_log is zero
@@ -372,7 +367,7 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
     all stored states, after the last step.
     """
     x = tuple(map(float, x0))
-    if not _lowest(system, x) >= -feas_tol:
+    if not _lowest(system, x) >= -STATE_TOL:
         raise FlowInputError("initial state is outside the constraint set")
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf
             and T / dt < math.inf):
@@ -380,7 +375,6 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
                              "with T / dt finite")
 
     steps = int(round(T / dt))
-    floor = max(-FEAS_TOL, -feas_tol)
     free_steps = system.euler_kernel.free_steps
     times, states, projected = [0.0], [x], {}
     multipliers: dict[int, float] = {}
@@ -390,8 +384,7 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
         if free:
             start = len(states)
             try:
-                evaluated = free_steps(times, states, dt, steps + 1 - start,
-                                       floor)
+                evaluated = free_steps(times, states, dt, steps + 1 - start)
             except OverflowError:
                 pass    # step evaluates that step again and raises
             if len(states) > start:
@@ -401,8 +394,7 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
         x, t = states[-1], times[-1]
         try:
             # through the module global, so a wrapped step sees every call
-            x, eta_used = step(x, dt, system, feas_tol, multipliers,
-                               evaluated)
+            x, eta_used = step(x, dt, system, multipliers, evaluated)
         except FlowError as exc:
             raise FlowError(f"{exc} at t = {t + dt}") from exc
         free = not any(eta_used)    # a kept z records eta exactly 0

@@ -43,6 +43,7 @@ logger = logging.getLogger(__name__)
 PASS_TOL = 1e-9
 GRAD_ALIGN_TOL = 1e-9
 BAND_WIDTH = 1e-6
+ACTIVATION_TOL = 1e-8   # a cone row with |<c, x>|/|c| at most this is active
 
 
 @dataclass
@@ -153,8 +154,8 @@ def _merge_min(results: list[CheckResult], name: str) -> CheckResult:
 
 
 def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
-                 grid_density: int = 10_000, activation_tol: float = 1e-8,
-                 collect_samples: bool = False) -> Report:
+                 grid_density: int = 10_000, collect_samples: bool = False
+                 ) -> Report:
     """Grid verification of the three cone inequalities.
 
     h and the interior decrease s0 are sampled on every cone section; the
@@ -190,7 +191,7 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     for i in range(1, system.cone.num_rows + 1):
         for simplex in face_sections(system.cone, i):
             pts = barycentric_grid(simplex, max(grid_density // 10, 100))
-            vals = _face_decrease(pts, system, face_table, r, activation_tol)
+            vals = _face_decrease(pts, system, face_table, r)
             record(pts, f"face{i}", vals)
             face_checks.append(_min_with_witness(f"face{i}", vals, pts))
     if face_checks:
@@ -202,12 +203,11 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
 
 
 def _face_decrease(pts: np.ndarray, system: ConicSystem,
-                   table: MonomialTable, r: int,
-                   activation_tol: float) -> np.ndarray:
+                   table: MonomialTable, r: int) -> np.ndarray:
     """-<|x|^2 grad h - 2r h x, f + eta> at each point of a face grid,
     from the table of [*f, *grad h, h].
 
-    Rows with |<c, x>|/|c| <= activation_tol are active; eta is projected
+    Rows with |<c, x>|/|c| <= ACTIVATION_TOL are active; eta is projected
     once for all points that share a set of active rows.
     """
     C = system.cone.C
@@ -215,7 +215,7 @@ def _face_decrease(pts: np.ndarray, system: ConicSystem,
     vals = table(pts)
     F, gh, h_vals = vals[:, :n], vals[:, n:2 * n], vals[:, 2 * n]
     scaled = np.abs(pts @ C.T) / np.linalg.norm(C, axis=1)
-    patterns, which = _row_patterns(scaled <= activation_tol)
+    patterns, which = _row_patterns(scaled <= ACTIVATION_TOL)
     eta = np.zeros_like(F)
     for k, pattern in enumerate(patterns):
         group = which == k
@@ -244,7 +244,6 @@ def _row_patterns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def verify_sos(V: Polynomial, system: SemialgebraicSystem,
                samples: int = 10_000, seed: int = 0,
-               band_width: float = BAND_WIDTH,
                collect_samples: bool = False) -> Report:
     """Sampling verification of the three semialgebraic conditions.
 
@@ -300,7 +299,7 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
 
     # alignment <grad V, grad g_j> <= 0 on the active bands
     for j, grad_g in enumerate(S.gradients, start=1):
-        band_pts = _band_points(j - 1, S, pts, band_width)
+        band_pts = _band_points(j - 1, S, pts)
         if len(band_pts) == 0:
             report.notes.append(f"band of g_{j} not reached by the sampler")
             continue
@@ -344,14 +343,13 @@ def _inner_products(us, ws, points: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", vals[:, :len(us)], vals[:, len(us):])
 
 
-def _band_points(index: int, S, pts: np.ndarray, band_width: float
-                 ) -> np.ndarray:
+def _band_points(index: int, S, pts: np.ndarray) -> np.ndarray:
     """Newton-project all samples onto g = 0 at once, g = S.generators[index].
 
     Each pass evaluates g and its cached gradient (S.gradients[index]) in
     one table on the points still live, and steps those points by
     y <- y - g(y) grad g(y) / |grad g(y)|^2.  A point retires as converged
-    once |g(y)| <= band_width; it is dropped when |grad g(y)|^2 < 1e-30 or
+    once |g(y)| <= BAND_WIDTH; it is dropped when |grad g(y)|^2 < 1e-30 or
     when it has not converged after 50 passes.  A converged point is kept
     if every other generator is >= -1e-9 there; kept points stay in input
     order.
@@ -363,7 +361,7 @@ def _band_points(index: int, S, pts: np.ndarray, band_width: float
     converged = np.zeros(len(y), dtype=bool)
     for _ in range(50):
         vals = g_grad(y[live])
-        done = np.abs(vals[:, 0]) <= band_width
+        done = np.abs(vals[:, 0]) <= BAND_WIDTH
         converged[live[done]] = True
         live, vals = live[~done], vals[~done]
         if len(live) == 0:

@@ -281,6 +281,7 @@ class Polynomial:
 
 
 _KERNEL_CHUNK = 64  # terms per statement; one long sum nests too deep to compile
+FEAS_TOL = 1e-10    # a constraint value >= -FEAS_TOL keeps a free Euler step
 
 
 def _sum_lines(var: str, form: Polynomial | Sequence[float],
@@ -359,9 +360,9 @@ def euler_kernel(field: Sequence[Polynomial],
     constraint that is a row c of floats is ((0.0 + c_1*z_1) + c_2*z_2)
     + ..., which is sum(map(mul, c, z)) bit for bit.
 
-    kernel.free_steps(times, states, dt, count, floor) runs the same step
-    from states[-1] and times[-1] up to count times.  A step whose z and
-    values are finite and whose values are all >= floor is kept: it
+    kernel.free_steps(times, states, dt, count) runs the same step from
+    states[-1] and times[-1] up to count times.  A step whose z and values
+    are finite and whose values are all >= -FEAS_TOL is kept: it
     appends times[-1] + dt to times and z to states and goes on from z.
     At the first step that is not kept, it returns that step's (z, f(x),
     values), as kernel would; after count kept steps it returns None.
@@ -379,9 +380,9 @@ def euler_kernel(field: Sequence[Polynomial],
         body += _sum_lines(v, g, zs)
     kernel = _compile(["def kernel(p, dt):", f"    {', '.join(xs)}, = p"]
                       + body, [zs, fs, vs])
-    kept = " and ".join([f"{v} >= floor" for v in vs]
+    kept = " and ".join([f"{v} >= {-FEAS_TOL!r}" for v in vs]
                         + [f"-inf < {' + '.join(zs + vs)} < inf"])
-    loop = ["def kernel(times, states, dt, count, floor):",
+    loop = ["def kernel(times, states, dt, count):",
             "    t = times[-1]", f"    {', '.join(xs)}, = states[-1]",
             "    add_time, add_state = times.append, states.append",
             "    inf = float('inf')", "    for _ in range(count):"]

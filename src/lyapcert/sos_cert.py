@@ -4,8 +4,8 @@ Three families of identities over the quadratic module of the constraint
 set are stacked into one feasibility problem in the coefficients of V,
 the Gram matrices of the multipliers, and a free polynomial per face:
 
-  (i)    V - eps_pd |x|^2             = sigma_0 + sum_i sigma_i g_i
-  (ii)   -<grad V, f> - margin(x)     = chi_0   + sum_i chi_i g_i
+  (i)    V - EPS_PD |x|^2             = sigma_0 + sum_i sigma_i g_i
+  (ii)   -<grad V, f>                 = chi_0   + sum_i chi_i g_i
   (iii)  -<grad V, grad g_j>          = chi_j0  + sum_{i != j} chi_ji g_i
                                         + phi_j g_j          (one per j)
 
@@ -27,10 +27,9 @@ rows.  A certificate is accepted only after substituting
 the Grams back into the exact rows and re-deriving every identity within
 tolerance; a failed recheck is an error, never a silent acceptance.
 
-With the default zero decrease margin the certificate is flagged "weak
-decrease" and strict negativity off the origin must be confirmed by the
-sampling oracle; fixed-power margins are available but can be infeasible
-for sets touching the origin with a cusp.
+Identity (ii) carries no decrease margin, so every certificate is flagged
+"weak decrease" and strict negativity off the origin must be confirmed by
+the sampling oracle.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .tangency import SemialgebraicSet
 
 logger = logging.getLogger(__name__)
 
+EPS_PD = 1e-3           # V - EPS_PD |x|^2 must be in the quadratic module
 ACCEPT_SHIFT = -1e-8
 RESIDUAL_TOL = 1e-6
 GRAM_EIG_TOL = 1e-7
@@ -275,9 +275,8 @@ def _assemble_identity(system: SemialgebraicSystem, label: str, prefix: str,
 
 
 def assemble_condition_i(system: SemialgebraicSystem, deg_v: int,
-                         eps_pd: float = 1e-3, slack: int = 0
-                         ) -> EqualitySystem:
-    """Rows for V - eps_pd |x|^2 = sigma_0 + sum sigma_i g_i."""
+                         slack: int = 0) -> EqualitySystem:
+    """Rows for V - EPS_PD |x|^2 = sigma_0 + sum sigma_i g_i."""
     for i, g in enumerate(system.S.generators):
         if g.degree() > deg_v:
             raise DegreeScheduleError(
@@ -285,21 +284,18 @@ def assemble_condition_i(system: SemialgebraicSystem, deg_v: int,
     n = system.dimension
     lhs = {m: Polynomial.monomial(m) for m in _v_basis(n, deg_v)}
     return _assemble_identity(system, "positivity", "sigma", lhs,
-                              norm_squared(n).scale(Fraction(eps_pd)),
+                              norm_squared(n).scale(Fraction(EPS_PD)),
                               deg_v, slack)
 
 
 def assemble_condition_ii(system: SemialgebraicSystem, deg_v: int,
-                          decrease_margin: Polynomial | None = None,
                           slack: int = 0) -> EqualitySystem:
-    """Rows for -<grad V, f> - margin = chi_0 + sum chi_i g_i."""
+    """Rows for -<grad V, f> = chi_0 + sum chi_i g_i."""
     n = system.dimension
     lhs = {m: -_grad_dot(m, system.f) for m in _v_basis(n, deg_v)}
-    margin = decrease_margin if decrease_margin is not None \
-        else Polynomial.zero(n)
     deg_f = max(c.degree() for c in system.f)
-    return _assemble_identity(system, "decrease", "chi", lhs, margin,
-                              deg_v - 1 + deg_f, slack)
+    return _assemble_identity(system, "decrease", "chi", lhs,
+                              Polynomial.zero(n), deg_v - 1 + deg_f, slack)
 
 
 def assemble_condition_iii(system: SemialgebraicSystem, deg_v: int, j: int,
@@ -341,8 +337,6 @@ class SosCertificate:
     multipliers: dict[str, MultiplierRecord]
     phi: dict[str, Polynomial]
     residuals: dict[str, float]                 # per condition label
-    eps_pd: float
-    decrease_margin: Polynomial | None
     flags: list[str] = field(default_factory=list)
 
 
@@ -357,13 +351,12 @@ class SosOutcome:
 # -- solving --------------------------------------------------------------------
 
 
-def _assemble_full(system: SemialgebraicSystem, deg_v: int, eps_pd: float,
-                   decrease_margin: Polynomial | None, slack: int
+def _assemble_full(system: SemialgebraicSystem, deg_v: int, slack: int
                    ) -> EqualitySystem:
     if deg_v < 2 or deg_v % 2 != 0:
         raise SosSetupError("deg V must be even and >= 2")
-    full = assemble_condition_i(system, deg_v, eps_pd, slack)
-    full.merge(assemble_condition_ii(system, deg_v, decrease_margin, slack))
+    full = assemble_condition_i(system, deg_v, slack)
+    full.merge(assemble_condition_ii(system, deg_v, slack))
     for j in range(1, len(system.S.generators) + 1):
         full.merge(assemble_condition_iii(system, deg_v, j, slack))
     return full
@@ -516,7 +509,6 @@ _STALL_WORD = {"sdp": "maxiter", "dsos": "stalled"}
 
 def _extract_certificate(eq: EqualitySystem, layout: _FloatLayout,
                          x: np.ndarray, t_star: float, tier: str,
-                         eps_pd: float, decrease_margin: Polynomial | None,
                          dimension: int) -> SosCertificate:
     # each row's constant, then its terms in entry order: bincount adds a
     # bin's weights in input order
@@ -561,20 +553,16 @@ def _extract_certificate(eq: EqualitySystem, layout: _FloatLayout,
     phi = {group: Polynomial(dimension, terms)
            for group, terms in free_terms.items() if group.startswith("phi_")}
     flags = ["decrease decomposition imposed on all of the set, not only "
-             "where no constraint is active"]
-    if decrease_margin is None or decrease_margin.is_zero():
-        flags.append("weak decrease: zero margin used; strict decrease off "
-                     "the origin must be confirmed by sampling")
+             "where no constraint is active",
+             "weak decrease: zero margin used; strict decrease off "
+             "the origin must be confirmed by sampling"]
     return SosCertificate(
         V=V, tier=tier, margin=t_star, multipliers=multipliers, phi=phi,
-        residuals=residual_by_condition, eps_pd=eps_pd,
-        decrease_margin=decrease_margin, flags=flags)
+        residuals=residual_by_condition, flags=flags)
 
 
 def solve_certificate(system: SemialgebraicSystem, deg_v: int,
-                      tier: str = "sdp", eps_pd: float = 1e-3,
-                      decrease_margin: Polynomial | None = None,
-                      sdpa_dump=None) -> SosOutcome:
+                      tier: str = "sdp", sdpa_dump=None) -> SosOutcome:
     """Search one degree level, retrying once with +2 multiplier slack.
 
     Returns a certificate only when the optimal common shift clears
@@ -585,7 +573,7 @@ def solve_certificate(system: SemialgebraicSystem, deg_v: int,
         raise SosSetupError(f"unknown tier {tier!r}")
     best_margin = None
     for slack in (0, 2):
-        eq = _assemble_full(system, deg_v, eps_pd, decrease_margin, slack)
+        eq = _assemble_full(system, deg_v, slack)
         layout = _FloatLayout(eq)
         if tier == "sdp":
             on_sdp = None
@@ -603,7 +591,6 @@ def solve_certificate(system: SemialgebraicSystem, deg_v: int,
         if status == "solved":
             if t_star >= ACCEPT_SHIFT:
                 cert = _extract_certificate(eq, layout, x, t_star, tier,
-                                            eps_pd, decrease_margin,
                                             system.dimension)
                 return SosOutcome("certificate", cert, margin=t_star)
             best_margin = t_star if best_margin is None else max(best_margin,

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import re
@@ -10,9 +11,10 @@ import pytest
 
 from lyapcert import (cones, flow, linprog, oracle, sdpsolve, sos_cert,
                       tangency)
-from lyapcert.cli import (EXIT_NOT_FOUND, EXIT_OK, EXIT_SOLVER_FAILURE,
-                          EXIT_USAGE, SpecFileError, default_cone_schedule,
-                          main, parse_spec, read_certificate_candidate)
+from lyapcert.cli import (_OPTION_KEYS, EXIT_NOT_FOUND, EXIT_OK,
+                          EXIT_SOLVER_FAILURE, EXIT_USAGE, SpecFileError,
+                          build_parser, default_cone_schedule, main,
+                          parse_spec, read_certificate_candidate)
 from lyapcert.cones import face_sections
 from lyapcert.cop_lp import ConicSystem
 from lyapcert.sos_cert import SemialgebraicSystem
@@ -370,7 +372,10 @@ def test_simulate_from_the_origin(tmp_path, capsys):
     (["simulate", "--x0=2,0.5"], "--density", "cone_spec"),
     (["find-lyap-cone", "--deg", "2"], "--samples", "cone_spec"),
     (["find-lyap-sos", "--deg", "2"], "--tau-act", "cusp_spec"),
-], ids=["partition-dump", "simulate", "find-lyap-cone", "find-lyap-sos"])
+    (["find-lyap-cone", "--deg", "2"], "--margin", "cone_spec"),
+    (["find-lyap-sos", "--deg", "2"], "--eps-pd", "cusp_spec"),
+], ids=["partition-dump", "simulate", "find-lyap-cone", "find-lyap-sos",
+        "find-lyap-cone-margin", "find-lyap-sos-eps-pd"])
 def test_flags_a_command_does_not_read_are_usage_errors(
         command, flag, spec_name, request, tmp_path):
     spec = request.getfixturevalue(spec_name)
@@ -379,12 +384,53 @@ def test_flags_a_command_does_not_read_are_usage_errors(
 
 
 def test_spec_keys_nothing_reads_are_input_errors(tmp_path, capsys):
-    for key in ("sweeps: 3", "r: 1"):
+    for key in ("sweeps: 3", "r: 1", "margin: 1e-6", "tau_act: 1e-8",
+                "eps_pd: 1e-3", "seed: 3", "tier: sdp"):
         path = tmp_path / "cone.spec"
         path.write_text(CONE_SPEC + key + "\n")
         assert main(["partition-dump", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             "status=input-error")
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_lists_the_spec_keys_and_flags_the_cli_reads():
+    keys = re.search(r"Optional keys:(.*?`)\.", README, re.S).group(1)
+    assert set(re.findall(r"`(\w+)", keys)) == _OPTION_KEYS
+    flags = re.search(r"Useful flags:(.*?)\n\n", README, re.S).group(1)
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    known = {flag for p in commands.values()
+             for flag in p._option_string_actions}
+    assert set(re.findall(r"`(--[\w-]+)", flags)) <= known
+
+
+# the benchmark's refine1 field: it certifies at d=2, r=0 after one sweep
+REFINE1_SPEC = """\
+dim: 3
+f1: -1.5*x1 + 2.5*x2
+f2: -1.5*x1 - 1.2*x2 - 0.8*x3
+f3: 0.2*x1 - 0.3*x2
+cone1: 1*x1 + 0.5*x3
+cone2: -1*x1 + 0.5*x3
+cone3: 1*x2 + 0.5*x3
+cone4: -1*x2 + 0.5*x3
+schedule: 2 0 4
+"""
+
+
+def test_sweeps_flag_overrides_the_spec_schedule(tmp_path, capsys):
+    path = tmp_path / "refine1.spec"
+    path.write_text(REFINE1_SPEC)
+    assert main(["find-lyap-cone", str(path),
+                 "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert " sweeps=1 " in capsys.readouterr().err.splitlines()[-1]
+    assert main(["find-lyap-cone", str(path), "--sweeps", "0",
+                 "--out", str(tmp_path / "b")]) == EXIT_NOT_FOUND
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "status=exhausted-schedule")
 
 
 def test_missing_spec_is_usage_error(tmp_path):
@@ -584,6 +630,19 @@ def test_non_finite_simulation_input_is_simulation_error(flags, cone_spec,
 
 
 @pytest.mark.parametrize("spec_name, command, detail", [
+    ("cone_spec", ["find-lyap-cone", "--deg", "-2", "--r", "0"],
+     "--deg must be at least 1, got -2"),
+    ("cone_spec", ["find-lyap-cone", "--deg", "0"],
+     "--deg must be at least 1, got 0"),
+    ("cone_spec+schedule: 2 0 4; 0 0 4", ["find-lyap-cone"],
+     "schedule entry 0 0 4: deg must be at least 1, r and sweeps at least 0"
+     " [rule: schedule]"),
+    ("cone_spec+schedule: 2 -1 4", ["find-lyap-cone"],
+     "schedule entry 2 -1 4: deg must be at least 1, r and sweeps at least 0"
+     " [rule: schedule]"),
+    ("cone_spec+schedule: 2 0 -1", ["find-lyap-cone"],
+     "schedule entry 2 0 -1: deg must be at least 1, r and sweeps at least 0"
+     " [rule: schedule]"),
     ("cone_spec", ["find-lyap-cone", "--sweeps", "-1"],
      "--sweeps must be at least 0, got -1"),
     ("cone_spec", ["find-lyap-cone", "--deg", "2", "--sweeps", "-1"],
@@ -600,14 +659,21 @@ def test_non_finite_simulation_input_is_simulation_error(flags, cone_spec,
      "--density must be at least 1, got 0"),
     ("cone_spec", ["verify", "--candidate", "1*x1^2 + 1*x2^2", "--r", "0",
                    "--density", "-3"], "--density must be at least 1, got -3"),
-], ids=["find-cone-sweeps", "find-cone-deg-sweeps", "partition-dump-sweeps",
+], ids=["find-cone-deg-negative", "find-cone-deg-zero",
+        "schedule-deg-zero", "schedule-r-negative", "schedule-sweeps-negative",
+        "find-cone-sweeps", "find-cone-deg-sweeps", "partition-dump-sweeps",
         "find-sos-samples-zero", "find-sos-samples-negative",
         "verify-samples-zero", "find-cone-density", "verify-density"])
 def test_counts_below_their_least_value_are_input_errors(
         spec_name, command, detail, request, tmp_path, capsys):
     # --sweeps -1 ran as 0 sweeps, --samples 0 reported a misconfigured
-    # bounding box, and --density 0 verified on the section vertices alone
+    # bounding box, --density 0 verified on the section vertices alone, and
+    # a degree of 0 ran a lattice of NaNs; a "+" appends a line to the spec
+    spec_name, _, extra = spec_name.partition("+")
     spec = request.getfixturevalue(spec_name)
+    if extra:
+        spec.write_text(spec.read_text().replace("schedule: 2 0 6\n", "")
+                        + extra + "\n")
     code = main([command[0], str(spec), *command[1:],
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_USAGE

@@ -40,6 +40,12 @@ def test_field_degree_detected():
     assert wedge_system().field_degree == 1
 
 
+def test_field_degree_is_not_an_argument():
+    # it is always the field's degree, so one given was silently dropped
+    with pytest.raises(TypeError):
+        ConicSystem(WEDGE_FIELD, WEDGE, field_degree=5)
+
+
 def test_inhomogeneous_field_rejected():
     with pytest.raises(ConicSetupError):
         ConicSystem([parse_polynomial("x1^2 + x1", 2), Polynomial.zero(2)],

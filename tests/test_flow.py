@@ -665,20 +665,6 @@ def test_trajectory_with_free_steps_is_pinned(name):
     assert hashlib.sha256(traj.to_csv().encode()).hexdigest() == digest
 
 
-def test_free_step_between_the_tolerances_leaves_the_set():
-    # x1 falls by dt = 0.25 per step from 0.75 - 2^-34, so the third step
-    # lands at x1 = -2^-34 (-5.8e-11): above -FEAS_TOL, so not projected,
-    # but below -feas_tol
-    system = ConicSystem([parse_polynomial("-1*x2", 2), Polynomial.zero(2)],
-                         PolyhedralCone(np.eye(2)))
-    with pytest.raises(FlowError, match=r"^state left the set at t = 0\.75$"):
-        simulate([0.75 - 2.0 ** -34, 1.0], T=2.0, dt=0.25, system=system,
-                 feas_tol=1e-12)
-    traj = simulate([0.75 - 2.0 ** -34, 1.0], T=0.5, dt=0.25, system=system,
-                    feas_tol=1e-12)
-    assert step_kinds(traj) == [False]
-
-
 def counted_kernel(system, monkeypatch):
     """Wrap the system's euler_kernel and its free-step loop; the returned
     list gets one entry per Euler step either evaluates."""

@@ -272,7 +272,7 @@ def test_band_points_match_the_per_point_reference(make_set):
     e1 = np.eye(n)[0]
     pts = np.vstack([np.zeros(n), 1e-15 * e1, 1e-13 * e1, pts])
     for index in range(len(S.generators)):
-        got = _band_points(index, S, pts, BAND_WIDTH)
+        got = _band_points(index, S, pts)
         want = band_points_per_point(index, S, pts, BAND_WIDTH)
         assert got.shape == want.shape
         assert len(got) > 0
@@ -315,7 +315,7 @@ def test_band_points_drop_vanishing_gradients_and_slow_samples():
     S = ball_set()
     e1 = np.eye(3)[0]
     pts = np.array([np.zeros(3), 1e-15 * e1, 1e-13 * e1, 0.5 * e1])
-    got = _band_points(0, S, pts, BAND_WIDTH)
+    got = _band_points(0, S, pts)
     assert np.allclose(got, [e1, e1], atol=1e-6)
 
 

@@ -2,26 +2,25 @@ import hashlib
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lyapcert import linprog, sos_cert
-from lyapcert.poly import Polynomial, norm_squared, parse_polynomial
+from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.sdpsolve import SdpResult, dump_sdpa_sparse
-from lyapcert.sos_cert import (DegreeScheduleError, SemialgebraicSystem,
-                               SosSetupError, _assemble_full, _FloatLayout,
+from lyapcert.sos_cert import (EPS_PD, DegreeScheduleError,
+                               SemialgebraicSystem, SosSetupError,
+                               _assemble_full, _FloatLayout,
                                _solve_dsos_tier, _solve_sdp_tier,
                                assemble_condition_i,
                                assemble_condition_ii, assemble_condition_iii,
                                gram_parameterize,
                                solve_certificate)
 from lyapcert.tangency import SemialgebraicSet
-from reference import (equality_residual, evaluate_float_terms,
-                       gram_from_sos_terms, worst_gram_eigenvalue,
-                       worst_residual)
+from reference import (equality_residual, gram_from_sos_terms,
+                       worst_gram_eigenvalue, worst_residual)
 
 
 def cusp_system():
@@ -85,19 +84,18 @@ def test_condition_i_halfspace_identity():
     S = SemialgebraicSet([parse_polynomial("1 - x1", 2)], [(-2, 2), (-2, 2)])
     system = SemialgebraicSystem([parse_polynomial("-1*x1", 2),
                                   parse_polynomial("-1*x2", 2)], S)
-    eps = 1e-3
-    eq = assemble_condition_i(system, 2, eps_pd=eps)
+    eq = assemble_condition_i(system, 2)
     sigma0 = eq.blocks["sigma_0"]
     grams = {
-        "sigma_0": gram_from_sos_terms(sigma0, [(1 - eps, (1, 0)),
-                                                (1 - eps, (0, 1))]),
+        "sigma_0": gram_from_sos_terms(sigma0, [(1 - EPS_PD, (1, 0)),
+                                                (1 - EPS_PD, (0, 1))]),
         "sigma_1": np.zeros((eq.blocks["sigma_1"].size,) * 2),
     }
     assert equality_residual(eq, grams, {"V": V_UNIT}) <= 1e-12
 
 
 def test_condition_i_roundtrip_residual():
-    eq = assemble_condition_i(cusp_system(), 2, eps_pd=1e-3)
+    eq = assemble_condition_i(cusp_system(), 2)
     grams = {
         "sigma_0": gram_from_sos_terms(eq.blocks["sigma_0"],
                                        [(1 - 1e-3, (1, 0)), (1 - 1e-3, (0, 1))]),
@@ -107,25 +105,18 @@ def test_condition_i_roundtrip_residual():
     assert equality_residual(eq, grams, {"V": V_UNIT}) <= 1e-10
 
 
-def test_condition_i_eps_two_infeasible_for_pinned_v():
-    # with eps_pd = 2 and V fixed to x1^2 + x2^2 the left side is negative
-    # definite, so no PSD multipliers can match it: at any feasible witness
-    # the right side is a nonnegative combination while the left is < 0
-    system = cusp_system()
-    witness = (0.5, 0.0)
-    lhs = 0.5 ** 2 - 2.0 * 0.5 ** 2
-    assert lhs < 0
-    assert all(evaluate_float_terms(g, witness) >= 0
-               for g in system.S.generators)
-    # and the eps = 1e-3 hand decomposition indeed fails the eps = 2 rows
-    eq = assemble_condition_i(system, 2, eps_pd=2.0)
+def test_condition_i_rows_subtract_eps_pd():
+    # with V fixed to x1^2 + x2^2, sigma_0 = V without the EPS_PD |x|^2
+    # term misses the x1^2 and x2^2 rows by EPS_PD each
+    eq = assemble_condition_i(cusp_system(), 2)
     grams = {
         "sigma_0": gram_from_sos_terms(eq.blocks["sigma_0"],
-                                       [(1 - 1e-3, (1, 0)), (1 - 1e-3, (0, 1))]),
+                                       [(1.0, (1, 0)), (1.0, (0, 1))]),
         "sigma_1": np.zeros((eq.blocks["sigma_1"].size,) * 2),
         "sigma_2": np.zeros((eq.blocks["sigma_2"].size,) * 2),
     }
-    assert equality_residual(eq, grams, {"V": V_UNIT}) > 0.5
+    assert equality_residual(eq, grams, {"V": V_UNIT}) == \
+        pytest.approx(EPS_PD, rel=1e-12)
 
 
 def test_condition_i_degree_schedule_guard():
@@ -155,21 +146,6 @@ def test_condition_ii_box_linear_field():
     eq = assemble_condition_ii(system, 2)
     grams = {"chi_0": gram_from_sos_terms(eq.blocks["chi_0"],
                                           [(2.0, (1, 0)), (2.0, (0, 1))])}
-    for i in range(1, 5):
-        grams[f"chi_{i}"] = np.zeros((eq.blocks[f"chi_{i}"].size,) * 2)
-    assert equality_residual(eq, grams, {"V": V_UNIT}) <= 1e-12
-
-
-def test_condition_ii_with_power_margin():
-    from lyapcert.poly import norm_squared
-    eps = 1e-3
-    system = box_system([parse_polynomial("-1*x1", 2),
-                         parse_polynomial("-1*x2", 2)])
-    eq = assemble_condition_ii(system, 2,
-                               decrease_margin=norm_squared(2).scale(eps))
-    grams = {"chi_0": gram_from_sos_terms(eq.blocks["chi_0"],
-                                          [(2.0 - eps, (1, 0)),
-                                           (2.0 - eps, (0, 1))])}
     for i in range(1, 5):
         grams[f"chi_{i}"] = np.zeros((eq.blocks[f"chi_{i}"].size,) * 2)
     assert equality_residual(eq, grams, {"V": V_UNIT}) <= 1e-12
@@ -319,45 +295,32 @@ def equality_system_digest(eq) -> str:
     return h.hexdigest()[:16]
 
 
-# (system, deg V, multiplier slack, with a decrease margin) -> (digest, rows).
+# (system, deg V, multiplier slack, False) -> (digest, rows).  The last
+# field once chose a decrease margin; it stays so that the case ids stay.
 # Recorded when each condition had its own assembler; the solvers' inputs
 # (and the dumped SDPA files) follow this row layout term for term.
 EQUALITY_DIGESTS = {
     ("cusp", 2, 0, False): ("960553d0b2f3708a", 39),
-    ("cusp", 2, 0, True): ("c8e14dfe35528a16", 39),
     ("cusp", 2, 2, False): ("6ee97cd120e21c71", 83),
-    ("cusp", 2, 2, True): ("a5315af262d2a885", 83),
     ("cusp", 4, 0, False): ("a3a972aead5c45d5", 83),
-    ("cusp", 4, 0, True): ("8cf5ad66114816c2", 83),
     ("cusp", 4, 2, False): ("23f77cb856cc8104", 143),
-    ("cusp", 4, 2, True): ("165f0a26a5fbc160", 143),
     ("cusp", 6, 0, False): ("a9fc5e5b63313fd2", 143),
-    ("cusp", 6, 0, True): ("eb4b1b8e4b8051b8", 143),
     ("cusp", 6, 2, False): ("3fb3f7adc672bdfb", 219),
-    ("cusp", 6, 2, True): ("6219ffe4290b028e", 219),
     ("ball", 2, 0, False): ("d7a0b079b5758f3e", 30),
-    ("ball", 2, 0, True): ("15ef834bfebe36ad", 30),
     ("ball", 2, 2, False): ("26bd50971cf7c28e", 105),
-    ("ball", 2, 2, True): ("a8177426ebd042ed", 105),
     ("ball", 4, 0, False): ("31512dcbed21f968", 105),
-    ("ball", 4, 0, True): ("cfecec08c1dae678", 105),
     ("ball", 4, 2, False): ("4ebbea6eecb9cbb8", 252),
-    ("ball", 4, 2, True): ("5b05686d75edfb3c", 252),
     ("ball", 6, 0, False): ("37cc74e43c630890", 252),
-    ("ball", 6, 0, True): ("782b696a85f81d69", 252),
     ("ball", 6, 2, False): ("d240eb6bb99156fe", 495),
-    ("ball", 6, 2, True): ("0850b328bbb79bce", 495),
 }
 
 
 @pytest.mark.parametrize("case", EQUALITY_DIGESTS,
                          ids=["-".join(map(str, c)) for c in EQUALITY_DIGESTS])
 def test_stacked_equality_system_is_pinned(case):
-    name, deg, slack, with_margin = case
+    name, deg, slack, _ = case
     system = cusp_system() if name == "cusp" else ball_system()
-    margin = norm_squared(system.dimension).scale(Fraction(1, 1000)) \
-        if with_margin else None
-    eq = _assemble_full(system, deg, 1e-3, margin, slack)
+    eq = _assemble_full(system, deg, slack)
     assert (equality_system_digest(eq), len(eq.rows)) == \
         EQUALITY_DIGESTS[case]
 
@@ -369,7 +332,7 @@ class _Captured(Exception):
 def _tier_equalities(name, deg, slack):
     """The float layout of a tier's equality system."""
     system = cusp_system() if name == "cusp" else ball_system()
-    return _FloatLayout(_assemble_full(system, deg, 1e-3, None, slack))
+    return _FloatLayout(_assemble_full(system, deg, slack))
 
 
 # (system, deg V, multiplier slack) -> first 16 hex digits of the sha256 of
@@ -493,7 +456,7 @@ def test_certificate_residual_is_the_reference_residual(case):
     name, tier, deg = case
     system = cusp_system() if name == "cusp" else ball_system()
     cert = solve_certificate(system, deg, tier=tier).certificate
-    eq = _assemble_full(system, deg, cert.eps_pd, None, 0)
+    eq = _assemble_full(system, deg, 0)
     assert {n: b.basis for n, b in eq.blocks.items()} == \
         {n: m.basis for n, m in cert.multipliers.items()}
     grams = {n: m.gram for n, m in cert.multipliers.items()}
