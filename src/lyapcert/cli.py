@@ -72,7 +72,10 @@ class ParsedSpec:
         return isinstance(self.system, ConicSystem)
 
 
-_OPTION_KEYS = {"schedule", "deg", "x0", "T", "dt"}
+# the keys that only one mode reads: the cone hierarchy's level schedule
+# and the SOS degree
+_CONE_KEYS, _SET_KEYS = {"schedule"}, {"deg"}
+_OPTION_KEYS = {"x0", "T", "dt"} | _CONE_KEYS | _SET_KEYS
 
 
 def parse_spec(path: str | Path) -> ParsedSpec:
@@ -80,6 +83,8 @@ def parse_spec(path: str | Path) -> ParsedSpec:
 
     Exactly one constraint block is allowed: cone rows (cone1..coneM as
     linear forms) or generators g1..gM with a bounding box box1..boxn.
+    A key of the other mode (schedule on a set spec, deg on a cone spec)
+    is an error, and options["schedule"] is the checked list of levels.
     """
     path = Path(path)
     if not path.exists():
@@ -161,13 +166,9 @@ def parse_spec(path: str | Path) -> ParsedSpec:
         i += 1
 
     cone_mode = take("cone")  # bare 'cone:' marks a row-free full space
-    options: dict = {}
-    for key in list(entries):
-        if key in _OPTION_KEYS:
-            options[key] = entries.pop(key)[0]
-        else:
-            raise SpecFileError(f"unknown key {key!r}", entries[key][1],
-                                "syntax")
+    for key, (_, lineno) in entries.items():
+        if key not in _OPTION_KEYS:
+            raise SpecFileError(f"unknown key {key!r}", lineno, "syntax")
 
     has_cone = bool(cone_rows) or cone_mode is not None
     has_semialg = bool(generators)
@@ -175,6 +176,15 @@ def parse_spec(path: str | Path) -> ParsedSpec:
         raise SpecFileError(
             "exactly one constraint block required: cone rows or generators",
             None, "constraint-block")
+    misplaced = (_SET_KEYS if has_cone else _CONE_KEYS) & entries.keys()
+    if misplaced:
+        key = min(misplaced)
+        mode = "cone" if has_cone else "semialgebraic"
+        raise SpecFileError(f"{key!r} is not a {mode} mode key",
+                            entries[key][1], "mode-key")
+    options: dict = {key: value for key, (value, _) in entries.items()}
+    if "schedule" in options:
+        options["schedule"] = _parse_schedule(options["schedule"])
 
     for i, comp in enumerate(field, start=1):
         if comp.evaluate((0,) * n) != 0:
@@ -207,11 +217,11 @@ def _parse_schedule(text: str) -> list[tuple[int, int, int]]:
         part = part.strip()
         if not part:
             continue
-        nums = part.split()
-        if len(nums) != 3:
+        try:
+            d, r, sweeps = map(int, part.split())
+        except ValueError:
             raise SpecFileError("schedule entries are 'deg r sweeps'",
                                 None, "schedule")
-        d, r, sweeps = map(int, nums)
         if d < 1 or r < 0 or sweeps < 0:
             raise SpecFileError(
                 f"schedule entry {d} {r} {sweeps}: deg must be at least 1, "
@@ -363,7 +373,7 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
     if args.deg is not None:
         schedule = [(args.deg, args.r or 0, DEFAULT_SWEEPS)]
     elif "schedule" in spec.options:
-        schedule = _parse_schedule(spec.options["schedule"])
+        schedule = spec.options["schedule"]
     else:
         schedule = default_cone_schedule()
     if args.sweeps is not None:

@@ -92,13 +92,6 @@ class Simplex:
     def vertex_array(self) -> np.ndarray:
         return np.array(self.vertices, dtype=float)
 
-    def diameter(self) -> float:
-        V = self.vertex_array()
-        if len(V) == 1:
-            return 0.0
-        diffs = V[:, None, :] - V[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
-
 
 def bisect_longest_edge(simplex: Simplex) -> tuple[Simplex, Simplex]:
     """Split at the midpoint of the longest edge, renormalized to the l1 sphere.
@@ -138,9 +131,6 @@ class SimplicialPartition:
     def __post_init__(self):
         if not self.cells:
             self.cells = [self.parent]
-
-    def diameter(self) -> float:
-        return max((cell.diameter() for cell in self.cells), default=0.0)
 
     def refine_cells(self, indices) -> "SimplicialPartition":
         """Bisect the listed cells once each; other cells are kept."""

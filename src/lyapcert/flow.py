@@ -8,17 +8,15 @@ that keeps z = x + dt f(x) records eta exactly 0, since N_S(x) = {0}
 there.  One trajectory is sequential, so a step works on a tuple of Python
 floats: on 2- and 3-vectors a numpy call costs more than the arithmetic,
 and numpy is used only for the NNLS of a cone projection where several
-rows bind and for the arrays built after the last step.  One Euler step
-is one evaluation of the system's euler_kernel (poly.euler_kernel, one
-straight-line function per system, built once), which gives z = x + dt
-f(x), f(x) and the constraint values at z; those values decide whether
-to project and, when z is kept, are also the feasibility check of the
-stored state.  A z or a value that is not finite ends the run: the state
-has left the float range.  simulate runs consecutive free steps inside
-the kernel's generated loop (euler_kernel.free_steps), which appends
-each kept time and state itself; the first step that must project or
-overflows is handed to step with the values the loop computed,
-and step takes every next step until one is free again.
+rows bind, for the rare KKT system of a set projection and for the arrays
+built after the last step.  simulate is one call of the system's
+euler_kernel (poly.euler_kernel: one generated loop of Euler steps per
+system, built once), which takes every step: it computes f(x), z and the
+constraint values at z, keeps z when all are finite and every value is
+>= -FEAS_TOL, and otherwise calls the projection callback that simulate
+passes it.  That callback calls step, which projects z, checks the
+projected state and returns it with eta_used.  A z or a value that is not
+finite ends the run: the state has left the float range.
 
 Projection onto a polyhedral cone is z + eta_projection(z, C) (Moreau's
 decomposition: z minus its projection onto the polar cone), the same map
@@ -32,33 +30,31 @@ is one call of that generator's kernel (poly.newton_kernel: g, its
 gradient and Hessian, an unrolled LDL^T of I - lam hess g and the scalar
 Schur complement, in straight-line floats).  With two or more active
 generators, a negative multiplier, or a pivot or Schur complement that is
-not positive, the step solves the (n + |A|) KKT system by Gaussian
-elimination, from the float kernels of the generators, gradients and
-Hessians (poly.float_kernel).  Along a trajectory the projection is
-warm-started from the previous step's multipliers, so a step that slides
-along the boundary takes one Newton step.
+not positive, the step solves the (n + |A|) KKT system with numpy, from
+the float kernels of the generators, gradients and Hessians
+(poly.float_kernel).  Along a trajectory the projection is warm-started
+from the previous step's multipliers, so a step that slides along the
+boundary takes one Newton step.
 
 Trajectories hold times, states and multipliers as arrays built after the
 last step, and optionally a Lyapunov function candidate, evaluated on all
 states at once; the CSV layout is "t,x1..xn,eta1..etan[,V]", written in
-chunks of CSV_CHUNK rows to a stream (write_csv, which to_csv also uses),
-every value as its repr.
+chunks of CSV_CHUNK rows to a stream (write_csv), every value as its repr.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import mul
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
 from .cones import PolyhedralCone
 from .cop_lp import ConicSystem
-# FEAS_TOL: a point this close to the set is not projected; the free-step
-# loop that poly.euler_kernel generates holds the same bound
+# FEAS_TOL: a point this close to the set is not projected, which the loop
+# that poly.euler_kernel generates decides
 from .poly import FEAS_TOL, MonomialTable, Polynomial
 from .sos_cert import SemialgebraicSystem
 # nnls stays a module attribute: the benchmark's tracer patches flow.nnls
@@ -117,11 +113,6 @@ class Trajectory:
             # "np.float64(...)", which CSV readers reject)
             out.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        self.write_csv(out)
-        return out.getvalue()
-
 
 def project_cone(z, cone: PolyhedralCone) -> tuple[float, ...]:
     """Euclidean projection onto {x : Cx >= 0} (Moreau: z + eta), as
@@ -178,7 +169,7 @@ def project_set(z, S: SemialgebraicSet,
     of the n x n H and the Schur complement a.H^-1 a, built once per set).
     With two or more, with lam < 0, or when that kernel meets a pivot of
     H or an a.H^-1 a that is not positive, the step solves the (n + |A|)
-    linear system by elimination (_kkt_step, from S.float_kernels).  A
+    linear system with numpy (_kkt_step, from S.float_kernels).  A
     starts as the generators that z violates by more than FEAS_TOL, lam
     at 0 and y at z, so a point inside the set comes back unchanged.
     multipliers, when given, is the record {i: lam_i} of the previous
@@ -241,58 +232,33 @@ def _kkt_step(y: tuple[float, ...], z: tuple[float, ...],
     """True when the KKT residual at (y, lam) is below tol: every
     |g_i(y)| <= tol max|grad g_i(y)| and |y - z - sum_A lam_i grad g_i(y)|
     <= tol in each coordinate; else the Newton step (y + dy, lam + dlam)
-    from the (n + |A|) system solved by _solve."""
+    from the (n + |A|) system, solved by np.linalg.solve."""
     n = len(z)
     _, gradient_at, hessian_at = S.float_kernels
-    J = [gradient_at[i](y) for i in active]
-    r = list(map(sub, y, z))
-    small = True
-    for i, li, row in zip(active, lam, J):
-        r = [a - li * b for a, b in zip(r, row)]
-        small = small and abs(values[i]) <= tol * max(map(abs, row))
-    if small and max(map(abs, r)) <= tol:
+    J = np.array([gradient_at[i](y) for i in active]).reshape(-1, n)
+    g = np.array([values[i] for i in active])
+    r = np.subtract(y, z)
+    for li, row in zip(lam, J):
+        r = r - li * row
+    if (np.abs(g) <= tol * np.abs(J).max(axis=1)).all() \
+            and np.abs(r).max() <= tol:
         return True
     # [[H, -J^T], [J, 0]] (dy, dlam) = -(r, g_A), H = I - sum lam hess g
-    M = [[float(j == k) for k in range(n)] + [-row[j] for row in J]
-         for j in range(n)]
+    M = np.zeros((n + len(active), n + len(active)))
+    M[:n, :n] = np.eye(n)
+    M[:n, n:], M[n:, :n] = -J.T, J
+    upper = np.triu_indices(n)
     for i, li in zip(active, lam):
         if li:
-            upper = iter(hessian_at[i](y))
-            for j in range(n):
-                for k in range(j, n):
-                    h = li * next(upper)
-                    M[j][k] -= h
-                    if k != j:
-                        M[k][j] -= h
-    M += [list(row) + [0.0] * len(J) for row in J]
-    delta = _solve(M, [-v for v in r] + [-values[i] for i in active])
-    return tuple(map(add, y, delta)), list(map(add, lam, delta[n:]))
-
-
-def _solve(M: list[list[float]], b: list[float]) -> list[float]:
-    """Solve M x = b by Gaussian elimination with partial pivoting; M and
-    b are overwritten."""
-    size = len(b)
-    for k in range(size):
-        column = [abs(row[k]) for row in M[k:]]
-        p = k + column.index(max(column))
-        if M[p][k] == 0.0:
-            raise FlowError("singular KKT system in the set projection")
-        M[k], M[p] = M[p], M[k]
-        b[k], b[p] = b[p], b[k]
-        pivot = M[k]
-        for i in range(k + 1, size):
-            row = M[i]
-            factor = row[k] / pivot[k]
-            if factor:
-                for j in range(k + 1, size):
-                    row[j] -= factor * pivot[j]
-                b[i] -= factor * b[k]
-    x = [0.0] * size
-    for k in range(size - 1, -1, -1):
-        row = M[k]
-        x[k] = (b[k] - sum(map(mul, row[k + 1:], x[k + 1:]))) / row[k]
-    return x
+            h = np.zeros((n, n))
+            h[upper] = hessian_at[i](y)
+            M[:n, :n] -= li * (h + np.triu(h, 1).T)
+    try:
+        delta = np.linalg.solve(M, -np.concatenate([r, g]))
+    except np.linalg.LinAlgError as exc:
+        raise FlowError("singular KKT system in the set projection") from exc
+    return (tuple(np.add(y, delta[:n]).tolist()),
+            np.add(lam, delta[n:]).tolist())
 
 
 def _lowest(system: System, x) -> float:
@@ -304,36 +270,22 @@ def _lowest(system: System, x) -> float:
     return min(system.S.float_kernels[0](x))
 
 
-def step(x: Sequence[float], dt: float, system: System,
-         multipliers: dict[int, float] | None = None,
-         evaluated: tuple[tuple, tuple, tuple] | None = None
+def step(x: tuple[float, ...], z: tuple[float, ...], fx: tuple[float, ...],
+         values: tuple[float, ...], dt: float, system: System,
+         multipliers: dict[int, float]
          ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """One projected Euler step on float tuples; returns (x_next, eta_used).
+    """Project the Euler point z = x + dt f(x) of a step that the loop of
+    poly.euler_kernel does not keep; returns (x_next, eta_used).
 
-    One call of the system's euler_kernel gives z = x + dt f(x), f(x) and
-    the constraint values at z; evaluated, when given, is that triple
-    already computed (by the kernel's free-step loop, see simulate), and
-    the kernel is not called.  z is kept, with eta_used exactly 0 and the
-    multipliers record cleared, when no value is below -FEAS_TOL;
-    otherwise x_next is its projection (a set projection warm-started from
-    and updating the record, see project_set, and given the values at z)
-    and the constraints are evaluated again at x_next.  A projected x_next
-    below -STATE_TOL raises FlowError (a kept z is within FEAS_TOL, which
-    is tighter), and so does a z or a constraint value past the float
-    range: float ** raises OverflowError where * gives inf or NaN.
+    fx is f(x) and values the constraint values at z, as the loop computed
+    them.  A z or a value past the float range raises FlowError.  x_next
+    is the projection of z (a set projection warm-started from and
+    updating the multipliers record, see project_set, and given the
+    values at z) and eta_used = (x_next - x)/dt - f(x).  An x_next with a
+    constraint value below -STATE_TOL raises FlowError.
     """
-    if evaluated is None:
-        try:
-            evaluated = system.euler_kernel(x, dt)
-        except OverflowError as exc:
-            raise FlowError(OVERFLOW) from exc
-    z, fx, values = evaluated
     if not all(map(math.isfinite, z + values)):
         raise FlowError(OVERFLOW)
-    if (min(values) if values else math.inf) >= -FEAS_TOL:
-        if multipliers:
-            multipliers.clear()
-        return z, (0.0,) * len(z)
     if isinstance(system, ConicSystem):
         x_next = project_cone(z, system.cone)
     else:
@@ -348,23 +300,20 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
              ) -> Trajectory:
     """Fixed-step projected Euler from a feasible start.
 
-    round(T / dt) steps; T and dt must be finite and positive.  Runs of
-    free steps go through the system's euler_kernel.free_steps, which
-    keeps every step that step would keep as a free step: z and the
-    constraint values finite and every value >= -FEAS_TOL.
-    The first step it does not keep goes to step with the values the loop
-    computed, so nothing is evaluated twice (after an OverflowError in the
-    loop, step evaluates that step again and raises).  After a projected
-    step, step takes each next step itself, until one is free again; a
-    trajectory that projects at every step is one step call per step.
-    Every recorded state is feasible within STATE_TOL or the run raises.
-    The states stay float tuples until the last step, and one multipliers
-    record warm-starts each set projection from the previous step's
-    (cleared by a free step, in the loop as in step).  eta_log is zero
-    except on the rows of projected steps.  V, when given, is a Polynomial
-    or a map from an (m, n) array of states to an array of their m values
-    (such as RationalLyapunovCandidate.value); it is evaluated once, on
-    all stored states, after the last step.
+    round(T / dt) steps; T and dt must be finite and positive.  Every step
+    is taken by one call of the system's euler_kernel loop, with a
+    projection callback for each step the loop does not keep: the callback
+    clears the multipliers record when a free step came before (so a set
+    projection is warm-started from the previous step's multipliers only
+    along a run of projected steps), calls step through the module global
+    and records eta_used on the row of the step's start state.  eta_log is
+    zero on every other row.  Every recorded state is feasible within
+    STATE_TOL or the run raises FlowError, as does a state past the float
+    range, with the time of the step that fails.  The states stay float
+    tuples until the last step.  V, when given, is a Polynomial or a map
+    from an (m, n) array of states to an array of their m values (such as
+    RationalLyapunovCandidate.value); it is evaluated once, on all stored
+    states, after the last step.
     """
     x = tuple(map(float, x0))
     if not _lowest(system, x) >= -STATE_TOL:
@@ -374,34 +323,24 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
         raise FlowInputError("T and dt must be finite and positive, "
                              "with T / dt finite")
 
-    steps = int(round(T / dt))
-    free_steps = system.euler_kernel.free_steps
     times, states, projected = [0.0], [x], {}
     multipliers: dict[int, float] = {}
-    free = True
-    while len(states) <= steps:
-        evaluated = None
-        if free:
-            start = len(states)
-            try:
-                evaluated = free_steps(times, states, dt, steps + 1 - start)
-            except OverflowError:
-                pass    # step evaluates that step again and raises
-            if len(states) > start:
-                multipliers.clear()    # as step does on a free step
-            if len(states) > steps:
-                break
-        x, t = states[-1], times[-1]
-        try:
-            # through the module global, so a wrapped step sees every call
-            x, eta_used = step(x, dt, system, multipliers, evaluated)
-        except FlowError as exc:
-            raise FlowError(f"{exc} at t = {t + dt}") from exc
-        free = not any(eta_used)    # a kept z records eta exactly 0
-        if not free:
-            projected[len(states) - 1] = eta_used
-        times.append(t + dt)
-        states.append(x)
+
+    def project(x, z, fx, values):
+        row = len(states) - 1
+        if row - 1 not in projected:
+            multipliers.clear()    # a free step came before
+        # through the module global, so a wrapped step sees every call
+        x_next, projected[row] = step(x, z, fx, values, dt, system,
+                                      multipliers)
+        return x_next
+
+    try:
+        system.euler_kernel(times, states, dt, int(round(T / dt)), project)
+    except OverflowError as exc:
+        raise FlowError(f"{OVERFLOW} at t = {times[-1] + dt}") from exc
+    except FlowError as exc:
+        raise FlowError(f"{exc} at t = {times[-1] + dt}") from exc
     states = np.array(states)
     eta_log = np.zeros_like(states)
     if projected:

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 LE, EQ, GE = "<=", "=", ">="
+FEAS_TOL = 1e-8  # an optimal point satisfies every row and bound this closely
 
 # scipy.optimize.linprog status codes other than 0 (optimal)
 _STATUS = {2: "infeasible", 3: "unbounded"}
@@ -80,11 +81,11 @@ class LpResult:
     pivots: int = 0
 
 
-def solve(lp: LinearProgram, feas_tol: float = 1e-8) -> LpResult:
+def solve(lp: LinearProgram) -> LpResult:
     """Solve an LP; never returns a wrong answer silently.
 
     An optimal point is reported only when it satisfies every row and
-    bound of lp within feas_tol; otherwise the status is "stalled".
+    bound of lp within FEAS_TOL; otherwise the status is "stalled".
     """
     from scipy.optimize import linprog as highs_linprog
 
@@ -105,10 +106,10 @@ def solve(lp: LinearProgram, feas_tol: float = 1e-8) -> LpResult:
     lo = np.array([-np.inf if l is None else l for l, _ in lp.bounds], float)
     hi = np.array([np.inf if h is None else h for _, h in lp.bounds], float)
     residual = lp.A @ x - lp.b
-    ok = ((residual[le] <= feas_tol).all()
-          and (residual[ge] >= -feas_tol).all()
-          and (np.abs(residual[eq]) <= feas_tol).all()
-          and (x >= lo - feas_tol).all() and (x <= hi + feas_tol).all())
+    ok = ((residual[le] <= FEAS_TOL).all()
+          and (residual[ge] >= -FEAS_TOL).all()
+          and (np.abs(residual[eq]) <= FEAS_TOL).all()
+          and (x >= lo - FEAS_TOL).all() and (x <= hi + FEAS_TOL).all())
     if not ok:
         return LpResult("stalled", pivots=pivots)
     return LpResult("optimal", x=x, value=float(lp.objective @ x) + 0.0,

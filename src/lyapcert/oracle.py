@@ -41,7 +41,6 @@ from .tangency import eta_projection
 logger = logging.getLogger(__name__)
 
 PASS_TOL = 1e-9
-GRAD_ALIGN_TOL = 1e-9
 BAND_WIDTH = 1e-6
 ACTIVATION_TOL = 1e-8   # a cone row with |<c, x>|/|c| at most this is active
 
@@ -64,20 +63,19 @@ class CheckResult:
 class Report:
     kind: str
     checks: list[CheckResult] = field(default_factory=list)
-    pass_tol: float = PASS_TOL
     notes: list[str] = field(default_factory=list)
     sample_rows: list[tuple[tuple, str, float]] | None = None
 
     @property
     def passed(self) -> bool:
-        return all(c.passes(self.pass_tol) for c in self.checks)
+        return all(c.passes(PASS_TOL) for c in self.checks)
 
     def worst(self) -> CheckResult | None:
         return min(self.checks, key=lambda c: c.min_value, default=None)
 
     def to_text(self) -> str:
         lines = [f"oracle-report: {self.kind}",
-                 f"pass-tolerance: {self.pass_tol!r}"]
+                 f"pass-tolerance: {PASS_TOL!r}"]
         for c in self.checks:
             wit = "-" if c.witness is None else \
                 "(" + ", ".join(repr(v) for v in c.witness) + ")"
@@ -307,7 +305,6 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
         record(band_pts, f"alignment-g{j}", -align)
         check = _min_with_witness(f"alignment-g{j}", -align, band_pts)
         report.checks.append(check)
-    report.pass_tol = GRAD_ALIGN_TOL
     return report
 
 

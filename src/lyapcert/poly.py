@@ -16,10 +16,10 @@ polynomial at every row of a point array, from a graded table of
 monomials formed by multiplies alone.  float_kernel generates one
 straight-line float function for a list of polynomials, for inner loops
 that evaluate them at one point at a time; euler_kernel, from the same
-term emitter, generates one explicit Euler step of a field with the
-constraint values at the new point, and the loop of such steps while they
-stay in the set, and newton_kernel one Newton step of the Euclidean
-projection onto {g >= 0}.
+term emitter, generates the loop of explicit Euler steps of a field that
+keeps each step whose constraint values stay in the set and hands every
+other step to a projection callback, and newton_kernel one Newton step of
+the Euclidean projection onto {g >= 0}.
 
 Monomial order is graded lexicographic (total degree ascending, exponent
 tuple descending within a degree) and is used everywhere a coefficient
@@ -281,7 +281,7 @@ class Polynomial:
 
 
 _KERNEL_CHUNK = 64  # terms per statement; one long sum nests too deep to compile
-FEAS_TOL = 1e-10    # a constraint value >= -FEAS_TOL keeps a free Euler step
+FEAS_TOL = 1e-10    # a constraint value >= -FEAS_TOL keeps an Euler step
 
 
 def _sum_lines(var: str, form: Polynomial | Sequence[float],
@@ -350,50 +350,44 @@ def float_kernel(polys: Sequence[Polynomial]
 
 def euler_kernel(field: Sequence[Polynomial],
                  constraints: Sequence[Polynomial | Sequence[float]]
-                 ) -> Callable[[Sequence[float], float],
-                               tuple[tuple, tuple, tuple]]:
-    """One straight-line float function for an explicit Euler step.
+                 ) -> Callable[[list, list, float, int, Callable], None]:
+    """One generated loop of explicit Euler steps with a projection callback.
 
-    The returned kernel(x, dt) gives the tuples (z, f(x), values at z),
-    z_j = x_j + dt * f_j(x), for a field of n polynomials in n variables.
-    f and the constraint values are summed as in float_kernel; a
-    constraint that is a row c of floats is ((0.0 + c_1*z_1) + c_2*z_2)
-    + ..., which is sum(map(mul, c, z)) bit for bit.
-
-    kernel.free_steps(times, states, dt, count) runs the same step from
-    states[-1] and times[-1] up to count times.  A step whose z and values
-    are finite and whose values are all >= -FEAS_TOL is kept: it
-    appends times[-1] + dt to times and z to states and goes on from z.
-    At the first step that is not kept, it returns that step's (z, f(x),
-    values), as kernel would; after count kept steps it returns None.
-    The finiteness test is on the sum of z and the values, so a step whose
-    sum alone overflows is returned, not kept.
+    The returned kernel(times, states, dt, count, project) takes count
+    steps of a field of n polynomials in n variables from states[-1] and
+    times[-1].  A step computes f(x), z_j = x_j + dt * f_j(x) and the
+    constraint values at z, summed as in float_kernel; a constraint that
+    is a row c of floats is ((0.0 + c_1*z_1) + c_2*z_2) + ..., which is
+    sum(map(mul, c, z)) bit for bit.  The step keeps z when every z_j and
+    value is finite (a - a is 0.0 for a finite a, NaN otherwise, so the
+    test itself cannot overflow) and every value is >= -FEAS_TOL;
+    otherwise the next state is project(x, z, f(x), values), each a tuple
+    of floats.  Either way the loop appends times[-1] + dt to times and
+    the state to states and goes on from that state.  An OverflowError of
+    float ** or an exception of project ends the loop, with every step
+    before it appended.
     """
     n = len(field)
     xs, fs, zs = ([f"{a}{j}" for j in range(n)] for a in "xfz")
     vs = [f"v{i}" for i in range(len(constraints))]
-    body = []
+    lines = ["def kernel(times, states, dt, count, project):",
+             "    t = times[-1]", f"    {', '.join(xs)}, = states[-1]",
+             "    add_time, add_state = times.append, states.append",
+             "    for _ in range(count):"]
     for f, p in zip(fs, field):
-        body += _sum_lines(f, p, xs)
-    body += [f"    {z} = {x} + dt*{f}" for x, f, z in zip(xs, fs, zs)]
+        lines += ["    " + line for line in _sum_lines(f, p, xs)]
+    lines += [f"        {z} = {x} + dt*{f}" for x, f, z in zip(xs, fs, zs)]
     for v, g in zip(vs, constraints):
-        body += _sum_lines(v, g, zs)
-    kernel = _compile(["def kernel(p, dt):", f"    {', '.join(xs)}, = p"]
-                      + body, [zs, fs, vs])
+        lines += ["    " + line for line in _sum_lines(v, g, zs)]
+    finite = " + ".join(f"{a} - {a}" for a in zs + vs)
     kept = " and ".join([f"{v} >= {-FEAS_TOL!r}" for v in vs]
-                        + [f"-inf < {' + '.join(zs + vs)} < inf"])
-    loop = ["def kernel(times, states, dt, count):",
-            "    t = times[-1]", f"    {', '.join(xs)}, = states[-1]",
-            "    add_time, add_state = times.append, states.append",
-            "    inf = float('inf')", "    for _ in range(count):"]
-    loop += ["    " + line for line in body]
-    loop += [f"        if not ({kept}):",
-             f"            return {_tuples([zs, fs, vs])}",
-             "        t += dt", "        add_time(t)",
-             f"        add_state({_tuples([zs])})",
-             f"        {', '.join(xs)}, = {_tuples([zs])}"]
-    kernel.free_steps = _compile(loop, [])
-    return kernel
+                        + [f"{finite} == 0.0"])
+    lines += [f"        if {kept}:", f"            x = {_tuples([zs])}",
+              "        else:",
+              f"            x = project({_tuples([xs, zs, fs, vs])})",
+              "        t += dt", "        add_time(t)", "        add_state(x)",
+              f"        {', '.join(xs)}, = x"]
+    return _compile(lines, [])
 
 
 def newton_kernel(g: Polynomial, gradient: Sequence[Polynomial],

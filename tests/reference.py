@@ -11,12 +11,16 @@ values by one pow per point, term and variable), the
 simulator's Euler kernel against the float kernels, tuple update and row
 sums it replaced, its float-tuple steps against its numpy step loop, the set
 projection against scipy's SLSQP, and the SDP solver's step lengths in the
-NT frame against a bound from the Cholesky factor.  The point checks of a
+NT frame against a bound from the Cholesky factor.  trajectory_csv is the
+CSV text of a trajectory, and simplex_diameter and partition_diameter the
+longest vertex distance of a cell and of a partition, which only the
+tests read.  The point checks of a
 system (field_at, cone_contains, set_values, set_contains) evaluate one
 point at a time; a float value at one point is evaluate_float_terms, the
 term loop that the float kernels match bit for bit.
 """
 
+import io
 from operator import mul
 
 import numpy as np
@@ -254,6 +258,25 @@ def simulate_cone_numpy(x0, T, dt, system, feas_tol=1e-8):
         states.append(x.copy())
     etas.append(np.zeros_like(x))
     return np.array(states), np.array(etas)
+
+
+def trajectory_csv(traj) -> str:
+    """The text that traj.write_csv writes."""
+    out = io.StringIO()
+    traj.write_csv(out)
+    return out.getvalue()
+
+
+def simplex_diameter(simplex) -> float:
+    """The largest distance between two vertices (0.0 for one vertex)."""
+    V = simplex.vertex_array()
+    diffs = V[:, None, :] - V[None, :, :]
+    return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+
+
+def partition_diameter(part) -> float:
+    """The largest simplex_diameter of the partition's cells."""
+    return max(map(simplex_diameter, part.cells), default=0.0)
 
 
 def slsqp_projection(z, S) -> np.ndarray:

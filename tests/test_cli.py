@@ -80,7 +80,7 @@ def test_parse_cone_spec(cone_spec):
     assert isinstance(spec.system, ConicSystem)
     assert spec.system.cone.C.shape == (2, 2)
     assert np.allclose(spec.system.cone.C, [[-0.25, 1.0], [1.0, -0.25]])
-    assert spec.options["schedule"] == "2 0 6"
+    assert spec.options["schedule"] == [(2, 0, 6)]
 
 
 def test_parse_semialgebraic_spec(cusp_spec):
@@ -391,6 +391,53 @@ def test_spec_keys_nothing_reads_are_input_errors(tmp_path, capsys):
         assert main(["partition-dump", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             "status=input-error")
+
+
+@pytest.mark.parametrize("command", [["partition-dump"],
+                                     ["simulate", "--T", "0.01"]],
+                         ids=["partition-dump", "simulate"])
+def test_bad_schedule_is_an_input_error_of_every_command(command, tmp_path,
+                                                          capsys):
+    # only find-lyap-cone checked the schedule; the other commands ran
+    spec = tmp_path / "cone.spec"
+    spec.write_text(CONE_SPEC.replace("schedule: 2 0 6", "schedule: 0 -1 -4"))
+    code = main([command[0], str(spec), *command[1:],
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "status=input-error detail='schedule entry 0 -1 -4: deg must be at "
+        "least 1, r and sweeps at least 0 [rule: schedule]'")
+    assert not (tmp_path / "o").exists()
+
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+
+@pytest.mark.parametrize("name, key, command", [
+    ("cone2d.spec", "deg: 4", ["partition-dump"]),
+    ("cusp_box.spec", "schedule: 9 9 9",
+     ["verify", "--candidate", "1*x1^2 + 1*x2^2"]),
+], ids=["deg-on-cone", "schedule-on-set"])
+def test_keys_of_the_other_mode_are_input_errors(name, key, command,
+                                                 tmp_path, capsys):
+    # a cone spec never reads deg, nor a set spec schedule: both passed
+    text = (SPECS / name).read_text() + key + "\n"
+    spec = tmp_path / name
+    spec.write_text(text)
+    with pytest.raises(SpecFileError) as err:
+        parse_spec(spec)
+    assert err.value.rule == "mode-key"
+    assert err.value.line == len(text.splitlines())
+    code = main([command[0], str(spec), *command[1:],
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    mode = "cone" if name == "cone2d.spec" else "semialgebraic"
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"status=input-error detail=\"'{key.split(':')[0]}' is not a {mode} "
+        f"mode key (line {err.value.line}) [rule: mode-key]\"")
+    assert not (tmp_path / "o").exists()
+    for bundled in sorted(SPECS.glob("*.spec")):
+        parse_spec(bundled)
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -10,14 +10,15 @@ from lyapcert import cop_lp, flow, poly, sos_cert, tangency
 from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import ConicSystem, RationalLyapunovCandidate
-from lyapcert.flow import FlowError, project_cone, project_set, simulate, step
+from lyapcert.flow import FlowError, project_cone, project_set, simulate
 from lyapcert.poly import MonomialTable, Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import (SemialgebraicSet, eta_projection,
                                face_eta_polynomial)
 from reference import (cone_contains, euler_step_floats,
                        evaluate_float_terms, field_at, set_contains,
-                       set_values, simulate_cone_numpy, slsqp_projection)
+                       set_values, simulate_cone_numpy, slsqp_projection,
+                       trajectory_csv)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 SQUARE = PolyhedralCone([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]])
@@ -275,19 +276,35 @@ KERNEL_SYSTEMS = {
 }
 
 
+def hexes(parts):
+    return [[v.hex() for v in part] for part in parts]
+
+
 @pytest.mark.parametrize("name", list(KERNEL_SYSTEMS))
 def test_euler_kernel_is_bit_identical_to_the_float_kernel_step(name):
+    """One step of the loop keeps z exactly when euler_step_floats gives
+    values all >= -FEAS_TOL, and otherwise hands project the same bits of
+    (x, z, f(x), values); either way it appends t + dt and the state."""
     system = KERNEL_SYSTEMS[name]
     rng = np.random.default_rng(79)
+    kinds = set()
     for x in rng.uniform(-2, 2, size=(200, system.dimension)):
         x = tuple(x.tolist())
         for dt in (1e-3, 0.37):
-            got = system.euler_kernel(x, dt)
-            want = euler_step_floats(system, x, dt)
-            assert [[v.hex() for v in part] for part in got] == \
-                [[v.hex() for v in part] for part in want]
-    if name == "no-rows":
-        assert got[2] == ()
+            z, fx, values = euler_step_floats(system, x, dt)
+            handed, times, states = [], [0.5], [x]
+            system.euler_kernel(times, states, dt, 1, lambda *args:
+                                handed.append(args) or args[1])
+            assert times == [0.5, 0.5 + dt]
+            if min(values, default=0.0) >= -flow.FEAS_TOL:
+                kinds.add("kept")
+                assert not handed and hexes(states[1:]) == hexes([z])
+            else:
+                kinds.add("projected")
+                assert hexes(handed[0]) == hexes((x, z, fx, values))
+                assert states[1] is handed[0][1]
+    assert kinds == ({"kept"} if name == "no-rows"
+                     else {"kept", "projected"})
 
 
 def test_euler_kernel_is_built_once_per_system(monkeypatch):
@@ -309,15 +326,23 @@ def test_euler_kernel_is_built_once_per_system(monkeypatch):
                                        (cusp_system(), (0.5, 0.1))],
                          ids=["cone", "set"])
 def test_free_step_is_one_kernel_call_and_no_numpy(system, x, monkeypatch):
+    """simulate makes one call of the generated loop; a free step in it is
+    plain Euler on Python floats, with no projection and eta exactly 0."""
+    z = euler_step_floats(system, x, 1e-3)[0]
+    times, states = [0.0], [x]
+    system.euler_kernel(times, states, 1e-3, 1,
+                        lambda *args: pytest.fail("projected"))
+    assert states[1] == z and all(type(v) is float for v in states[1])
     calls = []
     kernel = system.euler_kernel
     monkeypatch.setitem(system.__dict__, "euler_kernel",
-                        lambda x, dt: calls.append(1) or kernel(x, dt))
-    monkeypatch.setattr(flow, "np", None)
-    x_next, eta = step(x, 1e-3, system)
+                        lambda *args: calls.append(1) or kernel(*args))
+    monkeypatch.setattr(flow, "step",
+                        lambda *args: pytest.fail("flow.step called"))
+    traj = simulate(x, T=1e-3, dt=1e-3, system=system)
     assert calls == [1]
-    assert eta == (0.0, 0.0)
-    assert x_next == kernel(x, 1e-3)[0]
+    assert traj.states[1].tolist() == list(z)
+    assert traj.eta_log.tolist() == [[0.0, 0.0]] * 2
 
 
 # z1 = 1 + 1e10 * 1e300 is inf, where float * gives inf without raising
@@ -331,16 +356,17 @@ STIFF_FIELD = [parse_polynomial("1e300*x1", 2), parse_polynomial("-1*x2", 2)]
         [parse_polynomial("1 - x2", 2)], [(-1.0, 1.0)] * 2)),  # g1 finite
 ], ids=["no-rows", "cone", "set"])
 def test_step_past_the_float_range_raises(system):
-    with pytest.raises(FlowError, match="overflowed the float range"):
-        step((1.0, 1.0), 1e10, system)
+    with pytest.raises(FlowError, match=r"^state overflowed the float range "
+                       r"at t = 10000000000\.0$"):
+        simulate((1.0, 1.0), 1e10, 1e10, system)
 
 
 def test_interior_step_is_plain_euler():
     system = wedge_system()
     x = np.array([1.0, 1.0])  # interior of the wedge
-    x_next, eta = step(x, 1e-3, system)
-    assert np.allclose(eta, 0.0, atol=1e-12)
-    assert np.allclose(x_next, x + 1e-3 * field_at(system, x))
+    traj = simulate(x, 1e-3, 1e-3, system)
+    assert not traj.eta_log.any()
+    assert np.allclose(traj.states[1], x + 1e-3 * field_at(system, x))
 
 
 def eta_at(branches, x):
@@ -356,7 +382,7 @@ def test_boundary_step_eta_aligns_with_branch():
     branches = face_eta_polynomial(WEDGE, 1, WEDGE_FIELD)
     x = np.array([0.8, 0.2]) * 2.0  # on face 1
     dt = 1e-5
-    _, eta_used = step(x, dt, system)
+    eta_used = simulate(x, dt, dt, system).eta_log[0]
     eta_exact = eta_at(branches, x)
     angle = np.arccos(np.clip(
         eta_used @ eta_exact /
@@ -364,21 +390,64 @@ def test_boundary_step_eta_aligns_with_branch():
     assert angle <= 1e-3
 
 
-def test_free_step_records_exactly_zero_eta():
-    record = {0: 0.2}
-    _, eta = step((0.5, 0.1), 1e-3, cusp_system(), multipliers=record)
-    assert eta == (0.0, 0.0)
-    assert record == {}  # a step that keeps z clears the warm start
+# the unit disc, turned at unit speed with the radial speed (x2 + 0.2) |x|:
+# the trajectory slides along the circle where x2 > -0.2, leaves it into
+# the disc below that and comes back
+DISC = SemialgebraicSystem(
+    [parse_polynomial("-1*x2 + 1*x1*x2 + 0.2*x1", 2),
+     parse_polynomial("1*x1 + 1*x2^2 + 0.2*x2", 2)],
+    SemialgebraicSet([parse_polynomial("1 - x1^2 - x2^2", 2)],
+                     [(-1.0, 1.0)] * 2))
+
+
+def test_free_step_records_exactly_zero_eta(monkeypatch):
+    """A free step keeps its plain Euler point and records eta exactly 0,
+    and a projection after free steps starts from an empty multipliers
+    record, where one after a projection starts from that one's."""
+    records = []
+    flow_step = flow.step
+
+    def recorded(*args):
+        records.append(dict(args[-1]))
+        return flow_step(*args)
+    monkeypatch.setattr(flow, "step", recorded)
+    traj = simulate([0.0, 1.0], T=10.0, dt=1e-2, system=DISC)
+    assert step_kinds(traj)[:3] == [True, False, True]
+    projected = (traj.eta_log[:-1] != 0).any(axis=1).tolist()
+    assert len(records) == sum(projected)
+    run_starts = [not before for a, before
+                  in zip(projected, [False] + projected) if a]
+    assert [not record for record in records] == run_starts
+    assert sum(run_starts) >= 2
+    for k in np.flatnonzero(~np.array(projected)):
+        x = tuple(traj.states[k].tolist())
+        assert traj.states[k + 1].tolist() == \
+            list(euler_step_floats(DISC, x, 1e-2)[0])
+        assert traj.eta_log[k].tolist() == [0.0, 0.0]
+
+
+def counted_kkt_solves(monkeypatch):
+    """Wrap flow._kkt_step; the returned list gets one entry per KKT
+    system it solves (a call that finds the residual small solves none)."""
+    solves = []
+    kkt_step = flow._kkt_step
+
+    def counted(*args):
+        result = kkt_step(*args)
+        if result is not True:
+            solves.append(1)
+        return result
+    monkeypatch.setattr(flow, "_kkt_step", counted)
+    return solves
 
 
 def test_projected_cusp_boundary_step_makes_one_solve(monkeypatch):
     """Every boundary step after the first takes one Newton step, in the
-    generator's kernel: the elimination (_solve) is not called."""
+    generator's kernel: no KKT system is solved (_kkt_step)."""
     system = cusp_system()
-    solves, kernel_steps, per_step = [], [], []
-    solve, flow_step = flow._solve, flow.step
-    monkeypatch.setattr(flow, "_solve",
-                        lambda M, b: solves.append(1) or solve(M, b))
+    kernel_steps, per_step = [], []
+    flow_step = flow.step
+    solves = counted_kkt_solves(monkeypatch)
 
     def counted(kernel):
         def newton(*args):
@@ -464,10 +533,7 @@ def test_kernel_with_a_negative_pivot_falls_back_to_the_elimination(
         y, z = (tuple(rng.uniform(-2.0, 2.0, size=2).tolist())
                 for _ in range(2))
         assert S.newton_kernels[0](y, z, 1.0, 0.0) is None
-    solves = []
-    solve = flow._solve
-    monkeypatch.setattr(flow, "_solve",
-                        lambda M, b: solves.append(1) or solve(M, b))
+    solves = counted_kkt_solves(monkeypatch)
     z = (0.3, 1.5)
     got = project_set(z, S, {0: 1.0})
     assert solves  # the warm start at lam = 1 took the elimination
@@ -479,6 +545,16 @@ def test_kernel_with_a_negative_pivot_falls_back_to_the_elimination(
     assert set_contains(S, got, tol=1e-10)
     residual, active = normal_cone_residual(got, z, S)
     assert active == [0] and residual <= 1e-9
+
+
+def test_singular_kkt_system_raises():
+    # grad g vanishes at the centre of the disc, so the (n + 1) system
+    # has a zero row
+    S = DISC.S
+    y = (0.0, 0.0)
+    with pytest.raises(FlowError, match="^singular KKT system"):
+        flow._kkt_step(y, (2.0, 0.0), S, [0], [0.0], S.float_kernels[0](y),
+                       0.0)
 
 
 def test_tracer_hooks_see_every_projection(monkeypatch):
@@ -600,7 +676,7 @@ def test_cusp_trajectory_v_decrease():
     assert worst >= -1e-8
 
 
-# sha256 of simulate(x0, T=5, dt=1e-3).to_csv(): both runs project at every
+# sha256 of the CSV of simulate(x0, T=5, dt=1e-3): both runs project at every
 # one of their 5,000 steps, the cusp along x1 = x2^2 and the ball (outward
 # field) on its sphere, where the Newton step factors a 3x3 matrix
 OUTWARD_BALL = SemialgebraicSystem(
@@ -620,7 +696,7 @@ def test_set_trajectory_is_pinned(name):
     system, x0, digest = TRAJECTORY_PINS[name]
     traj = simulate(x0, T=5.0, dt=1e-3, system=system)
     assert (traj.eta_log[:-1] != 0).any(axis=1).all()  # every step projects
-    assert hashlib.sha256(traj.to_csv().encode()).hexdigest() == digest
+    assert hashlib.sha256(trajectory_csv(traj).encode()).hexdigest() == digest
 
 
 # the benchmark's refine1 field on the square cone
@@ -642,7 +718,8 @@ def step_kinds(traj):
     return [kind for kind, _ in runs]
 
 
-# sha256 of simulate(x0, T, dt, V).to_csv() for trajectories with free steps
+# sha256 of the CSV of simulate(x0, T, dt, V) for trajectories with free
+# steps
 FREE_STEP_PINS = {
     "refine1": (REFINE1, [0.1, 0.2, 0.9], 200.0, 1e-2, REFINE1_V, [False],
                 "abbdbb78ca589bbeaab09872ead87cf76e47e0901487641d5bd827c3"
@@ -662,70 +739,50 @@ def test_trajectory_with_free_steps_is_pinned(name):
     traj = simulate(x0, T, dt, system, V=V)
     assert len(traj) == round(T / dt) + 1
     assert step_kinds(traj) == kinds
-    assert hashlib.sha256(traj.to_csv().encode()).hexdigest() == digest
-
-
-def counted_kernel(system, monkeypatch):
-    """Wrap the system's euler_kernel and its free-step loop; the returned
-    list gets one entry per Euler step either evaluates."""
-    evaluations = []
-    kernel = system.euler_kernel
-
-    def counted(x, dt):
-        evaluations.append(1)
-        return kernel(x, dt)
-
-    def free_steps(times, states, *args):
-        before = len(states)
-        handed_back = kernel.free_steps(times, states, *args)
-        evaluations.extend([1] * (len(states) - before
-                                  + (handed_back is not None)))
-        return handed_back
-    counted.free_steps = free_steps
-    monkeypatch.setitem(system.__dict__, "euler_kernel", counted)
-    return evaluations
+    assert hashlib.sha256(trajectory_csv(traj).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", ["cusp-boundary"] + list(FREE_STEP_PINS))
 def test_each_step_makes_one_euler_kernel_evaluation(name, monkeypatch):
-    """The loop hands the step it does not keep to flow.step with its
-    values, and flow.step takes each step after a projected one itself."""
+    """simulate makes one call of the generated loop, which takes every
+    step, and calls flow.step once for each step that projects."""
     if name == "cusp-boundary":
         system, x0, T, dt, V = cusp_system(), [0.49, 0.7], 0.5, 1e-3, None
     else:
         system, x0, T, dt, V = FREE_STEP_PINS[name][:5]
-    evaluations = counted_kernel(system, monkeypatch)
+    loops = []
+    kernel = system.euler_kernel
+
+    def counted(times, states, *args):
+        before = len(states)
+        try:
+            return kernel(times, states, *args)
+        finally:
+            loops.append(len(states) - before)
+    monkeypatch.setitem(system.__dict__, "euler_kernel", counted)
     calls = []
     flow_step = flow.step
     monkeypatch.setattr(flow, "step",
                         lambda *args: calls.append(1) or flow_step(*args))
     traj = simulate(x0, T, dt, system, V=V)
     steps = len(traj) - 1
-    assert len(evaluations) == steps
-    projected = int((traj.eta_log[:-1] != 0).any(axis=1).sum())
-    kinds = step_kinds(traj)
+    assert loops == [steps]
+    assert len(calls) == int((traj.eta_log[:-1] != 0).any(axis=1).sum())
     if name == "cusp-boundary":
-        assert kinds == [True] and len(calls) == steps
-    # the steps that project, and the free step after each run of them
-    ends = sum(a and not b for a, b in zip(kinds, kinds[1:]))
-    assert len(calls) == projected + ends
+        assert step_kinds(traj) == [True] and len(calls) == steps
 
 
 def test_overflow_in_the_loop_raises_at_its_step(monkeypatch):
     # x' = x^2 from x = 1 blows up at t = 1: float ** raises OverflowError
-    # inside the loop, and flow.step evaluates that step again and raises
+    # inside the loop, which simulate turns into the FlowError of its step
     system = ConicSystem([parse_polynomial("1*x1^2", 2),
                           parse_polynomial("1*x2^2", 2)],
                          PolyhedralCone(np.eye(2)))
-    calls = []
-    flow_step = flow.step
     monkeypatch.setattr(flow, "step",
-                        lambda *args: calls.append(args[-1]) or
-                        flow_step(*args))
+                        lambda *args: pytest.fail("flow.step called"))
     with pytest.raises(FlowError, match=r"^state overflowed the float range "
                        r"at t = 1\.0169999999999988$"):
         simulate([1.0, 1.0], T=2.0, dt=1e-3, system=system)
-    assert calls == [None]
 
 
 def test_free_trajectory_never_calls_step(monkeypatch):
@@ -766,7 +823,7 @@ def test_v_is_evaluated_once_on_all_states():
 def test_csv_layout():
     system = wedge_system()
     traj = simulate([0.8, 0.2], T=0.01, dt=1e-3, system=system, V=PRINTED_V)
-    lines = traj.to_csv().splitlines()
+    lines = trajectory_csv(traj).splitlines()
     assert lines[0] == "t,x1,x2,eta1,eta2,V"
     assert len(lines) == len(traj) + 1
     assert all(len(line.split(",")) == 6 for line in lines[1:])
@@ -776,7 +833,7 @@ def test_csv_reads_back_with_loadtxt(tmp_path):
     traj = simulate([0.8, 0.2], T=0.01, dt=1e-3, system=wedge_system(),
                     V=PRINTED_V)
     path = tmp_path / "trajectory.csv"
-    path.write_text(traj.to_csv())
+    path.write_text(trajectory_csv(traj))
     table = np.loadtxt(path, delimiter=",", skiprows=1)
     assert table.shape == (len(traj), 6)
     assert np.array_equal(table[:, 0], traj.times)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lyapcert import linprog
 from lyapcert.linprog import (EQ, GE, LE, LinearProgram, dump_lp_text, solve)
 
 
@@ -138,7 +139,8 @@ def test_recheck_rejects_points_outside_feas_tol(monkeypatch):
     result = solve(box_lp())
     assert result.status == "stalled"
     assert result.pivots == 3
-    assert solve(box_lp(), feas_tol=1e-5).status == "optimal"
+    monkeypatch.setattr(linprog, "FEAS_TOL", 1e-5)
+    assert solve(box_lp()).status == "optimal"
 
 
 def test_cone_setup_does_not_import_the_lp_solver(tmp_path):

@@ -9,9 +9,9 @@ from scipy.optimize import nnls
 from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import ConicSystem, RationalLyapunovCandidate
-from lyapcert.oracle import (BAND_WIDTH, _band_points, _rejection_sample,
-                             _row_patterns, barycentric_grid,
-                             verify_conic, verify_sos)
+from lyapcert.oracle import (BAND_WIDTH, PASS_TOL, _band_points,
+                             _rejection_sample, _row_patterns,
+                             barycentric_grid, verify_conic, verify_sos)
 from lyapcert.cones import Simplex
 from lyapcert.cop_lp import run_hierarchy
 from lyapcert.poly import Polynomial, parse_polynomial
@@ -234,7 +234,7 @@ def test_negative_v_fails_positivity():
 def test_x1_squared_fails():
     report = verify_sos(parse_polynomial("x1^2", 2), cusp_system())
     assert not report.passed
-    failing = [c for c in report.checks if not c.passes(report.pass_tol)]
+    failing = [c for c in report.checks if not c.passes(PASS_TOL)]
     assert failing
     # the binding failure is the boundary alignment on the parabola face
     assert any(c.name == "alignment-g1" for c in failing)
