@@ -248,6 +248,10 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
     Feasible points come from rejection sampling of the bounding box;
     positivity is checked on radius shells, decrease on the interior
     sample set, and gradient alignment on thin bands around each g_j = 0.
+    The outermost shell has radius min(1, 0.9 max |p|) over the feasible
+    samples p: on a set such as the unit ball it then lies inside the set,
+    not on its boundary, where rounding alone would decide which of its
+    points count as feasible.
     """
     rng = np.random.default_rng(seed)
     S = system.S
@@ -266,7 +270,8 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
     # positivity on shells
     shell_checks = []
     generators_v = MonomialTable([*S.generators, V])
-    for radius in (1e-2, 1e-1, 1.0):
+    outer = min(1.0, 0.9 * float(np.linalg.norm(pts, axis=1).max()))
+    for radius in (1e-2, 1e-1, outer):
         dirs = rng.standard_normal((4 * max(len(pts) // 8, 64), n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         shell = radius * dirs

@@ -16,14 +16,21 @@ All factorizations are dense; the intended scale is blocks of a few tens
 of rows and a few hundred equalities, where dense Cholesky on the Schur
 complement is both fast and numerically uneventful.
 
-Per iteration: the NT scaling R of each block, R^-1 X R^-T = R^T Z R =
+Blocks of equal size are held as one (k, s, s) stack, and numpy's
+cholesky, svd, eigvalsh and matmul run over the whole stack at once; the
+result lists the blocks in input order.  Each block keeps only the rows
+its equalities touch (about a third of them in the SOS programs).
+
+Per iteration: the NT scaling R of each stack, R^-1 X R^-T = R^T Z R =
 diag(lam), from two Cholesky factors and one SVD; the Schur complement
-M_ij = sum_b <A_b[i], W A_b[j] W>, W = R R^T, from one broadcast product
-per block; one Cholesky factor L of M and one inverse L^-1, so that every
-solve with M (predictor, corrector, refinement, free-variable saddle) is
-two matrix products; and step lengths in the NT frame, where X + a dX is
-PSD exactly when diag(lam) + a R^-1 dX R^-T is (Z likewise with
-R^T dZ R).  numpy only: the SOS tier imports no scipy.
+M_ij = sum_b <A_b[i], W A_b[j] W>, W = R R^T, each block adding one
+product over its touched rows and columns; one Cholesky factor L of M,
+with the ridge written onto M's diagonal, and the inverse L^-1 by blocked
+recursion on the triangle, so that every solve with M (predictor,
+corrector, refinement, free-variable saddle) is two matrix products; and
+step lengths in the NT frame, where X + a dX is PSD exactly when
+diag(lam) + a R^-1 dX R^-T is (Z likewise with R^T dZ R).  numpy only:
+the SOS tier imports no scipy.
 
 Callers are expected to pose problems with interior (the certificate
 drivers always add an identity-shift variable), so no Slater checking is
@@ -133,35 +140,65 @@ class SdpResult:
     infeasibility_is_heuristic: bool = False
 
 
+def _t(S: np.ndarray) -> np.ndarray:
+    """The transpose of one matrix, or of each matrix of a stack."""
+    return S.swapaxes(-1, -2)
+
+
+def _sym(S: np.ndarray) -> np.ndarray:
+    return 0.5 * (S + _t(S))
+
+
+def _diag(S: np.ndarray) -> np.ndarray:
+    """The diagonal of one matrix, or of each matrix of a stack, as a
+    writable view."""
+    return np.einsum("...ii->...i", S)
+
+
 def _nt_scaling(X: np.ndarray, Z: np.ndarray):
     """R, R^-1 and lam with R^-1 X R^-T = R^T Z R = diag(lam): from the SVD
-    Lz^T Lx = U diag(lam) V^T, R = Lx V lam^-1/2, R^-1 = lam^-1/2 U^T Lz^T."""
+    Lz^T Lx = U diag(lam) V^T, R = Lx V lam^-1/2, R^-1 = lam^-1/2 U^T Lz^T.
+    X and Z are one block or a (k, s, s) stack of blocks."""
     Lx = np.linalg.cholesky(X)
     Lz = np.linalg.cholesky(Z)
-    U, lam, Vt = np.linalg.svd(Lz.T @ Lx)
+    U, lam, Vt = np.linalg.svd(_t(Lz) @ Lx)
     s = 1.0 / np.sqrt(lam)
-    R = (Lx @ Vt.T) * s
-    Rinv = s[:, None] * (U.T @ Lz.T)
+    R = (Lx @ _t(Vt)) * s[..., None, :]
+    Rinv = s[..., :, None] * (_t(U) @ _t(Lz))
     return R, Rinv, lam
 
 
 def _nt_step(lam: np.ndarray, dMh: np.ndarray) -> float:
     """Largest step alpha <= 1 keeping diag(lam) + alpha dMh PSD, backed off
-    by 0.98: I + alpha lam^-1/2 dMh lam^-1/2 must stay PSD."""
+    by 0.98: I + alpha lam^-1/2 dMh lam^-1/2 must stay PSD.  For a stack,
+    the step every block allows."""
     s = 1.0 / np.sqrt(lam)
-    S = s[:, None] * dMh * s
-    wmin = np.linalg.eigvalsh(0.5 * (S + S.T)).min()
+    S = s[..., :, None] * dMh * s[..., None, :]
+    wmin = np.linalg.eigvalsh(_sym(S)).min()
     return 1.0 if wmin >= 0 else min(1.0, 0.98 / -wmin)
 
 
 def _nt_frame(scal, dX: list[np.ndarray], dZ: list[np.ndarray]):
-    """The directions in the NT frame, R^-1 dX R^-T and R^T dZ R per block,
-    and the primal and dual step lengths they allow."""
-    dXh = [Rinv @ dXb @ Rinv.T for (_, Rinv, _), dXb in zip(scal, dX)]
-    dZh = [R.T @ dZb @ R for (R, _, _), dZb in zip(scal, dZ)]
+    """The directions in the NT frame, R^-1 dX R^-T and R^T dZ R per block
+    or stack, and the primal and dual step lengths they allow."""
+    dXh = [Rinv @ dXb @ _t(Rinv) for (_, Rinv, _), dXb in zip(scal, dX)]
+    dZh = [_t(R) @ dZb @ R for (R, _, _), dZb in zip(scal, dZ)]
     alpha_p = min(_nt_step(lam, h) for (_, _, lam), h in zip(scal, dXh))
     alpha_d = min(_nt_step(lam, h) for (_, _, lam), h in zip(scal, dZh))
     return dXh, dZh, alpha_p, alpha_d
+
+
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """The inverse of the lower-triangular L, written over L: with
+    L = [[A, 0], [B, C]], L^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
+    n = len(L)
+    if n <= 32:
+        L[...] = np.linalg.inv(L)
+        return L
+    h = n // 2
+    A, C = _tril_inv(L[:h, :h]), _tril_inv(L[h:, h:])
+    L[h:, :h] = -(C @ L[h:, :h] @ A)
+    return L
 
 
 def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
@@ -173,31 +210,48 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
     iterations is reported distinctly from "infeasible".  No free variables
     (k = 0) need no branch: numpy's empty products and solves give zeros.
     """
-    m, k, nb = len(sdp.b), sdp.num_free, len(sdp.A)
+    m, k = len(sdp.b), sdp.num_free
     b, D = sdp.b, sdp.D
-    total_dim = sum(sdp.block_sizes)
-    # per block: A_b viewed as an (m, s*s) matrix of vectorized equalities
-    E = [Ab.reshape(m, -1) for Ab in sdp.A]
+    sizes = sdp.block_sizes
+    total_dim = sum(sizes)
+    # blocks of equal size are one (count, s, s) stack; block bi is entry j
+    # of stack g, and holds only the rows its equalities touch: A_b[rows]
+    # and its (len(rows), s*s) reshape E, with the width spelled out
+    # because a block may touch no row at all
+    groups = [[bi for bi, s in enumerate(sizes) if s == size]
+              for size in dict.fromkeys(sizes)]
+    parts = [None] * len(sizes)
+    for g, members in enumerate(groups):
+        for j, bi in enumerate(members):
+            rows = np.flatnonzero(sdp.A[bi].reshape(m, -1).any(axis=1))
+            At = sdp.A[bi][rows]
+            parts[bi] = (g, j, rows, At, At.reshape(len(rows), sizes[bi] ** 2))
+
+    def stacked(mats: list[np.ndarray]) -> list[np.ndarray]:
+        """The stacks of per-block matrices given in input order."""
+        return [np.stack([mats[bi] for bi in members]) for members in groups]
 
     def apply_A(X: list[np.ndarray]) -> np.ndarray:
         out = np.zeros(m)
-        for Eb, Xb in zip(E, X):
-            out += Eb @ Xb.ravel()
+        for g, j, rows, _, Eb in parts:
+            out[rows] += Eb @ X[g][j].ravel()
         return out
 
     def apply_At(y: np.ndarray) -> list[np.ndarray]:
-        return [(Eb.T @ y).reshape(s, s) for Eb, s in zip(E, sdp.block_sizes)]
+        return stacked([(Eb.T @ y[rows]).reshape(At.shape[1:])
+                        for _, _, rows, At, Eb in parts])
 
     # rows that touch nothing decide feasibility immediately
     touched = (D != 0).any(axis=1)
-    for Eb in E:
-        touched |= (Eb != 0).any(axis=1)
+    for _, _, rows, _, _ in parts:
+        touched[rows] = True
     if (np.abs(b[~touched]) > FEAS_TOL).any():
         return SdpResult(status="infeasible", infeasibility_is_heuristic=False)
 
     scale = max(1.0, float(np.abs(b).max()))
-    X = [scale * np.eye(s) for s in sdp.block_sizes]
-    Z = [scale * np.eye(s) for s in sdp.block_sizes]
+    C = stacked(sdp.objective_blocks)
+    X = stacked([scale * np.eye(s) for s in sizes])
+    Z = stacked([scale * np.eye(s) for s in sizes])
     y = np.zeros(m)
     u = np.zeros(k)
 
@@ -205,21 +259,21 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
     norm_c = 1.0 + max(np.linalg.norm(Cb) for Cb in sdp.objective_blocks) \
         + np.linalg.norm(sdp.free_objective)
 
+    def inner(P: list[np.ndarray], Q: list[np.ndarray]) -> float:
+        return sum(float(np.vdot(Pg, Qg)) for Pg, Qg in zip(P, Q))
+
     status = "maxiter"
     iteration = 0
     for iteration in range(1, MAX_ITER + 1):
-        Aty = apply_At(y)
         r_p = b - apply_A(X) - D @ u
-        R_d = [sdp.objective_blocks[bi] - Z[bi] - Aty[bi] for bi in range(nb)]
+        R_d = [Cg - Zg - Ag for Cg, Zg, Ag in zip(C, Z, apply_At(y))]
         r_f = sdp.free_objective - D.T @ y
 
-        mu = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z)) / total_dim
-        pobj = sum(float(np.tensordot(Cb, Xb))
-                   for Cb, Xb in zip(sdp.objective_blocks, X)) \
-            + float(sdp.free_objective @ u)
+        mu = inner(X, Z) / total_dim
+        pobj = inner(C, X) + float(sdp.free_objective @ u)
         dobj = float(b @ y)
         rel_p = np.linalg.norm(r_p) / norm_b
-        rel_d = (max(np.linalg.norm(Rb) for Rb in R_d)
+        rel_d = (max(np.linalg.norm(Rg, axis=(1, 2)).max() for Rg in R_d)
                  + np.linalg.norm(r_f)) / norm_c
         gap = mu * total_dim / (1.0 + abs(pobj) + abs(dobj))
 
@@ -230,44 +284,43 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
             return SdpResult(status="infeasible", iterations=iteration,
                              dual_objective=dobj,
                              infeasibility_is_heuristic=True)
-        if max(abs(pobj), max(float(np.abs(Xb).max()) for Xb in X)) > 1e14:
+        if max(abs(pobj), max(float(np.abs(Xg).max()) for Xg in X)) > 1e14:
             logger.debug("iterate magnitude diverged; stopping at maxiter status")
             break
 
-        # NT scaling per block; nudge nearly singular iterates once
+        # NT scaling per stack; nudge nearly singular iterates once
         try:
-            scal = [_nt_scaling(X[bi], Z[bi]) for bi in range(nb)]
+            scal = [_nt_scaling(Xg, Zg) for Xg, Zg in zip(X, Z)]
         except np.linalg.LinAlgError:
-            for bi in range(nb):
-                size = sdp.block_sizes[bi]
-                X[bi] = X[bi] + 1e-12 * max(1.0, np.trace(X[bi])) * np.eye(size)
-                Z[bi] = Z[bi] + 1e-12 * max(1.0, np.trace(Z[bi])) * np.eye(size)
+            for S in X + Z:
+                trace = _diag(S).sum(axis=-1)
+                _diag(S)[...] += 1e-12 * np.maximum(1.0, trace)[:, None]
             try:
-                scal = [_nt_scaling(X[bi], Z[bi]) for bi in range(nb)]
+                scal = [_nt_scaling(Xg, Zg) for Xg, Zg in zip(X, Z)]
             except np.linalg.LinAlgError:
                 break
-        W = [R @ R.T for R, _, _ in scal]
+        W = [R @ _t(R) for R, _, _ in scal]
 
-        # Schur complement M_ij = sum_b <A_i, W A_j W>
+        # Schur complement M_ij = sum_b <A_i, W A_j W>, nonzero only on the
+        # rows and columns block b touches
         M = np.zeros((m, m))
-        for Ab, Eb, Wb in zip(sdp.A, E, W):
-            M += (Wb @ Ab @ Wb).reshape(m, -1) @ Eb.T
-        ridge = 1e-13 * max(1.0, np.trace(M) / m)
-
-        def factor(Mmat, ridge):
-            for _ in range(8):
-                try:
-                    return np.linalg.cholesky(Mmat + ridge * np.eye(m)), ridge
-                except np.linalg.LinAlgError:
-                    ridge *= 100.0
-            raise np.linalg.LinAlgError("schur factorization failed")
-
-        try:
-            L, ridge = factor(M, ridge)
-        except np.linalg.LinAlgError:
-            break
+        for g, j, rows, At, Eb in parts:
+            Wb = W[g][j]
+            M[np.ix_(rows, rows)] += (Wb @ At @ Wb).reshape(Eb.shape) @ Eb.T
+        # Cholesky factor of M + ridge I, the ridge set on M's diagonal
+        diag = _diag(M).copy()
+        ridge = 1e-13 * max(1.0, diag.sum() / m)
+        for _ in range(8):
+            _diag(M)[...] = diag + ridge
+            try:
+                L = np.linalg.cholesky(M)
+                break
+            except np.linalg.LinAlgError:
+                ridge *= 100.0
+        else:
+            break  # no ridge made M factorable: stop the iteration
         # one triangular inverse per iteration: every solve is two products
-        Linv = np.linalg.inv(L)
+        Linv = _tril_inv(L)
 
         def solve_M(rhs):
             return Linv.T @ (Linv @ rhs)
@@ -284,26 +337,16 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
             """Linearized KKT solve for a centrality target F, with
             iterative refinement against residual creep in ill-conditioned
             late iterations."""
-            rhs1 = r_p.copy()
-            for bi in range(nb):
-                G = F[bi] - W[bi] @ R_d[bi] @ W[bi]
-                rhs1 -= E[bi] @ G.ravel()
-            dy, du = saddle(rhs1, r_f)
-            dZ: list[np.ndarray] = []
-            dX: list[np.ndarray] = []
+            G = [Fg - Wg @ Rg @ Wg for Fg, Wg, Rg in zip(F, W, R_d)]
+            dy, du = saddle(r_p - apply_A(G), r_f)
 
-            def recompute_steps(dy_vec):
-                dZ.clear()
-                dX.clear()
-                Atdy = apply_At(dy_vec)
-                for bi in range(nb):
-                    dZb = R_d[bi] - Atdy[bi]
-                    dZb = 0.5 * (dZb + dZb.T)
-                    dXb = F[bi] - W[bi] @ dZb @ W[bi]
-                    dX.append(0.5 * (dXb + dXb.T))
-                    dZ.append(dZb)
+            def steps(dy_vec):
+                dZ = [_sym(Rg - Ag) for Rg, Ag in zip(R_d, apply_At(dy_vec))]
+                dX = [_sym(Fg - Wg @ dZg @ Wg)
+                      for Fg, Wg, dZg in zip(F, W, dZ)]
+                return dX, dZ
 
-            recompute_steps(dy)
+            dX, dZ = steps(dy)
             for _ in range(2):
                 res_p = r_p - apply_A(dX) - D @ du
                 res_f = r_f - D.T @ dy
@@ -313,52 +356,46 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
                 cy, cu = saddle(res_p, res_f)
                 dy = dy + cy
                 du = du + cu
-                recompute_steps(dy)
+                dX, dZ = steps(dy)
             return dX, du, dy, dZ
 
         # predictor (affine scaling) step
-        dX_aff, du_aff, dy_aff, dZ_aff = newton([-Xb for Xb in X])
+        dX_aff, du_aff, dy_aff, dZ_aff = newton([-Xg for Xg in X])
         dXh_aff, dZh_aff, alpha_p, alpha_d = _nt_frame(scal, dX_aff, dZ_aff)
-        mu_aff = sum(
-            float(np.tensordot(X[bi] + alpha_p * dX_aff[bi],
-                               Z[bi] + alpha_d * dZ_aff[bi]))
-            for bi in range(nb)) / total_dim
+        mu_aff = inner([Xg + alpha_p * dXg for Xg, dXg in zip(X, dX_aff)],
+                       [Zg + alpha_d * dZg for Zg, dZg in zip(Z, dZ_aff)]) \
+            / total_dim
         sigma = min(1.0, max(1e-12, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector in the scaled space
         F = []
         for (R, _, lam), dXh, dZh in zip(scal, dXh_aff, dZh_aff):
             corr = 0.5 * (dXh @ dZh + dZh @ dXh)
-            target = sigma * mu * np.eye(len(lam)) - np.diag(lam ** 2) - corr
-            denom = lam[:, None] + lam[None, :]
-            S = 2.0 * target / denom
-            F.append(R @ S @ R.T)
+            target = -corr
+            _diag(target)[...] += sigma * mu - lam ** 2
+            S = 2.0 * target / (lam[..., :, None] + lam[..., None, :])
+            F.append(R @ S @ _t(R))
         dX, du, dy, dZ = newton(F)
         _, _, alpha_p, alpha_d = _nt_frame(scal, dX, dZ)
 
-        for bi in range(nb):
-            X[bi] = X[bi] + alpha_p * dX[bi]
-            Z[bi] = Z[bi] + alpha_d * dZ[bi]
-            X[bi] = 0.5 * (X[bi] + X[bi].T)
-            Z[bi] = 0.5 * (Z[bi] + Z[bi].T)
+        X = [_sym(Xg + alpha_p * dXg) for Xg, dXg in zip(X, dX)]
+        Z = [_sym(Zg + alpha_d * dZg) for Zg, dZg in zip(Z, dZ)]
         u = u + alpha_p * du
         y = y + alpha_d * dy
 
     eq_residual = float(np.linalg.norm(b - apply_A(X) - D @ u, ord=np.inf))
-    pobj = sum(float(np.tensordot(Cb, Xb))
-               for Cb, Xb in zip(sdp.objective_blocks, X)) \
-        + float(sdp.free_objective @ u)
+    pobj = inner(C, X) + float(sdp.free_objective @ u)
     dobj = float(b @ y)
-    comp = sum(float(np.tensordot(Xb, Zb)) for Xb, Zb in zip(X, Z))
     result = SdpResult(
         status=status,
-        blocks=X, free=u, duals=y, dual_blocks=Z,
+        blocks=[X[g][j] for g, j, *_ in parts], free=u, duals=y,
+        dual_blocks=[Z[g][j] for g, j, *_ in parts],
         primal_objective=pobj, dual_objective=dobj,
-        gap=comp / (1.0 + abs(pobj) + abs(dobj)),
+        gap=inner(X, Z) / (1.0 + abs(pobj) + abs(dobj)),
         equality_residual=eq_residual,
         iterations=iteration)
     if status == "solution":
-        worst_eig = min(float(np.linalg.eigvalsh(Xb).min()) for Xb in X)
+        worst_eig = min(float(np.linalg.eigvalsh(Xg).min()) for Xg in X)
         if worst_eig < -1e-8 or eq_residual > 1e-8:
             result.status = "maxiter"
             logger.debug("posterior check failed: eig %.2e residual %.2e",

@@ -311,6 +311,25 @@ def test_sos_sample_counts_on_cusp_box():
         "V-shell-0.01": 1263, "V-shell-0.1": 1153, "V-shell-1.0": 703}
 
 
+def test_outer_shell_of_the_ball_keeps_every_direction():
+    # a radius-1 shell is the unit ball's boundary, where g = 1 - |x|^2 is
+    # zero up to rounding and about half the directions were dropped; the
+    # outer shell now lies inside the set, so every shell keeps all
+    # 4 * (5000 // 8) directions
+    system = SemialgebraicSystem(
+        [parse_polynomial(t, 3) for t in
+         ("-1*x1 + 1*x2", "-1*x1 - 1*x2", "-1*x3")], ball_set())
+    report = verify_sos(parse_polynomial("x1^2 + x2^2 + x3^2", 3), system,
+                        samples=5000, collect_samples=True)
+    shells = {}
+    for _, name, _ in report.sample_rows:
+        if name.startswith("V-shell"):
+            shells[name] = shells.get(name, 0) + 1
+    radii = sorted(float(name.removeprefix("V-shell-")) for name in shells)
+    assert radii[:2] == [0.01, 0.1] and 0.85 < radii[2] < 0.9
+    assert sorted(shells.values()) == [2500, 2500, 2500]
+
+
 def test_band_points_drop_vanishing_gradients_and_slow_samples():
     S = ball_set()
     e1 = np.eye(3)[0]

@@ -9,10 +9,21 @@ import pytest
 from lyapcert import sos_cert
 from lyapcert.cli import parse_spec
 from lyapcert.sdpsolve import (SdpError, SemidefiniteProgram, _nt_frame,
-                               _nt_scaling, dump_sdpa_sparse, solve_sdp)
+                               _nt_scaling, _tril_inv, dump_sdpa_sparse,
+                               solve_sdp)
 from reference import max_step
 
 CUSP_BOX_SPEC = Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
+BALL_SPEC = """\
+dim: 3
+f1: -1*x1 + 1*x2
+f2: -1*x1 - 1*x2
+f3: -1*x3
+g1: 1 - x1^2 - x2^2 - x3^2
+box1: -1.0 1.0
+box2: -1.0 1.0
+box3: -1.0 1.0
+"""
 
 
 def sym_unit(n, i, j):
@@ -190,10 +201,75 @@ def test_nt_step_lengths_match_the_cholesky_bound():
     assert clipped >= 100
 
 
-@pytest.mark.parametrize("deg", [2, 6])
-def test_cusp_box_iterations_do_not_rise(deg, monkeypatch):
-    # 15 iterations at both degrees is the count with step lengths from a
-    # Cholesky factor of X and Z; the certificate comes from the first SDP
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 253])
+def test_triangular_inverse(n):
+    # the blocked inverse against LAPACK's general one, at the base case
+    # size 32, either side of it, and the Schur size of the ball at deg 6
+    rng = np.random.default_rng(n)
+    L = np.linalg.cholesky(random_psd(rng, n) / n + np.eye(n))
+    Linv = _tril_inv(L.copy())
+    assert np.abs(L @ Linv - np.eye(n)).max() <= 1e-12
+    assert np.abs(Linv - np.linalg.inv(L)).max() <= 1e-12
+
+
+def mixed_block_program(sizes, m=9, seed=47):
+    """A strictly feasible primal-dual pair over blocks of the given sizes,
+    with one free variable; block b's equalities touch a random third of
+    the m rows."""
+    rng = np.random.default_rng(seed)
+    A = []
+    for s in sizes:
+        Ab = np.array([random_sym(rng, s) for _ in range(m)])
+        Ab[rng.permutation(m)[:2 * m // 3]] = 0.0
+        A.append(Ab)
+    D = rng.standard_normal((m, 1))
+    X0 = [random_psd(rng, s) for s in sizes]
+    y0 = rng.standard_normal(m)
+    b = sum(np.tensordot(Ab, Xb) for Ab, Xb in zip(A, X0)) + D @ [0.3]
+    C = [random_psd(rng, s) + np.tensordot(y0, Ab, axes=1)
+         for s, Ab in zip(sizes, A)]
+    return A, D, b, C, D.T @ y0
+
+
+def test_mixed_block_sizes_come_back_in_input_order():
+    # blocks of size 3 and of size 1 are each stepped as one stack; the
+    # result lists every block where the input had it, and the same problem
+    # with its blocks permuted gives the same blocks
+    sizes = [3, 1, 3, 2, 1]
+    A, D, b, C, c = mixed_block_program(sizes)
+    result = solve_sdp(SemidefiniteProgram(A=A, D=D, b=b,
+                                           objective_blocks=C,
+                                           free_objective=c))
+    assert result.status == "solution"
+    assert [X.shape for X in result.blocks] == [(s, s) for s in sizes]
+    assert [Z.shape for Z in result.dual_blocks] == [(s, s) for s in sizes]
+    perm = [4, 2, 0, 3, 1]
+    permuted = solve_sdp(SemidefiniteProgram(
+        A=[A[i] for i in perm], D=D, b=b,
+        objective_blocks=[C[i] for i in perm], free_objective=c))
+    assert permuted.status == "solution"
+    for pos, i in enumerate(perm):
+        assert np.abs(permuted.blocks[pos] - result.blocks[i]).max() <= 1e-9
+        assert np.abs(permuted.dual_blocks[pos]
+                      - result.dual_blocks[i]).max() <= 1e-9
+    assert np.abs(permuted.free - result.free).max() <= 1e-9
+    assert np.abs(permuted.duals - result.duals).max() <= 1e-9
+
+
+@pytest.mark.parametrize("spec, deg, most", [
+    pytest.param("cusp", 2, 15, id="2"), pytest.param("cusp", 6, 15, id="6"),
+    pytest.param("ball", 4, 10, id="ball-4"),
+    pytest.param("ball", 6, 11, id="ball-6")])
+def test_cusp_box_iterations_do_not_rise(spec, deg, most, monkeypatch,
+                                         tmp_path):
+    # 15 iterations at both cusp degrees is the count with step lengths from
+    # a Cholesky factor of X and Z, 10 and 11 the 3-D ball's with blocks of
+    # equal size stepped as one stack; the certificate comes from the
+    # first SDP
+    path = CUSP_BOX_SPEC
+    if spec == "ball":
+        path = tmp_path / "ball.spec"
+        path.write_text(BALL_SPEC)
     iterations = []
 
     def counted(sdp, **kwargs):
@@ -202,10 +278,10 @@ def test_cusp_box_iterations_do_not_rise(deg, monkeypatch):
         return result
 
     monkeypatch.setattr(sos_cert, "solve_sdp", counted)
-    system = parse_spec(CUSP_BOX_SPEC).system
-    outcome = sos_cert.solve_certificate(system, deg, tier="sdp")
+    outcome = sos_cert.solve_certificate(parse_spec(path).system, deg,
+                                         tier="sdp")
     assert outcome.status == "certificate"
-    assert iterations and iterations[0] <= 15
+    assert iterations and iterations[0] <= most
 
 
 def test_sdp_tier_does_not_import_scipy(tmp_path):

@@ -419,11 +419,11 @@ box3: -1.0 1.0
 # iterates depend on the BLAS thread count in their last bits
 CERTIFICATE_SHA256 = {
     ("cusp", "sdp", 2):
-        "9d6c024f0de828d6f08708ed918cf9daf1dd3d810b7243712fde427ef26fc9e4",
+        "5a9863a35630034f0c4189ae39056fde26d38fddb6d69b2a02922a628c5c997d",
     ("cusp", "dsos", 2):
         "a6766290c136f963f8dc58d5c759b4a32d538b9a37aeedb2c7e323de48bbedf0",
     ("ball", "sdp", 4):
-        "211eafc238a9f6f4e4c31489c1669f77a00f92238bd6111f3c5f283d418be0b9",
+        "4ea6140fc7a30a6343a51978e9c446d82b5049242680ababc00ffbc827bd6e2d",
 }
 
 
