@@ -326,13 +326,22 @@ def format_sos_certificate(cert: sos_cert.SosCertificate,
 
 
 def read_certificate_candidate(path: Path, dimension: int):
-    """Extract the candidate from a certificate file: (kind, poly, r)."""
+    """Extract the candidate from a certificate file: (kind, poly, r).
+
+    A certificate whose `dimension:` line names another dimension is a
+    SpecFileError.
+    """
     kind = None
     poly_text = None
     r = 0
     for raw in path.read_text().splitlines():
         if raw.startswith("kind: "):
             kind = raw.split(": ", 1)[1].strip()
+        elif raw.startswith("dimension: "):
+            found = int(raw.split(": ", 1)[1])
+            if found != dimension:
+                raise SpecFileError(f"{path} has dimension {found}, the "
+                                    f"spec {dimension}", None, "certificate")
         elif raw.startswith("h: "):
             poly_text = raw.split(": ", 1)[1]
         elif raw.startswith("V: "):
@@ -484,6 +493,10 @@ def cmd_verify(args, spec: ParsedSpec) -> int:
     n = spec.system.dimension
     if args.certificate is not None:
         kind, poly, r = read_certificate_candidate(Path(args.certificate), n)
+        expected = f"{'conic' if spec.is_conic else 'sos'}-lyapunov-certificate"
+        if kind != expected:
+            raise SpecFileError(f"{args.certificate} is a {kind}, the spec "
+                                f"needs a {expected}", None, "certificate")
     else:
         poly = parse_polynomial(args.candidate, n)
         r = args.r or 0

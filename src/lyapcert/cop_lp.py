@@ -9,9 +9,12 @@ nonnegativity of the polynomial's Bernstein coefficients (its polar-form
 values at the vertex multisets, solved from its values at the simplicial
 lattice points) implies nonnegativity of the polynomial on the cell.
 Those coefficients are linear in the coefficients of h, which yields one
-LP per partition; cells whose rows bind at the optimum are bisected and
-the LP is re-solved, driving the partition diameter down until the margin
-clears the acceptance threshold or the sweep budget runs out.
+LP per partition.  Beside the LP, assembly returns one (rows, 2) integer
+array whose row k is the (section, cell) pair that owns LP row k; the
+cells whose rows bind at the optimum are read from it with one mask,
+bisected, and the LP is re-solved, driving the partition diameter down
+until the margin clears the acceptance threshold or the sweep budget runs
+out.
 
 Faces carry two polynomial branches of the projected velocity switched by
 the sign of w_i(x) = <c_i, f(x)>; a cell certifies w's sign with the same
@@ -133,14 +136,6 @@ class SectionState:
 
 
 @dataclass
-class RowProvenance:
-    section: int
-    cell: int
-    row_kind: str          # "h" | "s0" | "face-a" | "face-b"
-    vertex_tuple: tuple[int, ...]
-
-
-@dataclass
 class ConicCertificate:
     candidate: RationalLyapunovCandidate
     margin: float
@@ -238,32 +233,22 @@ class _LevelData:
                 build_si(h_polys, r, system.f, branches))
 
 
-def _cell_rows(level: _LevelData, state: SectionState, section_idx: int,
-               cell_idx: int, cell: Simplex
-               ) -> tuple[list[np.ndarray], list[RowProvenance]]:
-    """All multiset rows for one cell; the final column is the margin variable."""
-    blocks: list[np.ndarray] = []
-    prov: list[RowProvenance] = []
-
-    def add_rows(table: MonomialTable, order: int, row_kind: str):
-        coeffs = bernstein_coefficients(table, cell.vertices, order)
-        blocks.append(np.hstack([coeffs, -np.ones((len(coeffs), 1))]))
-        prov.extend(RowProvenance(section_idx, cell_idx, row_kind, combo)
-                    for combo in itertools.combinations_with_replacement(
-                        range(cell.num_vertices), order))
-
+def _cell_rows(level: _LevelData, state: SectionState, cell: Simplex
+               ) -> list[np.ndarray]:
+    """The Bernstein coefficient blocks of one cell's rows: h and s0 on a
+    cone cell, the branches that w's sign requires on a face cell."""
+    order = level.s0_order
     if state.kind == "cone":
-        add_rows(level.h_table, level.degree, "h")
-        add_rows(level.s0_table, level.s0_order, "s0")
+        tables = [(level.h_table, level.degree), (level.s0_table, order)]
     else:
         face = state.label
         branches = _face_branches_for_cell(level.face_w[face], level.w_order,
                                            cell.vertices)
-        if "a" in branches:
-            add_rows(level.s0_table, level.s0_order, "face-a")
-        if "b" in branches:
-            add_rows(level.face_b_tables[face], level.s0_order, "face-b")
-    return blocks, prov
+        tables = [(table, order) for branch, table in
+                  (("a", level.s0_table), ("b", level.face_b_tables[face]))
+                  if branch in branches]
+    return [bernstein_coefficients(table, cell.vertices, k)
+            for table, k in tables]
 
 
 def _face_branches_for_cell(w: MonomialTable, order: int, verts,
@@ -286,8 +271,10 @@ def _face_branches_for_cell(w: MonomialTable, order: int, verts,
 
 def assemble_lp(system: ConicSystem, degree: int, r: int,
                 sections: list[SectionState], level: _LevelData | None = None
-                ) -> tuple[linprog.LinearProgram, list[RowProvenance]]:
-    """The margin LP: maximize t subject to every tuple row >= t, |coeffs| <= 1.
+                ) -> tuple[linprog.LinearProgram, np.ndarray]:
+    """The margin LP: maximize t subject to every tuple row >= t, |coeffs| <= 1,
+    and the (rows, 2) integer array whose row k is the (section, cell) pair
+    that owns LP row k.
 
     The normalization box on the h coefficients excludes h = 0 (whose
     margin is exactly 0) whenever the acceptance threshold is positive.
@@ -298,24 +285,22 @@ def assemble_lp(system: ConicSystem, degree: int, r: int,
         level = _LevelData(system, degree, r)
     ncoef = len(level.h_basis)
 
-    blocks: list[np.ndarray] = []
-    prov: list[RowProvenance] = []
+    blocks, cells = [], []
     for sec_idx, state in enumerate(sections):
         for cell_idx, cell in enumerate(state.partition.cells):
-            cell_blocks, cell_prov = _cell_rows(level, state, sec_idx,
-                                                cell_idx, cell)
-            blocks.extend(cell_blocks)
-            prov.extend(cell_prov)
+            blocks.append(np.vstack(_cell_rows(level, state, cell)))
+            cells.append((sec_idx, cell_idx))
+    owner = np.repeat(cells, [len(block) for block in blocks], axis=0)
 
-    A = np.vstack(blocks)
+    coeffs = np.vstack(blocks)
+    A = np.hstack([coeffs, -np.ones((len(coeffs), 1))])
     objective = np.zeros(ncoef + 1)
     objective[ncoef] = 1.0
-    bounds: list[tuple[float | None, float | None]] = \
-        [(-1.0, 1.0)] * ncoef + [(None, None)]
+    bounds = [(-1.0, 1.0)] * ncoef + [(None, None)]
     lp = linprog.LinearProgram(
-        objective=objective, A=A, relations=[linprog.GE] * len(prov),
-        b=np.zeros(len(prov)), bounds=bounds, maximize=True)
-    return lp, prov
+        objective=objective, A=A, relations=[linprog.GE] * len(A),
+        b=np.zeros(len(A)), bounds=bounds, maximize=True)
+    return lp, owner
 
 
 def initial_sections(system: ConicSystem) -> list[SectionState]:
@@ -364,12 +349,15 @@ def run_hierarchy(system: ConicSystem,
     """Algorithm over (degree, r, sweep budget) levels.
 
     Each level starts from the unrefined sections, solves the margin LP,
-    and accepts as soon as the optimal margin reaches ACCEPT_MARGIN after
-    re-checking every row; otherwise the cells owning rows active at the
-    optimum are bisected (all refinable cells when none can be identified)
-    until the sweep budget is exhausted.  Returns the first certificate or
-    a per-level report of best margins; a level whose LP fails to solve
-    ends early and is named in solver_failure.
+    and computes every row's value at the optimum once.  It accepts as soon
+    as the optimal margin reaches ACCEPT_MARGIN and no row value falls
+    below it by more than ROW_RECHECK_TOL; otherwise the rows within
+    ACTIVE_ROW_TOL of the margin pick, through assemble_lp's owner array,
+    the cells to bisect (all refinable cells when none of those can be),
+    until the sweep budget is exhausted.  Sections and partitions are never
+    modified in place, so every level shares the initial ones.  Returns the
+    first certificate or a per-level report of best margins; a level whose
+    LP fails to solve ends early and is named in solver_failure.
     """
     levels: list[LevelReport] = []
     failure = None
@@ -377,13 +365,11 @@ def run_hierarchy(system: ConicSystem,
     flags = corner_flags(base_sections)
     for degree, r, max_sweeps in schedule:
         level = _LevelData(system, degree, r)
-        sections = [SectionState(s.kind, s.label,
-                                 SimplicialPartition(s.partition.parent))
-                    for s in base_sections]
+        sections = base_sections
         best_margin = -np.inf
         sweeps = 0
         while True:
-            lp, prov = assemble_lp(system, degree, r, sections, level)
+            lp, owner = assemble_lp(system, degree, r, sections, level)
             if lp_dump is not None:
                 lp_dump(lp, degree, r, sweeps)
             result = linprog.solve(lp)
@@ -398,58 +384,49 @@ def run_hierarchy(system: ConicSystem,
             margin = float(result.value)
             best_margin = max(best_margin, margin)
             logger.info("level d=%d r=%d sweep %d: margin %.3e (%d rows)",
-                        degree, r, sweeps, margin, len(prov))
+                        degree, r, sweeps, margin, len(lp.b))
+            rows = lp.A[:, :-1] @ result.x[:-1]
             if margin >= ACCEPT_MARGIN:
-                ncoef = len(level.h_basis)
-                row_values = lp.A[:, :ncoef] @ result.x[:ncoef]
-                if row_values.min() < margin - ROW_RECHECK_TOL:
+                if rows.min() < margin - ROW_RECHECK_TOL:
                     logger.warning("row recheck failed by %.3e; not accepting",
-                                   margin - row_values.min())
+                                   margin - rows.min())
                 else:
                     h = Polynomial(system.dimension, {
                         m: Fraction(c) for m, c in
-                        zip(level.h_basis, result.x[:ncoef]) if c != 0.0})
+                        zip(level.h_basis, result.x[:-1]) if c != 0.0})
                     cert = ConicCertificate(
                         candidate=RationalLyapunovCandidate(h, r),
                         margin=margin, sections=sections, degree=degree, r=r,
-                        sweeps_used=sweeps, lp_rows=len(prov),
+                        sweeps_used=sweeps, lp_rows=len(lp.b),
                         lp_pivots=result.pivots, corner_flags=list(flags))
                     levels.append(LevelReport(degree, r, sweeps, margin))
                     return HierarchyOutcome(cert, levels)
             if sweeps >= max_sweeps:
                 break
-            sections = _refine(sections, lp, prov, result)
+            sections = _refine(sections, owner[rows - margin <= ACTIVE_ROW_TOL])
             sweeps += 1
         levels.append(LevelReport(degree, r, sweeps, best_margin))
     return HierarchyOutcome(None, levels, failure)
 
 
-def _refine(sections: list[SectionState], lp: linprog.LinearProgram,
-            prov: list[RowProvenance], result) -> list[SectionState]:
-    """Bisect cells owning active rows; fall back to refining everything."""
-    row_values = lp.A @ np.concatenate([result.x[:-1], [0.0]])
-    margin = float(result.value)
-    active: set[tuple[int, int]] = set()
-    for row, p in zip(row_values, prov):
-        if row - margin <= ACTIVE_ROW_TOL:
-            active.add((p.section, p.cell))
-    per_section: dict[int, set[int]] = {}
-    for sec, cell in active:
-        if sections[sec].partition.cells[cell].num_vertices >= 2:
-            per_section.setdefault(sec, set()).add(cell)
-    if not per_section:
-        for sec_idx, state in enumerate(sections):
-            refinable = {i for i, c in enumerate(state.partition.cells)
-                         if c.num_vertices >= 2}
-            if refinable:
-                per_section[sec_idx] = refinable
+def _refine(sections: list[SectionState], active: np.ndarray
+            ) -> list[SectionState]:
+    """Bisect the cells named by the (section, cell) rows of active, in new
+    sections; when none of them can be bisected, bisect every cell that can."""
+    sizes = [len(state.partition.cells) for state in sections]
+    starts = np.cumsum([0] + sizes[:-1])
+    refinable = np.array([cell.num_vertices >= 2 for state in sections
+                          for cell in state.partition.cells])
+    chosen = np.zeros(len(refinable), dtype=bool)
+    chosen[starts[active[:, 0]] + active[:, 1]] = True
+    chosen &= refinable
+    if not chosen.any():
+        chosen = refinable
     out = []
-    for sec_idx, state in enumerate(sections):
-        chosen = per_section.get(sec_idx)
-        if chosen:
-            out.append(SectionState(state.kind, state.label,
-                                    state.partition.refine_cells(sorted(chosen))))
-        else:
-            out.append(state)
+    for state, picks in zip(sections, np.split(chosen, starts[1:])):
+        if picks.any():
+            state = SectionState(state.kind, state.label,
+                                 state.partition.refine_cells(
+                                     np.flatnonzero(picks)))
+        out.append(state)
     return out
-

@@ -86,18 +86,18 @@ class Report:
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
-    def to_csv(self) -> str:
+    def record(self, points, name: str, values) -> None:
+        """Keep each (point, name, value) when samples are collected."""
         if self.sample_rows is not None:
-            lines = ["quantity,value,point"]
-            for point, quantity, value in self.sample_rows:
-                coords = ";".join(repr(float(v)) for v in point)
-                lines.append(f"{quantity},{value!r},{coords}")
-            return "\n".join(lines) + "\n"
-        lines = ["check,min_value,samples,witness"]
-        for c in self.checks:
-            wit = "" if c.witness is None else \
-                ";".join(repr(v) for v in c.witness)
-            lines.append(f"{c.name},{c.min_value!r},{c.samples},{wit}")
+            for point, value in zip(points, values):
+                self.sample_rows.append((tuple(point), name, float(value)))
+
+    def to_csv(self) -> str:
+        """The collected samples, one line each (collect_samples=True)."""
+        lines = ["quantity,value,point"]
+        for point, quantity, value in self.sample_rows:
+            coords = ";".join(repr(float(v)) for v in point)
+            lines.append(f"{quantity},{value!r},{coords}")
         return "\n".join(lines) + "\n"
 
 
@@ -166,19 +166,14 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     report = Report(kind="conic",
                     sample_rows=[] if collect_samples else None)
 
-    def record(pts, name, values):
-        if report.sample_rows is not None:
-            for point, value in zip(pts, values):
-                report.sample_rows.append((tuple(point), name, float(value)))
-
     h_checks = []
     s0_checks = []
     h_s0 = MonomialTable([h, s0])
     for oid, simplex in cone_orthant_sections(system.cone):
         pts = barycentric_grid(simplex, grid_density)
         h_vals, s0_vals = h_s0(pts).T
-        record(pts, f"h:orthant{oid}", h_vals)
-        record(pts, f"s0:orthant{oid}", s0_vals)
+        report.record(pts, f"h:orthant{oid}", h_vals)
+        report.record(pts, f"s0:orthant{oid}", s0_vals)
         h_checks.append(_min_with_witness(f"h:orthant{oid}", h_vals, pts))
         s0_checks.append(_min_with_witness(f"s0:orthant{oid}", s0_vals, pts))
     report.checks.append(_merge_min(h_checks, "h-on-sections"))
@@ -190,7 +185,7 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
         for simplex in face_sections(system.cone, i):
             pts = barycentric_grid(simplex, max(grid_density // 10, 100))
             vals = _face_decrease(pts, system, face_table, r)
-            record(pts, f"face{i}", vals)
+            report.record(pts, f"face{i}", vals)
             face_checks.append(_min_with_witness(f"face{i}", vals, pts))
     if face_checks:
         report.checks.append(_merge_min(face_checks, "face-decrease"))
@@ -260,11 +255,6 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
 
     report = Report(kind="sos", sample_rows=[] if collect_samples else None)
 
-    def record(points, name, values):
-        if report.sample_rows is not None:
-            for point, value in zip(points, values):
-                report.sample_rows.append((tuple(point), name, float(value)))
-
     grad_v = V.gradient()
 
     # positivity on shells
@@ -280,7 +270,7 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
         shell, shell_vals = shell[mask], vals[mask, -1]
         if len(shell) == 0:
             continue
-        record(shell, f"V-shell-{radius}", shell_vals)
+        report.record(shell, f"V-shell-{radius}", shell_vals)
         shell_checks.append(_min_with_witness(
             f"V-shell-{radius}", shell_vals, shell, strict=True))
     if shell_checks:
@@ -296,7 +286,7 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
     # strict decrease on the interior sample set (away from the origin)
     offorigin = pts[np.linalg.norm(pts, axis=1) > 1e-8]
     decrease = _inner_products(grad_v, system.f, offorigin)
-    record(offorigin, "decrease-strict", -decrease)
+    report.record(offorigin, "decrease-strict", -decrease)
     report.checks.append(_min_with_witness("decrease-strict", -decrease,
                                            offorigin, strict=True))
 
@@ -307,7 +297,7 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
             report.notes.append(f"band of g_{j} not reached by the sampler")
             continue
         align = _inner_products(grad_v, grad_g, band_pts)
-        record(band_pts, f"alignment-g{j}", -align)
+        report.record(band_pts, f"alignment-g{j}", -align)
         check = _min_with_witness(f"alignment-g{j}", -align, band_pts)
         report.checks.append(check)
     return report

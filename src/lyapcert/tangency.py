@@ -161,7 +161,6 @@ class FaceEtaBranches:
     preserves signs.
     """
 
-    face_index: int
     w: Polynomial
     eta_b_scaled: tuple[Polynomial, ...]
     c_norm_sq: Fraction
@@ -185,5 +184,4 @@ def face_eta_polynomial(cone: PolyhedralCone, face_index: int,
         w = w + fk.scale(ck)
     c_norm_sq = sum((ck * ck for ck in c), Fraction(0))
     eta_b = tuple((w.scale(-ck) for ck in c))
-    return FaceEtaBranches(face_index=face_index, w=w,
-                           eta_b_scaled=eta_b, c_norm_sq=c_norm_sq)
+    return FaceEtaBranches(w=w, eta_b_scaled=eta_b, c_norm_sq=c_norm_sq)

@@ -313,6 +313,27 @@ def test_r_that_nothing_reads_is_an_input_error(spec_name, command, request,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("found_on, spec_name, detail", [
+    ("cone_spec", "cusp_spec", "is a conic-lyapunov-certificate, the spec "
+                               "needs a sos-lyapunov-certificate"),
+    ("cone_spec", "sq3d_spec", "has dimension 2, the spec 3"),
+    ("sq3d_spec", "cone_spec", "has dimension 3, the spec 2"),
+], ids=["cone-on-set", "2d-on-3d", "3d-on-2d"])
+def test_verify_rejects_a_certificate_of_another_kind_or_dimension(
+        found_on, spec_name, detail, request, tmp_path, capsys):
+    # a set spec's oracle would read the cone's h as V, and a 2-D h parses
+    # as a polynomial in three variables
+    assert main(["find-lyap-cone", str(request.getfixturevalue(found_on)),
+                 "--out", str(tmp_path / "c")]) == EXIT_OK
+    assert main(["verify", str(request.getfixturevalue(spec_name)),
+                 "--certificate", str(tmp_path / "c" / "certificate.txt"),
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    status = capsys.readouterr().err.splitlines()[-1]
+    assert status.startswith("status=input-error")
+    assert detail in status
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_printed_candidate(cone_spec, tmp_path):
     code = main(["verify", str(cone_spec),
                  "--candidate", "2.9*x1^2 + 1*x1*x2 + 1*x2^2", "--r", "0",

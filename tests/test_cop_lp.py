@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lyapcert import cop_lp, linprog
-from lyapcert.cones import PolyhedralCone
+from lyapcert.cones import PolyhedralCone, bisect_longest_edge
 from lyapcert.cop_lp import (ConicSetupError, ConicSystem,
                              RationalLyapunovCandidate, SectionState,
                              assemble_lp, build_si, decrease_polynomials,
@@ -152,11 +152,16 @@ def test_face_rows_linear_in_coefficients():
 def test_tuple_counts_for_single_cell():
     system = orthant_system(MINUS_X)
     sections = initial_sections(system)
-    lp, prov = assemble_lp(system, 2, 0, sections)
-    cone_h_rows = [p for p in prov if p.row_kind == "h"]
-    assert len(cone_h_rows) == 3  # multisets of 2 from 2 vertices
-    s0_rows = [p for p in prov if p.row_kind == "s0"]
-    assert len(s0_rows) == 5      # multisets of 4 from 2 vertices
+    lp, owner = assemble_lp(system, 2, 0, sections)
+    assert [s.kind for s in sections] == ["cone", "face", "face"]
+    # the cone cell owns 3 h rows (multisets of 2 from 2 vertices), then 5
+    # s0 rows (multisets of 4); each face is a ray whose one cell needs
+    # branch "a" only (w = -x_i is 0 there), 1 row
+    assert owner.tolist() == [[0, 0]] * (3 + 5) + [[1, 0], [2, 0]]
+    # the h rows of the monomial basis at the vertices e1, e2 are the
+    # polar-form values 1, 1/2 and 1, one per row and column
+    assert sorted(lp.A[:3, :-1].ravel()) == [0.0] * 6 + [0.5, 1.0, 1.0]
+    assert sorted(lp.A[3:8, :-1].ravel())[-1] > 1.0
 
 
 def test_unrefined_lp_certifies_minus_x():
@@ -183,7 +188,8 @@ SQ3D = ConicSystem(
 
 
 def polar_form_lp(system, degree, r, sections, tol=1e-12):
-    """Reference rows and provenance from each row polynomial's tensor."""
+    """Reference rows, and the (section, cell) pair of each row, from each
+    row polynomial's tensor."""
     basis = monomials_of_degree(system.dimension, degree)
     order = degree + system.field_degree + 1
 
@@ -192,7 +198,7 @@ def polar_form_lp(system, degree, r, sections, tol=1e-12):
 
     h = tensors([Polynomial.monomial(m) for m in basis])
     s0 = tensors(decrease_polynomials(monomial_polys(basis), r, system.f))
-    rows, prov = [], []
+    rows, owner = [], []
     for sec, state in enumerate(sections):
         for ci, cell in enumerate(state.partition.cells):
             verts = [np.array(v) for v in cell.vertices]
@@ -201,29 +207,29 @@ def polar_form_lp(system, degree, r, sections, tol=1e-12):
                 return itertools.combinations_with_replacement(
                     range(len(verts)), k)
 
-            def add(ts, k, kind):
+            def add(ts, k):
                 for combo in multisets(k):
                     pts = [verts[i] for i in combo]
                     rows.append([0.0 if T is None else float(T.eval(pts))
                                  for T in ts] + [-1.0])
-                    prov.append((sec, ci, kind, combo))
+                    owner.append([sec, ci])
 
             if state.kind == "cone":
-                add(h, degree, "h")
-                add(s0, order, "s0")
+                add(h, degree)
+                add(s0, order)
                 continue
             W = face_eta_polynomial(system.cone, state.label,
                                     system.f).w.to_tensor()
             w = [float(W.eval([verts[i] for i in combo]))
                  for combo in multisets(system.field_degree)]
             if min(w) >= -tol or max(w) > tol:
-                add(s0, order, "face-a")
+                add(s0, order)
             if min(w) < -tol:
                 branches = face_eta_polynomial(system.cone, state.label,
                                                system.f)
                 add(tensors(build_si(monomial_polys(basis), r, system.f,
-                                     branches)), order, "face-b")
-    return np.array(rows), prov
+                                     branches)), order)
+    return np.array(rows), owner
 
 
 @pytest.mark.parametrize("degree, r, sweeps, nrows", [
@@ -234,16 +240,16 @@ def test_assembled_lp_matches_polar_form_reference(degree, r, sweeps, nrows,
     for _ in range(sweeps):
         sections = [SectionState(s.kind, s.label, s.partition.refine_all())
                     for s in sections]
-    A_ref, prov_ref = polar_form_lp(SQ3D, degree, r, sections)
+    A_ref, owner_ref = polar_form_lp(SQ3D, degree, r, sections)
 
     def no_tensor_eval(self, points):
         raise AssertionError("LP assembly evaluated a symmetric tensor")
 
     monkeypatch.setattr(SymmetricTensor, "eval", no_tensor_eval)
-    lp, prov = assemble_lp(SQ3D, degree, r, sections)
+    lp, owner = assemble_lp(SQ3D, degree, r, sections)
     assert lp.A.shape == A_ref.shape == (nrows, A_ref.shape[1])
-    assert [(p.section, p.cell, p.row_kind, p.vertex_tuple)
-            for p in prov] == prov_ref
+    assert owner.shape == (len(lp.b), 2)
+    assert owner.tolist() == owner_ref
     assert np.abs(lp.A - A_ref).max() <= 1e-12
 
 
@@ -363,6 +369,25 @@ def test_refinement_never_decreases_margin():
     lp2, _ = assemble_lp(system, 2, 0, refined)
     t2 = linprog.solve(lp2).value
     assert t2 >= t1 - 1e-8
+
+
+def test_refine_falls_back_to_every_refinable_cell():
+    """When every active cell is a 1-vertex face ray, which cannot be
+    bisected, every cell that can be is bisected once instead."""
+    sections = [SectionState(s.kind, s.label, s.partition.refine_all())
+                for s in initial_sections(wedge_system())]
+    faces = [k for k, s in enumerate(sections) if s.kind == "face"]
+    assert faces and all(c.num_vertices == 1 for k in faces
+                         for c in sections[k].partition.cells)
+    refined = cop_lp._refine(sections, np.array([[k, 0] for k in faces]))
+    for before, after in zip(sections, refined):
+        if before.kind == "face":
+            assert after is before
+            continue
+        assert len(before.partition.cells) == 2
+        assert after.partition.cells == [
+            half for cell in before.partition.cells
+            for half in bisect_longest_edge(cell)]
 
 
 def test_assembly_builds_its_tables_once_per_level(monkeypatch):

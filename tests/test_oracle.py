@@ -250,10 +250,11 @@ def test_empty_sample_is_an_error():
 
 def test_reports_deterministic_for_fixed_seed():
     a = verify_sos(parse_polynomial("x1^2 + x2^2", 2), cusp_system(),
-                   samples=2000, seed=7)
+                   samples=2000, seed=7, collect_samples=True)
     b = verify_sos(parse_polynomial("x1^2 + x2^2", 2), cusp_system(),
-                   samples=2000, seed=7)
+                   samples=2000, seed=7, collect_samples=True)
     assert a.to_text() == b.to_text()
+    assert a.sample_rows
     assert a.to_csv() == b.to_csv()
 
 

@@ -27,3 +27,28 @@ def test_tracer_hooks_install_and_restore():
     for owner, attr, original, wrapper in patched:
         assert wrapper is not original
         assert getattr(owner, attr) is original
+
+
+def test_traced_hierarchy_counts_rows_cells_and_lps():
+    # the hooks unpack assemble_lp's result and arguments, run_hierarchy's
+    # outcome and each LP result: a traced run on a small cone must count
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from lyapcert import cop_lp
+    from lyapcert.cones import PolyhedralCone
+    from lyapcert.poly import parse_polynomial
+    system = cop_lp.ConicSystem(
+        [parse_polynomial("-1*x1 - 2*x2", 2),
+         parse_polynomial("-1*x1 - 1*x2", 2)],
+        PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]]))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        outcome = cop_lp.run_hierarchy(system, [(2, 0, 6)])
+    finally:
+        tracer.restore()
+    assert outcome.found
+    for name in ("cop_lp.rows_assembled", "cones.cells_final",
+                 "linprog.calls"):
+        assert tracer.counts[name] > 0, name
