@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -160,9 +161,12 @@ def parse_spec(path: str | Path) -> ParsedSpec:
         if len(parts) != 2:
             raise SpecFileError(f"box{i} needs 'lo hi'", entry[1], "box")
         try:
-            boxes.append((float(parts[0]), float(parts[1])))
+            bounds = (float(parts[0]), float(parts[1]))
         except ValueError:
             raise SpecFileError(f"box{i} needs numeric bounds", entry[1], "box")
+        if not all(map(math.isfinite, bounds)):
+            raise SpecFileError(f"box{i} needs finite bounds", entry[1], "box")
+        boxes.append(bounds)
         i += 1
 
     cone_mode = take("cone")  # bare 'cone:' marks a row-free full space
@@ -306,7 +310,7 @@ def format_sos_certificate(cert: sos_cert.SosCertificate,
     lines.append(f"degree: {cert.V.degree()}")
     lines.append(f"tier: {cert.tier}")
     lines.append(f"margin: {cert.margin!r}")
-    lines.append(f"eps-pd: {sos_cert.EPS_PD!r}")
+    lines.append(f"eps-pd: {float(sos_cert.EPS_PD)!r}")
     lines.append("decrease-margin: 0")
     lines.append(f"V: {format_polynomial(cert.V)}")
     for name in sorted(cert.multipliers):

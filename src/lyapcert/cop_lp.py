@@ -29,6 +29,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 import numpy as np
 
@@ -172,25 +173,29 @@ def decrease_polynomials(hs: list[Polynomial], r: int,
     """-|x|^2 <grad h, v> + 2 r h <x, v> for each h, along the field v.
 
     This is |x|^(2r+2) times the derivative of V = h / |x|^(2r) along v,
-    so it has V's decrease sign, and it is linear in h.  With v = f it is
-    the interior decrease s0.  With r = 0 the second term is 0 and is not
-    formed.
+    so it has V's decrease sign.  It is linear in h: with P_i = -|x|^2 v_i
+    and Q = 2r <x, v>, formed once, a term c x^m of h contributes
+    sum_i c m_i x^(m - e_i) P_i + c x^m Q, which shifts the exponents of
+    P_i and Q and takes one coefficient product per term.  With v = f it
+    is the interior decrease s0.  With r = 0, Q is 0 and is not formed.
     """
     n = velocity[0].dimension
     nrm = norm_squared(n)
-    xdotv = Polynomial.zero(n)
-    if r:
-        for i, vi in enumerate(velocity):
-            xdotv = xdotv + Polynomial.variable(n, i) * vi
+    P = [(-(nrm * vi)).terms for vi in velocity]
+    Q = sum((Polynomial.variable(n, i) * vi for i, vi in enumerate(velocity)),
+            Polynomial.zero(n)).scale(2 * r).terms if r else {}
     out = []
     for h in hs:
-        gdotv = Polynomial.zero(n)
-        for gi, vi in zip(h.gradient(), velocity):
-            gdotv = gdotv + gi * vi
-        decrease = -(nrm * gdotv)
-        if r:
-            decrease = decrease + (2 * r) * (h * xdotv)
-        out.append(decrease)
+        acc: dict[Mono, Fraction] = {}
+        for m, c in h.terms.items():
+            parts = [(m[:i] + (e - 1,) + m[i + 1:], c * e, P[i])
+                     for i, e in enumerate(m) if e]
+            for shift, coeff, terms in parts + [(m, c, Q)]:
+                for mono, p in terms.items():
+                    key = tuple(map(add, shift, mono))
+                    prev = acc.get(key)
+                    acc[key] = coeff * p if prev is None else prev + coeff * p
+        out.append(Polynomial.trusted(n, acc))
     return out
 
 

@@ -37,6 +37,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from operator import add
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -86,8 +87,14 @@ def _as_fraction(value: Scalar) -> Fraction:
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Immutable by convention: no method mutates self, arithmetic returns new
-    instances, values are safe to share between threads.
+    The constructor is the validating boundary for outside input (the
+    parser, spec values, certificates): it checks every monomial's length
+    and signs and converts every coefficient to a Fraction.  The results
+    of +, -, negation, scale, * and gradient are valid by construction, so
+    they take the trusted path, Polynomial.trusted, which only drops zero
+    coefficients.  Immutable by convention: no method mutates self,
+    arithmetic returns new instances, values are safe to share between
+    threads.
     """
 
     __slots__ = ("dimension", "terms")
@@ -112,6 +119,17 @@ class Polynomial:
         self.terms = {m: c for m, c in clean.items() if c != 0}
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def trusted(cls, dimension: int, terms: Mapping[Mono, Fraction]
+                ) -> Polynomial:
+        """The polynomial of terms whose keys are already exponent tuples of
+        `dimension` nonnegative ints and whose values are Fractions; only
+        zero coefficients are dropped, nothing is checked."""
+        p = object.__new__(cls)
+        p.dimension = dimension
+        p.terms = {m: c for m, c in terms.items() if c}
+        return p
 
     @classmethod
     def zero(cls, dimension: int) -> Polynomial:
@@ -147,13 +165,15 @@ class Polynomial:
         self._check_dim(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Polynomial(self.dimension, out)
+            acc = out.get(mono)
+            out[mono] = coeff if acc is None else acc + coeff
+        return Polynomial.trusted(self.dimension, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.dimension, {m: -c for m, c in self.terms.items()})
+        return Polynomial.trusted(self.dimension,
+                                  {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -165,7 +185,8 @@ class Polynomial:
 
     def scale(self, factor: Scalar) -> Polynomial:
         f = _as_fraction(factor)
-        return Polynomial(self.dimension, {m: c * f for m, c in self.terms.items()})
+        return Polynomial.trusted(self.dimension,
+                                  {m: c * f for m, c in self.terms.items()})
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -174,9 +195,10 @@ class Polynomial:
         out: dict[Mono, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                mono = tuple(a + b for a, b in zip(ma, mb))
-                out[mono] = out.get(mono, Fraction(0)) + ca * cb
-        return Polynomial(self.dimension, out)
+                mono = tuple(map(add, ma, mb))
+                acc = out.get(mono)
+                out[mono] = ca * cb if acc is None else acc + ca * cb
+        return Polynomial.trusted(self.dimension, out)
 
     def __rmul__(self, other: Scalar) -> Polynomial:
         return self.scale(other)
@@ -238,7 +260,7 @@ class Polynomial:
                 dm = list(mono)
                 dm[i] -= 1
                 terms[tuple(dm)] = coeff * mono[i]
-            comps.append(Polynomial(self.dimension, terms))
+            comps.append(Polynomial.trusted(self.dimension, terms))
         return tuple(comps)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
@@ -697,7 +719,9 @@ def parse_polynomial(text: str, dimension: int) -> Polynomial:
     """Parse the canonical grammar into an exact polynomial.
 
     Decimal coefficients are read as exact decimal fractions, "p/q" as
-    exact rationals; variables are x1..xn with 1-based indices.
+    exact rationals; variables are x1..xn with 1-based indices.  A term
+    whose coefficient (summed with the earlier terms of its monomial) has
+    no finite float value is an error at the term's column.
     """
     tokens: list[tuple[str, str, int]] = []
     pos = 0
@@ -765,6 +789,11 @@ def parse_polynomial(text: str, dimension: int) -> Polynomial:
             raise PolynomialParseError("empty term", col)
         mono = tuple(exps)
         terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        try:
+            float(terms[mono])
+        except OverflowError:
+            raise PolynomialParseError("coefficient has no finite float value",
+                                       tokens[start][2])
         return i
 
     sign = Fraction(1)

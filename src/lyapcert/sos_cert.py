@@ -38,6 +38,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add, sub
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +51,7 @@ from .tangency import SemialgebraicSet
 
 logger = logging.getLogger(__name__)
 
-EPS_PD = 1e-3           # V - EPS_PD |x|^2 must be in the quadratic module
+EPS_PD = Fraction(1, 1000)  # V - EPS_PD |x|^2 must be in the quadratic module
 ACCEPT_SHIFT = -1e-8
 RESIDUAL_TOL = 1e-6
 GRAM_EIG_TOL = 1e-7
@@ -114,8 +115,7 @@ class GramBlock:
             raise SosSetupError(f"gram block {self.name} has an empty basis")
         for i in range(len(self.basis)):
             for j in range(i, len(self.basis)):
-                mono = tuple(a + b for a, b in zip(self.basis[i],
-                                                   self.basis[j]))
+                mono = tuple(map(add, self.basis[i], self.basis[j]))
                 self.pairs_by_monomial.setdefault(mono, []).append((i, j))
 
     @property
@@ -163,11 +163,13 @@ class LinearExpr:
 
     def add_gram(self, block: str, i: int, j: int, coeff: Fraction) -> None:
         key = (block, i, j)
-        self.gram[key] = self.gram.get(key, Fraction(0)) + coeff
+        acc = self.gram.get(key)
+        self.gram[key] = coeff if acc is None else acc + coeff
 
     def add_free(self, group: str, mono: Mono, coeff: Fraction) -> None:
         key = (group, mono)
-        self.free[key] = self.free.get(key, Fraction(0)) + coeff
+        acc = self.free.get(key)
+        self.free[key] = coeff if acc is None else acc + coeff
 
 
 @dataclass
@@ -210,8 +212,7 @@ def _grad_dot(mono: Mono, vec: Sequence[Polynomial]) -> Polynomial:
 
 def _shifted(monos, g: Polynomial) -> set[Mono]:
     """Support of (sum of the monomials) * g."""
-    return {tuple(a + b for a, b in zip(m, nu))
-            for m in monos for nu in g.terms}
+    return {tuple(map(add, m, nu)) for m in monos for nu in g.terms}
 
 
 def _assemble_identity(system: SemialgebraicSystem, label: str, prefix: str,
@@ -228,17 +229,20 @@ def _assemble_identity(system: SemialgebraicSystem, label: str, prefix: str,
     n = system.dimension
     eq = EqualitySystem()
     eq.free_groups["V"] = list(lhs_per_v)
-    products: list[tuple[GramBlock, Polynomial]] = []
+    # per multiplier: its block, g, and each term nu of g with -g_nu (the
+    # coefficient of a diagonal Gram entry) and -2 g_nu (off-diagonal)
+    products = []
     for i, g in enumerate([Polynomial.constant(n, 1), *system.S.generators]):
         if i != face:
             deg = _even_up(lhs_deg - g.degree() + slack)
             _, block = gram_parameterize(deg, n, name=f"{prefix}_{i}")
             eq.blocks[block.name] = block
-            products.append((block, g))
+            products.append((block, g, [(nu, -c, -2 * c)
+                                        for nu, c in g.terms.items()]))
     support = set(offset.terms)
     for p in lhs_per_v.values():
         support.update(p.terms)
-    for block, g in products:
+    for block, g, _ in products:
         support |= _shifted(block.pairs_by_monomial, g)
     if face is not None:
         gj = system.S.generators[face - 1]
@@ -248,6 +252,7 @@ def _assemble_identity(system: SemialgebraicSystem, label: str, prefix: str,
         eq.free_groups[phi_name] = phi_basis
         support |= _shifted(phi_basis, gj)
         phi_set = set(phi_basis)
+        phi_terms = [(nu, -c) for nu, c in gj.terms.items()]
 
     lhs_at: dict[Mono, list[tuple[Mono, Fraction]]] = {}
     for vmono, p in lhs_per_v.items():
@@ -257,19 +262,19 @@ def _assemble_identity(system: SemialgebraicSystem, label: str, prefix: str,
         expr = LinearExpr()
         for vmono, c in lhs_at.get(mono, ()):
             expr.add_free("V", vmono, c)
-        expr.constant -= offset.coefficient(mono)
+        if mono in offset.terms:
+            expr.constant = -offset.terms[mono]
         # mono = diff + nu; a diff with a negative exponent matches nothing
-        for block, g in products:
-            for nu, gcoeff in g.terms.items():
-                diff = tuple(a - b for a, b in zip(mono, nu))
+        for block, _, gterms in products:
+            for nu, diag, off in gterms:
+                diff = tuple(map(sub, mono, nu))
                 for i, j in block.pairs_by_monomial.get(diff, ()):
-                    expr.add_gram(block.name, i, j,
-                                  -gcoeff * (1 if i == j else 2))
+                    expr.add_gram(block.name, i, j, diag if i == j else off)
         if face is not None:
-            for nu, gcoeff in gj.terms.items():
-                diff = tuple(a - b for a, b in zip(mono, nu))
+            for nu, neg in phi_terms:
+                diff = tuple(map(sub, mono, nu))
                 if diff in phi_set:
-                    expr.add_free(phi_name, diff, -gcoeff)
+                    expr.add_free(phi_name, diff, neg)
         eq.rows.append((f"{label}:{mono}", expr))
     return eq
 
@@ -284,7 +289,7 @@ def assemble_condition_i(system: SemialgebraicSystem, deg_v: int,
     n = system.dimension
     lhs = {m: Polynomial.monomial(m) for m in _v_basis(n, deg_v)}
     return _assemble_identity(system, "positivity", "sigma", lhs,
-                              norm_squared(n).scale(Fraction(EPS_PD)),
+                              norm_squared(n).scale(EPS_PD),
                               deg_v, slack)
 
 

@@ -14,7 +14,8 @@ projection against scipy's SLSQP, and the SDP solver's step lengths in the
 NT frame against a bound from the Cholesky factor.  trajectory_csv is the
 CSV text of a trajectory, and simplex_diameter and partition_diameter the
 longest vertex distance of a cell and of a partition, which only the
-tests read.  The point checks of a
+tests read.  decrease_by_products forms the cone decrease polynomials by
+full polynomial products, against the monomial shifts of cop_lp.  The point checks of a
 system (field_at, cone_contains, set_values, set_contains) evaluate one
 point at a time; a float value at one point is evaluate_float_terms, the
 term loop that the float kernels match bit for bit.
@@ -307,3 +308,21 @@ def max_step(M, dM, fraction: float = 0.98) -> float:
     if wmin >= 0:
         return 1.0
     return min(1.0, fraction / (-wmin))
+
+
+def decrease_by_products(hs, r, velocity):
+    """-|x|^2 <grad h, v> + 2 r h <x, v> for each h, by full polynomial
+    products, the formula cop_lp.decrease_polynomials replaced."""
+    from lyapcert.poly import Polynomial, norm_squared
+    n = velocity[0].dimension
+    nrm = norm_squared(n)
+    xdotv = Polynomial.zero(n)
+    for i, vi in enumerate(velocity):
+        xdotv = xdotv + Polynomial.variable(n, i) * vi
+    out = []
+    for h in hs:
+        gdotv = Polynomial.zero(n)
+        for gi, vi in zip(h.gradient(), velocity):
+            gdotv = gdotv + gi * vi
+        out.append(-(nrm * gdotv) + (2 * r) * (h * xdotv))
+    return out

@@ -334,6 +334,28 @@ def test_verify_rejects_a_certificate_of_another_kind_or_dimension(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("spec_name, old, new, command, detail", [
+    ("cusp_spec", "", "", ["verify", "--candidate=1e400*x1^2"],
+     "coefficient has no finite float value (column 1)"),
+    ("cone_spec", "f1: -1*x1", "f1: -1e400*x1", ["find-lyap-cone"],
+     "f1: coefficient has no finite float value (column 2) (line 2) "
+     "[rule: polynomial]"),
+    ("cusp_spec", "box1: -0.5 1.5", "box1: -0.5 1e400",
+     ["verify", "--candidate=x1^2 + x2^2"],
+     "box1 needs finite bounds (line 6) [rule: box]"),
+], ids=["candidate", "field", "box"])
+def test_numbers_past_the_float_range_are_input_errors(
+        spec_name, old, new, command, detail, request, tmp_path, capsys):
+    # each crashed with an OverflowError, and exit 1, the "not found" code
+    spec = request.getfixturevalue(spec_name)
+    spec.write_text(spec.read_text().replace(old, new))
+    code = main([command[0], str(spec), *command[1:],
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"status=input-error detail='{detail}'"
+
+
 def test_verify_printed_candidate(cone_spec, tmp_path):
     code = main(["verify", str(cone_spec),
                  "--candidate", "2.9*x1^2 + 1*x1*x2 + 1*x2^2", "--r", "0",

@@ -14,8 +14,8 @@ from lyapcert.cop_lp import (ConicSetupError, ConicSystem,
 from lyapcert.poly import (MonomialTable, Polynomial, SymmetricTensor,
                            monomials_of_degree, norm_squared, parse_polynomial)
 from lyapcert.tangency import eta_projection, face_eta_polynomial
-from reference import (candidate_gradient, eval_many_broadcast,
-                       evaluate_float_terms)
+from reference import (candidate_gradient, decrease_by_products,
+                       eval_many_broadcast, evaluate_float_terms)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -113,6 +113,43 @@ def test_s0_degree_arithmetic():
         for part in parts:
             if not part.is_zero():
                 assert part.is_homogeneous() == d + df + 1
+
+
+SQUARE_CONE = PolyhedralCone([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5],
+                              [0, -1, 0.5]])
+DECREASE_FIELDS = {
+    "cone2d": (WEDGE, ["-1*x1 - 2*x2", "-1*x1 - 1*x2"]),
+    "sq3d": (SQUARE_CONE, ["-1*x1 + 2*x2 - 0.2*x3", "-2*x1 - 1*x2 + 0.1*x3",
+                           "0.3*x1 - 0.5*x3"]),
+    "refine1": (SQUARE_CONE, ["-1.5*x1 + 2.5*x2",
+                              "-1.5*x1 - 1.2*x2 - 0.8*x3", "0.2*x1 - 0.3*x2"]),
+    "quadratic": (PolyhedralCone(np.eye(2)), ["-1*x1^2 - 1*x1*x2",
+                                              "-1*x2^2"]),
+}
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("name", DECREASE_FIELDS)
+def test_decrease_polynomials_match_the_product_formula(name, r):
+    # s0 along f and every face's b-branch velocity, for monomial and
+    # general h, exactly equal to the full polynomial products
+    cone, texts = DECREASE_FIELDS[name]
+    n = cone.dimension
+    f = [parse_polynomial(t, n) for t in texts]
+    rng = np.random.default_rng(17)
+    for degree in (1, 2, 3):
+        basis = monomials_of_degree(n, degree)
+        general = Polynomial(n, {m: Fraction(int(rng.integers(-9, 10)),
+                                             int(rng.integers(1, 8)))
+                                 for m in basis})
+        hs = monomial_polys(basis) + [general]
+        assert decrease_polynomials(hs, r, f) == decrease_by_products(hs, r, f)
+        for i in range(1, cone.num_rows + 1):
+            branches = face_eta_polynomial(cone, i, f)
+            velocity = [fi.scale(branches.c_norm_sq) + eta
+                        for fi, eta in zip(f, branches.eta_b_scaled)]
+            assert build_si(hs, r, f, branches) == \
+                decrease_by_products(hs, r, velocity)
 
 
 # -- face assembly ------------------------------------------------------------------

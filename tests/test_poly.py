@@ -58,6 +58,34 @@ def test_no_zero_terms_stored():
     assert list(p.terms) == [(0, 1)]
 
 
+@st.composite
+def polynomial_pairs(draw):
+    """Two polynomials in 1-3 variables, built through the validating
+    constructor (their coefficients may be 0 or cancel), and a rational."""
+    n = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    p, q = (Polynomial(n, draw(st.dictionaries(monos, coeffs, max_size=6)))
+            for _ in range(2))
+    return p, q, draw(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_pairs())
+def test_ring_results_keep_the_constructor_invariants(drawn):
+    # +, -, negation, scale, * and gradient skip the validating constructor
+    p, q, k = drawn
+    n = p.dimension
+    results = [p + q, p - q, -p, p - p, p.scale(k), p.scale(0), k * q,
+               p * q, p * (-p), *p.gradient(), *(p * q).gradient()]
+    for r in results:
+        assert Polynomial(r.dimension, dict(r.terms)) == r
+        for mono, coeff in r.terms.items():
+            assert type(coeff) is Fraction and coeff != 0
+            assert type(mono) is tuple and len(mono) == n
+            assert all(type(e) is int and e >= 0 for e in mono)
+
+
 # -- gradient ---------------------------------------------------------------------
 
 def test_gradient_basic():

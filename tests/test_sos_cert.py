@@ -299,19 +299,22 @@ def equality_system_digest(eq) -> str:
 # field once chose a decrease margin; it stays so that the case ids stay.
 # Recorded when each condition had its own assembler; the solvers' inputs
 # (and the dumped SDPA files) follow this row layout term for term.
+# Re-recorded when EPS_PD became exactly 1/1000: only the constants of the
+# positivity rows of the x_i^2 monomials changed, from the binary float
+# 0.001 to 1/1000.
 EQUALITY_DIGESTS = {
-    ("cusp", 2, 0, False): ("960553d0b2f3708a", 39),
-    ("cusp", 2, 2, False): ("6ee97cd120e21c71", 83),
-    ("cusp", 4, 0, False): ("a3a972aead5c45d5", 83),
-    ("cusp", 4, 2, False): ("23f77cb856cc8104", 143),
-    ("cusp", 6, 0, False): ("a9fc5e5b63313fd2", 143),
-    ("cusp", 6, 2, False): ("3fb3f7adc672bdfb", 219),
-    ("ball", 2, 0, False): ("d7a0b079b5758f3e", 30),
-    ("ball", 2, 2, False): ("26bd50971cf7c28e", 105),
-    ("ball", 4, 0, False): ("31512dcbed21f968", 105),
-    ("ball", 4, 2, False): ("4ebbea6eecb9cbb8", 252),
-    ("ball", 6, 0, False): ("37cc74e43c630890", 252),
-    ("ball", 6, 2, False): ("d240eb6bb99156fe", 495),
+    ("cusp", 2, 0, False): ("5afe80e4fd79122a", 39),
+    ("cusp", 2, 2, False): ("77b5388c4cde1af6", 83),
+    ("cusp", 4, 0, False): ("feb676023df4f67b", 83),
+    ("cusp", 4, 2, False): ("c68fe289cac1daef", 143),
+    ("cusp", 6, 0, False): ("108febd1336c0dbc", 143),
+    ("cusp", 6, 2, False): ("60074dda66069f10", 219),
+    ("ball", 2, 0, False): ("28ac36a451f4de35", 30),
+    ("ball", 2, 2, False): ("e70089ecedeb5321", 105),
+    ("ball", 4, 0, False): ("4da1592fe37dd9f5", 105),
+    ("ball", 4, 2, False): ("c76fcc86c8f44953", 252),
+    ("ball", 6, 0, False): ("27e54df670d709c2", 252),
+    ("ball", 6, 2, False): ("57fcb382a06fb447", 495),
 }
 
 

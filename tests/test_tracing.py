@@ -52,3 +52,29 @@ def test_traced_hierarchy_counts_rows_cells_and_lps():
     for name in ("cop_lp.rows_assembled", "cones.cells_final",
                  "linprog.calls"):
         assert tracer.counts[name] > 0, name
+
+
+def test_traced_dsos_solve_times_the_sos_assembly():
+    # the tracer wraps assemble_condition_i/ii/iii as module globals of
+    # sos_cert: an assembly that stops calling them through the module
+    # leaves the sos_cert.assemble span empty
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from lyapcert import sos_cert
+    from lyapcert.poly import parse_polynomial
+    from lyapcert.tangency import SemialgebraicSet
+    system = sos_cert.SemialgebraicSystem(
+        [parse_polynomial("-1*x1^2", 2), parse_polynomial("0", 2)],
+        SemialgebraicSet([parse_polynomial("x1 - x2^2", 2),
+                          parse_polynomial("1 - x1", 2)],
+                         [(-0.5, 1.5), (-1.5, 1.5)]))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        outcome = sos_cert.solve_certificate(system, 2, tier="dsos")
+    finally:
+        tracer.restore()
+    assert outcome.status == "certificate"
+    total, _ = tracer.totals()
+    assert total["sos_cert.assemble"] > 0
