@@ -316,7 +316,9 @@ def format_sos_certificate(cert: sos_cert.SosCertificate,
     for name in sorted(cert.multipliers):
         rec = cert.multipliers[name]
         lines.append(f"multiplier {name}: {format_polynomial(rec.polynomial)}")
-        lines.append(f"multiplier-gram-mineig {name}: {rec.min_eigenvalue!r}")
+        if rec.basis:   # a block pruned to nothing has no Gram
+            lines.append(f"multiplier-gram-mineig {name}: "
+                         f"{rec.min_eigenvalue!r}")
     for name in sorted(cert.phi):
         lines.append(f"phi {name}: {format_polynomial(cert.phi[name])}")
     for label in sorted(cert.residuals):
@@ -373,7 +375,7 @@ def _count_error(flag: str, value: int | None, least: int) -> bool:
 
 def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
     if not spec.is_conic:
-        _status("error detail=cone-command-needs-cone-spec")
+        _status("input-error detail=cone-command-needs-cone-spec")
         return EXIT_USAGE
     system: ConicSystem = spec.system
     if _count_error("--deg", args.deg, 1) \
@@ -431,7 +433,7 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
 
 def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
     if spec.is_conic:
-        _status("error detail=sos-command-needs-semialgebraic-spec")
+        _status("input-error detail=sos-command-needs-semialgebraic-spec")
         return EXIT_USAGE
     system: SemialgebraicSystem = spec.system
     if _count_error("--samples", args.samples, 1):
@@ -485,7 +487,7 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
 
 def cmd_verify(args, spec: ParsedSpec) -> int:
     if args.candidate is None and args.certificate is None:
-        _status("error detail=verify-needs-candidate-or-certificate")
+        _status("input-error detail=verify-needs-candidate-or-certificate")
         return EXIT_USAGE
     if args.r is not None and (args.certificate is not None
                                or not spec.is_conic):
@@ -527,11 +529,11 @@ def cmd_simulate(args, spec: ParsedSpec) -> int:
         return EXIT_USAGE
     x0_text = args.x0 or spec.options.get("x0")
     if x0_text is None:
-        _status("error detail=simulate-needs-x0")
+        _status("input-error detail=simulate-needs-x0")
         return EXIT_USAGE
     x0 = [float(v) for v in x0_text.replace(",", " ").split()]
     if len(x0) != spec.system.dimension:
-        _status("error detail=x0-dimension-mismatch")
+        _status("input-error detail=x0-dimension-mismatch")
         return EXIT_USAGE
     T = args.T if args.T is not None else float(spec.options.get("T", 10.0))
     dt = args.dt if args.dt is not None else float(spec.options.get("dt", 1e-3))
@@ -562,7 +564,7 @@ def cmd_simulate(args, spec: ParsedSpec) -> int:
 
 def cmd_partition_dump(args, spec: ParsedSpec) -> int:
     if not spec.is_conic:
-        _status("error detail=partition-dump-needs-cone-spec")
+        _status("input-error detail=partition-dump-needs-cone-spec")
         return EXIT_USAGE
     if _count_error("--sweeps", args.sweeps, 0):
         return EXIT_USAGE

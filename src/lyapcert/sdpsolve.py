@@ -27,10 +27,11 @@ M_ij = sum_b <A_b[i], W A_b[j] W>, W = R R^T, each block adding one
 product over its touched rows and columns; one Cholesky factor L of M,
 with the ridge written onto M's diagonal, and the inverse L^-1 by blocked
 recursion on the triangle, so that every solve with M (predictor,
-corrector, refinement, free-variable saddle) is two matrix products; and
-step lengths in the NT frame, where X + a dX is PSD exactly when
-diag(lam) + a R^-1 dX R^-T is (Z likewise with R^T dZ R).  numpy only:
-the SOS tier imports no scipy.
+corrector, refinement, free-variable saddle) is two matrix products; the
+free variables' Schur complement D^T M^-1 D is factored and inverted the
+same way once per iteration; and step lengths in the NT frame, where
+X + a dX is PSD exactly when diag(lam) + a R^-1 dX R^-T is (Z likewise
+with R^T dZ R).  numpy only: the SOS tier imports no scipy.
 
 Callers are expected to pose problems with interior (the certificate
 drivers always add an identity-shift variable), so no Slater checking is
@@ -326,11 +327,15 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
             return Linv.T @ (Linv @ rhs)
 
         MiD = solve_M(D)
-        S_free = D.T @ MiD + 1e-13 * np.eye(k)
+        # the free variables' Schur complement, factored and inverted once
+        try:
+            Sinv = _tril_inv(np.linalg.cholesky(D.T @ MiD + 1e-13 * np.eye(k)))
+        except np.linalg.LinAlgError:
+            break
 
         def saddle(rhs1, rhs2):
             t = solve_M(rhs1)
-            du = np.linalg.solve(S_free, D.T @ t - rhs2)
+            du = Sinv.T @ (Sinv @ (D.T @ t - rhs2))
             return t - MiD @ du, du
 
         def newton(F: list[np.ndarray]):

@@ -13,19 +13,33 @@ Every multiplier except phi_j must be a sum of squares; coefficient
 matching per monomial gives the linear equalities.  All three come from one
 builder, _assemble_identity, for sum_m V_m lhs_m - offset = s_0 +
 sum_i s_i g_i (+ phi_j g_j); the public assemble_condition_* functions only
-choose lhs, offset, degree and names.  One float layout per equality
-system (_FloatLayout: Gram entries, then free coefficients, with every
-row's terms as flat (row, column, value) arrays) serves both tiers, which
-return their solution as one vector over its columns, and the extraction,
-which reads the Grams, V, phi and every row residual through it.  The
-SDP tier shifts every Gram by a common margin t (G - t I psd), maximizes
-t, and scatters the terms straight into the solver's per-block
-coefficient arrays; the DSOS tier replaces positive semidefiniteness by
-diagonal dominance, which is an LP and a strictly smaller but cheaper
-certificate class, and scatters the same terms into the LP's equality
-rows.  A certificate is accepted only after substituting
-the Grams back into the exact rows and re-deriving every identity within
-tolerance; a failed recheck is an error, never a silent acceptance.
+choose lhs, offset, degree and names.
+
+Before either tier, _prune drops the Gram monomials that the rows force to
+zero, in exact arithmetic: a row with no free term and a zero constant
+whose Gram terms are all diagonal, with coefficients of one sign, makes
+each of those diagonals zero at every feasible point, and with it that
+monomial's Gram row and column (the constants of sigma_0 and sigma_2 on
+cusp_box, since V(0) = 0 and g_2(0) = 1).  Every certificate of the
+unpruned program has those entries at zero, so none is lost, and the
+tiers solve a program that has interior.  Rows left as 0 = 0 and blocks
+left empty go; an emptied block is the zero multiplier of the
+certificate.
+
+One float layout per pruned system (_FloatLayout: Gram entries, then free
+coefficients, with every row's terms as flat (row, column, value) arrays)
+serves both tiers, which return their solution as one vector over its
+columns, and the extraction, which reads the Grams, V, phi and every row
+residual through it.  The SDP tier shifts every Gram by a common margin t
+(G - t I psd), maximizes t with a zero objective on the Grams, and
+scatters the terms straight into the solver's per-block coefficient
+arrays, so --dump-sdpa writes the pruned SDP; the DSOS tier replaces
+positive semidefiniteness by diagonal dominance, which is an LP and a
+strictly smaller but cheaper certificate class, and scatters the same
+terms into the LP's equality rows.  A certificate is accepted only after
+substituting the Grams back into the exact rows and re-deriving every
+identity within tolerance; a failed recheck is an error, never a silent
+acceptance.
 
 Identity (ii) carries no decrease margin, so every certificate is flagged
 "weak decrease" and strict negativity off the origin must be confirmed by
@@ -55,7 +69,6 @@ EPS_PD = Fraction(1, 1000)  # V - EPS_PD |x|^2 must be in the quadratic module
 ACCEPT_SHIFT = -1e-8
 RESIDUAL_TOL = 1e-6
 GRAM_EIG_TOL = 1e-7
-TRACE_PENALTY = 1e-6
 
 
 class SosSetupError(ValueError):
@@ -367,6 +380,55 @@ def _assemble_full(system: SemialgebraicSystem, deg_v: int, slack: int
     return full
 
 
+def _prune(eq: EqualitySystem) -> EqualitySystem:
+    """eq without the Gram monomials that its rows force to zero.
+
+    A row with no free term, a zero constant and only diagonal Gram terms,
+    their coefficients of one sign, sums nonnegative diagonals to zero, so
+    each of them is zero at every feasible point; a PSD (or diagonally
+    dominant) Gram with G_kk = 0 has row and column k zero, so monomial k
+    leaves its block and every term on it leaves its rows.  That repeats
+    in exact arithmetic until no row forces another monomial.  Rows left
+    as 0 = 0 and blocks left empty are dropped; nothing else changes, and
+    eq comes back as it is when nothing is forced.
+    """
+    dropped: dict[str, set[int]] = {name: set() for name in eq.blocks}
+    candidates = [list(expr.gram.items()) for _, expr in eq.rows
+                  if not expr.constant and not any(expr.free.values())]
+    while True:
+        forced = set()
+        for terms in candidates:
+            live = [(b, i, j, c) for (b, i, j), c in terms
+                    if c and i not in dropped[b] and j not in dropped[b]]
+            if live and all(i == j for _, i, j, _ in live) and \
+                    len({c > 0 for *_, c in live}) == 1:
+                forced.update((b, i) for b, i, _, _ in live)
+        if not forced:
+            break
+        for b, i in forced:
+            dropped[b].add(i)
+    if not any(dropped.values()):
+        return eq
+
+    pruned = EqualitySystem(free_groups=eq.free_groups)
+    index: dict[str, dict[int, int]] = {}   # block -> old position -> new
+    for name, block in eq.blocks.items():
+        keep = [k for k in range(block.size) if k not in dropped[name]]
+        index[name] = {k: new for new, k in enumerate(keep)}
+        if keep:
+            pruned.blocks[name] = GramBlock(name, [block.basis[k] for k in keep])
+    for label, expr in eq.rows:
+        gram = {}
+        for (b, i, j), c in expr.gram.items():
+            new = index[b]
+            if i in new and j in new:
+                gram[b, new[i], new[j]] = c
+        if any(gram.values()) or any(expr.free.values()) or expr.constant:
+            pruned.rows.append((label, LinearExpr(gram, expr.free,
+                                                  expr.constant)))
+    return pruned
+
+
 class _FloatLayout:
     """The float rows of an EqualitySystem over one column map.
 
@@ -412,8 +474,12 @@ def _solve_sdp_tier(layout: _FloatLayout, on_sdp=None
     G_ii = Y_ii + t puts each row's sum of diagonal coefficients on t, an
     off-diagonal coefficient c of G_ij is c/2 at (i, j) and (j, i) of the
     row's matrix, and a last row caps t + s = 1 with s an extra 1 x 1
-    block.  Returns the status ("solved", "infeasible" or "stalled"), the
-    solution over the layout's columns and t*, or None and nan unsolved.
+    block.  The objective is -t alone, zero on every block: the layout is
+    of the pruned system, whose Grams need no trace term to keep the
+    iterates bounded.  on_sdp, if given, sees the SDP before the solve
+    (--dump-sdpa).  Returns the status ("solved", "infeasible" or
+    "stalled"), the solution over the layout's columns and t*, or None and
+    nan unsolved.
     """
     ne, nt = layout.num_entries, len(layout.free)   # nt: t's free index
     m = len(layout.rhs) + 1
@@ -434,12 +500,11 @@ def _solve_sdp_tier(layout: _FloatLayout, on_sdp=None
     D[:-1, nt] = np.bincount(row[diag], weights=val[diag], minlength=m - 1)
     D[-1, nt] = 1.0
 
-    objective_blocks = [TRACE_PENALTY / s * np.eye(s) for s in layout.sizes]
-    objective_blocks.append(np.zeros((1, 1)))
     free_objective = np.zeros(nt + 1)
     free_objective[nt] = -1.0  # maximize t
     sdp = SemidefiniteProgram(A=A, D=D, b=np.append(layout.rhs, 1.0),
-                              objective_blocks=objective_blocks,
+                              objective_blocks=[np.zeros((s, s))
+                                                for s in layout.sizes + [1]],
                               free_objective=free_objective)
     if on_sdp is not None:
         on_sdp(sdp)
@@ -512,9 +577,15 @@ def _solve_dsos_tier(layout: _FloatLayout
 _STALL_WORD = {"sdp": "maxiter", "dsos": "stalled"}
 
 
-def _extract_certificate(eq: EqualitySystem, layout: _FloatLayout,
-                         x: np.ndarray, t_star: float, tier: str,
-                         dimension: int) -> SosCertificate:
+def _extract_certificate(eq: EqualitySystem, pruned: EqualitySystem,
+                         layout: _FloatLayout, x: np.ndarray, t_star: float,
+                         tier: str, dimension: int) -> SosCertificate:
+    """The certificate of the solution x of the pruned system.
+
+    Every residual is a row of pruned; the rows that pruning dropped are
+    0 = 0 at the solution.  A block of eq that pruning emptied is the zero
+    multiplier: an empty basis and Gram, whose smallest eigenvalue is inf.
+    """
     # each row's constant, then its terms in entry order: bincount adds a
     # bin's weights in input order
     n_rows = len(layout.rhs)
@@ -523,7 +594,7 @@ def _extract_certificate(eq: EqualitySystem, layout: _FloatLayout,
                                                layout.val * x[layout.col]]),
                        minlength=n_rows)
     residual_by_condition: dict[str, float] = {}
-    for (label, _), r in zip(eq.rows, np.abs(sums).tolist()):
+    for (label, _), r in zip(pruned.rows, np.abs(sums).tolist()):
         condition = label.split(":", 1)[0]
         residual_by_condition[condition] = max(
             residual_by_condition.get(condition, 0.0), r)
@@ -543,10 +614,16 @@ def _extract_certificate(eq: EqualitySystem, layout: _FloatLayout,
         if eig < -GRAM_EIG_TOL:
             raise CertificateUnsoundError(
                 f"gram {name} has eigenvalue {eig:.3e} below -{GRAM_EIG_TOL:.1e}")
-        block = eq.blocks[name]
+        block = pruned.blocks[name]
         multipliers[name] = MultiplierRecord(
             name=name, basis=block.basis, gram=G, min_eigenvalue=eig,
             polynomial=block.expand(G))
+    for name in eq.blocks:
+        if name not in pruned.blocks:
+            multipliers[name] = MultiplierRecord(
+                name=name, basis=[], gram=np.zeros((0, 0)),
+                min_eigenvalue=float("inf"),
+                polynomial=Polynomial.zero(dimension))
 
     free_terms: dict[str, dict[Mono, Fraction]] = {}
     for (group, mono), value in zip(layout.free,
@@ -579,7 +656,8 @@ def solve_certificate(system: SemialgebraicSystem, deg_v: int,
     best_margin = None
     for slack in (0, 2):
         eq = _assemble_full(system, deg_v, slack)
-        layout = _FloatLayout(eq)
+        pruned = _prune(eq)
+        layout = _FloatLayout(pruned)
         if tier == "sdp":
             on_sdp = None
             if sdpa_dump is not None:
@@ -595,8 +673,8 @@ def solve_certificate(system: SemialgebraicSystem, deg_v: int,
                               detail=f"solver returned {_STALL_WORD[tier]}")
         if status == "solved":
             if t_star >= ACCEPT_SHIFT:
-                cert = _extract_certificate(eq, layout, x, t_star, tier,
-                                            system.dimension)
+                cert = _extract_certificate(eq, pruned, layout, x, t_star,
+                                            tier, system.dimension)
                 return SosOutcome("certificate", cert, margin=t_star)
             best_margin = t_star if best_margin is None else max(best_margin,
                                                                  t_star)

@@ -210,6 +210,20 @@ def test_find_lyap_sos_end_to_end(cusp_spec, tmp_path):
     assert code2 == EXIT_OK
 
 
+@pytest.mark.parametrize("deg, seed", [(2, 1290332350), (6, 949297729)])
+def test_cusp_box_sdp_certificates_pass_the_seeds_that_once_rejected_them(
+        deg, seed, tmp_path, capsys):
+    # with the forced Gram monomials kept, V had a linear term of about
+    # -1.4e-7*x1 and the oracle found V rising near the origin at these
+    # seeds
+    spec = Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
+    assert main(["find-lyap-sos", str(spec), "--deg", str(deg), "--tier",
+                 "sdp", "--samples", "5000", "--seed", str(seed),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"status=certificate-found degree={deg} tier=sdp")
+
+
 def _oracle_rejecting(monkeypatch, reject):
     """Wrap oracle.verify_sos so that its report fails on the calls for
     which reject(call index) is true."""
@@ -529,6 +543,29 @@ def test_missing_spec_is_usage_error(tmp_path):
 
 def test_cone_command_on_sos_spec_is_usage_error(cusp_spec):
     assert main(["find-lyap-cone", str(cusp_spec)]) == EXIT_USAGE
+
+
+USAGE_ERRORS = [
+    ("cusp_spec", ["find-lyap-cone"], "cone-command-needs-cone-spec"),
+    ("cone_spec", ["find-lyap-sos"], "sos-command-needs-semialgebraic-spec"),
+    ("cusp_spec", ["partition-dump"], "partition-dump-needs-cone-spec"),
+    ("cone_spec", ["verify"], "verify-needs-candidate-or-certificate"),
+    ("cusp_spec", ["simulate"], "simulate-needs-x0"),
+    ("cone_spec", ["simulate", "--x0", "1 2 3"], "x0-dimension-mismatch"),
+]
+
+
+@pytest.mark.parametrize("spec_name, command, detail", USAGE_ERRORS,
+                         ids=[detail for *_, detail in USAGE_ERRORS])
+def test_usage_errors_are_input_errors(spec_name, command, detail, request,
+                                       tmp_path, capsys):
+    # a command that the spec or its flags cannot serve is bad input, with
+    # the status word of every other input error
+    spec = request.getfixturevalue(spec_name)
+    assert main([command[0], str(spec), *command[1:],
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"status=input-error detail={detail}"
 
 
 def test_unstable_system_exhausts(tmp_path):

@@ -2,18 +2,20 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lyapcert import linprog, sos_cert
-from lyapcert.poly import Polynomial, parse_polynomial
+from lyapcert.cli import main as cli_main
+from lyapcert.poly import Polynomial, norm_squared, parse_polynomial
 from lyapcert.sdpsolve import SdpResult, dump_sdpa_sparse
-from lyapcert.sos_cert import (EPS_PD, DegreeScheduleError,
-                               SemialgebraicSystem, SosSetupError,
-                               _assemble_full, _FloatLayout,
-                               _solve_dsos_tier, _solve_sdp_tier,
+from lyapcert.sos_cert import (EPS_PD, DegreeScheduleError, EqualitySystem,
+                               GramBlock, LinearExpr, SemialgebraicSystem,
+                               SosSetupError, _assemble_full, _FloatLayout,
+                               _prune, _solve_dsos_tier, _solve_sdp_tier,
                                assemble_condition_i,
                                assemble_condition_ii, assemble_condition_iii,
                                gram_parameterize,
@@ -271,6 +273,94 @@ def test_certificate_multipliers_reproduce_identities():
     assert worst <= 1e-6
 
 
+# -- pruning the forced Gram monomials --------------------------------------------
+
+def hand_system(*rows):
+    """Grams G0 and G2 over the 1-D basis (1, x1), a free group V = {x1},
+    and one row per (gram terms, free terms, constant)."""
+    eq = EqualitySystem(blocks={name: GramBlock(name, [(0,), (1,)])
+                                for name in ("G0", "G2")},
+                        free_groups={"V": [(1,)]})
+    for k, (gram, free, constant) in enumerate(rows):
+        eq.rows.append((f"row:{k}", LinearExpr(
+            {key: Fraction(c) for key, c in gram.items()},
+            {("V", (1,)): Fraction(c) for c in free}, Fraction(constant))))
+    return eq
+
+
+def test_prune_drops_diagonals_summed_to_zero():
+    # 0 = -G0_00 - G2_00 forces both constants out of their Grams; the
+    # other row keeps its G0_11 term at its new position (0, 0)
+    eq = hand_system(({("G0", 0, 0): -1, ("G2", 0, 0): -1}, [], 0),
+                     ({("G0", 0, 1): -2, ("G0", 1, 1): -1}, [1], 0))
+    pruned = _prune(eq)
+    assert {n: b.basis for n, b in pruned.blocks.items()} == \
+        {"G0": [(1,)], "G2": [(1,)]}
+    assert [(label, expr.gram, expr.free) for label, expr in pruned.rows] == \
+        [("row:1", {("G0", 0, 0): -1}, {("V", (1,)): 1})]
+
+
+@pytest.mark.parametrize("gram, free, constant", [
+    ({("G0", 0, 0): -1, ("G2", 0, 0): -1}, [1], 0),
+    ({("G0", 0, 0): -1, ("G2", 0, 0): -1}, [], 1),
+    ({("G0", 0, 0): -1, ("G0", 0, 1): -2}, [], 0),
+    ({("G0", 0, 0): 1, ("G2", 0, 0): -1}, [], 0),
+], ids=["free-term", "constant", "off-diagonal", "mixed-signs"])
+def test_prune_keeps_rows_that_force_nothing(gram, free, constant):
+    eq = hand_system((gram, free, constant))
+    assert _prune(eq) is eq
+
+
+def test_prune_repeats_until_nothing_changes():
+    # row 0 forces nothing until row 1 has dropped G0's constant; then it
+    # is -G0_11 = 0, which empties G0, and row 2 keeps only its G2 term
+    eq = hand_system(({("G0", 0, 1): -2, ("G0", 1, 1): -1}, [], 0),
+                     ({("G0", 0, 0): -1}, [], 0),
+                     ({("G0", 1, 1): -1, ("G2", 1, 1): 1}, [1], 0))
+    pruned = _prune(eq)
+    assert {n: b.basis for n, b in pruned.blocks.items()} == \
+        {"G2": [(0,), (1,)]}
+    assert [(label, expr.gram) for label, expr in pruned.rows] == \
+        [("row:2", {("G2", 1, 1): 1})]
+
+
+def test_emptied_block_is_the_zero_multiplier(tmp_path):
+    # cusp_box at deg 2 prunes sigma_2 to nothing: certificate.txt names it
+    # with the polynomial 0 and no Gram eigenvalue, and identities (i)-(iii)
+    # rebuilt from the file's polynomials alone hold to rounding
+    spec = Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
+    assert cli_main(["find-lyap-sos", str(spec), "--deg", "2", "--tier",
+                     "sdp", "--samples", "2000",
+                     "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "certificate.txt").read_text()
+    assert "multiplier sigma_2: 0\n" in text
+    assert "multiplier-gram-mineig sigma_2" not in text
+    polys = {}
+    for line in text.splitlines():
+        key, _, value = line.partition(": ")
+        if key == "V" or key.startswith(("multiplier ", "phi ")):
+            polys[key.split(" ")[-1]] = parse_polynomial(value, 2)
+    system = cusp_system()
+    g = system.S.generators
+    V = polys["V"]
+    identities = [V - norm_squared(2).scale(EPS_PD) - polys["sigma_0"]
+                  - polys["sigma_1"] * g[0] - polys["sigma_2"] * g[1]]
+    lhs = -sum((d * f for d, f in zip(V.gradient(), system.f)),
+               Polynomial.zero(2))
+    identities.append(lhs - polys["chi_0"] - polys["chi_1"] * g[0]
+                      - polys["chi_2"] * g[1])
+    for j, other in ((1, 2), (2, 1)):
+        grad = system.S.gradients[j - 1]
+        lhs = -sum((d * e for d, e in zip(V.gradient(), grad)),
+                   Polynomial.zero(2))
+        identities.append(lhs - polys[f"chi_{j}_0"]
+                          - polys[f"chi_{j}_{other}"] * g[other - 1]
+                          - polys[f"phi_{j}"] * g[j - 1])
+    for diff in identities:
+        assert max((abs(float(c)) for c in diff.terms.values()),
+                   default=0.0) <= 1e-12
+
+
 # -- the stacked equality system, pinned ------------------------------------------
 
 def ball_system():
@@ -332,40 +422,76 @@ class _Captured(Exception):
     """Stops a tier once its solver input has been built."""
 
 
-def _tier_equalities(name, deg, slack):
-    """The float layout of a tier's equality system."""
+def _tier_equalities(name, deg, slack, prune=False):
+    """The float layout of a tier's equality system, pruned or as built."""
     system = cusp_system() if name == "cusp" else ball_system()
-    return _FloatLayout(_assemble_full(system, deg, slack))
+    eq = _assemble_full(system, deg, slack)
+    return _FloatLayout(_prune(eq) if prune else eq)
 
 
-# (system, deg V, multiplier slack) -> first 16 hex digits of the sha256 of
-# the SDPA dump of the SDP tier's input (eps_pd 1e-3, no decrease margin)
+def sdp_tier_digest(layout) -> str:
+    """First 16 hex digits of the sha256 of the SDPA dump of the SDP tier's
+    input."""
+    def capture(sdp):
+        text = dump_sdpa_sparse(sdp)
+        raise _Captured(hashlib.sha256(text.encode()).hexdigest()[:16])
+
+    with pytest.raises(_Captured) as captured:
+        _solve_sdp_tier(layout, on_sdp=capture)
+    return captured.value.args[0]
+
+
+# (system, deg V, multiplier slack) -> sdp_tier_digest of the unpruned
+# system (eps_pd 1e-3, no decrease margin).  Re-recorded when the objective
+# on the Grams became zero: each dump lost its objective lines `0 b i i v`
+# and nothing else.
 SDPA_DIGESTS = {
-    ("cusp", 2, 0): "f8d9702b9c076c5e",
-    ("cusp", 2, 2): "290b009d15136b8c",
-    ("cusp", 4, 0): "de0be6d376bfbcf7",
-    ("cusp", 4, 2): "0bfa41bcd50aa006",
-    ("cusp", 6, 0): "bd98209acde17c00",
-    ("cusp", 6, 2): "66c12492bce868ec",
-    ("ball", 2, 0): "79ab1ffbb0d8f5e9",
-    ("ball", 2, 2): "e612e6129a0ae681",
-    ("ball", 4, 0): "8cb0afc4adf8c427",
-    ("ball", 4, 2): "038100dcf81c059c",
-    ("ball", 6, 0): "9bf089c4093eaa53",
-    ("ball", 6, 2): "eef1f12a4f18adf6",
+    ("cusp", 2, 0): "139ca51312483864",
+    ("cusp", 2, 2): "d631665ffce61ec2",
+    ("cusp", 4, 0): "b7312920417b4c3d",
+    ("cusp", 4, 2): "4373a76d7c2ed99e",
+    ("cusp", 6, 0): "5062427ed914f922",
+    ("cusp", 6, 2): "acb04bf9574cc685",
+    ("ball", 2, 0): "3c4dd5cfa7a6f869",
+    ("ball", 2, 2): "2679e31e27e5f952",
+    ("ball", 4, 0): "0352b08b2faf333a",
+    ("ball", 4, 2): "08f7b153b5e68f6a",
+    ("ball", 6, 0): "0da02146f8dd093e",
+    ("ball", 6, 2): "c8c36323801c80e4",
 }
 
 
 @pytest.mark.parametrize("case", SDPA_DIGESTS,
                          ids=["-".join(map(str, c)) for c in SDPA_DIGESTS])
 def test_sdp_tier_input_is_pinned(case):
-    def capture(sdp):
-        text = dump_sdpa_sparse(sdp)
-        raise _Captured(hashlib.sha256(text.encode()).hexdigest()[:16])
+    assert sdp_tier_digest(_tier_equalities(*case)) == SDPA_DIGESTS[case]
 
-    with pytest.raises(_Captured) as captured:
-        _solve_sdp_tier(_tier_equalities(*case), on_sdp=capture)
-    assert captured.value.args[0] == SDPA_DIGESTS[case]
+
+# (system, deg V, multiplier slack) -> (sdp_tier_digest, equality rows) of
+# the pruned system, which is what solve_certificate solves and
+# --dump-sdpa writes
+PRUNED_SDPA_DIGESTS = {
+    ("cusp", 2, 0): ("751245b49acc7c1f", 21),
+    ("cusp", 2, 2): ("e12315d70763b594", 58),
+    ("cusp", 4, 0): ("117c1ecf437d0c42", 61),
+    ("cusp", 4, 2): ("a0bce5149d223a13", 114),
+    ("cusp", 6, 0): ("9649d381b9c79cca", 117),
+    ("cusp", 6, 2): ("2181ab13961ed9cf", 186),
+    ("ball", 2, 0): ("76073dfa0eab1683", 28),
+    ("ball", 2, 2): ("6530df9de9b5d3a0", 103),
+    ("ball", 4, 0): ("f4c153d5f2c10750", 103),
+    ("ball", 4, 2): ("f33f3ff5d908bb3b", 250),
+    ("ball", 6, 0): ("e271da24e762d56c", 250),
+    ("ball", 6, 2): ("c8782d7fc829ff02", 493),
+}
+
+
+@pytest.mark.parametrize("case", PRUNED_SDPA_DIGESTS,
+                         ids=["-".join(map(str, c)) for c in PRUNED_SDPA_DIGESTS])
+def test_pruned_sdp_tier_input_is_pinned(case):
+    layout = _tier_equalities(*case, prune=True)
+    assert (sdp_tier_digest(layout), len(layout.rhs)) == \
+        PRUNED_SDPA_DIGESTS[case]
 
 
 def lp_digest(lp) -> str:
@@ -392,16 +518,43 @@ DSOS_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", DSOS_DIGESTS,
-                         ids=["-".join(map(str, c)) for c in DSOS_DIGESTS])
-def test_dsos_tier_input_is_pinned(case, monkeypatch):
+def dsos_tier_digest(layout, monkeypatch) -> str:
+    """lp_digest of the DSOS tier's LP."""
     def capture(lp):
         raise _Captured(lp_digest(lp))
 
     monkeypatch.setattr(linprog, "solve", capture)
     with pytest.raises(_Captured) as captured:
-        _solve_dsos_tier(_tier_equalities(*case))
-    assert captured.value.args[0] == DSOS_DIGESTS[case]
+        _solve_dsos_tier(layout)
+    return captured.value.args[0]
+
+
+@pytest.mark.parametrize("case", DSOS_DIGESTS,
+                         ids=["-".join(map(str, c)) for c in DSOS_DIGESTS])
+def test_dsos_tier_input_is_pinned(case, monkeypatch):
+    assert dsos_tier_digest(_tier_equalities(*case), monkeypatch) == \
+        DSOS_DIGESTS[case]
+
+
+# (system, deg V, multiplier slack) -> digest of the DSOS tier's LP over
+# the pruned system
+PRUNED_DSOS_DIGESTS = {
+    ("cusp", 2, 0): "1949a5b3f2b61d36",
+    ("cusp", 2, 2): "13fe76db36d5d383",
+    ("cusp", 4, 0): "f6a5cf89a466ab3e",
+    ("cusp", 4, 2): "0f9cce46bb8b01a9",
+    ("ball", 2, 0): "241bc85ec8709817",
+    ("ball", 2, 2): "c7cab03dfe2f24a5",
+    ("ball", 4, 0): "f897dd2b4721b790",
+    ("ball", 4, 2): "9863572cea1ed174",
+}
+
+
+@pytest.mark.parametrize("case", PRUNED_DSOS_DIGESTS,
+                         ids=["-".join(map(str, c)) for c in PRUNED_DSOS_DIGESTS])
+def test_pruned_dsos_tier_input_is_pinned(case, monkeypatch):
+    layout = _tier_equalities(*case, prune=True)
+    assert dsos_tier_digest(layout, monkeypatch) == PRUNED_DSOS_DIGESTS[case]
 
 
 # -- find-lyap-sos output, pinned ----------------------------------------------
@@ -419,14 +572,16 @@ box3: -1.0 1.0
 
 # (system, tier, deg V) -> sha256 of the certificate.txt that
 # find-lyap-sos --samples 2000 writes with BLAS on one thread; the SDP
-# iterates depend on the BLAS thread count in their last bits
+# iterates depend on the BLAS thread count in their last bits.  Re-recorded
+# when the forced Gram monomials were first pruned: the DSOS file lost only
+# the eigenvalue line of the emptied sigma_2
 CERTIFICATE_SHA256 = {
     ("cusp", "sdp", 2):
-        "5a9863a35630034f0c4189ae39056fde26d38fddb6d69b2a02922a628c5c997d",
+        "909f05523ab4774ba6990f622ed710eb1e9fd28afd24d09f4dc153e948cfab91",
     ("cusp", "dsos", 2):
-        "a6766290c136f963f8dc58d5c759b4a32d538b9a37aeedb2c7e323de48bbedf0",
+        "0361f8a5f11964b1bb948bf1711577aadfa1c738c0bd7d9dd641d2473a348f4a",
     ("ball", "sdp", 4):
-        "4ea6140fc7a30a6343a51978e9c446d82b5049242680ababc00ffbc827bd6e2d",
+        "d1df2b8dba3d10de0feebf99d8b69bc7fddd2b5c34df181be37b02680f581a7b",
 }
 
 
@@ -455,14 +610,21 @@ def test_sos_certificate_file_is_pinned(case, tmp_path):
                          ids=["-".join(map(str, c)) for c in CERTIFICATE_SHA256])
 def test_certificate_residual_is_the_reference_residual(case):
     # the extraction's worst row residual, recomputed term by term from the
-    # certificate's Grams, V and phi, is the same float
+    # certificate's Grams, V and phi on the unpruned system, is the same
+    # float: each pruned Gram is padded with zero rows and columns for the
+    # monomials pruning dropped
     name, tier, deg = case
     system = cusp_system() if name == "cusp" else ball_system()
     cert = solve_certificate(system, deg, tier=tier).certificate
     eq = _assemble_full(system, deg, 0)
-    assert {n: b.basis for n, b in eq.blocks.items()} == \
-        {n: m.basis for n, m in cert.multipliers.items()}
-    grams = {n: m.gram for n, m in cert.multipliers.items()}
+    assert set(eq.blocks) == set(cert.multipliers)
+    grams = {}
+    for n, block in eq.blocks.items():
+        rec = cert.multipliers[n]
+        at = [block.basis.index(mono) for mono in rec.basis]
+        assert at == sorted(at)
+        grams[n] = np.zeros((block.size, block.size))
+        grams[n][np.ix_(at, at)] = rec.gram
     frees = {group: {mono: float(c) for mono, c in p.terms.items()}
              for group, p in {"V": cert.V, **cert.phi}.items()}
     assert equality_residual(eq, grams, frees) == max(cert.residuals.values())
