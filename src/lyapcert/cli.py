@@ -6,16 +6,14 @@ verification oracle, and the simulator, and writes textual artifacts to an
 output directory.
 
 Exit codes: 0 when a certificate is found or verification passes, 1 when
-the search is exhausted or verification fails, 2 for usage or input
-errors, 3 when an LP or SDP of the search failed to solve and no level
-certified, or when a linear-algebra step raised LinAlgError, the search
-built a malformed SDP (SdpError), a normal-cone projection failed
-(TangencyError), a simplex bisection degenerated (ConeGeometryError: spec
-validation rejects bad cones before any command runs, so past it the error
-is numerical) or the simulator failed numerically (a projection that
-fails, a state that leaves the set).  Every run ends with one
-machine-readable "status=..." line on standard error.  Verbosity comes from
-LYAPCERT_LOG (quiet, info, debug).
+the search is exhausted, the oracle rejects every candidate, or
+verification fails, 2 for an InputError or a file that cannot be read,
+written or decoded (status=input-error), 3 when an LP or SDP of the
+search failed to solve and no level certified, or for a NumericalError,
+ArithmeticError or LinAlgError (status=solver-failure).  main maps the two
+error kinds of lyapcert.errors to their status and exit code in one
+place.  Every run ends with one machine-readable "status=..." line on
+standard error.  Verbosity comes from LYAPCERT_LOG (quiet, info, debug).
 """
 
 from __future__ import annotations
@@ -31,14 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from . import cop_lp, flow, linprog, oracle, sos_cert
-from .cones import (MAX_ORTHANT_DIMENSION, ConeGeometryError,
-                    PolyhedralCone, dump_partition_lines)
+from .cones import MAX_ORTHANT_DIMENSION, PolyhedralCone, dump_partition_lines
 from .cop_lp import ConicSystem, RationalLyapunovCandidate
+from .errors import InputError, NumericalError
 from .poly import (Polynomial, PolynomialParseError, format_polynomial,
                    parse_polynomial)
-from .sdpsolve import SdpError, dump_sdpa_sparse
+from .sdpsolve import dump_sdpa_sparse
 from .sos_cert import SemialgebraicSystem
-from .tangency import SemialgebraicSet, TangencyError
+from .tangency import SemialgebraicSet
 
 logger = logging.getLogger(__name__)
 
@@ -47,13 +45,19 @@ EXIT_NOT_FOUND = 1
 EXIT_USAGE = 2
 EXIT_SOLVER_FAILURE = 3
 # --r is read only as the denominator power of a cone --candidate
-R_WITHOUT_CONE_CANDIDATE = ("input-error detail='--r needs --candidate on a "
-                            "cone spec'")
+R_WITHOUT_CONE_CANDIDATE = "--r needs --candidate on a cone spec"
 # sweep budget of a cone level that neither a schedule nor --sweeps sets
 DEFAULT_SWEEPS = 8
+# each oracle flag: the spec mode that reads it, its value when unset, its
+# least value, and its help
+ORACLE_FLAGS = {
+    "--seed": ("semialgebraic", 0, 0, "oracle sampling seed"),
+    "--density": ("cone", 10_000, 1, "oracle grid density per section"),
+    "--samples": ("semialgebraic", 10_000, 1, "oracle sample count"),
+}
 
 
-class SpecFileError(ValueError):
+class SpecFileError(InputError):
     def __init__(self, message: str, line: int | None = None,
                  rule: str | None = None):
         where = f" (line {line})" if line is not None else ""
@@ -199,7 +203,7 @@ def parse_spec(path: str | Path) -> ParsedSpec:
         try:
             system: ConicSystem | SemialgebraicSystem = ConicSystem(
                 field, PolyhedralCone(C, dimension=n))
-        except cop_lp.ConicSetupError as exc:
+        except InputError as exc:
             rule = "cone-homogeneity" if "homogene" in str(exc) \
                 else "cone-system"
             raise SpecFileError(str(exc), None, rule)
@@ -210,7 +214,7 @@ def parse_spec(path: str | Path) -> ParsedSpec:
         try:
             S = SemialgebraicSet(generators, boxes)
             system = SemialgebraicSystem(field, S)
-        except Exception as exc:
+        except InputError as exc:
             raise SpecFileError(str(exc), None, "semialgebraic-set")
     return ParsedSpec(system, options)
 
@@ -247,6 +251,17 @@ def default_cone_schedule() -> list[tuple[int, int, int]]:
 
 def _status(line: str) -> None:
     print(f"status={line}", file=sys.stderr)
+
+
+def _number(kind, text, what: str):
+    """kind(text), for kind int or float; text that is not one is an
+    InputError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{what} must be "
+                         f"{'an integer' if kind is int else 'a number'}, "
+                         f"got {text!r}") from None
 
 
 def _out_dir(args) -> Path:
@@ -335,7 +350,8 @@ def read_certificate_candidate(path: Path, dimension: int):
     """Extract the candidate from a certificate file: (kind, poly, r).
 
     A certificate whose `dimension:` line names another dimension is a
-    SpecFileError.
+    SpecFileError, and one whose `dimension:` or `r:` is no integer an
+    InputError.
     """
     kind = None
     poly_text = None
@@ -344,7 +360,7 @@ def read_certificate_candidate(path: Path, dimension: int):
         if raw.startswith("kind: "):
             kind = raw.split(": ", 1)[1].strip()
         elif raw.startswith("dimension: "):
-            found = int(raw.split(": ", 1)[1])
+            found = _number(int, raw.split(": ", 1)[1], f"{path} dimension")
             if found != dimension:
                 raise SpecFileError(f"{path} has dimension {found}, the "
                                     f"spec {dimension}", None, "certificate")
@@ -353,7 +369,7 @@ def read_certificate_candidate(path: Path, dimension: int):
         elif raw.startswith("V: "):
             poly_text = raw.split(": ", 1)[1]
         elif raw.startswith("r: "):
-            r = int(raw.split(": ", 1)[1])
+            r = _number(int, raw.split(": ", 1)[1], f"{path} r")
     if kind is None or poly_text is None:
         raise SpecFileError(f"{path} is not a certificate file", None,
                             "certificate")
@@ -363,28 +379,39 @@ def read_certificate_candidate(path: Path, dimension: int):
 # -- commands --------------------------------------------------------------------
 
 
-def _count_error(flag: str, value: int | None, least: int) -> bool:
-    """Print the input error of a count flag below its least value; an
-    unset flag (None) is no error."""
-    if value is None or value >= least:
-        return False
-    _status(f"input-error detail='{flag} must be at least {least}, "
-            f"got {value}'")
-    return True
+def _check_count(flag: str, value: int | None, least: int) -> None:
+    """A count flag below its least value is an InputError; an unset flag
+    (None) passes."""
+    if value is not None and value < least:
+        raise InputError(f"{flag} must be at least {least}, got {value}")
+
+
+def _oracle_flags(args, spec: ParsedSpec) -> dict:
+    """The values of the oracle flags that the spec's mode reads, by name,
+    each its default when unset.  A flag of the other mode, or one below its
+    least value, is an InputError."""
+    mode = "cone" if spec.is_conic else "semialgebraic"
+    values = {}
+    for flag, (reader, default, least, _) in ORACLE_FLAGS.items():
+        value = getattr(args, flag[2:], None)
+        if reader != mode:
+            if value is not None:
+                raise InputError(f"{flag} needs a {reader} spec")
+            continue
+        _check_count(flag, value, least)
+        values[flag[2:]] = default if value is None else value
+    return values
 
 
 def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
     if not spec.is_conic:
-        _status("input-error detail=cone-command-needs-cone-spec")
-        return EXIT_USAGE
+        raise InputError("cone-command-needs-cone-spec")
     system: ConicSystem = spec.system
-    if _count_error("--deg", args.deg, 1) \
-            or _count_error("--sweeps", args.sweeps, 0) \
-            or _count_error("--density", args.density, 1):
-        return EXIT_USAGE
+    _check_count("--deg", args.deg, 1)
+    _check_count("--sweeps", args.sweeps, 0)
+    density = _oracle_flags(args, spec)["density"]
     if args.r is not None and args.deg is None:
-        _status("input-error detail='--r sets a single level and needs --deg'")
-        return EXIT_USAGE
+        raise InputError("--r sets a single level and needs --deg")
     if args.deg is not None:
         schedule = [(args.deg, args.r or 0, DEFAULT_SWEEPS)]
     elif "schedule" in spec.options:
@@ -413,8 +440,7 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
         _status(f"exhausted-schedule detail={levels!r}")
         return EXIT_NOT_FOUND
     cert = outcome.certificate
-    report = oracle.verify_conic(cert.candidate, system,
-                                 grid_density=args.density)
+    report = oracle.verify_conic(cert.candidate, system, grid_density=density)
     out = _out_dir(args)
     text = format_conic_certificate(cert, system, report)
     if not report.passed:
@@ -433,14 +459,15 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
 
 def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
     if spec.is_conic:
-        _status("input-error detail=sos-command-needs-semialgebraic-spec")
-        return EXIT_USAGE
+        raise InputError("sos-command-needs-semialgebraic-spec")
     system: SemialgebraicSystem = spec.system
-    if _count_error("--samples", args.samples, 1):
-        return EXIT_USAGE
-    degrees = [args.deg] if args.deg is not None else \
-        [int(spec.options["deg"])] if "deg" in spec.options else [2, 4, 6]
+    flags = _oracle_flags(args, spec)
     tier = args.tier
+    if args.dump_sdpa and tier != "sdp":
+        raise InputError("--dump-sdpa needs --tier sdp")
+    degrees = [args.deg] if args.deg is not None else \
+        [_number(int, spec.options["deg"], "deg")] if "deg" in spec.options \
+        else [2, 4, 6]
     out = _out_dir(args)
 
     dump = None
@@ -455,8 +482,7 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
                                              sdpa_dump=dump)
         if outcome.status == "certificate":
             cert = outcome.certificate
-            report = oracle.verify_sos(cert.V, system, samples=args.samples,
-                                       seed=args.seed)
+            report = oracle.verify_sos(cert.V, system, **flags)
             text = format_sos_certificate(cert, system, report)
             if report.passed:
                 path = out / "certificate.txt"
@@ -487,15 +513,11 @@ def cmd_find_lyap_sos(args, spec: ParsedSpec) -> int:
 
 def cmd_verify(args, spec: ParsedSpec) -> int:
     if args.candidate is None and args.certificate is None:
-        _status("input-error detail=verify-needs-candidate-or-certificate")
-        return EXIT_USAGE
+        raise InputError("verify-needs-candidate-or-certificate")
     if args.r is not None and (args.certificate is not None
                                or not spec.is_conic):
-        _status(R_WITHOUT_CONE_CANDIDATE)
-        return EXIT_USAGE
-    if _count_error("--samples", args.samples, 1) \
-            or _count_error("--density", args.density, 1):
-        return EXIT_USAGE
+        raise InputError(R_WITHOUT_CONE_CANDIDATE)
+    flags = _oracle_flags(args, spec)
     n = spec.system.dimension
     if args.certificate is not None:
         kind, poly, r = read_certificate_candidate(Path(args.certificate), n)
@@ -510,10 +532,10 @@ def cmd_verify(args, spec: ParsedSpec) -> int:
     if spec.is_conic:
         report = oracle.verify_conic(
             RationalLyapunovCandidate(poly, r), spec.system,
-            grid_density=args.density, collect_samples=args.csv)
+            grid_density=flags["density"], collect_samples=args.csv)
     else:
-        report = oracle.verify_sos(poly, spec.system, samples=args.samples,
-                                   seed=args.seed, collect_samples=args.csv)
+        report = oracle.verify_sos(poly, spec.system, **flags,
+                                   collect_samples=args.csv)
     (out / "report.txt").write_text(report.to_text())
     if args.csv:
         (out / "report.csv").write_text(report.to_csv())
@@ -525,18 +547,17 @@ def cmd_verify(args, spec: ParsedSpec) -> int:
 
 def cmd_simulate(args, spec: ParsedSpec) -> int:
     if args.r is not None and (args.candidate is None or not spec.is_conic):
-        _status(R_WITHOUT_CONE_CANDIDATE)
-        return EXIT_USAGE
+        raise InputError(R_WITHOUT_CONE_CANDIDATE)
     x0_text = args.x0 or spec.options.get("x0")
     if x0_text is None:
-        _status("input-error detail=simulate-needs-x0")
-        return EXIT_USAGE
-    x0 = [float(v) for v in x0_text.replace(",", " ").split()]
+        raise InputError("simulate-needs-x0")
+    x0 = [_number(float, v, "x0") for v in x0_text.replace(",", " ").split()]
     if len(x0) != spec.system.dimension:
-        _status("input-error detail=x0-dimension-mismatch")
-        return EXIT_USAGE
-    T = args.T if args.T is not None else float(spec.options.get("T", 10.0))
-    dt = args.dt if args.dt is not None else float(spec.options.get("dt", 1e-3))
+        raise InputError("x0-dimension-mismatch")
+    T = args.T if args.T is not None \
+        else _number(float, spec.options.get("T", 10.0), "T")
+    dt = args.dt if args.dt is not None \
+        else _number(float, spec.options.get("dt", 1e-3), "dt")
     V = None
     if args.candidate is not None:
         poly = parse_polynomial(args.candidate, spec.system.dimension)
@@ -544,14 +565,7 @@ def cmd_simulate(args, spec: ParsedSpec) -> int:
             V = RationalLyapunovCandidate(poly, args.r or 0).value
         else:
             V = poly
-    try:
-        traj = flow.simulate(x0, T, dt, spec.system, V=V)
-    except flow.FlowInputError as exc:
-        _status(f"simulation-error detail={str(exc)!r}")
-        return EXIT_USAGE
-    except flow.FlowError as exc:
-        _status(f"solver-failure detail={str(exc)!r}")
-        return EXIT_SOLVER_FAILURE
+    traj = flow.simulate(x0, T, dt, spec.system, V=V)
     out = _out_dir(args)
     path = out / "trajectory.csv"
     with path.open("w") as stream:
@@ -564,10 +578,8 @@ def cmd_simulate(args, spec: ParsedSpec) -> int:
 
 def cmd_partition_dump(args, spec: ParsedSpec) -> int:
     if not spec.is_conic:
-        _status("input-error detail=partition-dump-needs-cone-spec")
-        return EXIT_USAGE
-    if _count_error("--sweeps", args.sweeps, 0):
-        return EXIT_USAGE
+        raise InputError("partition-dump-needs-cone-spec")
+    _check_count("--sweeps", args.sweeps, 0)
     sections = cop_lp.initial_sections(spec.system)
     partitions = []
     for state in sections:
@@ -585,28 +597,33 @@ def cmd_partition_dump(args, spec: ParsedSpec) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parse error is an InputError, with the status line of any other;
+    the usage line goes before it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lyapcert",
         description="Lyapunov certificates for normal-cone constrained "
                     "dynamics (LP hierarchy on cones, SOS hierarchy on "
                     "compact semialgebraic sets)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    oracle_flags = {
-        "--seed": dict(type=int, default=0, help="oracle sampling seed"),
-        "--density": dict(type=int, default=10_000,
-                          help="oracle grid density per section"),
-        "--samples": dict(type=int, default=10_000,
-                          help="oracle sample count for semialgebraic sets"),
-    }
-
     def common(p, *flags):
-        """The spec, --out, and the oracle flags the command reads."""
+        """The spec, --out, and the oracle flags the command reads, with no
+        argparse default, so that _oracle_flags tells a flag given from one
+        unset."""
         p.add_argument("spec", help="system spec file")
         p.add_argument("--out", default=".", help="output directory")
         for flag in flags:
-            p.add_argument(flag, **oracle_flags[flag])
+            mode, default, _, text = ORACLE_FLAGS[flag]
+            p.add_argument(flag, type=int,
+                           help=f"{text}, {mode} spec (default {default})")
 
     p = sub.add_parser("find-lyap-cone", help="run the cone LP hierarchy")
     common(p, "--density")
@@ -627,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_find_lyap_sos)
 
     p = sub.add_parser("verify", help="oracle-check a candidate")
-    common(p, *oracle_flags)
+    common(p, *ORACLE_FLAGS)
     p.add_argument("--candidate", help="polynomial text (h or V)")
     p.add_argument("--r", type=int,
                    help="denominator power of a cone --candidate")
@@ -662,29 +679,23 @@ def _configure_logging() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse the command line and the spec, and run the command.
+
+    Bad input (an InputError, a file that cannot be read or written, or
+    one that is not text) ends as status=input-error with exit 2; a
+    numerical failure (a NumericalError, ArithmeticError or LinAlgError)
+    as status=solver-failure with exit 3.
+    """
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        spec = parse_spec(args.spec)
-    except (SpecFileError, PolynomialParseError) as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(args, parse_spec(args.spec))
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         _status(f"input-error detail={str(exc)!r}")
         return EXIT_USAGE
-    try:
-        return args.func(args, spec)
-    except (np.linalg.LinAlgError, TangencyError, SdpError,
-            ConeGeometryError) as exc:
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         _status(f"solver-failure detail={str(exc)!r}")
         return EXIT_SOLVER_FAILURE
-    except (SpecFileError, PolynomialParseError, ValueError) as exc:
-        _status(f"input-error detail={str(exc)!r}")
-        return EXIT_USAGE
-    except sos_cert.CertificateUnsoundError as exc:
-        _status(f"unsound-certificate detail={str(exc)!r}")
-        return EXIT_NOT_FOUND
 
 
 if __name__ == "__main__":

@@ -25,14 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InputError, NumericalError
 # unused here; perfbench/tracing.py patches `solve` on this module by name
 from .linprog import solve  # noqa: F401
 
 MAX_ORTHANT_DIMENSION = 12  # 2^n orthant enumeration; cost is exponential in n
-
-
-class ConeGeometryError(ValueError):
-    pass
 
 
 @dataclass
@@ -51,16 +48,16 @@ class PolyhedralCone:
         C = np.asarray(C, dtype=float)
         if C.size == 0:
             if dimension is None:
-                raise ConeGeometryError("dimension required for a row-free cone")
+                raise InputError("dimension required for a row-free cone")
             C = C.reshape(0, dimension)
         if C.ndim != 2:
-            raise ConeGeometryError("C must be a matrix")
+            raise InputError("C must be a matrix")
         if dimension is not None and C.shape[1] != dimension:
-            raise ConeGeometryError(
+            raise InputError(
                 f"C has {C.shape[1]} columns, expected {dimension}")
         for i, row in enumerate(C):
             if not np.any(row):
-                raise ConeGeometryError(f"zero row {i + 1} in cone matrix")
+                raise InputError(f"zero row {i + 1} in cone matrix")
         self.C = C
         self.dimension = C.shape[1]
         self.rows = tuple(map(tuple, C.tolist()))
@@ -101,7 +98,7 @@ def bisect_longest_edge(simplex: Simplex) -> tuple[Simplex, Simplex]:
     """
     k = simplex.num_vertices
     if k < 2:
-        raise ConeGeometryError("cannot refine a singleton simplex")
+        raise NumericalError("cannot refine a singleton simplex")
     V = simplex.vertex_array()
     best = (-1.0, (0, 1))
     for i, j in itertools.combinations(range(k), 2):
@@ -112,7 +109,7 @@ def bisect_longest_edge(simplex: Simplex) -> tuple[Simplex, Simplex]:
     mid = 0.5 * (V[i] + V[j])
     norm1 = float(np.abs(mid).sum())
     if norm1 <= 0:
-        raise ConeGeometryError("degenerate edge midpoint at the origin")
+        raise NumericalError("degenerate edge midpoint at the origin")
     mid = mid / norm1
     child_a = V.copy()
     child_a[j] = mid
@@ -214,7 +211,7 @@ def _pieces(cone_rows: tuple[tuple[int, ...], ...], n: int):
     then sign rows).  Cached: the cone and face sections all start here.
     """
     if n > MAX_ORTHANT_DIMENSION:
-        raise ConeGeometryError(
+        raise InputError(
             f"dimension {n} exceeds the orthant-enumeration cap "
             f"{MAX_ORTHANT_DIMENSION}")
     pieces = []
@@ -284,7 +281,7 @@ def face_sections(cone: PolyhedralCone, face_index: int) -> list[Simplex]:
     come from two pieces, so both are dropped.
     """
     if not 1 <= face_index <= cone.num_rows:
-        raise ConeGeometryError(f"face index {face_index} out of range")
+        raise InputError(f"face index {face_index} out of range")
     parts = {}
     for _, rays, tight in _full_pieces(cone):
         members = tuple(k for k, t in enumerate(tight) if face_index - 1 in t)

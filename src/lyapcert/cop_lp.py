@@ -35,6 +35,7 @@ import numpy as np
 
 from . import linprog
 from .cones import PolyhedralCone, SimplicialPartition, Simplex, cone_orthant_sections, face_sections
+from .errors import InputError
 from .poly import (Mono, MonomialTable, Polynomial, bernstein_coefficients,
                    euler_kernel, monomials_of_degree, norm_squared)
 from .tangency import FaceEtaBranches, face_eta_polynomial
@@ -44,10 +45,6 @@ logger = logging.getLogger(__name__)
 ACCEPT_MARGIN = 1e-6     # a level certifies once the LP margin reaches it
 ACTIVE_ROW_TOL = 1e-7
 ROW_RECHECK_TOL = 1e-8
-
-
-class ConicSetupError(ValueError):
-    pass
 
 
 @dataclass
@@ -61,25 +58,25 @@ class ConicSystem:
     def __post_init__(self):
         n = self.cone.dimension
         if len(self.f) != n:
-            raise ConicSetupError("vector field arity must match the dimension")
+            raise InputError("vector field arity must match the dimension")
         degrees = set()
         for i, comp in enumerate(self.f):
             if comp.dimension != n:
-                raise ConicSetupError(f"component {i + 1} has wrong dimension")
+                raise InputError(f"component {i + 1} has wrong dimension")
             deg = comp.is_homogeneous()
             if deg is None:
-                raise ConicSetupError(
+                raise InputError(
                     f"component {i + 1} is not homogeneous; cone mode requires "
                     "a homogeneous field")
             if not comp.is_zero():
                 if deg == 0:
-                    raise ConicSetupError(
+                    raise InputError(
                         f"component {i + 1} has a constant term, so f(0) != 0")
                 degrees.add(deg)
         if not degrees:
-            raise ConicSetupError("vector field is identically zero")
+            raise InputError("vector field is identically zero")
         if len(degrees) > 1:
-            raise ConicSetupError(
+            raise InputError(
                 f"components have mixed homogeneity degrees {sorted(degrees)}")
         self.field_degree = degrees.pop()
 
@@ -102,24 +99,24 @@ class RationalLyapunovCandidate:
 
     def __post_init__(self):
         if self.r < 0:
-            raise ConicSetupError("r must be a nonnegative integer")
+            raise InputError("r must be a nonnegative integer")
         deg = self.h.is_homogeneous()
         if deg is None:
-            raise ConicSetupError("h must be homogeneous")
+            raise InputError("h must be homogeneous")
         self.degree = deg
 
     def value(self, x):
         """V at one point (n,), as a float, or at each row of an (m, n) array.
 
         At the origin V takes its limit 0 when deg h > 2r; when
-        deg h <= 2r it has none, and a point at the origin is a ValueError.
+        deg h <= 2r it has none, and a point at the origin is an InputError.
         """
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
         nrm2 = np.einsum("ij,ij->i", pts, pts)
         away = nrm2 != 0.0
         if not away.all() and self.degree <= 2 * self.r:
-            raise ValueError(f"V = h/|x|^{2 * self.r} has no value at the "
+            raise InputError(f"V = h/|x|^{2 * self.r} has no value at the "
                              f"origin: deg h = {self.degree} <= 2r")
         values = np.zeros(len(pts))
         values[away] = MonomialTable([self.h])(pts[away])[:, 0] \
@@ -285,7 +282,7 @@ def assemble_lp(system: ConicSystem, degree: int, r: int,
     margin is exactly 0) whenever the acceptance threshold is positive.
     """
     if not sections:
-        raise ConicSetupError("empty partition: no sections to constrain")
+        raise InputError("empty partition: no sections to constrain")
     if level is None:
         level = _LevelData(system, degree, r)
     ncoef = len(level.h_basis)
@@ -317,7 +314,7 @@ def initial_sections(system: ConicSystem) -> list[SectionState]:
         for simplex in face_sections(system.cone, i):
             out.append(SectionState("face", i, SimplicialPartition(simplex)))
     if not any(s.kind == "cone" for s in out):
-        raise ConicSetupError(
+        raise InputError(
             "cone has empty interior in every orthant (trivial problem)")
     return out
 

@@ -1,0 +1,17 @@
+"""The two kinds of failure, which the CLI maps to its status and exit code.
+
+InputError is bad input: a spec, flag, candidate or file that the commands
+cannot serve.  NumericalError is a computation that failed on valid input:
+a degenerate bisection, a projection that does not converge or check, a
+malformed SDP, a simulator state that leaves the set, or a certificate
+that fails its recheck.  Every exception class of the package derives from
+one of them.
+"""
+
+
+class InputError(ValueError):
+    pass
+
+
+class NumericalError(RuntimeError):
+    pass

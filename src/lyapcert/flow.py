@@ -53,13 +53,13 @@ import numpy as np
 
 from .cones import PolyhedralCone
 from .cop_lp import ConicSystem
+from .errors import InputError, NumericalError
 # FEAS_TOL: a point this close to the set is not projected, which the loop
 # that poly.euler_kernel generates decides
 from .poly import FEAS_TOL, MonomialTable, Polynomial
 from .sos_cert import SemialgebraicSystem
 # nnls stays a module attribute: the benchmark's tracer patches flow.nnls
-from .tangency import (SemialgebraicSet, TangencyError,  # noqa: F401
-                       eta_projection, nnls)
+from .tangency import SemialgebraicSet, eta_projection, nnls  # noqa: F401
 
 STATE_TOL = 1e-8         # every stored state is this close to the set
 KKT_TOL = 1e-12          # set projection residual, relative to 1 + |z|
@@ -68,15 +68,6 @@ OVERFLOW = "state overflowed the float range"
 CSV_CHUNK = 4096         # trajectory rows formatted per write
 
 System = ConicSystem | SemialgebraicSystem
-
-
-class FlowError(RuntimeError):
-    """A numerical failure: a projection that fails or a state that leaves
-    the set."""
-
-
-class FlowInputError(FlowError):
-    """A start state outside the set, or T or dt not positive."""
 
 
 @dataclass
@@ -141,17 +132,17 @@ def _half_space(z: tuple[float, ...], c: tuple[float, ...], cz: float,
     """z + lam c with lam = max(0, -cz / |c|^2), cz = <c, z>: the projection
     onto c.x >= 0, with eta_projection's checks on the one row c:
     tangency <c, p> >= -max(tol, 1e-12 |c| |p|) and complementarity
-    lam <c, p> <= max(tol, 1e-9 lam), else TangencyError."""
+    lam <c, p> <= max(tol, 1e-9 lam), else NumericalError."""
     norm_sq = sum(map(mul, c, c))
     if norm_sq == 0.0:
-        raise TangencyError("active constraint gradient vanishes")
+        raise NumericalError("active constraint gradient vanishes")
     lam = max(0.0, -cz / norm_sq)
     p = tuple([a + lam * b for a, b in zip(z, c)])
     cp = sum(map(mul, c, p))
     if cp < -tol and cp < -1e-12 * math.sqrt(norm_sq) * math.hypot(*p):
-        raise TangencyError(f"tangency violated after projection: {cp:.3e}")
+        raise NumericalError(f"tangency violated after projection: {cp:.3e}")
     if lam * cp > max(tol, 1e-9 * lam):
-        raise TangencyError("complementarity violated after projection")
+        raise NumericalError("complementarity violated after projection")
     return p
 
 
@@ -183,7 +174,7 @@ def project_set(z, S: SemialgebraicSet,
     lam >= 0, every g_i(y) >= -FEAS_TOL and y - z = sum_A lam_i
     grad g_i(y), so z - y lies in N_S(y).  Convexity is assumed, not
     verified.  A singular system, or no pass of the check within
-    MAX_PROJECTION_ITER iterations, raises FlowError.
+    MAX_PROJECTION_ITER iterations, raises NumericalError.
     """
     z = tuple(map(float, z))
     values_at, gradient_at, _ = S.float_kernels
@@ -222,8 +213,8 @@ def project_set(z, S: SemialgebraicSet,
             return y
         active += joining
         lam += [0.0] * len(joining)
-    raise FlowError(f"set projection did not converge in "
-                    f"{MAX_PROJECTION_ITER} iterations")
+    raise NumericalError(f"set projection did not converge in "
+                         f"{MAX_PROJECTION_ITER} iterations")
 
 
 def _kkt_step(y: tuple[float, ...], z: tuple[float, ...],
@@ -256,7 +247,8 @@ def _kkt_step(y: tuple[float, ...], z: tuple[float, ...],
     try:
         delta = np.linalg.solve(M, -np.concatenate([r, g]))
     except np.linalg.LinAlgError as exc:
-        raise FlowError("singular KKT system in the set projection") from exc
+        raise NumericalError(
+            "singular KKT system in the set projection") from exc
     return (tuple(np.add(y, delta[:n]).tolist()),
             np.add(lam, delta[n:]).tolist())
 
@@ -278,20 +270,20 @@ def step(x: tuple[float, ...], z: tuple[float, ...], fx: tuple[float, ...],
     poly.euler_kernel does not keep; returns (x_next, eta_used).
 
     fx is f(x) and values the constraint values at z, as the loop computed
-    them.  A z or a value past the float range raises FlowError.  x_next
-    is the projection of z (a set projection warm-started from and
+    them.  A z or a value past the float range raises NumericalError.
+    x_next is the projection of z (a set projection warm-started from and
     updating the multipliers record, see project_set, and given the
     values at z) and eta_used = (x_next - x)/dt - f(x).  An x_next with a
-    constraint value below -STATE_TOL raises FlowError.
+    constraint value below -STATE_TOL raises NumericalError.
     """
     if not all(map(math.isfinite, z + values)):
-        raise FlowError(OVERFLOW)
+        raise NumericalError(OVERFLOW)
     if isinstance(system, ConicSystem):
         x_next = project_cone(z, system.cone)
     else:
         x_next = project_set(z, system.S, multipliers, values)
     if not _lowest(system, x_next) >= -STATE_TOL:
-        raise FlowError("state left the set")
+        raise NumericalError("state left the set")
     return x_next, tuple([(a - b) / dt - c for a, b, c in zip(x_next, x, fx)])
 
 
@@ -300,7 +292,8 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
              ) -> Trajectory:
     """Fixed-step projected Euler from a feasible start.
 
-    round(T / dt) steps; T and dt must be finite and positive.  Every step
+    round(T / dt) steps.  A start outside the set, or a T or dt that is not
+    finite and positive, is an InputError.  Every step
     is taken by one call of the system's euler_kernel loop, with a
     projection callback for each step the loop does not keep: the callback
     clears the multipliers record when a free step came before (so a set
@@ -308,20 +301,20 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
     along a run of projected steps), calls step through the module global
     and records eta_used on the row of the step's start state.  eta_log is
     zero on every other row.  Every recorded state is feasible within
-    STATE_TOL or the run raises FlowError, as does a state past the float
-    range, with the time of the step that fails.  The states stay float
-    tuples until the last step.  V, when given, is a Polynomial or a map
-    from an (m, n) array of states to an array of their m values (such as
-    RationalLyapunovCandidate.value); it is evaluated once, on all stored
-    states, after the last step.
+    STATE_TOL or the run raises NumericalError, as does a failed projection
+    or a state past the float range, with the time of the step that fails.
+    The states stay float tuples until the last step.  V, when given, is a
+    Polynomial or a map from an (m, n) array of states to an array of
+    their m values (such as RationalLyapunovCandidate.value); it is
+    evaluated once, on all stored states, after the last step.
     """
     x = tuple(map(float, x0))
     if not _lowest(system, x) >= -STATE_TOL:
-        raise FlowInputError("initial state is outside the constraint set")
+        raise InputError("initial state is outside the constraint set")
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf
             and T / dt < math.inf):
-        raise FlowInputError("T and dt must be finite and positive, "
-                             "with T / dt finite")
+        raise InputError("T and dt must be finite and positive, "
+                         "with T / dt finite")
 
     times, states, projected = [0.0], [x], {}
     multipliers: dict[int, float] = {}
@@ -338,9 +331,9 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
     try:
         system.euler_kernel(times, states, dt, int(round(T / dt)), project)
     except OverflowError as exc:
-        raise FlowError(f"{OVERFLOW} at t = {times[-1] + dt}") from exc
-    except FlowError as exc:
-        raise FlowError(f"{exc} at t = {times[-1] + dt}") from exc
+        raise NumericalError(f"{OVERFLOW} at t = {times[-1] + dt}") from exc
+    except NumericalError as exc:
+        raise NumericalError(f"{exc} at t = {times[-1] + dt}") from exc
     states = np.array(states)
     eta_log = np.zeros_like(states)
     if projected:

@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import NumericalError
+
 LE, EQ, GE = "<=", "=", ">="
 FEAS_TOL = 1e-8  # an optimal point satisfies every row and bound this closely
 
@@ -62,7 +64,7 @@ class LinearProgram:
             raise ValueError("one bound pair per variable required")
         if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()
                 and np.isfinite(self.objective).all()):
-            raise ValueError("LP data must be finite")
+            raise NumericalError("LP data must be finite")
 
 
 @dataclass

@@ -34,6 +34,7 @@ import numpy as np
 from .cones import cone_orthant_sections, face_sections, Simplex
 from .cop_lp import (ConicSystem, RationalLyapunovCandidate,
                      decrease_polynomials)
+from .errors import InputError
 from .poly import MonomialTable, Polynomial
 from .sos_cert import SemialgebraicSystem
 from .tangency import eta_projection
@@ -325,7 +326,8 @@ def _rejection_sample(S, samples: int, rng: np.random.Generator
         accepted.append(batch)
         count += len(batch)
     if not count:
-        raise ValueError("empty sample: bounding box misconfigured for the set")
+        raise InputError(
+            "empty sample: bounding box misconfigured for the set")
     return np.concatenate(accepted)[:samples]
 
 

@@ -42,6 +42,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .errors import InputError
+
 Mono = tuple[int, ...]
 Scalar = int | float | Fraction
 
@@ -707,7 +709,7 @@ _TOKEN = re.compile(
     r"|(?P<var>x\d+))")
 
 
-class PolynomialParseError(ValueError):
+class PolynomialParseError(InputError):
     """Raised on malformed polynomial text; carries the column offset."""
 
     def __init__(self, message: str, column: int):
@@ -760,6 +762,8 @@ def parse_polynomial(text: str, dimension: int) -> Polynomial:
                 continue
             if kind == "rational":
                 p, q = value.split("/")
+                if int(q) == 0:
+                    raise PolynomialParseError("zero denominator", col)
                 coeff *= Fraction(int(p), int(q))
             elif kind == "number":
                 coeff *= Fraction(value)

@@ -49,17 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 logger = logging.getLogger(__name__)
 
 DIVERGENCE_THRESHOLD = 1e8
 GAP_TOL = 1e-9       # relative duality gap the iteration stops at
 FEAS_TOL = 1e-9      # relative primal and dual residual it stops at
 MAX_ITER = 200
-
-
-class SdpError(RuntimeError):
-    """A malformed SDP.  The certificate drivers build every SDP from a
-    parsed spec, so this is a numerical failure, never bad user input."""
 
 
 @dataclass
@@ -70,7 +67,9 @@ class SemidefiniteProgram:
     A holds one (m, s_b, s_b) array of symmetric coefficient matrices per
     block, objective_blocks the s_b x s_b matrices C_b, D is (m, k) and
     free_objective the k entries of c.  The arrays are checked and
-    symmetrized block by block, and the solver reads them as they are.
+    symmetrized block by block, and the solver reads them as they are.  The
+    certificate drivers build every SDP from a parsed spec, so a malformed
+    one is a NumericalError, never bad user input.
     """
 
     A: list[np.ndarray]
@@ -81,22 +80,22 @@ class SemidefiniteProgram:
 
     def __post_init__(self):
         if not self.A:
-            raise SdpError("at least one block required")
+            raise NumericalError("at least one block required")
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
         m = len(self.b)
         if m == 0:
-            raise SdpError("at least one equality required")
+            raise NumericalError("at least one equality required")
         sizes = [np.shape(Ab)[-1] for Ab in self.A]
         if min(sizes) < 1:
-            raise SdpError("block sizes must be >= 1")
+            raise NumericalError("block sizes must be >= 1")
         if len(self.objective_blocks) != len(self.A):
-            raise SdpError("one objective matrix per block required")
+            raise NumericalError("one objective matrix per block required")
         self.free_objective = np.asarray(self.free_objective,
                                          dtype=float).reshape(-1)
         self.D = np.asarray(self.D, dtype=float)
         if self.D.shape != (m, self.num_free):
-            raise SdpError(f"D has shape {self.D.shape}, expected "
-                           f"{(m, self.num_free)}")
+            raise NumericalError(f"D has shape {self.D.shape}, expected "
+                                 f"{(m, self.num_free)}")
         for bi, size in enumerate(sizes):
             self.objective_blocks[bi] = _check_sym(
                 self.objective_blocks[bi], (size, size), f"objective block {bi}")
@@ -117,12 +116,12 @@ def _check_sym(mat, shape: tuple[int, ...], what: str) -> np.ndarray:
     within 1e-12 relative; an exactly symmetric array comes back as is."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape != shape:
-        raise SdpError(f"{what} has shape {mat.shape}, expected {shape}")
+        raise NumericalError(f"{what} has shape {mat.shape}, expected {shape}")
     skew = mat - mat.swapaxes(-1, -2)
     if not skew.any():
         return mat
     if np.abs(skew).max() > 1e-12 * max(1.0, np.abs(mat).max()):
-        raise SdpError(f"{what} is not symmetric")
+        raise NumericalError(f"{what} is not symmetric")
     return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 

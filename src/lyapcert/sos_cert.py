@@ -38,8 +38,8 @@ positive semidefiniteness by diagonal dominance, which is an LP and a
 strictly smaller but cheaper certificate class, and scatters the same
 terms into the LP's equality rows.  A certificate is accepted only after
 substituting the Grams back into the exact rows and re-deriving every
-identity within tolerance; a failed recheck is an error, never a silent
-acceptance.
+identity within tolerance; a failed recheck is a NumericalError, never a
+silent acceptance.
 
 Identity (ii) carries no decrease margin, so every certificate is flagged
 "weak decrease" and strict negativity off the origin must be confirmed by
@@ -58,6 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linprog
+from .errors import InputError, NumericalError
 from .poly import (Mono, Polynomial, euler_kernel, monomials_up_to_degree,
                    norm_squared)
 from .sdpsolve import SemidefiniteProgram, solve_sdp
@@ -71,18 +72,6 @@ RESIDUAL_TOL = 1e-6
 GRAM_EIG_TOL = 1e-7
 
 
-class SosSetupError(ValueError):
-    pass
-
-
-class DegreeScheduleError(SosSetupError):
-    pass
-
-
-class CertificateUnsoundError(RuntimeError):
-    """Substitution recheck failed; the solver answer cannot be trusted."""
-
-
 @dataclass
 class SemialgebraicSystem:
     """Polynomial field on a compact semialgebraic set containing 0."""
@@ -93,13 +82,13 @@ class SemialgebraicSystem:
     def __post_init__(self):
         n = self.S.dimension
         if len(self.f) != n:
-            raise SosSetupError("vector field arity must match the dimension")
+            raise InputError("vector field arity must match the dimension")
         origin = (0,) * n
         for i, comp in enumerate(self.f):
             if comp.dimension != n:
-                raise SosSetupError(f"component {i + 1} has wrong dimension")
+                raise InputError(f"component {i + 1} has wrong dimension")
             if comp.evaluate(origin) != 0:
-                raise SosSetupError(f"component {i + 1} gives f(0) != 0")
+                raise InputError(f"component {i + 1} gives f(0) != 0")
 
     @property
     def dimension(self) -> int:
@@ -125,7 +114,7 @@ class GramBlock:
 
     def __post_init__(self):
         if not self.basis:
-            raise SosSetupError(f"gram block {self.name} has an empty basis")
+            raise InputError(f"gram block {self.name} has an empty basis")
         for i in range(len(self.basis)):
             for j in range(i, len(self.basis)):
                 mono = tuple(map(add, self.basis[i], self.basis[j]))
@@ -156,9 +145,9 @@ def gram_parameterize(total_degree: int, dimension: int,
     The basis holds all monomials of degree <= total_degree/2.
     """
     if total_degree < 0:
-        raise SosSetupError("degree must be nonnegative")
+        raise InputError("degree must be nonnegative")
     if total_degree % 2 != 0:
-        raise SosSetupError("SOS degree must be even")
+        raise InputError("SOS degree must be even")
     basis = monomials_up_to_degree(dimension, total_degree // 2)
     return basis, GramBlock(name, basis)
 
@@ -196,12 +185,12 @@ class EqualitySystem:
     def merge(self, other: "EqualitySystem") -> None:
         for name, block in other.blocks.items():
             if name in self.blocks:
-                raise SosSetupError(f"duplicate gram block {name}")
+                raise InputError(f"duplicate gram block {name}")
             self.blocks[name] = block
         for name, basis in other.free_groups.items():
             if name in self.free_groups:
                 if self.free_groups[name] != basis:
-                    raise SosSetupError(f"free group {name} basis mismatch")
+                    raise InputError(f"free group {name} basis mismatch")
             else:
                 self.free_groups[name] = basis
         self.rows.extend(other.rows)
@@ -297,7 +286,7 @@ def assemble_condition_i(system: SemialgebraicSystem, deg_v: int,
     """Rows for V - EPS_PD |x|^2 = sigma_0 + sum sigma_i g_i."""
     for i, g in enumerate(system.S.generators):
         if g.degree() > deg_v:
-            raise DegreeScheduleError(
+            raise InputError(
                 f"deg g_{i + 1} = {g.degree()} exceeds deg V = {deg_v}")
     n = system.dimension
     lhs = {m: Polynomial.monomial(m) for m in _v_basis(n, deg_v)}
@@ -325,7 +314,7 @@ def assemble_condition_iii(system: SemialgebraicSystem, deg_v: int, j: int,
     """
     gens = system.S.generators
     if not 1 <= j <= len(gens):
-        raise SosSetupError(f"face index {j} out of range")
+        raise InputError(f"face index {j} out of range")
     n = system.dimension
     grad_gj = system.S.gradients[j - 1]
     lhs = {m: -_grad_dot(m, grad_gj) for m in _v_basis(n, deg_v)}
@@ -372,7 +361,7 @@ class SosOutcome:
 def _assemble_full(system: SemialgebraicSystem, deg_v: int, slack: int
                    ) -> EqualitySystem:
     if deg_v < 2 or deg_v % 2 != 0:
-        raise SosSetupError("deg V must be even and >= 2")
+        raise InputError("deg V must be even and >= 2")
     full = assemble_condition_i(system, deg_v, slack)
     full.merge(assemble_condition_ii(system, deg_v, slack))
     for j in range(1, len(system.S.generators) + 1):
@@ -600,7 +589,7 @@ def _extract_certificate(eq: EqualitySystem, pruned: EqualitySystem,
             residual_by_condition.get(condition, 0.0), r)
     worst = max(residual_by_condition.values(), default=0.0)
     if worst > RESIDUAL_TOL:
-        raise CertificateUnsoundError(
+        raise NumericalError(
             f"substitution residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
     multipliers: dict[str, MultiplierRecord] = {}
@@ -612,7 +601,7 @@ def _extract_certificate(eq: EqualitySystem, pruned: EqualitySystem,
         start += len(upper[0])
         eig = float(np.linalg.eigvalsh(G).min())
         if eig < -GRAM_EIG_TOL:
-            raise CertificateUnsoundError(
+            raise NumericalError(
                 f"gram {name} has eigenvalue {eig:.3e} below -{GRAM_EIG_TOL:.1e}")
         block = pruned.blocks[name]
         multipliers[name] = MultiplierRecord(
@@ -652,7 +641,7 @@ def solve_certificate(system: SemialgebraicSystem, deg_v: int,
     best margin found at this degree.
     """
     if tier not in ("sdp", "dsos"):
-        raise SosSetupError(f"unknown tier {tier!r}")
+        raise InputError(f"unknown tier {tier!r}")
     best_margin = None
     for slack in (0, 2):
         eq = _assemble_full(system, deg_v, slack)

@@ -25,11 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .cones import PolyhedralCone
+from .errors import InputError, NumericalError
 from .poly import Polynomial, float_kernel, newton_kernel
-
-
-class TangencyError(ValueError):
-    pass
 
 
 @dataclass
@@ -51,20 +48,20 @@ class SemialgebraicSet:
 
     def __post_init__(self):
         if not self.generators:
-            raise TangencyError("at least one generator required")
+            raise InputError("at least one generator required")
         n = self.generators[0].dimension
         for g in self.generators:
             if g.dimension != n:
-                raise TangencyError("generator dimension mismatch")
+                raise InputError("generator dimension mismatch")
         if len(self.box) != n:
-            raise TangencyError("bounding box must have one interval per axis")
+            raise InputError("bounding box must have one interval per axis")
         for lo, hi in self.box:
             if not lo < hi:
-                raise TangencyError("empty bounding-box interval")
+                raise InputError("empty bounding-box interval")
         origin = (0,) * n
         for i, g in enumerate(self.generators):
             if g.evaluate(origin) < 0:
-                raise TangencyError(
+                raise InputError(
                     f"generator {i + 1} excludes the origin: g({origin}) = "
                     f"{float(g.evaluate(origin))}")
         self.gradients = [g.gradient() for g in self.generators]
@@ -103,14 +100,14 @@ def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Nonnegative least squares argmin_{x>=0} ||Ax - b|| (scipy).
 
     scipy.optimize is imported on first call, so set-up never loads it; a
-    solve that hits the iteration cap raises TangencyError.
+    solve that hits the iteration cap raises NumericalError.
     """
     from scipy.optimize import nnls as lawson_hanson
     try:
         x, _ = lawson_hanson(np.asarray(A, dtype=float),
                              np.asarray(b, dtype=float))
     except RuntimeError as exc:
-        raise TangencyError(
+        raise NumericalError(
             f"nonnegative least squares did not converge: {exc}") from exc
     return x
 
@@ -123,7 +120,7 @@ def eta_projection(f_at_x: np.ndarray, active_gradients: Sequence[np.ndarray],
     the active gradients g_j.  eta = sum_j lambda_j g_j with lambda >= 0
     minimizing |f + eta|, so -eta is the projection of f onto the normal
     cone spanned by -g_j.  Afterward f + eta satisfies
-    <g_j, f + eta> >= -tol with complementarity, or TangencyError.
+    <g_j, f + eta> >= -tol with complementarity, or NumericalError.
     """
     f = np.asarray(f_at_x, dtype=float)
     F = np.atleast_2d(f)
@@ -132,7 +129,7 @@ def eta_projection(f_at_x: np.ndarray, active_gradients: Sequence[np.ndarray],
         return np.zeros_like(f)
     norm_sq = np.einsum("ij,ij->i", G, G)
     if (norm_sq == 0.0).any():
-        raise TangencyError("active constraint gradient vanishes")
+        raise NumericalError("active constraint gradient vanishes")
     if len(G) == 1:
         lam = np.maximum(0.0, -(F @ G[0]) / norm_sq[0])[:, None]
     else:
@@ -143,10 +140,10 @@ def eta_projection(f_at_x: np.ndarray, active_gradients: Sequence[np.ndarray],
     slack = np.maximum(tol, 1e-12 * np.sqrt(norm_sq)
                        * np.linalg.norm(V, axis=1)[:, None])
     if (S < -slack).any():
-        raise TangencyError(
+        raise NumericalError(
             f"tangency violated after projection: {S.min():.3e}")
     if (lam * S > np.maximum(tol, 1e-9 * lam)).any():
-        raise TangencyError("complementarity violated after projection")
+        raise NumericalError("complementarity violated after projection")
     return eta.reshape(f.shape)
 
 
@@ -174,10 +171,10 @@ def face_eta_polynomial(cone: PolyhedralCone, face_index: int,
     on the face the two branches agree exactly where w = 0.
     """
     if not 1 <= face_index <= cone.num_rows:
-        raise TangencyError(f"face index {face_index} out of range")
+        raise InputError(f"face index {face_index} out of range")
     n = cone.dimension
     if len(f) != n:
-        raise TangencyError("vector field arity must match the dimension")
+        raise InputError("vector field arity must match the dimension")
     c = [Fraction(float(v)) for v in cone.C[face_index - 1]]
     w = Polynomial.zero(n)
     for ck, fk in zip(c, f):

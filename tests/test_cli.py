@@ -17,6 +17,7 @@ from lyapcert.cli import (_OPTION_KEYS, EXIT_NOT_FOUND, EXIT_OK,
                           parse_spec, read_certificate_candidate)
 from lyapcert.cones import face_sections
 from lyapcert.cop_lp import ConicSystem
+from lyapcert.errors import NumericalError
 from lyapcert.sos_cert import SemialgebraicSystem
 
 CONE_SPEC = """\
@@ -565,7 +566,7 @@ def test_usage_errors_are_input_errors(spec_name, command, detail, request,
     assert main([command[0], str(spec), *command[1:],
                  "--out", str(tmp_path / "o")]) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines()[-1] == \
-        f"status=input-error detail={detail}"
+        f"status=input-error detail='{detail}'"
 
 
 def test_unstable_system_exhausts(tmp_path):
@@ -616,7 +617,7 @@ def test_linalg_error_is_solver_failure(command, spec_name, owner, name,
 def test_malformed_sdp_is_solver_failure(cusp_spec, tmp_path, monkeypatch,
                                          capsys):
     # the search builds every SDP itself, so a malformed one is a solver
-    # failure: here the SDP loses its last block and SdpError rejects it
+    # failure: here the SDP loses its last block, which is a NumericalError
     def one_block_short(A, **kwargs):
         return sdpsolve.SemidefiniteProgram(A=A[:-1], **kwargs)
 
@@ -636,10 +637,10 @@ def test_malformed_sdp_is_solver_failure(cusp_spec, tmp_path, monkeypatch,
 ], ids=["partition-dump", "find-lyap-cone"])
 def test_degenerate_bisection_is_solver_failure(argv, cone_spec, tmp_path,
                                                 monkeypatch, capsys):
-    # spec validation rejects bad cones, so a ConeGeometryError past it is
-    # numerical: here every bisection meets a midpoint at the origin
+    # a failed bisection is numerical: here every bisection meets a
+    # midpoint at the origin
     def degenerate(simplex):
-        raise cones.ConeGeometryError("degenerate edge midpoint at the origin")
+        raise NumericalError("degenerate edge midpoint at the origin")
 
     refine = tmp_path / "refine.spec"
     refine.write_text(SQ3D_SPEC.read_text().replace(
@@ -737,7 +738,7 @@ def test_bad_simulation_input_is_simulation_error(flags, cone_spec, tmp_path,
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.splitlines()[-1].startswith(
-        "status=simulation-error")
+        "status=input-error")
 
 
 @pytest.mark.parametrize("flags", [
@@ -751,7 +752,7 @@ def test_non_finite_simulation_input_is_simulation_error(flags, cone_spec,
                  "--out", str(tmp_path / "o")])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "status=simulation-error detail='T and dt must be finite and "
+        "status=input-error detail='T and dt must be finite and "
         "positive, with T / dt finite'")
     assert not (tmp_path / "o").exists()
 
@@ -782,6 +783,10 @@ def test_non_finite_simulation_input_is_simulation_error(flags, cone_spec,
      "--samples must be at least 1, got -5"),
     ("cusp_spec", ["verify", "--candidate", "1*x1^2 + 1*x2^2",
                    "--samples", "0"], "--samples must be at least 1, got 0"),
+    ("cusp_spec", ["find-lyap-sos", "--seed", "-1"],
+     "--seed must be at least 0, got -1"),
+    ("cusp_spec", ["verify", "--candidate", "1*x1^2 + 1*x2^2",
+                   "--seed", "-1"], "--seed must be at least 0, got -1"),
     ("cone_spec", ["find-lyap-cone", "--density", "0"],
      "--density must be at least 1, got 0"),
     ("cone_spec", ["verify", "--candidate", "1*x1^2 + 1*x2^2", "--r", "0",
@@ -790,12 +795,14 @@ def test_non_finite_simulation_input_is_simulation_error(flags, cone_spec,
         "schedule-deg-zero", "schedule-r-negative", "schedule-sweeps-negative",
         "find-cone-sweeps", "find-cone-deg-sweeps", "partition-dump-sweeps",
         "find-sos-samples-zero", "find-sos-samples-negative",
-        "verify-samples-zero", "find-cone-density", "verify-density"])
+        "verify-samples-zero", "find-sos-seed-negative",
+        "verify-seed-negative", "find-cone-density", "verify-density"])
 def test_counts_below_their_least_value_are_input_errors(
         spec_name, command, detail, request, tmp_path, capsys):
     # --sweeps -1 ran as 0 sweeps, --samples 0 reported a misconfigured
-    # bounding box, --density 0 verified on the section vertices alone, and
-    # a degree of 0 ran a lattice of NaNs; a "+" appends a line to the spec
+    # bounding box, --density 0 verified on the section vertices alone, a
+    # negative --seed reached numpy's generator, and a degree of 0 ran a
+    # lattice of NaNs; a "+" appends a line to the spec
     spec_name, _, extra = spec_name.partition("+")
     spec = request.getfixturevalue(spec_name)
     if extra:
@@ -807,6 +814,140 @@ def test_counts_below_their_least_value_are_input_errors(
     assert capsys.readouterr().err.splitlines()[-1] == \
         f"status=input-error detail='{detail}'"
     assert not (tmp_path / "o").exists()
+
+
+OVERFLOW_CONE_SPEC = CONE_SPEC.replace(
+    "f1: -1*x1 - 2*x2\nf2: -1*x1 - 1*x2",
+    "f1: -8e307*x1 - 8e307*x2\nf2: -8e307*x1 - 8e307*x2")
+OVERFLOW_DISC_SPEC = """\
+dim: 2
+f1: -1e308*x1
+f2: -1*x2
+g1: 1 - x1^2 - x2^2
+box1: -1 1
+box2: -1 1
+"""
+CANDIDATE = "2.9*x1^2 + 1*x1*x2 + 1*x2^2"
+# spec text, argv ({spec}: the spec file, {tmp}: its directory, which holds
+# a regular file "file"), sos_cert attributes to patch, exit code, and the
+# last line of stderr, whole or as a tuple of its parts
+FAILURE_PATHS = {
+    "int-flag-not-an-int": (
+        CONE_SPEC, ["find-lyap-cone", "{spec}", "--deg", "abc"], {},
+        EXIT_USAGE,
+        "status=input-error detail=\"argument --deg: invalid int value: "
+        "'abc'\""),
+    "unknown-command": (
+        CONE_SPEC, ["bogus", "{spec}"], {}, EXIT_USAGE,
+        ("status=input-error detail=\"argument command: invalid choice: ",
+         "bogus", "\"")),
+    "missing-certificate": (
+        CONE_SPEC, ["verify", "{spec}", "--certificate", "{tmp}/none.txt"],
+        {}, EXIT_USAGE,
+        "status=input-error detail=\"[Errno 2] No such file or directory: "
+        "'{tmp}/none.txt'\""),
+    "out-under-a-file": (
+        CONE_SPEC, ["simulate", "{spec}", "--T", "0.01",
+                    "--out", "{tmp}/file/o"], {}, EXIT_USAGE,
+        "status=input-error detail=\"[Errno 20] Not a directory: "
+        "'{tmp}/file/o'\""),
+    "cone-field-overflow": (
+        OVERFLOW_CONE_SPEC, ["find-lyap-cone", "{spec}", "--deg", "2"], {},
+        EXIT_SOLVER_FAILURE, ("status=solver-failure detail='", "'")),
+    "set-field-overflow": (
+        OVERFLOW_DISC_SPEC, ["find-lyap-sos", "{spec}", "--deg", "2"], {},
+        EXIT_SOLVER_FAILURE, ("status=solver-failure detail='", "'")),
+    "sos-recheck-fails": (
+        CUSP_SPEC, ["find-lyap-sos", "{spec}", "--deg", "2"],
+        {"RESIDUAL_TOL": -1.0}, EXIT_SOLVER_FAILURE,
+        ("status=solver-failure detail='substitution residual ",
+         " exceeds -1.0e+00'")),
+    "seed-on-cone-spec": (
+        CONE_SPEC, ["verify", "{spec}", "--candidate", CANDIDATE,
+                    "--seed", "7", "--samples", "3"], {}, EXIT_USAGE,
+        "status=input-error detail='--seed needs a semialgebraic spec'"),
+    "samples-on-cone-spec": (
+        CONE_SPEC, ["verify", "{spec}", "--candidate", CANDIDATE,
+                    "--samples", "3"], {}, EXIT_USAGE,
+        "status=input-error detail='--samples needs a semialgebraic spec'"),
+    "density-on-set-spec": (
+        CUSP_SPEC, ["verify", "{spec}", "--candidate", "x1^2 + x2^2",
+                    "--density", "5"], {}, EXIT_USAGE,
+        "status=input-error detail='--density needs a cone spec'"),
+    "dump-sdpa-on-dsos": (
+        CUSP_SPEC, ["find-lyap-sos", "{spec}", "--tier", "dsos",
+                    "--dump-sdpa"], {}, EXIT_USAGE,
+        "status=input-error detail='--dump-sdpa needs --tier sdp'"),
+    "spec-deg-not-an-int": (
+        CUSP_SPEC.replace("deg: 2", "deg: two"), ["find-lyap-sos", "{spec}"],
+        {}, EXIT_USAGE,
+        "status=input-error detail=\"deg must be an integer, got 'two'\""),
+    "spec-T-not-a-number": (
+        CONE_SPEC.replace("T: 20", "T: ten"), ["simulate", "{spec}"], {},
+        EXIT_USAGE,
+        "status=input-error detail=\"T must be a number, got 'ten'\""),
+    "x0-not-a-number": (
+        CONE_SPEC, ["simulate", "{spec}", "--x0", "2 a"], {}, EXIT_USAGE,
+        "status=input-error detail=\"x0 must be a number, got 'a'\""),
+    "spec-zero-denominator": (
+        CONE_SPEC.replace("f1: -1*x1", "f1: -1/0*x1"),
+        ["find-lyap-cone", "{spec}"], {}, EXIT_USAGE,
+        "status=input-error detail='f1: zero denominator (column 2) (line 2) "
+        "[rule: polynomial]'"),
+    "candidate-zero-denominator": (
+        CONE_SPEC, ["verify", "{spec}", "--candidate", "1/0*x1^2"], {},
+        EXIT_USAGE,
+        "status=input-error detail='zero denominator (column 1)'"),
+}
+
+
+@pytest.mark.parametrize("case", FAILURE_PATHS)
+def test_failure_paths_end_in_their_status_line(case, tmp_path, monkeypatch,
+                                                capsys):
+    # each exited 1, the code of an exhausted search, with a traceback and
+    # no status line, or with the wrong status, or it ran a flag that its
+    # spec never reads.  A status given as a tuple is the parts of the line
+    # that the program words itself, in order; the text between them (a
+    # float residual, Python's own messages) may differ between machines.
+    text, argv, patches, code, status = FAILURE_PATHS[case]
+    parts = (status,) if isinstance(status, str) else status
+    spec = tmp_path / "case.spec"
+    spec.write_text(text)
+    (tmp_path / "file").touch()
+    for name, value in patches.items():
+        monkeypatch.setattr(sos_cert, name, value)
+    argv = [a.format(spec=spec, tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    pattern = ".*".join(re.escape(p.format(tmp=tmp_path)) for p in parts)
+    assert re.fullmatch(pattern, capsys.readouterr().err.splitlines()[-1])
+
+
+@pytest.mark.parametrize("line, detail", [
+    ("dimension: two", "dimension must be an integer, got 'two'"),
+    ("r: 1.5", "r must be an integer, got '1.5'"),
+], ids=["dimension", "r"])
+def test_certificate_numbers_must_be_integers(line, detail, cone_spec,
+                                              tmp_path, capsys):
+    cert = tmp_path / "certificate.txt"
+    cert.write_text(f"kind: conic-lyapunov-certificate\n{line}\n"
+                    f"h: {CANDIDATE}\n")
+    assert main(["verify", str(cone_spec), "--certificate", str(cert),
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"status=input-error detail=\"{cert} {detail}\""
+
+
+def test_a_certificate_that_is_not_text_is_an_input_error(cone_spec, tmp_path,
+                                                          capsys):
+    cert = tmp_path / "certificate.txt"
+    cert.write_bytes(b"\x80")
+    assert main(["verify", str(cone_spec), "--certificate", str(cert),
+                 "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "status=input-error detail=\"'utf-8' codec can't decode byte 0x80 in "
+        "position 0: invalid start byte\"")
 
 
 def test_verify_calls_nnls_only_at_corner_samples(sq3d_run, tmp_path,

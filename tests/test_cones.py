@@ -9,10 +9,10 @@ import pytest
 
 from lyapcert import cones
 from lyapcert.cli import parse_spec
-from lyapcert.cones import (ConeGeometryError, PolyhedralCone, Simplex,
-                            SimplicialPartition, bisect_longest_edge,
-                            cone_orthant_sections, dump_partition_lines,
-                            face_sections)
+from lyapcert.cones import (PolyhedralCone, Simplex, SimplicialPartition,
+                            bisect_longest_edge, cone_orthant_sections,
+                            dump_partition_lines, face_sections)
+from lyapcert.errors import InputError, NumericalError
 from reference import cone_contains, partition_diameter, simplex_diameter
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
@@ -123,7 +123,7 @@ def test_face_touching_an_orthant_only_at_a_ray():
 
 
 def test_face_index_out_of_range():
-    with pytest.raises(ConeGeometryError):
+    with pytest.raises(InputError, match="face index 3 out of range"):
         face_sections(WEDGE, 3)
 
 
@@ -257,7 +257,7 @@ def test_barycentric_reconstruction_oracle():
 
 def test_barycentric_outside_affine_hull():
     s = Simplex.from_rows([[1, 0, 0], [0, 1, 0]])
-    with pytest.raises(ConeGeometryError):
+    with pytest.raises(InputError, match="point is outside the affine hull"):
         barycentric([0.3, 0.3, 0.4], s)
 
 
@@ -271,7 +271,8 @@ def test_bisect_standard_segment():
 
 
 def test_bisect_singleton_errors():
-    with pytest.raises(ConeGeometryError):
+    with pytest.raises(NumericalError,
+                       match="cannot refine a singleton simplex"):
         bisect_longest_edge(Simplex.from_rows([[0.8, 0.2]]))
 
 
@@ -308,7 +309,7 @@ def barycentric(x, simplex, residual_tol=1e-8):
     lam, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     residual = np.linalg.norm(A @ lam - rhs)
     if residual > residual_tol:
-        raise ConeGeometryError(
+        raise InputError(
             f"point is outside the affine hull (residual {residual:.3e})")
     return lam
 
@@ -318,7 +319,7 @@ def locate(part, x, tol=1e-9):
     for i, cell in enumerate(part.cells):
         try:
             lam = barycentric(x, cell)
-        except ConeGeometryError:
+        except InputError:
             continue
         if lam.min() >= -tol:
             return i
@@ -386,7 +387,7 @@ def test_interiors_disjoint_by_sampling():
         for cell in part.cells:
             try:
                 lam = barycentric(x, cell)
-            except ConeGeometryError:
+            except InputError:
                 continue
             if lam.min() > 1e-7:  # strictly interior
                 hits += 1

@@ -6,11 +6,11 @@ import pytest
 
 from lyapcert import cop_lp, linprog
 from lyapcert.cones import PolyhedralCone, bisect_longest_edge
-from lyapcert.cop_lp import (ConicSetupError, ConicSystem,
-                             RationalLyapunovCandidate, SectionState,
-                             assemble_lp, build_si, decrease_polynomials,
-                             initial_sections,
+from lyapcert.cop_lp import (ConicSystem, RationalLyapunovCandidate,
+                             SectionState, assemble_lp, build_si,
+                             decrease_polynomials, initial_sections,
                              run_hierarchy)
+from lyapcert.errors import InputError
 from lyapcert.poly import (MonomialTable, Polynomial, SymmetricTensor,
                            monomials_of_degree, norm_squared, parse_polynomial)
 from lyapcert.tangency import eta_projection, face_eta_polynomial
@@ -47,13 +47,13 @@ def test_field_degree_is_not_an_argument():
 
 
 def test_inhomogeneous_field_rejected():
-    with pytest.raises(ConicSetupError):
+    with pytest.raises(InputError, match="component 1 is not homogeneous"):
         ConicSystem([parse_polynomial("x1^2 + x1", 2), Polynomial.zero(2)],
                     PolyhedralCone(np.eye(2)))
 
 
 def test_constant_component_rejected():
-    with pytest.raises(ConicSetupError):
+    with pytest.raises(InputError, match="component 1 has a constant term"):
         ConicSystem([parse_polynomial("1", 2), Polynomial.zero(2)],
                     PolyhedralCone(np.eye(2)))
 
@@ -292,7 +292,7 @@ def test_assembled_lp_matches_polar_form_reference(degree, r, sweeps, nrows,
 
 def test_empty_sections_rejected():
     system = orthant_system(MINUS_X)
-    with pytest.raises(ConicSetupError):
+    with pytest.raises(InputError, match="empty partition"):
         assemble_lp(system, 2, 0, [])
 
 
@@ -478,12 +478,12 @@ def test_candidate_gradient_closed_form():
 
 
 def test_candidate_value_at_the_origin():
-    """The limit 0 when deg h > 2r; no value (ValueError) when deg h <= 2r."""
+    """The limit 0 when deg h > 2r; no value (InputError) when deg h <= 2r."""
     quartic = parse_polynomial("x1^4 + x2^4", 2)
     assert RationalLyapunovCandidate(quartic, 1).value([0.0, 0.0]) == 0.0
     assert RationalLyapunovCandidate(quartic, 0).value([0.0, 0.0]) == 0.0
     for r in (2, 3):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="has no value at the origin"):
             RationalLyapunovCandidate(quartic, r).value([0.0, 0.0])
 
 
@@ -497,5 +497,5 @@ def test_candidate_value_is_batched():
     for x, v in zip(pts[[0, 2, 3]], values[[0, 2, 3]]):
         plain = evaluate_float_terms(cand.h, x) / float(x @ x)
         assert abs(v - plain) <= 1e-15 * abs(plain)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="has no value at the origin"):
         RationalLyapunovCandidate(parse_polynomial("x1^2 + x2^2", 2), 1).value(pts)

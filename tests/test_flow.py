@@ -10,7 +10,8 @@ from lyapcert import cop_lp, flow, poly, sos_cert, tangency
 from lyapcert.cli import parse_spec
 from lyapcert.cones import PolyhedralCone
 from lyapcert.cop_lp import ConicSystem, RationalLyapunovCandidate
-from lyapcert.flow import FlowError, project_cone, project_set, simulate
+from lyapcert.errors import InputError, NumericalError
+from lyapcert.flow import project_cone, project_set, simulate
 from lyapcert.poly import MonomialTable, Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import (SemialgebraicSet, eta_projection,
@@ -251,7 +252,7 @@ def test_set_projection_that_does_not_converge_raises(monkeypatch):
     S = cusp_system().S
     assert project_set([0.5, 0.1], S) == (0.5, 0.1)  # inside: unchanged
     monkeypatch.setattr(flow, "MAX_PROJECTION_ITER", 2)
-    with pytest.raises(FlowError, match="did not converge"):
+    with pytest.raises(NumericalError, match="did not converge"):
         project_set([-0.3, 0.8], S)
 
 
@@ -356,8 +357,8 @@ STIFF_FIELD = [parse_polynomial("1e300*x1", 2), parse_polynomial("-1*x2", 2)]
         [parse_polynomial("1 - x2", 2)], [(-1.0, 1.0)] * 2)),  # g1 finite
 ], ids=["no-rows", "cone", "set"])
 def test_step_past_the_float_range_raises(system):
-    with pytest.raises(FlowError, match=r"^state overflowed the float range "
-                       r"at t = 10000000000\.0$"):
+    with pytest.raises(NumericalError, match=r"^state overflowed the float "
+                       r"range at t = 10000000000\.0$"):
         simulate((1.0, 1.0), 1e10, 1e10, system)
 
 
@@ -552,7 +553,7 @@ def test_singular_kkt_system_raises():
     # has a zero row
     S = DISC.S
     y = (0.0, 0.0)
-    with pytest.raises(FlowError, match="^singular KKT system"):
+    with pytest.raises(NumericalError, match="^singular KKT system"):
         flow._kkt_step(y, (2.0, 0.0), S, [0], [0.0], S.float_kernels[0](y),
                        0.0)
 
@@ -574,7 +575,8 @@ def test_tracer_hooks_see_every_projection(monkeypatch):
 
 
 def test_step_rejects_infeasible_start():
-    with pytest.raises(FlowError):
+    with pytest.raises(InputError,
+                       match="initial state is outside the constraint set"):
         simulate([-1.0, -1.0], 1.0, 1e-2, wedge_system())
 
 
@@ -774,14 +776,15 @@ def test_each_step_makes_one_euler_kernel_evaluation(name, monkeypatch):
 
 def test_overflow_in_the_loop_raises_at_its_step(monkeypatch):
     # x' = x^2 from x = 1 blows up at t = 1: float ** raises OverflowError
-    # inside the loop, which simulate turns into the FlowError of its step
+    # inside the loop, which simulate turns into the NumericalError of its
+    # step
     system = ConicSystem([parse_polynomial("1*x1^2", 2),
                           parse_polynomial("1*x2^2", 2)],
                          PolyhedralCone(np.eye(2)))
     monkeypatch.setattr(flow, "step",
                         lambda *args: pytest.fail("flow.step called"))
-    with pytest.raises(FlowError, match=r"^state overflowed the float range "
-                       r"at t = 1\.0169999999999988$"):
+    with pytest.raises(NumericalError, match=r"^state overflowed the float "
+                       r"range at t = 1\.0169999999999988$"):
         simulate([1.0, 1.0], T=2.0, dt=1e-3, system=system)
 
 
@@ -799,7 +802,7 @@ def test_free_trajectory_never_calls_step(monkeypatch):
                          ids=["T-inf", "T-nan", "dt-nan", "dt-inf",
                               "T-over-dt-inf"])
 def test_non_finite_times_are_input_errors(T, dt):
-    with pytest.raises(flow.FlowInputError, match="finite and positive"):
+    with pytest.raises(InputError, match="finite and positive"):
         simulate([2.0, 0.5], T, dt, wedge_system())
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lyapcert import linprog
+from lyapcert.errors import NumericalError
 from lyapcert.linprog import (EQ, GE, LE, LinearProgram, dump_lp_text, solve)
 
 
@@ -171,7 +172,7 @@ def test_bad_shapes_rejected():
         LinearProgram(objective=[1.0], A=[[1.0, 2.0]], relations=[LE], b=[1.0])
     with pytest.raises(ValueError):
         LinearProgram(objective=[1.0], A=[[1.0]], relations=["<"], b=[1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="LP data must be finite"):
         LinearProgram(objective=[np.inf], A=[[1.0]], relations=[LE], b=[1.0])
 
 

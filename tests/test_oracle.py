@@ -14,6 +14,7 @@ from lyapcert.oracle import (BAND_WIDTH, PASS_TOL, _band_points,
                              barycentric_grid, verify_conic, verify_sos)
 from lyapcert.cones import Simplex
 from lyapcert.cop_lp import run_hierarchy
+from lyapcert.errors import InputError
 from lyapcert.poly import Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import SemialgebraicSet, eta_projection
@@ -244,7 +245,7 @@ def test_empty_sample_is_an_error():
     # the box misses the feasible half-line entirely
     S = SemialgebraicSet([parse_polynomial("x1", 1)], [(-5.0, -0.1)])
     system = SemialgebraicSystem([parse_polynomial("-1*x1", 1)], S)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="empty sample"):
         verify_sos(parse_polynomial("x1^2", 1), system, samples=100)
 
 

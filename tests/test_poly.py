@@ -466,6 +466,9 @@ def test_parse_errors_carry_column():
         parse_polynomial("x1 +", 2)
     with pytest.raises(PolynomialParseError):
         parse_polynomial("x1^y", 2)
+    with pytest.raises(PolynomialParseError,
+                       match=r"zero denominator \(column 6\)"):
+        parse_polynomial("x1 + 3/0*x2", 2)
 
 
 def test_long_input_parses_like_the_term_by_term_sum():

@@ -8,9 +8,9 @@ import pytest
 
 from lyapcert import sos_cert
 from lyapcert.cli import parse_spec
-from lyapcert.sdpsolve import (SdpError, SemidefiniteProgram, _nt_frame,
-                               _nt_scaling, _tril_inv, dump_sdpa_sparse,
-                               solve_sdp)
+from lyapcert.errors import NumericalError
+from lyapcert.sdpsolve import (SemidefiniteProgram, _nt_frame, _nt_scaling,
+                               _tril_inv, dump_sdpa_sparse, solve_sdp)
 from reference import max_step
 
 CUSP_BOX_SPEC = Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
@@ -130,7 +130,8 @@ def test_infeasible_empty_row_is_exact():
 
 
 def test_validation_rejects_asymmetric():
-    with pytest.raises(SdpError, match="objective block 0 is not symmetric"):
+    with pytest.raises(NumericalError,
+                       match="objective block 0 is not symmetric"):
         program_without_free([sym_unit(2, 0, 0)[None]], [1.0],
                              [np.array([[0.0, 1.0], [0.0, 0.0]])])
 
@@ -138,7 +139,8 @@ def test_validation_rejects_asymmetric():
 def test_validation_rejects_an_asymmetric_equality_matrix():
     # one asymmetric matrix among the block's rows is enough
     A = np.array([sym_unit(2, 0, 0), [[0.0, 1.0], [0.0, 0.0]]])
-    with pytest.raises(SdpError, match="equality block 0 is not symmetric"):
+    with pytest.raises(NumericalError,
+                       match="equality block 0 is not symmetric"):
         program_without_free([A], [1.0, 1.0], [np.eye(2)])
 
 

@@ -10,16 +10,15 @@ import pytest
 
 from lyapcert import linprog, sos_cert
 from lyapcert.cli import main as cli_main
+from lyapcert.errors import InputError
 from lyapcert.poly import Polynomial, norm_squared, parse_polynomial
 from lyapcert.sdpsolve import SdpResult, dump_sdpa_sparse
-from lyapcert.sos_cert import (EPS_PD, DegreeScheduleError, EqualitySystem,
-                               GramBlock, LinearExpr, SemialgebraicSystem,
-                               SosSetupError, _assemble_full, _FloatLayout,
-                               _prune, _solve_dsos_tier, _solve_sdp_tier,
-                               assemble_condition_i,
+from lyapcert.sos_cert import (EPS_PD, EqualitySystem, GramBlock, LinearExpr,
+                               SemialgebraicSystem, _assemble_full,
+                               _FloatLayout, _prune, _solve_dsos_tier,
+                               _solve_sdp_tier, assemble_condition_i,
                                assemble_condition_ii, assemble_condition_iii,
-                               gram_parameterize,
-                               solve_certificate)
+                               gram_parameterize, solve_certificate)
 from lyapcert.tangency import SemialgebraicSet
 from reference import (equality_residual, gram_from_sos_terms,
                        worst_gram_eigenvalue, worst_residual)
@@ -76,7 +75,7 @@ def test_gram_expand_collect_roundtrip():
 
 
 def test_gram_odd_degree_rejected():
-    with pytest.raises(SosSetupError):
+    with pytest.raises(InputError, match="SOS degree must be even"):
         gram_parameterize(3, 2)
 
 
@@ -126,7 +125,7 @@ def test_condition_i_degree_schedule_guard():
                          [(-1.1, 1.1), (-1.1, 1.1)])
     system = SemialgebraicSystem([parse_polynomial("-1*x1", 2),
                                   parse_polynomial("-1*x2", 2)], S)
-    with pytest.raises(DegreeScheduleError):
+    with pytest.raises(InputError, match="deg g_1 = 4 exceeds deg V = 2"):
         assemble_condition_i(system, 2)
 
 

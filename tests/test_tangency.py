@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from lyapcert.cones import PolyhedralCone
+from lyapcert.errors import InputError, NumericalError
 from lyapcert.poly import Polynomial, parse_polynomial
-from lyapcert.tangency import (SemialgebraicSet, TangencyError,
-                               eta_projection, face_eta_polynomial, nnls)
+from lyapcert.tangency import (SemialgebraicSet, eta_projection,
+                               face_eta_polynomial, nnls)
 from reference import evaluate_float_terms
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
@@ -19,7 +20,7 @@ def cusp_set():
 
 
 def test_set_must_contain_origin():
-    with pytest.raises(TangencyError):
+    with pytest.raises(InputError, match="generator 1 excludes the origin"):
         SemialgebraicSet([parse_polynomial("x1 - 1", 2)], [(-1, 2), (-1, 1)])
 
 
@@ -123,12 +124,13 @@ def test_batched_projection_keeps_the_posterior_check(monkeypatch):
     from lyapcert import tangency
     monkeypatch.setattr(tangency, "nnls",
                         lambda A, b: np.full(A.shape[1], 10.0))
-    with pytest.raises(TangencyError, match="complementarity"):
+    with pytest.raises(NumericalError, match="complementarity"):
         eta_projection(np.ones((3, 2)), [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_zero_gradient_rejected():
-    with pytest.raises(TangencyError):
+    with pytest.raises(NumericalError,
+                       match="active constraint gradient vanishes"):
         eta_projection(np.array([1.0]), [np.array([0.0])])
 
 
@@ -181,7 +183,7 @@ def test_branch_consistency_on_switching_surface():
 
 
 def test_face_index_validation():
-    with pytest.raises(TangencyError):
+    with pytest.raises(InputError, match="face index 0 out of range"):
         face_eta_polynomial(WEDGE, 0, WEDGE_FIELD)
-    with pytest.raises(TangencyError):
+    with pytest.raises(InputError, match="face index 3 out of range"):
         face_eta_polynomial(WEDGE, 3, WEDGE_FIELD)
