@@ -6,11 +6,10 @@ Putinar multipliers over compact semialgebraic sets.  Both come with an
 independent sampling oracle, a projected time-stepping simulator, and a CLI.
 """
 
-from .poly import Polynomial, SymmetricTensor, parse_polynomial, format_polynomial
+from .poly import Polynomial, parse_polynomial, format_polynomial
 
 __all__ = [
     "Polynomial",
-    "SymmetricTensor",
     "parse_polynomial",
     "format_polynomial",
 ]

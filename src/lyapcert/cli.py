@@ -293,6 +293,13 @@ def _echo_system(system) -> list[str]:
     return lines
 
 
+def _oracle_footer(report: oracle.Report) -> list[str]:
+    """The last lines of a certificate: each oracle check's minimum, then
+    the verdict."""
+    return [*(f"oracle {c.name}: {c.min_value!r}" for c in report.checks),
+            f"oracle-pass: {'true' if report.passed else 'false'}"]
+
+
 def format_conic_certificate(cert: cop_lp.ConicCertificate,
                              system: ConicSystem,
                              report: oracle.Report) -> str:
@@ -311,10 +318,7 @@ def format_conic_certificate(cert: cop_lp.ConicCertificate,
         tag = f"{state.kind}-{state.label}"
         for cell_line in dump_partition_lines([state.partition]):
             lines.append(f"partition {tag}: {cell_line}")
-    for check in report.checks:
-        lines.append(f"oracle {check.name}: {check.min_value!r}")
-    lines.append(f"oracle-pass: {'true' if report.passed else 'false'}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _oracle_footer(report)) + "\n"
 
 
 def format_sos_certificate(cert: sos_cert.SosCertificate,
@@ -340,10 +344,7 @@ def format_sos_certificate(cert: sos_cert.SosCertificate,
         lines.append(f"residual {label}: {cert.residuals[label]!r}")
     for flag in cert.flags:
         lines.append(f"flag: {flag}")
-    for check in report.checks:
-        lines.append(f"oracle {check.name}: {check.min_value!r}")
-    lines.append(f"oracle-pass: {'true' if report.passed else 'false'}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _oracle_footer(report)) + "\n"
 
 
 def read_certificate_candidate(path: Path, dimension: int):
@@ -364,9 +365,7 @@ def read_certificate_candidate(path: Path, dimension: int):
             if found != dimension:
                 raise SpecFileError(f"{path} has dimension {found}, the "
                                     f"spec {dimension}", None, "certificate")
-        elif raw.startswith("h: "):
-            poly_text = raw.split(": ", 1)[1]
-        elif raw.startswith("V: "):
+        elif raw.startswith(("h: ", "V: ")):
             poly_text = raw.split(": ", 1)[1]
         elif raw.startswith("r: "):
             r = _number(int, raw.split(": ", 1)[1], f"{path} r")
@@ -589,9 +588,8 @@ def cmd_partition_dump(args, spec: ParsedSpec) -> int:
         partitions.append(part)
     lines = dump_partition_lines(partitions)
     text = "\n".join(lines) + "\n"
-    if args.out != ".":
-        path = _out_dir(args) / "partitions.txt"
-        path.write_text(text)
+    if args.out is not None:
+        (_out_dir(args) / "partitions.txt").write_text(text)
     sys.stdout.write(text)
     _status(f"partition-dumped cells={len(lines)}")
     return EXIT_OK
@@ -666,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--sweeps", type=int, default=0,
                    help="uniform refinement sweeps before dumping")
-    p.set_defaults(func=cmd_partition_dump)
+    # partitions.txt is written only when --out is given
+    p.set_defaults(func=cmd_partition_dump, out=None)
     return parser
 
 

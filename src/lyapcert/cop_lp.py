@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linprog
 from .cones import PolyhedralCone, SimplicialPartition, Simplex, cone_orthant_sections, face_sections
-from .errors import InputError
+from .errors import OUT_OF_FLOAT_RANGE, InputError, NumericalError
 from .poly import (Mono, MonomialTable, Polynomial, bernstein_coefficients,
                    euler_kernel, monomials_of_degree, norm_squared)
 from .tangency import FaceEtaBranches, face_eta_polynomial
@@ -221,18 +221,22 @@ class _LevelData:
         self.h_basis = monomials_of_degree(n, degree)
         self.s0_order = degree + system.field_degree + 1
         h_polys = [Polynomial.monomial(m) for m in self.h_basis]
-        self.h_table = MonomialTable(h_polys)
-        self.s0_table = MonomialTable(decrease_polynomials(h_polys, r,
-                                                           system.f))
-        self.face_b_tables: dict[int, MonomialTable] = {}
         # w = <c_i, f> is zero or homogeneous of the field's degree
         self.w_order = system.field_degree
+        self.face_b_tables: dict[int, MonomialTable] = {}
         self.face_w: dict[int, MonomialTable] = {}
-        for i in range(1, system.cone.num_rows + 1):
-            branches = face_eta_polynomial(system.cone, i, system.f)
-            self.face_w[i] = MonomialTable([branches.w])
-            self.face_b_tables[i] = MonomialTable(
-                build_si(h_polys, r, system.f, branches))
+        try:   # a table holds each coefficient as a float
+            self.h_table = MonomialTable(h_polys)
+            self.s0_table = MonomialTable(decrease_polynomials(h_polys, r,
+                                                               system.f))
+            for i in range(1, system.cone.num_rows + 1):
+                branches = face_eta_polynomial(system.cone, i, system.f)
+                self.face_w[i] = MonomialTable([branches.w])
+                self.face_b_tables[i] = MonomialTable(
+                    build_si(h_polys, r, system.f, branches))
+        except OverflowError:
+            raise NumericalError(f"cone LP tables: {OUT_OF_FLOAT_RANGE}") \
+                from None
 
 
 def _cell_rows(level: _LevelData, state: SectionState, cell: Simplex

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import OUT_OF_FLOAT_RANGE, NumericalError
 
 LE, EQ, GE = "<=", "=", ">="
 FEAS_TOL = 1e-8  # an optimal point satisfies every row and bound this closely
@@ -64,7 +64,8 @@ class LinearProgram:
             raise ValueError("one bound pair per variable required")
         if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()
                 and np.isfinite(self.objective).all()):
-            raise NumericalError("LP data must be finite")
+            raise NumericalError(
+                f"LP data must be finite: {OUT_OF_FLOAT_RANGE}")
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Independent brute-force verification of certificates.
 
 Everything here is deliberately redundant with the construction code:
-inequalities are sampled on dense deterministic grids, and eta comes from
+inequalities are sampled on dense deterministic grids (on a cell, the
+simplicial lattice of poly.simplex_lattice), and eta comes from
 the projection tangency.eta_projection (never from the branch polynomials
 used in LP assembly).  Each face grid is projected once per pattern of
 active cone rows: the closed form where one row is active, nonnegative
@@ -24,9 +25,7 @@ byte-stable for a fixed seed.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -35,11 +34,9 @@ from .cones import cone_orthant_sections, face_sections, Simplex
 from .cop_lp import (ConicSystem, RationalLyapunovCandidate,
                      decrease_polynomials)
 from .errors import InputError
-from .poly import MonomialTable, Polynomial
+from .poly import MonomialTable, Polynomial, simplex_lattice
 from .sos_cert import SemialgebraicSystem
 from .tangency import eta_projection
-
-logger = logging.getLogger(__name__)
 
 PASS_TOL = 1e-9
 BAND_WIDTH = 1e-6
@@ -103,7 +100,12 @@ class Report:
 
 
 def barycentric_grid(simplex: Simplex, density: int) -> np.ndarray:
-    """Deterministic grid of about `density` points covering the simplex."""
+    """Deterministic grid of about `density` points covering the simplex.
+
+    On three or more vertices it is poly.simplex_lattice at the finest
+    resolution whose point count stays within `density`, in reverse
+    (lexicographic) order.
+    """
     k = simplex.num_vertices
     V = simplex.vertex_array()
     if k == 1:
@@ -114,26 +116,7 @@ def barycentric_grid(simplex: Simplex, density: int) -> np.ndarray:
     resolution = 1
     while comb(resolution + k, k - 1) <= density:
         resolution += 1
-    return _lattice(resolution, k) @ V
-
-
-@lru_cache(maxsize=None)
-def _lattice(resolution: int, parts: int) -> np.ndarray:
-    """Weights c / resolution for every composition c of resolution into
-    `parts` parts, in lexicographic order; read-only, one per simplex size."""
-    weights = np.array(list(_compositions(resolution, parts)),
-                       dtype=float) / resolution
-    weights.setflags(write=False)
-    return weights
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    return simplex_lattice(k, resolution)[::-1] @ V
 
 
 def _min_with_witness(name: str, values: np.ndarray, points: np.ndarray,
@@ -160,6 +143,8 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     h and the interior decrease s0 are sampled on every cone section; the
     face decrease is sampled on every face section with eta recomputed by
     projection at each point, independent of the assembly branch logic.
+    h must be positive (strict), as V is in verify_sos: an h that is zero
+    somewhere on a section, such as the zero polynomial, is no certificate.
     """
     h = candidate.h
     r = candidate.r
@@ -175,7 +160,8 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
         h_vals, s0_vals = h_s0(pts).T
         report.record(pts, f"h:orthant{oid}", h_vals)
         report.record(pts, f"s0:orthant{oid}", s0_vals)
-        h_checks.append(_min_with_witness(f"h:orthant{oid}", h_vals, pts))
+        h_checks.append(_min_with_witness(f"h:orthant{oid}", h_vals, pts,
+                                          strict=True))
         s0_checks.append(_min_with_witness(f"s0:orthant{oid}", s0_vals, pts))
     report.checks.append(_merge_min(h_checks, "h-on-sections"))
     report.checks.append(_merge_min(s0_checks, "s0-on-sections"))

@@ -8,7 +8,8 @@ symmetric order-d tensor whose diagonal restriction reproduces it; its
 evaluations on tuples of simplex vertices are the polynomial's Bernstein
 coefficients on that simplex, which turn copositivity into finitely many
 linear constraints.  bernstein_coefficients computes them from values at
-the simplicial lattice points.
+the simplicial lattice points, simplex_lattice, which is also the
+oracle's sample grid on a cell.
 
 Floats are evaluated in two ways, each built once per polynomial list
 and held by its owner.  MonomialTable is the one batch evaluator: every
@@ -32,7 +33,6 @@ certificate files; see parse_polynomial / format_polynomial.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -54,21 +54,14 @@ def grlex_key(mono: Mono) -> tuple:
 
 
 def monomials_of_degree(dimension: int, degree: int) -> list[Mono]:
-    """All exponent tuples of total degree `degree`, in graded-lex order."""
-    out: list[Mono] = []
-
-    def rec(idx: int, remaining: int, cur: list[int]) -> None:
-        if idx == dimension - 1:
-            out.append(tuple(cur + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(idx + 1, remaining - e, cur + [e])
-
+    """All exponent tuples of total degree `degree`, in graded-lex order
+    (the first exponent descending, then the rest by the same rule)."""
     if dimension == 0:
         return [()] if degree == 0 else []
-    rec(0, degree, [])
-    out.sort(key=grlex_key)
-    return out
+    if dimension == 1:
+        return [(degree,)]
+    return [(e, *rest) for e in range(degree, -1, -1)
+            for rest in monomials_of_degree(dimension - 1, degree - e)]
 
 
 def monomials_up_to_degree(dimension: int, degree: int,
@@ -646,22 +639,29 @@ class SymmetricTensor:
 
 
 @lru_cache(maxsize=None)
+def simplex_lattice(k: int, d: int) -> np.ndarray:
+    """The simplicial lattice of a k-vertex simplex at resolution d: the
+    barycentric weights alpha / d for alpha in monomials_of_degree(k, d),
+    in that order; read-only, one per (k, d)."""
+    lattice = np.array(monomials_of_degree(k, d), dtype=float) / d
+    lattice.setflags(write=False)
+    return lattice
+
+
+@lru_cache(maxsize=None)
 def _bernstein_lattice(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice weights alpha/d and the inverse of M with M[alpha, beta] =
+    """simplex_lattice(k, d) and the inverse of M with M[alpha, beta] =
     B_beta(alpha/d), the Bernstein polynomials at the lattice points (by a
     MonomialTable, so by multiplies alone).
 
-    Rows and columns run over the multisets of d indices from range(k) in
-    combinations_with_replacement order; both arrays are read-only.
+    Rows and columns run over monomials_of_degree(k, d); both arrays are
+    read-only.
     """
-    alphas = [tuple(np.bincount(c, minlength=k).tolist()) for c in
-              itertools.combinations_with_replacement(range(k), d)]
-    lattice = np.array(alphas) / d
+    lattice = simplex_lattice(k, d)
     bernstein = [Polynomial(k, {beta: factorial(d)
                                 // prod(map(factorial, beta))})
-                 for beta in alphas]
+                 for beta in monomials_of_degree(k, d)]
     M_inv = np.linalg.inv(MonomialTable(bernstein)(lattice))
-    lattice.setflags(write=False)
     M_inv.setflags(write=False)
     return lattice, M_inv
 
@@ -671,8 +671,9 @@ def bernstein_coefficients(table: MonomialTable, vertices,
     """Bernstein coefficients of homogeneous polynomials on one simplex.
 
     `table` is the MonomialTable of the polynomials.  Returns a
-    (multisets x polys) array whose row j belongs to the j-th vertex
-    multiset of combinations_with_replacement(range(k), order).  Writing
+    (multisets x polys) array whose row j belongs to the j-th exponent
+    beta of monomials_of_degree(k, order), the vertex multiset that holds
+    vertex i beta_i times (combinations_with_replacement order).  Writing
     x = lambda V on the cell, p(lambda V) = sum_beta b_beta B_beta(lambda),
     and b_beta is the polar-form value H[v_{i1}, ..., v_{id}] at the
     multiset beta; the coefficients are solved from the values at the

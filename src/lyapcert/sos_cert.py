@@ -58,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linprog
-from .errors import InputError, NumericalError
+from .errors import OUT_OF_FLOAT_RANGE, InputError, NumericalError
 from .poly import (Mono, Polynomial, euler_kernel, monomials_up_to_degree,
                    norm_squared)
 from .sdpsolve import SemidefiniteProgram, solve_sdp
@@ -113,8 +113,6 @@ class GramBlock:
         init=False, default_factory=dict)
 
     def __post_init__(self):
-        if not self.basis:
-            raise InputError(f"gram block {self.name} has an empty basis")
         for i in range(len(self.basis)):
             for j in range(i, len(self.basis)):
                 mono = tuple(map(add, self.basis[i], self.basis[j]))
@@ -136,20 +134,6 @@ class GramBlock:
             if acc:
                 terms[mono] = acc
         return Polynomial(n, terms)
-
-
-def gram_parameterize(total_degree: int, dimension: int,
-                      name: str = "gram") -> tuple[list[Mono], GramBlock]:
-    """Monomial basis and symbolic Gram for an SOS of the given degree.
-
-    The basis holds all monomials of degree <= total_degree/2.
-    """
-    if total_degree < 0:
-        raise InputError("degree must be nonnegative")
-    if total_degree % 2 != 0:
-        raise InputError("SOS degree must be even")
-    basis = monomials_up_to_degree(dimension, total_degree // 2)
-    return basis, GramBlock(name, basis)
 
 
 # -- equality systems -----------------------------------------------------------
@@ -183,16 +167,10 @@ class EqualitySystem:
     rows: list[tuple[str, LinearExpr]] = field(default_factory=list)
 
     def merge(self, other: "EqualitySystem") -> None:
-        for name, block in other.blocks.items():
-            if name in self.blocks:
-                raise InputError(f"duplicate gram block {name}")
-            self.blocks[name] = block
-        for name, basis in other.free_groups.items():
-            if name in self.free_groups:
-                if self.free_groups[name] != basis:
-                    raise InputError(f"free group {name} basis mismatch")
-            else:
-                self.free_groups[name] = basis
+        """Stack other's rows under these.  The identities name their blocks
+        apart and share the free group V over one basis, so nothing clashes."""
+        self.blocks.update(other.blocks)
+        self.free_groups.update(other.free_groups)
         self.rows.extend(other.rows)
 
 
@@ -237,7 +215,8 @@ def _assemble_identity(system: SemialgebraicSystem, label: str, prefix: str,
     for i, g in enumerate([Polynomial.constant(n, 1), *system.S.generators]):
         if i != face:
             deg = _even_up(lhs_deg - g.degree() + slack)
-            _, block = gram_parameterize(deg, n, name=f"{prefix}_{i}")
+            block = GramBlock(f"{prefix}_{i}",
+                              monomials_up_to_degree(n, deg // 2))
             eq.blocks[block.name] = block
             products.append((block, g, [(nu, -c, -2 * c)
                                         for nu, c in g.terms.items()]))
@@ -442,14 +421,18 @@ class _FloatLayout:
                      for mono in eq.free_groups[group]]
         column = {key: c for c, key in enumerate(
             [(self.blocks[b], i, j) for b, i, j in entries] + self.free)}
-        terms = np.array([(k, column[key], float(coeff))
-                          for k, (_, expr) in enumerate(eq.rows)
-                          for key, coeff in (*expr.gram.items(),
-                                             *expr.free.items())],
-                         dtype=float).reshape(-1, 3)
+        try:
+            terms = np.array([(k, column[key], float(coeff))
+                              for k, (_, expr) in enumerate(eq.rows)
+                              for key, coeff in (*expr.gram.items(),
+                                                 *expr.free.items())],
+                             dtype=float).reshape(-1, 3)
+            self.rhs = np.array([-float(expr.constant)
+                                 for _, expr in eq.rows])
+        except OverflowError:
+            raise NumericalError(f"SOS rows: {OUT_OF_FLOAT_RANGE}") from None
         self.row, self.col = terms[:, :2].astype(np.intp).T
         self.val = terms[:, 2]
-        self.rhs = np.array([-float(expr.constant) for _, expr in eq.rows])
 
     @property
     def num_entries(self) -> int:

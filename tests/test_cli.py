@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -498,7 +499,54 @@ def test_keys_of_the_other_mode_are_input_errors(name, key, command,
         parse_spec(bundled)
 
 
+def test_verify_rejects_the_zero_cone_candidate(tmp_path, capsys):
+    # h = 0 has minimum 0.0 on every section, and passed as verified
+    code = main(["verify", str(SPECS / "cone2d.spec"), "--candidate", "0",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_NOT_FOUND
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "status=verification-failed worst-check=h-on-sections worst-min=0.0"
+
+
+@pytest.mark.parametrize("spec, flags", [
+    ("cone2d.spec", ["--candidate", "2.9*x1^2 + 1*x1*x2 + 1*x2^2",
+                     "--density", "50"]),
+    ("cusp_box.spec", ["--candidate", "1*x1^2 + 1*x2^2", "--samples", "200"]),
+], ids=["cone", "set"])
+def test_verify_csv_holds_one_row_per_sample(spec, flags, tmp_path):
+    out = tmp_path / "v"
+    main(["verify", str(SPECS / spec), *flags, "--csv", "--out", str(out)])
+    rows = (out / "report.csv").read_text().splitlines()
+    counts = re.findall(r" over (\d+) samples",
+                        (out / "report.txt").read_text())
+    assert rows[0] == "quantity,value,point"
+    assert len(rows) - 1 == sum(map(int, counts)) > 0
+
+
+def test_partition_dump_writes_its_file_when_out_is_given(cone_spec, tmp_path,
+                                                          monkeypatch, capsys):
+    # --out . was taken for the default, and wrote nothing
+    monkeypatch.chdir(tmp_path)
+    assert main(["partition-dump", str(cone_spec)]) == EXIT_OK
+    assert not (tmp_path / "partitions.txt").exists()
+    capsys.readouterr()
+    assert main(["partition-dump", str(cone_spec), "--out", "."]) == EXIT_OK
+    assert (tmp_path / "partitions.txt").read_text() == \
+        capsys.readouterr().out
+
+
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_cli_examples_parse():
+    # a renamed or removed flag would leave the README's examples wrong
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README, re.S).group(1)
+    examples = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.startswith("lyapcert ")]
+    assert len(examples) >= 5
+    for argv in examples:
+        assert (SPECS.parent / argv[2]).is_file()
+        build_parser().parse_args(argv[1:])
 
 
 def test_readme_lists_the_spec_keys_and_flags_the_cli_reads():
@@ -819,6 +867,10 @@ def test_counts_below_their_least_value_are_input_errors(
 OVERFLOW_CONE_SPEC = CONE_SPEC.replace(
     "f1: -1*x1 - 2*x2\nf2: -1*x1 - 1*x2",
     "f1: -8e307*x1 - 8e307*x2\nf2: -8e307*x1 - 8e307*x2")
+# the coefficients fit a float here, but the LP's values do not
+OVERFLOW_ORTHANT_SPEC = OVERFLOW_CONE_SPEC.replace(
+    "cone1: -0.25*x1 + 1*x2\ncone2: 1*x1 - 0.25*x2",
+    "cone1: 1*x1\ncone2: 1*x2")
 OVERFLOW_DISC_SPEC = """\
 dim: 2
 f1: -1e308*x1
@@ -853,10 +905,16 @@ FAILURE_PATHS = {
         "'{tmp}/file/o'\""),
     "cone-field-overflow": (
         OVERFLOW_CONE_SPEC, ["find-lyap-cone", "{spec}", "--deg", "2"], {},
-        EXIT_SOLVER_FAILURE, ("status=solver-failure detail='", "'")),
+        EXIT_SOLVER_FAILURE, "status=solver-failure detail='cone LP tables: "
+        "a coefficient exceeds the float range'"),
     "set-field-overflow": (
         OVERFLOW_DISC_SPEC, ["find-lyap-sos", "{spec}", "--deg", "2"], {},
-        EXIT_SOLVER_FAILURE, ("status=solver-failure detail='", "'")),
+        EXIT_SOLVER_FAILURE, "status=solver-failure detail='SOS rows: "
+        "a coefficient exceeds the float range'"),
+    "orthant-field-overflow": (
+        OVERFLOW_ORTHANT_SPEC, ["find-lyap-cone", "{spec}", "--deg", "2"], {},
+        EXIT_SOLVER_FAILURE, "status=solver-failure detail='LP data must be "
+        "finite: a coefficient exceeds the float range'"),
     "sos-recheck-fails": (
         CUSP_SPEC, ["find-lyap-sos", "{spec}", "--deg", "2"],
         {"RESIDUAL_TOL": -1.0}, EXIT_SOLVER_FAILURE,

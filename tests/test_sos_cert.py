@@ -11,14 +11,15 @@ import pytest
 from lyapcert import linprog, sos_cert
 from lyapcert.cli import main as cli_main
 from lyapcert.errors import InputError
-from lyapcert.poly import Polynomial, norm_squared, parse_polynomial
+from lyapcert.poly import (Polynomial, monomials_up_to_degree, norm_squared,
+                           parse_polynomial)
 from lyapcert.sdpsolve import SdpResult, dump_sdpa_sparse
 from lyapcert.sos_cert import (EPS_PD, EqualitySystem, GramBlock, LinearExpr,
                                SemialgebraicSystem, _assemble_full,
                                _FloatLayout, _prune, _solve_dsos_tier,
                                _solve_sdp_tier, assemble_condition_i,
                                assemble_condition_ii, assemble_condition_iii,
-                               gram_parameterize, solve_certificate)
+                               solve_certificate)
 from lyapcert.tangency import SemialgebraicSet
 from reference import (equality_residual, gram_from_sos_terms,
                        worst_gram_eigenvalue, worst_residual)
@@ -46,24 +47,24 @@ V_UNIT = {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 0.0, (0, 1): 0.0, (1, 1): 0.0}
 # -- gram parameterization ----------------------------------------------------------
 
 def test_gram_parameterize_square():
-    basis, block = gram_parameterize(2, 2)
-    assert basis == [(0, 0), (1, 0), (0, 1)]
+    block = GramBlock("gram", monomials_up_to_degree(2, 1))
+    assert block.basis == [(0, 0), (1, 0), (0, 1)]
     G = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
     assert block.expand(G) == parse_polynomial("x1^2 - 2*x1*x2 + x2^2", 2)
 
 
 def test_gram_identity_gives_sum_of_squared_monomials():
-    basis, block = gram_parameterize(4, 2)
+    block = GramBlock("gram", monomials_up_to_degree(2, 2))
     G = np.eye(block.size)
     expected = Polynomial.zero(2)
-    for mono in basis:
+    for mono in block.basis:
         expected = expected + Polynomial.monomial(mono) ** 2
     assert block.expand(G) == expected
 
 
 def test_gram_expand_collect_roundtrip():
     rng = np.random.default_rng(61)
-    basis, block = gram_parameterize(4, 2)
+    block = GramBlock("gram", monomials_up_to_degree(2, 2))
     for _ in range(50):
         Q = rng.uniform(-2, 2, size=(block.size, block.size))
         G = 0.5 * (Q + Q.T)
@@ -72,11 +73,6 @@ def test_gram_expand_collect_roundtrip():
         for mono, pairs in block.pairs_by_monomial.items():
             acc = sum((1 if i == j else 2) * G[i, j] for i, j in pairs)
             assert abs(float(p.coefficient(mono)) - acc) <= 1e-12
-
-
-def test_gram_odd_degree_rejected():
-    with pytest.raises(InputError, match="SOS degree must be even"):
-        gram_parameterize(3, 2)
 
 
 # -- condition (i) -------------------------------------------------------------------
@@ -415,6 +411,23 @@ def test_stacked_equality_system_is_pinned(case):
     eq = _assemble_full(system, deg, slack)
     assert (equality_system_digest(eq), len(eq.rows)) == \
         EQUALITY_DIGESTS[case]
+
+
+@pytest.mark.parametrize("name", ["cusp", "ball"])
+def test_every_assembled_gram_basis_is_a_full_degree_range(name):
+    # the assembly builds each block from monomials_up_to_degree, so no
+    # basis is empty or lacks the constant monomial, and no two identities
+    # name a block alike
+    system = cusp_system() if name == "cusp" else ball_system()
+    n, m = system.dimension, len(system.S.generators)
+    for deg in (2, 4, 6):
+        for slack in (0, 2):
+            eq = _assemble_full(system, deg, slack)
+            # m + 1 blocks each for (i) and (ii), then m for each face
+            assert len(eq.blocks) == 2 * (m + 1) + m * m
+            for block in eq.blocks.values():
+                top = max(map(sum, block.basis))
+                assert block.basis == monomials_up_to_degree(n, top)
 
 
 class _Captured(Exception):
