@@ -13,10 +13,14 @@ built after the last step.  simulate is one call of the system's
 euler_kernel (poly.euler_kernel: one generated loop of Euler steps per
 system, built once), which takes every step: it computes f(x), z and the
 constraint values at z, keeps z when all are finite and every value is
->= -FEAS_TOL, and otherwise calls the projection callback that simulate
-passes it.  That callback calls step, which projects z, checks the
-projected state and returns it with eta_used.  A z or a value that is not
-finite ends the run: the state has left the float range.
+>= -FEAS_TOL, and otherwise projects.  For a set, a step that slides along
+one generator's boundary after a projected step is projected inside the
+loop, in straight-line floats: project_set's warm-started Newton steps for
+one active generator (below), with the same bits.  Every other projected
+step is handed off to the projection callback that simulate passes the
+loop: it calls step, which projects z, checks the projected state and
+returns it with eta_used.  A z or a value that is not finite ends the run:
+the state has left the float range.
 
 Projection onto a polyhedral cone is z + eta_projection(z, C) (Moreau's
 decomposition: z minus its projection onto the polar cone), the same map
@@ -34,7 +38,8 @@ not positive, the step solves the (n + |A|) KKT system with numpy, from
 the float kernels of the generators, gradients and Hessians
 (poly.float_kernel).  Along a trajectory the projection is warm-started
 from the previous step's multipliers, so a step that slides along the
-boundary takes one Newton step.
+boundary takes one Newton step; the loop's sliding step takes it from the
+same lines as newton_kernel (poly._newton_lines).
 
 Trajectories hold times, states and multipliers as arrays built after the
 last step, and optionally a Lyapunov function candidate, evaluated on all
@@ -54,16 +59,14 @@ import numpy as np
 from .cones import PolyhedralCone
 from .cop_lp import ConicSystem
 from .errors import InputError, NumericalError
-# FEAS_TOL: a point this close to the set is not projected, which the loop
-# that poly.euler_kernel generates decides
-from .poly import FEAS_TOL, MonomialTable, Polynomial
+# the tolerances and the iteration cap of a projection live in poly, since
+# the loop that poly.euler_kernel generates decides free and sliding steps
+from .poly import (FEAS_TOL, KKT_TOL, MAX_PROJECTION_ITER, STATE_TOL,
+                   MonomialTable, Polynomial)
 from .sos_cert import SemialgebraicSystem
 # nnls stays a module attribute: the benchmark's tracer patches flow.nnls
 from .tangency import SemialgebraicSet, eta_projection, nnls  # noqa: F401
 
-STATE_TOL = 1e-8         # every stored state is this close to the set
-KKT_TOL = 1e-12          # set projection residual, relative to 1 + |z|
-MAX_PROJECTION_ITER = 100  # iterations of one set projection
 OVERFLOW = "state overflowed the float range"
 CSV_CHUNK = 4096         # trajectory rows formatted per write
 
@@ -267,7 +270,8 @@ def step(x: tuple[float, ...], z: tuple[float, ...], fx: tuple[float, ...],
          multipliers: dict[int, float]
          ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Project the Euler point z = x + dt f(x) of a step that the loop of
-    poly.euler_kernel does not keep; returns (x_next, eta_used).
+    poly.euler_kernel hands off (it neither keeps z nor slides); returns
+    (x_next, eta_used).
 
     fx is f(x) and values the constraint values at z, as the loop computed
     them.  A z or a value past the float range raises NumericalError.
@@ -293,20 +297,23 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
     """Fixed-step projected Euler from a feasible start.
 
     round(T / dt) steps.  A start outside the set, or a T or dt that is not
-    finite and positive, is an InputError.  Every step
-    is taken by one call of the system's euler_kernel loop, with a
-    projection callback for each step the loop does not keep: the callback
-    clears the multipliers record when a free step came before (so a set
-    projection is warm-started from the previous step's multipliers only
-    along a run of projected steps), calls step through the module global
-    and records eta_used on the row of the step's start state.  eta_log is
-    zero on every other row.  Every recorded state is feasible within
-    STATE_TOL or the run raises NumericalError, as does a failed projection
-    or a state past the float range, with the time of the step that fails.
-    The states stay float tuples until the last step.  V, when given, is a
-    Polynomial or a map from an (m, n) array of states to an array of
-    their m values (such as RationalLyapunovCandidate.value); it is
-    evaluated once, on all stored states, after the last step.
+    finite and positive, is an InputError.  Every step is taken by one
+    call of the system's euler_kernel loop.  A set's loop takes a step
+    that slides along one generator's boundary itself, after a projected
+    step (see poly.euler_kernel), and hands every other step it does not
+    keep to a projection callback, as a cone's loop hands all of them: the
+    callback clears the multipliers record when a free step came before
+    (so a set projection is warm-started from the previous step's
+    multipliers only along a run of projected steps), calls step through
+    the module global and records eta_used on the row of the step's start
+    state, where a sliding step records its own.  eta_log is zero on every
+    other row.  Every recorded state is feasible within STATE_TOL or the
+    run raises NumericalError, as does a failed projection or a state past
+    the float range, with the time of the step that fails.  The states
+    stay float tuples until the last step.  V, when given, is a Polynomial
+    or a map from an (m, n) array of states to an array of their m values
+    (such as RationalLyapunovCandidate.value); it is evaluated once, on
+    all stored states, after the last step.
     """
     x = tuple(map(float, x0))
     if not _lowest(system, x) >= -STATE_TOL:
@@ -329,7 +336,8 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
         return x_next
 
     try:
-        system.euler_kernel(times, states, dt, int(round(T / dt)), project)
+        system.euler_kernel(times, states, dt, int(round(T / dt)), project,
+                            multipliers, projected)
     except OverflowError as exc:
         raise NumericalError(f"{OVERFLOW} at t = {times[-1] + dt}") from exc
     except NumericalError as exc:

@@ -143,8 +143,11 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     h and the interior decrease s0 are sampled on every cone section; the
     face decrease is sampled on every face section with eta recomputed by
     projection at each point, independent of the assembly branch logic.
-    h must be positive (strict), as V is in verify_sos: an h that is zero
-    somewhere on a section, such as the zero polynomial, is no certificate.
+    All three must be positive (strict), as V and its decrease are in
+    verify_sos: an h that is zero somewhere on a section, such as the zero
+    polynomial, is no certificate, and neither is a decrease that is only
+    weak (min 0), which a system that is not asymptotically stable, such
+    as a rotation, can have.
     """
     h = candidate.h
     r = candidate.r
@@ -162,7 +165,8 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
         report.record(pts, f"s0:orthant{oid}", s0_vals)
         h_checks.append(_min_with_witness(f"h:orthant{oid}", h_vals, pts,
                                           strict=True))
-        s0_checks.append(_min_with_witness(f"s0:orthant{oid}", s0_vals, pts))
+        s0_checks.append(_min_with_witness(f"s0:orthant{oid}", s0_vals, pts,
+                                           strict=True))
     report.checks.append(_merge_min(h_checks, "h-on-sections"))
     report.checks.append(_merge_min(s0_checks, "s0-on-sections"))
 
@@ -173,7 +177,8 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
             pts = barycentric_grid(simplex, max(grid_density // 10, 100))
             vals = _face_decrease(pts, system, face_table, r)
             report.record(pts, f"face{i}", vals)
-            face_checks.append(_min_with_witness(f"face{i}", vals, pts))
+            face_checks.append(_min_with_witness(f"face{i}", vals, pts,
+                                                 strict=True))
     if face_checks:
         report.checks.append(_merge_min(face_checks, "face-decrease"))
     report.notes.append(

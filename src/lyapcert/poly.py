@@ -18,9 +18,11 @@ monomials formed by multiplies alone.  float_kernel generates one
 straight-line float function for a list of polynomials, for inner loops
 that evaluate them at one point at a time; euler_kernel, from the same
 term emitter, generates the loop of explicit Euler steps of a field that
-keeps each step whose constraint values stay in the set and hands every
-other step to a projection callback, and newton_kernel one Newton step of
-the Euclidean projection onto {g >= 0}.
+keeps each step whose constraint values stay in the set, projects a step
+that slides along one generator of a set itself, and hands every other
+step to a projection callback, and newton_kernel one Newton step of the
+Euclidean projection onto {g >= 0}, from the lines that the sliding step
+takes its Newton steps from.
 
 Monomial order is graded lexicographic (total degree ascending, exponent
 tuple descending within a degree) and is used everywhere a coefficient
@@ -299,6 +301,9 @@ class Polynomial:
 
 _KERNEL_CHUNK = 64  # terms per statement; one long sum nests too deep to compile
 FEAS_TOL = 1e-10    # a constraint value >= -FEAS_TOL keeps an Euler step
+STATE_TOL = 1e-8    # every stored state is this close to the set
+KKT_TOL = 1e-12     # set projection residual, relative to 1 + |z|
+MAX_PROJECTION_ITER = 100  # iterations of one set projection
 
 
 def _sum_lines(var: str, form: Polynomial | Sequence[float],
@@ -365,89 +370,174 @@ def float_kernel(polys: Sequence[Polynomial]
     return _compile(lines, [[f"v{i}" for i in range(len(polys))]])
 
 
+def _indent(lines: list[str], depth: int = 1) -> list[str]:
+    """lines, each indented by depth more levels of four spaces."""
+    return ["    " * depth + line for line in lines]
+
+
+def _biggest(names: Sequence[str]) -> str:
+    """The expression of the largest of names (the one name itself)."""
+    return f"max({', '.join(names)})" if len(names) > 1 else names[0]
+
+
+def _finite(names: Sequence[str]) -> str:
+    """The test that every name is finite: a - a is 0.0 for a finite a
+    and NaN otherwise, so the test itself cannot overflow."""
+    return " + ".join(f"{a} - {a}" for a in names) + " == 0.0"
+
+
 def euler_kernel(field: Sequence[Polynomial],
-                 constraints: Sequence[Polynomial | Sequence[float]]
-                 ) -> Callable[[list, list, float, int, Callable], None]:
+                 constraints: Sequence[Polynomial | Sequence[float]],
+                 derivatives: Sequence[tuple[Sequence[Polynomial],
+                                             Sequence[Polynomial]]] = ()
+                 ) -> Callable[[list, list, float, int, Callable, dict, dict],
+                               None]:
     """One generated loop of explicit Euler steps with a projection callback.
 
-    The returned kernel(times, states, dt, count, project) takes count
-    steps of a field of n polynomials in n variables from states[-1] and
-    times[-1].  A step computes f(x), z_j = x_j + dt * f_j(x) and the
-    constraint values at z, summed as in float_kernel; a constraint that
-    is a row c of floats is ((0.0 + c_1*z_1) + c_2*z_2) + ..., which is
-    sum(map(mul, c, z)) bit for bit.  The step keeps z when every z_j and
-    value is finite (a - a is 0.0 for a finite a, NaN otherwise, so the
-    test itself cannot overflow) and every value is >= -FEAS_TOL;
-    otherwise the next state is project(x, z, f(x), values), each a tuple
-    of floats.  Either way the loop appends times[-1] + dt to times and
-    the state to states and goes on from that state.  An OverflowError of
-    float ** or an exception of project ends the loop, with every step
-    before it appended.
+    The returned kernel(times, states, dt, count, project, record, etas)
+    takes count steps of a field of n polynomials in n variables from
+    states[-1] and times[-1].  A step computes f(x), z_j = x_j + dt * f_j(x)
+    and the constraint values at z, summed as in float_kernel; a constraint
+    that is a row c of floats is ((0.0 + c_1*z_1) + c_2*z_2) + ..., which
+    is sum(map(mul, c, z)) bit for bit.  The step keeps z when every z_j
+    and value is finite and every value is >= -FEAS_TOL; otherwise the
+    next state is project(x, z, f(x), values), each a tuple of floats,
+    unless the step slides (below).  Either way the loop appends
+    times[-1] + dt to times and the state to states and goes on from that
+    state.  An OverflowError of float ** or an exception of project ends
+    the loop, with every step before it appended.
+
+    Without derivatives (the rows of a cone) record and etas are not used.
+    With them, for polynomial constraints g_i, the gradient and the upper
+    triangle of the Hessian of each g_i as newton_kernel takes them, the
+    loop slides along the boundary itself.  record is the multipliers
+    record {i: lam_i} of the projections (flow.project_set), and etas maps
+    the row of a step's start state to the step's eta.  After a project
+    call that leaves record = {i: lam} with lam > 0, and after each step
+    that slides on g_i, a step whose z and values are finite and whose
+    only value below -FEAS_TOL is g_i's slides: with tol = KKT_TOL
+    (1 + max|z_j|) it starts at y = z + lam grad g_i(z) and takes Newton
+    steps from there (newton_kernel's lines) while lam >= 0, evaluating
+    every g_k at each y, until the KKT residual at y is within tol, in at
+    most MAX_PROJECTION_ITER iterations.  It keeps that y when lam > 0, y
+    is finite, every other g_k(y) >= -FEAS_TOL and g_i(y) >= -STATE_TOL;
+    then record[i] = lam and the state's row in etas is (y - x)/dt - f(x).
+    Those are flow.project_set's float operations in its order for one
+    active generator, and its acceptance with flow.step's check of the
+    state, so every other outcome (a negative multiplier, a pivot that is
+    not positive, no convergence, a failed check) hands the step to
+    project, which computes it afresh from the same record.
     """
     n = len(field)
     xs, fs, zs = ([f"{a}{j}" for j in range(n)] for a in "xfz")
     vs = [f"v{i}" for i in range(len(constraints))]
-    lines = ["def kernel(times, states, dt, count, project):",
+    lines = ["def kernel(times, states, dt, count, project, record, etas):",
              "    t = times[-1]", f"    {', '.join(xs)}, = states[-1]",
              "    add_time, add_state = times.append, states.append",
+             *(["    slide = -1"] if derivatives else []),
              "    for _ in range(count):"]
     for f, p in zip(fs, field):
-        lines += ["    " + line for line in _sum_lines(f, p, xs)]
+        lines += _indent(_sum_lines(f, p, xs))
     lines += [f"        {z} = {x} + dt*{f}" for x, f, z in zip(xs, fs, zs)]
     for v, g in zip(vs, constraints):
-        lines += ["    " + line for line in _sum_lines(v, g, zs)]
-    finite = " + ".join(f"{a} - {a}" for a in zs + vs)
+        lines += _indent(_sum_lines(v, g, zs))
     kept = " and ".join([f"{v} >= {-FEAS_TOL!r}" for v in vs]
-                        + [f"{finite} == 0.0"])
-    lines += [f"        if {kept}:", f"            x = {_tuples([zs])}",
-              "        else:",
-              f"            x = project({_tuples([xs, zs, fs, vs])})",
+                        + [_finite(zs + vs)])
+    lines += [f"        if {kept}:", f"            x = {_tuples([zs])}"]
+    project = [f"x = project({_tuples([xs, zs, fs, vs])})"]
+    if derivatives:
+        lines.append("            slide = -1")
+        project = ["x = None",
+                   *_slide_lines(constraints, derivatives, xs, fs, zs),
+                   "if x is None:", *_indent(project),
+                   "    slide = -1", "    if len(record) == 1:",
+                   "        (i, lam), = record.items()",
+                   "        if lam > 0.0:", "            slide = i"]
+    lines += ["        else:", *_indent(project, 3),
               "        t += dt", "        add_time(t)", "        add_state(x)",
               f"        {', '.join(xs)}, = x"]
     return _compile(lines, [])
 
 
-def newton_kernel(g: Polynomial, gradient: Sequence[Polynomial],
-                  hessian: Sequence[Polynomial]) -> Callable:
-    """One straight-line Newton step of the projection onto {g >= 0}.
+def _slide_lines(constraints: Sequence[Polynomial],
+                 derivatives: Sequence[tuple[Sequence[Polynomial],
+                                             Sequence[Polynomial]]],
+                 xs: list[str], fs: list[str], zs: list[str]
+                 ) -> list[str]:
+    """The sliding branch of euler_kernel's loop, one if/elif per
+    generator, unindented: each sets x only when it keeps the step."""
+    ys, a = ([f"{c}{j}" for j in range(len(zs))] for c in "ya")
+    vs, qs = ([f"{c}{k}" for k in range(len(constraints))]  # q_k = g_k(y)
+              for c in "vq")
+    lines = []
+    for i, (gradient, hessian) in enumerate(derivatives):
+        def others(values):
+            return [f"{v} >= {-FEAS_TOL!r}" for k, v in enumerate(values)
+                    if k != i]
+        keep = ["    if " + " and ".join(
+                    ["lam > 0.0", *others(qs), f"q{i} >= {-STATE_TOL!r}",
+                     _finite(ys)]) + ":",
+                f"        x = {_tuples([ys])}",
+                f"        record[{i}] = lam",
+                "        etas[len(states) - 1] = " + _tuples([[
+                    f"({y} - {x})/dt - {f}" for y, x, f in zip(ys, xs, fs)]]),
+                "    break"]
+        iteration = [line for q, g in zip(qs, constraints)
+                     for line in _sum_lines(q, g, ys)]
+        iteration += ["    if not lam >= 0.0:", "        break",
+                      *_newton_lines(f"q{i}", gradient, hessian, ys, keep,
+                                     ["    break"])]
+        body = [f"    tol = {KKT_TOL!r}*(1.0 + "
+                f"{_biggest([f'abs({z})' for z in zs])})"]
+        for name, d in zip(a, gradient):
+            body += _sum_lines(name, d, zs)
+        body += [f"    {y} = {z} + lam*{aj}" for y, z, aj in zip(ys, zs, a)]
+        body += [f"    for _ in range({MAX_PROJECTION_ITER}):",
+                 *_indent(iteration)]
+        lines += [("elif" if i else "if") + f" slide == {i} and "
+                  + " and ".join(others(vs) + [_finite(zs + vs)]) + ":",
+                  *body]
+    return lines
 
-    gradient is grad g and hessian the upper triangle of its Hessian
-    (j <= k, row by row).  The returned kernel(y, z, lam, tol) evaluates
-    g, a = grad g and the Hessian at y, summed as in float_kernel, and the
-    residual r = (y - z) - lam a of the KKT system of min 1/2 |y - z|^2
-    subject to g(y) = 0.  It returns True when |g| <= tol max|a_j| and
-    max|r_j| <= tol.  Otherwise it factors H = I - lam hess g as L D L^T
-    (Cholesky without square roots, unrolled), solves H u = -r and
-    H w = a, and returns (y + dy, (lam + dlam,)) with
-    dlam = (-g - a.u) / a.w and dy = u + dlam w, the solution of
-    [[H, -a], [a^T, 0]] (dy, dlam) = -(r, g).  It returns None, and takes
-    no step, when a pivot of D or a.w is not positive (or not a number).
+
+def _newton_lines(g: str, gradient: Sequence[Polynomial],
+                  hessian: Sequence[Polynomial], ys: list[str],
+                  converged: list[str], singular: list[str]) -> list[str]:
+    """Statements of one Newton step of the projection of z onto {g >= 0},
+    for newton_kernel and euler_kernel's sliding step.
+
+    g names the value of g at the point ys, and z_j, lam and tol are
+    bound.  The statements evaluate a = grad g at y and the residual
+    r = (y - z) - lam a, and run the statements converged when
+    |g| <= tol max|a_j| and max|r_j| <= tol.  Otherwise they factor
+    H = I - lam hess g as L D L^T (Cholesky without square roots,
+    unrolled), solve H u = -r and H w = a, and set y to y + dy and lam to
+    lam + dlam, with dlam = (-g - a.u) / a.w and dy = u + dlam w: the
+    solution of [[H, -a], [a^T, 0]] (dy, dlam) = -(r, g).  A pivot of D or
+    an a.w that is not positive (or not a number) runs singular in place
+    of the step.  converged and singular are one indent deep and must
+    leave the statements (return, break).
     """
-    n = g.dimension
-    xs, zs, rs = ([f"{c}{j}" for j in range(n)] for c in "xzr")
-    a, u, w = ([f"{c}{j}" for j in range(n)] for c in "auw")
+    n = len(ys)
+    zs, rs, a, u, w = ([f"{c}{j}" for j in range(n)] for c in "zrauw")
     h = [[f"h{j}_{k}" for k in range(n)] for j in range(n)]
-    lines = ["def kernel(p, q, lam, tol):", f"    {', '.join(xs)}, = p",
-             f"    {', '.join(zs)}, = q"]
-    lines += _sum_lines("g", g, xs)
+    lines = []
     for name, d in zip(a, gradient):
-        lines += _sum_lines(name, d, xs)
-    lines += [f"    {r} = ({x} - {z}) - lam*{aj}"
-              for r, x, z, aj in zip(rs, xs, zs, a)]
-    biggest = (lambda names: f"max({', '.join(names)})" if n > 1
-               else names[0])
-    lines += [f"    if abs(g) <= tol*{biggest([f'abs({v})' for v in a])} "
-              f"and {biggest([f'abs({v})' for v in rs])} <= tol:",
-              "        return True"]
+        lines += _sum_lines(name, d, ys)
+    lines += [f"    {r} = ({y} - {z}) - lam*{aj}"
+              for r, y, z, aj in zip(rs, ys, zs, a)]
+    lines += [f"    if abs({g}) <= tol*{_biggest([f'abs({v})' for v in a])} "
+              f"and {_biggest([f'abs({v})' for v in rs])} <= tol:",
+              *_indent(converged)]
     upper = iter(hessian)
     for j in range(n):
         for k in range(j, n):
-            lines += _sum_lines(h[j][k], next(upper), xs)
+            lines += _sum_lines(h[j][k], next(upper), ys)
     # H = L D L^T: e_ij = l_ij d_j, d_j the pivots, l_jj = 1
     for j in range(n):
         lines.append(f"    d{j} = (1.0 - lam*{h[j][j]})"
                      + "".join(f" - l{j}_{k}*e{j}_{k}" for k in range(j)))
-        lines += [f"    if not d{j} > 0.0:", "        return None"]
+        lines += [f"    if not d{j} > 0.0:", *_indent(singular)]
         for i in range(j + 1, n):
             lines.append(f"    e{i}_{j} = -(lam*{h[j][i]})"
                          + "".join(f" - l{i}_{k}*e{j}_{k}" for k in range(j)))
@@ -462,12 +552,35 @@ def newton_kernel(g: Polynomial, gradient: Sequence[Polynomial],
     dot = (lambda left, right:
            " + ".join(f"{p}*{q}" for p, q in zip(left, right)))
     lines += [f"    aw = {dot(a, w)}", "    if not aw > 0.0:",
-              "        return None",
-              f"    dlam = (-g - ({dot(a, u)}))/aw",
+              *_indent(singular),
+              f"    dlam = (-{g} - ({dot(a, u)}))/aw",
               "    lam = lam + dlam"]
-    lines += [f"    {x} = {x} + ({uj} + dlam*{wj})"
-              for x, uj, wj in zip(xs, u, w)]
-    return _compile(lines, [xs, ["lam"]])
+    lines += [f"    {y} = {y} + ({uj} + dlam*{wj})"
+              for y, uj, wj in zip(ys, u, w)]
+    return lines
+
+
+def newton_kernel(g: Polynomial, gradient: Sequence[Polynomial],
+                  hessian: Sequence[Polynomial]) -> Callable:
+    """One straight-line Newton step of the projection onto {g >= 0}.
+
+    gradient is grad g and hessian the upper triangle of its Hessian
+    (j <= k, row by row).  The returned kernel(y, z, lam, tol) evaluates
+    g, a = grad g and the Hessian at y, summed as in float_kernel, and the
+    residual r = (y - z) - lam a of the KKT system of min 1/2 |y - z|^2
+    subject to g(y) = 0 (_newton_lines, which euler_kernel's sliding step
+    shares).  It returns True when |g| <= tol max|a_j| and
+    max|r_j| <= tol, and otherwise (y + dy, (lam + dlam,)), the solution of
+    [[H, -a], [a^T, 0]] (dy, dlam) = -(r, g) with H = I - lam hess g
+    factored as L D L^T.  It returns None, and takes no step, when a pivot
+    of D or a.w is not positive (or not a number).
+    """
+    ys, zs = ([f"{c}{j}" for j in range(g.dimension)] for c in "yz")
+    lines = ["def kernel(p, q, lam, tol):", f"    {', '.join(ys)}, = p",
+             f"    {', '.join(zs)}, = q", *_sum_lines("g", g, ys),
+             *_newton_lines("g", gradient, hessian, ys, ["    return True"],
+                            ["    return None"])]
+    return _compile(lines, [ys, ["lam"]])
 
 
 class MonomialTable:

@@ -96,8 +96,10 @@ class SemialgebraicSystem:
 
     @cached_property
     def euler_kernel(self):
-        """poly.euler_kernel of f with the generators of S, built on first use."""
-        return euler_kernel(self.f, self.S.generators)
+        """poly.euler_kernel of f with the generators of S and their
+        derivatives, so the loop slides along the boundary; built on first
+        use."""
+        return euler_kernel(self.f, self.S.generators, self.S.derivatives)
 
 
 # -- Gram parameterization -----------------------------------------------------

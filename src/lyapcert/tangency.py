@@ -73,27 +73,30 @@ class SemialgebraicSet:
         return self.generators[0].dimension
 
     @cached_property
+    def derivatives(self) -> list[tuple[tuple[Polynomial, ...],
+                                        list[Polynomial]]]:
+        """(grad g_i, the upper triangle of hess g_i (j <= k, row by row))
+        of each generator, as poly.newton_kernel and poly.euler_kernel
+        take them."""
+        n = self.dimension
+        return [(grad, [hess[j][k] for j in range(n) for k in range(j, n)])
+                for grad, hess in zip(self.gradients, self.hessians)]
+
+    @cached_property
     def float_kernels(self):
         """(values, gradients, hessians): poly.float_kernel of the
         generators, one of each gradient, and one of the upper triangle
-        of each Hessian (j <= k, row by row)."""
-        n = self.dimension
+        of each Hessian."""
         return (float_kernel(self.generators),
                 [float_kernel(grad) for grad in self.gradients],
-                [float_kernel([hess[j][k] for j in range(n)
-                               for k in range(j, n)])
-                 for hess in self.hessians])
+                [float_kernel(upper) for _, upper in self.derivatives])
 
     @cached_property
     def newton_kernels(self):
         """poly.newton_kernel of each generator: one Newton step of the
-        projection onto {g_i >= 0} alone, from the gradient and the upper
-        triangle of the Hessian (j <= k, row by row)."""
-        n = self.dimension
-        return [newton_kernel(g, grad, [hess[j][k] for j in range(n)
-                                        for k in range(j, n)])
-                for g, grad, hess in zip(self.generators, self.gradients,
-                                         self.hessians)]
+        projection onto {g_i >= 0} alone."""
+        return [newton_kernel(g, *parts)
+                for g, parts in zip(self.generators, self.derivatives)]
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,19 +9,22 @@ the band projection and rejection sampler of the oracle against the
 per-point Newton loop and the row-by-row sample list they replaced (with
 values by one pow per point, term and variable), the
 simulator's Euler kernel against the float kernels, tuple update and row
-sums it replaced, its float-tuple steps against its numpy step loop, the set
-projection against scipy's SLSQP, and the SDP solver's step lengths in the
-NT frame against a bound from the Cholesky factor.  trajectory_csv is the
-CSV text of a trajectory, and simplex_diameter and partition_diameter the
-longest vertex distance of a cell and of a partition, which only the
-tests read.  decrease_by_products forms the cone decrease polynomials by
-full polynomial products, against the monomial shifts of cop_lp.  The point checks of a
-system (field_at, cone_contains, set_values, set_contains) evaluate one
+sums it replaced, its float-tuple steps against its numpy step loop, its
+sliding steps against the route through flow.step that they replaced
+(simulate_by_steps), the set projection against scipy's SLSQP, and the
+SDP solver's step lengths in the NT frame against a bound from the
+Cholesky factor.  trajectory_csv is the CSV text of a trajectory, and
+simplex_diameter and partition_diameter the longest vertex distance of
+a cell and of a partition, which only the tests read.
+decrease_by_products forms the cone decrease polynomials by full
+polynomial products, against the monomial shifts of cop_lp.  The point
+checks of a system (field_at, cone_contains, set_values, set_contains) evaluate one
 point at a time; a float value at one point is evaluate_float_terms, the
 term loop that the float kernels match bit for bit.
 """
 
 import io
+import math
 from operator import mul
 
 import numpy as np
@@ -236,6 +239,34 @@ def euler_step_floats(system, x, dt):
     else:
         values = system.S.float_kernels[0](z)
     return z, fx, values
+
+
+def simulate_by_steps(x0, T, dt, system):
+    """simulate's trajectory by the route before the generated loop slid
+    along the boundary: each step forms (z, f(x), values) by
+    euler_step_floats, keeps z when every value is finite and
+    >= -FEAS_TOL, and hands every other step to flow.step, with the
+    multipliers record cleared after a free step.  Returns the
+    Trajectory, without V."""
+    from lyapcert import flow
+    x = tuple(map(float, x0))
+    times, states, etas, record = [0.0], [x], {}, {}
+    for row in range(int(round(T / dt))):
+        z, fx, values = euler_step_floats(system, x, dt)
+        if all(v >= -flow.FEAS_TOL for v in values) \
+                and all(map(math.isfinite, z + values)):
+            x = z
+        else:
+            if row - 1 not in etas:
+                record.clear()
+            x, etas[row] = flow.step(x, z, fx, values, dt, system, record)
+        times.append(times[-1] + dt)
+        states.append(x)
+    states = np.array(states)
+    eta_log = np.zeros_like(states)
+    if etas:
+        eta_log[list(etas)] = list(etas.values())
+    return flow.Trajectory(np.array(times), states, eta_log)
 
 
 def simulate_cone_numpy(x0, T, dt, system, feas_tol=1e-8):

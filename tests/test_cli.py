@@ -508,6 +508,35 @@ def test_verify_rejects_the_zero_cone_candidate(tmp_path, capsys):
         "status=verification-failed worst-check=h-on-sections worst-min=0.0"
 
 
+@pytest.mark.parametrize("cone", ["cone:\n", "cone1: 1*x1\ncone2: 1*x2\n"],
+                         ids=["plane", "quadrant"])
+def test_verify_rejects_a_weak_decrease(cone, tmp_path, capsys):
+    # |x|^2 is constant along the rotation, so s0 has minimum 0.0 on every
+    # section; on the quadrant every trajectory stops on the face x2 = 0
+    spec = tmp_path / "rotation.spec"
+    spec.write_text("dim: 2\nf1: 1*x2\nf2: -1*x1\n" + cone)
+    code = main(["verify", str(spec), "--candidate", "1*x1^2 + 1*x2^2",
+                 "--out", str(tmp_path / "v")])
+    assert code == EXIT_NOT_FOUND
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "status=verification-failed worst-check=s0-on-sections worst-min=0.0"
+
+
+def test_found_cone_certificate_verifies_with_strict_decrease(tmp_path):
+    spec = tmp_path / "refine.spec"
+    spec.write_text(REFINE_SPEC)
+    out = tmp_path / "out"
+    assert main(["find-lyap-cone", str(spec), "--deg", "2", "--r", "0",
+                 "--sweeps", "4", "--out", str(out)]) == EXIT_OK
+    assert main(["verify", str(spec), "--certificate",
+                 str(out / "certificate.txt"),
+                 "--out", str(tmp_path / "v")]) == EXIT_OK
+    minima = dict(re.findall(r"check (\S+): min (\S+) over",
+                             (tmp_path / "v" / "report.txt").read_text()))
+    assert float(minima["s0-on-sections"]) > 0.0
+    assert float(minima["face-decrease"]) > 0.0
+
+
 @pytest.mark.parametrize("spec, flags", [
     ("cone2d.spec", ["--candidate", "2.9*x1^2 + 1*x1*x2 + 1*x2^2",
                      "--density", "50"]),

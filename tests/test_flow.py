@@ -18,8 +18,8 @@ from lyapcert.tangency import (SemialgebraicSet, eta_projection,
                                face_eta_polynomial)
 from reference import (cone_contains, euler_step_floats,
                        evaluate_float_terms, field_at, set_contains,
-                       set_values, simulate_cone_numpy, slsqp_projection,
-                       trajectory_csv)
+                       set_values, simulate_by_steps, simulate_cone_numpy,
+                       slsqp_projection, trajectory_csv)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 SQUARE = PolyhedralCone([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]])
@@ -295,7 +295,7 @@ def test_euler_kernel_is_bit_identical_to_the_float_kernel_step(name):
             z, fx, values = euler_step_floats(system, x, dt)
             handed, times, states = [], [0.5], [x]
             system.euler_kernel(times, states, dt, 1, lambda *args:
-                                handed.append(args) or args[1])
+                                handed.append(args) or args[1], {}, {})
             assert times == [0.5, 0.5 + dt]
             if min(values, default=0.0) >= -flow.FEAS_TOL:
                 kinds.add("kept")
@@ -332,7 +332,7 @@ def test_free_step_is_one_kernel_call_and_no_numpy(system, x, monkeypatch):
     z = euler_step_floats(system, x, 1e-3)[0]
     times, states = [0.0], [x]
     system.euler_kernel(times, states, 1e-3, 1,
-                        lambda *args: pytest.fail("projected"))
+                        lambda *args: pytest.fail("projected"), {}, {})
     assert states[1] == z and all(type(v) is float for v in states[1])
     calls = []
     kernel = system.euler_kernel
@@ -404,7 +404,10 @@ DISC = SemialgebraicSystem(
 def test_free_step_records_exactly_zero_eta(monkeypatch):
     """A free step keeps its plain Euler point and records eta exactly 0,
     and a projection after free steps starts from an empty multipliers
-    record, where one after a projection starts from that one's."""
+    record: it is the step of each run of projected steps that the loop
+    hands to flow.step, and the loop slides the others (a hand-off after
+    a projection, with that one's record, is in
+    test_sliding_matches_the_route_through_step)."""
     records = []
     flow_step = flow.step
 
@@ -415,10 +418,9 @@ def test_free_step_records_exactly_zero_eta(monkeypatch):
     traj = simulate([0.0, 1.0], T=10.0, dt=1e-2, system=DISC)
     assert step_kinds(traj)[:3] == [True, False, True]
     projected = (traj.eta_log[:-1] != 0).any(axis=1).tolist()
-    assert len(records) == sum(projected)
     run_starts = [not before for a, before
                   in zip(projected, [False] + projected) if a]
-    assert [not record for record in records] == run_starts
+    assert records == [{}] * sum(run_starts)
     assert sum(run_starts) >= 2
     for k in np.flatnonzero(~np.array(projected)):
         x = tuple(traj.states[k].tolist())
@@ -443,8 +445,10 @@ def counted_kkt_solves(monkeypatch):
 
 
 def test_projected_cusp_boundary_step_makes_one_solve(monkeypatch):
-    """Every boundary step after the first takes one Newton step, in the
-    generator's kernel: no KKT system is solved (_kkt_step)."""
+    """The first boundary step, a cold projection, is the only one handed
+    to flow.step, and takes at most two Newton steps in the generator's
+    kernel; every later one slides in the loop.  No KKT system is solved
+    (_kkt_step)."""
     system = cusp_system()
     kernel_steps, per_step = [], []
     flow_step = flow.step
@@ -469,9 +473,8 @@ def test_projected_cusp_boundary_step_makes_one_solve(monkeypatch):
     monkeypatch.setattr(flow, "step", counted_step)
     traj = simulate([0.49, 0.7], T=0.5, dt=1e-3, system=system)
     assert (traj.eta_log[:-1] != 0).any(axis=1).all()  # every step projects
-    assert sum(per_step[0]) <= 2  # the first projection starts cold
-    assert [a + b for a, b in per_step[1:]] == [1] * 499
-    assert [a for a, _ in per_step[1:]] == [0] * 499
+    assert len(per_step) == 1 and sum(per_step[0]) <= 2
+    assert solves == []
 
 
 def dense_concave_set():
@@ -560,18 +563,24 @@ def test_singular_kkt_system_raises():
 
 def test_tracer_hooks_see_every_projection(monkeypatch):
     """The benchmark's tracer wraps these module attributes; simulate and
-    step must call them through the module globals."""
+    step must call them through the module globals, for every step that
+    the loop hands off."""
     for name in ("step", "project_set", "project_cone", "nnls"):
         assert callable(getattr(flow, name))
     calls = []
     project_set = flow.project_set
     monkeypatch.setattr(flow, "project_set", lambda *args: calls.append(1)
                         or project_set(*args))
-    # interior at first, on the boundary x1 = x2^2 from t = 0.67
+    steps = []
+    flow_step = flow.step
+    monkeypatch.setattr(flow, "step", lambda *args: steps.append(1)
+                        or flow_step(*args))
+    # interior at first, on the boundary x1 = x2^2 from t = 0.67: the
+    # first boundary step is handed off, and the loop slides the others
     traj = simulate([0.3, 0.5], T=1.0, dt=1e-3, system=cusp_system())
     projected = int((traj.eta_log != 0).any(axis=1).sum())
     assert 100 <= projected <= 900
-    assert len(calls) == projected
+    assert len(calls) == len(steps) == 1
 
 
 def test_step_rejects_infeasible_start():
@@ -747,7 +756,9 @@ def test_trajectory_with_free_steps_is_pinned(name):
 @pytest.mark.parametrize("name", ["cusp-boundary"] + list(FREE_STEP_PINS))
 def test_each_step_makes_one_euler_kernel_evaluation(name, monkeypatch):
     """simulate makes one call of the generated loop, which takes every
-    step, and calls flow.step once for each step that projects."""
+    step.  It calls flow.step once for each projected step of a cone, and
+    of a set only for the first step of each run of projected steps: the
+    loop slides the others."""
     if name == "cusp-boundary":
         system, x0, T, dt, V = cusp_system(), [0.49, 0.7], 0.5, 1e-3, None
     else:
@@ -769,9 +780,129 @@ def test_each_step_makes_one_euler_kernel_evaluation(name, monkeypatch):
     traj = simulate(x0, T, dt, system, V=V)
     steps = len(traj) - 1
     assert loops == [steps]
-    assert len(calls) == int((traj.eta_log[:-1] != 0).any(axis=1).sum())
+    if isinstance(system, ConicSystem):
+        assert len(calls) == \
+            int((traj.eta_log[:-1] != 0).any(axis=1).sum())
+    else:
+        assert len(calls) == step_kinds(traj).count(True) == 1
     if name == "cusp-boundary":
-        assert step_kinds(traj) == [True] and len(calls) == steps
+        assert step_kinds(traj) == [True]
+
+
+# DISC's field with three times the radial speed: at dt = 0.2 the Newton
+# step from the warm start overshoots and its multiplier turns negative, so
+# the loop hands the step off; below x2 = -0.2 the field turns inward and
+# the trajectory leaves the circle
+PUSHED_DISC = SemialgebraicSystem(
+    [parse_polynomial("-1*x2 + 3*x1*x2 + 0.6*x1", 2),
+     parse_polynomial("1*x1 + 3*x2^2 + 0.6*x2", 2)], DISC.S)
+# driven out along the parabola into the corners (1, +-1) of cusp_box,
+# where both generators bind
+CUSP_CORNER = SemialgebraicSystem(
+    [parse_polynomial("1*x1", 2), parse_polynomial("1*x2", 2)],
+    cusp_system().S)
+
+
+def boundary_starts(system, rng, count):
+    """count seeded points on the boundary: on the parabola x1 = x2^2 of
+    a cusp set, on the unit sphere of a ball or disc."""
+    if system.S is DISC.S or system.S is BALL:
+        x = rng.normal(size=(count, system.dimension))
+        return x / np.linalg.norm(x, axis=1)[:, None]
+    x2 = rng.uniform(0.3, 0.95, size=count) * rng.choice([-1, 1], count)
+    return np.column_stack([x2 * x2, x2])
+
+
+@pytest.mark.parametrize("system, T, dt", [
+    (cusp_system(), 2.0, 1e-3),
+    (OUTWARD_BALL, 2.0, 1e-3),
+    (PUSHED_DISC, 10.0, 0.2),
+    (CUSP_CORNER, 2.0, 1e-3),
+], ids=["cusp", "outward-ball", "disc-leaves", "cusp-corner"])
+def test_sliding_matches_the_route_through_step(system, T, dt, monkeypatch):
+    """simulate's CSV is byte-identical to simulate_by_steps, where
+    flow.step projects every step that is not kept.  On the cusp and the
+    ball the loop hands off only the first step of each run of projected
+    steps; on the other two it also hands off steps that it began to
+    slide (a record of one positive multiplier, with z violating only
+    that generator), and those keep the record of the step before."""
+    handed = []
+    flow_step = flow.step
+
+    def recorded(x, z, fx, values, *args):
+        record = dict(args[-1])
+        violated = [i for i, v in enumerate(values) if v < -flow.FEAS_TOL]
+        handed.append(len(record) == 1 and list(record) == violated
+                      and min(record.values()) > 0.0)
+        return flow_step(x, z, fx, values, *args)
+    rng = np.random.default_rng(83)
+    hands_off = system is PUSHED_DISC or system is CUSP_CORNER
+    slid = 0
+    for x0 in boundary_starts(system, rng, 3):
+        handed.clear()
+        monkeypatch.setattr(flow, "step", recorded)
+        traj = simulate(x0, T, dt, system)
+        monkeypatch.setattr(flow, "step", flow_step)
+        got, want = (trajectory_csv(t).splitlines()
+                     for t in (traj, simulate_by_steps(x0, T, dt, system)))
+        assert len(got) == len(want)
+        # the first line that differs, not a diff of two whole CSVs
+        assert next(((k, a, b) for k, (a, b) in enumerate(zip(got, want))
+                     if a != b), None) is None
+        kinds = step_kinds(traj)
+        if system is PUSHED_DISC:  # it leaves the circle
+            assert [True, False] in [kinds[k:k + 2] for k in range(len(kinds))]
+        if hands_off:
+            slid += sum(handed)
+        else:
+            assert kinds == [True] and handed == [False]
+    if hands_off:
+        assert slid >= 1
+
+
+@pytest.mark.parametrize("lam", [0.0, np.inf, np.nan],
+                         ids=["zero", "inf", "nan"])
+def test_sliding_step_hands_off_what_it_cannot_keep(lam):
+    """A record of one multiplier that is 0 or NaN does not start a
+    sliding step, and an infinite one puts the warm start past the float
+    range, where no Newton step converges: the loop hands every step to
+    project and records no eta of its own."""
+    handed, record, etas = [], {}, {}
+
+    def project(x, z, fx, values):
+        handed.append(z)
+        record.clear()
+        record[0] = lam
+        return (0.0, 1.0)
+    times, states = [0.0], [(0.0, 1.0)]
+    DISC.euler_kernel(times, states, 1e-2, 3, project, record, etas)
+    assert len(handed) == 3 and etas == {}
+    assert states == [(0.0, 1.0)] * 4
+
+
+@pytest.mark.parametrize("g, f, x0, message, handed", [
+    # x1' = x1^2 blows up at t = 1 while x2' = x2 pushes out through x2 = 1
+    ("1 - x2^2", ("1*x1^2", "1*x2"), [1.0, 1.0],
+     r"state overflowed the float range at t = 1\.0169999999999988", 1),
+    # at this scale g rounds below -STATE_TOL at a converged projection:
+    # the loop does not keep it and hands the step off
+    ("1e9 - 1e9*x2^2", ("1*x2", "1*x2 - 1*x1"), [-0.5, 1.0],
+     r"state left the set at t = 0\.5020000000000003", 2),
+], ids=["overflow", "left-the-set"])
+def test_failure_while_sliding_raises_at_its_step(g, f, x0, message, handed,
+                                                  monkeypatch):
+    """A set trajectory that fails on the boundary after sliding ends with
+    the message recorded when flow.step projected every step."""
+    system = SemialgebraicSystem(
+        [parse_polynomial(c, 2) for c in f],
+        SemialgebraicSet([parse_polynomial(g, 2)], [(-1.0, 1.0)] * 2))
+    calls = []
+    flow_step = flow.step
+    monkeypatch.setattr(flow, "step",
+                        lambda *args: calls.append(1) or flow_step(*args))
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        simulate(x0, T=2.0, dt=1e-3, system=system)
+    assert len(calls) == handed
 
 
 def test_overflow_in_the_loop_raises_at_its_step(monkeypatch):
