@@ -281,6 +281,8 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
     report.record(offorigin, "decrease-strict", -decrease)
     report.checks.append(_min_with_witness("decrease-strict", -decrease,
                                            offorigin, strict=True))
+    report.notes.append("decrease-strict is checked on samples only; a "
+                        "sampled check is not a proof of strict decrease")
 
     # alignment <grad V, grad g_j> <= 0 on the active bands
     for j, grad_g in enumerate(S.gradients, start=1):

@@ -15,28 +15,40 @@ builder, _assemble_identity, for sum_m V_m lhs_m - offset = s_0 +
 sum_i s_i g_i (+ phi_j g_j); the public assemble_condition_* functions only
 choose lhs, offset, degree and names.
 
-Before either tier, _prune drops the Gram monomials that the rows force to
-zero, in exact arithmetic: a row with no free term and a zero constant
-whose Gram terms are all diagonal, with coefficients of one sign, makes
-each of those diagonals zero at every feasible point, and with it that
+Before either tier, _split restricts the program to certificates that are
+invariant under the system's sign group: the flips x -> Sx, S =
+diag(+-1), that keep every g_j and under which f(Sx) = S f(x), found
+exactly as a null space over GF(2) (sign_group).  Each Gram block splits
+into one block per parity class of its monomials, V and phi_j keep their
+invariant monomials, and the rows of the other monomials are left as
+0 = 0 and go.  The group average of a certificate is again one with the
+same shift t, so nothing is lost (Gatermann and Parrilo, JPAA 192,
+2004).  With the trivial group the program stays as it is.
+
+Then _prune drops the Gram monomials that the rows force to zero, in
+exact arithmetic: a row with no free term and a zero constant whose Gram
+terms are all diagonal, with coefficients of one sign, makes each of
+those diagonals zero at every feasible point, and with it that
 monomial's Gram row and column (the constants of sigma_0 and sigma_2 on
 cusp_box, since V(0) = 0 and g_2(0) = 1).  Every certificate of the
 unpruned program has those entries at zero, so none is lost, and the
 tiers solve a program that has interior.  Rows left as 0 = 0 and blocks
 left empty go; an emptied block is the zero multiplier of the
-certificate.
+certificate.  The extraction merges the classes of each block back into
+one Gram over its basis order, with exact zeros across classes, so
+certificate.txt names the multipliers of the assembly.
 
-One float layout per pruned system (_FloatLayout: Gram entries, then free
+One float layout per reduced system (_FloatLayout: Gram entries, then free
 coefficients, with every row's terms as flat (row, column, value) arrays)
 serves both tiers, which return their solution as one vector over its
 columns, and the extraction, which reads the Grams, V, phi and every row
 residual through it.  The SDP tier shifts every Gram by a common margin t
 (G - t I psd), maximizes t with a zero objective on the Grams, and
 scatters the terms straight into the solver's per-block coefficient
-arrays, so --dump-sdpa writes the pruned SDP; the DSOS tier replaces
-positive semidefiniteness by diagonal dominance, which is an LP and a
-strictly smaller but cheaper certificate class, and scatters the same
-terms into the LP's equality rows.  A certificate is accepted only after
+arrays, so --dump-sdpa writes the split and pruned SDP; the DSOS tier
+replaces positive semidefiniteness by diagonal dominance, which is an LP
+and a strictly smaller but cheaper certificate class, and scatters the
+same terms into the LP's equality rows.  A certificate is accepted only after
 substituting the Grams back into the exact rows and re-deriving every
 identity within tolerance; a failed recheck is a NumericalError, never a
 silent acceptance.
@@ -350,6 +362,89 @@ def _assemble_full(system: SemialgebraicSystem, deg_v: int, slack: int
     return full
 
 
+def _parity(mono: Mono) -> int:
+    """The bit mask of the odd exponents of mono."""
+    return sum(1 << k for k, e in enumerate(mono) if e % 2)
+
+
+def sign_group(system: SemialgebraicSystem) -> list[int]:
+    """A basis of the sign flips x -> Sx, S = diag((-1)^b_k), under which
+    every g_j is invariant and f is equivariant: g(Sx) = g(x), f(Sx) = S f(x).
+
+    b is a bit mask over the variables.  A term x^a of a g_j asks
+    a.b = 0 and a term of f_i asks a.b = b_i (mod 2); the group is the null
+    space of these conditions over GF(2), found by Gaussian elimination on
+    bit masks.  The basis is in the order of the free variables; an empty
+    list is the trivial group.
+    """
+    conditions = [_parity(a) for g in system.S.generators for a in g.terms]
+    conditions += [_parity(a) ^ (1 << i) for i, comp in enumerate(system.f)
+                   for a in comp.terms]
+    pivots: dict[int, int] = {}     # pivot bit -> row, reduced on every pivot
+    for row in conditions:
+        for bit, other in pivots.items():
+            if row >> bit & 1:
+                row ^= other
+        if row:
+            bit = row.bit_length() - 1
+            for b, other in pivots.items():
+                if other >> bit & 1:
+                    pivots[b] = other ^ row
+            pivots[bit] = row
+    return [(1 << k) | sum(1 << p for p, row in pivots.items() if row >> k & 1)
+            for k in range(system.dimension) if k not in pivots]
+
+
+def _split(eq: EqualitySystem, system: SemialgebraicSystem) -> EqualitySystem:
+    """eq restricted to certificates invariant under the sign group.
+
+    A monomial's character is its parity against each flip of the group.
+    Each Gram block becomes one block per character class of its basis,
+    named block#k in the order the classes first appear (a block of one
+    class keeps its name); only the Gram terms inside a class and the
+    invariant monomials of V and phi_j stay, and rows left as 0 = 0 go.
+    The group average of a certificate is a certificate with the same
+    shift t: g(Sx) = g(x), f(Sx) = S f(x) and grad g(x) = S grad g(Sx) keep
+    each identity, and a sign conjugation keeps G - tI psd (or diagonally
+    dominant).  An invariant Gram is zero across classes, so nothing is
+    lost.  With the trivial group eq comes back as it is.
+    """
+    group = sign_group(system)
+    if not group:
+        return eq
+
+    def character(mono: Mono) -> tuple[int, ...]:
+        odd = _parity(mono)
+        return tuple((odd & b).bit_count() & 1 for b in group)
+
+    split = EqualitySystem(free_groups={
+        name: [m for m in basis if not any(character(m))]
+        for name, basis in eq.free_groups.items()})
+    where: dict[tuple[str, int], tuple[str, int]] = {}  # (block, k) -> new
+    for name, block in eq.blocks.items():
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for k, mono in enumerate(block.basis):
+            classes.setdefault(character(mono), []).append(k)
+        for c, members in enumerate(classes.values()):
+            part = name if len(classes) == 1 else f"{name}#{c}"
+            split.blocks[part] = GramBlock(part,
+                                           [block.basis[k] for k in members])
+            where.update(((name, k), (part, new))
+                         for new, k in enumerate(members))
+    kept = {(name, mono) for name, basis in split.free_groups.items()
+            for mono in basis}
+    for label, expr in eq.rows:
+        gram = {}
+        for (b, i, j), c in expr.gram.items():
+            (bi, ni), (bj, nj) = where[b, i], where[b, j]
+            if bi == bj:
+                gram[bi, ni, nj] = c
+        free = {key: c for key, c in expr.free.items() if key in kept}
+        if any(gram.values()) or any(free.values()) or expr.constant:
+            split.rows.append((label, LinearExpr(gram, free, expr.constant)))
+    return split
+
+
 def _prune(eq: EqualitySystem) -> EqualitySystem:
     """eq without the Gram monomials that its rows force to zero.
 
@@ -551,14 +646,18 @@ def _solve_dsos_tier(layout: _FloatLayout
 _STALL_WORD = {"sdp": "maxiter", "dsos": "stalled"}
 
 
-def _extract_certificate(eq: EqualitySystem, pruned: EqualitySystem,
+def _extract_certificate(eq: EqualitySystem, reduced: EqualitySystem,
                          layout: _FloatLayout, x: np.ndarray, t_star: float,
                          tier: str, dimension: int) -> SosCertificate:
-    """The certificate of the solution x of the pruned system.
+    """The certificate of the solution x of the reduced (split and pruned)
+    system.
 
-    Every residual is a row of pruned; the rows that pruning dropped are
-    0 = 0 at the solution.  A block of eq that pruning emptied is the zero
-    multiplier: an empty basis and Gram, whose smallest eigenvalue is inf.
+    Every residual is a row of reduced; the rows that the split and
+    pruning dropped are 0 = 0 at the solution.  The blocks that one block
+    of eq was split into merge back into one Gram over its basis order,
+    with exact zeros across classes.  A block of eq that pruning emptied is
+    the zero multiplier: an empty basis and Gram, whose smallest eigenvalue
+    is inf.
     """
     # each row's constant, then its terms in entry order: bincount adds a
     # bin's weights in input order
@@ -568,7 +667,7 @@ def _extract_certificate(eq: EqualitySystem, pruned: EqualitySystem,
                                                layout.val * x[layout.col]]),
                        minlength=n_rows)
     residual_by_condition: dict[str, float] = {}
-    for (label, _), r in zip(pruned.rows, np.abs(sums).tolist()):
+    for (label, _), r in zip(reduced.rows, np.abs(sums).tolist()):
         condition = label.split(":", 1)[0]
         residual_by_condition[condition] = max(
             residual_by_condition.get(condition, 0.0), r)
@@ -577,27 +676,37 @@ def _extract_certificate(eq: EqualitySystem, pruned: EqualitySystem,
         raise NumericalError(
             f"substitution residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
-    multipliers: dict[str, MultiplierRecord] = {}
+    parts: dict[str, list[tuple[list[Mono], np.ndarray]]] = {}
     start = 0
     for name, s in zip(layout.blocks, layout.sizes):
         upper = np.triu_indices(s)
         G = np.zeros((s, s))
         G[upper] = G[upper[::-1]] = x[start:start + len(upper[0])]
         start += len(upper[0])
-        eig = float(np.linalg.eigvalsh(G).min())
-        if eig < -GRAM_EIG_TOL:
-            raise NumericalError(
-                f"gram {name} has eigenvalue {eig:.3e} below -{GRAM_EIG_TOL:.1e}")
-        block = pruned.blocks[name]
-        multipliers[name] = MultiplierRecord(
-            name=name, basis=block.basis, gram=G, min_eigenvalue=eig,
-            polynomial=block.expand(G))
-    for name in eq.blocks:
-        if name not in pruned.blocks:
+        parts.setdefault(name.partition("#")[0], []).append(
+            (reduced.blocks[name].basis, G))
+    multipliers: dict[str, MultiplierRecord] = {}
+    for name, block in eq.blocks.items():
+        if name not in parts:
             multipliers[name] = MultiplierRecord(
                 name=name, basis=[], gram=np.zeros((0, 0)),
                 min_eigenvalue=float("inf"),
                 polynomial=Polynomial.zero(dimension))
+            continue
+        eig = min(float(np.linalg.eigvalsh(G).min()) for _, G in parts[name])
+        if eig < -GRAM_EIG_TOL:
+            raise NumericalError(
+                f"gram {name} has eigenvalue {eig:.3e} below -{GRAM_EIG_TOL:.1e}")
+        kept = {mono for part, _ in parts[name] for mono in part}
+        basis = [mono for mono in block.basis if mono in kept]
+        at = {mono: k for k, mono in enumerate(basis)}
+        G = np.zeros((len(basis), len(basis)))
+        for part, Gp in parts[name]:
+            index = [at[mono] for mono in part]
+            G[np.ix_(index, index)] = Gp
+        multipliers[name] = MultiplierRecord(
+            name=name, basis=basis, gram=G, min_eigenvalue=eig,
+            polynomial=GramBlock(name, basis).expand(G))
 
     free_terms: dict[str, dict[Mono, Fraction]] = {}
     for (group, mono), value in zip(layout.free,
@@ -630,8 +739,8 @@ def solve_certificate(system: SemialgebraicSystem, deg_v: int,
     best_margin = None
     for slack in (0, 2):
         eq = _assemble_full(system, deg_v, slack)
-        pruned = _prune(eq)
-        layout = _FloatLayout(pruned)
+        reduced = _prune(_split(eq, system))
+        layout = _FloatLayout(reduced)
         if tier == "sdp":
             on_sdp = None
             if sdpa_dump is not None:
@@ -647,7 +756,7 @@ def solve_certificate(system: SemialgebraicSystem, deg_v: int,
                               detail=f"solver returned {_STALL_WORD[tier]}")
         if status == "solved":
             if t_star >= ACCEPT_SHIFT:
-                cert = _extract_certificate(eq, pruned, layout, x, t_star,
+                cert = _extract_certificate(eq, reduced, layout, x, t_star,
                                             tier, system.dimension)
                 return SosOutcome("certificate", cert, margin=t_star)
             best_margin = t_star if best_margin is None else max(best_margin,

@@ -206,6 +206,15 @@ def test_cusp_candidate_passes():
     assert "alignment-g1" in names and "alignment-g2" in names
 
 
+def test_sos_report_says_the_strict_decrease_is_sampled():
+    # a passing decrease-strict check saw no sample with -<grad V, f> <= 0;
+    # a zero set of measure zero is never sampled, so it proves nothing
+    text = verify_sos(parse_polynomial("x1^2 + x2^2", 2), cusp_system(),
+                      samples=200).to_text()
+    assert "note: decrease-strict is checked on samples only; a sampled " \
+        "check is not a proof of strict decrease\n" in text
+
+
 def test_sos_oracle_differentiates_only_the_candidate(monkeypatch):
     """The generators' gradients come from the set, built once."""
     system = cusp_system()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyapcert import linprog, sos_cert
-from lyapcert.cli import main as cli_main
+from lyapcert.cli import main as cli_main, parse_spec
 from lyapcert.errors import InputError
 from lyapcert.poly import (Polynomial, monomials_up_to_degree, norm_squared,
                            parse_polynomial)
@@ -17,9 +19,9 @@ from lyapcert.sdpsolve import SdpResult, dump_sdpa_sparse
 from lyapcert.sos_cert import (EPS_PD, EqualitySystem, GramBlock, LinearExpr,
                                SemialgebraicSystem, _assemble_full,
                                _FloatLayout, _prune, _solve_dsos_tier,
-                               _solve_sdp_tier, assemble_condition_i,
+                               _solve_sdp_tier, _split, assemble_condition_i,
                                assemble_condition_ii, assemble_condition_iii,
-                               solve_certificate)
+                               sign_group, solve_certificate)
 from lyapcert.tangency import SemialgebraicSet
 from reference import (equality_residual, gram_from_sos_terms,
                        worst_gram_eigenvalue, worst_residual)
@@ -434,11 +436,12 @@ class _Captured(Exception):
     """Stops a tier once its solver input has been built."""
 
 
-def _tier_equalities(name, deg, slack, prune=False):
-    """The float layout of a tier's equality system, pruned or as built."""
+def _tier_equalities(name, deg, slack, reduced=False):
+    """The float layout of a tier's equality system, as built or reduced
+    (split by the sign group and pruned) as solve_certificate solves it."""
     system = cusp_system() if name == "cusp" else ball_system()
     eq = _assemble_full(system, deg, slack)
-    return _FloatLayout(_prune(eq) if prune else eq)
+    return _FloatLayout(_prune(_split(eq, system)) if reduced else eq)
 
 
 def sdp_tier_digest(layout) -> str:
@@ -480,28 +483,31 @@ def test_sdp_tier_input_is_pinned(case):
 
 
 # (system, deg V, multiplier slack) -> (sdp_tier_digest, equality rows) of
-# the pruned system, which is what solve_certificate solves and
-# --dump-sdpa writes
+# the reduced system, which is what solve_certificate solves and
+# --dump-sdpa writes.  Re-recorded when the sign-group split came before
+# pruning: both systems have a nontrivial group, the blocks split by
+# parity class and the rows of non-invariant monomials went; the margins
+# stayed within 1e-9 (test_split_keeps_the_margin)
 PRUNED_SDPA_DIGESTS = {
-    ("cusp", 2, 0): ("751245b49acc7c1f", 21),
-    ("cusp", 2, 2): ("e12315d70763b594", 58),
-    ("cusp", 4, 0): ("117c1ecf437d0c42", 61),
-    ("cusp", 4, 2): ("a0bce5149d223a13", 114),
-    ("cusp", 6, 0): ("9649d381b9c79cca", 117),
-    ("cusp", 6, 2): ("2181ab13961ed9cf", 186),
-    ("ball", 2, 0): ("76073dfa0eab1683", 28),
-    ("ball", 2, 2): ("6530df9de9b5d3a0", 103),
-    ("ball", 4, 0): ("f4c153d5f2c10750", 103),
-    ("ball", 4, 2): ("f33f3ff5d908bb3b", 250),
-    ("ball", 6, 0): ("e271da24e762d56c", 250),
-    ("ball", 6, 2): ("c8782d7fc829ff02", 493),
+    ("cusp", 2, 0): ("8ade3baf2e199a3c", 14),
+    ("cusp", 2, 2): ("080dc5b8887cc2cb", 35),
+    ("cusp", 4, 0): ("f7ba3ceca4ad22d4", 36),
+    ("cusp", 4, 2): ("2125d5d0a0ad0774", 65),
+    ("cusp", 6, 0): ("95a27f765e317442", 66),
+    ("cusp", 6, 2): ("9e954976d9dac903", 103),
+    ("ball", 2, 0): ("9bfd75c4d111beeb", 13),
+    ("ball", 2, 2): ("d2b0b8303c6d2f0b", 40),
+    ("ball", 4, 0): ("a0be5bf05959a6f6", 40),
+    ("ball", 4, 2): ("d942d7eefac626e9", 88),
+    ("ball", 6, 0): ("7ff6dc256fff7064", 88),
+    ("ball", 6, 2): ("2730d4f6208fb176", 163),
 }
 
 
 @pytest.mark.parametrize("case", PRUNED_SDPA_DIGESTS,
                          ids=["-".join(map(str, c)) for c in PRUNED_SDPA_DIGESTS])
 def test_pruned_sdp_tier_input_is_pinned(case):
-    layout = _tier_equalities(*case, prune=True)
+    layout = _tier_equalities(*case, reduced=True)
     assert (sdp_tier_digest(layout), len(layout.rhs)) == \
         PRUNED_SDPA_DIGESTS[case]
 
@@ -549,23 +555,23 @@ def test_dsos_tier_input_is_pinned(case, monkeypatch):
 
 
 # (system, deg V, multiplier slack) -> digest of the DSOS tier's LP over
-# the pruned system
+# the reduced system; re-recorded with the split, as above
 PRUNED_DSOS_DIGESTS = {
-    ("cusp", 2, 0): "1949a5b3f2b61d36",
-    ("cusp", 2, 2): "13fe76db36d5d383",
-    ("cusp", 4, 0): "f6a5cf89a466ab3e",
-    ("cusp", 4, 2): "0f9cce46bb8b01a9",
-    ("ball", 2, 0): "241bc85ec8709817",
-    ("ball", 2, 2): "c7cab03dfe2f24a5",
-    ("ball", 4, 0): "f897dd2b4721b790",
-    ("ball", 4, 2): "9863572cea1ed174",
+    ("cusp", 2, 0): "299aeffa57a54fab",
+    ("cusp", 2, 2): "af9c6aef8497e45f",
+    ("cusp", 4, 0): "d5d514086ade9623",
+    ("cusp", 4, 2): "7e6fb054731d93b5",
+    ("ball", 2, 0): "6f8d52fdf59ee7a3",
+    ("ball", 2, 2): "ffb89e1707cf2ced",
+    ("ball", 4, 0): "0adb531b2ab2d8b2",
+    ("ball", 4, 2): "e46c22fe987cdc9c",
 }
 
 
 @pytest.mark.parametrize("case", PRUNED_DSOS_DIGESTS,
                          ids=["-".join(map(str, c)) for c in PRUNED_DSOS_DIGESTS])
 def test_pruned_dsos_tier_input_is_pinned(case, monkeypatch):
-    layout = _tier_equalities(*case, prune=True)
+    layout = _tier_equalities(*case, reduced=True)
     assert dsos_tier_digest(layout, monkeypatch) == PRUNED_DSOS_DIGESTS[case]
 
 
@@ -584,38 +590,67 @@ box3: -1.0 1.0
 
 # (system, tier, deg V) -> sha256 of the certificate.txt that
 # find-lyap-sos --samples 2000 writes with BLAS on one thread; the SDP
-# iterates depend on the BLAS thread count in their last bits.  Re-recorded
+# iterates may depend on the BLAS thread count in their last bits.  Re-recorded
 # when the forced Gram monomials were first pruned: the DSOS file lost only
-# the eigenvalue line of the emptied sigma_2
+# the eigenvalue line of the emptied sigma_2.  Re-recorded with the
+# sign-group split: the same margins (DSOS 0.0, SDP within 3e-17), and V,
+# phi and every Gram keep only invariant terms
 CERTIFICATE_SHA256 = {
     ("cusp", "sdp", 2):
-        "909f05523ab4774ba6990f622ed710eb1e9fd28afd24d09f4dc153e948cfab91",
+        "d9ba835270d4d1b0d27bcaf4e84cc4ae9ec33900b86570bdd31ccb6e64ec823e",
     ("cusp", "dsos", 2):
-        "0361f8a5f11964b1bb948bf1711577aadfa1c738c0bd7d9dd641d2473a348f4a",
+        "8331b02bd4281c89b6dd39225147d477e11ca13f325f52a2d9ddc4866e90cf5c",
     ("ball", "sdp", 4):
-        "d1df2b8dba3d10de0feebf99d8b69bc7fddd2b5c34df181be37b02680f581a7b",
+        "9b6e458eda2a335ed433b953235831042101f15a7a8006a1164ab6110e397856",
 }
+
+
+def find_sos(spec, tier, deg, out, threads=1, *flags):
+    """Run find-lyap-sos --samples 2000 in a fresh interpreter with BLAS
+    on the given number of threads."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "OPENBLAS_NUM_THREADS": str(threads),
+           "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)}
+    subprocess.run([sys.executable, "-m", "lyapcert.cli", "find-lyap-sos",
+                    str(spec), "--deg", str(deg), "--tier", tier,
+                    "--samples", "2000", *flags, "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+
+
+def sos_spec(name, tmp_path):
+    if name == "cusp":
+        return Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
+    spec = tmp_path / "ball.spec"
+    spec.write_text(BALL_SPEC)
+    return spec
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("case", CERTIFICATE_SHA256,
                          ids=["-".join(map(str, c)) for c in CERTIFICATE_SHA256])
 def test_sos_certificate_file_is_pinned(case, tmp_path):
     name, tier, deg = case
-    if name == "cusp":
-        spec = Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
-    else:
-        spec = tmp_path / "ball.spec"
-        spec.write_text(BALL_SPEC)
     out = tmp_path / "out"
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    subprocess.run([sys.executable, "-m", "lyapcert.cli", "find-lyap-sos",
-                    str(spec), "--deg", str(deg), "--tier", tier,
-                    "--samples", "2000", "--out", str(out)],
-                   env=env, check=True, capture_output=True)
-    digest = hashlib.sha256((out / "certificate.txt").read_bytes()).hexdigest()
-    assert digest == CERTIFICATE_SHA256[case]
+    find_sos(sos_spec(name, tmp_path), tier, deg, out)
+    assert sha256_of(out / "certificate.txt") == CERTIFICATE_SHA256[case]
+
+
+@pytest.mark.parametrize("name, deg", [("cusp", 2), ("cusp", 6), ("ball", 4),
+                                       ("ball", 6)],
+                         ids=["cusp-2", "cusp-6", "ball-4", "ball-6"])
+def test_sdp_certificate_does_not_depend_on_the_blas_threads(name, deg,
+                                                             tmp_path):
+    # before the split, ball deg 6 differed in 18 lines between one and
+    # two BLAS threads
+    spec = sos_spec(name, tmp_path)
+    for threads in (1, 2):
+        find_sos(spec, "sdp", deg, tmp_path / f"t{threads}", threads)
+    assert (tmp_path / "t1" / "certificate.txt").read_bytes() == \
+        (tmp_path / "t2" / "certificate.txt").read_bytes()
 
 
 @pytest.mark.parametrize("case", CERTIFICATE_SHA256,
@@ -640,3 +675,160 @@ def test_certificate_residual_is_the_reference_residual(case):
     frees = {group: {mono: float(c) for mono, c in p.terms.items()}
              for group, p in {"V": cert.V, **cert.phi}.items()}
     assert equality_residual(eq, grams, frees) == max(cert.residuals.values())
+
+
+# -- the sign-group split --------------------------------------------------------
+
+def span(basis) -> set[int]:
+    """Every sign vector (a bit mask) that the flips in basis generate."""
+    out = {0}
+    for b in basis:
+        out |= {v ^ b for v in out}
+    return out
+
+
+def odd_bits(mono) -> int:
+    return sum(1 << k for k, e in enumerate(mono) if e % 2)
+
+
+def keeps(mono, flips, i=None) -> bool:
+    """x^mono is invariant under every flip (i is None), or changes sign
+    with x_i under every flip (a term of f_i)."""
+    return all((odd_bits(mono) & b).bit_count() % 2 ==
+               (0 if i is None else b >> i & 1) for b in flips)
+
+
+@st.composite
+def planted_systems(draw, one_flip=False):
+    """(n, flips, generators, field) as term dicts: every term respects
+    the flips, and g_1 holds every 0/1 monomial that the flips keep, so no
+    other flip keeps all of g_1.  Up to three flips, or exactly one."""
+    n = draw(st.integers(1, 4))
+    flip = st.integers(1, 2 ** n - 1)
+    flips = [draw(flip)] if one_flip else draw(st.lists(flip, max_size=3))
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.fractions(min_value=-4, max_value=4,
+                          max_denominator=6).filter(bool)
+    origin = (0,) * n
+    g1 = {a: draw(coeffs) for a in itertools.product((0, 1), repeat=n)
+          if keeps(a, flips)}
+    gens = [g1] + [{a: c for a, c in
+                    draw(st.dictionaries(monos, coeffs, max_size=4)).items()
+                    if keeps(a, flips)}
+                   for _ in range(draw(st.integers(0, 2)))]
+    for g in gens:
+        g[origin] = Fraction(1)        # g(0) > 0
+    field = [{a: c for a, c in
+              draw(st.dictionaries(monos, coeffs, max_size=4)).items()
+              if any(a) and keeps(a, flips, i)} for i in range(n)]
+    return n, flips, gens, field
+
+
+def system_of(n, gens, field):
+    S = SemialgebraicSet([Polynomial(n, g) for g in gens], [(-1.0, 1.0)] * n)
+    return SemialgebraicSystem([Polynomial(n, c) for c in field], S)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_systems())
+def test_sign_group_is_exactly_the_planted_flips(drawn):
+    n, flips, gens, field = drawn
+    assert span(sign_group(system_of(n, gens, field))) == span(flips)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_systems(one_flip=True), st.data())
+def test_one_odd_term_leaves_the_trivial_group(drawn, data):
+    n, (flip,), gens, field = drawn
+    assert span(sign_group(system_of(n, gens, field))) == {0, flip}
+    target = data.draw(st.integers(0, len(gens) + n - 1))
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    if target < len(gens):
+        odd = data.draw(monos.filter(lambda a: not keeps(a, [flip])))
+        gens[target][odd] = Fraction(1, 10)
+    else:
+        i = target - len(gens)
+        odd = data.draw(monos.filter(
+            lambda a: any(a) and not keeps(a, [flip], i)))
+        field[i][odd] = Fraction(1, 10)
+    assert sign_group(system_of(n, gens, field)) == []
+
+
+def test_benchmark_sets_have_their_sign_groups():
+    # cusp_box: x2 -> -x2; the ball: (x1, x2) -> -(x1, x2) and x3 -> -x3
+    assert span(sign_group(cusp_system())) == {0b00, 0b10}
+    assert span(sign_group(ball_system())) == {0b000, 0b011, 0b100, 0b111}
+
+
+TILTED_SPEC = (Path(__file__).resolve().parents[1] / "specs" /
+               "cusp_box.spec").read_text().replace(
+    "g2: 1 - x1", "g2: 1 - x1 - 1/10*x2")
+
+# sha256 of the --dump-sdpa file and of certificate.txt (one BLAS thread)
+# for TILTED_SPEC at deg 2, recorded before the split existed
+TILTED_SDPA = "9db7d481ae7399c534fd1bb3a6281165f9326c83c0b0bd1dc989af73eec3abd6"
+TILTED_CERTIFICATE = \
+    "418e4424f855c039d9286b1e62eafe1eb3c594e645bdfbaa7da3118bf0f45c0e"
+
+
+def test_trivial_group_leaves_the_program_as_it_is(tmp_path):
+    # the tilted line g2 = 1 - x1 - x2/10 is odd in x2, so no flip keeps it
+    spec = tmp_path / "tilted.spec"
+    spec.write_text(TILTED_SPEC)
+    system = parse_spec(spec).system
+    assert sign_group(system) == []
+    eq = _assemble_full(system, 2, 0)
+    assert _split(eq, system) is eq
+    out = tmp_path / "out"
+    find_sos(spec, "sdp", 2, out, 1, "--dump-sdpa")
+    assert sha256_of(out / "sdp-deg2-s0.dat-s") == TILTED_SDPA
+    assert sha256_of(out / "certificate.txt") == TILTED_CERTIFICATE
+
+
+def character(mono, group) -> tuple[int, ...]:
+    return tuple((odd_bits(mono) & b).bit_count() % 2 for b in group)
+
+
+@pytest.mark.parametrize("tier", ["sdp", "dsos"])
+@pytest.mark.parametrize("name, deg", [("cusp", 2), ("cusp", 4), ("cusp", 6),
+                                       ("ball", 4), ("ball", 6)],
+                         ids=["cusp-2", "cusp-4", "cusp-6", "ball-4",
+                              "ball-6"])
+def test_split_keeps_the_margin(name, deg, tier, monkeypatch):
+    # the group average of a certificate is a certificate with the same t,
+    # so t* is the same with the split and without it, and the split's
+    # certificate is invariant: V and phi have only invariant terms and
+    # each Gram is zero across parity classes
+    system = cusp_system() if name == "cusp" else ball_system()
+    split = solve_certificate(system, deg, tier=tier)
+    monkeypatch.setattr(sos_cert, "_split", lambda eq, system: eq)
+    whole = solve_certificate(system, deg, tier=tier)
+    assert split.status == whole.status == "certificate"
+    assert abs(split.margin - whole.margin) <= 1e-9
+    cert, group = split.certificate, sign_group(system)
+    for p in (cert.V, *cert.phi.values()):
+        assert not any(any(character(m, group)) for m in p.terms)
+    for rec in cert.multipliers.values():
+        classes = [character(m, group) for m in rec.basis]
+        for i, j in itertools.combinations(range(len(classes)), 2):
+            if classes[i] != classes[j]:
+                assert rec.gram[i, j] == rec.gram[j, i] == 0.0
+
+
+# (name, deg) -> (equality rows, largest block) of the SDP of each sos-sdp
+# benchmark find, the cap row and block included.  Before the split:
+# rows 22/62/118/104/251, largest block 3/7/12/10/20.
+SDP_SIZES = {("cusp", 2): (15, 2), ("cusp", 4): (37, 4), ("cusp", 6): (67, 7),
+             ("ball", 4): (41, 5), ("ball", 6): (89, 8)}
+
+
+@pytest.mark.parametrize("case", SDP_SIZES,
+                         ids=["-".join(map(str, c)) for c in SDP_SIZES])
+def test_benchmark_sdp_sizes_are_pinned(case):
+    def capture(sdp):
+        raise _Captured(len(sdp.b), max(len(A[0]) for A in sdp.A))
+
+    with pytest.raises(_Captured) as captured:
+        _solve_sdp_tier(_tier_equalities(*case, 0, reduced=True),
+                        on_sdp=capture)
+    assert captured.value.args == SDP_SIZES[case]
