@@ -7,11 +7,11 @@ the projection tangency.eta_projection (never from the branch polynomials
 used in LP assembly).  Each face grid is projected once per pattern of
 active cone rows: the closed form where one row is active, nonnegative
 least squares at corners.  The boundary bands of the semialgebraic checks
-come from one Newton iteration over all samples at once, with a per-point
-mask that retires converged points and drops those whose gradient
-vanishes or that do not converge in 50 passes.  A certificate is accepted
-only when this module agrees, so a fault in the construction's geometry,
-branch logic or solvers cannot self-certify.
+come from one Newton iteration over all samples at once, on a compact
+array of the live points that retires converged points and drops those
+whose gradient vanishes or that do not converge in 50 passes.  A
+certificate is accepted only when this module agrees, so a fault in the
+construction's geometry, branch logic or solvers cannot self-certify.
 
 Every polynomial value comes from a poly.MonomialTable, built once for
 each list of polynomials that a check needs.  The LP rows come from the
@@ -334,7 +334,8 @@ def _band_points(index: int, S, pts: np.ndarray) -> np.ndarray:
     """Newton-project all samples onto g = 0 at once, g = S.generators[index].
 
     Each pass evaluates g and its cached gradient (S.gradients[index]) in
-    one table on the points still live, and steps those points by
+    one table on a compact array of the points still live, and steps those
+    points by
     y <- y - g(y) grad g(y) / |grad g(y)|^2.  A point retires as converged
     once |g(y)| <= BAND_WIDTH; it is dropped when |grad g(y)|^2 < 1e-30 or
     when it has not converged after 50 passes.  A converged point is kept
@@ -344,20 +345,30 @@ def _band_points(index: int, S, pts: np.ndarray) -> np.ndarray:
     g, grads = S.generators[index], S.gradients[index]
     g_grad = MonomialTable([g, *grads])
     y = np.array(pts, dtype=float)
+    # the live points, compact and in input order, and their rows in y;
+    # a converged point is written back to y once, when it retires
     live = np.arange(len(y))
+    w = y.copy()
     converged = np.zeros(len(y), dtype=bool)
     for _ in range(50):
-        vals = g_grad(y[live])
+        vals = g_grad(w)
         done = np.abs(vals[:, 0]) <= BAND_WIDTH
-        converged[live[done]] = True
-        live, vals = live[~done], vals[~done]
+        if done.any():
+            y[live[done]] = w[done]
+            converged[live[done]] = True
+            live, w, vals = live[~done], w[~done], vals[~done]
         if len(live) == 0:
             break
+        # row-major, as the boolean index leaves it: the reduction below
+        # reads the same layout on every pass
+        vals = np.ascontiguousarray(vals)
         val, grad = vals[:, 0], vals[:, 1:]
         nrm2 = np.einsum("ij,ij->i", grad, grad)
         moving = nrm2 >= 1e-30
-        live = live[moving]
-        y[live] -= (val[moving] / nrm2[moving])[:, None] * grad[moving]
+        if not moving.all():
+            live, w = live[moving], w[moving]
+            val, grad, nrm2 = val[moving], grad[moving], nrm2[moving]
+        w -= (val / nrm2)[:, None] * grad
     y = y[converged]
     others = MonomialTable([other for other in S.generators if other is not g])
     return y[(others(y) >= -1e-9).all(axis=1)]

@@ -18,20 +18,24 @@ complement is both fast and numerically uneventful.
 
 Blocks of equal size are held as one (k, s, s) stack, and numpy's
 cholesky, svd, eigvalsh and matmul run over the whole stack at once; the
-result lists the blocks in input order.  Each block keeps only the rows
-its equalities touch (about a third of them in the SOS programs).
+result lists the blocks in input order.  The equality operator A(X) and
+its adjoint A^T(y) read the entries of all stacks as one vector and the
+nonzeros of the coefficient matrices as (row, column, value) triples, so
+each is one bincount, whatever the number of blocks (EqualityOperator).
 
 Per iteration: the NT scaling R of each stack, R^-1 X R^-T = R^T Z R =
 diag(lam), from two Cholesky factors and one SVD; the Schur complement
 M_ij = sum_b <A_b[i], W A_b[j] W>, W = R R^T, each block adding one
-product over its touched rows and columns; one Cholesky factor L of M,
-with the ridge written onto M's diagonal, and the inverse L^-1 by blocked
-recursion on the triangle, so that every solve with M (predictor,
-corrector, refinement, free-variable saddle) is two matrix products; the
-free variables' Schur complement D^T M^-1 D is factored and inverted the
-same way once per iteration; and step lengths in the NT frame, where
-X + a dX is PSD exactly when diag(lam) + a R^-1 dX R^-T is (Z likewise
-with R^T dZ R).  numpy only: the SOS tier imports no scipy.
+product on the grid of M that its touched rows address (about a third of
+the rows in the SOS programs; the grids are built once per solve); one
+Cholesky factor L of M, with the ridge written onto M's diagonal, and the
+inverse L^-1 by blocked recursion on the triangle, so that every solve
+with M (predictor, corrector, refinement, free-variable saddle) is two
+matrix products; the free variables' Schur complement D^T M^-1 D is
+factored and inverted the same way once per iteration; and step lengths
+in the NT frame, where X + a dX is PSD exactly when
+diag(lam) + a R^-1 dX R^-T is (Z likewise with R^T dZ R), one eigvalsh
+per stack for both.  numpy only: the SOS tier imports no scipy.
 
 Callers are expected to pose problems with interior (the certificate
 drivers always add an identity-shift variable), so no Slater checking is
@@ -168,23 +172,21 @@ def _nt_scaling(X: np.ndarray, Z: np.ndarray):
     return R, Rinv, lam
 
 
-def _nt_step(lam: np.ndarray, dMh: np.ndarray) -> float:
-    """Largest step alpha <= 1 keeping diag(lam) + alpha dMh PSD, backed off
-    by 0.98: I + alpha lam^-1/2 dMh lam^-1/2 must stay PSD.  For a stack,
-    the step every block allows."""
-    s = 1.0 / np.sqrt(lam)
-    S = s[..., :, None] * dMh * s[..., None, :]
-    wmin = np.linalg.eigvalsh(_sym(S)).min()
-    return 1.0 if wmin >= 0 else min(1.0, 0.98 / -wmin)
-
-
 def _nt_frame(scal, dX: list[np.ndarray], dZ: list[np.ndarray]):
     """The directions in the NT frame, R^-1 dX R^-T and R^T dZ R per block
-    or stack, and the primal and dual step lengths they allow."""
+    or stack, and the primal and dual step lengths they allow: the largest
+    alpha <= 1 keeping diag(lam) + alpha dMh PSD, that is
+    I + alpha lam^-1/2 dMh lam^-1/2 PSD, backed off by 0.98.  One eigvalsh
+    per stack takes both directions at once."""
     dXh = [Rinv @ dXb @ _t(Rinv) for (_, Rinv, _), dXb in zip(scal, dX)]
     dZh = [_t(R) @ dZb @ R for (R, _, _), dZb in zip(scal, dZ)]
-    alpha_p = min(_nt_step(lam, h) for (_, _, lam), h in zip(scal, dXh))
-    alpha_d = min(_nt_step(lam, h) for (_, _, lam), h in zip(scal, dZh))
+    wmin = np.inf, np.inf
+    for (_, _, lam), hx, hz in zip(scal, dXh, dZh):
+        s = 1.0 / np.sqrt(lam)
+        S = s[..., :, None] * np.stack([hx, hz]) * s[..., None, :]
+        w = np.linalg.eigvalsh(_sym(S)).reshape(2, -1).min(axis=1)
+        wmin = np.minimum(wmin, w)
+    alpha_p, alpha_d = (1.0 if w >= 0 else min(1.0, 0.98 / -w) for w in wmin)
     return dXh, dZh, alpha_p, alpha_d
 
 
@@ -201,6 +203,51 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     return L
 
 
+class EqualityOperator:
+    """A(X)_i = sum_b <A_b[i], X_b> on stacked blocks, and its adjoint.
+
+    Blocks of equal size form one (k, s, s) stack: `groups` lists the
+    blocks of each stack in input order, the stacks in the order their
+    sizes first appear.  The entries of all stacks lie in one vector,
+    stack after stack: stack g, block j of it, entry (p, q).  Every nonzero
+    A_b[i]_pq is one triple (row i, its column in that vector, value), so
+    A(X) and A^T(y) are one bincount each, with no dense m x N matrix;
+    bincount adds its terms in input order, whatever the BLAS threads.
+    """
+
+    def __init__(self, A: list[np.ndarray]):
+        m = len(A[0])
+        sizes = [Ab.shape[-1] for Ab in A]
+        self.groups = [[bi for bi, s in enumerate(sizes) if s == size]
+                       for size in dict.fromkeys(sizes)]
+        self.shapes = [(len(members), sizes[members[0]], sizes[members[0]])
+                       for members in self.groups]
+        self.offsets = np.cumsum([0] + [k * s * s for k, s, _ in self.shapes])
+        rows, cols, vals = [], [], []
+        for start, members in zip(self.offsets, self.groups):
+            for j, bi in enumerate(members):
+                E = A[bi].reshape(m, -1)
+                row, entry = np.nonzero(E)
+                rows.append(row)
+                cols.append(start + j * E.shape[1] + entry)
+                vals.append(E[row, entry])
+        self.m = m
+        self.row = np.concatenate(rows)
+        self.col = np.concatenate(cols)
+        self.val = np.concatenate(vals)
+
+    def __call__(self, X: list[np.ndarray]) -> np.ndarray:
+        x = np.concatenate([Xg.ravel() for Xg in X])
+        return np.bincount(self.row, weights=self.val * x[self.col],
+                           minlength=self.m)
+
+    def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
+        v = np.bincount(self.col, weights=self.val * y[self.row],
+                        minlength=self.offsets[-1])
+        return [v[lo:hi].reshape(shape) for lo, hi, shape
+                in zip(self.offsets, self.offsets[1:], self.shapes)]
+
+
 def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
     """Solve the block SDP.
 
@@ -214,37 +261,27 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
     b, D = sdp.b, sdp.D
     sizes = sdp.block_sizes
     total_dim = sum(sizes)
-    # blocks of equal size are one (count, s, s) stack; block bi is entry j
-    # of stack g, and holds only the rows its equalities touch: A_b[rows]
-    # and its (len(rows), s*s) reshape E, with the width spelled out
-    # because a block may touch no row at all
-    groups = [[bi for bi, s in enumerate(sizes) if s == size]
-              for size in dict.fromkeys(sizes)]
+    # block bi is entry j of stack g.  For the Schur complement each block
+    # keeps the rows its equalities touch, A_b[rows], its (len(rows), s*s)
+    # reshape E, with the width spelled out because a block may touch no
+    # row at all, and the grid of M those rows address
+    op = EqualityOperator(sdp.A)
+    groups = op.groups
     parts = [None] * len(sizes)
     for g, members in enumerate(groups):
         for j, bi in enumerate(members):
             rows = np.flatnonzero(sdp.A[bi].reshape(m, -1).any(axis=1))
             At = sdp.A[bi][rows]
-            parts[bi] = (g, j, rows, At, At.reshape(len(rows), sizes[bi] ** 2))
+            parts[bi] = (g, j, At, At.reshape(len(rows), sizes[bi] ** 2),
+                         np.ix_(rows, rows))
 
     def stacked(mats: list[np.ndarray]) -> list[np.ndarray]:
         """The stacks of per-block matrices given in input order."""
         return [np.stack([mats[bi] for bi in members]) for members in groups]
 
-    def apply_A(X: list[np.ndarray]) -> np.ndarray:
-        out = np.zeros(m)
-        for g, j, rows, _, Eb in parts:
-            out[rows] += Eb @ X[g][j].ravel()
-        return out
-
-    def apply_At(y: np.ndarray) -> list[np.ndarray]:
-        return stacked([(Eb.T @ y[rows]).reshape(At.shape[1:])
-                        for _, _, rows, At, Eb in parts])
-
     # rows that touch nothing decide feasibility immediately
     touched = (D != 0).any(axis=1)
-    for _, _, rows, _, _ in parts:
-        touched[rows] = True
+    touched[op.row] = True
     if (np.abs(b[~touched]) > FEAS_TOL).any():
         return SdpResult(status="infeasible", infeasibility_is_heuristic=False)
 
@@ -265,8 +302,8 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
     status = "maxiter"
     iteration = 0
     for iteration in range(1, MAX_ITER + 1):
-        r_p = b - apply_A(X) - D @ u
-        R_d = [Cg - Zg - Ag for Cg, Zg, Ag in zip(C, Z, apply_At(y))]
+        r_p = b - op(X) - D @ u
+        R_d = [Cg - Zg - Ag for Cg, Zg, Ag in zip(C, Z, op.adjoint(y))]
         r_f = sdp.free_objective - D.T @ y
 
         mu = inner(X, Z) / total_dim
@@ -304,9 +341,9 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
         # Schur complement M_ij = sum_b <A_i, W A_j W>, nonzero only on the
         # rows and columns block b touches
         M = np.zeros((m, m))
-        for g, j, rows, At, Eb in parts:
+        for g, j, At, Eb, grid in parts:
             Wb = W[g][j]
-            M[np.ix_(rows, rows)] += (Wb @ At @ Wb).reshape(Eb.shape) @ Eb.T
+            M[grid] += (Wb @ At @ Wb).reshape(Eb.shape) @ Eb.T
         # Cholesky factor of M + ridge I, the ridge set on M's diagonal
         diag = _diag(M).copy()
         ridge = 1e-13 * max(1.0, diag.sum() / m)
@@ -342,17 +379,17 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
             iterative refinement against residual creep in ill-conditioned
             late iterations."""
             G = [Fg - Wg @ Rg @ Wg for Fg, Wg, Rg in zip(F, W, R_d)]
-            dy, du = saddle(r_p - apply_A(G), r_f)
+            dy, du = saddle(r_p - op(G), r_f)
 
             def steps(dy_vec):
-                dZ = [_sym(Rg - Ag) for Rg, Ag in zip(R_d, apply_At(dy_vec))]
+                dZ = [_sym(Rg - Ag) for Rg, Ag in zip(R_d, op.adjoint(dy_vec))]
                 dX = [_sym(Fg - Wg @ dZg @ Wg)
                       for Fg, Wg, dZg in zip(F, W, dZ)]
                 return dX, dZ
 
             dX, dZ = steps(dy)
             for _ in range(2):
-                res_p = r_p - apply_A(dX) - D @ du
+                res_p = r_p - op(dX) - D @ du
                 res_f = r_f - D.T @ dy
                 if np.abs(res_p).max(initial=0.0) <= 1e-13 * norm_b and \
                         np.abs(res_f).max(initial=0.0) <= 1e-13 * norm_c:
@@ -387,7 +424,7 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
         u = u + alpha_p * du
         y = y + alpha_d * dy
 
-    eq_residual = float(np.linalg.norm(b - apply_A(X) - D @ u, ord=np.inf))
+    eq_residual = float(np.linalg.norm(b - op(X) - D @ u, ord=np.inf))
     pobj = inner(C, X) + float(sdp.free_objective @ u)
     dobj = float(b @ y)
     result = SdpResult(

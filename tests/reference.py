@@ -13,9 +13,11 @@ sums it replaced, its float-tuple steps against its numpy step loop, its
 sliding steps against the route through flow.step that they replaced
 (simulate_by_steps), the set projection against scipy's SLSQP, and the
 SDP solver's step lengths in the NT frame against a bound from the
-Cholesky factor.  trajectory_csv is the CSV text of a trajectory, and
-simplex_diameter and partition_diameter the longest vertex distance of
-a cell and of a partition, which only the tests read.
+Cholesky factor, and its equality operator against the per-block loop
+it replaced (apply_A_per_block, apply_At_per_block).  trajectory_csv is
+the CSV text of a trajectory, and simplex_diameter and
+partition_diameter the longest vertex distance of a cell and of a
+partition, which only the tests read.
 decrease_by_products forms the cone decrease polynomials by full
 polynomial products, against the monomial shifts of cop_lp.  The point
 checks of a system (field_at, cone_contains, set_values, set_contains) evaluate one
@@ -339,6 +341,33 @@ def max_step(M, dM, fraction: float = 0.98) -> float:
     if wmin >= 0:
         return 1.0
     return min(1.0, fraction / (-wmin))
+
+
+def _touched(Ab):
+    """The rows a block's equalities touch, and its (rows, s*s) matrix,
+    with the width spelled out because a block may touch no row."""
+    m, s = len(Ab), Ab.shape[-1]
+    rows = np.flatnonzero(Ab.reshape(m, -1).any(axis=1))
+    return rows, Ab[rows].reshape(len(rows), s * s)
+
+
+def apply_A_per_block(A, groups, X) -> np.ndarray:
+    """sum_b <A_b[i], X_b> for each row i, block by block over the rows each
+    block touches; X holds one (k, s, s) stack per group of blocks."""
+    out = np.zeros(len(A[0]))
+    for Xg, members in zip(X, groups):
+        for Xb, bi in zip(Xg, members):
+            rows, E = _touched(A[bi])
+            out[rows] += E @ Xb.ravel()
+    return out
+
+
+def apply_At_per_block(A, groups, y) -> list[np.ndarray]:
+    """sum_i y_i A_b[i] for each block, stacked as the groups say."""
+    def block(Ab):
+        rows, E = _touched(Ab)
+        return (E.T @ y[rows]).reshape(Ab.shape[1:])
+    return [np.stack([block(A[bi]) for bi in members]) for members in groups]
 
 
 def decrease_by_products(hs, r, velocity):

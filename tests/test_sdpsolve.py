@@ -5,13 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyapcert import sos_cert
 from lyapcert.cli import parse_spec
 from lyapcert.errors import NumericalError
-from lyapcert.sdpsolve import (SemidefiniteProgram, _nt_frame, _nt_scaling,
-                               _tril_inv, dump_sdpa_sparse, solve_sdp)
-from reference import max_step
+from lyapcert.sdpsolve import (EqualityOperator, SemidefiniteProgram,
+                               _nt_frame, _nt_scaling, _tril_inv,
+                               dump_sdpa_sparse, solve_sdp)
+from reference import apply_A_per_block, apply_At_per_block, max_step
 
 CUSP_BOX_SPEC = Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
 BALL_SPEC = """\
@@ -206,7 +208,7 @@ def test_nt_step_lengths_match_the_cholesky_bound():
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 253])
 def test_triangular_inverse(n):
     # the blocked inverse against LAPACK's general one, at the base case
-    # size 32, either side of it, and the Schur size of the ball at deg 6
+    # size 32, either side of it, and 253, three levels of recursion deep
     rng = np.random.default_rng(n)
     L = np.linalg.cholesky(random_psd(rng, n) / n + np.eye(n))
     Linv = _tril_inv(L.copy())
@@ -258,10 +260,59 @@ def test_mixed_block_sizes_come_back_in_input_order():
     assert np.abs(permuted.duals - result.duals).max() <= 1e-9
 
 
+@st.composite
+def block_programs(draw):
+    """The coefficient arrays of a random block program, as
+    mixed_block_program builds them but with entries zeroed as well as
+    rows: blocks of sizes 1 to 4 with at least one 1x1 block and one
+    repeated size, one block that touches no row, and one row that no
+    block touches (only D would)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    sizes += [1, draw(st.sampled_from(sizes)), draw(st.integers(1, 4))]
+    sizes = list(rng.permutation(sizes))
+    m = draw(st.integers(2, 12))
+    A = []
+    for s in sizes:
+        Ab = np.array([random_sym(rng, s) for _ in range(m)])
+        Ab[rng.random(m) < 2 / 3] = 0.0
+        keep = np.triu(rng.random((m, s, s)) < 0.7)
+        A.append(Ab * (keep | keep.transpose(0, 2, 1)))
+    A[draw(st.integers(0, len(A) - 1))][...] = 0.0
+    row = draw(st.integers(0, m - 1))
+    for Ab in A:
+        Ab[row] = 0.0
+    return A, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_programs())
+def test_equality_operator_matches_the_per_block_loop(program):
+    A, rng = program
+    op = EqualityOperator(A)
+    groups = op.groups
+    X = [np.array([random_sym(rng, len(A[bi][0])) for bi in members])
+         for members in groups]
+    y = rng.standard_normal(len(A[0]))
+    absA = [np.abs(Ab) for Ab in A]
+    # relative to the sum of the terms' magnitudes, which bounds the
+    # rounding of any order of summation
+    scale = apply_A_per_block(absA, groups, [np.abs(Xg) for Xg in X])
+    err = np.abs(op(X) - apply_A_per_block(A, groups, X))
+    assert (err <= 1e-12 * scale).all()
+    got, ref = op.adjoint(y), apply_At_per_block(A, groups, y)
+    bound = apply_At_per_block(absA, groups, np.abs(y))
+    assert [g.shape for g in got] == [r.shape for r in ref]
+    for g, r, s in zip(got, ref, bound):
+        assert (np.abs(g - r) <= 1e-12 * s).all()
+
+
 @pytest.mark.parametrize("spec, deg, most", [
     pytest.param("cusp", 2, 9, id="2"), pytest.param("cusp", 6, 10, id="6"),
+    pytest.param("cusp", 10, 10, id="10"),
     pytest.param("ball", 4, 9, id="ball-4"),
-    pytest.param("ball", 6, 9, id="ball-6")])
+    pytest.param("ball", 6, 9, id="ball-6"),
+    pytest.param("ball", 8, 9, id="ball-8")])
 def test_cusp_box_iterations_do_not_rise(spec, deg, most, monkeypatch,
                                          tmp_path):
     # the counts with the Gram monomials that the equalities force to zero

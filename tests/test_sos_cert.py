@@ -594,14 +594,17 @@ box3: -1.0 1.0
 # when the forced Gram monomials were first pruned: the DSOS file lost only
 # the eigenvalue line of the emptied sigma_2.  Re-recorded with the
 # sign-group split: the same margins (DSOS 0.0, SDP within 3e-17), and V,
-# phi and every Gram keep only invariant terms
+# phi and every Gram keep only invariant terms.  Ball deg 4 re-recorded when
+# the SDP's equality operator became one bincount over the nonzeros: the
+# same margin bit for bit, no coefficient moved by more than 7.7e-14, and
+# the residuals stayed <= 1.8e-15
 CERTIFICATE_SHA256 = {
     ("cusp", "sdp", 2):
         "d9ba835270d4d1b0d27bcaf4e84cc4ae9ec33900b86570bdd31ccb6e64ec823e",
     ("cusp", "dsos", 2):
         "8331b02bd4281c89b6dd39225147d477e11ca13f325f52a2d9ddc4866e90cf5c",
     ("ball", "sdp", 4):
-        "9b6e458eda2a335ed433b953235831042101f15a7a8006a1164ab6110e397856",
+        "3ad11fcaa672144a1d4221657e87c865ac4d288d2e276bd2a362585602a56b80",
 }
 
 
@@ -765,10 +768,13 @@ TILTED_SPEC = (Path(__file__).resolve().parents[1] / "specs" /
     "g2: 1 - x1", "g2: 1 - x1 - 1/10*x2")
 
 # sha256 of the --dump-sdpa file and of certificate.txt (one BLAS thread)
-# for TILTED_SPEC at deg 2, recorded before the split existed
+# for TILTED_SPEC at deg 2, recorded before the split existed; the
+# certificate re-recorded when the SDP's equality operator became one
+# bincount over the nonzeros (the dump unchanged, the margin -4.9e-10 moved
+# by 1.5e-20, no coefficient by more than 1.7e-12)
 TILTED_SDPA = "9db7d481ae7399c534fd1bb3a6281165f9326c83c0b0bd1dc989af73eec3abd6"
 TILTED_CERTIFICATE = \
-    "418e4424f855c039d9286b1e62eafe1eb3c594e645bdfbaa7da3118bf0f45c0e"
+    "952622565f9e9c88e6ae38d3eb5df4c747e813ef52cdfb5aef6957b53e99e409"
 
 
 def test_trivial_group_leaves_the_program_as_it_is(tmp_path):
