@@ -292,10 +292,13 @@ def assemble_lp(system: ConicSystem, degree: int, r: int,
     ncoef = len(level.h_basis)
 
     blocks, cells = [], []
-    for sec_idx, state in enumerate(sections):
-        for cell_idx, cell in enumerate(state.partition.cells):
-            blocks.append(np.vstack(_cell_rows(level, state, cell)))
-            cells.append((sec_idx, cell_idx))
+    # a field past the float range overflows here; linprog.solve's
+    # finiteness check reports it as a solver failure
+    with np.errstate(over="ignore"):
+        for sec_idx, state in enumerate(sections):
+            for cell_idx, cell in enumerate(state.partition.cells):
+                blocks.append(np.vstack(_cell_rows(level, state, cell)))
+                cells.append((sec_idx, cell_idx))
     owner = np.repeat(cells, [len(block) for block in blocks], axis=0)
 
     coeffs = np.vstack(blocks)

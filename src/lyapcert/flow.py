@@ -42,15 +42,20 @@ boundary takes one Newton step; the loop's sliding step takes it from the
 same lines as newton_kernel (poly._newton_lines).
 
 Trajectories hold times, states and multipliers as arrays built after the
-last step, and optionally a Lyapunov function candidate, evaluated on all
-states at once; the CSV layout is "t,x1..xn,eta1..etan[,V]", written in
-chunks of CSV_CHUNK rows to a stream (write_csv), every value as its repr.
+last step (the states in one pass over the loop's tuples), and optionally
+the values of a Lyapunov function candidate, evaluated on all states at
+once; the CSV layout is "t,x1..xn,eta1..etan[,V]", written in chunks of
+CSV_CHUNK rows to a stream (write_csv), every value as its repr, except
+that a free row (eta +0.0 in every coordinate) writes the literal 0.0 for
+eta: repr(0.0) is "0.0", so the bytes are the same.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from operator import mul
 from typing import Callable, Sequence, TextIO
 
@@ -75,13 +80,13 @@ System = ConicSystem | SemialgebraicSystem
 
 @dataclass
 class Trajectory:
-    """times (m,), states and eta_log (m, n) arrays, and the m values of V
-    when one was given."""
+    """times (m,), states and eta_log (m, n) arrays, and the (m,) array of
+    the values of V when one was given."""
 
     times: np.ndarray
     states: np.ndarray
     eta_log: np.ndarray
-    v_values: list[float] | None = None
+    v_values: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -91,21 +96,39 @@ class Trajectory:
 
     def write_csv(self, out: TextIO) -> None:
         """Write the CSV to out in chunks of CSV_CHUNK rows: each chunk is
-        one % format of its floats, and %r of a float is its repr."""
+        one % format of its floats, and %r of a float is its repr.  A free
+        row (eta +0.0 in every coordinate) writes the literal 0.0 for eta,
+        the same bytes as repr(0.0), so only its t, x and V go through %r;
+        a chunk without a free row repeats one template of %r cells."""
         n = self.states.shape[1]
         header = ["t"] + [f"x{i + 1}" for i in range(n)] \
             + [f"eta{i + 1}" for i in range(n)]
         columns = [self.times[:, None], self.states, self.eta_log]
         if self.v_values is not None:
             header.append("V")
-            columns.append(np.array(self.v_values)[:, None])
+            columns.append(self.v_values[:, None])
         out.write(",".join(header) + "\n")
-        row = ",".join(["%r"] * len(header)) + "\n"
+        cells = ["%r"] * len(header)
+        row = ",".join(cells) + "\n"
+        cells[1 + n:1 + 2 * n] = ["0.0"] * n
+        free_row = ",".join(cells) + "\n"
+        # the cells that go through %r in a free row
+        kept = np.array([c == "%r" for c in cells])
+        # +0.0 is the one float whose bits are all zero, so a -0.0 eta is
+        # not free and still prints -0.0
+        free = reduce(np.bitwise_or, self.eta_log.view(np.uint64).T) == 0
         for k in range(0, len(self), CSV_CHUNK):
             chunk = np.hstack([c[k:k + CSV_CHUNK] for c in columns])
+            is_free = free[k:k + CSV_CHUNK]
+            if is_free.any():
+                text = "".join([free_row if f else row
+                                for f in is_free.tolist()])
+                chunk = chunk[kept | ~is_free[:, None]]
+            else:
+                text = row * len(chunk)
             # tolist gives Python floats (repr of a numpy scalar is
             # "np.float64(...)", which CSV readers reject)
-            out.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+            out.write(text % tuple(chunk.ravel().tolist()))
 
 
 def project_cone(z, cone: PolyhedralCone) -> tuple[float, ...]:
@@ -342,7 +365,9 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
         raise NumericalError(f"{OVERFLOW} at t = {times[-1] + dt}") from exc
     except NumericalError as exc:
         raise NumericalError(f"{exc} at t = {times[-1] + dt}") from exc
-    states = np.array(states)
+    m, n = len(states), len(x)
+    states = np.fromiter(chain.from_iterable(states), float,
+                         m * n).reshape(m, n)
     eta_log = np.zeros_like(states)
     if projected:
         eta_log[list(projected)] = list(projected.values())
@@ -350,5 +375,5 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
     if V is not None:
         values = MonomialTable([V])(traj.states)[:, 0] \
             if isinstance(V, Polynomial) else V(traj.states)
-        traj.v_values = values.tolist()
+        traj.v_values = values
     return traj

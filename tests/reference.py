@@ -15,7 +15,8 @@ sliding steps against the route through flow.step that they replaced
 SDP solver's step lengths in the NT frame against a bound from the
 Cholesky factor, and its equality operator against the per-block loop
 it replaced (apply_A_per_block, apply_At_per_block).  trajectory_csv is
-the CSV text of a trajectory, and simplex_diameter and
+the CSV text of a trajectory, and trajectory_csv_by_cells the same text
+one repr per cell, against the chunked writer.  simplex_diameter and
 partition_diameter the longest vertex distance of a cell and of a
 partition, which only the tests read.
 decrease_by_products forms the cone decrease polynomials by full
@@ -299,6 +300,22 @@ def trajectory_csv(traj) -> str:
     out = io.StringIO()
     traj.write_csv(out)
     return out.getvalue()
+
+
+def trajectory_csv_by_cells(traj) -> str:
+    """The CSV of traj one cell at a time: the header, then each row's t,
+    x, eta and V (when there is one) as ",".join of their reprs."""
+    n = traj.states.shape[1]
+    header = ["t"] + [f"x{i + 1}" for i in range(n)] \
+        + [f"eta{i + 1}" for i in range(n)]
+    columns = [traj.times[:, None], traj.states, traj.eta_log]
+    if traj.v_values is not None:
+        header.append("V")
+        columns.append(traj.v_values[:, None])
+    lines = [",".join(header)]
+    for row in np.hstack(columns).tolist():
+        lines.append(",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
 
 
 def simplex_diameter(simplex) -> float:

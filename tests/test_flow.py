@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from lyapcert.tangency import (SemialgebraicSet, eta_projection,
 from reference import (cone_contains, euler_step_floats,
                        evaluate_float_terms, field_at, set_contains,
                        set_values, simulate_by_steps, simulate_cone_numpy,
-                       slsqp_projection, trajectory_csv)
+                       slsqp_projection, trajectory_csv,
+                       trajectory_csv_by_cells)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 SQUARE = PolyhedralCone([[1, 0, 0.5], [-1, 0, 0.5], [0, 1, 0.5], [0, -1, 0.5]])
@@ -947,11 +949,12 @@ def test_v_is_evaluated_once_on_all_states():
     traj = simulate([0.8, 0.2], T=0.01, dt=1e-3, system=wedge_system(),
                     V=first_coordinate)
     assert calls == [(len(traj), 2)]
-    assert traj.v_values == [float(s[0]) for s in traj.states]
+    assert traj.v_values.tolist() == [float(s[0]) for s in traj.states]
     poly = simulate([0.8, 0.2], T=0.01, dt=1e-3, system=wedge_system(),
                     V=PRINTED_V)
     table = MonomialTable([PRINTED_V])
-    assert poly.v_values == table(np.array(poly.states))[:, 0].tolist()
+    assert poly.v_values.dtype == np.float64
+    assert poly.v_values.tobytes() == table(poly.states)[:, 0].tobytes()
 
 
 def test_csv_layout():
@@ -972,3 +975,66 @@ def test_csv_reads_back_with_loadtxt(tmp_path):
     assert table.shape == (len(traj), 6)
     assert np.array_equal(table[:, 0], traj.times)
     assert np.array_equal(table[:, 1:3], np.array(traj.states))
+
+
+def csv_rows(rng, n, layout):
+    """times, states and eta_log of a made-up trajectory whose eta rows
+    mix the cases the writer tells apart: free (+0.0 in every coordinate,
+    as a projection may also record it), projected, zeros with one -0.0
+    cell, and one zero among nonzero cells.  layout is the row count as
+    an offset from CSV_CHUNK, or "free-then-projected": one all-free
+    chunk, then one all-projected chunk."""
+    chunk = flow.CSV_CHUNK
+    m = 2 * chunk if layout == "free-then-projected" else chunk + layout
+    times = np.arange(m) * 1e-3
+    states = rng.normal(size=(m, n))
+    states[::97] = [-0.0, 0.0, 1e300, 5e-324][:n]
+    kinds = rng.choice(["free", "projected", "negative-zero", "one-zero"],
+                       m)
+    if layout == "free-then-projected":
+        kinds[:chunk], kinds[chunk:] = "free", "projected"
+    eta = rng.normal(size=(m, n))
+    eta[np.isin(kinds, ["free", "negative-zero"])] = 0.0
+    eta[kinds == "negative-zero", 0] = -0.0
+    eta[kinds == "one-zero", 1] = 0.0
+    return times, states, eta
+
+
+@pytest.mark.parametrize("n, v, layout", list(product(
+    [2, 3], [None, "finite", "inf-nan"],
+    [-1, 0, 1, "free-then-projected"])))
+def test_csv_writer_matches_the_cell_by_cell_reference(n, v, layout):
+    rng = np.random.default_rng(91)
+    times, states, eta = csv_rows(rng, n, layout)
+    v_values = None if v is None else rng.normal(size=len(times))
+    if v == "inf-nan":
+        v_values[::5], v_values[1::5] = np.inf, np.nan
+    traj = flow.Trajectory(times, states, eta, v_values)
+    want = trajectory_csv_by_cells(traj)
+    assert "-0.0" in want and ",0.0," in want
+    got = trajectory_csv(traj)
+    assert len(got) == len(want)
+    # the first line that differs, not a diff of two whole CSVs
+    assert next(((k, a, b) for k, (a, b) in enumerate(
+        zip(got.splitlines(), want.splitlines())) if a != b), None) is None
+
+
+@pytest.mark.parametrize("system, x0, T, dt", [
+    (REFINE1, [0.1, 0.2, 0.9], 2.0, 1e-2),
+    (cusp_system(), [0.49, 0.7], 0.5, 1e-3),
+    (cusp_system(), [0.49, 0.7], 4e-4, 1e-3),
+], ids=["free-cone", "projected-cusp", "no-step"])
+def test_states_are_the_loop_tuples_as_float64(system, x0, T, dt,
+                                               monkeypatch):
+    rows = []
+    kernel = system.euler_kernel
+
+    def kept(times, states, *args):
+        rows.append(states)
+        return kernel(times, states, *args)
+    monkeypatch.setitem(system.__dict__, "euler_kernel", kept)
+    traj = simulate(x0, T, dt, system)
+    (states,) = rows
+    assert traj.states.dtype == np.float64
+    assert traj.states.shape == (round(T / dt) + 1, len(x0))
+    assert traj.states.tobytes() == np.array(states).tobytes()
