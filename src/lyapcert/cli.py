@@ -19,6 +19,7 @@ standard error.  Verbosity comes from LYAPCERT_LOG (quiet, info, debug).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -604,7 +605,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then shared by
+    every main call of the process: parse_args reads it and writes only
+    the fresh namespace it returns."""
     parser = _Parser(
         prog="lyapcert",
         description="Lyapunov certificates for normal-cone constrained "

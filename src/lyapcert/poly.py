@@ -38,6 +38,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import factorial, prod
 from operator import add
 from typing import Callable, Iterator, Mapping, Sequence
@@ -595,6 +596,12 @@ class MonomialTable:
     multiplies form the monomials (no pow), and one (polys x monomials)
     coefficient-matrix product sums the terms.  `degrees` holds the total
     degrees of all the polynomials' terms.
+
+    The layout takes one pass over the support: each monomial's chain is
+    walked down, one exponent list decremented in place, until it meets a
+    monomial already placed, and each link records its parent and
+    variable.  Sorting the exponent tuples descending and then, stably, by
+    total degree gives the graded-lex order.
     """
 
     __slots__ = ("degrees", "_steps", "_coefs")
@@ -604,22 +611,27 @@ class MonomialTable:
         if len(dims) > 1:
             raise ValueError(
                 f"dimension mismatch in monomial table: {sorted(dims)}")
+        n = dims.pop() if dims else 0
         monos = {m for p in polys for m in p.terms}
         self.degrees = frozenset(map(sum, monos))
-        for mono in list(monos):
-            while any(mono):
-                mono = _parent(mono)[0]
-                if mono in monos:
-                    break
-                monos.add(mono)
-        one = (0,) * (dims.pop() if dims else 0)
-        order = sorted(monos | {one}, key=grlex_key)
-        row = {mono: i for i, mono in enumerate(order)}
-        self._steps = [(row[up], j) for up, j in map(_parent, order[1:])]
-        self._coefs = np.zeros((len(polys), len(order)))
+        link: dict[Mono, tuple[Mono, int] | None] = {(0,) * n: None}
+        for mono in monos:
+            exps, j = list(mono), n - 1
+            while mono not in link:
+                while not exps[j]:
+                    j -= 1
+                exps[j] -= 1
+                up = tuple(exps)
+                link[mono] = up, j
+                mono = up
+        order = sorted(sorted(link, reverse=True), key=sum)
+        row = dict(zip(order, range(len(order))))
+        self._steps = [(row[up], j) for up, j in map(link.get, order[1:])]
+        self._coefs = coefs = np.zeros((len(polys), len(order)))
         for k, p in enumerate(polys):
             for mono, c in p.terms.items():
-                self._coefs[k, row[mono]] = float(c)
+                # float(c), without numbers.Rational.__float__'s int() calls
+                coefs[k, row[mono]] = c.numerator / c.denominator
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -631,13 +643,6 @@ class MonomialTable:
         for i, (parent, j) in enumerate(self._steps, start=1):
             np.multiply(table[parent], cols[j], out=table[i])
         return (self._coefs @ table).T
-
-
-def _parent(mono: Mono) -> tuple[Mono, int]:
-    """The monomial with one power less of its last variable, and that
-    variable."""
-    j = max(i for i, e in enumerate(mono) if e)
-    return mono[:j] + (mono[j] - 1,) + mono[j + 1:], j
 
 
 def _mono_to_indices(mono: Mono) -> Mono:
@@ -814,13 +819,16 @@ def norm_squared(dimension: int) -> Polynomial:
 
 # -- text grammar -------------------------------------------------------------
 
+# findall gives each token as one tuple with a slot per group, in this
+# order: the slot of the token's kind holds its text, the others ""
 _TOKEN = re.compile(
     r"\s*(?:(?P<sign>[+-])"
     r"|(?P<times>\*)"
     r"|(?P<power>\^)"
     r"|(?P<rational>\d+/\d+)"
     r"|(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<var>x\d+))")
+    r"|(?P<var>x\d+)"
+    r"|(?P<other>\S))")
 
 
 class PolynomialParseError(InputError):
@@ -831,6 +839,17 @@ class PolynomialParseError(InputError):
         self.column = column
 
 
+def _decimal(token: str) -> tuple[int, int]:
+    """A decimal token as integers (p, q) with p/q == Fraction(token): its
+    digits with the point dropped, and the power of ten of its exponent
+    less its fraction digits on the side that keeps it whole."""
+    mantissa, _, exponent = token.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    shift = int(exponent or 0) - len(fraction)
+    digits = int(whole + fraction)
+    return (digits * 10 ** shift, 1) if shift >= 0 else (digits, 10 ** -shift)
+
+
 def parse_polynomial(text: str, dimension: int) -> Polynomial:
     """Parse the canonical grammar into an exact polynomial.
 
@@ -838,98 +857,94 @@ def parse_polynomial(text: str, dimension: int) -> Polynomial:
     exact rationals; variables are x1..xn with 1-based indices.  A term
     whose coefficient (summed with the earlier terms of its monomial) has
     no finite float value is an error at the term's column.
-    """
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise PolynomialParseError(
-                f"unexpected character {text[pos:].strip()[0]!r}", pos + 1)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind) + 1))
-        pos = m.end()
 
+    A term's factors multiply into one integer numerator and denominator,
+    and make one Fraction.  Only an error needs a token's column, so only
+    an error scans the text a second time for it.
+    """
+    tokens = _TOKEN.findall(text)
+
+    def fail(message: str, index: int, whole_match: bool = False):
+        """The error at token `index`, at its first character, or with
+        `whole_match` at the whitespace before it."""
+        m = next(islice(_TOKEN.finditer(text), index, None))
+        raise PolynomialParseError(
+            message, m.start(0 if whole_match else m.lastgroup) + 1)
+
+    for index, token in enumerate(tokens):
+        if token[-1]:
+            fail(f"unexpected character {token[-1]!r}", index, True)
     if not tokens:
         raise PolynomialParseError("empty polynomial", 1)
-    if len(tokens) == 1 and tokens[0][0] == "number" and tokens[0][1] == "0":
+    if len(tokens) == 1 and tokens[0][4] == "0":
         return Polynomial.zero(dimension)
 
     terms: dict[Mono, Fraction] = {}
+    count = len(tokens)
     i = 0
-
-    def parse_term(start: int, sign: Fraction) -> int:
-        i = start
-        coeff = sign
-        exps = [0] * dimension
-        saw_factor = False
-        while i < len(tokens):
-            kind, value, col = tokens[i]
-            if kind == "sign":
+    num = 1      # a term's numerator starts as its sign
+    if tokens[0][0]:
+        num = -1 if tokens[0][0] == "-" else 1
+        i = 1
+    while True:
+        start, den, exps, saw_factor = i, 1, [0] * dimension, False
+        while i < count:
+            sign, times, power, rational, number, var, _ = tokens[i]
+            if sign:
                 break
-            if kind == "times":
+            if times:
                 if not saw_factor:
-                    raise PolynomialParseError("'*' without preceding factor", col)
+                    fail("'*' without preceding factor", i)
                 i += 1
                 continue
-            if kind == "rational":
-                p, q = value.split("/")
-                if int(q) == 0:
-                    raise PolynomialParseError("zero denominator", col)
-                coeff *= Fraction(int(p), int(q))
-            elif kind == "number":
-                coeff *= Fraction(value)
-            elif kind == "var":
-                var = int(value[1:])
-                if not 1 <= var <= dimension:
-                    raise PolynomialParseError(
-                        f"variable {value} outside dimension {dimension}", col)
+            if number:
+                p, q = _decimal(number)
+                num *= p
+                den *= q
+            elif var:
+                k = int(var[1:])
+                if not 1 <= k <= dimension:
+                    fail(f"variable {var} outside dimension {dimension}", i)
                 e = 1
-                if i + 1 < len(tokens) and tokens[i + 1][0] == "power":
-                    if i + 2 >= len(tokens) or tokens[i + 2][0] != "number":
-                        raise PolynomialParseError("'^' needs an integer exponent",
-                                                   tokens[i + 1][2])
-                    etext = tokens[i + 2][1]
-                    if not etext.isdigit():
-                        raise PolynomialParseError("exponent must be an integer",
-                                                   tokens[i + 2][2])
-                    e = int(etext)
+                if i + 1 < count and tokens[i + 1][2]:
+                    if i + 2 >= count or not tokens[i + 2][4]:
+                        fail("'^' needs an integer exponent", i + 1)
+                    if not tokens[i + 2][4].isdigit():
+                        fail("exponent must be an integer", i + 2)
+                    e = int(tokens[i + 2][4])
                     i += 2
-                exps[var - 1] += e
+                exps[k - 1] += e
+            elif rational:
+                p, q = map(int, rational.split("/"))
+                if q == 0:
+                    fail("zero denominator", i)
+                num *= p
+                den *= q
             else:
-                raise PolynomialParseError(f"unexpected token {value!r}", col)
+                fail(f"unexpected token {power!r}", i)
             saw_factor = True
             i += 1
         if not saw_factor:
-            col = tokens[start][2] if start < len(tokens) else len(text)
-            raise PolynomialParseError("empty term", col)
+            if start < count:
+                fail("empty term", start)
+            raise PolynomialParseError("empty term", len(text))
         mono = tuple(exps)
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        coeff = Fraction(num, den)
+        acc = terms.get(mono)
+        terms[mono] = coeff = coeff if acc is None else acc + coeff
         try:
-            float(terms[mono])
+            coeff.numerator / coeff.denominator      # float(coeff)
         except OverflowError:
-            raise PolynomialParseError("coefficient has no finite float value",
-                                       tokens[start][2])
-        return i
-
-    sign = Fraction(1)
-    if tokens[0][0] == "sign":
-        sign = Fraction(-1) if tokens[0][1] == "-" else Fraction(1)
-        i = 1
-    while True:
-        i = parse_term(i, sign)
-        if i >= len(tokens):
+            fail("coefficient has no finite float value", start)
+        if i == count:
             break
-        kind, value, col = tokens[i]
-        if kind != "sign":
-            raise PolynomialParseError(f"expected '+' or '-', got {value!r}", col)
-        sign = Fraction(-1) if value == "-" else Fraction(1)
+        num = -1 if tokens[i][0] == "-" else 1
         i += 1
-        if i >= len(tokens):
-            raise PolynomialParseError("dangling sign at end of input", col)
-    return Polynomial(dimension, terms)
+        if i == count:
+            fail("dangling sign at end of input", i - 1)
+    if dimension < 1:
+        return Polynomial(dimension, terms)   # the constructor's ValueError
+    return Polynomial.trusted(dimension, terms)
 
 
 def format_coefficient(value: Fraction) -> str:

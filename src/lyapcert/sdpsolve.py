@@ -212,7 +212,9 @@ class EqualityOperator:
     stack after stack: stack g, block j of it, entry (p, q).  Every nonzero
     A_b[i]_pq is one triple (row i, its column in that vector, value), so
     A(X) and A^T(y) are one bincount each, with no dense m x N matrix;
-    bincount adds its terms in input order, whatever the BLAS threads.
+    bincount adds its terms in input order, whatever the BLAS threads.  So
+    A^T(y) is exactly symmetric: entries (p, q) and (q, p) of a block sum
+    equal terms from the same rows in the same order.
     """
 
     def __init__(self, A: list[np.ndarray]):
@@ -382,7 +384,8 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
             dy, du = saddle(r_p - op(G), r_f)
 
             def steps(dy_vec):
-                dZ = [_sym(Rg - Ag) for Rg, Ag in zip(R_d, op.adjoint(dy_vec))]
+                # R_d and A^T(dy) are exactly symmetric, so dZ is too
+                dZ = [Rg - Ag for Rg, Ag in zip(R_d, op.adjoint(dy_vec))]
                 dX = [_sym(Fg - Wg @ dZg @ Wg)
                       for Fg, Wg, dZg in zip(F, W, dZ)]
                 return dX, dZ
@@ -419,8 +422,9 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
         dX, du, dy, dZ = newton(F)
         _, _, alpha_p, alpha_d = _nt_frame(scal, dX, dZ)
 
-        X = [_sym(Xg + alpha_p * dXg) for Xg, dXg in zip(X, dX)]
-        Z = [_sym(Zg + alpha_d * dZg) for Zg, dZg in zip(Z, dZ)]
+        # dX is symmetrized and dZ exactly symmetric, so X and Z stay so
+        X = [Xg + alpha_p * dXg for Xg, dXg in zip(X, dX)]
+        Z = [Zg + alpha_d * dZg for Zg, dZg in zip(Z, dZ)]
         u = u + alpha_p * du
         y = y + alpha_d * dy
 

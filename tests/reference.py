@@ -4,8 +4,11 @@ They check the library from outside it: the float kernels against a loop
 over the terms, the closed-form gradient of
 V = h/|x|^(2r) against central differences, the coefficient-matching
 rows of the SOS conditions against hand-written Gram matrices, the
-monomial table against the per-call table the oracle built before it,
-the band projection and rejection sampler of the oracle against the
+monomial table against the per-call table the oracle built before it
+and its layout against the parent walk it replaced (layout_by_parents),
+the polynomial reader against the Fraction-per-token reader it replaced
+(parse_polynomial_by_fractions), the band projection and rejection
+sampler of the oracle against the
 per-point Newton loop and the row-by-row sample list they replaced (with
 values by one pow per point, term and variable), the
 simulator's Euler kernel against the float kernels, tuple update and row
@@ -28,6 +31,8 @@ term loop that the float kernels match bit for bit.
 
 import io
 import math
+import re
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -144,23 +149,20 @@ def eval_many_broadcast(poly, points) -> np.ndarray:
     return powers.prod(axis=2) @ coefs
 
 
-def values_per_call(polys, points) -> np.ndarray:
-    """Every polynomial at every point, as (m, len(polys)), with the
-    monomial layout rebuilt on each call: each monomial a polynomial uses,
-    and its chain of parents down to 1, in graded-lex order, each row its
-    parent's row times one coordinate; one coefficient-matrix product sums
-    the terms."""
+def layout_by_parents(polys, n):
+    """The monomial table's layout as built before the one-pass walk: the
+    support closed under parents (one power less of the last variable) by
+    one parent call per link, sorted by grlex_key.  Returns the order, the
+    (parent row, variable) step of each monomial after 1, the coefficient
+    matrix by float(c), and the total degrees of the support."""
     from lyapcert.poly import grlex_key
 
     def parent(mono):
         j = max(i for i, e in enumerate(mono) if e)
         return mono[:j] + (mono[j] - 1,) + mono[j + 1:], j
 
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(1, -1)
-    n = points.shape[1]
     monos = {m for p in polys for m in p.terms}
+    degrees = frozenset(map(sum, monos))
     for mono in list(monos):
         while any(mono):
             mono = parent(mono)[0]
@@ -169,17 +171,140 @@ def values_per_call(polys, points) -> np.ndarray:
             monos.add(mono)
     order = sorted(monos | {(0,) * n}, key=grlex_key)
     row = {mono: i for i, mono in enumerate(order)}
-    cols = np.ascontiguousarray(points.T)
-    table = np.empty((len(order), len(points)))
-    table[0] = 1.0
-    for i, mono in enumerate(order[1:], start=1):
-        up, j = parent(mono)
-        np.multiply(table[row[up]], cols[j], out=table[i])
+    steps = [(row[up], j) for up, j in map(parent, order[1:])]
     coefs = np.zeros((len(polys), len(order)))
     for k, p in enumerate(polys):
         for mono, c in p.terms.items():
             coefs[k, row[mono]] = float(c)
+    return order, steps, coefs, degrees
+
+
+def values_per_call(polys, points) -> np.ndarray:
+    """Every polynomial at every point, as (m, len(polys)), with the
+    monomial layout rebuilt on each call (layout_by_parents), each row its
+    parent's row times one coordinate; one coefficient-matrix product sums
+    the terms."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points.reshape(1, -1)
+    order, steps, coefs, _ = layout_by_parents(polys, points.shape[1])
+    cols = np.ascontiguousarray(points.T)
+    table = np.empty((len(order), len(points)))
+    table[0] = 1.0
+    for i, (up, j) in enumerate(steps, start=1):
+        np.multiply(table[up], cols[j], out=table[i])
     return (coefs @ table).T
+
+
+_TOKEN_BY_FRACTION = re.compile(
+    r"\s*(?:(?P<sign>[+-])"
+    r"|(?P<times>\*)"
+    r"|(?P<power>\^)"
+    r"|(?P<rational>\d+/\d+)"
+    r"|(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<var>x\d+))")
+
+
+def parse_polynomial_by_fractions(text: str, dimension: int):
+    """The polynomial reader as it was before the integer decimal reader:
+    a token list with columns, a Fraction(token) per decimal, Fraction
+    products per factor and sums per term, and the validating Polynomial
+    constructor."""
+    from lyapcert.poly import Polynomial, PolynomialParseError
+
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_BY_FRACTION.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise PolynomialParseError(
+                f"unexpected character {text[pos:].strip()[0]!r}", pos + 1)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
+        pos = m.end()
+
+    if not tokens:
+        raise PolynomialParseError("empty polynomial", 1)
+    if len(tokens) == 1 and tokens[0][0] == "number" and tokens[0][1] == "0":
+        return Polynomial.zero(dimension)
+
+    terms = {}
+    i = 0
+
+    def parse_term(start, sign):
+        i = start
+        coeff = sign
+        exps = [0] * dimension
+        saw_factor = False
+        while i < len(tokens):
+            kind, value, col = tokens[i]
+            if kind == "sign":
+                break
+            if kind == "times":
+                if not saw_factor:
+                    raise PolynomialParseError(
+                        "'*' without preceding factor", col)
+                i += 1
+                continue
+            if kind == "rational":
+                p, q = value.split("/")
+                if int(q) == 0:
+                    raise PolynomialParseError("zero denominator", col)
+                coeff *= Fraction(int(p), int(q))
+            elif kind == "number":
+                coeff *= Fraction(value)
+            elif kind == "var":
+                var = int(value[1:])
+                if not 1 <= var <= dimension:
+                    raise PolynomialParseError(
+                        f"variable {value} outside dimension {dimension}", col)
+                e = 1
+                if i + 1 < len(tokens) and tokens[i + 1][0] == "power":
+                    if i + 2 >= len(tokens) or tokens[i + 2][0] != "number":
+                        raise PolynomialParseError(
+                            "'^' needs an integer exponent", tokens[i + 1][2])
+                    etext = tokens[i + 2][1]
+                    if not etext.isdigit():
+                        raise PolynomialParseError(
+                            "exponent must be an integer", tokens[i + 2][2])
+                    e = int(etext)
+                    i += 2
+                exps[var - 1] += e
+            else:
+                raise PolynomialParseError(f"unexpected token {value!r}", col)
+            saw_factor = True
+            i += 1
+        if not saw_factor:
+            col = tokens[start][2] if start < len(tokens) else len(text)
+            raise PolynomialParseError("empty term", col)
+        mono = tuple(exps)
+        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        try:
+            float(terms[mono])
+        except OverflowError:
+            raise PolynomialParseError("coefficient has no finite float value",
+                                       tokens[start][2])
+        return i
+
+    sign = Fraction(1)
+    if tokens[0][0] == "sign":
+        sign = Fraction(-1) if tokens[0][1] == "-" else Fraction(1)
+        i = 1
+    while True:
+        i = parse_term(i, sign)
+        if i >= len(tokens):
+            break
+        kind, value, col = tokens[i]
+        if kind != "sign":
+            raise PolynomialParseError(f"expected '+' or '-', got {value!r}",
+                                       col)
+        sign = Fraction(-1) if value == "-" else Fraction(1)
+        i += 1
+        if i >= len(tokens):
+            raise PolynomialParseError("dangling sign at end of input", col)
+    return Polynomial(dimension, terms)
 
 
 def band_points_per_point(index, S, pts, band_width) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapcert import (cones, flow, linprog, oracle, sdpsolve, sos_cert,
+from lyapcert import (cli, cones, flow, linprog, oracle, sdpsolve, sos_cert,
                       tangency)
 from lyapcert.cli import (_OPTION_KEYS, EXIT_NOT_FOUND, EXIT_OK,
                           EXIT_SOLVER_FAILURE, EXIT_USAGE, SpecFileError,
@@ -1099,3 +1099,45 @@ def test_read_certificate_candidate_roundtrip(cone_spec, tmp_path):
     assert kind == "conic-lyapunov-certificate"
     assert r == 0
     assert not poly.is_zero()
+
+
+# -- one argument parser per process -------------------------------------------
+
+def test_main_calls_share_the_parser_and_start_with_fresh_flags(
+        cusp_spec, tmp_path, monkeypatch):
+    """A flag given to one main call reads as unset in the next, also after
+    a call that ended in a parse error, and every call reuses the parser."""
+    seen = []
+    oracle_flags = cli._oracle_flags
+
+    def recording(args, spec):
+        flags = oracle_flags(args, spec)
+        seen.append((args.samples, flags["samples"]))
+        return flags
+
+    monkeypatch.setattr(cli, "_oracle_flags", recording)
+    build_parser()
+    before = build_parser.cache_info()
+    verify = ["verify", str(cusp_spec), "--out", str(tmp_path),
+              "--candidate", "1*x1^2 + 1*x2^2"]
+    assert main(verify + ["--samples", "300"]) in (EXIT_OK, EXIT_NOT_FOUND)
+    assert main(verify) in (EXIT_OK, EXIT_NOT_FOUND)
+    assert main(verify + ["--samples", "7", "--bogus"]) == EXIT_USAGE
+    assert main(verify + ["--samples", "x"]) == EXIT_USAGE
+    assert main(verify) in (EXIT_OK, EXIT_NOT_FOUND)
+    assert seen == [(300, 300), (None, 10_000), (None, 10_000)]
+    after = build_parser.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, 1)
+    assert after.hits == before.hits + 5
+
+
+def test_import_builds_no_parser():
+    """The parser is built by the first main call, never at import, so a
+    command pays for it and the interpreter's set-up does not."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = ("import lyapcert.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"

@@ -1,16 +1,24 @@
+import importlib.util
 import itertools
+import re
 from fractions import Fraction
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from lyapcert import cli
+from lyapcert.cli import main
 
 from lyapcert.poly import (MonomialTable, Polynomial, PolynomialParseError,
                            SymmetricTensor, bernstein_coefficients,
                            float_kernel, format_polynomial,
                            monomials_of_degree, monomials_up_to_degree,
                            parse_polynomial)
-from reference import evaluate_float_terms, values_per_call
+from reference import (evaluate_float_terms, layout_by_parents,
+                       parse_polynomial_by_fractions, values_per_call)
 
 X1 = Polynomial.variable(2, 0)
 X2 = Polynomial.variable(2, 1)
@@ -505,3 +513,211 @@ def test_grlex_order_is_degree_then_descending():
     assert basis == [(2, 0), (1, 1), (0, 2)]
     mixed = monomials_up_to_degree(2, 2)
     assert mixed == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+# -- the one-pass layout and the integer reader, against what they replaced --
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Every polynomial list a MonomialTable is built from and every text
+    the CLI parses, over find and verify on the bundled specs and on the
+    sos-sdp benchmark's systems, and verify of the candidates its negative
+    controls scale from each certificate."""
+    workloads = _workloads()
+    root = tmp_path_factory.mktemp("cli-inputs")
+    tables, texts = [], []
+    init, parse = MonomialTable.__init__, cli.parse_polynomial
+
+    def recording_init(self, polys):
+        tables.append(list(polys))
+        init(self, polys)
+
+    def recording_parse(text, dimension):
+        texts.append((text, dimension))
+        return parse(text, dimension)
+
+    specs = sorted(SPECS.glob("*.spec"))
+    for d in (2, 4, 6):
+        path = root / f"cusp{d}.spec"
+        path.write_text(workloads.set_spec(workloads.CUSP_F, workloads.CUSP_G,
+                                           workloads.CUSP_BOX))
+        specs.append(path)
+    for d in (4, 6):
+        path = root / f"ball{d}.spec"
+        path.write_text(workloads.set_spec(workloads.BALL_F, workloads.BALL_G,
+                                           workloads.BALL_BOX))
+        specs.append(path)
+    rng = np.random.default_rng(32)
+    MonomialTable.__init__, cli.parse_polynomial = recording_init, \
+        recording_parse
+    try:
+        for spec in specs:
+            out = root / spec.stem
+            conic = "cone1:" in spec.read_text()
+            find = "find-lyap-cone" if conic else "find-lyap-sos"
+            samples = [] if conic else ["--samples", "500"]
+            degree = spec.stem[-1]
+            degree = ["--deg", degree] if degree.isdigit() else []
+            assert main([find, str(spec), "--out", str(out)] + degree
+                        + samples) == 0
+            cert = out / "certificate.txt"
+            main(["verify", str(spec), "--out", str(out / "v"),
+                  "--certificate", str(cert)] + samples)
+            lines = dict(ln.split(": ", 1) for ln in
+                         cert.read_text().splitlines())
+            r = ["--r", lines["r"]] if conic else []
+            factor = -Fraction(int(rng.integers(50, 200)), 100)
+            candidate = workloads.scaled(lines["h" if conic else "V"], factor)
+            main(["verify", str(spec), "--out", str(out / "n"),
+                  "--candidate=" + candidate] + r + samples)
+    finally:
+        MonomialTable.__init__, cli.parse_polynomial = init, parse
+    return tables, texts
+
+
+def _outcome(reader, text, dimension):
+    """The terms in insertion order, or the error's message and column."""
+    try:
+        return list(reader(text, dimension).terms.items())
+    except PolynomialParseError as exc:
+        return str(exc), exc.column
+
+
+def test_layout_matches_the_parent_walk_on_the_cli_tables(cli_inputs):
+    tables, _ = cli_inputs
+    assert len(tables) > 50
+    for polys in tables:
+        table = MonomialTable(polys)
+        _, steps, coefs, degrees = layout_by_parents(
+            polys, polys[0].dimension if polys else 0)
+        assert table._steps == steps
+        assert np.array_equal(table._coefs, coefs)
+        assert table.degrees == degrees
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_layout_matches_the_parent_walk_on_seeded_supports(n):
+    rng = np.random.default_rng(320 + n)
+    for _ in range(60):
+        degree = int(rng.integers(0, 9 - n))
+        monos = monomials_up_to_degree(n, degree)
+        polys = []
+        for _ in range(int(rng.integers(0, 5))):
+            size = int(rng.integers(0, min(len(monos), 15) + 1))
+            chosen = rng.choice(len(monos), size=size, replace=False)
+            polys.append(Polynomial(n, {
+                monos[i]: Fraction(int(rng.integers(-99, 100)),
+                                   int(rng.integers(1, 50)))
+                for i in chosen}))
+        table = MonomialTable(polys)
+        _, steps, coefs, degrees = layout_by_parents(polys, n if polys else 0)
+        assert table._steps == steps
+        assert np.array_equal(table._coefs, coefs)
+        assert table.degrees == degrees
+
+
+def test_reader_matches_the_fraction_reader_on_the_cli_texts(cli_inputs):
+    _, texts = cli_inputs
+    assert len(texts) > 50
+    assert any("/" in text and "." in text for text, _ in texts)
+    for text, dimension in texts:
+        got = _outcome(parse_polynomial, text, dimension)
+        assert isinstance(got, list)
+        assert got == _outcome(parse_polynomial_by_fractions, text,
+                               dimension)
+
+
+READER_CASES = [
+    "2.9*x1^2 + 1*x1*x2 + 1*x2^2", ".5*x1", "5.*x2", "5.", ".5", "0", "-0",
+    "0.0", "00", "1e3*x1", "2.5E-2*x2^3", "1e+0", "007.50e-02*x2", "1e400",
+    "1e-400*x1", "-1e308*x1 - 1e308*x1", "3/4*x1 - 3/4*x1",
+    "x1 + x1 + 2*x1", "-13/10*3.927116238461552*x1^2 + 13/10*1.3e-14*x1*x2",
+    "2*3*x1*x2*x1", "2x1", "x1 x2", "x1^0", "x1^02", "x1**x2", "x1 ^ 2",
+    "", "   ", "x1 $", "x1  $x2", "*x1", "x1^", "x1^-2", "x1^2.5", "x1^1e2",
+    "x1^x2", "2^3", "^2", "x1 +", "-", " - ", "+ + x1", "x1 - - x2", "3/0",
+    "3/0*x1 + x7", "x0", "x3", "x12", "1/", "1e", "x", "e5", "1.2.3",
+    "-x1 - 2*x2", "+x1", "9" * 330 + "*x1",
+]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_reader_matches_the_fraction_reader_on_fixed_cases(dimension):
+    for text in READER_CASES:
+        assert _outcome(parse_polynomial, text, dimension) == \
+            _outcome(parse_polynomial_by_fractions, text, dimension), text
+
+
+def _seeded_text(rng, n):
+    """A polynomial text with repeated monomials and every coefficient
+    form: integers, decimals with and without digits on either side of
+    the point, exponents, p/q and products of these."""
+    forms = [lambda: str(int(rng.integers(0, 1000))),
+             lambda: f"{rng.uniform(0, 99):.{int(rng.integers(0, 6))}f}",
+             lambda: f".{int(rng.integers(0, 10**4))}",
+             lambda: f"{int(rng.integers(0, 99))}.",
+             lambda: repr(abs(rng.normal())
+                          * 10.0 ** int(rng.integers(-20, 20))),
+             lambda: f"{int(rng.integers(1, 99))}"
+                     f"{'eE'[int(rng.integers(2))]}"
+                     f"{['', '+', '-'][int(rng.integers(3))]}"
+                     f"{int(rng.integers(0, 30))}",
+             lambda: f"{int(rng.integers(0, 99))}/{int(rng.integers(1, 99))}"]
+    monos = monomials_up_to_degree(n, 4)
+    parts = []
+    for _ in range(int(rng.integers(1, 12))):
+        factors = [forms[int(i)]() for i in
+                   rng.integers(len(forms), size=int(rng.integers(0, 3)))]
+        mono = monos[int(rng.integers(len(monos)))]
+        factors += [f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}"
+                    for j, e in enumerate(mono) if e]
+        parts.append("*".join(factors) or "1")
+        parts.append(" + " if rng.integers(2) else " - ")
+    return ("-" if rng.integers(2) else "") + "".join(parts[:-1])
+
+
+def test_reader_matches_the_fraction_reader_on_seeded_and_broken_texts():
+    """Seeded texts, and each with up to three random characters inserted,
+    replaced or deleted, so that every error path is reached."""
+    rng = np.random.default_rng(3232)
+    alphabet = " +-*^/.eEx0123456789$"
+    errors = set()
+    for _ in range(1500):
+        n = int(rng.integers(1, 4))
+        text = _seeded_text(rng, n)
+        assert isinstance(_outcome(parse_polynomial, text, n), list)
+        broken = list(text)
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(len(broken) + 1))
+            edit = int(rng.integers(3))
+            char = alphabet[int(rng.integers(len(alphabet)))]
+            if edit == 0 or not broken:
+                broken.insert(at, char)
+            elif edit == 1:
+                broken[min(at, len(broken) - 1)] = char
+            else:
+                del broken[min(at, len(broken) - 1)]
+        broken = "".join(broken)
+        if re.search(r"[eE][+-]?\d{5}", broken):
+            # a decimal exponent of 10^5 or more: both readers form 10^e
+            continue
+        for case in (text, broken):
+            got = _outcome(parse_polynomial, case, n)
+            assert got == _outcome(parse_polynomial_by_fractions, case, n), \
+                case
+            if not isinstance(got, list):
+                errors.add(got[0].rsplit(" (column", 1)[0].split(" ")[0])
+    assert len(errors) >= 8

@@ -247,6 +247,8 @@ def test_mixed_block_sizes_come_back_in_input_order():
     assert result.status == "solution"
     assert [X.shape for X in result.blocks] == [(s, s) for s in sizes]
     assert [Z.shape for Z in result.dual_blocks] == [(s, s) for s in sizes]
+    assert all(np.array_equal(M, M.T)
+               for M in result.blocks + result.dual_blocks)
     perm = [4, 2, 0, 3, 1]
     permuted = solve_sdp(SemidefiniteProgram(
         A=[A[i] for i in perm], D=D, b=b,
@@ -305,6 +307,8 @@ def test_equality_operator_matches_the_per_block_loop(program):
     assert [g.shape for g in got] == [r.shape for r in ref]
     for g, r, s in zip(got, ref, bound):
         assert (np.abs(g - r) <= 1e-12 * s).all()
+    # exactly symmetric, so the iteration needs no symmetrization of dZ, Z
+    assert all(np.array_equal(g, g.swapaxes(-1, -2)) for g in got)
 
 
 @pytest.mark.parametrize("spec, deg, most", [
