@@ -408,6 +408,7 @@ def cmd_find_lyap_cone(args, spec: ParsedSpec) -> int:
         raise InputError("cone-command-needs-cone-spec")
     system: ConicSystem = spec.system
     _check_count("--deg", args.deg, 1)
+    _check_count("--r", args.r, 0)
     _check_count("--sweeps", args.sweeps, 0)
     density = _oracle_flags(args, spec)["density"]
     if args.r is not None and args.deg is None:

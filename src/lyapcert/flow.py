@@ -8,38 +8,35 @@ that keeps z = x + dt f(x) records eta exactly 0, since N_S(x) = {0}
 there.  One trajectory is sequential, so a step works on a tuple of Python
 floats: on 2- and 3-vectors a numpy call costs more than the arithmetic,
 and numpy is used only for the NNLS of a cone projection where several
-rows bind, for the rare KKT system of a set projection and for the arrays
-built after the last step.  simulate is one call of the system's
-euler_kernel (poly.euler_kernel: one generated loop of Euler steps per
-system, built once), which takes every step: it computes f(x), z and the
-constraint values at z, keeps z when all are finite and every value is
->= -FEAS_TOL, and otherwise projects.  For a set, a step that slides along
-one generator's boundary after a projected step is projected inside the
-loop, in straight-line floats: project_set's warm-started Newton steps for
-one active generator (below), with the same bits.  Every other projected
-step is handed off to the projection callback that simulate passes the
-loop: it calls step, which projects z, checks the projected state and
-returns it with eta_used.  A z or a value that is not finite ends the run:
-the state has left the float range.
+rows bind, for the KKT system of a set projection that the loop hands
+off and for the arrays built after the last step.  simulate is one call
+of the system's euler_kernel (poly.euler_kernel: one generated loop of
+Euler steps per system, built once), which takes every step: it computes
+f(x), z and the constraint values at z, keeps z when all are finite and
+every value is >= -FEAS_TOL, and otherwise projects.  For a set, a step
+that violates one generator only is projected inside the loop, in
+straight-line floats: Newton steps on the KKT system of that one
+generator, warm-started from the step before when it was projected along
+the same generator, else cold.  That sliding step is the package's one
+single-generator projection.  Every other projected step (a cone's, a
+set's where two or more generators are violated, or one the sliding step
+could not keep) is handed off to the projection callback that simulate
+passes the loop: it calls step, which projects z, checks the projected
+state and returns it with eta_used.  A z or a value that is not finite
+ends the run: the state has left the float range.
 
 Projection onto a polyhedral cone is z + eta_projection(z, C) (Moreau's
 decomposition: z minus its projection onto the polar cone), the same map
 the oracle uses for its face checks; when one row is violated, its
 closed-form half-space projection is taken on floats if it lies in the
-cone.  Projection onto a convex semialgebraic set is Newton's method on
-the KKT system of min 1/2 |y - z|^2 subject to g_i(y) >= 0, with an
-active set and a posterior check that z - y lies in the normal cone
-N_S(y).  With one active generator and a multiplier >= 0, a Newton step
-is one call of that generator's kernel (poly.newton_kernel: g, its
-gradient and Hessian, an unrolled LDL^T of I - lam hess g and the scalar
-Schur complement, in straight-line floats).  With two or more active
-generators, a negative multiplier, or a pivot or Schur complement that is
-not positive, the step solves the (n + |A|) KKT system with numpy, from
-the float kernels of the generators, gradients and Hessians
-(poly.float_kernel).  Along a trajectory the projection is warm-started
-from the previous step's multipliers, so a step that slides along the
-boundary takes one Newton step; the loop's sliding step takes it from the
-same lines as newton_kernel (poly._newton_lines).
+cone.  Projection onto a convex semialgebraic set (project_set) is
+Newton's method on the KKT system of min 1/2 |y - z|^2 subject to
+g_i(y) >= 0, with an active set and a posterior check that z - y lies in
+the normal cone N_S(y).  Each step solves the (n + |A|) KKT system with
+numpy, from the float kernels of the generators, gradients and Hessians
+(poly.float_kernel).  Along a run of handed-off steps, such as a corner
+where two generators bind, the projection is warm-started from the
+previous step's multipliers.
 
 Trajectories hold times, states and multipliers as arrays built after the
 last step (the states in one pass over the loop's tuples), and optionally
@@ -181,30 +178,27 @@ def project_set(z, S: SemialgebraicSet,
     g_i(y) = 0 for the active generators A:
         y - z - sum_A lam_i grad g_i(y) = 0,   g_A(y) = 0,
     whose Jacobian carries the Hessian term H = I - sum_A lam_i hess g_i(y).
-    With one active generator and lam >= 0, a step is one call of its
-    S.newton_kernels entry (poly.newton_kernel: an unrolled factorization
-    of the n x n H and the Schur complement a.H^-1 a, built once per set).
-    With two or more, with lam < 0, or when that kernel meets a pivot of
-    H or an a.H^-1 a that is not positive, the step solves the (n + |A|)
-    linear system with numpy (_kkt_step, from S.float_kernels).  A
-    starts as the generators that z violates by more than FEAS_TOL, lam
-    at 0 and y at z, so a point inside the set comes back unchanged.
-    multipliers, when given, is the record {i: lam_i} of the previous
-    projection along a trajectory: lam_i starts from it for each i in A,
-    y at z + sum_A lam_i grad g_i(z), and on return the record holds the
-    final A and lam.  values, when given, are the g_i(z), so they are not
-    evaluated again.  Whenever the KKT residual of the current A is below
-    KKT_TOL (1 + |z|), A changes: a generator with lam_i < 0 leaves it,
-    else the generators that y violates by more than FEAS_TOL join it.
-    y is returned when neither happens, which is the posterior check:
-    lam >= 0, every g_i(y) >= -FEAS_TOL and y - z = sum_A lam_i
-    grad g_i(y), so z - y lies in N_S(y).  Convexity is assumed, not
-    verified.  A singular system, or no pass of the check within
-    MAX_PROJECTION_ITER iterations, raises NumericalError.
+    Each step solves that (n + |A|) linear system with numpy (_kkt_step,
+    from S.float_kernels).  A starts as the generators that z violates by
+    more than FEAS_TOL, lam at 0 and y at z, so a point inside the set
+    comes back unchanged.  multipliers, when given, is the record
+    {i: lam_i} of the previous projection along a trajectory: lam_i
+    starts from it for each i in A, y at z + sum_A lam_i grad g_i(z), and
+    on return the record holds the final A and lam.  values, when given,
+    are the g_i(z), so they are not evaluated again.  Whenever the KKT
+    residual of the current A is below KKT_TOL (1 + |z|), A changes: a
+    generator with lam_i < 0 leaves it, else the generators that y
+    violates by more than FEAS_TOL join it.  y is returned when neither
+    happens, which is the posterior check: lam >= 0, every
+    g_i(y) >= -FEAS_TOL and y - z = sum_A lam_i grad g_i(y), so z - y
+    lies in N_S(y).  Convexity is assumed, not verified.  A singular
+    system, or no pass of the check within MAX_PROJECTION_ITER
+    iterations, raises NumericalError.  Along a trajectory the loop of
+    poly.euler_kernel takes the steps that violate one generator itself
+    and hands project_set the rest.
     """
     z = tuple(map(float, z))
     values_at, gradient_at, _ = S.float_kernels
-    newton_at = S.newton_kernels
     tol = KKT_TOL * (1.0 + max(map(abs, z)))
     if values is None:
         values = values_at(z)
@@ -217,13 +211,9 @@ def project_set(z, S: SemialgebraicSet,
     if y is not z:
         values = values_at(y)
     for _ in range(MAX_PROJECTION_ITER):
-        newton = None
-        if len(active) == 1 and lam[0] >= 0.0:
-            newton = newton_at[active[0]](y, z, lam[0], tol)
-        if newton is None:
-            newton = _kkt_step(y, z, S, active, lam, values, tol)
+        newton = _kkt_step(y, z, S, active, lam, values, tol)
         if newton is not True:
-            y, lam = newton[0], list(newton[1])
+            y, lam = newton
             values = values_at(y)
             continue
         if lam and min(lam) < 0.0:
@@ -319,26 +309,30 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
              ) -> Trajectory:
     """Fixed-step projected Euler from a feasible start.
 
-    round(T / dt) steps.  A start outside the set, or a T or dt that is not
-    finite and positive, is an InputError.  Every step is taken by one
-    call of the system's euler_kernel loop.  A set's loop takes a step
-    that slides along one generator's boundary itself, after a projected
-    step (see poly.euler_kernel), and hands every other step it does not
-    keep to a projection callback, as a cone's loop hands all of them: the
-    callback clears the multipliers record when a free step came before
-    (so a set projection is warm-started from the previous step's
-    multipliers only along a run of projected steps), calls step through
-    the module global and records eta_used on the row of the step's start
-    state, where a sliding step records its own.  eta_log is zero on every
-    other row.  Every recorded state is feasible within STATE_TOL or the
-    run raises NumericalError, as does a failed projection or a state past
-    the float range, with the time of the step that fails.  The states
-    stay float tuples until the last step.  V, when given, is a Polynomial
-    or a map from an (m, n) array of states to an array of their m values
-    (such as RationalLyapunovCandidate.value); it is evaluated once, on
-    all stored states, after the last step.
+    round(T / dt) steps.  A start with a coordinate that is not finite or
+    outside the set, or a T or dt that is not finite and positive, is an
+    InputError.  Every step is taken by one call of the system's
+    euler_kernel loop.  A set's loop takes each step that violates one
+    generator only itself, sliding along its boundary (see
+    poly.euler_kernel), and hands every other step it does not keep to a
+    projection callback, as a cone's loop hands all of them: the callback
+    calls step through the module global with the loop's multipliers
+    record and records eta_used on the row of the step's start state,
+    where a sliding step records its own; eta_log is zero on every other
+    row.  The loop clears the record at each free step and each sliding
+    attempt, so a set projection is warm-started from the previous step's
+    multipliers only along a run of handed-off steps.  Every recorded
+    state is feasible within STATE_TOL or the run raises NumericalError,
+    as does a failed projection or a state past the float range, with the
+    time of the step that fails.  The states stay float tuples until the
+    last step.  V, when given, is a Polynomial or a map from an (m, n)
+    array of states to an array of their m values (such as
+    RationalLyapunovCandidate.value); it is evaluated once, on all stored
+    states, after the last step.
     """
     x = tuple(map(float, x0))
+    if not all(map(math.isfinite, x)):
+        raise InputError("initial state must be finite")
     if not _lowest(system, x) >= -STATE_TOL:
         raise InputError("initial state is outside the constraint set")
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf
@@ -350,12 +344,9 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
     multipliers: dict[int, float] = {}
 
     def project(x, z, fx, values):
-        row = len(states) - 1
-        if row - 1 not in projected:
-            multipliers.clear()    # a free step came before
         # through the module global, so a wrapped step sees every call
-        x_next, projected[row] = step(x, z, fx, values, dt, system,
-                                      multipliers)
+        x_next, projected[len(states) - 1] = step(x, z, fx, values, dt,
+                                                  system, multipliers)
         return x_next
 
     try:

@@ -19,10 +19,9 @@ straight-line float function for a list of polynomials, for inner loops
 that evaluate them at one point at a time; euler_kernel, from the same
 term emitter, generates the loop of explicit Euler steps of a field that
 keeps each step whose constraint values stay in the set, projects a step
-that slides along one generator of a set itself, and hands every other
-step to a projection callback, and newton_kernel one Newton step of the
-Euclidean projection onto {g >= 0}, from the lines that the sliding step
-takes its Newton steps from.
+that violates one generator of a set itself (the Euclidean projection
+onto {g >= 0} by Newton steps, the one single-generator projection of
+the package), and hands every other step to a projection callback.
 
 Monomial order is graded lexicographic (total degree ascending, exponent
 tuple descending within a degree) and is used everywhere a coefficient
@@ -36,6 +35,7 @@ certificate files; see parse_polynomial / format_polynomial.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -410,24 +410,26 @@ def euler_kernel(field: Sequence[Polynomial],
 
     Without derivatives (the rows of a cone) record and etas are not used.
     With them, for polynomial constraints g_i, the gradient and the upper
-    triangle of the Hessian of each g_i as newton_kernel takes them, the
-    loop slides along the boundary itself.  record is the multipliers
-    record {i: lam_i} of the projections (flow.project_set), and etas maps
-    the row of a step's start state to the step's eta.  After a project
-    call that leaves record = {i: lam} with lam > 0, and after each step
-    that slides on g_i, a step whose z and values are finite and whose
-    only value below -FEAS_TOL is g_i's slides: with tol = KKT_TOL
-    (1 + max|z_j|) it starts at y = z + lam grad g_i(z) and takes Newton
-    steps from there (newton_kernel's lines) while lam >= 0, evaluating
-    every g_k at each y, until the KKT residual at y is within tol, in at
-    most MAX_PROJECTION_ITER iterations.  It keeps that y when lam > 0, y
-    is finite, every other g_k(y) >= -FEAS_TOL and g_i(y) >= -STATE_TOL;
-    then record[i] = lam and the state's row in etas is (y - x)/dt - f(x).
-    Those are flow.project_set's float operations in its order for one
-    active generator, and its acceptance with flow.step's check of the
-    state, so every other outcome (a negative multiplier, a pivot that is
-    not positive, no convergence, a failed check) hands the step to
-    project, which computes it afresh from the same record.
+    triangle of the Hessian of each g_i (SemialgebraicSet.derivatives),
+    the loop slides along the boundary itself.  record is the multipliers
+    record {i: lam_i} of the projections (flow.project_set), cleared at
+    each step that keeps z, and etas maps the row of a step's start state
+    to the step's eta.  A step whose z and values are finite and whose
+    only value below -FEAS_TOL is g_i's slides.  It clears record, sets
+    tol = KKT_TOL (1 + max|z_j|) and starts warm, at lam from the step
+    before and y = z + lam grad g_i(z), when that step slid on g_i or was
+    a project call that left record = {i: lam} with lam > 0; otherwise it
+    starts cold at lam = 0 and y = z (no 0 grad g_i is added, so the
+    signs of zeros stay).  It takes Newton steps from there
+    (_newton_lines) while lam >= 0, evaluating every g_k at each y, until
+    the KKT residual at y is within tol, in at most MAX_PROJECTION_ITER
+    iterations.  It keeps that y when lam > 0, y is finite, every other
+    g_k(y) >= -FEAS_TOL and g_i(y) >= -STATE_TOL (flow.project_set's
+    posterior check and flow.step's check of the state); then
+    record = {i: lam} and the state's row in etas is (y - x)/dt - f(x).
+    Every other outcome (a negative multiplier, a pivot that is not
+    positive, no convergence, a failed check) hands the step to project
+    with the record empty, so project_set starts it cold.
     """
     n = len(field)
     xs, fs, zs = ([f"{a}{j}" for j in range(n)] for a in "xfz")
@@ -447,7 +449,7 @@ def euler_kernel(field: Sequence[Polynomial],
     lines += [f"        if {kept}:", f"            x = {_tuples([zs])}"]
     project = [f"x = project({_tuples([xs, zs, fs, vs])})"]
     if derivatives:
-        lines.append("            slide = -1")
+        lines += ["            slide = -1", "            record.clear()"]
         project = ["x = None",
                    *_slide_lines(constraints, derivatives, xs, fs, zs),
                    "if x is None:", *_indent(project),
@@ -480,22 +482,26 @@ def _slide_lines(constraints: Sequence[Polynomial],
                      _finite(ys)]) + ":",
                 f"        x = {_tuples([ys])}",
                 f"        record[{i}] = lam",
+                f"        slide = {i}",
                 "        etas[len(states) - 1] = " + _tuples([[
                     f"({y} - {x})/dt - {f}" for y, x, f in zip(ys, xs, fs)]]),
                 "    break"]
         iteration = [line for q, g in zip(qs, constraints)
                      for line in _sum_lines(q, g, ys)]
         iteration += ["    if not lam >= 0.0:", "        break",
-                      *_newton_lines(f"q{i}", gradient, hessian, ys, keep,
-                                     ["    break"])]
-        body = [f"    tol = {KKT_TOL!r}*(1.0 + "
-                f"{_biggest([f'abs({z})' for z in zs])})"]
-        for name, d in zip(a, gradient):
-            body += _sum_lines(name, d, zs)
-        body += [f"    {y} = {z} + lam*{aj}" for y, z, aj in zip(ys, zs, a)]
-        body += [f"    for _ in range({MAX_PROJECTION_ITER}):",
-                 *_indent(iteration)]
-        lines += [("elif" if i else "if") + f" slide == {i} and "
+                      *_newton_lines(f"q{i}", gradient, hessian, ys, keep)]
+        warm = [line for name, d in zip(a, gradient)
+                for line in _sum_lines(name, d, zs)]
+        warm += [f"    {y} = {z} + lam*{aj}" for y, z, aj in zip(ys, zs, a)]
+        body = ["    record.clear()",
+                f"    tol = {KKT_TOL!r}*(1.0 + "
+                f"{_biggest([f'abs({z})' for z in zs])})",
+                f"    if slide == {i}:", *_indent(warm), "    else:",
+                "        lam = 0.0",
+                *(f"        {y} = {z}" for y, z in zip(ys, zs)),
+                f"    for _ in range({MAX_PROJECTION_ITER}):",
+                *_indent(iteration)]
+        lines += [("elif " if i else "if ")
                   + " and ".join(others(vs) + [_finite(zs + vs)]) + ":",
                   *body]
     return lines
@@ -503,9 +509,9 @@ def _slide_lines(constraints: Sequence[Polynomial],
 
 def _newton_lines(g: str, gradient: Sequence[Polynomial],
                   hessian: Sequence[Polynomial], ys: list[str],
-                  converged: list[str], singular: list[str]) -> list[str]:
+                  converged: list[str]) -> list[str]:
     """Statements of one Newton step of the projection of z onto {g >= 0},
-    for newton_kernel and euler_kernel's sliding step.
+    for euler_kernel's sliding step.
 
     g names the value of g at the point ys, and z_j, lam and tol are
     bound.  The statements evaluate a = grad g at y and the residual
@@ -515,9 +521,9 @@ def _newton_lines(g: str, gradient: Sequence[Polynomial],
     unrolled), solve H u = -r and H w = a, and set y to y + dy and lam to
     lam + dlam, with dlam = (-g - a.u) / a.w and dy = u + dlam w: the
     solution of [[H, -a], [a^T, 0]] (dy, dlam) = -(r, g).  A pivot of D or
-    an a.w that is not positive (or not a number) runs singular in place
-    of the step.  converged and singular are one indent deep and must
-    leave the statements (return, break).
+    an a.w that is not positive (or not a number) breaks out of the
+    enclosing loop in place of the step.  converged is one indent deep
+    and must leave the statements (break).
     """
     n = len(ys)
     zs, rs, a, u, w = ([f"{c}{j}" for j in range(n)] for c in "zrauw")
@@ -538,7 +544,7 @@ def _newton_lines(g: str, gradient: Sequence[Polynomial],
     for j in range(n):
         lines.append(f"    d{j} = (1.0 - lam*{h[j][j]})"
                      + "".join(f" - l{j}_{k}*e{j}_{k}" for k in range(j)))
-        lines += [f"    if not d{j} > 0.0:", *_indent(singular)]
+        lines += [f"    if not d{j} > 0.0:", "        break"]
         for i in range(j + 1, n):
             lines.append(f"    e{i}_{j} = -(lam*{h[j][i]})"
                          + "".join(f" - l{i}_{k}*e{j}_{k}" for k in range(j)))
@@ -552,36 +558,12 @@ def _newton_lines(g: str, gradient: Sequence[Polynomial],
                 f" - l{k}_{i}*{x[k]}" for k in range(i + 1, n)))
     dot = (lambda left, right:
            " + ".join(f"{p}*{q}" for p, q in zip(left, right)))
-    lines += [f"    aw = {dot(a, w)}", "    if not aw > 0.0:",
-              *_indent(singular),
+    lines += [f"    aw = {dot(a, w)}", "    if not aw > 0.0:", "        break",
               f"    dlam = (-{g} - ({dot(a, u)}))/aw",
               "    lam = lam + dlam"]
     lines += [f"    {y} = {y} + ({uj} + dlam*{wj})"
               for y, uj, wj in zip(ys, u, w)]
     return lines
-
-
-def newton_kernel(g: Polynomial, gradient: Sequence[Polynomial],
-                  hessian: Sequence[Polynomial]) -> Callable:
-    """One straight-line Newton step of the projection onto {g >= 0}.
-
-    gradient is grad g and hessian the upper triangle of its Hessian
-    (j <= k, row by row).  The returned kernel(y, z, lam, tol) evaluates
-    g, a = grad g and the Hessian at y, summed as in float_kernel, and the
-    residual r = (y - z) - lam a of the KKT system of min 1/2 |y - z|^2
-    subject to g(y) = 0 (_newton_lines, which euler_kernel's sliding step
-    shares).  It returns True when |g| <= tol max|a_j| and
-    max|r_j| <= tol, and otherwise (y + dy, (lam + dlam,)), the solution of
-    [[H, -a], [a^T, 0]] (dy, dlam) = -(r, g) with H = I - lam hess g
-    factored as L D L^T.  It returns None, and takes no step, when a pivot
-    of D or a.w is not positive (or not a number).
-    """
-    ys, zs = ([f"{c}{j}" for j in range(g.dimension)] for c in "yz")
-    lines = ["def kernel(p, q, lam, tol):", f"    {', '.join(ys)}, = p",
-             f"    {', '.join(zs)}, = q", *_sum_lines("g", g, ys),
-             *_newton_lines("g", gradient, hessian, ys, ["    return True"],
-                            ["    return None"])]
-    return _compile(lines, [ys, ["lam"]])
 
 
 class MonomialTable:
@@ -831,6 +813,10 @@ _TOKEN = re.compile(
     r"|(?P<other>\S))")
 
 
+# a decimal exponent of 10,000 or more in magnitude
+_BIG_EXPONENT = re.compile(r"[eE][+-]?0*[1-9]\d{4}")
+
+
 class PolynomialParseError(InputError):
     """Raised on malformed polynomial text; carries the column offset."""
 
@@ -874,6 +860,18 @@ def parse_polynomial(text: str, dimension: int) -> Polynomial:
     for index, token in enumerate(tokens):
         if token[-1]:
             fail(f"unexpected character {token[-1]!r}", index, True)
+    # before any int() or power of ten: a decimal exponent beyond +-9999,
+    # or a digit run longer than int() reads (leading zeros included),
+    # found from the digits; a text within both bounds skips the scan
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(text) or _BIG_EXPONENT.search(text):
+        for index, token in enumerate(tokens):
+            mantissa, _, exponent = "".join(token[3:6]).lstrip("x") \
+                .lower().partition("e")
+            if len(exponent.lstrip("+-0")) > 4 or 0 < limit < max(
+                    map(len, mantissa.replace(".", "").split("/"))):
+                fail("number out of range: exponent beyond +-9999 or too "
+                     "many digits", index)
     if not tokens:
         raise PolynomialParseError("empty polynomial", 1)
     if len(tokens) == 1 and tokens[0][4] == "0":

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cones import PolyhedralCone
 from .errors import InputError, NumericalError
-from .poly import Polynomial, float_kernel, newton_kernel
+from .poly import Polynomial, float_kernel
 
 
 @dataclass
@@ -76,8 +76,8 @@ class SemialgebraicSet:
     def derivatives(self) -> list[tuple[tuple[Polynomial, ...],
                                         list[Polynomial]]]:
         """(grad g_i, the upper triangle of hess g_i (j <= k, row by row))
-        of each generator, as poly.newton_kernel and poly.euler_kernel
-        take them."""
+        of each generator, as poly.euler_kernel takes them for its sliding
+        step; float_kernels evaluates the same Hessian triangles."""
         n = self.dimension
         return [(grad, [hess[j][k] for j in range(n) for k in range(j, n)])
                 for grad, hess in zip(self.gradients, self.hessians)]
@@ -90,13 +90,6 @@ class SemialgebraicSet:
         return (float_kernel(self.generators),
                 [float_kernel(grad) for grad in self.gradients],
                 [float_kernel(upper) for _, upper in self.derivatives])
-
-    @cached_property
-    def newton_kernels(self):
-        """poly.newton_kernel of each generator: one Newton step of the
-        projection onto {g_i >= 0} alone."""
-        return [newton_kernel(g, *parts)
-                for g, parts in zip(self.generators, self.derivatives)]
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

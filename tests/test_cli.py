@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -373,6 +374,49 @@ def test_numbers_past_the_float_range_are_input_errors(
         f"status=input-error detail='{detail}'"
 
 
+LONG = "1" * 5000
+OUT_OF_RANGE = ("number out of range: exponent beyond +-9999 or too many "
+                "digits")
+
+
+@pytest.mark.parametrize("text, column", [
+    ("1e999999999*x1^2", 1), ("2*x1^2 - 1e-999999999*x2^2", 10),
+    ("0.e0008233221209645312*x1", 1), (f"{LONG}*x1^2", 1),
+    (f"1.{LONG}*x1^2", 1), (f"x{LONG}", 1), (f"x1^{LONG}", 4),
+    (f"{LONG}/3*x1^2", 1), (f"3/{LONG}*x1^2", 1),
+    # one past each bound, leading zeros counted as int() counts them
+    ("x1 + 1e10000*x2", 6), ("x1 - 1e-010000", 6),
+    ("1" * 4301 + "*x1", 1), ("0." + "0" * 4300 + "1", 1),
+    ("x" + "0" * 4300 + "1", 1), ("x1^" + "0" * 4300 + "2", 4),
+], ids=["exponent", "negative-exponent", "fuzzed-exponent", "digits",
+        "fraction-digits", "variable", "power", "numerator", "denominator",
+        "exponent-10000", "exponent-minus-10000", "digits-4301",
+        "fraction-digits-4301", "variable-4301", "power-4301"])
+@pytest.mark.parametrize("where", ["candidate", "spec"])
+def test_numbers_that_stall_or_crash_the_reader_are_input_errors(
+        text, column, where, cone_spec, tmp_path, capsys):
+    # 1e999999999 formed 10^999999999 for minutes, and a digit run longer
+    # than int() reads (4,300 by default) ended in a ValueError traceback;
+    # the exponents +-9999 and 4,300 digits still read (READER_CASES of
+    # test_poly.py)
+    if where == "spec":
+        cone_spec.write_text(cone_spec.read_text().replace(
+            "f1: -1*x1 - 2*x2", f"f1: {text}"))
+        argv = ["find-lyap-cone"]
+        detail = (f"f1: {OUT_OF_RANGE} (column {column}) (line 2) "
+                  "[rule: polynomial]")
+    else:
+        argv = ["verify", f"--candidate={text}", "--r", "0"]
+        detail = f"{OUT_OF_RANGE} (column {column})"
+    start = time.perf_counter()
+    code = main([argv[0], str(cone_spec), *argv[1:],
+                 "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"status=input-error detail='{detail}'"
+
+
 def test_verify_printed_candidate(cone_spec, tmp_path):
     code = main(["verify", str(cone_spec),
                  "--candidate", "2.9*x1^2 + 1*x1*x2 + 1*x2^2", "--r", "0",
@@ -616,6 +660,21 @@ def test_sweeps_flag_overrides_the_spec_schedule(tmp_path, capsys):
         "status=exhausted-schedule")
 
 
+def test_negative_r_is_an_input_error_before_any_lp(tmp_path, monkeypatch,
+                                                    capsys):
+    # refine1 solved its LP and ended "exhausted-schedule" with d=2 r=-1
+    path = tmp_path / "refine1.spec"
+    path.write_text(REFINE1_SPEC)
+    monkeypatch.setattr(linprog, "solve",
+                        lambda *args, **kw: pytest.fail("LP solved"))
+    code = main(["find-lyap-cone", str(path), "--deg", "2", "--r", "-1",
+                 "--sweeps", "0", "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "status=input-error detail='--r must be at least 0, got -1'"
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_spec_is_usage_error(tmp_path):
     assert main(["find-lyap-cone", str(tmp_path / "none.spec")]) == EXIT_USAGE
 
@@ -796,11 +855,14 @@ def test_state_past_the_float_range_is_solver_failure(constraints, tmp_path,
 def test_unconverged_set_projection_is_solver_failure(tmp_path, monkeypatch,
                                                       capsys):
     spec = tmp_path / "cusp.spec"
-    spec.write_text(CUSP_SPEC)
-    # a start on g1 = 0: the first step projects, and a cap of two
-    # iterations leaves no room for the check after the Newton steps
+    spec.write_text(CUSP_SPEC.replace("f1: -1*x1^2\nf2: 0",
+                                      "f1: 1*x1\nf2: 1*x2"))
+    # a start at the corner (1, 1), driven outward: the first step
+    # violates both generators, so the loop hands it to project_set, and a
+    # cap of two iterations leaves no room for the check after its Newton
+    # steps
     monkeypatch.setattr(flow, "MAX_PROJECTION_ITER", 2)
-    code = main(["simulate", str(spec), "--x0=0.25,0.5", "--T", "0.1",
+    code = main(["simulate", str(spec), "--x0=1,1", "--T", "0.1",
                  "--dt", "1e-3", "--out", str(tmp_path / "o")])
     assert code == EXIT_SOLVER_FAILURE
     status = capsys.readouterr().err.splitlines()[-1]
@@ -832,6 +894,30 @@ def test_non_finite_simulation_input_is_simulation_error(flags, cone_spec,
     assert capsys.readouterr().err.splitlines()[-1] == (
         "status=input-error detail='T and dt must be finite and "
         "positive, with T / dt finite'")
+    assert not (tmp_path / "o").exists()
+
+
+NON_FINITE_START_SPECS = {
+    "row-free-cone": "dim: 2\nf1: -1*x1\nf2: -1*x2\ncone:\n",
+    "slab-disc": "dim: 2\nf1: -1*x1\nf2: -1*x2\ng1: 1 - x2^2\n"
+                 "g2: 4 - x1^2 - x2^2\nbox1: -2 2\nbox2: -1 1\n",
+}
+
+
+@pytest.mark.parametrize("x0", ["nan,0.5", "0.5,nan", "inf,0.5", "0.5,inf",
+                                "-inf,0.5", "0.5,-inf"])
+@pytest.mark.parametrize("name", list(NON_FINITE_START_SPECS))
+def test_non_finite_start_is_an_input_error(name, x0, tmp_path, capsys):
+    # a NaN start ran until the state overflowed on the row-free cone and
+    # on the set, where the set's verdict hung on the order of min's
+    # arguments
+    spec = tmp_path / f"{name}.spec"
+    spec.write_text(NON_FINITE_START_SPECS[name])
+    code = main(["simulate", str(spec), f"--x0={x0}", "--T", "0.1",
+                 "--dt", "1e-3", "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "status=input-error detail='initial state must be finite'"
     assert not (tmp_path / "o").exists()
 
 

@@ -286,8 +286,11 @@ def hexes(parts):
 @pytest.mark.parametrize("name", list(KERNEL_SYSTEMS))
 def test_euler_kernel_is_bit_identical_to_the_float_kernel_step(name):
     """One step of the loop keeps z exactly when euler_step_floats gives
-    values all >= -FEAS_TOL, and otherwise hands project the same bits of
-    (x, z, f(x), values); either way it appends t + dt and the state."""
+    values all >= -FEAS_TOL.  Otherwise it hands project the same bits of
+    (x, z, f(x), values), or, for a set whose z violates one generator
+    only, slides: its state is the projection of z and its eta is
+    (y - x)/dt - f(x) from the same bits of f(x).  Either way it appends
+    t + dt and the state."""
     system = KERNEL_SYSTEMS[name]
     rng = np.random.default_rng(79)
     kinds = set()
@@ -295,19 +298,28 @@ def test_euler_kernel_is_bit_identical_to_the_float_kernel_step(name):
         x = tuple(x.tolist())
         for dt in (1e-3, 0.37):
             z, fx, values = euler_step_floats(system, x, dt)
-            handed, times, states = [], [0.5], [x]
+            handed, times, states, etas = [], [0.5], [x], {}
             system.euler_kernel(times, states, dt, 1, lambda *args:
-                                handed.append(args) or args[1], {}, {})
+                                handed.append(args) or args[1], {}, etas)
             assert times == [0.5, 0.5 + dt]
             if min(values, default=0.0) >= -flow.FEAS_TOL:
                 kinds.add("kept")
                 assert not handed and hexes(states[1:]) == hexes([z])
-            else:
+            elif handed:
                 kinds.add("projected")
                 assert hexes(handed[0]) == hexes((x, z, fx, values))
                 assert states[1] is handed[0][1]
-    assert kinds == ({"kept"} if name == "no-rows"
-                     else {"kept", "projected"})
+            else:
+                kinds.add("slid")
+                y = states[1]
+                assert hexes([etas[0]]) == hexes([[
+                    (a - b) / dt - c for a, b, c in zip(y, x, fx)]])
+                gap = np.subtract(y, project_set(z, system.S))
+                assert np.abs(gap).max() <= \
+                    flow.KKT_TOL * (1.0 + max(map(abs, z))), (x, dt)
+    assert kinds == {"no-rows": {"kept"},
+                     "cusp": {"kept", "projected", "slid"},
+                     "ball": {"kept", "slid"}}.get(name, {"kept", "projected"})
 
 
 def test_euler_kernel_is_built_once_per_system(monkeypatch):
@@ -404,26 +416,26 @@ DISC = SemialgebraicSystem(
 
 
 def test_free_step_records_exactly_zero_eta(monkeypatch):
-    """A free step keeps its plain Euler point and records eta exactly 0,
-    and a projection after free steps starts from an empty multipliers
-    record: it is the step of each run of projected steps that the loop
-    hands to flow.step, and the loop slides the others (a hand-off after
-    a projection, with that one's record, is in
-    test_sliding_matches_the_route_through_step)."""
-    records = []
-    flow_step = flow.step
-
-    def recorded(*args):
-        records.append(dict(args[-1]))
-        return flow_step(*args)
-    monkeypatch.setattr(flow, "step", recorded)
+    """A free step keeps its plain Euler point and records eta exactly 0.
+    Every projected step on the disc violates its one generator, so the
+    loop slides each one and never calls flow.step; the first step of
+    each run of projected steps slides cold, as the first step of a new
+    loop does, whatever the multipliers record holds."""
+    monkeypatch.setattr(flow, "step",
+                        lambda *args: pytest.fail("flow.step called"))
     traj = simulate([0.0, 1.0], T=10.0, dt=1e-2, system=DISC)
     assert step_kinds(traj)[:3] == [True, False, True]
     projected = (traj.eta_log[:-1] != 0).any(axis=1).tolist()
-    run_starts = [not before for a, before
-                  in zip(projected, [False] + projected) if a]
-    assert records == [{}] * sum(run_starts)
-    assert sum(run_starts) >= 2
+    run_starts = [k for k, (a, before) in enumerate(
+        zip(projected, [False] + projected)) if a and not before]
+    assert len(run_starts) >= 2
+    for k in run_starts:
+        x = tuple(traj.states[k].tolist())
+        times, states, record, etas = [0.0], [x], {0: 7.5}, {}
+        DISC.euler_kernel(times, states, 1e-2, 1, None, record, etas)
+        assert hexes(states[1:]) == hexes([traj.states[k + 1].tolist()])
+        assert hexes([etas[0]]) == hexes([traj.eta_log[k].tolist()])
+        assert list(record) == [0] and record[0] != 7.5
     for k in np.flatnonzero(~np.array(projected)):
         x = tuple(traj.states[k].tolist())
         assert traj.states[k + 1].tolist() == \
@@ -446,39 +458,6 @@ def counted_kkt_solves(monkeypatch):
     return solves
 
 
-def test_projected_cusp_boundary_step_makes_one_solve(monkeypatch):
-    """The first boundary step, a cold projection, is the only one handed
-    to flow.step, and takes at most two Newton steps in the generator's
-    kernel; every later one slides in the loop.  No KKT system is solved
-    (_kkt_step)."""
-    system = cusp_system()
-    kernel_steps, per_step = [], []
-    flow_step = flow.step
-    solves = counted_kkt_solves(monkeypatch)
-
-    def counted(kernel):
-        def newton(*args):
-            result = kernel(*args)
-            if result is not True and result is not None:
-                kernel_steps.append(1)
-            return result
-        return newton
-    monkeypatch.setitem(system.S.__dict__, "newton_kernels",
-                        [counted(k) for k in system.S.newton_kernels])
-
-    def counted_step(*args):
-        before = len(solves), len(kernel_steps)
-        result = flow_step(*args)
-        per_step.append((len(solves) - before[0],
-                         len(kernel_steps) - before[1]))
-        return result
-    monkeypatch.setattr(flow, "step", counted_step)
-    traj = simulate([0.49, 0.7], T=0.5, dt=1e-3, system=system)
-    assert (traj.eta_log[:-1] != 0).any(axis=1).all()  # every step projects
-    assert len(per_step) == 1 and sum(per_step[0]) <= 2
-    assert solves == []
-
-
 def dense_concave_set():
     """{1 - ((1 + x1 + x2 + x3)/2)^6 >= 0}: 84 terms, more than one
     statement of a generated sum holds."""
@@ -487,67 +466,80 @@ def dense_concave_set():
     return SemialgebraicSet([g], [(-3.0, 1.0)] * 3)
 
 
+def sliding_system(S):
+    """S with the zero field: a step's z is its start state, so one step
+    of the loop projects the start state."""
+    n = S.dimension
+    return SemialgebraicSystem([Polynomial.zero(n)] * n, S)
+
+
 @pytest.mark.parametrize("S, i, lo, hi", [
     (cusp_system().S, 0, [-1.0, -2.0], [2.0, 2.0]),
     (cusp_system().S, 1, [-1.0, -2.0], [2.0, 2.0]),  # linear: zero Hessian
     (BALL, 0, [-1.5] * 3, [1.5] * 3),
     (dense_concave_set(), 0, [-1.0] * 3, [0.5] * 3),
 ], ids=["cusp-g1", "cusp-g2", "ball", "84-terms"])
-def test_newton_kernel_step_matches_the_elimination(S, i, lo, hi):
+def test_sliding_step_matches_the_elimination(S, i, lo, hi):
+    """A step that violates g_i only slides cold to the projection that
+    project_set's elimination gives, within KKT_TOL (1 + |z|), and the
+    elimination's residual check passes at the slid state with the
+    multiplier that the slide leaves in the record.  A step whose
+    projection leaves the cusp's other generator behind is handed off,
+    with the record empty."""
+    system = sliding_system(S)
     values_at = S.float_kernels[0]
     rng = np.random.default_rng(80)
-    for _ in range(200):
-        y = tuple(rng.uniform(lo, hi).tolist())
+    slid = handed = 0
+    while slid < 100:
         z = tuple(rng.uniform(lo, hi).tolist())
-        lam = float(rng.uniform(0.0, 2.0))
-        got = S.newton_kernels[i](y, z, lam, 0.0)
-        want = flow._kkt_step(y, z, S, [i], [lam], values_at(y), 0.0)
-        got, want = (np.array(a + tuple(b)) for a, b in (got, want))
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), \
-            (y, z, lam)
+        violated = [k for k, v in enumerate(values_at(z))
+                    if v < -flow.FEAS_TOL]
+        if violated != [i]:
+            continue
+        times, states, record, etas = [0.0], [z], {}, {}
+
+        def project(x, z, fx, values):
+            assert record == {}
+            return z
+        system.euler_kernel(times, states, 1.0, 1, project, record, etas)
+        if not etas:
+            handed += 1
+            continue
+        slid += 1
+        y = states[1]
+        tol = flow.KKT_TOL * (1.0 + max(map(abs, z)))
+        assert np.abs(np.subtract(y, project_set(z, S))).max() <= tol, z
+        (k, lam), = record.items()
+        assert k == i and lam > 0.0
+        assert flow._kkt_step(y, z, S, [i], [lam], values_at(y), tol) is True
+    assert handed < slid
 
 
 def test_dense_generator_sum_takes_more_than_one_statement():
     assert len(dense_concave_set().generators[0].terms) > poly._KERNEL_CHUNK
 
 
-def test_newton_kernel_reports_convergence_as_the_elimination_does():
-    S = cusp_system().S
-    rng = np.random.default_rng(81)
-    for _ in range(50):
-        z = rng.uniform([-0.4, -1.2], [0.9, 1.2])
-        record = {}
-        y = project_set(z, S, record)
-        if len(record) != 1:
-            continue
-        (i, lam), = record.items()
-        tol = flow.KKT_TOL * (1.0 + np.abs(z).max())
-        z = tuple(z.tolist())
-        assert S.newton_kernels[i](y, z, lam, tol) is True
-        assert flow._kkt_step(y, z, S, [i], [lam],
-                              S.float_kernels[0](y), tol) is True
-
-
 def test_kernel_with_a_negative_pivot_falls_back_to_the_elimination(
         monkeypatch):
-    # g = 1 + x1^2 - x2: H = I - lam hess g has the pivot 1 - 2 lam < 0
-    # at lam = 1, so the kernel takes no step there
+    # g = 1 + x1^2 - x2: H = I - lam hess g has the pivot 1 - 2 lam; the
+    # first Newton step from z = (0.3, 3.0) takes lam to 1.4, so the
+    # sliding step meets a negative pivot and hands the step off, with the
+    # record cleared, to project_set, which solves the KKT systems
     S = SemialgebraicSet([parse_polynomial("1 + x1^2 - x2", 2)],
                          [(-2.0, 2.0)] * 2)
-    rng = np.random.default_rng(82)
-    for _ in range(20):
-        y, z = (tuple(rng.uniform(-2.0, 2.0, size=2).tolist())
-                for _ in range(2))
-        assert S.newton_kernels[0](y, z, 1.0, 0.0) is None
+    z = (0.3, 3.0)
     solves = counted_kkt_solves(monkeypatch)
-    z = (0.3, 1.5)
-    got = project_set(z, S, {0: 1.0})
-    assert solves  # the warm start at lam = 1 took the elimination
-    monkeypatch.setitem(S.__dict__, "newton_kernels",
-                        [lambda *args: None])  # every step eliminates
-    want = project_set(z, S, {0: 1.0})
-    assert np.abs(np.subtract(got, want)).max() <= \
-        flow.KKT_TOL * (1.0 + max(z))
+    handed, record = [], {0: 1.0}
+
+    def project(x, z, fx, values):
+        handed.append(dict(record))
+        return project_set(z, S, record, values)
+    times, states = [0.0], [z]
+    sliding_system(S).euler_kernel(times, states, 1.0, 1, project, record,
+                                   {})
+    assert handed == [{}] and solves
+    got = states[1]
+    assert got == project_set(z, S)
     assert set_contains(S, got, tol=1e-10)
     residual, active = normal_cone_residual(got, z, S)
     assert active == [0] and residual <= 1e-9
@@ -577,12 +569,12 @@ def test_tracer_hooks_see_every_projection(monkeypatch):
     flow_step = flow.step
     monkeypatch.setattr(flow, "step", lambda *args: steps.append(1)
                         or flow_step(*args))
-    # interior at first, on the boundary x1 = x2^2 from t = 0.67: the
-    # first boundary step is handed off, and the loop slides the others
-    traj = simulate([0.3, 0.5], T=1.0, dt=1e-3, system=cusp_system())
-    projected = int((traj.eta_log != 0).any(axis=1).sum())
-    assert 100 <= projected <= 900
-    assert len(calls) == len(steps) == 1
+    # driven from the parabola into the corner (1, 1) of the cusp, where
+    # both generators bind: the loop slides along the parabola and hands
+    # off every step at the corner
+    traj = simulate([0.25, 0.5], T=2.0, dt=1e-3, system=CUSP_CORNER)
+    assert step_kinds(traj) == [True]
+    assert 100 <= len(calls) == len(steps) < len(traj) - 1
 
 
 def test_step_rejects_infeasible_start():
@@ -759,8 +751,8 @@ def test_trajectory_with_free_steps_is_pinned(name):
 def test_each_step_makes_one_euler_kernel_evaluation(name, monkeypatch):
     """simulate makes one call of the generated loop, which takes every
     step.  It calls flow.step once for each projected step of a cone, and
-    of a set only for the first step of each run of projected steps: the
-    loop slides the others."""
+    never on these set runs, which violate one generator at a time: the
+    loop slides every such step, and no KKT system is solved."""
     if name == "cusp-boundary":
         system, x0, T, dt, V = cusp_system(), [0.49, 0.7], 0.5, 1e-3, None
     else:
@@ -779,6 +771,7 @@ def test_each_step_makes_one_euler_kernel_evaluation(name, monkeypatch):
     flow_step = flow.step
     monkeypatch.setattr(flow, "step",
                         lambda *args: calls.append(1) or flow_step(*args))
+    solves = counted_kkt_solves(monkeypatch)
     traj = simulate(x0, T, dt, system, V=V)
     steps = len(traj) - 1
     assert loops == [steps]
@@ -786,15 +779,15 @@ def test_each_step_makes_one_euler_kernel_evaluation(name, monkeypatch):
         assert len(calls) == \
             int((traj.eta_log[:-1] != 0).any(axis=1).sum())
     else:
-        assert len(calls) == step_kinds(traj).count(True) == 1
+        assert calls == solves == [] and True in step_kinds(traj)
     if name == "cusp-boundary":
         assert step_kinds(traj) == [True]
 
 
 # DISC's field with three times the radial speed: at dt = 0.2 the Newton
-# step from the warm start overshoots and its multiplier turns negative, so
-# the loop hands the step off; below x2 = -0.2 the field turns inward and
-# the trajectory leaves the circle
+# step of a sliding step overshoots and its multiplier turns negative, so
+# the loop hands the step off, with the record cleared; below x2 = -0.2 the
+# field turns inward and the trajectory leaves the circle
 PUSHED_DISC = SemialgebraicSystem(
     [parse_polynomial("-1*x2 + 3*x1*x2 + 0.6*x1", 2),
      parse_polynomial("1*x1 + 3*x2^2 + 0.6*x2", 2)], DISC.S)
@@ -822,74 +815,122 @@ def boundary_starts(system, rng, count):
     (CUSP_CORNER, 2.0, 1e-3),
 ], ids=["cusp", "outward-ball", "disc-leaves", "cusp-corner"])
 def test_sliding_matches_the_route_through_step(system, T, dt, monkeypatch):
-    """simulate's CSV is byte-identical to simulate_by_steps, where
-    flow.step projects every step that is not kept.  On the cusp and the
-    ball the loop hands off only the first step of each run of projected
-    steps; on the other two it also hands off steps that it began to
-    slide (a record of one positive multiplier, with z violating only
-    that generator), and those keep the record of the step before."""
+    """simulate agrees within 1e-12 relative, in states and eta, with
+    simulate_by_steps, where flow.step projects every step that is not
+    kept, and every slid state passes the posterior check of a
+    projection: it is in the set within STATE_TOL and z - y lies in the
+    normal cone N_S(y).  On the cusp and the ball the loop hands off no
+    step; on the other two it hands off the steps that it cannot slide,
+    with an empty record where z violates one generator only."""
     handed = []
     flow_step = flow.step
 
     def recorded(x, z, fx, values, *args):
-        record = dict(args[-1])
         violated = [i for i, v in enumerate(values) if v < -flow.FEAS_TOL]
-        handed.append(len(record) == 1 and list(record) == violated
-                      and min(record.values()) > 0.0)
+        handed.append((x, len(violated), dict(args[-1])))
         return flow_step(x, z, fx, values, *args)
     rng = np.random.default_rng(83)
     hands_off = system is PUSHED_DISC or system is CUSP_CORNER
-    slid = 0
+    total = 0
     for x0 in boundary_starts(system, rng, 3):
         handed.clear()
         monkeypatch.setattr(flow, "step", recorded)
         traj = simulate(x0, T, dt, system)
         monkeypatch.setattr(flow, "step", flow_step)
-        got, want = (trajectory_csv(t).splitlines()
-                     for t in (traj, simulate_by_steps(x0, T, dt, system)))
-        assert len(got) == len(want)
-        # the first line that differs, not a diff of two whole CSVs
-        assert next(((k, a, b) for k, (a, b) in enumerate(zip(got, want))
-                     if a != b), None) is None
+        want = simulate_by_steps(x0, T, dt, system)
+        for got, ref in ((traj.states, want.states),
+                         (traj.eta_log, want.eta_log)):
+            assert np.abs(got - ref).max() <= \
+                1e-12 * max(1.0, np.abs(ref).max())
+        assert all(r == {} for _, count, r in handed if count == 1)
+        handed_from = {x for x, _, _ in handed}
+        for k in np.flatnonzero((traj.eta_log[:-1] != 0).any(axis=1)):
+            x = tuple(traj.states[k].tolist())
+            if x in handed_from:
+                continue
+            z = np.array(euler_step_floats(system, x, dt)[0])
+            y = traj.states[k + 1]
+            assert set_contains(system.S, y, tol=flow.STATE_TOL)
+            residual, active = normal_cone_residual(y, z, system.S)
+            assert active and residual <= 1e-9 * np.linalg.norm(y - z), k
         kinds = step_kinds(traj)
         if system is PUSHED_DISC:  # it leaves the circle
             assert [True, False] in [kinds[k:k + 2] for k in range(len(kinds))]
-        if hands_off:
-            slid += sum(handed)
-        else:
-            assert kinds == [True] and handed == [False]
-    if hands_off:
-        assert slid >= 1
+        if not hands_off:
+            assert kinds == [True] and handed == []
+        total += len(handed)
+    assert (total >= 1) == hands_off
+
+
+# sha256 of the CSV of simulate(x0, T, dt) for the two set trajectories
+# whose loop hands steps to flow.step, with the number of hand-offs: the
+# failed sliding steps of PUSHED_DISC, each handed off cold, and the steps
+# at CUSP_CORNER's corner, where two generators bind
+HANDED_OFF_PINS = {
+    "disc-leaves": (PUSHED_DISC, [0.0, 1.0], 10.0, 0.2, 11,
+                    "026755ac59a563e4922dc2530ea4835a"
+                    "af3928f4d5fc17cb4c89022b3c617a19"),
+    "cusp-corner": (CUSP_CORNER, [0.25, 0.5], 2.0, 1e-3, 960,
+                    "77dd2c3d46816296ec4d5121e5b0ba0b"
+                    "7cb0c9a45f491a3c6577ef2c35315032"),
+}
+
+
+@pytest.mark.parametrize("name", list(HANDED_OFF_PINS))
+def test_handed_off_set_trajectory_is_pinned(name, monkeypatch):
+    system, x0, T, dt, count, digest = HANDED_OFF_PINS[name]
+    records = []
+    flow_step = flow.step
+    monkeypatch.setattr(flow, "step", lambda *args: records.append(
+        dict(args[-1])) or flow_step(*args))
+    traj = simulate(x0, T, dt, system)
+    assert len(records) == count
+    if system is PUSHED_DISC:
+        assert records == [{}] * count
+    assert hashlib.sha256(trajectory_csv(traj).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("lam", [0.0, np.inf, np.nan],
                          ids=["zero", "inf", "nan"])
 def test_sliding_step_hands_off_what_it_cannot_keep(lam):
-    """A record of one multiplier that is 0 or NaN does not start a
-    sliding step, and an infinite one puts the warm start past the float
-    range, where no Newton step converges: the loop hands every step to
-    project and records no eta of its own."""
-    handed, record, etas = [], {}, {}
+    """From the corner (1, 1) of the cusp, where both generators bind, the
+    loop hands the first step off; the stand-in projection returns
+    (0.25, 0.5) on the parabola, where the next steps violate g1 only,
+    and leaves the record {0: lam}.  A multiplier of 0 or NaN starts no
+    warm slide: the steps slide cold, as after an empty record.  An
+    infinite one puts the warm start past the float range, where no
+    Newton step converges: the loop hands every step off, with the record
+    cleared, and records no eta of its own."""
+    def run(left):
+        handed, record, etas = [], {}, {}
 
-    def project(x, z, fx, values):
-        handed.append(z)
-        record.clear()
-        record[0] = lam
-        return (0.0, 1.0)
-    times, states = [0.0], [(0.0, 1.0)]
-    DISC.euler_kernel(times, states, 1e-2, 3, project, record, etas)
-    assert len(handed) == 3 and etas == {}
-    assert states == [(0.0, 1.0)] * 4
+        def project(x, z, fx, values):
+            handed.append(dict(record))
+            record.clear()
+            record.update(left)
+            return (0.25, 0.5)
+        times, states = [0.0], [(1.0, 1.0)]
+        CUSP_CORNER.euler_kernel(times, states, 1e-2, 3, project, record,
+                                 etas)
+        return handed, states, etas
+    handed, states, etas = run({0: lam})
+    if lam == np.inf:
+        assert handed == [{}] * 3 and etas == {}
+        assert states[1:] == [(0.25, 0.5)] * 3
+    else:
+        assert len(handed) == 1 and sorted(etas) == [1, 2]
+        _, cold_states, cold_etas = run({})
+        assert hexes(states) == hexes(cold_states) and etas == cold_etas
 
 
 @pytest.mark.parametrize("g, f, x0, message, handed", [
     # x1' = x1^2 blows up at t = 1 while x2' = x2 pushes out through x2 = 1
     ("1 - x2^2", ("1*x1^2", "1*x2"), [1.0, 1.0],
-     r"state overflowed the float range at t = 1\.0169999999999988", 1),
+     r"state overflowed the float range at t = 1\.0169999999999988", 0),
     # at this scale g rounds below -STATE_TOL at a converged projection:
     # the loop does not keep it and hands the step off
     ("1e9 - 1e9*x2^2", ("1*x2", "1*x2 - 1*x1"), [-0.5, 1.0],
-     r"state left the set at t = 0\.5020000000000003", 2),
+     r"state left the set at t = 0\.5020000000000003", 1),
 ], ids=["overflow", "left-the-set"])
 def test_failure_while_sliding_raises_at_its_step(g, f, x0, message, handed,
                                                   monkeypatch):

@@ -650,7 +650,8 @@ READER_CASES = [
     "", "   ", "x1 $", "x1  $x2", "*x1", "x1^", "x1^-2", "x1^2.5", "x1^1e2",
     "x1^x2", "2^3", "^2", "x1 +", "-", " - ", "+ + x1", "x1 - - x2", "3/0",
     "3/0*x1 + x7", "x0", "x3", "x12", "1/", "1e", "x", "e5", "1.2.3",
-    "-x1 - 2*x2", "+x1", "9" * 330 + "*x1",
+    "-x1 - 2*x2", "+x1", "9" * 330 + "*x1", "1e9999", "1e-9999*x1",
+    "2.5e-09999*x1", "0." + "0" * 4298 + "1*x1",
 ]
 
 
@@ -712,7 +713,8 @@ def test_reader_matches_the_fraction_reader_on_seeded_and_broken_texts():
                 del broken[min(at, len(broken) - 1)]
         broken = "".join(broken)
         if re.search(r"[eE][+-]?\d{5}", broken):
-            # a decimal exponent of 10^5 or more: both readers form 10^e
+            # a decimal exponent of 10^5 or more: the Fraction reader forms
+            # 10^e, and this one refuses an exponent beyond +-9999
             continue
         for case in (text, broken):
             got = _outcome(parse_polynomial, case, n)
