@@ -458,6 +458,22 @@ def counted_kkt_solves(monkeypatch):
     return solves
 
 
+def test_projected_cusp_boundary_step_makes_one_solve(monkeypatch):
+    """Each boundary step, the first a cold start, is one sliding step in
+    the loop that takes at most two Newton steps in the generator's
+    kernel: with the loop built for three iterations (two Newton steps and
+    the residual check after them) no step is handed to flow.step, and no
+    KKT system is solved (_kkt_step)."""
+    monkeypatch.setattr(poly, "MAX_PROJECTION_ITER", 3)
+    system = cusp_system()  # a new system, so its loop is built here
+    monkeypatch.setattr(flow, "step",
+                        lambda *args: pytest.fail("flow.step called"))
+    solves = counted_kkt_solves(monkeypatch)
+    traj = simulate([0.49, 0.7], T=0.5, dt=1e-3, system=system)
+    assert (traj.eta_log[:-1] != 0).any(axis=1).all()  # every step projects
+    assert len(traj) == 501 and solves == []
+
+
 def dense_concave_set():
     """{1 - ((1 + x1 + x2 + x3)/2)^6 >= 0}: 84 terms, more than one
     statement of a generated sum holds."""
@@ -479,8 +495,9 @@ def sliding_system(S):
     (BALL, 0, [-1.5] * 3, [1.5] * 3),
     (dense_concave_set(), 0, [-1.0] * 3, [0.5] * 3),
 ], ids=["cusp-g1", "cusp-g2", "ball", "84-terms"])
-def test_sliding_step_matches_the_elimination(S, i, lo, hi):
-    """A step that violates g_i only slides cold to the projection that
+def test_newton_kernel_step_matches_the_elimination(S, i, lo, hi):
+    """A step that violates g_i only slides cold, by Newton steps in the
+    generator's kernel inside the loop, to the projection that
     project_set's elimination gives, within KKT_TOL (1 + |z|), and the
     elimination's residual check passes at the slid state with the
     multiplier that the slide leaves in the record.  A step whose
@@ -517,6 +534,38 @@ def test_sliding_step_matches_the_elimination(S, i, lo, hi):
 
 def test_dense_generator_sum_takes_more_than_one_statement():
     assert len(dense_concave_set().generators[0].terms) > poly._KERNEL_CHUNK
+
+
+def test_newton_kernel_reports_convergence_as_the_elimination_does():
+    """Where project_set converges with one active generator g_i and z
+    violates g_i only, the loop's Newton slide from z converges too: it
+    keeps the step at project_set's y and multiplier, within
+    KKT_TOL (1 + |z|), and the elimination's residual check passes there."""
+    S = cusp_system().S
+    system = sliding_system(S)
+    rng = np.random.default_rng(81)
+    checked = 0
+    for _ in range(50):
+        z = rng.uniform([-0.4, -1.2], [0.9, 1.2])
+        record = {}
+        y = project_set(z, S, record)
+        z = tuple(z.tolist())
+        violated = [k for k, v in enumerate(S.float_kernels[0](z))
+                    if v < -flow.FEAS_TOL]
+        if len(record) != 1 or violated != list(record):
+            continue
+        (i, lam), = record.items()
+        tol = flow.KKT_TOL * (1.0 + max(map(abs, z)))
+        times, states, slid, etas = [0.0], [z], {}, {}
+        system.euler_kernel(times, states, 1.0, 1,
+                            lambda *args: pytest.fail("handed off"), slid,
+                            etas)
+        assert list(slid) == [i] and abs(slid[i] - lam) <= tol * (1.0 + lam)
+        assert np.abs(np.subtract(states[1], y)).max() <= tol, z
+        assert flow._kkt_step(states[1], z, S, [i], [slid[i]],
+                              S.float_kernels[0](states[1]), tol) is True
+        checked += 1
+    assert checked >= 20
 
 
 def test_kernel_with_a_negative_pivot_falls_back_to_the_elimination(
