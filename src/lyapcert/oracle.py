@@ -2,22 +2,29 @@
 
 Everything here is deliberately redundant with the construction code:
 inequalities are sampled on dense deterministic grids (on a cell, the
-simplicial lattice of poly.simplex_lattice), and eta comes from
-the projection tangency.eta_projection (never from the branch polynomials
-used in LP assembly).  Each face grid is projected once per pattern of
-active cone rows: the closed form where one row is active, nonnegative
-least squares at corners.  The boundary bands of the semialgebraic checks
-come from one Newton iteration over all samples at once, on a compact
-array of the live points that retires converged points and drops those
-whose gradient vanishes or that do not converge in 50 passes.  A
-certificate is accepted only when this module agrees, so a fault in the
-construction's geometry, branch logic or solvers cannot self-certify.
+simplicial lattice of poly.simplex_lattice), eta comes from the
+projection tangency.eta_projection (never from the branch polynomials
+used in LP assembly), and the cone decrease is computed point by point
+from the values of f, grad h and h (never from the decrease polynomials
+that cop_lp expands for its LP rows).  The face grids of all faces are
+projected together, once per pattern of active cone rows: the closed
+form where one row is active, nonnegative least squares at corners.  The
+boundary bands of the semialgebraic checks come from one Newton
+iteration over all samples at once, on a compact array of the live
+points that retires converged points and drops those whose gradient
+vanishes or that do not converge in 50 passes.  A certificate is
+accepted only when this module agrees, so a fault in the construction's
+geometry, branch logic, decrease expansion or solvers cannot
+self-certify.
 
-Every polynomial value comes from a poly.MonomialTable, built once for
-each list of polynomials that a check needs.  The LP rows come from the
-same evaluator, so it is not checked here: the tests hold it to the exact
-rational values within a rounding bound, and the benchmark's checker
-evaluates certificates again with sympy, apart from lyapcert.
+Every polynomial value comes from a poly.MonomialTable, built once per
+call for each list of polynomials that a check needs: one of
+[*f, *grad h, h] for the cone check, one of grad V, f and every
+generator's gradient for the SOS decrease and alignment checks.  The LP
+rows come from the same evaluator, so it is not checked here: the tests
+hold it to the exact rational values within a rounding bound, and the
+benchmark's checker evaluates certificates again with sympy, apart from
+lyapcert.
 
 All randomized sampling uses a caller-fixed seed (default 0); reports are
 byte-stable for a fixed seed.
@@ -26,13 +33,12 @@ byte-stable for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
 from .cones import cone_orthant_sections, face_sections, Simplex
-from .cop_lp import (ConicSystem, RationalLyapunovCandidate,
-                     decrease_polynomials)
+from .cop_lp import ConicSystem, RationalLyapunovCandidate
 from .errors import InputError
 from .poly import MonomialTable, Polynomial, simplex_lattice
 from .sos_cert import SemialgebraicSystem
@@ -103,8 +109,8 @@ def barycentric_grid(simplex: Simplex, density: int) -> np.ndarray:
     """Deterministic grid of about `density` points covering the simplex.
 
     On three or more vertices it is poly.simplex_lattice at the finest
-    resolution whose point count stays within `density`, in reverse
-    (lexicographic) order.
+    resolution whose point count stays within `density` (_resolution), in
+    reverse (lexicographic) order.
     """
     k = simplex.num_vertices
     V = simplex.vertex_array()
@@ -113,10 +119,24 @@ def barycentric_grid(simplex: Simplex, density: int) -> np.ndarray:
     if k == 2:
         lam = np.linspace(0.0, 1.0, max(density, 2))
         return np.outer(lam, V[0]) + np.outer(1.0 - lam, V[1])
-    resolution = 1
-    while comb(resolution + k, k - 1) <= density:
-        resolution += 1
-    return simplex_lattice(k, resolution)[::-1] @ V
+    return simplex_lattice(k, _resolution(k, density))[::-1] @ V
+
+
+def _resolution(k: int, density: int) -> int:
+    """The largest t >= 1 whose lattice on k >= 2 vertices,
+    comb(t + k - 1, k - 1) points, has at most `density` points; 1 when
+    none has.
+
+    The count exceeds t^(k-1) / (k-1)! and is at most
+    (t + k - 1)^(k-1) / (k-1)!, so the answer lies below the root
+    ((k-1)! density)^(1/(k-1)) and within k of it: the search steps down
+    from just above the root, in at most k + 1 comb calls.  The float
+    root is within 1 of the root for any density a grid could fill.
+    """
+    t = int((factorial(k - 1) * density) ** (1.0 / (k - 1))) + 1
+    while t > 1 and comb(t + k - 1, k - 1) > density:
+        t -= 1
+    return t
 
 
 def _min_with_witness(name: str, values: np.ndarray, points: np.ndarray,
@@ -140,7 +160,7 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
                  ) -> Report:
     """Grid verification of the three cone inequalities.
 
-    h and the interior decrease s0 are sampled on every cone section; the
+    h and the interior decrease are sampled on every cone section; the
     face decrease is sampled on every face section with eta recomputed by
     projection at each point, independent of the assembly branch logic.
     All three must be positive (strict), as V and its decrease are in
@@ -148,19 +168,24 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     polynomial, is no certificate, and neither is a decrease that is only
     weak (min 0), which a system that is not asymptotically stable, such
     as a rotation, can have.
+
+    One table of [*f, *grad h, h] gives every value: each grid's rows are
+    read once, and both decreases come from them point by point
+    (_decrease).  The face grids of all faces are evaluated and projected
+    together, then each face section's minimum is taken from its slice.
     """
-    h = candidate.h
-    r = candidate.r
-    s0, = decrease_polynomials([candidate.h], candidate.r, system.f)
+    h, r = candidate.h, candidate.r
+    n = len(system.f)
+    table = MonomialTable([*system.f, *h.gradient(), h])
     report = Report(kind="conic",
                     sample_rows=[] if collect_samples else None)
 
     h_checks = []
     s0_checks = []
-    h_s0 = MonomialTable([h, s0])
     for oid, simplex in cone_orthant_sections(system.cone):
         pts = barycentric_grid(simplex, grid_density)
-        h_vals, s0_vals = h_s0(pts).T
+        vals = table(pts).T
+        h_vals, s0_vals = vals[-1], _decrease(pts, vals, r)
         report.record(pts, f"h:orthant{oid}", h_vals)
         report.record(pts, f"s0:orthant{oid}", s0_vals)
         h_checks.append(_min_with_witness(f"h:orthant{oid}", h_vals, pts,
@@ -170,16 +195,21 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     report.checks.append(_merge_min(h_checks, "h-on-sections"))
     report.checks.append(_merge_min(s0_checks, "s0-on-sections"))
 
-    face_table = MonomialTable([*system.f, *h.gradient(), h])
-    face_checks = []
-    for i in range(1, system.cone.num_rows + 1):
-        for simplex in face_sections(system.cone, i):
-            pts = barycentric_grid(simplex, max(grid_density // 10, 100))
-            vals = _face_decrease(pts, system, face_table, r)
-            report.record(pts, f"face{i}", vals)
-            face_checks.append(_min_with_witness(f"face{i}", vals, pts,
-                                                 strict=True))
-    if face_checks:
+    grids = [(i, barycentric_grid(simplex, max(grid_density // 10, 100)))
+             for i in range(1, system.cone.num_rows + 1)
+             for simplex in face_sections(system.cone, i)]
+    if grids:
+        pts = np.concatenate([grid for _, grid in grids])
+        vals = table(pts).T
+        decrease = _decrease(pts, vals, r,
+                             _face_eta(pts, vals[:n], system.cone.C))
+        face_checks = []
+        stop = 0
+        for i, grid in grids:
+            start, stop = stop, stop + len(grid)
+            report.record(grid, f"face{i}", decrease[start:stop])
+            face_checks.append(_min_with_witness(
+                f"face{i}", decrease[start:stop], grid, strict=True))
         report.checks.append(_merge_min(face_checks, "face-decrease"))
     report.notes.append(
         "eta taken from the projection at every face sample (independent "
@@ -187,27 +217,65 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     return report
 
 
-def _face_decrease(pts: np.ndarray, system: ConicSystem,
-                   table: MonomialTable, r: int) -> np.ndarray:
-    """-<|x|^2 grad h - 2r h x, f + eta> at each point of a face grid,
-    from the table of [*f, *grad h, h].
+def _decrease(pts: np.ndarray, vals: np.ndarray, r: int,
+              eta: np.ndarray | None = None) -> np.ndarray:
+    """-<|x|^2 grad h - 2r h x, f + eta> at each point x of pts (m, n).
 
-    Rows with |<c, x>|/|c| <= ACTIVATION_TOL are active; eta is projected
-    once for all points that share a set of active rows.
+    vals holds the rows of the table of [*f, *grad h, h] at pts, and eta
+    the n rows of eta on a face (None on a section, where eta = 0).  This
+    is |x|^(2r+2) times the derivative of V = h / |x|^(2r) along f + eta,
+    so it has the sign of V's decrease.  On a section the inner products
+    are summed first, -(|x|^2 <grad h, f> - 2r h <x, f>), so a field
+    tangent to the level sets of h, such as a rotation of |x|^2, gives
+    exactly 0.  On a face the vector |x|^2 grad h - 2r h x is formed
+    first: the face minima that certificates, reports and status lines
+    print are that order's, bit for bit.  With r = 0 the h term is 0 and
+    is not formed, and a zero value is 0.0, not -0.0.
     """
-    C = system.cone.C
-    n = len(system.f)
-    vals = table(pts)
-    F, gh, h_vals = vals[:, :n], vals[:, n:2 * n], vals[:, 2 * n]
+    n = pts.shape[1]
+    x = pts.T
+    f, grad_h, h_vals = vals[:n], vals[n:2 * n], vals[2 * n]
+    nrm2 = np.einsum("ij,ij->i", pts, pts)
+    if eta is None:
+        total = nrm2 * _dot(grad_h, f)
+        if r:
+            total -= 2.0 * r * h_vals * _dot(x, f)
+    else:
+        lhs = nrm2 * grad_h
+        if r:
+            lhs -= 2.0 * r * h_vals * x
+        total = _dot(lhs, f + eta)
+    return -total + 0.0
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a_j b_j over two stacks of n rows, summed in row order."""
+    total = a[0] * b[0]
+    for j in range(1, len(a)):
+        total += a[j] * b[j]
+    return total
+
+
+def _face_eta(pts: np.ndarray, F: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The n rows of eta at each point of the face grids pts, from the
+    rows F of f there and the cone rows C.
+
+    Rows with |<c, x>|/|c| <= ACTIVATION_TOL are active.  The points are
+    sorted by their set of active rows, and eta is projected once for
+    each run of points that share one.
+    """
     scaled = np.abs(pts @ C.T) / np.linalg.norm(C, axis=1)
     patterns, which = _row_patterns(scaled <= ACTIVATION_TOL)
-    eta = np.zeros_like(F)
-    for k, pattern in enumerate(patterns):
-        group = which == k
-        eta[group] = eta_projection(F[group], C[pattern])
-    nrm2 = np.einsum("ij,ij->i", pts, pts)
-    lhs = nrm2[:, None] * gh - 2.0 * r * h_vals[:, None] * pts
-    return -np.einsum("ij,ij->i", lhs, F + eta)
+    order = np.argsort(which, kind="stable")
+    field = F.T[order]
+    eta = np.zeros_like(field)
+    stop = 0
+    for pattern, count in zip(patterns, np.bincount(which).tolist()):
+        start, stop = stop, stop + count
+        eta[start:stop] = eta_projection(field[start:stop], C[pattern])
+    rows = np.empty_like(F)
+    rows[:, order] = eta.T
+    return rows
 
 
 def _row_patterns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,9 +343,14 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
             "V-positivity-interior", MonomialTable([V])(inner)[:, 0], inner,
             strict=True))
 
+    # one table of n-value blocks: grad V, f, then each generator's
+    # gradient, so grad V is laid out once
+    grad_table = MonomialTable([*grad_v, *system.f,
+                                *(d for grad in S.gradients for d in grad)])
+
     # strict decrease on the interior sample set (away from the origin)
     offorigin = pts[np.linalg.norm(pts, axis=1) > 1e-8]
-    decrease = _inner_products(grad_v, system.f, offorigin)
+    decrease = _inner_products(grad_table, 1, offorigin)
     report.record(offorigin, "decrease-strict", -decrease)
     report.checks.append(_min_with_witness("decrease-strict", -decrease,
                                            offorigin, strict=True))
@@ -285,12 +358,12 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
                         "sampled check is not a proof of strict decrease")
 
     # alignment <grad V, grad g_j> <= 0 on the active bands
-    for j, grad_g in enumerate(S.gradients, start=1):
+    for j in range(1, len(S.generators) + 1):
         band_pts = _band_points(j - 1, S, pts)
         if len(band_pts) == 0:
             report.notes.append(f"band of g_{j} not reached by the sampler")
             continue
-        align = _inner_products(grad_v, grad_g, band_pts)
+        align = _inner_products(grad_table, 1 + j, band_pts)
         report.record(band_pts, f"alignment-g{j}", -align)
         check = _min_with_witness(f"alignment-g{j}", -align, band_pts)
         report.checks.append(check)
@@ -324,10 +397,13 @@ def _rejection_sample(S, samples: int, rng: np.random.Generator
     return np.concatenate(accepted)[:samples]
 
 
-def _inner_products(us, ws, points: np.ndarray) -> np.ndarray:
-    """sum_i u_i(x) w_i(x) at each point, for equal-length polynomial lists."""
-    vals = MonomialTable([*us, *ws])(points)
-    return np.einsum("ij,ij->i", vals[:, :len(us)], vals[:, len(us):])
+def _inner_products(table: MonomialTable, k: int,
+                    points: np.ndarray) -> np.ndarray:
+    """sum_i u_i(x) w_i(x) at each point, where u is the table's first
+    block of n polynomials and w its block k (the first is block 0)."""
+    n = points.shape[1]
+    vals = table(points)
+    return np.einsum("ij,ij->i", vals[:, :n], vals[:, k * n:(k + 1) * n])
 
 
 def _band_points(index: int, S, pts: np.ndarray) -> np.ndarray:

@@ -418,17 +418,18 @@ def euler_kernel(field: Sequence[Polynomial],
     only value below -FEAS_TOL is g_i's slides.  It clears record, sets
     tol = KKT_TOL (1 + max|z_j|) and starts warm, at lam from the step
     before and y = z + lam grad g_i(z), when that step slid on g_i or was
-    a project call that left record = {i: lam} with lam > 0; otherwise it
-    starts cold at lam = 0 and y = z (no 0 grad g_i is added, so the
-    signs of zeros stay).  It takes Newton steps from there
-    (_newton_lines) while lam >= 0, evaluating every g_k at each y, until
-    the KKT residual at y is within tol, in at most MAX_PROJECTION_ITER
-    iterations.  It keeps that y when lam > 0, y is finite, every other
-    g_k(y) >= -FEAS_TOL and g_i(y) >= -STATE_TOL (flow.project_set's
-    posterior check and flow.step's check of the state); then
-    record = {i: lam} and the state's row in etas is (y - x)/dt - f(x).
-    Every other outcome (a negative multiplier, a pivot that is not
-    positive, no convergence, a failed check) hands the step to project
+    a project call that left record = {i: lam} with lam > 0; otherwise,
+    and again when that warm slide does not keep its y, it starts cold at
+    lam = 0 and y = z (no 0 grad g_i is added, so the signs of zeros
+    stay).  Each slide takes Newton steps (_newton_lines) while lam >= 0,
+    evaluating every g_k at each y, until the KKT residual at y is within
+    tol, in at most MAX_PROJECTION_ITER iterations.  It keeps that y when
+    lam > 0, y is finite, every other g_k(y) >= -FEAS_TOL and
+    g_i(y) >= -STATE_TOL (flow.project_set's posterior check and
+    flow.step's check of the state); then record = {i: lam} and the
+    state's row in etas is (y - x)/dt - f(x).  When the cold slide does
+    not keep its y either (a negative multiplier, a pivot that is not
+    positive, no convergence, a failed check), the step goes to project
     with the record empty, so project_set starts it cold.
     """
     n = len(field)
@@ -493,14 +494,18 @@ def _slide_lines(constraints: Sequence[Polynomial],
         warm = [line for name, d in zip(a, gradient)
                 for line in _sum_lines(name, d, zs)]
         warm += [f"    {y} = {z} + lam*{aj}" for y, z, aj in zip(ys, zs, a)]
+        cold = ["    lam = 0.0", *(f"    {y} = {z}" for y, z in zip(ys, zs))]
+        # a warm slide that keeps no y goes round once more, cold
         body = ["    record.clear()",
                 f"    tol = {KKT_TOL!r}*(1.0 + "
                 f"{_biggest([f'abs({z})' for z in zs])})",
                 f"    if slide == {i}:", *_indent(warm), "    else:",
-                "        lam = 0.0",
-                *(f"        {y} = {z}" for y, z in zip(ys, zs)),
-                f"    for _ in range({MAX_PROJECTION_ITER}):",
-                *_indent(iteration)]
+                *_indent(cold), "    while True:",
+                f"        for _ in range({MAX_PROJECTION_ITER}):",
+                *_indent(iteration, 2),
+                f"        if x is None and slide == {i}:",
+                "            slide = -1", *_indent(cold, 2),
+                "            continue", "        break"]
         lines += [("elif " if i else "if ")
                   + " and ".join(others(vs) + [_finite(zs + vs)]) + ":",
                   *body]

@@ -23,7 +23,12 @@ one repr per cell, against the chunked writer.  simplex_diameter and
 partition_diameter the longest vertex distance of a cell and of a
 partition, which only the tests read.
 decrease_by_products forms the cone decrease polynomials by full
-polynomial products, against the monomial shifts of cop_lp.  The point
+polynomial products, against the monomial shifts of cop_lp.
+verify_conic_by_s0 is the cone oracle that evaluated the LP's decrease
+polynomial s0 on the sections and each face section apart, against the
+pointwise decrease of oracle.verify_conic, and barycentric_grid_by_steps
+and resolution_by_steps the grid whose lattice resolution was searched
+one comb per step.  The point
 checks of a system (field_at, cone_contains, set_values, set_contains) evaluate one
 point at a time; a float value at one point is evaluate_float_terms, the
 term loop that the float kernels match bit for bit.
@@ -528,3 +533,90 @@ def decrease_by_products(hs, r, velocity):
             gdotv = gdotv + gi * vi
         out.append(-(nrm * gdotv) + (2 * r) * (h * xdotv))
     return out
+
+
+def barycentric_grid_by_steps(simplex, density: int) -> np.ndarray:
+    """oracle.barycentric_grid as it searched the lattice resolution, one
+    comb per step up from 1."""
+    from lyapcert.poly import simplex_lattice
+    k = simplex.num_vertices
+    V = simplex.vertex_array()
+    if k == 1:
+        return V.copy()
+    if k == 2:
+        lam = np.linspace(0.0, 1.0, max(density, 2))
+        return np.outer(lam, V[0]) + np.outer(1.0 - lam, V[1])
+    return simplex_lattice(k, resolution_by_steps(k, density))[::-1] @ V
+
+
+def resolution_by_steps(k: int, density: int) -> int:
+    """The lattice resolution of the step-by-step search, k >= 2."""
+    resolution = 1
+    while math.comb(resolution + k, k - 1) <= density:
+        resolution += 1
+    return resolution
+
+
+def verify_conic_by_s0(candidate, system, grid_density: int = 10_000,
+                       collect_samples: bool = False):
+    """oracle.verify_conic as it evaluated the interior decrease: the
+    polynomial s0 of cop_lp.decrease_polynomials on the orthant sections
+    (a table of h and s0), and each face section's grid in a table call
+    and eta projections of its own."""
+    from lyapcert.cones import cone_orthant_sections, face_sections
+    from lyapcert.cop_lp import decrease_polynomials
+    from lyapcert.oracle import (Report, _merge_min, _min_with_witness)
+    from lyapcert.poly import MonomialTable
+    h, r = candidate.h, candidate.r
+    s0, = decrease_polynomials([h], r, system.f)
+    report = Report(kind="conic",
+                    sample_rows=[] if collect_samples else None)
+    h_checks, s0_checks = [], []
+    h_s0 = MonomialTable([h, s0])
+    for oid, simplex in cone_orthant_sections(system.cone):
+        pts = barycentric_grid_by_steps(simplex, grid_density)
+        h_vals, s0_vals = h_s0(pts).T
+        report.record(pts, f"h:orthant{oid}", h_vals)
+        report.record(pts, f"s0:orthant{oid}", s0_vals)
+        h_checks.append(_min_with_witness(f"h:orthant{oid}", h_vals, pts,
+                                          strict=True))
+        s0_checks.append(_min_with_witness(f"s0:orthant{oid}", s0_vals, pts,
+                                           strict=True))
+    report.checks.append(_merge_min(h_checks, "h-on-sections"))
+    report.checks.append(_merge_min(s0_checks, "s0-on-sections"))
+    face_table = MonomialTable([*system.f, *h.gradient(), h])
+    face_checks = []
+    for i in range(1, system.cone.num_rows + 1):
+        for simplex in face_sections(system.cone, i):
+            pts = barycentric_grid_by_steps(simplex,
+                                            max(grid_density // 10, 100))
+            vals = _face_decrease_per_section(pts, system, face_table, r)
+            report.record(pts, f"face{i}", vals)
+            face_checks.append(_min_with_witness(f"face{i}", vals, pts,
+                                                 strict=True))
+    if face_checks:
+        report.checks.append(_merge_min(face_checks, "face-decrease"))
+    report.notes.append(
+        "eta taken from the projection at every face sample (independent "
+        "of the branch polynomials)")
+    return report
+
+
+def _face_decrease_per_section(pts, system, table, r):
+    """-<|x|^2 grad h - 2r h x, f + eta> on one face grid, eta projected
+    once per pattern of active rows (|<c, x>|/|c| <= ACTIVATION_TOL)."""
+    from lyapcert.oracle import ACTIVATION_TOL, _row_patterns
+    from lyapcert.tangency import eta_projection
+    C = system.cone.C
+    n = len(system.f)
+    vals = table(pts)
+    F, gh, h_vals = vals[:, :n], vals[:, n:2 * n], vals[:, 2 * n]
+    scaled = np.abs(pts @ C.T) / np.linalg.norm(C, axis=1)
+    patterns, which = _row_patterns(scaled <= ACTIVATION_TOL)
+    eta = np.zeros_like(F)
+    for k, pattern in enumerate(patterns):
+        group = which == k
+        eta[group] = eta_projection(F[group], C[pattern])
+    nrm2 = np.einsum("ij,ij->i", pts, pts)
+    lhs = nrm2[:, None] * gh - 2.0 * r * h_vals[:, None] * pts
+    return -np.einsum("ij,ij->i", lhs, F + eta)

@@ -834,9 +834,9 @@ def test_each_step_makes_one_euler_kernel_evaluation(name, monkeypatch):
 
 
 # DISC's field with three times the radial speed: at dt = 0.2 the Newton
-# step of a sliding step overshoots and its multiplier turns negative, so
-# the loop hands the step off, with the record cleared; below x2 = -0.2 the
-# field turns inward and the trajectory leaves the circle
+# steps of 11 warm sliding steps overshoot and their multiplier turns
+# negative, so the loop retries each cold, and keeps it; below x2 = -0.2
+# the field turns inward and the trajectory leaves the circle
 PUSHED_DISC = SemialgebraicSystem(
     [parse_polynomial("-1*x2 + 3*x1*x2 + 0.6*x1", 2),
      parse_polynomial("1*x1 + 3*x2^2 + 0.6*x2", 2)], DISC.S)
@@ -868,9 +868,9 @@ def test_sliding_matches_the_route_through_step(system, T, dt, monkeypatch):
     simulate_by_steps, where flow.step projects every step that is not
     kept, and every slid state passes the posterior check of a
     projection: it is in the set within STATE_TOL and z - y lies in the
-    normal cone N_S(y).  On the cusp and the ball the loop hands off no
-    step; on the other two it hands off the steps that it cannot slide,
-    with an empty record where z violates one generator only."""
+    normal cone N_S(y).  The loop hands off no step but at the corners
+    of CUSP_CORNER, where z violates two generators; a warm slide that
+    fails on PUSHED_DISC is retried cold and kept."""
     handed = []
     flow_step = flow.step
 
@@ -879,7 +879,7 @@ def test_sliding_matches_the_route_through_step(system, T, dt, monkeypatch):
         handed.append((x, len(violated), dict(args[-1])))
         return flow_step(x, z, fx, values, *args)
     rng = np.random.default_rng(83)
-    hands_off = system is PUSHED_DISC or system is CUSP_CORNER
+    hands_off = system is CUSP_CORNER
     total = 0
     for x0 in boundary_starts(system, rng, 3):
         handed.clear()
@@ -905,20 +905,21 @@ def test_sliding_matches_the_route_through_step(system, T, dt, monkeypatch):
         kinds = step_kinds(traj)
         if system is PUSHED_DISC:  # it leaves the circle
             assert [True, False] in [kinds[k:k + 2] for k in range(len(kinds))]
-        if not hands_off:
-            assert kinds == [True] and handed == []
+        elif not hands_off:
+            assert kinds == [True]
         total += len(handed)
     assert (total >= 1) == hands_off
 
 
-# sha256 of the CSV of simulate(x0, T, dt) for the two set trajectories
-# whose loop hands steps to flow.step, with the number of hand-offs: the
-# failed sliding steps of PUSHED_DISC, each handed off cold, and the steps
-# at CUSP_CORNER's corner, where two generators bind
+# sha256 of the CSV of simulate(x0, T, dt) for two set trajectories that
+# a warm slide alone does not keep, with the number of hand-offs to
+# flow.step: none on PUSHED_DISC, whose 11 failed warm slides the loop
+# retries cold and keeps, and the steps at CUSP_CORNER's corner, where two
+# generators bind
 HANDED_OFF_PINS = {
-    "disc-leaves": (PUSHED_DISC, [0.0, 1.0], 10.0, 0.2, 11,
-                    "026755ac59a563e4922dc2530ea4835a"
-                    "af3928f4d5fc17cb4c89022b3c617a19"),
+    "disc-leaves": (PUSHED_DISC, [0.0, 1.0], 10.0, 0.2, 0,
+                    "0db770c7c83b1475edf27df477b7de77"
+                    "22f7073d6547988be015ba2f27586315"),
     "cusp-corner": (CUSP_CORNER, [0.25, 0.5], 2.0, 1e-3, 960,
                     "77dd2c3d46816296ec4d5121e5b0ba0b"
                     "7cb0c9a45f491a3c6577ef2c35315032"),
@@ -948,8 +949,9 @@ def test_sliding_step_hands_off_what_it_cannot_keep(lam):
     and leaves the record {0: lam}.  A multiplier of 0 or NaN starts no
     warm slide: the steps slide cold, as after an empty record.  An
     infinite one puts the warm start past the float range, where no
-    Newton step converges: the loop hands every step off, with the record
-    cleared, and records no eta of its own."""
+    Newton step converges: the loop retries the step cold, so the steps
+    are again those after an empty record, and the loop hands off only
+    the corner step."""
     def run(left):
         handed, record, etas = [], {}, {}
 
@@ -963,13 +965,34 @@ def test_sliding_step_hands_off_what_it_cannot_keep(lam):
                                  etas)
         return handed, states, etas
     handed, states, etas = run({0: lam})
-    if lam == np.inf:
-        assert handed == [{}] * 3 and etas == {}
-        assert states[1:] == [(0.25, 0.5)] * 3
-    else:
-        assert len(handed) == 1 and sorted(etas) == [1, 2]
-        _, cold_states, cold_etas = run({})
-        assert hexes(states) == hexes(cold_states) and etas == cold_etas
+    assert len(handed) == 1 and sorted(etas) == [1, 2]
+    _, cold_states, cold_etas = run({})
+    assert hexes(states) == hexes(cold_states) and etas == cold_etas
+
+
+PARABOLA_CUBIC = SemialgebraicSystem(
+    [Polynomial.zero(2), parse_polynomial("1*x2^3", 2)],
+    SemialgebraicSet([parse_polynomial("x1 - x2^2", 2)], [(-2.0, 2.0)] * 2))
+
+
+def test_failed_warm_slide_is_retried_cold(monkeypatch):
+    """On {x1 - x2^2 >= 0} with f = (0, x2^3) from (1, 1), most warm
+    slides fail (the multiplier turns negative after about five Newton
+    steps; handed to flow.step, they were 1,607 of 2,500 steps).  The loop
+    retries each cold and keeps it: no step is handed off, and the
+    trajectory is the one that flow.step projects step by step within
+    1e-12 relative."""
+    calls = []
+    flow_step = flow.step
+    monkeypatch.setattr(flow, "step",
+                        lambda *args: calls.append(1) or flow_step(*args))
+    traj = simulate([1.0, 1.0], 25.0, 1e-2, PARABOLA_CUBIC)
+    assert calls == [] and step_kinds(traj) == [True]
+    monkeypatch.setattr(flow, "step", flow_step)
+    want = simulate_by_steps([1.0, 1.0], 25.0, 1e-2, PARABOLA_CUBIC)
+    for got, ref in ((traj.states, want.states),
+                     (traj.eta_log, want.eta_log)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("g, f, x0, message, handed", [
