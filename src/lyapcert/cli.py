@@ -313,8 +313,6 @@ def format_conic_certificate(cert: cop_lp.ConicCertificate,
     lines.append(f"sweeps: {cert.sweeps_used}")
     lines.append(f"lp-rows: {cert.lp_rows}")
     lines.append(f"lp-pivots: {cert.lp_pivots}")
-    for flag in cert.corner_flags:
-        lines.append(f"corner-flag: {flag}")
     for state in cert.sections:
         tag = f"{state.kind}-{state.label}"
         for cell_line in dump_partition_lines([state.partition]):

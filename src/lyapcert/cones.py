@@ -7,11 +7,15 @@ orthant piece.  Sections are built in exact integer arithmetic: each
 extreme ray is the integer null vector of n-1 primitive integer rows, kept
 with the rows tight at it, and a section with more vertices than its
 affine dimension plus one is cut by a pulling triangulation of those tight
-sets (no qhull), so downstream code only ever sees simplices.
+sets (no qhull), so downstream code only ever sees simplices.  The cells
+keep their vertices as Fractions, and the sections of a cone are built
+once per process, cached by the cone's primitive integer rows.
 
-Refinement is longest-edge bisection with l1 renormalization of the
-midpoint; it keeps all partition vertices on the l1 sphere and drives the
-partition diameter to zero.
+Refinement is exact longest-edge bisection.  Every cell lies in one
+closed orthant, where the l1 norm is linear, so the midpoint of an edge is
+on the l1 sphere without renormalization; the cells of a refined
+partition cover its parent exactly, and the partition diameter goes to
+zero.
 """
 
 from __future__ import annotations
@@ -69,53 +73,48 @@ class PolyhedralCone:
 
 @dataclass(frozen=True)
 class Simplex:
-    """Simplex on the l1 sphere: convex hull of affinely independent vertices."""
+    """Simplex on the l1 sphere: convex hull of affinely independent vertices.
 
-    vertices: tuple[tuple[float, ...], ...]
+    points holds the exact vertices; vertices is their float view, each
+    coordinate correctly rounded, derived once per cell.
+    """
+
+    points: tuple[tuple[Fraction, ...], ...]
+    vertices: tuple[tuple[float, ...], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(
+            tuple(map(float, p)) for p in self.points))
 
     @staticmethod
     def from_rows(rows) -> "Simplex":
-        # adding 0.0 normalizes -0.0, keeping vertex text deterministic
-        return Simplex(tuple(tuple(float(v) + 0.0 for v in row) for row in rows))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vertices[0])
+        """The simplex whose vertices are the exact values of rows."""
+        return Simplex(tuple(tuple(map(Fraction, row)) for row in rows))
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.points)
 
     def vertex_array(self) -> np.ndarray:
         return np.array(self.vertices, dtype=float)
 
 
 def bisect_longest_edge(simplex: Simplex) -> tuple[Simplex, Simplex]:
-    """Split at the midpoint of the longest edge, renormalized to the l1 sphere.
+    """Split at the exact midpoint (a + b)/2 of the longest edge.
 
-    Ties go to the lowest vertex-index pair.  Singleton simplices cannot be
+    Edges compare by exact squared length, ties going to the lowest
+    vertex-index pair.  The simplex lies in one closed orthant, so the
+    midpoint is on the l1 sphere as it is.  Singleton simplices cannot be
     refined.
     """
-    k = simplex.num_vertices
-    if k < 2:
+    P = simplex.points
+    if len(P) < 2:
         raise NumericalError("cannot refine a singleton simplex")
-    V = simplex.vertex_array()
-    best = (-1.0, (0, 1))
-    for i, j in itertools.combinations(range(k), 2):
-        d = float(np.linalg.norm(V[i] - V[j]))
-        if d > best[0] + 1e-15:
-            best = (d, (i, j))
-    i, j = best[1]
-    mid = 0.5 * (V[i] + V[j])
-    norm1 = float(np.abs(mid).sum())
-    if norm1 <= 0:
-        raise NumericalError("degenerate edge midpoint at the origin")
-    mid = mid / norm1
-    child_a = V.copy()
-    child_a[j] = mid
-    child_b = V.copy()
-    child_b[i] = mid
-    return Simplex.from_rows(child_a), Simplex.from_rows(child_b)
+    i, j = max(itertools.combinations(range(len(P)), 2), key=lambda e: sum(
+        (a - b) ** 2 for a, b in zip(P[e[0]], P[e[1]])))
+    mid = (tuple((a + b) / 2 for a, b in zip(P[i], P[j])),)
+    return Simplex(P[:j] + mid + P[j + 1:]), Simplex(P[:i] + mid + P[i + 1:])
 
 
 @dataclass
@@ -198,17 +197,12 @@ def _l1_point(ray) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, norm) for a in ray)
 
 
-def _full_pieces(cone: PolyhedralCone):
-    return _pieces(tuple(_primitive(row) for row in cone.C), cone.dimension)
-
-
-@functools.lru_cache(maxsize=16)
 def _pieces(cone_rows: tuple[tuple[int, ...], ...], n: int):
     """Orthant pieces with interior, as (orthant id, rays, tight) triples.
 
     A ray is the primitive null vector of n-1 rows; rays are sorted by their
     exact l1 points, and tight[k] holds the rows tight at ray k (cone rows,
-    then sign rows).  Cached: the cone and face sections all start here.
+    then sign rows).  The cone and face sections all start here.
     """
     if n > MAX_ORTHANT_DIMENSION:
         raise InputError(
@@ -258,6 +252,40 @@ def _cells(rays, tight, members: tuple[int, ...], rank: int) -> list[Simplex]:
             for cell in sorted(_pull(rays, tight, members, rank))]
 
 
+def _face_cells(pieces, row: int) -> tuple[Simplex, ...]:
+    """Cells of the face where cone row `row` (0-based) is tight.
+
+    The face is cut by the orthant pieces with interior; a part of lower
+    rank than the largest lies inside the others, and a part on an orthant
+    boundary can come from two pieces, so both are dropped.
+    """
+    parts = {}
+    for _, rays, tight in pieces:
+        members = tuple(k for k, t in enumerate(tight) if row in t)
+        if members:
+            parts.setdefault(frozenset(rays[k] for k in members), (
+                rays, tight, members, _rank([rays[k] for k in members])))
+    top = max((part[3] for part in parts.values()), default=0)
+    return tuple(cell for part in parts.values() if part[3] == top
+                 for cell in _cells(*part))
+
+
+@functools.lru_cache(maxsize=16)
+def _build(cone_rows: tuple[tuple[int, ...], ...], n: int):
+    """The orthant cells, as (orthant id, simplex) pairs, and each face's
+    cells, of the cone with these primitive rows: built once per process."""
+    pieces = _pieces(cone_rows, n)
+    orthants = tuple((oid, cell) for oid, rays, tight in pieces
+                     for cell in _cells(rays, tight, tuple(range(len(rays))),
+                                        n))
+    return orthants, tuple(_face_cells(pieces, i)
+                           for i in range(len(cone_rows)))
+
+
+def _sections(cone: PolyhedralCone):
+    return _build(tuple(_primitive(row) for row in cone.C), cone.dimension)
+
+
 def cone_orthant_sections(cone: PolyhedralCone
                           ) -> list[tuple[int, Simplex]]:
     """l1-sphere sections of the cone within each orthant, as simplices.
@@ -267,30 +295,17 @@ def cone_orthant_sections(cone: PolyhedralCone
     intersection has empty interior are omitted; an empty result signals
     that the cone itself has empty interior (a trivial problem).
     """
-    return [(oid, cell) for oid, rays, tight in _full_pieces(cone)
-            for cell in _cells(rays, tight, tuple(range(len(rays))),
-                               cone.dimension)]
+    return list(_sections(cone)[0])
 
 
 def face_sections(cone: PolyhedralCone, face_index: int) -> list[Simplex]:
     """l1 sections of the face {x in K : (Cx)_i = 0}, as simplices.
 
-    face_index is 1-based to match the row numbering of C.  The face is
-    cut by the orthant pieces with interior; a part of lower rank than the
-    largest lies inside the others, and a part on an orthant boundary can
-    come from two pieces, so both are dropped.
+    face_index is 1-based to match the row numbering of C.
     """
     if not 1 <= face_index <= cone.num_rows:
         raise InputError(f"face index {face_index} out of range")
-    parts = {}
-    for _, rays, tight in _full_pieces(cone):
-        members = tuple(k for k, t in enumerate(tight) if face_index - 1 in t)
-        if members:
-            parts.setdefault(frozenset(rays[k] for k in members), (
-                rays, tight, members, _rank([rays[k] for k in members])))
-    top = max((part[3] for part in parts.values()), default=0)
-    return [cell for part in parts.values() if part[3] == top
-            for cell in _cells(*part)]
+    return list(_sections(cone)[1][face_index - 1])
 
 
 def dump_partition_lines(partitions: list[SimplicialPartition]) -> list[str]:

@@ -24,7 +24,6 @@ sign is mixed, which is conservative but sound.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -143,7 +142,6 @@ class ConicCertificate:
     sweeps_used: int
     lp_rows: int
     lp_pivots: int
-    corner_flags: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -326,32 +324,6 @@ def initial_sections(system: ConicSystem) -> list[SectionState]:
     return out
 
 
-def corner_flags(sections: list[SectionState]) -> list[str]:
-    """Notes for partition vertices shared by several faces.
-
-    At such corners the face-only construction does not define a single
-    eta; constraints from every adjacent face are imposed there, which is
-    conservative, and certificates carry these flags.  Vertices compare
-    exactly: a ray shared by two faces rounds to the same floats in both.
-    """
-    face_vertices: dict[int, set[tuple[float, ...]]] = {}
-    for state in sections:
-        if state.kind != "face":
-            continue
-        acc = face_vertices.setdefault(state.label, set())
-        for cell in state.partition.cells:
-            acc.update(cell.vertices)
-    flags = []
-    faces = sorted(face_vertices)
-    for a, b in itertools.combinations(faces, 2):
-        shared = face_vertices[a] & face_vertices[b]
-        for v in sorted(shared):
-            flags.append(
-                f"faces {a} and {b} share vertex {v}: constraints from both "
-                "faces are imposed (conservative corner handling)")
-    return flags
-
-
 def run_hierarchy(system: ConicSystem,
                   schedule: list[tuple[int, int, int]],
                   lp_dump=None) -> HierarchyOutcome:
@@ -371,7 +343,6 @@ def run_hierarchy(system: ConicSystem,
     levels: list[LevelReport] = []
     failure = None
     base_sections = initial_sections(system)
-    flags = corner_flags(base_sections)
     for degree, r, max_sweeps in schedule:
         level = _LevelData(system, degree, r)
         sections = base_sections
@@ -407,7 +378,7 @@ def run_hierarchy(system: ConicSystem,
                         candidate=RationalLyapunovCandidate(h, r),
                         margin=margin, sections=sections, degree=degree, r=r,
                         sweeps_used=sweeps, lp_rows=len(lp.b),
-                        lp_pivots=result.pivots, corner_flags=list(flags))
+                        lp_pivots=result.pivots)
                     levels.append(LevelReport(degree, r, sweeps, margin))
                     return HierarchyOutcome(cert, levels)
             if sweeps >= max_sweeps:

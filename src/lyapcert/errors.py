@@ -2,11 +2,11 @@
 
 InputError is bad input: a spec, flag, candidate or file that the commands
 cannot serve.  NumericalError is a computation that failed on valid input:
-a degenerate bisection, a projection that does not converge or check, a
-malformed SDP, a simulator state that leaves the set, a certificate that
-fails its recheck, or LP or SOS data past the float range (its detail
-ends in OUT_OF_FLOAT_RANGE).  Every exception class of the package derives
-from one of them.
+a projection that does not converge or check, a malformed SDP, a
+simulator state that leaves the set, a certificate that fails its
+recheck, or LP or SOS data past the float range (its detail ends in
+OUT_OF_FLOAT_RANGE).  Every exception class of the package derives from
+one of them.
 """
 
 

@@ -14,8 +14,10 @@ iteration over all samples at once, on a compact array of the live
 points that retires converged points and drops those whose gradient
 vanishes or that do not converge in 50 passes.  A certificate is
 accepted only when this module agrees, so a fault in the construction's
-geometry, branch logic, decrease expansion or solvers cannot
-self-certify.
+refinement, branch logic, decrease expansion or solvers cannot
+self-certify.  The unrefined sections are the one thing shared: both read
+the cells that lyapcert.cones builds once per cone, and the tests check in
+exact arithmetic that those cells and their refinements cover the cone.
 
 Every polynomial value comes from a poly.MonomialTable, built once per
 call for each list of polynomials that a check needs: one of

@@ -10,9 +10,10 @@ The same map projects a point onto a polyhedral cone {x : Cx >= 0}:
 proj(z) = z + eta with C's rows as the normals.
 
 On a single cone face the projection has a closed polynomial form with two
-branches switched by the sign of w_i(x) = <c_i, f(x)>; corner points with
-several active constraints are outside that construction and are handled
-conservatively by the callers.
+branches switched by the sign of w_i(x) = <c_i, f(x)>.  Corner points with
+several active constraints are outside that construction: the cone LP
+imposes each face's single-face rows there, and decrease under the joint
+projection that acts at such points is not yet checked by the LP.
 """
 
 from __future__ import annotations

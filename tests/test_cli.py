@@ -168,7 +168,8 @@ cone4: -1*x2 + 0.5*x3
 def test_r0_margin_lps_are_pinned(tmp_path):
     """The first 16 hex digits of sha256 of each --dump-lp file of a
     d = 2, r = 0 find, recorded when the lattice values came from the
-    monomial table (multiplies only, no pow)."""
+    monomial table (multiplies only, no pow); the refined sweep's again
+    when bisection became exact, each vertex the rounded exact midpoint."""
     spec = tmp_path / "refine.spec"
     spec.write_text(REFINE_SPEC)
     out = tmp_path / "out"
@@ -178,7 +179,39 @@ def test_r0_margin_lps_are_pinned(tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
                for path in sorted(out.glob("*.lp"))}
     assert digests == {"lp-d2-r0-s0.lp": "fed7f92db91fe73c",
-                       "lp-d2-r0-s1.lp": "6e1510a5d8a11270"}
+                       "lp-d2-r0-s1.lp": "2874990ffd2b7941"}
+
+
+def test_section_geometry_is_built_once_per_cone(tmp_path, monkeypatch):
+    """After find-lyap-cone has built the LP's sections, its oracle gate, a
+    later verify of the certificate and a partition-dump of the same spec
+    read the cached cells: none of them takes an exact echelon form."""
+    spec = tmp_path / "refine.spec"
+    spec.write_text(REFINE_SPEC)
+    calls = []
+    echelon = cones._echelon
+    monkeypatch.setattr(cones, "_echelon",
+                        lambda rows: calls.append(rows) or echelon(rows))
+    gates = []
+    verify_conic = oracle.verify_conic
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        report = verify_conic(*args, **kwargs)
+        gates.append(len(calls) - before)
+        return report
+
+    monkeypatch.setattr(oracle, "verify_conic", counted)
+    out = tmp_path / "out"
+    assert main(["find-lyap-cone", str(spec), "--deg", "2", "--r", "0",
+                 "--sweeps", "4", "--out", str(out)]) == EXIT_OK
+    built = len(calls)
+    assert main(["verify", str(spec), "--certificate",
+                 str(out / "certificate.txt"),
+                 "--out", str(tmp_path / "v")]) == EXIT_OK
+    assert main(["partition-dump", str(spec), "--sweeps", "1"]) == EXIT_OK
+    assert gates == [0, 0]
+    assert len(calls) == built
 
 
 def test_find_lyap_cone_on_square_cone_spec(sq3d_run):
@@ -191,13 +224,11 @@ def test_find_lyap_cone_on_square_cone_spec(sq3d_run):
 
 
 def test_corner_flags_print_plain_floats(sq3d_run):
+    # plain floats, and no corner-flag lines: the single-face rows that the
+    # LP imposes where two faces meet do not make corners safe
     _, cert_text = sq3d_run
     assert "np.float64(" not in cert_text
-    vertices = re.findall(r"^corner-flag: .* share vertex \(([^)]*)\)",
-                          cert_text, re.M)
-    assert len(vertices) == 4  # the four corner rays of the square cone
-    for vertex in vertices:
-        assert len([float(c) for c in vertex.split(", ")]) == 3
+    assert "corner-flag:" not in cert_text
 
 
 def test_find_lyap_sos_end_to_end(cusp_spec, tmp_path):
@@ -774,8 +805,8 @@ def test_malformed_sdp_is_solver_failure(cusp_spec, tmp_path, monkeypatch,
 ], ids=["partition-dump", "find-lyap-cone"])
 def test_degenerate_bisection_is_solver_failure(argv, cone_spec, tmp_path,
                                                 monkeypatch, capsys):
-    # a failed bisection is numerical: here every bisection meets a
-    # midpoint at the origin
+    # a NumericalError from refinement is a solver failure: here every
+    # bisection raises one
     def degenerate(simplex):
         raise NumericalError("degenerate edge midpoint at the origin")
 

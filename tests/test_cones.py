@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -164,7 +165,8 @@ def projected_edges(points, cell, coords):
 
 def exact_parts(cone):
     """Every orthant piece and every face part of it, as pulling inputs."""
-    for _, rays, tight in cones._full_pieces(cone):
+    rows = tuple(map(cones._primitive, cone.C))
+    for _, rays, tight in cones._pieces(rows, cone.dimension):
         yield rays, tight, tuple(range(len(rays))), cone.dimension
         for row in range(cone.num_rows):
             members = tuple(k for k, t in enumerate(tight) if row in t)
@@ -207,6 +209,55 @@ def test_exact_sections_cover_by_volume_and_barycentric(name):
     floats |= {v for i in range(1, cone.num_rows + 1)
                for s in face_sections(cone, i) for v in s.vertices}
     assert floats <= exact_vertices
+
+
+def random_cone(seed):
+    """A seeded cone in 2 + seed % 3 dimensions, with interior: n to n + 2
+    rows of small integers and halves, each positive at one integer point."""
+    rng = random.Random(seed)
+    n = 2 + seed % 3
+    x0 = [rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(n)]
+    rows = []
+    for _ in range(n + rng.randint(0, 2)):
+        row = [0] * n
+        while sum(map(operator.mul, row, x0)) <= 0:
+            row = [rng.randint(-3, 3) / rng.choice((1, 2)) for _ in range(n)]
+        rows.append(row)
+    return PolyhedralCone(rows)
+
+
+COVER_CONES = {"cone2d": EXACT_CONES["cone2d"], "sq3d": EXACT_CONES["sq3d"],
+               **{f"random{seed}": random_cone(seed) for seed in range(6)}}
+
+
+@pytest.mark.parametrize("name", sorted(COVER_CONES))
+def test_refined_cells_cover_sections_exactly(name):
+    # 5 uniform sweeps in 2-D, 4 in 3-D, 3 in 4-D; every vertex is an exact
+    # point of the cone (of its face on a face section) on the l1 sphere,
+    # and bisection keeps each orthant section's volume exactly
+    cone = COVER_CONES[name]
+    rows = [cones._primitive(row) for row in cone.C]
+    sweeps = 6 - cone.dimension
+    orthants = cone_orthant_sections(cone)
+    assert orthants
+    sections = [(None, s) for _, s in orthants]
+    sections += [(i, s) for i in range(cone.num_rows)
+                 for s in face_sections(cone, i + 1)]
+    for face, section in sections:
+        part = SimplicialPartition(section)
+        for _ in range(sweeps):
+            part = part.refine_all()
+        for cell in part.cells:
+            for p in cell.points:
+                assert sum(map(abs, p)) == 1
+                dots = [sum(map(operator.mul, row, p)) for row in rows]
+                assert min(dots) >= 0
+                assert face is None or dots[face] == 0
+        if face is None:
+            assert len(part.cells) == 2 ** sweeps
+            assert sum(abs(det(list(map(list, cell.points))))
+                       for cell in part.cells) == abs(
+                det(list(map(list, section.points))))
 
 
 def barycentric_frame(points, cell, coords):
