@@ -42,16 +42,14 @@ Trajectories hold times, states and multipliers as arrays built after the
 last step (the states in one pass over the loop's tuples), and optionally
 the values of a Lyapunov function candidate, evaluated on all states at
 once; the CSV layout is "t,x1..xn,eta1..etan[,V]", written in chunks of
-CSV_CHUNK rows to a stream (write_csv), every value as its repr, except
-that a free row (eta +0.0 in every coordinate) writes the literal 0.0 for
-eta: repr(0.0) is "0.0", so the bytes are the same.
+CSV_CHUNK rows to a stream (write_csv), every value as its repr: orjson
+writes the cells in its range of the same text, and %r the rest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
 from operator import mul
 from typing import Callable, Sequence, TextIO
@@ -71,6 +69,8 @@ from .tangency import SemialgebraicSet, eta_projection, nnls  # noqa: F401
 
 OVERFLOW = "state overflowed the float range"
 CSV_CHUNK = 4096         # trajectory rows formatted per write
+# the |v| bounds of orjson's float text that equals repr (write_csv)
+ORJSON_TINY, ORJSON_LOW, ORJSON_HIGH = 1e-9, 1e-4, 1e16
 
 System = ConicSystem | SemialgebraicSystem
 
@@ -92,11 +92,13 @@ class Trajectory:
         return self.states[-1]
 
     def write_csv(self, out: TextIO) -> None:
-        """Write the CSV to out in chunks of CSV_CHUNK rows: each chunk is
-        one % format of its floats, and %r of a float is its repr.  A free
-        row (eta +0.0 in every coordinate) writes the literal 0.0 for eta,
-        the same bytes as repr(0.0), so only its t, x and V go through %r;
-        a chunk without a free row repeats one template of %r cells."""
+        """Write the CSV to out in chunks of CSV_CHUNK rows, every value
+        as its repr.  orjson writes a chunk's floats as the same shortest
+        digits as repr, in the same notation where |v| < ORJSON_TINY (0.0
+        and -0.0 among them) or ORJSON_LOW <= |v| < ORJSON_HIGH; the other
+        cells (1e-05, 1e+20, inf, nan) go in as NaN, which orjson writes
+        as null, and become %r holes that one % fills with their reprs."""
+        import orjson
         n = self.states.shape[1]
         header = ["t"] + [f"x{i + 1}" for i in range(n)] \
             + [f"eta{i + 1}" for i in range(n)]
@@ -105,27 +107,18 @@ class Trajectory:
             header.append("V")
             columns.append(self.v_values[:, None])
         out.write(",".join(header) + "\n")
-        cells = ["%r"] * len(header)
-        row = ",".join(cells) + "\n"
-        cells[1 + n:1 + 2 * n] = ["0.0"] * n
-        free_row = ",".join(cells) + "\n"
-        # the cells that go through %r in a free row
-        kept = np.array([c == "%r" for c in cells])
-        # +0.0 is the one float whose bits are all zero, so a -0.0 eta is
-        # not free and still prints -0.0
-        free = reduce(np.bitwise_or, self.eta_log.view(np.uint64).T) == 0
         for k in range(0, len(self), CSV_CHUNK):
             chunk = np.hstack([c[k:k + CSV_CHUNK] for c in columns])
-            is_free = free[k:k + CSV_CHUNK]
-            if is_free.any():
-                text = "".join([free_row if f else row
-                                for f in is_free.tolist()])
-                chunk = chunk[kept | ~is_free[:, None]]
-            else:
-                text = row * len(chunk)
+            size = np.abs(chunk)
+            # NaN fails every comparison, so it is one of the other cells
+            other = ~((size < ORJSON_TINY)
+                      | ((size >= ORJSON_LOW) & (size < ORJSON_HIGH)))
+            text = orjson.dumps(np.where(other, np.nan, chunk),
+                                option=orjson.OPT_SERIALIZE_NUMPY)
+            text = text[2:-2].replace(b"],[", b"\n").replace(b"null", b"%r")
             # tolist gives Python floats (repr of a numpy scalar is
             # "np.float64(...)", which CSV readers reject)
-            out.write(text % tuple(chunk.ravel().tolist()))
+            out.write(text.decode() % tuple(chunk[other].tolist()) + "\n")
 
 
 def project_cone(z, cone: PolyhedralCone) -> tuple[float, ...]:

@@ -1090,14 +1090,53 @@ def test_csv_reads_back_with_loadtxt(tmp_path):
     assert np.array_equal(table[:, 1:3], np.array(traj.states))
 
 
+# each bound of orjson's repr range and its two neighbours, of both signs
+# (the literal bounds, so that a moved flow.ORJSON_* does not move them)
+ORJSON_EDGES = [s * v for b in (1e-9, 1e-4, 1e16)
+                for v in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))
+                for s in (1.0, -1.0)]
+
+
+def log_uniform(rng, low, high, shape):
+    """Floats of random sign with log10 |v| uniform in [low, high)."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(low, high,
+                                                                 shape)
+
+
+def orjson_bounds_table(rng, n):
+    """A (2 CSV_CHUNK + 18, 2n + 2) table of t, x, eta and V cells: one
+    chunk where every cell is outside orjson's repr range (write_csv
+    formats all of them with %r), one where every cell is inside it (none
+    with %r: zeros, tiny and ordinary values), then a row of each of
+    ORJSON_EDGES in every column."""
+    chunk, width = flow.CSV_CHUNK, 2 * n + 2
+    outside = np.where(rng.random((chunk, width)) < 0.5,
+                       log_uniform(rng, -8.99, -4.01, (chunk, width)),
+                       log_uniform(rng, 16.01, 307.9, (chunk, width)))
+    outside.flat[::101], outside.flat[1::101] = np.inf, -np.inf
+    outside.flat[2::101] = np.nan
+    inside = np.where(rng.random((chunk, width)) < 0.8,
+                      log_uniform(rng, -3.99, 15.99, (chunk, width)),
+                      log_uniform(rng, -323.0, -9.01, (chunk, width)))
+    inside.flat[::7] = 0.0
+    inside.flat[3::7] = -0.0
+    edges = np.repeat(np.array(ORJSON_EDGES)[:, None], width, axis=1)
+    return np.vstack([outside, inside, edges])
+
+
 def csv_rows(rng, n, layout):
-    """times, states and eta_log of a made-up trajectory whose eta rows
-    mix the cases the writer tells apart: free (+0.0 in every coordinate,
-    as a projection may also record it), projected, zeros with one -0.0
-    cell, and one zero among nonzero cells.  layout is the row count as
-    an offset from CSV_CHUNK, or "free-then-projected": one all-free
-    chunk, then one all-projected chunk."""
+    """times, states, eta_log and V values of a made-up trajectory whose
+    eta rows mix the cases the writer once told apart: free (+0.0 in
+    every coordinate, as a projection may also record it), projected,
+    zeros with one -0.0 cell, and one zero among nonzero cells.  layout
+    is the row count as an offset from CSV_CHUNK, or "free-then-projected":
+    one all-free chunk, then one all-projected chunk, or "orjson-bounds":
+    the cells of orjson_bounds_table."""
     chunk = flow.CSV_CHUNK
+    if layout == "orjson-bounds":
+        table = orjson_bounds_table(rng, n)
+        return table[:, 0], table[:, 1:1 + n], table[:, 1 + n:-1], \
+            table[:, -1]
     m = 2 * chunk if layout == "free-then-projected" else chunk + layout
     times = np.arange(m) * 1e-3
     states = rng.normal(size=(m, n))
@@ -1110,17 +1149,18 @@ def csv_rows(rng, n, layout):
     eta[np.isin(kinds, ["free", "negative-zero"])] = 0.0
     eta[kinds == "negative-zero", 0] = -0.0
     eta[kinds == "one-zero", 1] = 0.0
-    return times, states, eta
+    return times, states, eta, rng.normal(size=m)
 
 
 @pytest.mark.parametrize("n, v, layout", list(product(
     [2, 3], [None, "finite", "inf-nan"],
-    [-1, 0, 1, "free-then-projected"])))
+    [-1, 0, 1, "free-then-projected", "orjson-bounds"])))
 def test_csv_writer_matches_the_cell_by_cell_reference(n, v, layout):
     rng = np.random.default_rng(91)
-    times, states, eta = csv_rows(rng, n, layout)
-    v_values = None if v is None else rng.normal(size=len(times))
-    if v == "inf-nan":
+    times, states, eta, v_values = csv_rows(rng, n, layout)
+    if v is None:
+        v_values = None
+    elif v == "inf-nan":
         v_values[::5], v_values[1::5] = np.inf, np.nan
     traj = flow.Trajectory(times, states, eta, v_values)
     want = trajectory_csv_by_cells(traj)
@@ -1130,6 +1170,33 @@ def test_csv_writer_matches_the_cell_by_cell_reference(n, v, layout):
     # the first line that differs, not a diff of two whole CSVs
     assert next(((k, a, b) for k, (a, b) in enumerate(
         zip(got.splitlines(), want.splitlines())) if a != b), None) is None
+
+
+def test_orjson_float_text_is_repr_exactly_in_the_writers_range():
+    # write_csv trusts orjson's text wherever its range test holds; an
+    # orjson whose float text moves must fail here, not change the CSV
+    import orjson
+    rng = np.random.default_rng(37)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+    # random mantissas with exponents from 2^-40 to 2^60, around the bounds
+    near = np.ldexp(log_uniform(rng, 0.0, np.log10(2.0), 100_000),
+                    rng.integers(-40, 60, 100_000))
+    subnormal = rng.integers(1, 2 ** 52, 1_000, dtype=np.uint64)
+    values = np.concatenate([
+        bits.view(float), near, subnormal.view(float),
+        ORJSON_EDGES, [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                       1.7976931348623157e308, -1.7976931348623157e308]])
+    values = values[np.isfinite(values)]
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    texts = texts[1:-1].decode().split(",")
+    size = np.abs(values)
+    exact = (size < flow.ORJSON_TINY) \
+        | ((size >= flow.ORJSON_LOW) & (size < flow.ORJSON_HIGH))
+    assert 10_000 < exact.sum() < len(values) - 10_000
+    for v, text, same in zip(values.tolist(), texts, exact.tolist()):
+        # outside the range the text still reads back as v, but differs
+        # from repr, so the range is as wide as it can be
+        assert (text == repr(v)) == same and float(text) == v, (v, text)
 
 
 @pytest.mark.parametrize("system, x0, T, dt", [

@@ -353,3 +353,28 @@ def test_sdp_tier_does_not_import_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "0 False"
+
+
+def test_only_simulate_imports_orjson(tmp_path):
+    # orjson (with json, uuid and zoneinfo) is the CSV writer's, so the
+    # CLI import, an SOS find and a verify leave it out; simulate loads it
+    out_dir = str(tmp_path / "o")
+    cert = str(tmp_path / "o" / "certificate.txt")
+    spec = str(CUSP_BOX_SPEC)
+    commands = [
+        ["find-lyap-sos", spec, "--deg", "2", "--tier", "sdp",
+         "--out", out_dir],
+        ["verify", spec, "--certificate", cert, "--out", str(tmp_path / "v")],
+        ["simulate", spec, "--x0=0.49,0.7", "--T", "0.01",
+         "--out", str(tmp_path / "s")]]
+    code = ("import sys\n"
+            "from lyapcert.cli import main\n"
+            "print(0, 'orjson' in sys.modules)\n"
+            f"for args in {commands!r}:\n"
+            "    print(main(args), 'orjson' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.splitlines() == ["0 False", "0 False", "0 False",
+                                       "0 True"]
