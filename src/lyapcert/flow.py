@@ -43,7 +43,9 @@ last step (the states in one pass over the loop's tuples), and optionally
 the values of a Lyapunov function candidate, evaluated on all states at
 once; the CSV layout is "t,x1..xn,eta1..etan[,V]", written in chunks of
 CSV_CHUNK rows to a stream (write_csv), every value as its repr: orjson
-writes the cells in its range of the same text, and %r the rest.
+writes the cells whose text is repr's, a second orjson call the cells
+whose text is repr's but for one exponent digit (e-6 for e-06), and repr
+the rest, joined into the rows in one pass.
 """
 
 from __future__ import annotations
@@ -68,9 +70,13 @@ from .sos_cert import SemialgebraicSystem
 from .tangency import SemialgebraicSet, eta_projection, nnls  # noqa: F401
 
 OVERFLOW = "state overflowed the float range"
-CSV_CHUNK = 4096         # trajectory rows formatted per write
-# the |v| bounds of orjson's float text that equals repr (write_csv)
-ORJSON_TINY, ORJSON_LOW, ORJSON_HIGH = 1e-9, 1e-4, 1e16
+# trajectory rows formatted per write: 1,024 keeps write_csv's temporaries
+# near 1 MB on a 3-D trajectory with V, as fast as 4,096 rows
+CSV_CHUNK = 1024
+# the |v| bounds of orjson's float text (write_csv): repr's where |v| <
+# ORJSON_TINY or ORJSON_LOW <= |v| < ORJSON_HIGH, and repr's with a
+# one-digit exponent (e-6 for e-06) where ORJSON_TINY <= |v| < ORJSON_SCI
+ORJSON_TINY, ORJSON_SCI, ORJSON_LOW, ORJSON_HIGH = 1e-9, 1e-5, 1e-4, 1e16
 
 System = ConicSystem | SemialgebraicSystem
 
@@ -96,8 +102,12 @@ class Trajectory:
         as its repr.  orjson writes a chunk's floats as the same shortest
         digits as repr, in the same notation where |v| < ORJSON_TINY (0.0
         and -0.0 among them) or ORJSON_LOW <= |v| < ORJSON_HIGH; the other
-        cells (1e-05, 1e+20, inf, nan) go in as NaN, which orjson writes
-        as null, and become %r holes that one % fills with their reprs."""
+        cells go in as NaN, which orjson writes as null, and become holes.
+        A second orjson call writes the holes with ORJSON_TINY <= |v| <
+        ORJSON_SCI (4.05e-6), whose text is repr's once "e-" becomes
+        "e-0" (4.05e-06); the rest (1e-05, 1e+20, inf, nan) take their
+        repr, and one join puts the texts of the holes between the pieces
+        of the rows."""
         import orjson
         n = self.states.shape[1]
         header = ["t"] + [f"x{i + 1}" for i in range(n)] \
@@ -115,10 +125,24 @@ class Trajectory:
                       | ((size >= ORJSON_LOW) & (size < ORJSON_HIGH)))
             text = orjson.dumps(np.where(other, np.nan, chunk),
                                 option=orjson.OPT_SERIALIZE_NUMPY)
-            text = text[2:-2].replace(b"],[", b"\n").replace(b"null", b"%r")
-            # tolist gives Python floats (repr of a numpy scalar is
-            # "np.float64(...)", which CSV readers reject)
-            out.write(text.decode() % tuple(chunk[other].tolist()) + "\n")
+            text = text[2:-2].replace(b"],[", b"\n").decode()
+            if other.any():
+                holes, size = chunk[other], size[other]
+                sci = (size >= ORJSON_TINY) & (size < ORJSON_SCI)
+                # the pieces of the rows, each hole's text after its piece
+                parts = np.empty(2 * len(holes) + 1, object)
+                parts[::2] = text.split("null")
+                texts = parts[1::2]
+                # null at the other holes, which take their repr below
+                texts[:] = orjson.dumps(
+                    np.where(sci, holes, np.nan),
+                    option=orjson.OPT_SERIALIZE_NUMPY,
+                )[1:-1].decode().replace("e-", "e-0").split(",")
+                # tolist gives Python floats (repr of a numpy scalar is
+                # "np.float64(...)", which CSV readers reject)
+                texts[~sci] = list(map(repr, holes[~sci].tolist()))
+                text = "".join(parts)
+            out.write(text + "\n")
 
 
 def project_cone(z, cone: PolyhedralCone) -> tuple[float, ...]:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -1090,9 +1091,10 @@ def test_csv_reads_back_with_loadtxt(tmp_path):
     assert np.array_equal(table[:, 1:3], np.array(traj.states))
 
 
-# each bound of orjson's repr range and its two neighbours, of both signs
-# (the literal bounds, so that a moved flow.ORJSON_* does not move them)
-ORJSON_EDGES = [s * v for b in (1e-9, 1e-4, 1e16)
+# each bound of the writer's orjson ranges and its two neighbours, of both
+# signs (the literal bounds, so that a moved flow.ORJSON_* does not move
+# them)
+ORJSON_EDGES = [s * v for b in (1e-9, 1e-5, 1e-4, 1e16)
                 for v in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))
                 for s in (1.0, -1.0)]
 
@@ -1104,15 +1106,18 @@ def log_uniform(rng, low, high, shape):
 
 
 def orjson_bounds_table(rng, n):
-    """A (2 CSV_CHUNK + 18, 2n + 2) table of t, x, eta and V cells: one
+    """A (2 CSV_CHUNK + 24, 2n + 2) table of t, x, eta and V cells: one
     chunk where every cell is outside orjson's repr range (write_csv
-    formats all of them with %r), one where every cell is inside it (none
-    with %r: zeros, tiny and ordinary values), then a row of each of
-    ORJSON_EDGES in every column."""
+    makes all of them holes, from both sub-bands of 1e-9 <= |v| < 1e-4,
+    from |v| >= 1e16 and non-finite, so every path of the writer runs in
+    it), one where every cell is inside it (no holes: zeros, tiny and
+    ordinary values), then a row of each of ORJSON_EDGES in every
+    column."""
     chunk, width = flow.CSV_CHUNK, 2 * n + 2
-    outside = np.where(rng.random((chunk, width)) < 0.5,
-                       log_uniform(rng, -8.99, -4.01, (chunk, width)),
-                       log_uniform(rng, 16.01, 307.9, (chunk, width)))
+    band = rng.integers(0, 3, (chunk, width))
+    outside = np.choose(band, [log_uniform(rng, -8.99, -5.01, band.shape),
+                               log_uniform(rng, -4.99, -4.01, band.shape),
+                               log_uniform(rng, 16.01, 307.9, band.shape)])
     outside.flat[::101], outside.flat[1::101] = np.inf, -np.inf
     outside.flat[2::101] = np.nan
     inside = np.where(rng.random((chunk, width)) < 0.8,
@@ -1172,8 +1177,50 @@ def test_csv_writer_matches_the_cell_by_cell_reference(n, v, layout):
         zip(got.splitlines(), want.splitlines())) if a != b), None) is None
 
 
+@pytest.mark.parametrize("rows", [1, 7, 1024, 4096])
+def test_csv_bytes_do_not_depend_on_the_chunk_size(rows, monkeypatch):
+    # holes at the first and last cell of a chunk, and chunks of one row
+    n = 3
+    table = orjson_bounds_table(np.random.default_rng(92), n)
+    traj = flow.Trajectory(table[:, 0], table[:, 1:1 + n],
+                           table[:, 1 + n:-1], table[:, -1])
+    want = trajectory_csv_by_cells(traj)
+    monkeypatch.setattr(flow, "CSV_CHUNK", rows)
+    assert trajectory_csv(traj) == want
+
+
+class Discard:
+    """A stream that keeps nothing of what is written to it."""
+
+    def write(self, text: str) -> None:
+        pass
+
+
+def test_csv_writer_peak_memory_is_no_higher_than_before():
+    # 20,001 rows of t, 3 states, 3 eta and V; two in seven of the x, eta
+    # and V cells (a quarter of all cells) in 1e-9 <= |v| < 1e-4, as on a
+    # trajectory that decays towards the origin
+    rng = np.random.default_rng(20001)
+    m, n = 20_001, 3
+    cells = rng.normal(size=(m, 2 * n + 1))
+    band = rng.random(cells.shape) < 2 / 7
+    cells[band] = log_uniform(rng, -9.0, -4.0, band.sum())
+    traj = flow.Trajectory(np.arange(m) * 1e-3, cells[:, :n],
+                           cells[:, n:2 * n], cells[:, -1])
+    traj.write_csv(Discard())            # orjson's import is not counted
+    tracemalloc.start()
+    try:
+        traj.write_csv(Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2,470,914 bytes: this test's reading of the writer that took every
+    # hole through repr, in 4,096-row chunks
+    assert peak <= 2_470_914, peak
+
+
 def test_orjson_float_text_is_repr_exactly_in_the_writers_range():
-    # write_csv trusts orjson's text wherever its range test holds; an
+    # write_csv trusts orjson's text wherever its range tests hold; an
     # orjson whose float text moves must fail here, not change the CSV
     import orjson
     rng = np.random.default_rng(37)
@@ -1184,6 +1231,7 @@ def test_orjson_float_text_is_repr_exactly_in_the_writers_range():
     subnormal = rng.integers(1, 2 ** 52, 1_000, dtype=np.uint64)
     values = np.concatenate([
         bits.view(float), near, subnormal.view(float),
+        log_uniform(rng, -9.0, -4.0, 50_000),
         ORJSON_EDGES, [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                        1.7976931348623157e308, -1.7976931348623157e308]])
     values = values[np.isfinite(values)]
@@ -1192,11 +1240,22 @@ def test_orjson_float_text_is_repr_exactly_in_the_writers_range():
     size = np.abs(values)
     exact = (size < flow.ORJSON_TINY) \
         | ((size >= flow.ORJSON_LOW) & (size < flow.ORJSON_HIGH))
+    sci = (size >= flow.ORJSON_TINY) & (size < flow.ORJSON_SCI)
+    positional = (size >= flow.ORJSON_SCI) & (size < flow.ORJSON_LOW)
     assert 10_000 < exact.sum() < len(values) - 10_000
-    for v, text, same in zip(values.tolist(), texts, exact.tolist()):
+    assert sci.sum() > 10_000 and positional.sum() > 10_000
+    for v, text, same, e_notation, fixed in zip(
+            values.tolist(), texts, exact.tolist(), sci.tolist(),
+            positional.tolist()):
         # outside the range the text still reads back as v, but differs
         # from repr, so the range is as wide as it can be
         assert (text == repr(v)) == same and float(text) == v, (v, text)
+        # below ORJSON_SCI repr's exponent has one more digit (e-06 for
+        # e-6); from it on orjson writes 0.0000..., so the bound is exact
+        if not same:
+            assert (text.replace("e-", "e-0") == repr(v)) == e_notation, \
+                (v, text)
+        assert text.lstrip("-").startswith("0.0000") == fixed, (v, text)
 
 
 @pytest.mark.parametrize("system, x0, T, dt", [
