@@ -13,7 +13,9 @@ off and for the arrays built after the last step.  simulate is one call
 of the system's euler_kernel (poly.euler_kernel: one generated loop of
 Euler steps per system, built once), which takes every step: it computes
 f(x), z and the constraint values at z, keeps z when all are finite and
-every value is >= -FEAS_TOL, and otherwise projects.  For a set, a step
+every value is >= -FEAS_TOL, and otherwise projects.  The loop's source
+holds only arithmetic that can change a bit (no factor 1.0, no zero
+column of a cone row) and calls no abs or max.  For a set, a step
 that violates one generator only is projected inside the loop, in
 straight-line floats: Newton steps on the KKT system of that one
 generator, warm-started from the step before when it was projected along
@@ -34,12 +36,14 @@ Newton's method on the KKT system of min 1/2 |y - z|^2 subject to
 g_i(y) >= 0, with an active set and a posterior check that z - y lies in
 the normal cone N_S(y).  Each step solves the (n + |A|) KKT system with
 numpy, from the float kernels of the generators, gradients and Hessians
-(poly.float_kernel).  Along a run of handed-off steps, such as a corner
-where two generators bind, the projection is warm-started from the
-previous step's multipliers.
+(poly.float_kernel, each list built on first use, so a run that hands off
+no set projection builds only the values').  Along a run of handed-off
+steps, such as a corner where two generators bind, the projection is
+warm-started from the previous step's multipliers.
 
 Trajectories hold times, states and multipliers as arrays built after the
-last step (the states in one pass over the loop's tuples), and optionally
+last step (the states and the recorded eta each in one np.fromiter pass
+over the loop's tuples), and optionally
 the values of a Lyapunov function candidate, evaluated on all states at
 once; the CSV layout is "t,x1..xn,eta1..etan[,V]", written in chunks of
 CSV_CHUNK rows to a stream (write_csv), every value as its repr: orjson
@@ -196,7 +200,7 @@ def project_set(z, S: SemialgebraicSet,
         y - z - sum_A lam_i grad g_i(y) = 0,   g_A(y) = 0,
     whose Jacobian carries the Hessian term H = I - sum_A lam_i hess g_i(y).
     Each step solves that (n + |A|) linear system with numpy (_kkt_step,
-    from S.float_kernels).  A starts as the generators that z violates by
+    from S's float kernels).  A starts as the generators that z violates by
     more than FEAS_TOL, lam at 0 and y at z, so a point inside the set
     comes back unchanged.  multipliers, when given, is the record
     {i: lam_i} of the previous projection along a trajectory: lam_i
@@ -215,7 +219,7 @@ def project_set(z, S: SemialgebraicSet,
     and hands project_set the rest.
     """
     z = tuple(map(float, z))
-    values_at, gradient_at, _ = S.float_kernels
+    values_at, gradient_at = S.values_kernel, S.gradient_kernels
     tol = KKT_TOL * (1.0 + max(map(abs, z)))
     if values is None:
         values = values_at(z)
@@ -258,7 +262,7 @@ def _kkt_step(y: tuple[float, ...], z: tuple[float, ...],
     <= tol in each coordinate; else the Newton step (y + dy, lam + dlam)
     from the (n + |A|) system, solved by np.linalg.solve."""
     n = len(z)
-    _, gradient_at, hessian_at = S.float_kernels
+    gradient_at, hessian_at = S.gradient_kernels, S.hessian_kernels
     J = np.array([gradient_at[i](y) for i in active]).reshape(-1, n)
     g = np.array([values[i] for i in active])
     r = np.subtract(y, z)
@@ -292,7 +296,7 @@ def _lowest(system: System, x) -> float:
     if isinstance(system, ConicSystem):
         return min([sum(map(mul, row, x)) for row in system.cone.rows],
                    default=math.inf)
-    return min(system.S.float_kernels[0](x))
+    return min(system.S.values_kernel(x))
 
 
 def step(x: tuple[float, ...], z: tuple[float, ...], fx: tuple[float, ...],
@@ -378,7 +382,10 @@ def simulate(x0: Sequence[float], T: float, dt: float, system: System,
                          m * n).reshape(m, n)
     eta_log = np.zeros_like(states)
     if projected:
-        eta_log[list(projected)] = list(projected.values())
+        k = len(projected)
+        eta_log[np.fromiter(projected, int, k)] = np.fromiter(
+            chain.from_iterable(projected.values()), float, k * n
+        ).reshape(k, n)
     traj = Trajectory(np.array(times), states, eta_log)
     if V is not None:
         values = MonomialTable([V])(traj.states)[:, 0] \

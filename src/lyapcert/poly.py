@@ -314,16 +314,24 @@ def _sum_lines(var: str, form: Polynomial | Sequence[float],
     The value is summed from 0.0 term by term: a polynomial's terms in
     graded-lex order, each its coefficient times names[j] ** e for its
     nonzero exponents in variable order (names[j] itself for e = 1); a row
-    c of floats as c_j * names[j] over every column in order, zero
-    coefficients included.
+    c of floats as c_j * names[j] over its nonzero columns in order.  A
+    factor 1.0 is left out and -1.0 becomes a negation, which changes no
+    bit.  Nor does leaving out a zero column at a finite point: a sum
+    that starts at 0.0 is never -0.0, and adding +-0.0 keeps it.
     """
     if isinstance(form, Polynomial):
-        code = ["*".join([repr(float(c))] + [
-                    names[j] if e == 1 else f"{names[j]}**{e}"
-                    for j, e in enumerate(m) if e])
-                for m, c in form.sorted_terms()]
+        terms = [(c, [names[j] if e == 1 else f"{names[j]}**{e}"
+                      for j, e in enumerate(m) if e])
+                 for m, c in form.sorted_terms()]
     else:
-        code = [f"{float(c)!r}*{x}" for c, x in zip(form, names)]
+        terms = [(c, [x]) for c, x in zip(form, names) if c]
+    code = []
+    for c, factors in terms:
+        c = float(c)
+        if factors and c in (1.0, -1.0):
+            code.append(("-" if c < 0 else "") + "*".join(factors))
+        else:
+            code.append("*".join([repr(c)] + factors))
     lines, head = [], "0.0"
     for k in range(0, len(code), _KERNEL_CHUNK):
         lines.append(f"    {var} = {head} + "
@@ -376,9 +384,19 @@ def _indent(lines: list[str], depth: int = 1) -> list[str]:
     return ["    " * depth + line for line in lines]
 
 
-def _biggest(names: Sequence[str]) -> str:
-    """The expression of the largest of names (the one name itself)."""
-    return f"max({', '.join(names)})" if len(names) > 1 else names[0]
+def _largest_lines(var: str, names: Sequence[str]) -> list[str]:
+    """Statements that set var to max(abs(a) for a in names) without a
+    builtin call, as max gives it: a later value replaces the one kept only
+    when it is larger, so the result is NaN when the first is and a later
+    NaN is passed over.  -a stands for abs(a) when a < 0.0; var may then
+    differ from max's result in the sign of a zero or a NaN, which no
+    comparison sees."""
+    first, *rest = [f"{a} if {a} >= 0.0 else -{a}" for a in names]
+    lines = [f"    {var} = {first}"]
+    for size in rest:
+        lines += [f"    size = {size}",
+                  f"    {var} = size if size > {var} else {var}"]
+    return lines
 
 
 def _finite(names: Sequence[str]) -> str:
@@ -399,8 +417,9 @@ def euler_kernel(field: Sequence[Polynomial],
     takes count steps of a field of n polynomials in n variables from
     states[-1] and times[-1].  A step computes f(x), z_j = x_j + dt * f_j(x)
     and the constraint values at z, summed as in float_kernel; a constraint
-    that is a row c of floats is ((0.0 + c_1*z_1) + c_2*z_2) + ..., which
-    is sum(map(mul, c, z)) bit for bit.  The step keeps z when every z_j
+    that is a row c of floats is ((0.0 + c_1*z_1) + c_2*z_2) + ... over
+    its nonzero c_j (_sum_lines), which at a finite z is
+    sum(map(mul, c, z)) bit for bit.  The step keeps z when every z_j
     and value is finite and every value is >= -FEAS_TOL; otherwise the
     next state is project(x, z, f(x), values), each a tuple of floats,
     unless the step slides (below).  Either way the loop appends
@@ -414,8 +433,9 @@ def euler_kernel(field: Sequence[Polynomial],
     the loop slides along the boundary itself.  record is the multipliers
     record {i: lam_i} of the projections (flow.project_set), cleared at
     each step that keeps z, and etas maps the row of a step's start state
-    to the step's eta.  A step whose z and values are finite and whose
-    only value below -FEAS_TOL is g_i's slides.  It clears record, sets
+    (the loop's index, from len(states) - 1 on) to the step's eta.  A
+    step whose z and values are finite and whose only value below
+    -FEAS_TOL is g_i's slides.  It clears record, sets
     tol = KKT_TOL (1 + max|z_j|) and starts warm, at lam from the step
     before and y = z + lam grad g_i(z), when that step slid on g_i or was
     a project call that left record = {i: lam} with lam > 0; otherwise,
@@ -430,7 +450,11 @@ def euler_kernel(field: Sequence[Polynomial],
     state's row in etas is (y - x)/dt - f(x).  When the cold slide does
     not keep its y either (a negative multiplier, a pivot that is not
     positive, no convergence, a failed check), the step goes to project
-    with the record empty, so project_set starts it cold.
+    with the record empty, so project_set starts it cold.  The max and abs
+    of tol and of the KKT test are conditional expressions
+    (_largest_lines) with the truth values of the builtins' for every
+    float, and the Newton iterations run over one range built before the
+    loop, so a sliding step calls no builtin function.
     """
     n = len(field)
     xs, fs, zs = ([f"{a}{j}" for j in range(n)] for a in "xfz")
@@ -438,8 +462,10 @@ def euler_kernel(field: Sequence[Polynomial],
     lines = ["def kernel(times, states, dt, count, project, record, etas):",
              "    t = times[-1]", f"    {', '.join(xs)}, = states[-1]",
              "    add_time, add_state = times.append, states.append",
-             *(["    slide = -1"] if derivatives else []),
-             "    for _ in range(count):"]
+             *(["    slide = -1", f"    newton = range({MAX_PROJECTION_ITER})"]
+               if derivatives else []),
+             "    first = len(states) - 1",
+             "    for row in range(first, first + count):"]
     for f, p in zip(fs, field):
         lines += _indent(_sum_lines(f, p, xs))
     lines += [f"        {z} = {x} + dt*{f}" for x, f, z in zip(xs, fs, zs)]
@@ -484,7 +510,7 @@ def _slide_lines(constraints: Sequence[Polynomial],
                 f"        x = {_tuples([ys])}",
                 f"        record[{i}] = lam",
                 f"        slide = {i}",
-                "        etas[len(states) - 1] = " + _tuples([[
+                "        etas[row] = " + _tuples([[
                     f"({y} - {x})/dt - {f}" for y, x, f in zip(ys, xs, fs)]]),
                 "    break"]
         iteration = [line for q, g in zip(qs, constraints)
@@ -496,12 +522,11 @@ def _slide_lines(constraints: Sequence[Polynomial],
         warm += [f"    {y} = {z} + lam*{aj}" for y, z, aj in zip(ys, zs, a)]
         cold = ["    lam = 0.0", *(f"    {y} = {z}" for y, z in zip(ys, zs))]
         # a warm slide that keeps no y goes round once more, cold
-        body = ["    record.clear()",
-                f"    tol = {KKT_TOL!r}*(1.0 + "
-                f"{_biggest([f'abs({z})' for z in zs])})",
+        body = ["    record.clear()", *_largest_lines("tol", zs),
+                f"    tol = {KKT_TOL!r}*(1.0 + tol)",
                 f"    if slide == {i}:", *_indent(warm), "    else:",
                 *_indent(cold), "    while True:",
-                f"        for _ in range({MAX_PROJECTION_ITER}):",
+                "        for _ in newton:",
                 *_indent(iteration, 2),
                 f"        if x is None and slide == {i}:",
                 "            slide = -1", *_indent(cold, 2),
@@ -538,9 +563,11 @@ def _newton_lines(g: str, gradient: Sequence[Polynomial],
         lines += _sum_lines(name, d, ys)
     lines += [f"    {r} = ({y} - {z}) - lam*{aj}"
               for r, y, z, aj in zip(rs, ys, zs, a)]
-    lines += [f"    if abs({g}) <= tol*{_biggest([f'abs({v})' for v in a])} "
-              f"and {_biggest([f'abs({v})' for v in rs])} <= tol:",
-              *_indent(converged)]
+    # the converged test, |g| <= tol max|a_j| and then max|r_j| <= tol
+    lines += [*_largest_lines("big", a),
+              f"    if ({g} if {g} >= 0.0 else -{g}) <= tol*big:",
+              *_indent(_largest_lines("big", rs)), "        if big <= tol:",
+              *_indent(converged, 2)]
     upper = iter(hessian)
     for j in range(n):
         for k in range(j, n):

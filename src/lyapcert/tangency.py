@@ -78,19 +78,27 @@ class SemialgebraicSet:
                                         list[Polynomial]]]:
         """(grad g_i, the upper triangle of hess g_i (j <= k, row by row))
         of each generator, as poly.euler_kernel takes them for its sliding
-        step; float_kernels evaluates the same Hessian triangles."""
+        step; hessian_kernels evaluates the same Hessian triangles."""
         n = self.dimension
         return [(grad, [hess[j][k] for j in range(n) for k in range(j, n)])
                 for grad, hess in zip(self.gradients, self.hessians)]
 
     @cached_property
-    def float_kernels(self):
-        """(values, gradients, hessians): poly.float_kernel of the
-        generators, one of each gradient, and one of the upper triangle
-        of each Hessian."""
-        return (float_kernel(self.generators),
-                [float_kernel(grad) for grad in self.gradients],
-                [float_kernel(upper) for _, upper in self.derivatives])
+    def values_kernel(self):
+        """poly.float_kernel of the generators, built on first use."""
+        return float_kernel(self.generators)
+
+    @cached_property
+    def gradient_kernels(self):
+        """poly.float_kernel of each gradient, built on first use: only a
+        set projection (flow.project_set) reads them."""
+        return [float_kernel(grad) for grad in self.gradients]
+
+    @cached_property
+    def hessian_kernels(self):
+        """poly.float_kernel of the upper triangle of each Hessian, built
+        on first use, as gradient_kernels."""
+        return [float_kernel(upper) for _, upper in self.derivatives]
 
 
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

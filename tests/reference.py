@@ -12,7 +12,9 @@ sampler of the oracle against the
 per-point Newton loop and the row-by-row sample list they replaced (with
 values by one pow per point, term and variable), the
 simulator's Euler kernel against the float kernels, tuple update and row
-sums it replaced, its float-tuple steps against its numpy step loop, its
+sums it replaced and its generated loop against the generator by terms
+it replaced (euler_kernel_by_terms), its float-tuple steps against its
+numpy step loop, its
 sliding steps against the route through flow.step that they replaced
 (simulate_by_steps), the set projection against scipy's SLSQP, and the
 SDP solver's step lengths in the NT frame against a bound from the
@@ -370,7 +372,7 @@ def euler_step_floats(system, x, dt):
     if isinstance(system, ConicSystem):
         values = tuple([sum(map(mul, row, z)) for row in system.cone.rows])
     else:
-        values = system.S.float_kernels[0](z)
+        values = system.S.values_kernel(z)
     return z, fx, values
 
 
@@ -620,3 +622,152 @@ def _face_decrease_per_section(pts, system, table, r):
     nrm2 = np.einsum("ij,ij->i", pts, pts)
     lhs = nrm2[:, None] * gh - 2.0 * r * h_vals[:, None] * pts
     return -np.einsum("ij,ij->i", lhs, F + eta)
+
+
+def euler_kernel_by_terms(field, constraints, derivatives=()):
+    """poly.euler_kernel as it generated the loop before it left out the
+    arithmetic that changes no bit: every term with its coefficient (1.0*
+    and -1.0* included), every column of a cone row (zeros included), abs
+    and max calls in the sliding step's tol line and KKT test, and the row
+    of a step's eta from len(states) - 1.  The same signature and the same
+    kernel contract."""
+    from lyapcert.poly import (FEAS_TOL, KKT_TOL, MAX_PROJECTION_ITER,
+                               STATE_TOL, _compile, _indent, _tuples)
+    n = len(field)
+    xs, fs, zs = ([f"{a}{j}" for j in range(n)] for a in "xfz")
+    vs = [f"v{i}" for i in range(len(constraints))]
+    lines = ["def kernel(times, states, dt, count, project, record, etas):",
+             "    t = times[-1]", f"    {', '.join(xs)}, = states[-1]",
+             "    add_time, add_state = times.append, states.append",
+             *(["    slide = -1"] if derivatives else []),
+             "    for _ in range(count):"]
+    for f, p in zip(fs, field):
+        lines += _indent(_sum_lines_by_terms(f, p, xs))
+    lines += [f"        {z} = {x} + dt*{f}" for x, f, z in zip(xs, fs, zs)]
+    for v, g in zip(vs, constraints):
+        lines += _indent(_sum_lines_by_terms(v, g, zs))
+    kept = " and ".join([f"{v} >= {-FEAS_TOL!r}" for v in vs]
+                        + [_finite_by_terms(zs + vs)])
+    lines += [f"        if {kept}:", f"            x = {_tuples([zs])}"]
+    project = [f"x = project({_tuples([xs, zs, fs, vs])})"]
+    if derivatives:
+        lines += ["            slide = -1", "            record.clear()"]
+        ys, a = ([f"{c}{j}" for j in range(n)] for c in "ya")
+        qs = [f"q{k}" for k in range(len(constraints))]
+        slides = []
+        for i, (gradient, hessian) in enumerate(derivatives):
+            def others(values):
+                return [f"{v} >= {-FEAS_TOL!r}"
+                        for k, v in enumerate(values) if k != i]
+            keep = ["    if " + " and ".join(
+                        ["lam > 0.0", *others(qs), f"q{i} >= {-STATE_TOL!r}",
+                         _finite_by_terms(ys)]) + ":",
+                    f"        x = {_tuples([ys])}",
+                    f"        record[{i}] = lam", f"        slide = {i}",
+                    "        etas[len(states) - 1] = " + _tuples([[
+                        f"({y} - {x})/dt - {f}"
+                        for y, x, f in zip(ys, xs, fs)]]),
+                    "    break"]
+            iteration = [line for q, g in zip(qs, constraints)
+                         for line in _sum_lines_by_terms(q, g, ys)]
+            iteration += ["    if not lam >= 0.0:", "        break",
+                          *_newton_lines_by_terms(f"q{i}", gradient, hessian,
+                                                  ys, keep)]
+            warm = [line for name, d in zip(a, gradient)
+                    for line in _sum_lines_by_terms(name, d, zs)]
+            warm += [f"    {y} = {z} + lam*{aj}"
+                     for y, z, aj in zip(ys, zs, a)]
+            cold = ["    lam = 0.0",
+                    *(f"    {y} = {z}" for y, z in zip(ys, zs))]
+            body = ["    record.clear()",
+                    f"    tol = {KKT_TOL!r}*(1.0 + "
+                    f"{_biggest_by_terms([f'abs({z})' for z in zs])})",
+                    f"    if slide == {i}:", *_indent(warm), "    else:",
+                    *_indent(cold), "    while True:",
+                    f"        for _ in range({MAX_PROJECTION_ITER}):",
+                    *_indent(iteration, 2),
+                    f"        if x is None and slide == {i}:",
+                    "            slide = -1", *_indent(cold, 2),
+                    "            continue", "        break"]
+            slides += [("elif " if i else "if ") + " and ".join(
+                           others(vs) + [_finite_by_terms(zs + vs)]) + ":",
+                       *body]
+        project = ["x = None", *slides, "if x is None:", *_indent(project),
+                   "    slide = -1", "    if len(record) == 1:",
+                   "        (i, lam), = record.items()",
+                   "        if lam > 0.0:", "            slide = i"]
+    lines += ["        else:", *_indent(project, 3),
+              "        t += dt", "        add_time(t)", "        add_state(x)",
+              f"        {', '.join(xs)}, = x"]
+    return _compile(lines, [])
+
+
+def _sum_lines_by_terms(var, form, names):
+    """var summed from 0.0 over every term, each as its coefficient's
+    repr times its powers, or over every column c_j*names[j] of a row."""
+    from lyapcert.poly import _KERNEL_CHUNK, Polynomial
+    if isinstance(form, Polynomial):
+        code = ["*".join([repr(float(c))] + [
+                    names[j] if e == 1 else f"{names[j]}**{e}"
+                    for j, e in enumerate(m) if e])
+                for m, c in form.sorted_terms()]
+    else:
+        code = [f"{float(c)!r}*{x}" for c, x in zip(form, names)]
+    lines, head = [], "0.0"
+    for k in range(0, len(code), _KERNEL_CHUNK):
+        lines.append(f"    {var} = {head} + "
+                     + " + ".join(code[k:k + _KERNEL_CHUNK]))
+        head = var
+    return lines or [f"    {var} = 0.0"]
+
+
+def _biggest_by_terms(names):
+    return f"max({', '.join(names)})" if len(names) > 1 else names[0]
+
+
+def _finite_by_terms(names):
+    return " + ".join(f"{a} - {a}" for a in names) + " == 0.0"
+
+
+def _newton_lines_by_terms(g, gradient, hessian, ys, converged):
+    """One Newton step of the one-generator projection, its converged
+    test by abs and max calls."""
+    n = len(ys)
+    zs, rs, a, u, w = ([f"{c}{j}" for j in range(n)] for c in "zrauw")
+    h = [[f"h{j}_{k}" for k in range(n)] for j in range(n)]
+    lines = []
+    for name, d in zip(a, gradient):
+        lines += _sum_lines_by_terms(name, d, ys)
+    lines += [f"    {r} = ({y} - {z}) - lam*{aj}"
+              for r, y, z, aj in zip(rs, ys, zs, a)]
+    lines += [f"    if abs({g}) <= tol*"
+              f"{_biggest_by_terms([f'abs({v})' for v in a])} and "
+              f"{_biggest_by_terms([f'abs({v})' for v in rs])} <= tol:",
+              *["    " + line for line in converged]]
+    upper = iter(hessian)
+    for j in range(n):
+        for k in range(j, n):
+            lines += _sum_lines_by_terms(h[j][k], next(upper), ys)
+    for j in range(n):
+        lines.append(f"    d{j} = (1.0 - lam*{h[j][j]})"
+                     + "".join(f" - l{j}_{k}*e{j}_{k}" for k in range(j)))
+        lines += [f"    if not d{j} > 0.0:", "        break"]
+        for i in range(j + 1, n):
+            lines.append(f"    e{i}_{j} = -(lam*{h[j][i]})"
+                         + "".join(f" - l{i}_{k}*e{j}_{k}" for k in range(j)))
+            lines.append(f"    l{i}_{j} = e{i}_{j}/d{j}")
+    for x, b in ((u, [f"-{r}" for r in rs]), (w, a)):
+        for i in range(n):
+            lines.append(f"    {x[i]} = {b[i]}" + "".join(
+                f" - l{i}_{k}*{x[k]}" for k in range(i)))
+        for i in reversed(range(n)):
+            lines.append(f"    {x[i]} = {x[i]}/d{i}" + "".join(
+                f" - l{k}_{i}*{x[k]}" for k in range(i + 1, n)))
+    dot = (lambda left, right:
+           " + ".join(f"{p}*{q}" for p, q in zip(left, right)))
+    lines += [f"    aw = {dot(a, w)}", "    if not aw > 0.0:", "        break",
+              f"    dlam = (-{g} - ({dot(a, u)}))/aw",
+              "    lam = lam + dlam"]
+    lines += [f"    {y} = {y} + ({uj} + dlam*{wj})"
+              for y, uj, wj in zip(ys, u, w)]
+    return lines

@@ -18,7 +18,7 @@ from lyapcert.poly import MonomialTable, Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
 from lyapcert.tangency import (SemialgebraicSet, eta_projection,
                                face_eta_polynomial)
-from reference import (cone_contains, euler_step_floats,
+from reference import (cone_contains, euler_kernel_by_terms, euler_step_floats,
                        evaluate_float_terms, field_at, set_contains,
                        set_values, simulate_by_steps, simulate_cone_numpy,
                        slsqp_projection, trajectory_csv,
@@ -505,7 +505,7 @@ def test_newton_kernel_step_matches_the_elimination(S, i, lo, hi):
     projection leaves the cusp's other generator behind is handed off,
     with the record empty."""
     system = sliding_system(S)
-    values_at = S.float_kernels[0]
+    values_at = S.values_kernel
     rng = np.random.default_rng(80)
     slid = handed = 0
     while slid < 100:
@@ -551,7 +551,7 @@ def test_newton_kernel_reports_convergence_as_the_elimination_does():
         record = {}
         y = project_set(z, S, record)
         z = tuple(z.tolist())
-        violated = [k for k, v in enumerate(S.float_kernels[0](z))
+        violated = [k for k, v in enumerate(S.values_kernel(z))
                     if v < -flow.FEAS_TOL]
         if len(record) != 1 or violated != list(record):
             continue
@@ -564,7 +564,7 @@ def test_newton_kernel_reports_convergence_as_the_elimination_does():
         assert list(slid) == [i] and abs(slid[i] - lam) <= tol * (1.0 + lam)
         assert np.abs(np.subtract(states[1], y)).max() <= tol, z
         assert flow._kkt_step(states[1], z, S, [i], [slid[i]],
-                              S.float_kernels[0](states[1]), tol) is True
+                              S.values_kernel(states[1]), tol) is True
         checked += 1
     assert checked >= 20
 
@@ -601,7 +601,7 @@ def test_singular_kkt_system_raises():
     S = DISC.S
     y = (0.0, 0.0)
     with pytest.raises(NumericalError, match="^singular KKT system"):
-        flow._kkt_step(y, (2.0, 0.0), S, [0], [0.0], S.float_kernels[0](y),
+        flow._kkt_step(y, (2.0, 0.0), S, [0], [0.0], S.values_kernel(y),
                        0.0)
 
 
@@ -1035,12 +1035,233 @@ def test_overflow_in_the_loop_raises_at_its_step(monkeypatch):
         simulate([1.0, 1.0], T=2.0, dt=1e-3, system=system)
 
 
+# -- the generated loop against the generator by terms ----------------------------
+
+def kernel_run(kernel, system, x0, dt, count):
+    """Everything one call of an Euler kernel leaves, with flow.step as
+    its projection (as simulate passes it): the times, the states with the
+    multipliers record after each step, eta by row, the arguments and
+    record of each handed-off step and the exception that ends the loop.  The values of a handed-off step are left out where z
+    is not finite: a cone row's zero columns then give NaN in the
+    generator by terms, and flow.step raises before it reads them."""
+    record, etas, handed, records = {}, {}, [], []
+
+    class States(list):
+        def append(self, x):
+            super().append(x)
+            records.append(dict(record))
+    times, states = [0.0], States([tuple(x0)])
+
+    def project(x, z, fx, values):
+        finite = all(map(np.isfinite, z))
+        handed.append((len(states) - 1, x, z, fx, values if finite else None,
+                       dict(record)))
+        x_next, etas[len(states) - 1] = flow.step(x, z, fx, values, dt,
+                                                  system, record)
+        return x_next
+    try:
+        kernel(times, states, dt, count, project, record, etas)
+        error = None
+    except (OverflowError, NumericalError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    return times, list(states), records, etas, handed, error
+
+
+def seeded_field(rng, n, degree, homogeneous):
+    """n polynomials of up to four terms each, of degree 1 to degree (or
+    degree alone), with coefficients +-1, +-0.5, 2 or -3; the last
+    component is zero half the time."""
+    monomials = [m for m in product(range(degree + 1), repeat=n)
+                 if sum(m) == degree or 1 <= sum(m) < degree
+                 and not homogeneous]
+    field = []
+    for i in range(n):
+        count = 0 if i == n - 1 and rng.integers(2) else \
+            rng.integers(1, min(4, len(monomials)) + 1)
+        picked = rng.choice(len(monomials), count, replace=False)
+        field.append(Polynomial(n, {
+            monomials[k]: Fraction(rng.choice([1, -1, 1, -1, 0.5, -0.5, 2,
+                                               -3]))
+            for k in picked}))
+    return field
+
+
+def signed_zeros(rng, x):
+    """x as Python floats (as simulate passes them), a few of them
+    replaced by 0.0 or -0.0."""
+    x = list(map(float, x))
+    for j in rng.choice(len(x), rng.integers(0, len(x) + 1), replace=False):
+        x[j] = float(rng.choice([0.0, -0.0]))
+    return x
+
+
+# x1 >= x2 >= 0, its rows of 0.0, -0.0 and +-1.0
+OCTANT = PolyhedralCone([[1.0, 0.0], [-0.0, 1.0], [1.0, -1.0]])
+OVERFLOWING = {
+    # 1e308 x1 is inf past x1 = 1.8 (a product, no OverflowError)
+    "inf-field": [parse_polynomial("1e308*x1 + x2", 2),
+                  parse_polynomial("-1*x2", 2)],
+    # inf - inf past x1 = x2 = 1.8
+    "nan-field": [parse_polynomial("1e308*x1 - 1e308*x2", 2),
+                  parse_polynomial("x1", 2)],
+    # x1^3 overflows in float **, which raises OverflowError
+    "pow-field": [parse_polynomial("x1^3", 2), parse_polynomial("-1*x2^3", 2)],
+}
+
+
+def kernel_cases():
+    """(name, system, derivatives, starts, dt, count) of the loops that
+    the two generators must run the same: seeded fields on cones whose
+    rows hold 0.0, -0.0 and +-1.0 and on the cusp, the disc and the ball;
+    the fields of OVERFLOWING; CUSP_CORNER, whose corners are handed off,
+    PUSHED_DISC, whose warm slides fail and are retried cold; and two
+    half-planes with a gradient entry that is NaN at the slide's y.
+    derivatives is None where they are the set's own."""
+    rng = np.random.default_rng(97)
+    cases = []
+    for k in range(6):
+        for name, cone in (("wedge", WEDGE), ("octant", OCTANT),
+                           ("square", SQUARE)):
+            n = cone.dimension
+            system = ConicSystem(seeded_field(rng, n, 1 + k % 3, True), cone)
+            starts = [signed_zeros(rng, rng.uniform(-1, 1, n))
+                      for _ in range(3)]
+            cases.append((f"{name}-{k}", system, None, starts, 0.05, 60))
+        for name, S in (("cusp", cusp_system().S), ("disc", DISC.S),
+                        ("ball", BALL)):
+            system = SemialgebraicSystem(
+                seeded_field(rng, S.dimension, 1 + k % 3, False), S)
+            starts = [signed_zeros(rng, x)
+                      for x in boundary_starts(system, rng, 2)]
+            cases.append((f"{name}-{k}", system, None, starts, 0.02, 80))
+    for name, field in OVERFLOWING.items():
+        for label, system in (("cone", ConicSystem(field, OCTANT)),
+                              ("cusp", SemialgebraicSystem(
+                                  field, cusp_system().S))):
+            cases.append((f"{name}-{label}", system, None,
+                          [[1.0, 0.9], [0.81, -0.9]], 0.05, 400))
+    for name, system, x0, dt in (("corner", CUSP_CORNER, [0.25, 0.5], 1e-3),
+                                 ("pushed-disc", PUSHED_DISC, [0.0, 1.0], 0.2),
+                                 ("parabola", PARABOLA_CUBIC, [1.0, 1.0],
+                                  1e-2)):
+        cases.append((name, system, None, [x0], dt, 2000))
+    # on x_j >= -1 pushed down x_j, a sliding step goes from z (z_j =
+    # -1 - dt) to y (y_j = -1) and moves the other coordinate x_k by lam
+    # times the gradient entry given to the loop, c x_k + c x_j x_k with
+    # c = 2^1023, which is finite at z but inf - inf = NaN at y.  When it
+    # is the second entry, the KKT test passes over it (max keeps the
+    # first of its arguments) and keeps y; when it is the first, the test
+    # fails and the step is handed off.
+    c = Fraction(2**1023)
+    for j, k in ((0, 1), (1, 0)):
+        field = [Polynomial.zero(2)] * 2
+        field[j] = Polynomial(2, {(2 - 2 * j, 2 * j): -1})
+        half_plane = SemialgebraicSystem(field, SemialgebraicSet(
+            [Polynomial(2, {(0, 0): 1, (1 - j, j): 1})], [(-2.0, 2.0)] * 2))
+        gradient = [Polynomial.constant(2, 1)] * 2
+        gradient[k] = Polynomial(2, {(j, 1 - j): c, (1, 1): c})
+        starts = [[-1.0, 1.5], [-1.0, -1.2]]
+        cases.append((f"nan-gradient-{k + 1}", half_plane,
+                      [(gradient, [Polynomial.zero(2)] * 3)],
+                      [x if j == 0 else x[::-1] for x in starts], 1e-3, 20))
+    return cases
+
+
+KERNEL_CASES = kernel_cases()
+
+
+def case_kernels(case):
+    """The constraints and derivatives of a case's loop, and the loops of
+    the two generators."""
+    _, system, derivatives, *_ = case
+    if isinstance(system, ConicSystem):
+        constraints, own = system.cone.rows, ()
+    else:
+        constraints, own = system.S.generators, system.S.derivatives
+    derivatives = own if derivatives is None else derivatives
+    return (poly.euler_kernel(system.f, constraints, derivatives),
+            euler_kernel_by_terms(system.f, constraints, derivatives))
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES,
+                         ids=[case[0] for case in KERNEL_CASES])
+def test_euler_kernel_matches_the_generator_by_terms(case):
+    """The loop without the arithmetic that changes no bit and without
+    abs and max calls leaves what the generator by terms leaves: the same
+    times, states, eta, multipliers records, hand-offs and exception
+    message, bit for bit."""
+    _, system, _, starts, dt, count = case
+    new, old = case_kernels(case)
+    for x0 in starts:
+        assert repr(kernel_run(new, system, x0, dt, count)) == \
+            repr(kernel_run(old, system, x0, dt, count)), x0
+
+
+def test_kernel_cases_reach_every_branch():
+    """KERNEL_CASES slide, hand off steps where two generators are
+    violated, keep the slide past the NaN gradient, and end in
+    OverflowError and in NumericalError."""
+    seen = set()
+    for case in KERNEL_CASES:
+        name, system, _, starts, dt, count = case
+        kernel, _ = case_kernels(case)
+        for x0 in starts:
+            _, states, _, etas, handed, error = kernel_run(
+                kernel, system, x0, dt, count)
+            rows = {row for row, *_ in handed}
+            if set(etas) - rows:
+                seen.add("slid")
+            if isinstance(system, SemialgebraicSystem) and any(
+                    values and sum(v < -flow.FEAS_TOL for v in values) > 1
+                    for *_, values, _ in handed):
+                seen.add("corner")
+            if name == "nan-gradient-2" and any(
+                    abs(states[row + 1][1]) > 1e300
+                    for row in set(etas) - rows):
+                seen.add("past-nan")
+            if error:
+                seen.add(error.split(":")[0])
+    assert seen == {"slid", "corner", "past-nan", "OverflowError",
+                    "NumericalError"}
+
+
+def test_cusp_kernel_source_has_no_no_op_factor_or_builtin_call(
+        monkeypatch):
+    sources = []
+    compile_lines = poly._compile
+    monkeypatch.setattr(poly, "_compile", lambda lines, values: sources.append(
+        "\n".join(lines)) or compile_lines(lines, values))
+    cusp_system().euler_kernel
+    source, = sources
+    assert "slide = 0" in source
+    for text in ("1.0*", "abs(", "max("):
+        assert text not in source
+
+
 def test_free_trajectory_never_calls_step(monkeypatch):
     monkeypatch.setattr(flow, "step",
                         lambda *args: pytest.fail("flow.step called"))
     system, x0, T, dt, V = FREE_STEP_PINS["refine1"][:5]
     traj = simulate(x0, T, dt, system, V=V)
     assert len(traj) == 20001 and not traj.eta_log.any()
+
+
+def test_set_kernels_are_built_on_first_use():
+    """A cusp run that slides and hands nothing off builds only the values
+    kernel of the set; a run that hands off corners builds the gradient
+    and Hessian kernels too, each once."""
+    built = []
+    make = tangency.float_kernel
+    for f, x0, handed in ((cusp_system().f, [0.49, 0.7], False),
+                          (CUSP_CORNER.f, [0.25, 0.5], True)):
+        S = cusp_system().S
+        built.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tangency, "float_kernel", lambda polys: built.append(
+                len(polys)) or make(polys))
+            simulate(x0, 2.0, 1e-3, SemialgebraicSystem(f, S))
+        assert built == ([2, 2, 2, 3, 3] if handed else [2])
+        assert ("gradient_kernels" in vars(S)) == handed
 
 
 @pytest.mark.parametrize("T, dt", [(np.inf, 1e-3), (np.nan, 1e-3),
