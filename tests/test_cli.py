@@ -628,6 +628,35 @@ def test_verify_csv_holds_one_row_per_sample(spec, flags, tmp_path):
     assert len(rows) - 1 == sum(map(int, counts)) > 0
 
 
+# the first 16 hex digits of sha256 of report.txt and report.csv of a verify
+# with a fixed candidate, so no solver runs; the square-cone minima tie at
+# the edge vertex (0.25, 0.25, 0.5), where several sections meet
+ORACLE_REPORT_PINS = {
+    "cone2d": (["cone2d.spec", "--candidate", "2.9*x1^2 + 1*x1*x2 + 1*x2^2",
+                "--r", "0"], "7c9a5cb9b7bb4538", "49dd56facb14312a"),
+    "sq3d": (["sq3d.spec", "--candidate",
+              "1*x1^4 + 1*x2^4 + 2*x3^4 + 1*x1^2*x3^2", "--r", "1"],
+             "a9008d9dcdc76b47", "153bc8b50c4a7c6e"),
+    "refine1": (["refine1.spec", "--candidate", "1*x1^2 + 1*x2^2 + 2*x3^2",
+                 "--r", "0"], "b9ca9355054d6f38", "1f56a6de47cf466c"),
+    "cusp_box": (["cusp_box.spec", "--candidate", "1*x1^2 + 1*x2^2",
+                  "--samples", "2000"], "887fbc87a376ba0c", "39c91141a61e809d"),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_REPORT_PINS)
+def test_oracle_reports_are_pinned(case, tmp_path):
+    (spec, *flags), txt, csv = ORACLE_REPORT_PINS[case]
+    (tmp_path / "refine1.spec").write_text(REFINE_SPEC)
+    path = tmp_path / spec if spec == "refine1.spec" else SPECS / spec
+    out = tmp_path / "v"
+    main(["verify", str(path), *flags, "--csv", "--out", str(out)])
+    digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+               for name in ("report.txt", "report.csv")]
+    assert digests == [txt, csv]
+
+
+
 def test_partition_dump_writes_its_file_when_out_is_given(cone_spec, tmp_path,
                                                           monkeypatch, capsys):
     # --out . was taken for the default, and wrote nothing
