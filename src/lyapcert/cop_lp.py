@@ -16,10 +16,12 @@ bisected, and the LP is re-solved, driving the partition diameter down
 until the margin clears the acceptance threshold or the sweep budget runs
 out.
 
-Faces carry two polynomial branches of the projected velocity switched by
-the sign of w_i(x) = <c_i, f(x)>; a cell certifies w's sign with the same
-Bernstein test and receives the matching branch rows, or both when the
-sign is mixed, which is conservative but sound.
+On face i the velocity that the normal cone selects is f where
+w_i = <c_i, f> >= 0 and the projection f - (w_i/|c_i|^2) c_i where
+w_i <= 0 (face_polynomials).  A face cell reads w_i's sign from its
+Bernstein coefficients, the same test, and takes s0's rows, the
+projection's, or both when the sign is not certified there, which is
+conservative but sound.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ from .cones import PolyhedralCone, SimplicialPartition, Simplex, cone_orthant_se
 from .errors import OUT_OF_FLOAT_RANGE, InputError, NumericalError
 from .poly import (Mono, MonomialTable, Polynomial, bernstein_coefficients,
                    euler_kernel, monomials_of_degree, norm_squared)
-from .tangency import FaceEtaBranches, face_eta_polynomial
 
 logger = logging.getLogger(__name__)
 
 ACCEPT_MARGIN = 1e-6     # a level certifies once the LP margin reaches it
 ACTIVE_ROW_TOL = 1e-7
 ROW_RECHECK_TOL = 1e-8
+W_SIGN_TOL = 1e-12       # a Bernstein coefficient of w within it has no sign
 
 
 @dataclass
@@ -194,23 +196,25 @@ def decrease_polynomials(hs: list[Polynomial], r: int,
     return out
 
 
-def build_si(hs: list[Polynomial], r: int, f: list[Polynomial],
-             branches: FaceEtaBranches) -> list[Polynomial]:
-    """Face decrease on eta branch "b" of one face, for each h.
+def face_polynomials(cone: PolyhedralCone, i: int, f: list[Polynomial]
+                     ) -> tuple[Polynomial, list[Polynomial]]:
+    """The switching polynomial w = <c_i, f> of face i (1-based) and the
+    velocity |c_i|^2 f - w c_i of the projection branch, both exact.
 
-    Branch "b" moves along the closed-form projection f + eta_b, here
-    premultiplied by |c_i|^2 to clear the denominator, which preserves
-    signs.  Branch "a" is eta = 0, whose rows are s0's.
+    The projection f - (w/|c_i|^2) c_i acts where w <= 0; scaled by
+    |c_i|^2 it keeps rational coefficients and its decrease sign.  Where
+    w >= 0 the velocity is f itself, and the two agree where w = 0.
     """
-    velocity = [fi.scale(branches.c_norm_sq) + eta
-                for fi, eta in zip(f, branches.eta_b_scaled)]
-    return decrease_polynomials(hs, r, velocity)
+    c = [Fraction(v) for v in cone.rows[i - 1]]
+    w = sum((fk.scale(ck) for ck, fk in zip(c, f)), Polynomial.zero(len(f)))
+    c_norm_sq = sum((ck * ck for ck in c), Fraction(0))
+    return w, [fk.scale(c_norm_sq) + w.scale(-ck) for ck, fk in zip(c, f)]
 
 
 class _LevelData:
     """Per-(d, r) bases and the monomial tables of the row polynomials,
-    reused across sweeps: one table each for h, s0, each face's b-branch
-    and each face's switching polynomial w."""
+    reused across sweeps: one table each for h and s0, and for each face
+    one of w and one of the decrease along the projection branch."""
 
     def __init__(self, system: ConicSystem, degree: int, r: int):
         n = system.dimension
@@ -221,17 +225,15 @@ class _LevelData:
         h_polys = [Polynomial.monomial(m) for m in self.h_basis]
         # w = <c_i, f> is zero or homogeneous of the field's degree
         self.w_order = system.field_degree
-        self.face_b_tables: dict[int, MonomialTable] = {}
-        self.face_w: dict[int, MonomialTable] = {}
+        self.faces: list[tuple[MonomialTable, MonomialTable]] = []
         try:   # a table holds each coefficient as a float
             self.h_table = MonomialTable(h_polys)
             self.s0_table = MonomialTable(decrease_polynomials(h_polys, r,
                                                                system.f))
             for i in range(1, system.cone.num_rows + 1):
-                branches = face_eta_polynomial(system.cone, i, system.f)
-                self.face_w[i] = MonomialTable([branches.w])
-                self.face_b_tables[i] = MonomialTable(
-                    build_si(h_polys, r, system.f, branches))
+                w, velocity = face_polynomials(system.cone, i, system.f)
+                self.faces.append((MonomialTable([w]), MonomialTable(
+                    decrease_polynomials(h_polys, r, velocity))))
         except OverflowError:
             raise NumericalError(f"cone LP tables: {OUT_OF_FLOAT_RANGE}") \
                 from None
@@ -240,37 +242,28 @@ class _LevelData:
 def _cell_rows(level: _LevelData, state: SectionState, cell: Simplex
                ) -> list[np.ndarray]:
     """The Bernstein coefficient blocks of one cell's rows: h and s0 on a
-    cone cell, the branches that w's sign requires on a face cell."""
+    cone cell; on a face cell, s0 where w >= 0, the projection's where
+    w <= 0, and both where w's Bernstein coefficients certify neither.
+
+    That sign test is exact for linear fields and sound for higher-degree
+    ones; a zero w takes s0's rows only.
+    """
     order = level.s0_order
     if state.kind == "cone":
         tables = [(level.h_table, level.degree), (level.s0_table, order)]
     else:
-        face = state.label
-        branches = _face_branches_for_cell(level.face_w[face], level.w_order,
-                                           cell.vertices)
-        tables = [(table, order) for branch, table in
-                  (("a", level.s0_table), ("b", level.face_b_tables[face]))
-                  if branch in branches]
+        w_table, b_table = level.faces[state.label - 1]
+        w = bernstein_coefficients(w_table, cell.vertices,
+                                   level.w_order)[:, 0]
+        if (w >= -W_SIGN_TOL).all():
+            picked = [level.s0_table]
+        elif (w <= W_SIGN_TOL).all():
+            picked = [b_table]
+        else:
+            picked = [level.s0_table, b_table]
+        tables = [(table, order) for table in picked]
     return [bernstein_coefficients(table, cell.vertices, k)
             for table, k in tables]
-
-
-def _face_branches_for_cell(w: MonomialTable, order: int, verts,
-                            tol: float = 1e-12) -> set[str]:
-    """Branches required on a face cell, from the certified sign of w
-    (given as its MonomialTable and its degree; a zero w needs only "a").
-
-    The sign is read from the Bernstein coefficients of w at the
-    simplicial lattice of the cell, the same test as the main
-    inequalities, so it is exact for linear fields and sound for
-    higher-degree ones; an uncertain sign requires both branches.
-    """
-    vals = bernstein_coefficients(w, verts, order)[:, 0]
-    if (vals >= -tol).all():
-        return {"a"}
-    if (vals <= tol).all():
-        return {"b"}
-    return {"a", "b"}
 
 
 def assemble_lp(system: ConicSystem, degree: int, r: int,

@@ -71,7 +71,9 @@ from .poly import (FEAS_TOL, KKT_TOL, MAX_PROJECTION_ITER, STATE_TOL,
                    MonomialTable, Polynomial)
 from .sos_cert import SemialgebraicSystem
 # nnls stays a module attribute: the benchmark's tracer patches flow.nnls
-from .tangency import SemialgebraicSet, eta_projection, nnls  # noqa: F401
+from .tangency import (COMPLEMENTARITY_REL_TOL, PROJECTION_TOL,  # noqa: F401
+                       TANGENCY_REL_TOL, SemialgebraicSet, eta_projection,
+                       nnls)
 
 OVERFLOW = "state overflowed the float range"
 # trajectory rows formatted per write: 1,024 keeps write_csv's temporaries
@@ -171,21 +173,23 @@ def project_cone(z, cone: PolyhedralCone) -> tuple[float, ...]:
     return tuple((np.array(z) + eta_projection(z, cone.C)).tolist())
 
 
-def _half_space(z: tuple[float, ...], c: tuple[float, ...], cz: float,
-                tol: float = 1e-9) -> tuple[float, ...]:
+def _half_space(z: tuple[float, ...], c: tuple[float, ...], cz: float
+                ) -> tuple[float, ...]:
     """z + lam c with lam = max(0, -cz / |c|^2), cz = <c, z>: the projection
     onto c.x >= 0, with eta_projection's checks on the one row c:
-    tangency <c, p> >= -max(tol, 1e-12 |c| |p|) and complementarity
-    lam <c, p> <= max(tol, 1e-9 lam), else NumericalError."""
+    tangency <c, p> >= -max(PROJECTION_TOL, TANGENCY_REL_TOL |c| |p|) and
+    complementarity lam <c, p> <= max(PROJECTION_TOL,
+    COMPLEMENTARITY_REL_TOL lam), else NumericalError."""
     norm_sq = sum(map(mul, c, c))
     if norm_sq == 0.0:
         raise NumericalError("active constraint gradient vanishes")
     lam = max(0.0, -cz / norm_sq)
     p = tuple([a + lam * b for a, b in zip(z, c)])
     cp = sum(map(mul, c, p))
-    if cp < -tol and cp < -1e-12 * math.sqrt(norm_sq) * math.hypot(*p):
+    if cp < -PROJECTION_TOL \
+            and cp < -TANGENCY_REL_TOL * math.sqrt(norm_sq) * math.hypot(*p):
         raise NumericalError(f"tangency violated after projection: {cp:.3e}")
-    if lam * cp > max(tol, 1e-9 * lam):
+    if lam * cp > max(PROJECTION_TOL, COMPLEMENTARITY_REL_TOL * lam):
         raise NumericalError("complementarity violated after projection")
     return p
 

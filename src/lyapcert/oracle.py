@@ -3,10 +3,10 @@
 Everything here is deliberately redundant with the construction code:
 inequalities are sampled on dense deterministic grids (on a cell, the
 simplicial lattice of poly.simplex_lattice), eta comes from the
-projection tangency.eta_projection (never from the branch polynomials
-used in LP assembly), and the cone decrease is computed point by point
-from the values of f, grad h and h (never from the decrease polynomials
-that cop_lp expands for its LP rows).  The face grids of all faces are
+projection tangency.eta_projection (never from the face polynomials of
+cop_lp's rows), and the cone decrease is computed point by point from
+the values of f, grad h and h (never from the decrease polynomials that
+cop_lp expands for its LP rows).  The face grids of all faces are
 projected together, once per pattern of active cone rows: the closed
 form where one row is active, nonnegative least squares at corners.  The
 boundary bands of the semialgebraic checks come from one Newton
@@ -14,10 +14,12 @@ iteration over all samples at once, on a compact array of the live
 points that retires converged points and drops those whose gradient
 vanishes or that do not converge in 50 passes.  A certificate is
 accepted only when this module agrees, so a fault in the construction's
-refinement, branch logic, decrease expansion or solvers cannot
-self-certify.  The unrefined sections are the one thing shared: both read
-the cells that lyapcert.cones builds once per cone, and the tests check in
-exact arithmetic that those cells and their refinements cover the cone.
+refinement, face-row selection, decrease expansion or solvers cannot
+self-certify.  The unrefined sections are the one thing shared: the grids
+cover the sections of cop_lp.initial_sections, the list the LP starts
+from, and the tests check in exact arithmetic that those cells and their
+refinements cover the cone.  Each check reports one minimum, with its
+witness, over all of its grids.
 
 Every polynomial value comes from a poly.MonomialTable, built once per
 call for each list of polynomials that a check needs: one of
@@ -39,8 +41,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from .cones import cone_orthant_sections, face_sections, Simplex
-from .cop_lp import ConicSystem, RationalLyapunovCandidate
+from .cones import Simplex
+# initial_sections by name: the benchmark's tracer times the LP's calls
+# through cop_lp.initial_sections, and these stay out of that span
+from .cop_lp import ConicSystem, RationalLyapunovCandidate, initial_sections
 from .errors import InputError
 from .poly import MonomialTable, Polynomial, simplex_lattice
 from .sos_cert import SemialgebraicSystem
@@ -63,6 +67,23 @@ class CheckResult:
         if self.strict:
             return self.min_value > 0.0
         return self.min_value >= -tol
+
+    def add_grid(self, values: np.ndarray, points: np.ndarray
+                 ) -> "CheckResult":
+        """Count the values of one grid, at the rows of points, into this
+        check, and return it.
+
+        The minimum moves to the grid's first smallest value when that is
+        below it or NaN, so grids added in turn give the minimum and
+        witness of one argmin over all of them, and no grid's arrays
+        outlive its turn.
+        """
+        idx = int(np.argmin(values))
+        if self.witness is None or np.argmin([self.min_value, values[idx]]):
+            self.min_value = float(values[idx])
+            self.witness = tuple(float(v) for v in points[idx])
+        self.samples += len(values)
+        return self
 
 
 @dataclass
@@ -143,18 +164,8 @@ def _resolution(k: int, density: int) -> int:
 
 def _min_with_witness(name: str, values: np.ndarray, points: np.ndarray,
                       strict: bool = False) -> CheckResult:
-    idx = int(np.argmin(values))
-    return CheckResult(name=name, min_value=float(values[idx]),
-                       witness=tuple(float(v) for v in points[idx]),
-                       samples=len(values), strict=strict)
-
-
-def _merge_min(results: list[CheckResult], name: str) -> CheckResult:
-    best = min(results, key=lambda c: c.min_value)
-    return CheckResult(name=name, min_value=best.min_value,
-                       witness=best.witness,
-                       samples=sum(c.samples for c in results),
-                       strict=any(c.strict for c in results))
+    """A check of one grid: its smallest value, first in order, and point."""
+    return CheckResult(name, np.inf, None, 0, strict).add_grid(values, points)
 
 
 def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
@@ -162,57 +173,55 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
                  ) -> Report:
     """Grid verification of the three cone inequalities.
 
-    h and the interior decrease are sampled on every cone section; the
-    face decrease is sampled on every face section with eta recomputed by
-    projection at each point, independent of the assembly branch logic.
+    The grids cover the LP's unrefined sections (initial_sections): h and
+    the interior decrease are sampled on every cone section; the face
+    decrease is sampled on every face section with eta recomputed by
+    projection at each point, independent of the LP's face polynomials.
     All three must be positive (strict), as V and its decrease are in
     verify_sos: an h that is zero somewhere on a section, such as the zero
     polynomial, is no certificate, and neither is a decrease that is only
     weak (min 0), which a system that is not asymptotically stable, such
-    as a rotation, can have.
+    as a rotation, can have.  Each check is one minimum, with its witness,
+    over all of its grids.
 
-    One table of [*f, *grad h, h] gives every value: each grid's rows are
-    read once, and both decreases come from them point by point
+    One table of [*f, *grad h, h] gives every value: each cone grid's rows
+    are read once, and both decreases come from them point by point
     (_decrease).  The face grids of all faces are evaluated and projected
-    together, then each face section's minimum is taken from its slice.
+    together.
     """
     h, r = candidate.h, candidate.r
     n = len(system.f)
     table = MonomialTable([*system.f, *h.gradient(), h])
     report = Report(kind="conic",
                     sample_rows=[] if collect_samples else None)
+    sections = initial_sections(system)
 
-    h_checks = []
-    s0_checks = []
-    for oid, simplex in cone_orthant_sections(system.cone):
-        pts = barycentric_grid(simplex, grid_density)
+    h_check = CheckResult("h-on-sections", np.inf, None, 0, strict=True)
+    s0_check = CheckResult("s0-on-sections", np.inf, None, 0, strict=True)
+    for state in (s for s in sections if s.kind == "cone"):
+        pts = barycentric_grid(state.partition.parent, grid_density)
         vals = table(pts).T
         h_vals, s0_vals = vals[-1], _decrease(pts, vals, r)
-        report.record(pts, f"h:orthant{oid}", h_vals)
-        report.record(pts, f"s0:orthant{oid}", s0_vals)
-        h_checks.append(_min_with_witness(f"h:orthant{oid}", h_vals, pts,
-                                          strict=True))
-        s0_checks.append(_min_with_witness(f"s0:orthant{oid}", s0_vals, pts,
-                                           strict=True))
-    report.checks.append(_merge_min(h_checks, "h-on-sections"))
-    report.checks.append(_merge_min(s0_checks, "s0-on-sections"))
+        report.record(pts, f"h:orthant{state.label}", h_vals)
+        report.record(pts, f"s0:orthant{state.label}", s0_vals)
+        h_check.add_grid(h_vals, pts)
+        s0_check.add_grid(s0_vals, pts)
+    report.checks += [h_check, s0_check]
 
-    grids = [(i, barycentric_grid(simplex, max(grid_density // 10, 100)))
-             for i in range(1, system.cone.num_rows + 1)
-             for simplex in face_sections(system.cone, i)]
-    if grids:
-        pts = np.concatenate([grid for _, grid in grids])
+    faces = [(state.label, barycentric_grid(state.partition.parent,
+                                            max(grid_density // 10, 100)))
+             for state in sections if state.kind == "face"]
+    if faces:
+        pts = np.concatenate([grid for _, grid in faces])
         vals = table(pts).T
         decrease = _decrease(pts, vals, r,
                              _face_eta(pts, vals[:n], system.cone.C))
-        face_checks = []
         stop = 0
-        for i, grid in grids:
+        for i, grid in faces:
             start, stop = stop, stop + len(grid)
             report.record(grid, f"face{i}", decrease[start:stop])
-            face_checks.append(_min_with_witness(
-                f"face{i}", decrease[start:stop], grid, strict=True))
-        report.checks.append(_merge_min(face_checks, "face-decrease"))
+        report.checks.append(_min_with_witness("face-decrease", decrease,
+                                               pts, strict=True))
     report.notes.append(
         "eta taken from the projection at every face sample (independent "
         "of the branch polynomials)")
@@ -320,7 +329,7 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
     grad_v = V.gradient()
 
     # positivity on shells
-    shell_checks = []
+    shells = CheckResult("V-positivity-shells", np.inf, None, 0, strict=True)
     generators_v = MonomialTable([*S.generators, V])
     outer = min(1.0, 0.9 * float(np.linalg.norm(pts, axis=1).max()))
     for radius in (1e-2, 1e-1, outer):
@@ -333,10 +342,9 @@ def verify_sos(V: Polynomial, system: SemialgebraicSystem,
         if len(shell) == 0:
             continue
         report.record(shell, f"V-shell-{radius}", shell_vals)
-        shell_checks.append(_min_with_witness(
-            f"V-shell-{radius}", shell_vals, shell, strict=True))
-    if shell_checks:
-        report.checks.append(_merge_min(shell_checks, "V-positivity-shells"))
+        shells.add_grid(shell_vals, shell)
+    if shells.samples:
+        report.checks.append(shells)
     else:
         report.notes.append("no shell intersects the set; positivity "
                             "checked on interior samples only")

@@ -9,25 +9,28 @@ multipliers come from nonnegative least squares (scipy's Lawson-Hanson).
 The same map projects a point onto a polyhedral cone {x : Cx >= 0}:
 proj(z) = z + eta with C's rows as the normals.
 
-On a single cone face the projection has a closed polynomial form with two
-branches switched by the sign of w_i(x) = <c_i, f(x)>.  Corner points with
-several active constraints are outside that construction: the cone LP
-imposes each face's single-face rows there, and decrease under the joint
-projection that acts at such points is not yet checked by the LP.
+The cone LP writes the single-face closed form as polynomials itself
+(cop_lp.face_polynomials).  Where several faces meet, the joint projection
+that acts is not yet checked by the LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .cones import PolyhedralCone
 from .errors import InputError, NumericalError
 from .poly import Polynomial, float_kernel
+
+# the checks eta_projection makes after a projection, and flow's one-row
+# projection with it: the absolute slack, and the tangency and
+# complementarity slacks relative to |g| |f + eta| and to lambda
+PROJECTION_TOL = 1e-9
+TANGENCY_REL_TOL = 1e-12
+COMPLEMENTARITY_REL_TOL = 1e-9
 
 
 @dataclass
@@ -117,15 +120,18 @@ def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def eta_projection(f_at_x: np.ndarray, active_gradients: Sequence[np.ndarray],
-                   tol: float = 1e-9) -> np.ndarray:
+def eta_projection(f_at_x: np.ndarray, active_gradients: Sequence[np.ndarray]
+                   ) -> np.ndarray:
     """The tangential correction eta at a boundary point, or at many.
 
     f_at_x is one field value (n,) or an (m, n) array of them that share
     the active gradients g_j.  eta = sum_j lambda_j g_j with lambda >= 0
     minimizing |f + eta|, so -eta is the projection of f onto the normal
-    cone spanned by -g_j.  Afterward f + eta satisfies
-    <g_j, f + eta> >= -tol with complementarity, or NumericalError.
+    cone spanned by -g_j.  Afterward f + eta satisfies the tangency
+    <g_j, f + eta> >= -max(PROJECTION_TOL, TANGENCY_REL_TOL |g_j| |f + eta|)
+    and the complementarity
+    lambda_j <g_j, f + eta> <= max(PROJECTION_TOL, COMPLEMENTARITY_REL_TOL
+    lambda_j), or NumericalError.
     """
     f = np.asarray(f_at_x, dtype=float)
     F = np.atleast_2d(f)
@@ -142,48 +148,13 @@ def eta_projection(f_at_x: np.ndarray, active_gradients: Sequence[np.ndarray],
     eta = lam @ G
     V = F + eta
     S = V @ G.T
-    slack = np.maximum(tol, 1e-12 * np.sqrt(norm_sq)
+    slack = np.maximum(PROJECTION_TOL, TANGENCY_REL_TOL * np.sqrt(norm_sq)
                        * np.linalg.norm(V, axis=1)[:, None])
     if (S < -slack).any():
         raise NumericalError(
             f"tangency violated after projection: {S.min():.3e}")
-    if (lam * S > np.maximum(tol, 1e-9 * lam)).any():
+    if (lam * S > np.maximum(PROJECTION_TOL,
+                             COMPLEMENTARITY_REL_TOL * lam)).any():
         raise NumericalError("complementarity violated after projection")
     return eta.reshape(f.shape)
 
-
-@dataclass(frozen=True)
-class FaceEtaBranches:
-    """Polynomial form of eta on one cone face.
-
-    Branch A (eta = 0) is valid where w(x) = <c, f(x)> >= 0; branch B,
-    eta(x) = -(w(x)/|c|^2) c, where w(x) <= 0.  eta_b_scaled stores
-    |c|^2 * eta componentwise so the branch keeps rational coefficients;
-    consumers divide by c_norm_sq or keep the positive factor, which
-    preserves signs.
-    """
-
-    w: Polynomial
-    eta_b_scaled: tuple[Polynomial, ...]
-    c_norm_sq: Fraction
-
-
-def face_eta_polynomial(cone: PolyhedralCone, face_index: int,
-                        f: Sequence[Polynomial]) -> FaceEtaBranches:
-    """Both eta branches on face i of the cone, for a polynomial field f.
-
-    face_index is 1-based.  The switching polynomial is w(x) = <c_i, f(x)>;
-    on the face the two branches agree exactly where w = 0.
-    """
-    if not 1 <= face_index <= cone.num_rows:
-        raise InputError(f"face index {face_index} out of range")
-    n = cone.dimension
-    if len(f) != n:
-        raise InputError("vector field arity must match the dimension")
-    c = [Fraction(float(v)) for v in cone.C[face_index - 1]]
-    w = Polynomial.zero(n)
-    for ck, fk in zip(c, f):
-        w = w + fk.scale(ck)
-    c_norm_sq = sum((ck * ck for ck in c), Fraction(0))
-    eta_b = tuple((w.scale(-ck) for ck in c))
-    return FaceEtaBranches(w=w, eta_b_scaled=eta_b, c_norm_sq=c_norm_sq)

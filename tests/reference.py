@@ -141,6 +141,18 @@ def evaluate_float_terms(poly, point) -> float:
     return total
 
 
+def face_branch(cone, i, f, x):
+    """(w(x), eta(x)) on face i of a cone from cop_lp.face_polynomials,
+    eta the projection branch -(w(x) / |c_i|^2) c_i: the branch velocity
+    over |c_i|^2, less f."""
+    from lyapcert.cop_lp import face_polynomials
+    w, velocity = face_polynomials(cone, i, f)
+    c = cone.C[i - 1]
+    scaled = np.array([evaluate_float_terms(p, x) for p in velocity])
+    fx = np.array([evaluate_float_terms(p, x) for p in f])
+    return evaluate_float_terms(w, x), scaled / float(c @ c) - fx
+
+
 def eval_many_broadcast(poly, points) -> np.ndarray:
     """Polynomial values by one pow per (point, term, variable)."""
     points = np.asarray(points, dtype=float)
@@ -567,7 +579,7 @@ def verify_conic_by_s0(candidate, system, grid_density: int = 10_000,
     and eta projections of its own."""
     from lyapcert.cones import cone_orthant_sections, face_sections
     from lyapcert.cop_lp import decrease_polynomials
-    from lyapcert.oracle import (Report, _merge_min, _min_with_witness)
+    from lyapcert.oracle import Report, _min_with_witness
     from lyapcert.poly import MonomialTable
     h, r = candidate.h, candidate.r
     s0, = decrease_polynomials([h], r, system.f)
@@ -602,6 +614,17 @@ def verify_conic_by_s0(candidate, system, grid_density: int = 10_000,
         "eta taken from the projection at every face sample (independent "
         "of the branch polynomials)")
     return report
+
+
+def _merge_min(results, name: str):
+    """One CheckResult from per-section ones: the first smallest minimum
+    and its witness, and the summed sample count."""
+    from lyapcert.oracle import CheckResult
+    best = min(results, key=lambda c: c.min_value)
+    return CheckResult(name=name, min_value=best.min_value,
+                       witness=best.witness,
+                       samples=sum(c.samples for c in results),
+                       strict=any(c.strict for c in results))
 
 
 def _face_decrease_per_section(pts, system, table, r):

@@ -640,7 +640,8 @@ ORACLE_REPORT_PINS = {
     "refine1": (["refine1.spec", "--candidate", "1*x1^2 + 1*x2^2 + 2*x3^2",
                  "--r", "0"], "b9ca9355054d6f38", "1f56a6de47cf466c"),
     "cusp_box": (["cusp_box.spec", "--candidate", "1*x1^2 + 1*x2^2",
-                  "--samples", "2000"], "887fbc87a376ba0c", "39c91141a61e809d"),
+                  "--samples", "2000"],
+                 "887fbc87a376ba0c", "39c91141a61e809d"),
 }
 
 
@@ -655,6 +656,23 @@ def test_oracle_reports_are_pinned(case, tmp_path):
                for name in ("report.txt", "report.csv")]
     assert digests == [txt, csv]
 
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--candidate", "1*x1^2 + 1*x2^2", "--r", "0"]),
+    ("find-lyap-cone", []),
+    ("partition-dump", []),
+])
+def test_cone_with_empty_interior_is_an_input_error(command, flags, tmp_path,
+                                                    capsys):
+    # verify crashed with a traceback and no status line on the line x1 = 0
+    spec = tmp_path / "thin.spec"
+    spec.write_text("dim: 2\nf1: -1*x1\nf2: -1*x2\n"
+                    "cone1: 1*x1\ncone2: -1*x1\n")
+    code = main([command, str(spec), *flags, "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "status=input-error detail='cone has empty interior in every orthant "
+        "(trivial problem)'")
 
 
 def test_partition_dump_writes_its_file_when_out_is_given(cone_spec, tmp_path,

@@ -7,13 +7,13 @@ import pytest
 from lyapcert import cop_lp, linprog
 from lyapcert.cones import PolyhedralCone, bisect_longest_edge
 from lyapcert.cop_lp import (ConicSystem, RationalLyapunovCandidate,
-                             SectionState, assemble_lp, build_si,
-                             decrease_polynomials, initial_sections,
-                             run_hierarchy)
+                             SectionState, assemble_lp,
+                             decrease_polynomials, face_polynomials,
+                             initial_sections, run_hierarchy)
 from lyapcert.errors import InputError
 from lyapcert.poly import (MonomialTable, Polynomial, SymmetricTensor,
                            monomials_of_degree, norm_squared, parse_polynomial)
-from lyapcert.tangency import eta_projection, face_eta_polynomial
+from lyapcert.tangency import eta_projection
 from reference import (candidate_gradient, decrease_by_products,
                        eval_many_broadcast, evaluate_float_terms)
 
@@ -131,7 +131,7 @@ DECREASE_FIELDS = {
 @pytest.mark.parametrize("r", [0, 1, 2])
 @pytest.mark.parametrize("name", DECREASE_FIELDS)
 def test_decrease_polynomials_match_the_product_formula(name, r):
-    # s0 along f and every face's b-branch velocity, for monomial and
+    # s0 along f and every face's projection-branch velocity, for monomial and
     # general h, exactly equal to the full polynomial products
     cone, texts = DECREASE_FIELDS[name]
     n = cone.dimension
@@ -145,19 +145,36 @@ def test_decrease_polynomials_match_the_product_formula(name, r):
         hs = monomial_polys(basis) + [general]
         assert decrease_polynomials(hs, r, f) == decrease_by_products(hs, r, f)
         for i in range(1, cone.num_rows + 1):
-            branches = face_eta_polynomial(cone, i, f)
-            velocity = [fi.scale(branches.c_norm_sq) + eta
-                        for fi, eta in zip(f, branches.eta_b_scaled)]
-            assert build_si(hs, r, f, branches) == \
+            _, velocity = face_polynomials(cone, i, f)
+            assert decrease_polynomials(hs, r, velocity) == \
                 decrease_by_products(hs, r, velocity)
+
+
+@pytest.mark.parametrize("name", DECREASE_FIELDS)
+def test_face_polynomials_are_exact(name):
+    # w = <c_i, f> and the branch velocity |c_i|^2 f - w c_i, in Fractions:
+    # the velocity is tangent to the face, <c_i, v> = 0, exactly
+    cone, texts = DECREASE_FIELDS[name]
+    n = cone.dimension
+    f = [parse_polynomial(t, n) for t in texts]
+    for i, row in enumerate(cone.rows, start=1):
+        c = [Fraction(v) for v in row]
+        w, velocity = face_polynomials(cone, i, f)
+        dot = lambda u: sum((p.scale(ck) for ck, p in zip(c, u)),
+                            Polynomial.zero(n))
+        assert w == dot(f)
+        assert dot(velocity).is_zero()
+        norm = sum(ck * ck for ck in c)
+        assert velocity == [fk.scale(norm) + w.scale(-ck)
+                            for ck, fk in zip(c, f)]
 
 
 # -- face assembly ------------------------------------------------------------------
 
 def test_branch_b_positive_at_ray_with_printed_candidate():
     basis = monomials_of_degree(2, 2)
-    parts = build_si(monomial_polys(basis), 0, WEDGE_FIELD,
-                     face_eta_polynomial(WEDGE, 1, WEDGE_FIELD))
+    parts = decrease_polynomials(monomial_polys(basis), 0,
+                                 face_polynomials(WEDGE, 1, WEDGE_FIELD)[1])
     x = np.array([0.8, 0.2])
     value = sum(float(PRINTED_H.coefficient(m)) * evaluate_float_terms(p, x)
                 for m, p in zip(basis, parts))
@@ -174,8 +191,8 @@ def test_branch_b_positive_at_ray_with_printed_candidate():
 def test_face_rows_linear_in_coefficients():
     rng = np.random.default_rng(52)
     basis = monomials_of_degree(2, 2)
-    parts = build_si(monomial_polys(basis), 1, WEDGE_FIELD,
-                     face_eta_polynomial(WEDGE, 2, WEDGE_FIELD))
+    parts = decrease_polynomials(monomial_polys(basis), 1,
+                                 face_polynomials(WEDGE, 2, WEDGE_FIELD)[1])
     x = rng.uniform(0.2, 2.0, size=2)
     a = rng.uniform(-1, 1, size=3)
     b = rng.uniform(-1, 1, size=3)
@@ -255,17 +272,15 @@ def polar_form_lp(system, degree, r, sections, tol=1e-12):
                 add(h, degree)
                 add(s0, order)
                 continue
-            W = face_eta_polynomial(system.cone, state.label,
-                                    system.f).w.to_tensor()
-            w = [float(W.eval([verts[i] for i in combo]))
+            W, velocity = face_polynomials(system.cone, state.label,
+                                           system.f)
+            w = [float(W.to_tensor().eval([verts[i] for i in combo]))
                  for combo in multisets(system.field_degree)]
             if min(w) >= -tol or max(w) > tol:
                 add(s0, order)
             if min(w) < -tol:
-                branches = face_eta_polynomial(system.cone, state.label,
-                                               system.f)
-                add(tensors(build_si(monomial_polys(basis), r, system.f,
-                                     branches)), order)
+                add(tensors(decrease_polynomials(monomial_polys(basis), r,
+                                                 velocity)), order)
     return np.array(rows), owner
 
 

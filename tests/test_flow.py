@@ -16,12 +16,11 @@ from lyapcert.errors import InputError, NumericalError
 from lyapcert.flow import project_cone, project_set, simulate
 from lyapcert.poly import MonomialTable, Polynomial, parse_polynomial
 from lyapcert.sos_cert import SemialgebraicSystem
-from lyapcert.tangency import (SemialgebraicSet, eta_projection,
-                               face_eta_polynomial)
+from lyapcert.tangency import SemialgebraicSet, eta_projection
 from reference import (cone_contains, euler_kernel_by_terms, euler_step_floats,
-                       evaluate_float_terms, field_at, set_contains,
-                       set_values, simulate_by_steps, simulate_cone_numpy,
-                       slsqp_projection, trajectory_csv,
+                       evaluate_float_terms, face_branch, field_at,
+                       set_contains, set_values, simulate_by_steps,
+                       simulate_cone_numpy, slsqp_projection, trajectory_csv,
                        trajectory_csv_by_cells)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
@@ -385,21 +384,18 @@ def test_interior_step_is_plain_euler():
     assert np.allclose(traj.states[1], x + 1e-3 * field_at(system, x))
 
 
-def eta_at(branches, x):
-    """eta(x) on a cone face by branch selection on the sign of w(x)."""
-    if evaluate_float_terms(branches.w, x) >= 0.0:
-        return np.zeros(len(x))
-    return np.array([evaluate_float_terms(p, x)
-                     for p in branches.eta_b_scaled]) / float(branches.c_norm_sq)
+def eta_at(cone, i, f, x):
+    """eta(x) on face i of a cone by branch selection on the sign of w(x)."""
+    w, eta = face_branch(cone, i, f, x)
+    return np.zeros(len(x)) if w >= 0.0 else eta
 
 
 def test_boundary_step_eta_aligns_with_branch():
     system = wedge_system()
-    branches = face_eta_polynomial(WEDGE, 1, WEDGE_FIELD)
     x = np.array([0.8, 0.2]) * 2.0  # on face 1
     dt = 1e-5
     eta_used = simulate(x, dt, dt, system).eta_log[0]
-    eta_exact = eta_at(branches, x)
+    eta_exact = eta_at(WEDGE, 1, WEDGE_FIELD, x)
     angle = np.arccos(np.clip(
         eta_used @ eta_exact /
         (np.linalg.norm(eta_used) * np.linalg.norm(eta_exact)), -1, 1))

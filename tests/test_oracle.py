@@ -409,6 +409,27 @@ def test_conic_oracle_takes_one_grid_per_section(monkeypatch):
         + tables[-1]
 
 
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 2.0, 1.0, 5.0, 1.0],
+    [3.0, 1.0, 2.0, np.nan, 0.5, np.nan],
+    [np.nan, 1.0, 2.0, 0.5, 0.0, -0.0],
+    [np.inf] * 6,
+], ids=["ties", "later-nan", "first-nan", "inf"])
+def test_grids_added_in_turn_give_one_argmin_over_all(values):
+    # the merge of per-section minima passed over a NaN after a number
+    values = np.array(values)
+    points = np.arange(12.0).reshape(6, 2)
+    whole = oracle._min_with_witness("c", values, points, strict=True)
+    first = int(np.argmin(values))
+    assert whole.witness == tuple(points[first])
+    for cuts in ([2, 4], [1, 3, 5], [5]):
+        check = oracle.CheckResult("c", np.inf, None, 0, strict=True)
+        for part, grid in zip(np.split(values, cuts), np.split(points, cuts)):
+            assert check.add_grid(part, grid) is check
+        assert (repr(check.min_value), check.witness, check.samples) == \
+            (repr(float(values[first])), whole.witness, 6)
+
+
 def _decrease_rounding_bound(h, r, f, x) -> Fraction:
     """gamma_K times the decrease formula evaluated with the absolute
     values of every coefficient and coordinate: K counts the roundings of

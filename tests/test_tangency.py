@@ -4,9 +4,8 @@ import pytest
 from lyapcert.cones import PolyhedralCone
 from lyapcert.errors import InputError, NumericalError
 from lyapcert.poly import Polynomial, parse_polynomial
-from lyapcert.tangency import (SemialgebraicSet, eta_projection,
-                               face_eta_polynomial, nnls)
-from reference import evaluate_float_terms
+from lyapcert.tangency import SemialgebraicSet, eta_projection, nnls
+from reference import evaluate_float_terms, face_branch
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 WEDGE_FIELD = [parse_polynomial("-1*x1 - 2*x2", 2),
@@ -134,38 +133,31 @@ def test_zero_gradient_rejected():
         eta_projection(np.array([1.0]), [np.array([0.0])])
 
 
-# -- face branches ------------------------------------------------------------------
-
-def branch_b(br, x):
-    """Branch B of eta at x: -(w(x) / |c|^2) c, from its scaled polynomials."""
-    return np.array([evaluate_float_terms(p, x) for p in br.eta_b_scaled]) / \
-        float(br.c_norm_sq)
-
+# -- face polynomials ---------------------------------------------------------------
 
 def test_branches_coincide_when_field_tangent():
     f = [parse_polynomial("-1*x1", 2), parse_polynomial("-1*x2", 2)]
-    br = face_eta_polynomial(PolyhedralCone(np.eye(2)), 1, f)
     # face x1 = 0: w(x) = -x1 vanishes on the face, eta = 0 either way
-    assert float(evaluate_float_terms(br.w, (0.0, 1.0))) == 0.0
-    assert np.allclose(branch_b(br, (0.0, 1.0)), 0.0)
+    w, eta = face_branch(PolyhedralCone(np.eye(2)), 1, f, (0.0, 1.0))
+    assert w == 0.0
+    assert np.allclose(eta, 0.0)
 
 
 def test_branch_selection_at_ray_point():
-    br = face_eta_polynomial(WEDGE, 1, WEDGE_FIELD)
-    assert abs(evaluate_float_terms(br.w, (0.8, 0.2)) - (-0.7)) <= 1e-12
-    eta = branch_b(br, (0.8, 0.2))  # w < 0 selects branch B
-    assert eta @ np.array([-0.25, 1.0]) > 0  # pushes back into the cone
+    w, eta = face_branch(WEDGE, 1, WEDGE_FIELD, (0.8, 0.2))
+    assert abs(w - (-0.7)) <= 1e-12
+    # w < 0 selects the projection, which pushes back into the cone
+    assert eta @ np.array([-0.25, 1.0]) > 0
 
 
 def test_branch_matches_projection_along_face():
     rng = np.random.default_rng(25)
-    br = face_eta_polynomial(WEDGE, 1, WEDGE_FIELD)
     c = WEDGE.C[0]
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(0.05, 5.0) * np.array([0.8, 0.2])
         fx = np.array([evaluate_float_terms(p, x) for p in WEDGE_FIELD])
-        a = branch_b(br, x)  # w < 0 along this ray
+        _, a = face_branch(WEDGE, 1, WEDGE_FIELD, x)  # w < 0 along this ray
         b = eta_projection(fx, [c])
         worst = max(worst, float(np.abs(a - b).max()))
     assert worst <= 1e-10
@@ -174,16 +166,6 @@ def test_branch_matches_projection_along_face():
 def test_branch_consistency_on_switching_surface():
     # field chosen so w(x) = <c, f(x)> = x2 - x1 changes sign on the face x1 = 0
     f = [parse_polynomial("x2 - x1", 2), Polynomial.zero(2)]
-    br = face_eta_polynomial(PolyhedralCone(np.eye(2)), 1, f)
-    x = (0.0, 0.0)
-    assert evaluate_float_terms(br.w, x) == 0.0
-    branch_b = np.array([evaluate_float_terms(p, x) / float(br.c_norm_sq)
-                         for p in br.eta_b_scaled])
-    assert np.allclose(branch_b, 0.0)
-
-
-def test_face_index_validation():
-    with pytest.raises(InputError, match="face index 0 out of range"):
-        face_eta_polynomial(WEDGE, 0, WEDGE_FIELD)
-    with pytest.raises(InputError, match="face index 3 out of range"):
-        face_eta_polynomial(WEDGE, 3, WEDGE_FIELD)
+    w, eta = face_branch(PolyhedralCone(np.eye(2)), 1, f, (0.0, 0.0))
+    assert w == 0.0
+    assert np.allclose(eta, 0.0)
