@@ -16,14 +16,17 @@ All factorizations are dense; the intended scale is blocks of a few tens
 of rows and a few hundred equalities, where dense Cholesky on the Schur
 complement is both fast and numerically uneventful.
 
-Blocks of equal size are held as one (k, s, s) stack, and numpy's
-cholesky, svd, eigvalsh and matmul run over the whole stack at once; the
-result lists the blocks in input order.  The equality operator A(X) and
-its adjoint A^T(y) read the entries of all stacks as one vector and the
-nonzeros of the coefficient matrices as (row, column, value) triples, so
-each is one bincount, whatever the number of blocks (EqualityOperator).
+Every block is padded to the largest block size s, and the blocks are
+held as one (nb, s, s) stack, so numpy's cholesky, svd, eigvalsh and
+matmul each run once over all blocks; the result lists the blocks in
+input order.  The padding has zero coefficients and objective and holds
+X = Z = I; a mask keeps the dual residual and every direction off it
+(the equality operator reads no padding), and mu and the inner products
+read only the real entries.  The equality operator A(X) and its adjoint A^T(y) read the
+nonzeros of the coefficient matrices as (row, index in the stack, value)
+triples, so each is one bincount (EqualityOperator).
 
-Per iteration: the NT scaling R of each stack, R^-1 X R^-T = R^T Z R =
+Per iteration: the NT scaling R of every block, R^-1 X R^-T = R^T Z R =
 diag(lam), from two Cholesky factors and one SVD; the Schur complement
 M_ij = sum_b <A_b[i], W A_b[j] W>, W = R R^T, each block adding one
 product on the grid of M that its touched rows address (about a third of
@@ -35,7 +38,8 @@ matrix products; the free variables' Schur complement D^T M^-1 D is
 factored and inverted the same way once per iteration; and step lengths
 in the NT frame, where X + a dX is PSD exactly when
 diag(lam) + a R^-1 dX R^-T is (Z likewise with R^T dZ R), one eigvalsh
-per stack for both.  numpy only: the SOS tier imports no scipy.
+for both directions of every block.  numpy only: the SOS tier imports
+no scipy.
 
 Callers are expected to pose problems with interior (the certificate
 drivers always add an identity-shift variable), so no Slater checking is
@@ -172,20 +176,18 @@ def _nt_scaling(X: np.ndarray, Z: np.ndarray):
     return R, Rinv, lam
 
 
-def _nt_frame(scal, dX: list[np.ndarray], dZ: list[np.ndarray]):
-    """The directions in the NT frame, R^-1 dX R^-T and R^T dZ R per block
-    or stack, and the primal and dual step lengths they allow: the largest
+def _nt_frame(scal, dX: np.ndarray, dZ: np.ndarray):
+    """The directions in the NT frame, R^-1 dX R^-T and R^T dZ R per block,
+    and the primal and dual step lengths they allow: the largest
     alpha <= 1 keeping diag(lam) + alpha dMh PSD, that is
     I + alpha lam^-1/2 dMh lam^-1/2 PSD, backed off by 0.98.  One eigvalsh
-    per stack takes both directions at once."""
-    dXh = [Rinv @ dXb @ _t(Rinv) for (_, Rinv, _), dXb in zip(scal, dX)]
-    dZh = [_t(R) @ dZb @ R for (R, _, _), dZb in zip(scal, dZ)]
-    wmin = np.inf, np.inf
-    for (_, _, lam), hx, hz in zip(scal, dXh, dZh):
-        s = 1.0 / np.sqrt(lam)
-        S = s[..., :, None] * np.stack([hx, hz]) * s[..., None, :]
-        w = np.linalg.eigvalsh(_sym(S)).reshape(2, -1).min(axis=1)
-        wmin = np.minimum(wmin, w)
+    takes both directions of every block at once."""
+    R, Rinv, lam = scal
+    dXh = Rinv @ dX @ _t(Rinv)
+    dZh = _t(R) @ dZ @ R
+    s = 1.0 / np.sqrt(lam)
+    S = s[..., :, None] * np.stack([dXh, dZh]) * s[..., None, :]
+    wmin = np.linalg.eigvalsh(_sym(S)).reshape(2, -1).min(axis=1)
     alpha_p, alpha_d = (1.0 if w >= 0 else min(1.0, 0.98 / -w) for w in wmin)
     return dXh, dZh, alpha_p, alpha_d
 
@@ -204,50 +206,40 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
 
 
 class EqualityOperator:
-    """A(X)_i = sum_b <A_b[i], X_b> on stacked blocks, and its adjoint.
+    """A(X)_i = sum_b <A_b[i], X_b> on the padded stack of blocks, and its
+    adjoint.
 
-    Blocks of equal size form one (k, s, s) stack: `groups` lists the
-    blocks of each stack in input order, the stacks in the order their
-    sizes first appear.  The entries of all stacks lie in one vector,
-    stack after stack: stack g, block j of it, entry (p, q).  Every nonzero
-    A_b[i]_pq is one triple (row i, its column in that vector, value), so
-    A(X) and A^T(y) are one bincount each, with no dense m x N matrix;
-    bincount adds its terms in input order, whatever the BLAS threads.  So
-    A^T(y) is exactly symmetric: entries (p, q) and (q, p) of a block sum
-    equal terms from the same rows in the same order.
+    Block b is the leading s_b x s_b corner of entry b of one (nb, s, s)
+    stack, s the largest block size.  Every nonzero A_b[i]_pq is one
+    triple (row i, the index of entry (b, p, q) in the stack's flat vector,
+    value), so A(X) and A^T(y) are one bincount each, with no dense m x N
+    matrix, and neither reads nor writes the padding; bincount adds its
+    terms in input order, whatever the BLAS threads.  So A^T(y) is exactly
+    symmetric: entries (p, q) and (q, p) of a block sum equal terms from
+    the same rows in the same order.
     """
 
     def __init__(self, A: list[np.ndarray]):
-        m = len(A[0])
-        sizes = [Ab.shape[-1] for Ab in A]
-        self.groups = [[bi for bi, s in enumerate(sizes) if s == size]
-                       for size in dict.fromkeys(sizes)]
-        self.shapes = [(len(members), sizes[members[0]], sizes[members[0]])
-                       for members in self.groups]
-        self.offsets = np.cumsum([0] + [k * s * s for k, s, _ in self.shapes])
+        s = max(Ab.shape[-1] for Ab in A)
+        self.m = len(A[0])
+        self.shape = (len(A), s, s)
         rows, cols, vals = [], [], []
-        for start, members in zip(self.offsets, self.groups):
-            for j, bi in enumerate(members):
-                E = A[bi].reshape(m, -1)
-                row, entry = np.nonzero(E)
-                rows.append(row)
-                cols.append(start + j * E.shape[1] + entry)
-                vals.append(E[row, entry])
-        self.m = m
+        for bi, Ab in enumerate(A):
+            row, p, q = np.nonzero(Ab)
+            rows.append(row)
+            cols.append((bi * s + p) * s + q)
+            vals.append(Ab[row, p, q])
         self.row = np.concatenate(rows)
         self.col = np.concatenate(cols)
         self.val = np.concatenate(vals)
 
-    def __call__(self, X: list[np.ndarray]) -> np.ndarray:
-        x = np.concatenate([Xg.ravel() for Xg in X])
-        return np.bincount(self.row, weights=self.val * x[self.col],
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return np.bincount(self.row, weights=self.val * X.ravel()[self.col],
                            minlength=self.m)
 
-    def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
-        v = np.bincount(self.col, weights=self.val * y[self.row],
-                        minlength=self.offsets[-1])
-        return [v[lo:hi].reshape(shape) for lo, hi, shape
-                in zip(self.offsets, self.offsets[1:], self.shapes)]
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.col, weights=self.val * y[self.row],
+                           minlength=np.prod(self.shape)).reshape(self.shape)
 
 
 def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
@@ -263,23 +255,25 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
     b, D = sdp.b, sdp.D
     sizes = sdp.block_sizes
     total_dim = sum(sizes)
-    # block bi is entry j of stack g.  For the Schur complement each block
-    # keeps the rows its equalities touch, A_b[rows], its (len(rows), s*s)
-    # reshape E, with the width spelled out because a block may touch no
-    # row at all, and the grid of M those rows address
     op = EqualityOperator(sdp.A)
-    groups = op.groups
-    parts = [None] * len(sizes)
-    for g, members in enumerate(groups):
-        for j, bi in enumerate(members):
-            rows = np.flatnonzero(sdp.A[bi].reshape(m, -1).any(axis=1))
-            At = sdp.A[bi][rows]
-            parts[bi] = (g, j, At, At.reshape(len(rows), sizes[bi] ** 2),
-                         np.ix_(rows, rows))
-
-    def stacked(mats: list[np.ndarray]) -> list[np.ndarray]:
-        """The stacks of per-block matrices given in input order."""
-        return [np.stack([mats[bi] for bi in members]) for members in groups]
+    # every block padded to the largest size s: the padding has zero
+    # coefficients and objective and X = Z = I, and the mask keeps every
+    # direction and residual off it
+    s = op.shape[-1]
+    real_diag = np.arange(s) < np.array(sizes)[:, None]
+    mask = real_diag[:, :, None] & real_diag[:, None, :]
+    real = np.flatnonzero(mask)
+    # for the Schur complement each block keeps the rows its equalities
+    # touch, A_b[rows], its (len(rows), s_b*s_b) reshape E, with the width
+    # spelled out because a block may touch no row at all, and the grid of
+    # M those rows address
+    parts = []
+    for bi, Ab in enumerate(sdp.A):
+        rows = np.flatnonzero(Ab.reshape(m, -1).any(axis=1))
+        At = Ab[rows]
+        parts.append((bi, sizes[bi], At,
+                      At.reshape(len(rows), sizes[bi] ** 2),
+                      np.ix_(rows, rows)))
 
     # rows that touch nothing decide feasibility immediately
     touched = (D != 0).any(axis=1)
@@ -288,31 +282,33 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
         return SdpResult(status="infeasible", infeasibility_is_heuristic=False)
 
     scale = max(1.0, float(np.abs(b).max()))
-    C = stacked(sdp.objective_blocks)
-    X = stacked([scale * np.eye(s) for s in sizes])
-    Z = stacked([scale * np.eye(s) for s in sizes])
+    C = np.zeros(op.shape)
+    for bi, Cb in enumerate(sdp.objective_blocks):
+        C[bi, :sizes[bi], :sizes[bi]] = Cb
+    X = np.where(mask, scale, 1.0) * np.eye(s)
+    Z = X.copy()
     y = np.zeros(m)
     u = np.zeros(k)
 
     norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + max(np.linalg.norm(Cb) for Cb in sdp.objective_blocks) \
+    norm_c = 1.0 + np.linalg.norm(C, axis=(1, 2)).max() \
         + np.linalg.norm(sdp.free_objective)
 
-    def inner(P: list[np.ndarray], Q: list[np.ndarray]) -> float:
-        return sum(float(np.vdot(Pg, Qg)) for Pg, Qg in zip(P, Q))
+    def inner(P: np.ndarray, Q: np.ndarray) -> float:
+        return float(P.take(real) @ Q.take(real))
 
     status = "maxiter"
     iteration = 0
     for iteration in range(1, MAX_ITER + 1):
         r_p = b - op(X) - D @ u
-        R_d = [Cg - Zg - Ag for Cg, Zg, Ag in zip(C, Z, op.adjoint(y))]
+        R_d = (C - Z - op.adjoint(y)) * mask
         r_f = sdp.free_objective - D.T @ y
 
         mu = inner(X, Z) / total_dim
         pobj = inner(C, X) + float(sdp.free_objective @ u)
         dobj = float(b @ y)
         rel_p = np.linalg.norm(r_p) / norm_b
-        rel_d = (max(np.linalg.norm(Rg, axis=(1, 2)).max() for Rg in R_d)
+        rel_d = (np.linalg.norm(R_d, axis=(1, 2)).max()
                  + np.linalg.norm(r_f)) / norm_c
         gap = mu * total_dim / (1.0 + abs(pobj) + abs(dobj))
 
@@ -323,28 +319,30 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
             return SdpResult(status="infeasible", iterations=iteration,
                              dual_objective=dobj,
                              infeasibility_is_heuristic=True)
-        if max(abs(pobj), max(float(np.abs(Xg).max()) for Xg in X)) > 1e14:
+        if max(abs(pobj), float(np.abs(X).max())) > 1e14:
             logger.debug("iterate magnitude diverged; stopping at maxiter status")
             break
 
-        # NT scaling per stack; nudge nearly singular iterates once
+        # NT scaling; nudge the real diagonal of nearly singular iterates once
         try:
-            scal = [_nt_scaling(Xg, Zg) for Xg, Zg in zip(X, Z)]
+            scal = _nt_scaling(X, Z)
         except np.linalg.LinAlgError:
-            for S in X + Z:
-                trace = _diag(S).sum(axis=-1)
-                _diag(S)[...] += 1e-12 * np.maximum(1.0, trace)[:, None]
+            for S in (X, Z):
+                trace = (_diag(S) * real_diag).sum(axis=-1)
+                _diag(S)[...] += 1e-12 * np.maximum(1.0, trace)[:, None] \
+                    * real_diag
             try:
-                scal = [_nt_scaling(Xg, Zg) for Xg, Zg in zip(X, Z)]
+                scal = _nt_scaling(X, Z)
             except np.linalg.LinAlgError:
                 break
-        W = [R @ _t(R) for R, _, _ in scal]
+        R, _, lam = scal
+        W = R @ _t(R)
 
         # Schur complement M_ij = sum_b <A_i, W A_j W>, nonzero only on the
         # rows and columns block b touches
         M = np.zeros((m, m))
-        for g, j, At, Eb, grid in parts:
-            Wb = W[g][j]
+        for bi, sb, At, Eb, grid in parts:
+            Wb = W[bi, :sb, :sb]
             M[grid] += (Wb @ At @ Wb).reshape(Eb.shape) @ Eb.T
         # Cholesky factor of M + ridge I, the ridge set on M's diagonal
         diag = _diag(M).copy()
@@ -376,19 +374,18 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
             du = Sinv.T @ (Sinv @ (D.T @ t - rhs2))
             return t - MiD @ du, du
 
-        def newton(F: list[np.ndarray]):
+        def newton(F: np.ndarray):
             """Linearized KKT solve for a centrality target F, with
             iterative refinement against residual creep in ill-conditioned
-            late iterations."""
-            G = [Fg - Wg @ Rg @ Wg for Fg, Wg, Rg in zip(F, W, R_d)]
-            dy, du = saddle(r_p - op(G), r_f)
+            late iterations.  F may be anything on the padding: only dX
+            reads it there, and dX is masked."""
+            dy, du = saddle(r_p - op(F - W @ R_d @ W), r_f)
 
             def steps(dy_vec):
-                # R_d and A^T(dy) are exactly symmetric, so dZ is too
-                dZ = [Rg - Ag for Rg, Ag in zip(R_d, op.adjoint(dy_vec))]
-                dX = [_sym(Fg - Wg @ dZg @ Wg)
-                      for Fg, Wg, dZg in zip(F, W, dZ)]
-                return dX, dZ
+                # R_d and A^T(dy) are exactly symmetric and zero on the
+                # padding, so dZ is too
+                dZ = R_d - op.adjoint(dy_vec)
+                return _sym(F - W @ dZ @ W) * mask, dZ
 
             dX, dZ = steps(dy)
             for _ in range(2):
@@ -404,27 +401,21 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
             return dX, du, dy, dZ
 
         # predictor (affine scaling) step
-        dX_aff, du_aff, dy_aff, dZ_aff = newton([-Xg for Xg in X])
-        dXh_aff, dZh_aff, alpha_p, alpha_d = _nt_frame(scal, dX_aff, dZ_aff)
-        mu_aff = inner([Xg + alpha_p * dXg for Xg, dXg in zip(X, dX_aff)],
-                       [Zg + alpha_d * dZg for Zg, dZg in zip(Z, dZ_aff)]) \
-            / total_dim
+        dX_aff, du_aff, dy_aff, dZ_aff = newton(-X)
+        dXh, dZh, alpha_p, alpha_d = _nt_frame(scal, dX_aff, dZ_aff)
+        mu_aff = inner(X + alpha_p * dX_aff, Z + alpha_d * dZ_aff) / total_dim
         sigma = min(1.0, max(1e-12, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector in the scaled space
-        F = []
-        for (R, _, lam), dXh, dZh in zip(scal, dXh_aff, dZh_aff):
-            corr = 0.5 * (dXh @ dZh + dZh @ dXh)
-            target = -corr
-            _diag(target)[...] += sigma * mu - lam ** 2
-            S = 2.0 * target / (lam[..., :, None] + lam[..., None, :])
-            F.append(R @ S @ _t(R))
-        dX, du, dy, dZ = newton(F)
+        target = -0.5 * (dXh @ dZh + dZh @ dXh)
+        _diag(target)[...] += sigma * mu - lam ** 2
+        S = 2.0 * target / (lam[..., :, None] + lam[..., None, :])
+        dX, du, dy, dZ = newton(R @ S @ _t(R))
         _, _, alpha_p, alpha_d = _nt_frame(scal, dX, dZ)
 
         # dX is symmetrized and dZ exactly symmetric, so X and Z stay so
-        X = [Xg + alpha_p * dXg for Xg, dXg in zip(X, dX)]
-        Z = [Zg + alpha_d * dZg for Zg, dZg in zip(Z, dZ)]
+        X = X + alpha_p * dX
+        Z = Z + alpha_d * dZ
         u = u + alpha_p * du
         y = y + alpha_d * dy
 
@@ -433,14 +424,15 @@ def solve_sdp(sdp: SemidefiniteProgram) -> SdpResult:
     dobj = float(b @ y)
     result = SdpResult(
         status=status,
-        blocks=[X[g][j] for g, j, *_ in parts], free=u, duals=y,
-        dual_blocks=[Z[g][j] for g, j, *_ in parts],
+        blocks=[X[bi, :sb, :sb] for bi, sb in enumerate(sizes)], free=u,
+        duals=y, dual_blocks=[Z[bi, :sb, :sb] for bi, sb in enumerate(sizes)],
         primal_objective=pobj, dual_objective=dobj,
         gap=inner(X, Z) / (1.0 + abs(pobj) + abs(dobj)),
         equality_residual=eq_residual,
         iterations=iteration)
     if status == "solution":
-        worst_eig = min(float(np.linalg.eigvalsh(Xg).min()) for Xg in X)
+        # the padding's eigenvalues are 1, which hides no negative one
+        worst_eig = float(np.linalg.eigvalsh(X).min())
         if worst_eig < -1e-8 or eq_residual > 1e-8:
             result.status = "maxiter"
             logger.debug("posterior check failed: eig %.2e residual %.2e",

@@ -137,16 +137,20 @@ class GramBlock:
         return len(self.basis)
 
     def expand(self, G: np.ndarray) -> Polynomial:
-        """The concrete polynomial for a numeric Gram matrix."""
+        """The concrete polynomial for a numeric Gram matrix.  Each
+        coefficient sum w G_ij (w = 2 off the diagonal) is exact: the
+        entries' numerators are summed as integers over the largest of
+        their power-of-two denominators, then made one Fraction."""
         n = len(self.basis[0])
+        rows = np.asarray(G, dtype=float).tolist()
         terms: dict[Mono, Fraction] = {}
         for mono, pairs in self.pairs_by_monomial.items():
-            acc = Fraction(0)
-            for i, j in pairs:
-                w = 1 if i == j else 2
-                acc += w * Fraction(float(G[i, j]))
-            if acc:
-                terms[mono] = acc
+            ratios = [(1 if i == j else 2, *rows[i][j].as_integer_ratio())
+                      for i, j in pairs]
+            den = max(d for _, _, d in ratios)
+            num = sum(w * p * (den // d) for w, p, d in ratios)
+            if num:
+                terms[mono] = Fraction(num, den)
         return Polynomial(n, terms)
 
 

@@ -4,6 +4,8 @@ They check the library from outside it: the float kernels against a loop
 over the terms, the closed-form gradient of
 V = h/|x|^(2r) against central differences, the coefficient-matching
 rows of the SOS conditions against hand-written Gram matrices, the
+exact Gram expansion against one Fraction per entry
+(gram_expand_by_fractions), the
 monomial table against the per-call table the oracle built before it
 and its layout against the parent walk it replaced (layout_by_parents),
 the polynomial reader against the Fraction-per-token reader it replaced
@@ -18,8 +20,10 @@ numpy step loop, its
 sliding steps against the route through flow.step that they replaced
 (simulate_by_steps), the set projection against scipy's SLSQP, and the
 SDP solver's step lengths in the NT frame against a bound from the
-Cholesky factor, and its equality operator against the per-block loop
-it replaced (apply_A_per_block, apply_At_per_block).  trajectory_csv is
+Cholesky factor, its equality operator against the per-block loop
+it replaced (apply_A_per_block, apply_At_per_block), and its padded
+stack against the solver with one stack per block size that it replaced
+(solve_sdp_by_size_stacks).  trajectory_csv is
 the CSV text of a trajectory, and trajectory_csv_by_cells the same text
 one repr per cell, against the chunked writer.  simplex_diameter and
 partition_diameter the longest vertex distance of a cell and of a
@@ -103,6 +107,19 @@ def gram_from_sos_terms(block, squares) -> np.ndarray:
         assert coeff >= 0, "squared terms need nonnegative coefficients"
         G[index[tuple(mono)], index[tuple(mono)]] += coeff
     return G
+
+
+def gram_expand_by_fractions(block, G):
+    """The terms of block.expand(G), one Fraction added per Gram entry:
+    the loop GramBlock.expand replaced."""
+    terms = {}
+    for mono, pairs in block.pairs_by_monomial.items():
+        acc = Fraction(0)
+        for i, j in pairs:
+            acc += (1 if i == j else 2) * Fraction(float(G[i, j]))
+        if acc:
+            terms[mono] = acc
+    return terms
 
 
 def equality_residual(eq, gram_values, free_values) -> float:
@@ -512,23 +529,288 @@ def _touched(Ab):
     return rows, Ab[rows].reshape(len(rows), s * s)
 
 
-def apply_A_per_block(A, groups, X) -> np.ndarray:
+def apply_A_per_block(A, X) -> np.ndarray:
     """sum_b <A_b[i], X_b> for each row i, block by block over the rows each
-    block touches; X holds one (k, s, s) stack per group of blocks."""
+    block touches; X lists one s_b x s_b matrix per block."""
     out = np.zeros(len(A[0]))
-    for Xg, members in zip(X, groups):
-        for Xb, bi in zip(Xg, members):
-            rows, E = _touched(A[bi])
-            out[rows] += E @ Xb.ravel()
+    for Ab, Xb in zip(A, X):
+        rows, E = _touched(Ab)
+        out[rows] += E @ Xb.ravel()
     return out
 
 
-def apply_At_per_block(A, groups, y) -> list[np.ndarray]:
-    """sum_i y_i A_b[i] for each block, stacked as the groups say."""
-    def block(Ab):
+def apply_At_per_block(A, y) -> list[np.ndarray]:
+    """sum_i y_i A_b[i] for each block."""
+    out = []
+    for Ab in A:
         rows, E = _touched(Ab)
-        return (E.T @ y[rows]).reshape(Ab.shape[1:])
-    return [np.stack([block(A[bi]) for bi in members]) for members in groups]
+        out.append((E.T @ y[rows]).reshape(Ab.shape[1:]))
+    return out
+
+
+def _nt_frame_per_stack(scal, dX: list[np.ndarray], dZ: list[np.ndarray]):
+    """The directions in the NT frame, R^-1 dX R^-T and R^T dZ R per block
+    or stack, and the primal and dual step lengths they allow: the largest
+    alpha <= 1 keeping diag(lam) + alpha dMh PSD, that is
+    I + alpha lam^-1/2 dMh lam^-1/2 PSD, backed off by 0.98.  One eigvalsh
+    per stack takes both directions at once."""
+    from lyapcert.sdpsolve import _sym, _t
+    dXh = [Rinv @ dXb @ _t(Rinv) for (_, Rinv, _), dXb in zip(scal, dX)]
+    dZh = [_t(R) @ dZb @ R for (R, _, _), dZb in zip(scal, dZ)]
+    wmin = np.inf, np.inf
+    for (_, _, lam), hx, hz in zip(scal, dXh, dZh):
+        s = 1.0 / np.sqrt(lam)
+        S = s[..., :, None] * np.stack([hx, hz]) * s[..., None, :]
+        w = np.linalg.eigvalsh(_sym(S)).reshape(2, -1).min(axis=1)
+        wmin = np.minimum(wmin, w)
+    alpha_p, alpha_d = (1.0 if w >= 0 else min(1.0, 0.98 / -w) for w in wmin)
+    return dXh, dZh, alpha_p, alpha_d
+
+
+class SizeStackOperator:
+    """A(X)_i = sum_b <A_b[i], X_b> on stacked blocks, and its adjoint.
+
+    Blocks of equal size form one (k, s, s) stack: `groups` lists the
+    blocks of each stack in input order, the stacks in the order their
+    sizes first appear.  The entries of all stacks lie in one vector,
+    stack after stack: stack g, block j of it, entry (p, q).  Every nonzero
+    A_b[i]_pq is one triple (row i, its column in that vector, value), so
+    A(X) and A^T(y) are one bincount each, with no dense m x N matrix;
+    bincount adds its terms in input order, whatever the BLAS threads.  So
+    A^T(y) is exactly symmetric: entries (p, q) and (q, p) of a block sum
+    equal terms from the same rows in the same order.
+    """
+
+    def __init__(self, A: list[np.ndarray]):
+        m = len(A[0])
+        sizes = [Ab.shape[-1] for Ab in A]
+        self.groups = [[bi for bi, s in enumerate(sizes) if s == size]
+                       for size in dict.fromkeys(sizes)]
+        self.shapes = [(len(members), sizes[members[0]], sizes[members[0]])
+                       for members in self.groups]
+        self.offsets = np.cumsum([0] + [k * s * s for k, s, _ in self.shapes])
+        rows, cols, vals = [], [], []
+        for start, members in zip(self.offsets, self.groups):
+            for j, bi in enumerate(members):
+                E = A[bi].reshape(m, -1)
+                row, entry = np.nonzero(E)
+                rows.append(row)
+                cols.append(start + j * E.shape[1] + entry)
+                vals.append(E[row, entry])
+        self.m = m
+        self.row = np.concatenate(rows)
+        self.col = np.concatenate(cols)
+        self.val = np.concatenate(vals)
+
+    def __call__(self, X: list[np.ndarray]) -> np.ndarray:
+        x = np.concatenate([Xg.ravel() for Xg in X])
+        return np.bincount(self.row, weights=self.val * x[self.col],
+                           minlength=self.m)
+
+    def adjoint(self, y: np.ndarray) -> list[np.ndarray]:
+        v = np.bincount(self.col, weights=self.val * y[self.row],
+                        minlength=self.offsets[-1])
+        return [v[lo:hi].reshape(shape) for lo, hi, shape
+                in zip(self.offsets, self.offsets[1:], self.shapes)]
+
+
+def solve_sdp_by_size_stacks(sdp):
+    """Solve the block SDP with blocks of equal size stepped as one stack
+    each, the solver that sdpsolve.solve_sdp replaced.
+
+    A "solution" satisfies: min eigenvalue of each X block >= -1e-8,
+    equality residual <= 1e-8, and relative duality gap <= 1e-7 (the solve
+    targets the tighter GAP_TOL internally).  "maxiter" after MAX_ITER
+    iterations is reported distinctly from "infeasible".  No free variables
+    (k = 0) need no branch: numpy's empty products and solves give zeros.
+    """
+    from lyapcert.sdpsolve import (DIVERGENCE_THRESHOLD, FEAS_TOL, GAP_TOL,
+                                   MAX_ITER, SdpResult, _diag, _nt_scaling,
+                                   _sym, _t, _tril_inv)
+    m, k = len(sdp.b), sdp.num_free
+    b, D = sdp.b, sdp.D
+    sizes = sdp.block_sizes
+    total_dim = sum(sizes)
+    # block bi is entry j of stack g.  For the Schur complement each block
+    # keeps the rows its equalities touch, A_b[rows], its (len(rows), s*s)
+    # reshape E, with the width spelled out because a block may touch no
+    # row at all, and the grid of M those rows address
+    op = SizeStackOperator(sdp.A)
+    groups = op.groups
+    parts = [None] * len(sizes)
+    for g, members in enumerate(groups):
+        for j, bi in enumerate(members):
+            rows = np.flatnonzero(sdp.A[bi].reshape(m, -1).any(axis=1))
+            At = sdp.A[bi][rows]
+            parts[bi] = (g, j, At, At.reshape(len(rows), sizes[bi] ** 2),
+                         np.ix_(rows, rows))
+
+    def stacked(mats: list[np.ndarray]) -> list[np.ndarray]:
+        """The stacks of per-block matrices given in input order."""
+        return [np.stack([mats[bi] for bi in members]) for members in groups]
+
+    # rows that touch nothing decide feasibility immediately
+    touched = (D != 0).any(axis=1)
+    touched[op.row] = True
+    if (np.abs(b[~touched]) > FEAS_TOL).any():
+        return SdpResult(status="infeasible", infeasibility_is_heuristic=False)
+
+    scale = max(1.0, float(np.abs(b).max()))
+    C = stacked(sdp.objective_blocks)
+    X = stacked([scale * np.eye(s) for s in sizes])
+    Z = stacked([scale * np.eye(s) for s in sizes])
+    y = np.zeros(m)
+    u = np.zeros(k)
+
+    norm_b = 1.0 + np.linalg.norm(b)
+    norm_c = 1.0 + max(np.linalg.norm(Cb) for Cb in sdp.objective_blocks) \
+        + np.linalg.norm(sdp.free_objective)
+
+    def inner(P: list[np.ndarray], Q: list[np.ndarray]) -> float:
+        return sum(float(np.vdot(Pg, Qg)) for Pg, Qg in zip(P, Q))
+
+    status = "maxiter"
+    iteration = 0
+    for iteration in range(1, MAX_ITER + 1):
+        r_p = b - op(X) - D @ u
+        R_d = [Cg - Zg - Ag for Cg, Zg, Ag in zip(C, Z, op.adjoint(y))]
+        r_f = sdp.free_objective - D.T @ y
+
+        mu = inner(X, Z) / total_dim
+        pobj = inner(C, X) + float(sdp.free_objective @ u)
+        dobj = float(b @ y)
+        rel_p = np.linalg.norm(r_p) / norm_b
+        rel_d = (max(np.linalg.norm(Rg, axis=(1, 2)).max() for Rg in R_d)
+                 + np.linalg.norm(r_f)) / norm_c
+        gap = mu * total_dim / (1.0 + abs(pobj) + abs(dobj))
+
+        if rel_p <= FEAS_TOL and rel_d <= FEAS_TOL and gap <= GAP_TOL:
+            status = "solution"
+            break
+        if dobj > DIVERGENCE_THRESHOLD and rel_d <= 1e-4:
+            return SdpResult(status="infeasible", iterations=iteration,
+                             dual_objective=dobj,
+                             infeasibility_is_heuristic=True)
+        if max(abs(pobj), max(float(np.abs(Xg).max()) for Xg in X)) > 1e14:
+            break
+
+        # NT scaling per stack; nudge nearly singular iterates once
+        try:
+            scal = [_nt_scaling(Xg, Zg) for Xg, Zg in zip(X, Z)]
+        except np.linalg.LinAlgError:
+            for S in X + Z:
+                trace = _diag(S).sum(axis=-1)
+                _diag(S)[...] += 1e-12 * np.maximum(1.0, trace)[:, None]
+            try:
+                scal = [_nt_scaling(Xg, Zg) for Xg, Zg in zip(X, Z)]
+            except np.linalg.LinAlgError:
+                break
+        W = [R @ _t(R) for R, _, _ in scal]
+
+        # Schur complement M_ij = sum_b <A_i, W A_j W>, nonzero only on the
+        # rows and columns block b touches
+        M = np.zeros((m, m))
+        for g, j, At, Eb, grid in parts:
+            Wb = W[g][j]
+            M[grid] += (Wb @ At @ Wb).reshape(Eb.shape) @ Eb.T
+        # Cholesky factor of M + ridge I, the ridge set on M's diagonal
+        diag = _diag(M).copy()
+        ridge = 1e-13 * max(1.0, diag.sum() / m)
+        for _ in range(8):
+            _diag(M)[...] = diag + ridge
+            try:
+                L = np.linalg.cholesky(M)
+                break
+            except np.linalg.LinAlgError:
+                ridge *= 100.0
+        else:
+            break  # no ridge made M factorable: stop the iteration
+        # one triangular inverse per iteration: every solve is two products
+        Linv = _tril_inv(L)
+
+        def solve_M(rhs):
+            return Linv.T @ (Linv @ rhs)
+
+        MiD = solve_M(D)
+        # the free variables' Schur complement, factored and inverted once
+        try:
+            Sinv = _tril_inv(np.linalg.cholesky(D.T @ MiD + 1e-13 * np.eye(k)))
+        except np.linalg.LinAlgError:
+            break
+
+        def saddle(rhs1, rhs2):
+            t = solve_M(rhs1)
+            du = Sinv.T @ (Sinv @ (D.T @ t - rhs2))
+            return t - MiD @ du, du
+
+        def newton(F: list[np.ndarray]):
+            """Linearized KKT solve for a centrality target F, with
+            iterative refinement against residual creep in ill-conditioned
+            late iterations."""
+            G = [Fg - Wg @ Rg @ Wg for Fg, Wg, Rg in zip(F, W, R_d)]
+            dy, du = saddle(r_p - op(G), r_f)
+
+            def steps(dy_vec):
+                # R_d and A^T(dy) are exactly symmetric, so dZ is too
+                dZ = [Rg - Ag for Rg, Ag in zip(R_d, op.adjoint(dy_vec))]
+                dX = [_sym(Fg - Wg @ dZg @ Wg)
+                      for Fg, Wg, dZg in zip(F, W, dZ)]
+                return dX, dZ
+
+            dX, dZ = steps(dy)
+            for _ in range(2):
+                res_p = r_p - op(dX) - D @ du
+                res_f = r_f - D.T @ dy
+                if np.abs(res_p).max(initial=0.0) <= 1e-13 * norm_b and \
+                        np.abs(res_f).max(initial=0.0) <= 1e-13 * norm_c:
+                    break
+                cy, cu = saddle(res_p, res_f)
+                dy = dy + cy
+                du = du + cu
+                dX, dZ = steps(dy)
+            return dX, du, dy, dZ
+
+        # predictor (affine scaling) step
+        dX_aff, du_aff, dy_aff, dZ_aff = newton([-Xg for Xg in X])
+        dXh_aff, dZh_aff, alpha_p, alpha_d = _nt_frame_per_stack(scal, dX_aff, dZ_aff)
+        mu_aff = inner([Xg + alpha_p * dXg for Xg, dXg in zip(X, dX_aff)],
+                       [Zg + alpha_d * dZg for Zg, dZg in zip(Z, dZ_aff)]) \
+            / total_dim
+        sigma = min(1.0, max(1e-12, (max(mu_aff, 0.0) / mu) ** 3))
+
+        # corrector in the scaled space
+        F = []
+        for (R, _, lam), dXh, dZh in zip(scal, dXh_aff, dZh_aff):
+            corr = 0.5 * (dXh @ dZh + dZh @ dXh)
+            target = -corr
+            _diag(target)[...] += sigma * mu - lam ** 2
+            S = 2.0 * target / (lam[..., :, None] + lam[..., None, :])
+            F.append(R @ S @ _t(R))
+        dX, du, dy, dZ = newton(F)
+        _, _, alpha_p, alpha_d = _nt_frame_per_stack(scal, dX, dZ)
+
+        # dX is symmetrized and dZ exactly symmetric, so X and Z stay so
+        X = [Xg + alpha_p * dXg for Xg, dXg in zip(X, dX)]
+        Z = [Zg + alpha_d * dZg for Zg, dZg in zip(Z, dZ)]
+        u = u + alpha_p * du
+        y = y + alpha_d * dy
+
+    eq_residual = float(np.linalg.norm(b - op(X) - D @ u, ord=np.inf))
+    pobj = inner(C, X) + float(sdp.free_objective @ u)
+    dobj = float(b @ y)
+    result = SdpResult(
+        status=status,
+        blocks=[X[g][j] for g, j, *_ in parts], free=u, duals=y,
+        dual_blocks=[Z[g][j] for g, j, *_ in parts],
+        primal_objective=pobj, dual_objective=dobj,
+        gap=inner(X, Z) / (1.0 + abs(pobj) + abs(dobj)),
+        equality_residual=eq_residual,
+        iterations=iteration)
+    if status == "solution":
+        worst_eig = min(float(np.linalg.eigvalsh(Xg).min()) for Xg in X)
+        if worst_eig < -1e-8 or eq_residual > 1e-8:
+            result.status = "maxiter"
+    return result
 
 
 def decrease_by_products(hs, r, velocity):

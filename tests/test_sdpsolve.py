@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lyapcert import sos_cert
+from lyapcert import sdpsolve, sos_cert
 from lyapcert.cli import parse_spec
 from lyapcert.errors import NumericalError
-from lyapcert.sdpsolve import (EqualityOperator, SemidefiniteProgram,
-                               _nt_frame, _nt_scaling, _tril_inv,
-                               dump_sdpa_sparse, solve_sdp)
-from reference import apply_A_per_block, apply_At_per_block, max_step
+from lyapcert.sdpsolve import (MAX_ITER, EqualityOperator,
+                               SemidefiniteProgram, _nt_frame, _nt_scaling,
+                               _tril_inv, dump_sdpa_sparse, solve_sdp)
+from reference import (apply_A_per_block, apply_At_per_block, max_step,
+                       solve_sdp_by_size_stacks)
 
 CUSP_BOX_SPEC = Path(__file__).resolve().parents[1] / "specs" / "cusp_box.spec"
 BALL_SPEC = """\
@@ -195,11 +196,11 @@ def test_nt_step_lengths_match_the_cholesky_bound():
         for _ in range(25):
             X, Z = random_psd(rng, n), random_psd(rng, n)
             scal = _nt_scaling(X, Z)
-            dX = [rng.uniform(0.1, 10.0) * random_sym(rng, n)]
-            dZ = [rng.uniform(0.1, 10.0) * random_sym(rng, n)]
-            _, _, alpha_p, alpha_d = _nt_frame([scal], dX, dZ)
-            for alpha, ref in ((alpha_p, max_step(X, dX[0])),
-                               (alpha_d, max_step(Z, dZ[0]))):
+            dX = rng.uniform(0.1, 10.0) * random_sym(rng, n)
+            dZ = rng.uniform(0.1, 10.0) * random_sym(rng, n)
+            _, _, alpha_p, alpha_d = _nt_frame(scal, dX, dZ)
+            for alpha, ref in ((alpha_p, max_step(X, dX)),
+                               (alpha_d, max_step(Z, dZ))):
                 assert abs(alpha - ref) <= 1e-10 * ref
                 clipped += ref < 1.0
     assert clipped >= 100
@@ -216,16 +217,25 @@ def test_triangular_inverse(n):
     assert np.abs(Linv - np.linalg.inv(L)).max() <= 1e-12
 
 
-def mixed_block_program(sizes, m=9, seed=47):
+def mixed_block_program(sizes, m=9, seed=47, idle=()):
     """A strictly feasible primal-dual pair over blocks of the given sizes,
     with one free variable; block b's equalities touch a random third of
-    the m rows."""
+    the m rows, and the blocks listed in idle touch none."""
     rng = np.random.default_rng(seed)
     A = []
     for s in sizes:
         Ab = np.array([random_sym(rng, s) for _ in range(m)])
         Ab[rng.permutation(m)[:2 * m // 3]] = 0.0
         A.append(Ab)
+    for bi in idle:
+        A[bi][...] = 0.0
+    return feasible_program(A, rng)
+
+
+def feasible_program(A, rng):
+    """A strictly feasible primal-dual pair on the coefficient arrays A,
+    with one free variable."""
+    m, sizes = len(A[0]), [Ab.shape[-1] for Ab in A]
     D = rng.standard_normal((m, 1))
     X0 = [random_psd(rng, s) for s in sizes]
     y0 = rng.standard_normal(m)
@@ -236,7 +246,7 @@ def mixed_block_program(sizes, m=9, seed=47):
 
 
 def test_mixed_block_sizes_come_back_in_input_order():
-    # blocks of size 3 and of size 1 are each stepped as one stack; the
+    # blocks of sizes 1 to 3 are stepped as one stack padded to size 3; the
     # result lists every block where the input had it, and the same problem
     # with its blocks permuted gives the same blocks
     sizes = [3, 1, 3, 2, 1]
@@ -287,28 +297,122 @@ def block_programs(draw):
     return A, rng
 
 
+def padded(blocks, shape):
+    """The blocks in the leading corners of a zero (nb, s, s) stack."""
+    out = np.zeros(shape)
+    for bi, Xb in enumerate(blocks):
+        out[bi, :len(Xb), :len(Xb)] = Xb
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(block_programs())
 def test_equality_operator_matches_the_per_block_loop(program):
     A, rng = program
     op = EqualityOperator(A)
-    groups = op.groups
-    X = [np.array([random_sym(rng, len(A[bi][0])) for bi in members])
-         for members in groups]
+    X = [random_sym(rng, Ab.shape[-1]) for Ab in A]
     y = rng.standard_normal(len(A[0]))
     absA = [np.abs(Ab) for Ab in A]
+    # the operator reads no padding, and the adjoint writes none: its
+    # bound there is zero
+    stack = padded(X, op.shape)
+    stack[padded([np.ones_like(Xb) for Xb in X], op.shape) == 0] = 7.0
     # relative to the sum of the terms' magnitudes, which bounds the
     # rounding of any order of summation
-    scale = apply_A_per_block(absA, groups, [np.abs(Xg) for Xg in X])
-    err = np.abs(op(X) - apply_A_per_block(A, groups, X))
+    scale = apply_A_per_block(absA, [np.abs(Xb) for Xb in X])
+    err = np.abs(op(stack) - apply_A_per_block(A, X))
     assert (err <= 1e-12 * scale).all()
-    got, ref = op.adjoint(y), apply_At_per_block(A, groups, y)
-    bound = apply_At_per_block(absA, groups, np.abs(y))
-    assert [g.shape for g in got] == [r.shape for r in ref]
-    for g, r, s in zip(got, ref, bound):
-        assert (np.abs(g - r) <= 1e-12 * s).all()
+    got, ref = op.adjoint(y), apply_At_per_block(A, y)
+    bound = padded(apply_At_per_block(absA, np.abs(y)), op.shape)
+    assert got.shape == op.shape
+    assert (np.abs(got - padded(ref, op.shape)) <= 1e-12 * bound).all()
     # exactly symmetric, so the iteration needs no symmetrization of dZ, Z
-    assert all(np.array_equal(g, g.swapaxes(-1, -2)) for g in got)
+    assert np.array_equal(got, got.swapaxes(-1, -2))
+
+
+def assert_same_iterates(sdp, iterations):
+    """Stopped after at most the given number of iterations, the padded
+    stack and the solver with one stack per block size end with the same
+    status after as many iterations, and with blocks, free variables and
+    duals within 1e-9.  y is compared through the map y -> (A^T y, D^T y):
+    along its null space, where two rows that no block touches leave y
+    free, only the ridge on M fixes y."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdpsolve, "MAX_ITER", iterations)
+        got, ref = solve_sdp(sdp), solve_sdp_by_size_stacks(sdp)
+    assert (got.status, got.iterations) == (ref.status, ref.iterations)
+    K = np.vstack([Ab.reshape(len(sdp.b), -1).T for Ab in sdp.A] + [sdp.D.T])
+    dy = np.linalg.pinv(K) @ K @ (got.duals - ref.duals)
+    assert np.abs(dy).max() <= 1e-9
+    for a, b in zip(got.blocks + [got.free], ref.blocks + [ref.free]):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max(initial=0.0) <= 1e-9
+
+
+# Each step of the last few, as mu falls below 1e-7, amplifies rounding
+# about thirtyfold: there the size-stack solver differs from itself with
+# its blocks reversed by up to 3e-9 on the idle-block program, and by up to
+# 4e-7 on the degenerate random programs.  So those are compared after
+# five iterations.  The others are compared in full: one block and 1x1
+# blocks need no padding, and the mixed program's blocks agree within 1e-9
+# when permuted.
+EARLY = 5
+
+
+@pytest.mark.parametrize("sizes, idle", [
+    pytest.param([5], (), id="one-block"),
+    pytest.param([1] * 6, (), id="all-1x1"),
+    pytest.param([3, 1, 3, 2, 1], (), id="mixed"),
+    pytest.param([3, 1, 3, 2, 1], (2,), id="idle-block")])
+def test_padded_stack_matches_the_size_stack_solver(sizes, idle):
+    A, D, b, C, c = mixed_block_program(sizes, idle=idle)
+    sdp = SemidefiniteProgram(A=A, D=D, b=b, objective_blocks=C,
+                              free_objective=c)
+    got, ref = solve_sdp(sdp), solve_sdp_by_size_stacks(sdp)
+    assert got.status == ref.status == "solution"
+    assert got.iterations == ref.iterations
+    assert_same_iterates(sdp, MAX_ITER if idle == () else EARLY)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(block_programs())
+def test_padded_stack_follows_the_size_stack_solver_on_random_programs(
+        program):
+    # every such program has a block that touches no row
+    A, rng = program
+    A, D, b, C, c = feasible_program(A, rng)
+    assert_same_iterates(SemidefiniteProgram(A=A, D=D, b=b,
+                                             objective_blocks=C,
+                                             free_objective=c), EARLY)
+
+
+def test_tilted_cusp_slack_two_sdp_still_stalls(monkeypatch, tmp_path):
+    # the SDP with +2 multiplier slack on the tilted cusp stalls: its
+    # iterates grow nearly singular, so the nudge on the real diagonal
+    # runs, and it ends maxiter after MAX_ITER iterations
+    spec = tmp_path / "tilted.spec"
+    spec.write_text(CUSP_BOX_SPEC.read_text().replace(
+        "g1: x1 - x2^2", "g1: x1 - x2^2 + 1/10*x2"))
+    results, singular = [], [0]
+
+    def recorded(sdp):
+        singular[0] = 0
+        results.append((solve_sdp(sdp), singular[0]))
+        return results[-1][0]
+
+    def scaling(X, Z):
+        try:
+            return _nt_scaling(X, Z)
+        except np.linalg.LinAlgError:
+            singular[0] += 1
+            raise
+
+    monkeypatch.setattr(sos_cert, "solve_sdp", recorded)
+    monkeypatch.setattr(sdpsolve, "_nt_scaling", scaling)
+    sos_cert.solve_certificate(parse_spec(spec).system, 2, tier="sdp")
+    result, nudges = results[-1]
+    assert (result.status, result.iterations) == ("maxiter", MAX_ITER)
+    assert nudges > 0
 
 
 @pytest.mark.parametrize("spec, deg, most", [

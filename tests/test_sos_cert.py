@@ -23,8 +23,9 @@ from lyapcert.sos_cert import (EPS_PD, EqualitySystem, GramBlock, LinearExpr,
                                assemble_condition_ii, assemble_condition_iii,
                                sign_group, solve_certificate)
 from lyapcert.tangency import SemialgebraicSet
-from reference import (equality_residual, gram_from_sos_terms,
-                       worst_gram_eigenvalue, worst_residual)
+from reference import (equality_residual, gram_expand_by_fractions,
+                       gram_from_sos_terms, worst_gram_eigenvalue,
+                       worst_residual)
 
 
 def cusp_system():
@@ -75,6 +76,27 @@ def test_gram_expand_collect_roundtrip():
         for mono, pairs in block.pairs_by_monomial.items():
             acc = sum((1 if i == j else 2) * G[i, j] for i, j in pairs)
             assert abs(float(p.coefficient(mono)) - acc) <= 1e-12
+
+
+def test_gram_expand_is_the_exact_fraction_sum():
+    # the same terms in the same order as one Fraction per entry, over
+    # entries whose binary exponents lie far apart, that cancel exactly,
+    # or that are zero or subnormal
+    rng = np.random.default_rng(62)
+    block = GramBlock("gram", monomials_up_to_degree(2, 3))
+    k = block.basis.index((2, 0))
+    assert block.basis[1] == (1, 0)
+    for _ in range(40):
+        Q = rng.standard_normal((block.size, block.size)) \
+            * 10.0 ** rng.integers(-300, 300, size=(block.size, block.size))
+        Q[rng.random(Q.shape) < 0.3] = 0.0
+        Q[0, 1] = Q[1, 0] = 5e-324
+        G = 0.5 * (Q + Q.T)
+        G[1, 1] = -2.0 * G[0, k]     # x1^2 = x1 * x1 = 1 * x1^2
+        terms = block.expand(G).terms
+        assert (2, 0) not in terms
+        assert list(terms.items()) == \
+            list(gram_expand_by_fractions(block, G).items())
 
 
 # -- condition (i) -------------------------------------------------------------------
@@ -597,14 +619,20 @@ box3: -1.0 1.0
 # phi and every Gram keep only invariant terms.  Ball deg 4 re-recorded when
 # the SDP's equality operator became one bincount over the nonzeros: the
 # same margin bit for bit, no coefficient moved by more than 7.7e-14, and
-# the residuals stayed <= 1.8e-15
+# the residuals stayed <= 1.8e-15.  Both SDP pins re-recorded when every
+# block came to be stepped in one stack padded to the largest size, which
+# changes only the order of summation: cusp deg 2 margin
+# -1.1110126721275395e-11 -> -1.1110126723112046e-11, largest coefficient
+# move 1.6e-9 (chi_1's x1^2; these Grams sit on the PSD boundary),
+# residuals <= 1.19e-14 on both sides; ball deg 4 margin 0.9999999999947714
+# on both, largest move 1.4e-13, residuals <= 1.8e-15 -> <= 1.6e-15
 CERTIFICATE_SHA256 = {
     ("cusp", "sdp", 2):
-        "d9ba835270d4d1b0d27bcaf4e84cc4ae9ec33900b86570bdd31ccb6e64ec823e",
+        "d550822fd6b839f8b5db740d0ebc53b258b23d19de50fb5864382ef3fd36ce91",
     ("cusp", "dsos", 2):
         "8331b02bd4281c89b6dd39225147d477e11ca13f325f52a2d9ddc4866e90cf5c",
     ("ball", "sdp", 4):
-        "3ad11fcaa672144a1d4221657e87c865ac4d288d2e276bd2a362585602a56b80",
+        "ef2196673deb303fe58c3e21af9790408cb618d227a60fbd084b3758cec7d989",
 }
 
 
