@@ -314,7 +314,8 @@ def format_conic_certificate(cert: cop_lp.ConicCertificate,
     lines.append(f"lp-rows: {cert.lp_rows}")
     lines.append(f"lp-pivots: {cert.lp_pivots}")
     for state in cert.sections:
-        tag = f"{state.kind}-{state.label}"
+        tag = (f"face-{state.rows[0] + 1}" if state.rows
+               else f"cone-{state.orthant}")
         for cell_line in dump_partition_lines([state.partition]):
             lines.append(f"partition {tag}: {cell_line}")
     return "\n".join(lines + _oracle_footer(report)) + "\n"

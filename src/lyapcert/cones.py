@@ -1,4 +1,4 @@
-"""Polyhedral cone geometry: orthant sections, faces, simplicial partitions.
+"""Polyhedral cone geometry: face sections, simplicial partitions.
 
 A cone {x : Cx >= 0} is cut by each closed orthant and by the unit l1
 sphere; inside one orthant the l1 norm is linear, so every such section is
@@ -7,9 +7,15 @@ orthant piece.  Sections are built in exact integer arithmetic: each
 extreme ray is the integer null vector of n-1 primitive integer rows, kept
 with the rows tight at it, and a section with more vertices than its
 affine dimension plus one is cut by a pulling triangulation of those tight
-sets (no qhull), so downstream code only ever sees simplices.  The cells
-keep their vertices as Fractions, and the sections of a cone are built
-once per process, cached by the cone's primitive integer rows.
+sets (no qhull), so downstream code only ever sees simplices.
+
+One function cuts every section: a face of the cone is named by the tuple
+of cone rows tight on it, () for the cone itself, and its cells come from
+the rays of each orthant piece at which all of those rows are tight.
+section_table holds the cells of () and of each single row (i,), each
+with the id of the closed orthant it lies in.  The cells keep their
+vertices as Fractions, and the table of a cone is built once per process,
+cached by the cone's primitive integer rows, and read-only.
 
 Refinement is exact longest-edge bisection.  Every cell lies in one
 closed orthant, where the l1 norm is linear, so the midpoint of an edge is
@@ -24,8 +30,10 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -252,60 +260,51 @@ def _cells(rays, tight, members: tuple[int, ...], rank: int) -> list[Simplex]:
             for cell in sorted(_pull(rays, tight, members, rank))]
 
 
-def _face_cells(pieces, row: int) -> tuple[Simplex, ...]:
-    """Cells of the face where cone row `row` (0-based) is tight.
+def _face_cells(pieces, rows: tuple[int, ...]
+                ) -> tuple[tuple[int, Simplex], ...]:
+    """Cells of the face of the cone where the cone rows `rows` (0-based)
+    are tight, as (orthant id, simplex) pairs; rows = () gives the cells
+    of the whole cone.
 
-    The face is cut by the orthant pieces with interior; a part of lower
-    rank than the largest lies inside the others, and a part on an orthant
-    boundary can come from two pieces, so both are dropped.
+    The face is cut by the orthant pieces with interior, each part keeping
+    the id of the first piece it comes from, whose closed orthant holds
+    it; a part of lower rank than the largest lies inside the others, and
+    a part on an orthant boundary can come from two pieces, so both are
+    dropped.
     """
     parts = {}
-    for _, rays, tight in pieces:
-        members = tuple(k for k, t in enumerate(tight) if row in t)
+    for oid, rays, tight in pieces:
+        members = tuple(k for k, t in enumerate(tight) if t.issuperset(rows))
         if members:
             parts.setdefault(frozenset(rays[k] for k in members), (
-                rays, tight, members, _rank([rays[k] for k in members])))
-    top = max((part[3] for part in parts.values()), default=0)
-    return tuple(cell for part in parts.values() if part[3] == top
-                 for cell in _cells(*part))
+                oid, rays, tight, members, _rank([rays[k] for k in members])))
+    top = max((part[-1] for part in parts.values()), default=0)
+    return tuple((oid, cell) for oid, *part in parts.values()
+                 if part[-1] == top for cell in _cells(*part))
 
 
 @functools.lru_cache(maxsize=16)
 def _build(cone_rows: tuple[tuple[int, ...], ...], n: int):
-    """The orthant cells, as (orthant id, simplex) pairs, and each face's
-    cells, of the cone with these primitive rows: built once per process."""
+    """The section table of the cone with these primitive rows: built once
+    per process and shared, so read-only."""
     pieces = _pieces(cone_rows, n)
-    orthants = tuple((oid, cell) for oid, rays, tight in pieces
-                     for cell in _cells(rays, tight, tuple(range(len(rays))),
-                                        n))
-    return orthants, tuple(_face_cells(pieces, i)
-                           for i in range(len(cone_rows)))
+    return MappingProxyType({rows: _face_cells(pieces, rows) for rows in
+                             [(), *((i,) for i in range(len(cone_rows)))]})
 
 
-def _sections(cone: PolyhedralCone):
+def section_table(cone: PolyhedralCone) -> Mapping[
+        tuple[int, ...], tuple[tuple[int, Simplex], ...]]:
+    """The l1-sphere sections of the cone and of each face, as simplices.
+
+    Keys are the tuples of cone rows (0-based) tight on a face: () for the
+    cone itself, then (i,) for each row i.  Each value holds the face's
+    (orthant id, simplex) pairs, every simplex inside that closed orthant;
+    one orthant can contribute several simplices when its section needs
+    triangulation.  Orthants whose intersection with the cone has empty
+    interior are omitted, so an empty () entry signals that the cone
+    itself has empty interior (a trivial problem).
+    """
     return _build(tuple(_primitive(row) for row in cone.C), cone.dimension)
-
-
-def cone_orthant_sections(cone: PolyhedralCone
-                          ) -> list[tuple[int, Simplex]]:
-    """l1-sphere sections of the cone within each orthant, as simplices.
-
-    Returns (orthant id, simplex) pairs; one orthant can contribute several
-    simplices when its section needs triangulation.  Orthants whose
-    intersection has empty interior are omitted; an empty result signals
-    that the cone itself has empty interior (a trivial problem).
-    """
-    return list(_sections(cone)[0])
-
-
-def face_sections(cone: PolyhedralCone, face_index: int) -> list[Simplex]:
-    """l1 sections of the face {x in K : (Cx)_i = 0}, as simplices.
-
-    face_index is 1-based to match the row numbering of C.
-    """
-    if not 1 <= face_index <= cone.num_rows:
-        raise InputError(f"face index {face_index} out of range")
-    return list(_sections(cone)[1][face_index - 1])
 
 
 def dump_partition_lines(partitions: list[SimplicialPartition]) -> list[str]:

@@ -4,17 +4,18 @@ The candidate V = h / |x|^(2r) with h homogeneous of degree d is certified
 by three families of inequalities: h >= 0 on the cone, the interior
 decrease polynomial s0 >= 0 on the cone, and the face decrease s_i >= 0 on
 each cone face.  By homogeneity everything is checked on l1-sphere
-sections, each section is partitioned into simplices, and on every cell
-nonnegativity of the polynomial's Bernstein coefficients (its polar-form
-values at the vertex multisets, solved from its values at the simplicial
-lattice points) implies nonnegativity of the polynomial on the cell.
-Those coefficients are linear in the coefficients of h, which yields one
-LP per partition.  Beside the LP, assembly returns one (rows, 2) integer
-array whose row k is the (section, cell) pair that owns LP row k; the
-cells whose rows bind at the optimum are read from it with one mask,
-bisected, and the LP is re-solved, driving the partition diameter down
-until the margin clears the acceptance threshold or the sweep budget runs
-out.
+sections, the cells of cones.section_table, each one a SectionState
+named by the cone rows tight on its face.  Each section is partitioned
+into simplices, and on every cell nonnegativity of the polynomial's
+Bernstein coefficients (its polar-form values at the vertex multisets,
+solved from its values at the simplicial lattice points) implies
+nonnegativity of the polynomial on the cell.  Those coefficients are
+linear in the coefficients of h, which yields one LP per partition.
+Beside the LP, assembly returns one (rows, 2) integer array whose row k
+is the (section, cell) pair that owns LP row k; the cells whose rows bind
+at the optimum are read from it with one mask, bisected, and the LP is
+re-solved, driving the partition diameter down until the margin clears
+the acceptance threshold or the sweep budget runs out.
 
 On face i the velocity that the normal cone selects is f where
 w_i = <c_i, f> >= 0 and the projection f - (w_i/|c_i|^2) c_i where
@@ -27,7 +28,7 @@ conservative but sound.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import add
@@ -35,7 +36,7 @@ from operator import add
 import numpy as np
 
 from . import linprog
-from .cones import PolyhedralCone, SimplicialPartition, Simplex, cone_orthant_sections, face_sections
+from .cones import PolyhedralCone, SimplicialPartition, Simplex, section_table
 from .errors import OUT_OF_FLOAT_RANGE, InputError, NumericalError
 from .poly import (Mono, MonomialTable, Polynomial, bernstein_coefficients,
                    euler_kernel, monomials_of_degree, norm_squared)
@@ -127,10 +128,15 @@ class RationalLyapunovCandidate:
 
 @dataclass
 class SectionState:
-    """One section simplex and its evolving partition."""
+    """One section simplex and its evolving partition.
 
-    kind: str              # "cone" or "face"
-    label: int             # orthant id for cones, 1-based face index for faces
+    rows are the cone rows (0-based) tight on the section's face, () on a
+    section of the cone itself, and orthant the id of the closed orthant
+    that holds it: its key and orthant id in cones.section_table.
+    """
+
+    rows: tuple[int, ...]
+    orthant: int
     partition: SimplicialPartition
 
 
@@ -198,14 +204,15 @@ def decrease_polynomials(hs: list[Polynomial], r: int,
 
 def face_polynomials(cone: PolyhedralCone, i: int, f: list[Polynomial]
                      ) -> tuple[Polynomial, list[Polynomial]]:
-    """The switching polynomial w = <c_i, f> of face i (1-based) and the
-    velocity |c_i|^2 f - w c_i of the projection branch, both exact.
+    """The switching polynomial w = <c_i, f> of the face of cone row i
+    (0-based) and the velocity |c_i|^2 f - w c_i of the projection branch,
+    both exact.
 
     The projection f - (w/|c_i|^2) c_i acts where w <= 0; scaled by
     |c_i|^2 it keeps rational coefficients and its decrease sign.  Where
     w >= 0 the velocity is f itself, and the two agree where w = 0.
     """
-    c = [Fraction(v) for v in cone.rows[i - 1]]
+    c = [Fraction(v) for v in cone.rows[i]]
     w = sum((fk.scale(ck) for ck, fk in zip(c, f)), Polynomial.zero(len(f)))
     c_norm_sq = sum((ck * ck for ck in c), Fraction(0))
     return w, [fk.scale(c_norm_sq) + w.scale(-ck) for ck, fk in zip(c, f)]
@@ -213,8 +220,9 @@ def face_polynomials(cone: PolyhedralCone, i: int, f: list[Polynomial]
 
 class _LevelData:
     """Per-(d, r) bases and the monomial tables of the row polynomials,
-    reused across sweeps: one table each for h and s0, and for each face
-    one of w and one of the decrease along the projection branch."""
+    reused across sweeps: one table each for h and s0, and in faces[i],
+    for the face of cone row i (0-based), one of w and one of the decrease
+    along the projection branch."""
 
     def __init__(self, system: ConicSystem, degree: int, r: int):
         n = system.dimension
@@ -230,7 +238,7 @@ class _LevelData:
             self.h_table = MonomialTable(h_polys)
             self.s0_table = MonomialTable(decrease_polynomials(h_polys, r,
                                                                system.f))
-            for i in range(1, system.cone.num_rows + 1):
+            for i in range(system.cone.num_rows):
                 w, velocity = face_polynomials(system.cone, i, system.f)
                 self.faces.append((MonomialTable([w]), MonomialTable(
                     decrease_polynomials(h_polys, r, velocity))))
@@ -249,10 +257,11 @@ def _cell_rows(level: _LevelData, state: SectionState, cell: Simplex
     ones; a zero w takes s0's rows only.
     """
     order = level.s0_order
-    if state.kind == "cone":
+    if not state.rows:
         tables = [(level.h_table, level.degree), (level.s0_table, order)]
     else:
-        w_table, b_table = level.faces[state.label - 1]
+        (row,) = state.rows
+        w_table, b_table = level.faces[row]
         w = bernstein_coefficients(w_table, cell.vertices,
                                    level.w_order)[:, 0]
         if (w >= -W_SIGN_TOL).all():
@@ -304,17 +313,14 @@ def assemble_lp(system: ConicSystem, degree: int, r: int,
 
 
 def initial_sections(system: ConicSystem) -> list[SectionState]:
-    """Fresh single-cell partitions for all cone and face sections."""
-    out: list[SectionState] = []
-    for oid, simplex in cone_orthant_sections(system.cone):
-        out.append(SectionState("cone", oid, SimplicialPartition(simplex)))
-    for i in range(1, system.cone.num_rows + 1):
-        for simplex in face_sections(system.cone, i):
-            out.append(SectionState("face", i, SimplicialPartition(simplex)))
-    if not any(s.kind == "cone" for s in out):
+    """Fresh single-cell partitions of every cell of the cone's section
+    table, in its order: the cone's cells, then each face's."""
+    table = section_table(system.cone)
+    if not table[()]:
         raise InputError(
             "cone has empty interior in every orthant (trivial problem)")
-    return out
+    return [SectionState(rows, oid, SimplicialPartition(simplex))
+            for rows, cells in table.items() for oid, simplex in cells]
 
 
 def run_hierarchy(system: ConicSystem,
@@ -398,8 +404,7 @@ def _refine(sections: list[SectionState], active: np.ndarray
     out = []
     for state, picks in zip(sections, np.split(chosen, starts[1:])):
         if picks.any():
-            state = SectionState(state.kind, state.label,
-                                 state.partition.refine_cells(
-                                     np.flatnonzero(picks)))
+            state = replace(state, partition=state.partition.refine_cells(
+                np.flatnonzero(picks)))
         out.append(state)
     return out

@@ -17,9 +17,10 @@ accepted only when this module agrees, so a fault in the construction's
 refinement, face-row selection, decrease expansion or solvers cannot
 self-certify.  The unrefined sections are the one thing shared: the grids
 cover the sections of cop_lp.initial_sections, the list the LP starts
-from, and the tests check in exact arithmetic that those cells and their
-refinements cover the cone.  Each check reports one minimum, with its
-witness, over all of its grids.
+from, one per cell of cones.section_table, and the tests check in exact
+arithmetic that those cells and their refinements cover the cone and its
+faces.  Each check reports one minimum, with its witness, over all of its
+grids.
 
 Every polynomial value comes from a poly.MonomialTable, built once per
 call for each list of polynomials that a check needs: one of
@@ -174,9 +175,10 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
     """Grid verification of the three cone inequalities.
 
     The grids cover the LP's unrefined sections (initial_sections): h and
-    the interior decrease are sampled on every cone section; the face
-    decrease is sampled on every face section with eta recomputed by
-    projection at each point, independent of the LP's face polynomials.
+    the interior decrease are sampled on every section of the cone (rows
+    ()); the face decrease is sampled on every section of a face (rows
+    (i,)) with eta recomputed by projection at each point, independent of
+    the LP's face polynomials.
     All three must be positive (strict), as V and its decrease are in
     verify_sos: an h that is zero somewhere on a section, such as the zero
     polynomial, is no certificate, and neither is a decrease that is only
@@ -198,19 +200,19 @@ def verify_conic(candidate: RationalLyapunovCandidate, system: ConicSystem,
 
     h_check = CheckResult("h-on-sections", np.inf, None, 0, strict=True)
     s0_check = CheckResult("s0-on-sections", np.inf, None, 0, strict=True)
-    for state in (s for s in sections if s.kind == "cone"):
+    for state in (s for s in sections if not s.rows):
         pts = barycentric_grid(state.partition.parent, grid_density)
         vals = table(pts).T
         h_vals, s0_vals = vals[-1], _decrease(pts, vals, r)
-        report.record(pts, f"h:orthant{state.label}", h_vals)
-        report.record(pts, f"s0:orthant{state.label}", s0_vals)
+        report.record(pts, f"h:orthant{state.orthant}", h_vals)
+        report.record(pts, f"s0:orthant{state.orthant}", s0_vals)
         h_check.add_grid(h_vals, pts)
         s0_check.add_grid(s0_vals, pts)
     report.checks += [h_check, s0_check]
 
-    faces = [(state.label, barycentric_grid(state.partition.parent,
-                                            max(grid_density // 10, 100)))
-             for state in sections if state.kind == "face"]
+    faces = [(s.rows[0] + 1, barycentric_grid(s.partition.parent,
+                                              max(grid_density // 10, 100)))
+             for s in sections if s.rows]
     if faces:
         pts = np.concatenate([grid for _, grid in faces])
         vals = table(pts).T

@@ -23,7 +23,9 @@ SDP solver's step lengths in the NT frame against a bound from the
 Cholesky factor, its equality operator against the per-block loop
 it replaced (apply_A_per_block, apply_At_per_block), and its padded
 stack against the solver with one stack per block size that it replaced
-(solve_sdp_by_size_stacks).  trajectory_csv is
+(solve_sdp_by_size_stacks), and the cone's section table against the
+orthant path and the one-row face path it replaced
+(orthant_cells_by_pieces, face_cells_by_row).  trajectory_csv is
 the CSV text of a trajectory, and trajectory_csv_by_cells the same text
 one repr per cell, against the chunked writer.  simplex_diameter and
 partition_diameter the longest vertex distance of a cell and of a
@@ -159,11 +161,11 @@ def evaluate_float_terms(poly, point) -> float:
 
 
 def face_branch(cone, i, f, x):
-    """(w(x), eta(x)) on face i of a cone from cop_lp.face_polynomials,
-    eta the projection branch -(w(x) / |c_i|^2) c_i: the branch velocity
-    over |c_i|^2, less f."""
+    """(w(x), eta(x)) on face i (1-based, as a spec numbers its cone rows)
+    of a cone from cop_lp.face_polynomials, eta the projection branch
+    -(w(x) / |c_i|^2) c_i: the branch velocity over |c_i|^2, less f."""
     from lyapcert.cop_lp import face_polynomials
-    w, velocity = face_polynomials(cone, i, f)
+    w, velocity = face_polynomials(cone, i - 1, f)
     c = cone.C[i - 1]
     scaled = np.array([evaluate_float_terms(p, x) for p in velocity])
     fx = np.array([evaluate_float_terms(p, x) for p in f])
@@ -489,6 +491,34 @@ def simplex_diameter(simplex) -> float:
 def partition_diameter(part) -> float:
     """The largest simplex_diameter of the partition's cells."""
     return max(map(simplex_diameter, part.cells), default=0.0)
+
+
+def orthant_cells_by_pieces(cone):
+    """The cone's section cells as (orthant id, simplex) pairs, as the
+    section cache built them apart from the faces: each orthant piece's
+    rays pulled whole."""
+    from lyapcert import cones
+    rows = tuple(cones._primitive(row) for row in cone.C)
+    return [(oid, cell)
+            for oid, rays, tight in cones._pieces(rows, cone.dimension)
+            for cell in cones._cells(rays, tight, tuple(range(len(rays))),
+                                     cone.dimension)]
+
+
+def face_cells_by_row(cone, row: int):
+    """The section cells of the face where cone row `row` (0-based) is
+    tight, without orthant ids, as the one-row face function cut them."""
+    from lyapcert import cones
+    rows = tuple(cones._primitive(r) for r in cone.C)
+    parts = {}
+    for _, rays, tight in cones._pieces(rows, cone.dimension):
+        members = tuple(k for k, t in enumerate(tight) if row in t)
+        if members:
+            parts.setdefault(frozenset(rays[k] for k in members), (
+                rays, tight, members, cones._rank([rays[k] for k in members])))
+    top = max((part[3] for part in parts.values()), default=0)
+    return [cell for part in parts.values() if part[3] == top
+            for cell in cones._cells(*part)]
 
 
 def slsqp_projection(z, S) -> np.ndarray:
@@ -859,7 +889,7 @@ def verify_conic_by_s0(candidate, system, grid_density: int = 10_000,
     polynomial s0 of cop_lp.decrease_polynomials on the orthant sections
     (a table of h and s0), and each face section's grid in a table call
     and eta projections of its own."""
-    from lyapcert.cones import cone_orthant_sections, face_sections
+    from lyapcert.cones import section_table
     from lyapcert.cop_lp import decrease_polynomials
     from lyapcert.oracle import Report, _min_with_witness
     from lyapcert.poly import MonomialTable
@@ -869,7 +899,8 @@ def verify_conic_by_s0(candidate, system, grid_density: int = 10_000,
                     sample_rows=[] if collect_samples else None)
     h_checks, s0_checks = [], []
     h_s0 = MonomialTable([h, s0])
-    for oid, simplex in cone_orthant_sections(system.cone):
+    table = section_table(system.cone)
+    for oid, simplex in table[()]:
         pts = barycentric_grid_by_steps(simplex, grid_density)
         h_vals, s0_vals = h_s0(pts).T
         report.record(pts, f"h:orthant{oid}", h_vals)
@@ -883,7 +914,7 @@ def verify_conic_by_s0(candidate, system, grid_density: int = 10_000,
     face_table = MonomialTable([*system.f, *h.gradient(), h])
     face_checks = []
     for i in range(1, system.cone.num_rows + 1):
-        for simplex in face_sections(system.cone, i):
+        for _, simplex in table[(i - 1,)]:
             pts = barycentric_grid_by_steps(simplex,
                                             max(grid_density // 10, 100))
             vals = _face_decrease_per_section(pts, system, face_table, r)

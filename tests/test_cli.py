@@ -18,7 +18,7 @@ from lyapcert.cli import (_OPTION_KEYS, EXIT_NOT_FOUND, EXIT_OK,
                           EXIT_SOLVER_FAILURE, EXIT_USAGE, SpecFileError,
                           build_parser, default_cone_schedule, main,
                           parse_spec, read_certificate_candidate)
-from lyapcert.cones import face_sections
+from lyapcert.cones import section_table
 from lyapcert.cop_lp import ConicSystem
 from lyapcert.errors import NumericalError
 from lyapcert.sos_cert import SemialgebraicSystem
@@ -657,6 +657,53 @@ def test_oracle_reports_are_pinned(case, tmp_path):
     assert digests == [txt, csv]
 
 
+# a linear field on the 4-D cone x4 >= 2|x1|, 2|x2|, 2|x3|, whose sections
+# are cubes; it certifies at d = 2, r = 0 with margin 0.1559529854671281
+CUBE4_SPEC = """\
+dim: 4
+f1: -1*x1 + 0.5*x2 - 0.1*x4
+f2: -0.5*x1 - 1*x2
+f3: -1*x3 + 0.2*x1
+f4: -1*x4
+cone1: 2*x1 + 1*x4
+cone2: -2*x1 + 1*x4
+cone3: 2*x2 + 1*x4
+cone4: -2*x2 + 1*x4
+cone5: 2*x3 + 1*x4
+cone6: -2*x3 + 1*x4
+"""
+
+# the first 16 hex digits of sha256 of find-lyap-cone's certificate.txt
+# and partition-dump's partitions.txt, recorded before the orthant and
+# face sections came from one table keyed by their tight rows; refine1
+# certifies at sweep 1, so its certificate prints refined cells
+CONE_OUTPUT_PINS = {
+    "sq3d": (["find-lyap-cone", "sq3d.spec"], "certificate.txt",
+             "6f2db7f36d8a1180"),
+    "cone2d": (["find-lyap-cone", "cone2d.spec"], "certificate.txt",
+               "064f30713968c5d7"),
+    "refine1": (["find-lyap-cone", "refine1.spec", "--deg", "2", "--r", "0",
+                 "--sweeps", "4"], "certificate.txt", "c25c14847e08e759"),
+    "cube4": (["find-lyap-cone", "cube4.spec", "--deg", "2", "--r", "0",
+               "--sweeps", "1"], "certificate.txt", "557e6f1934e5f384"),
+    "sq3d-partitions": (["partition-dump", "sq3d.spec", "--sweeps", "1"],
+                        "partitions.txt", "b25e1ed567366064"),
+    "cube4-partitions": (["partition-dump", "cube4.spec", "--sweeps", "1"],
+                         "partitions.txt", "cbd5312c5503c162"),
+}
+
+
+@pytest.mark.parametrize("case", CONE_OUTPUT_PINS)
+def test_cone_outputs_are_pinned(case, tmp_path, capsys):
+    (command, spec, *flags), name, digest = CONE_OUTPUT_PINS[case]
+    (tmp_path / "refine1.spec").write_text(REFINE_SPEC)
+    (tmp_path / "cube4.spec").write_text(CUBE4_SPEC)
+    path = tmp_path / spec if (tmp_path / spec).exists() else SPECS / spec
+    out = tmp_path / "out"
+    assert main([command, str(path), *flags, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("command, flags", [
     ("verify", ["--candidate", "1*x1^2 + 1*x2^2", "--r", "0"]),
     ("find-lyap-cone", []),
@@ -1214,11 +1261,11 @@ def test_verify_calls_nnls_only_at_corner_samples(sq3d_run, tmp_path,
     system = parse_spec(str(SQ3D_SPEC)).system
     C = system.cone.C
     corners = 0
-    for i in range(1, system.cone.num_rows + 1):
-        for simplex in face_sections(system.cone, i):
-            pts = oracle.barycentric_grid(simplex, 1000)
-            scaled = np.abs(pts @ C.T) / np.linalg.norm(C, axis=1)
-            corners += int(((scaled <= 1e-8).sum(axis=1) >= 2).sum())
+    for simplex in [s for rows, cells in section_table(system.cone).items()
+                    if rows for _, s in cells]:
+        pts = oracle.barycentric_grid(simplex, 1000)
+        scaled = np.abs(pts @ C.T) / np.linalg.norm(C, axis=1)
+        corners += int(((scaled <= 1e-8).sum(axis=1) >= 2).sum())
     calls = []
     solve = tangency.nnls
     monkeypatch.setattr(tangency, "nnls",

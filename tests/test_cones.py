@@ -11,10 +11,12 @@ import pytest
 from lyapcert import cones
 from lyapcert.cli import parse_spec
 from lyapcert.cones import (PolyhedralCone, Simplex, SimplicialPartition,
-                            bisect_longest_edge, cone_orthant_sections,
-                            dump_partition_lines, face_sections)
+                            bisect_longest_edge, dump_partition_lines,
+                            section_table)
 from lyapcert.errors import InputError, NumericalError
-from reference import cone_contains, partition_diameter, simplex_diameter
+from reference import (cone_contains, face_cells_by_row,
+                       orthant_cells_by_pieces, partition_diameter,
+                       simplex_diameter)
 
 WEDGE = PolyhedralCone([[-0.25, 1.0], [1.0, -0.25]])
 
@@ -26,14 +28,14 @@ def vertex_set(simplex, digits=9):
 # -- orthant sections ------------------------------------------------------------
 
 def test_positive_orthant_single_section():
-    secs = cone_orthant_sections(PolyhedralCone(np.eye(2)))
+    secs = section_table(PolyhedralCone(np.eye(2)))[()]
     assert len(secs) == 1
     oid, simplex = secs[0]
     assert vertex_set(simplex) == {(1.0, 0.0), (0.0, 1.0)}
 
 
 def test_wedge_cone_section_from_extreme_rays():
-    secs = cone_orthant_sections(WEDGE)
+    secs = section_table(WEDGE)[()]
     assert len(secs) == 1
     _, simplex = secs[0]
     assert vertex_set(simplex) == {(0.8, 0.2), (0.2, 0.8)}
@@ -41,7 +43,7 @@ def test_wedge_cone_section_from_extreme_rays():
 
 def test_full_plane_four_sections():
     cone = PolyhedralCone(np.zeros((0, 2)), dimension=2)
-    secs = cone_orthant_sections(cone)
+    secs = section_table(cone)[()]
     assert len(secs) == 4
     for _, simplex in secs:
         V = simplex.vertex_array()
@@ -50,14 +52,14 @@ def test_full_plane_four_sections():
 
 def test_degenerate_cone_reports_empty():
     hyperplane = PolyhedralCone([[1.0, 0.0], [-1.0, 0.0]])
-    assert cone_orthant_sections(hyperplane) == []
+    assert section_table(hyperplane)[()] == ()
 
 
 def test_square_based_cone_sections_are_triangulated():
     # four extreme rays per orthant piece: each quadrilateral section must
     # arrive as two plain simplices
     cone = PolyhedralCone([[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1]])
-    secs = cone_orthant_sections(cone)
+    secs = section_table(cone)[()]
     per_orthant: dict[int, int] = {}
     for oid, simplex in secs:
         per_orthant[oid] = per_orthant.get(oid, 0) + 1
@@ -73,7 +75,7 @@ def test_square_based_cone_sections_are_triangulated():
 def test_section_vertices_feasible_and_normalized():
     for cone in (WEDGE, PolyhedralCone(np.eye(3)),
                  PolyhedralCone([[1.0, 1.0, 0.2], [0.3, 1.0, 1.0]])):
-        for _, simplex in cone_orthant_sections(cone):
+        for _, simplex in section_table(cone)[()]:
             for v in simplex.vertices:
                 v = np.array(v)
                 assert cone_contains(cone, v, tol=1e-9)
@@ -81,7 +83,7 @@ def test_section_vertices_feasible_and_normalized():
 
 
 def test_extreme_ray_active_sets_scale_invariant():
-    for _, simplex in cone_orthant_sections(WEDGE):
+    for _, simplex in section_table(WEDGE)[()]:
         for v in simplex.vertices:
             v = np.array(v)
             base = np.abs(WEDGE.C @ v) <= 1e-9
@@ -92,40 +94,43 @@ def test_extreme_ray_active_sets_scale_invariant():
 
 # -- face sections -----------------------------------------------------------------
 
+def test_section_table_keys_are_the_tight_rows():
+    table = section_table(WEDGE)
+    assert list(table) == [(), (0,), (1,)]
+    with pytest.raises(TypeError):
+        table[(0, 1)] = ()
+    plane = PolyhedralCone(np.zeros((0, 2)), dimension=2)
+    assert list(section_table(plane)) == [()]
+
+
 def test_wedge_face_is_singleton_ray():
-    secs = face_sections(WEDGE, 1)
-    assert len(secs) == 1
-    assert vertex_set(secs[0]) == {(0.8, 0.2)}
-    secs2 = face_sections(WEDGE, 2)
-    assert vertex_set(secs2[0]) == {(0.2, 0.8)}
+    table = section_table(WEDGE)
+    assert len(table[(0,)]) == 1
+    assert vertex_set(table[(0,)][0][1]) == {(0.8, 0.2)}
+    assert vertex_set(table[(1,)][0][1]) == {(0.2, 0.8)}
 
 
 def test_orthant_face_singleton():
-    secs = face_sections(PolyhedralCone(np.eye(2)), 1)
+    secs = section_table(PolyhedralCone(np.eye(2)))[(0,)]
     assert len(secs) == 1
-    assert vertex_set(secs[0]) == {(0.0, 1.0)}
+    assert vertex_set(secs[0][1]) == {(0.0, 1.0)}
 
 
 def test_three_dimensional_face_segment():
-    secs = face_sections(PolyhedralCone(np.eye(3)), 1)
+    secs = section_table(PolyhedralCone(np.eye(3)))[(0,)]
     assert len(secs) == 1
-    assert vertex_set(secs[0]) == {(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
+    assert vertex_set(secs[0][1]) == {(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
 
 
 def test_face_touching_an_orthant_only_at_a_ray():
     # the face x1 = x2 meets the orthant (+, -, +) only in the x3 axis; that
     # ray already ends both segments of the face, so it adds no cell
     cone = PolyhedralCone([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
-    secs = face_sections(cone, 1)
+    secs = section_table(cone)[(0,)]
     assert len(secs) == 2
-    assert {frozenset(vertex_set(s)) for s in secs} == {
+    assert {frozenset(vertex_set(s)) for _, s in secs} == {
         frozenset({(0.5, 0.5, 0.0), (0.0, 0.0, 1.0)}),
         frozenset({(-0.5, -0.5, 0.0), (0.0, 0.0, 1.0)})}
-
-
-def test_face_index_out_of_range():
-    with pytest.raises(InputError, match="face index 3 out of range"):
-        face_sections(WEDGE, 3)
 
 
 # -- exact sections ----------------------------------------------------------------
@@ -205,9 +210,8 @@ def test_exact_sections_cover_by_volume_and_barycentric(name):
             x = [sum(w * points[k][j] for w, k in zip(weights, members))
                  / sum(weights) for j in range(cone.dimension)]
             assert any(in_cell(frame, coords, x) for frame in frames)
-    floats = {v for _, s in cone_orthant_sections(cone) for v in s.vertices}
-    floats |= {v for i in range(1, cone.num_rows + 1)
-               for s in face_sections(cone, i) for v in s.vertices}
+    floats = {v for cells in section_table(cone).values()
+              for _, s in cells for v in s.vertices}
     assert floats <= exact_vertices
 
 
@@ -238,12 +242,10 @@ def test_refined_cells_cover_sections_exactly(name):
     cone = COVER_CONES[name]
     rows = [cones._primitive(row) for row in cone.C]
     sweeps = 6 - cone.dimension
-    orthants = cone_orthant_sections(cone)
-    assert orthants
-    sections = [(None, s) for _, s in orthants]
-    sections += [(i, s) for i in range(cone.num_rows)
-                 for s in face_sections(cone, i + 1)]
-    for face, section in sections:
+    table = section_table(cone)
+    assert table[()]
+    for face, section in [(key, s) for key, cells in table.items()
+                          for _, s in cells]:
         part = SimplicialPartition(section)
         for _ in range(sweeps):
             part = part.refine_all()
@@ -252,12 +254,36 @@ def test_refined_cells_cover_sections_exactly(name):
                 assert sum(map(abs, p)) == 1
                 dots = [sum(map(operator.mul, row, p)) for row in rows]
                 assert min(dots) >= 0
-                assert face is None or dots[face] == 0
-        if face is None:
+                assert all(dots[i] == 0 for i in face)
+        if not face:
             assert len(part.cells) == 2 ** sweeps
             assert sum(abs(det(list(map(list, cell.points))))
                        for cell in part.cells) == abs(
                 det(list(map(list, section.points))))
+
+
+DIFFERENTIAL_CONES = {**EXACT_CONES, **COVER_CONES,
+                      **{f"random{seed}": random_cone(seed)
+                         for seed in range(80)}}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONES))
+def test_section_table_matches_the_paths_it_replaced(name):
+    # the same exact cells in the same order as the orthant path and the
+    # one-row face path; the table's orthant ids match the orthant path's,
+    # and every face cell lies in the closed orthant its id names
+    cone = DIFFERENTIAL_CONES[name]
+    table = section_table(cone)
+    assert [(oid, s.points) for oid, s in table[()]] == [
+        (oid, s.points) for oid, s in orthant_cells_by_pieces(cone)]
+    for i in range(cone.num_rows):
+        assert [s.points for _, s in table[(i,)]] == [
+            s.points for s in face_cells_by_row(cone, i)]
+    signs = list(itertools.product((1, -1), repeat=cone.dimension))
+    for cells in table.values():
+        for oid, s in cells:
+            assert all(sign * x >= 0 for p in s.points
+                       for sign, x in zip(signs[oid], p))
 
 
 def barycentric_frame(points, cell, coords):

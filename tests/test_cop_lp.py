@@ -144,7 +144,7 @@ def test_decrease_polynomials_match_the_product_formula(name, r):
                                  for m in basis})
         hs = monomial_polys(basis) + [general]
         assert decrease_polynomials(hs, r, f) == decrease_by_products(hs, r, f)
-        for i in range(1, cone.num_rows + 1):
+        for i in range(cone.num_rows):
             _, velocity = face_polynomials(cone, i, f)
             assert decrease_polynomials(hs, r, velocity) == \
                 decrease_by_products(hs, r, velocity)
@@ -157,7 +157,7 @@ def test_face_polynomials_are_exact(name):
     cone, texts = DECREASE_FIELDS[name]
     n = cone.dimension
     f = [parse_polynomial(t, n) for t in texts]
-    for i, row in enumerate(cone.rows, start=1):
+    for i, row in enumerate(cone.rows):
         c = [Fraction(v) for v in row]
         w, velocity = face_polynomials(cone, i, f)
         dot = lambda u: sum((p.scale(ck) for ck, p in zip(c, u)),
@@ -174,7 +174,7 @@ def test_face_polynomials_are_exact(name):
 def test_branch_b_positive_at_ray_with_printed_candidate():
     basis = monomials_of_degree(2, 2)
     parts = decrease_polynomials(monomial_polys(basis), 0,
-                                 face_polynomials(WEDGE, 1, WEDGE_FIELD)[1])
+                                 face_polynomials(WEDGE, 0, WEDGE_FIELD)[1])
     x = np.array([0.8, 0.2])
     value = sum(float(PRINTED_H.coefficient(m)) * evaluate_float_terms(p, x)
                 for m, p in zip(basis, parts))
@@ -192,7 +192,7 @@ def test_face_rows_linear_in_coefficients():
     rng = np.random.default_rng(52)
     basis = monomials_of_degree(2, 2)
     parts = decrease_polynomials(monomial_polys(basis), 1,
-                                 face_polynomials(WEDGE, 2, WEDGE_FIELD)[1])
+                                 face_polynomials(WEDGE, 1, WEDGE_FIELD)[1])
     x = rng.uniform(0.2, 2.0, size=2)
     a = rng.uniform(-1, 1, size=3)
     b = rng.uniform(-1, 1, size=3)
@@ -207,7 +207,7 @@ def test_tuple_counts_for_single_cell():
     system = orthant_system(MINUS_X)
     sections = initial_sections(system)
     lp, owner = assemble_lp(system, 2, 0, sections)
-    assert [s.kind for s in sections] == ["cone", "face", "face"]
+    assert [s.rows for s in sections] == [(), (0,), (1,)]
     # the cone cell owns 3 h rows (multisets of 2 from 2 vertices), then 5
     # s0 rows (multisets of 4); each face is a ray whose one cell needs
     # branch "a" only (w = -x_i is 0 there), 1 row
@@ -268,11 +268,11 @@ def polar_form_lp(system, degree, r, sections, tol=1e-12):
                                  for T in ts] + [-1.0])
                     owner.append([sec, ci])
 
-            if state.kind == "cone":
+            if not state.rows:
                 add(h, degree)
                 add(s0, order)
                 continue
-            W, velocity = face_polynomials(system.cone, state.label,
+            W, velocity = face_polynomials(system.cone, state.rows[0],
                                            system.f)
             w = [float(W.to_tensor().eval([verts[i] for i in combo]))
                  for combo in multisets(system.field_degree)]
@@ -290,7 +290,7 @@ def test_assembled_lp_matches_polar_form_reference(degree, r, sweeps, nrows,
                                                    monkeypatch):
     sections = initial_sections(SQ3D)
     for _ in range(sweeps):
-        sections = [SectionState(s.kind, s.label, s.partition.refine_all())
+        sections = [SectionState(s.rows, s.orthant, s.partition.refine_all())
                     for s in sections]
     A_ref, owner_ref = polar_form_lp(SQ3D, degree, r, sections)
 
@@ -416,7 +416,7 @@ def test_refinement_never_decreases_margin():
     sections = initial_sections(system)
     lp1, _ = assemble_lp(system, 2, 0, sections)
     t1 = linprog.solve(lp1).value
-    refined = [type(s)(s.kind, s.label, s.partition.refine_all())
+    refined = [type(s)(s.rows, s.orthant, s.partition.refine_all())
                for s in sections]
     lp2, _ = assemble_lp(system, 2, 0, refined)
     t2 = linprog.solve(lp2).value
@@ -426,14 +426,14 @@ def test_refinement_never_decreases_margin():
 def test_refine_falls_back_to_every_refinable_cell():
     """When every active cell is a 1-vertex face ray, which cannot be
     bisected, every cell that can be is bisected once instead."""
-    sections = [SectionState(s.kind, s.label, s.partition.refine_all())
+    sections = [SectionState(s.rows, s.orthant, s.partition.refine_all())
                 for s in initial_sections(wedge_system())]
-    faces = [k for k, s in enumerate(sections) if s.kind == "face"]
+    faces = [k for k, s in enumerate(sections) if s.rows]
     assert faces and all(c.num_vertices == 1 for k in faces
                          for c in sections[k].partition.cells)
     refined = cop_lp._refine(sections, np.array([[k, 0] for k in faces]))
     for before, after in zip(sections, refined):
-        if before.kind == "face":
+        if before.rows:
             assert after is before
             continue
         assert len(before.partition.cells) == 2
@@ -461,7 +461,7 @@ def test_assembly_builds_its_tables_once_per_level(monkeypatch):
         built.clear()
         lp, _ = assemble_lp(SQ3D, 2, 0, sections)
         seen.append((len(built), lp.A.shape[0]))
-        sections = [SectionState(s.kind, s.label, s.partition.refine_all())
+        sections = [SectionState(s.rows, s.orthant, s.partition.refine_all())
                     for s in sections]
     assert seen[0][1] < seen[1][1] < seen[2][1]
     assert [tables for tables, _ in seen] == [2 + 2 * SQ3D.cone.num_rows] * 3

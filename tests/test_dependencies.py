@@ -20,11 +20,28 @@ def imported_packages(source: Path) -> set[str]:
     return names
 
 
-def test_every_third_party_import_is_a_declared_dependency():
+def declared_packages(*extras: str) -> set[str]:
+    """The import names of pyproject's dependencies and of its extras."""
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
-                .replace("-", "_") for spec in project["dependencies"]}
+    specs = project["dependencies"] + [
+        spec for extra in extras
+        for spec in project["optional-dependencies"][extra]]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+            .replace("-", "_") for spec in specs}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported_packages(ROOT / "src" / "lyapcert") \
         - set(sys.stdlib_module_names) - {"lyapcert"}
-    assert third_party == declared
+    assert third_party == declared_packages()
+
+
+@pytest.mark.parametrize("directory", ["tests", "perfbench"])
+def test_every_test_and_benchmark_import_is_declared(directory):
+    # a clean `pip install -e ".[test]"` must be enough to collect and run
+    # both directories; each imports its own modules by their bare names
+    source = ROOT / directory
+    third_party = imported_packages(source) - set(sys.stdlib_module_names) \
+        - {"lyapcert"} - {path.stem for path in source.glob("*.py")}
+    assert third_party <= declared_packages("test")

@@ -17,7 +17,7 @@ from lyapcert import cop_lp, oracle
 from lyapcert.oracle import (BAND_WIDTH, PASS_TOL, _band_points,
                              _rejection_sample, _resolution, _row_patterns,
                              barycentric_grid, verify_conic, verify_sos)
-from lyapcert.cones import Simplex, cone_orthant_sections, face_sections
+from lyapcert.cones import Simplex, section_table
 from lyapcert.cop_lp import decrease_polynomials, run_hierarchy
 from lyapcert.errors import InputError
 from lyapcert.poly import Polynomial, parse_polynomial
@@ -401,10 +401,9 @@ def test_conic_oracle_takes_one_grid_per_section(monkeypatch):
                         or table(self, pts))
     h = parse_polynomial("x1^2 + x2^2 + x3^2", 3)
     report = verify_conic(RationalLyapunovCandidate(h, 0), system)
-    sections = len(cone_orthant_sections(system.cone))
-    faces = sum(len(face_sections(system.cone, i)) for i in range(1, 5))
-    assert len(grids) == sections + faces
-    assert len(tables) == sections + 1
+    cells = [len(cells) for cells in section_table(system.cone).values()]
+    assert len(grids) == sum(cells)
+    assert len(tables) == cells[0] + 1
     assert sum(c.samples for c in report.checks) == 2 * sum(tables[:-1]) \
         + tables[-1]
 
