@@ -15,27 +15,28 @@ builder, _assemble_identity, for sum_m V_m lhs_m - offset = s_0 +
 sum_i s_i g_i (+ phi_j g_j); the public assemble_condition_* functions only
 choose lhs, offset, degree and names.
 
-Before either tier, _split restricts the program to certificates that are
-invariant under the system's sign group: the flips x -> Sx, S =
-diag(+-1), that keep every g_j and under which f(Sx) = S f(x), found
-exactly as a null space over GF(2) (sign_group).  Each Gram block splits
-into one block per parity class of its monomials, V and phi_j keep their
-invariant monomials, and the rows of the other monomials are left as
-0 = 0 and go.  The group average of a certificate is again one with the
-same shift t, so nothing is lost (Gatermann and Parrilo, JPAA 192,
-2004).  With the trivial group the program stays as it is.
-
-Then _prune drops the Gram monomials that the rows force to zero, in
-exact arithmetic: a row with no free term and a zero constant whose Gram
-terms are all diagonal, with coefficients of one sign, makes each of
-those diagonals zero at every feasible point, and with it that
-monomial's Gram row and column (the constants of sigma_0 and sigma_2 on
-cusp_box, since V(0) = 0 and g_2(0) = 1).  Every certificate of the
-unpruned program has those entries at zero, so none is lost, and the
-tiers solve a program that has interior.  Rows left as 0 = 0 and blocks
-left empty go; an emptied block is the zero multiplier of the
-certificate.  The extraction merges the classes of each block back into
-one Gram over its basis order, with exact zeros across classes, so
+Before either tier, _reduce shrinks the program in one exact pass.  It
+keeps only the certificates that are invariant under the system's sign
+group: the flips x -> Sx, S = diag(+-1), that keep every g_j and under
+which f(Sx) = S f(x), found exactly as a null space over GF(2)
+(sign_group).  The group average of a certificate is again one with the
+same shift t, so nothing is lost (Gatermann and Parrilo, JPAA 192, 2004).
+Each Gram block splits into one block per parity class of its monomials,
+V and phi_j keep their invariant monomials, and every row is remapped
+once.  Then it drops the Gram monomials that those rows force to zero: a
+row with no free term and a zero constant whose Gram terms are all
+diagonal, with coefficients of one sign, makes each of those diagonals
+zero at every feasible point, and with it that monomial's Gram row and
+column (the constants of sigma_0 and sigma_2 on cusp_box, since V(0) = 0
+and g_2(0) = 1).  That repeats in exact arithmetic until nothing more is
+forced.  Every certificate of the split program has those entries at
+zero, so none is lost, and the tiers solve a program that has interior:
+a cheap form of facial reduction (Permenter and Parrilo, Math. Prog. 171,
+2018).  Rows left as 0 = 0 and blocks left empty go, and the reduced
+program is built once; an emptied block is the zero multiplier of the
+certificate.  With the trivial group and nothing forced the program
+stays as it is.  The extraction merges the classes of each block back
+into one Gram over its basis order, with exact zeros across classes, so
 certificate.txt names the multipliers of the assembly.
 
 One float layout per reduced system (_FloatLayout: Gram entries, then free
@@ -71,8 +72,8 @@ import numpy as np
 
 from . import linprog
 from .errors import OUT_OF_FLOAT_RANGE, InputError, NumericalError
-from .poly import (Mono, Polynomial, euler_kernel, monomials_up_to_degree,
-                   norm_squared)
+from .poly import (Mono, Polynomial, euler_kernel, grlex_key,
+                   monomials_up_to_degree, norm_squared)
 from .sdpsolve import SemidefiniteProgram, solve_sdp
 from .tangency import SemialgebraicSet
 
@@ -257,7 +258,7 @@ def _assemble_identity(system: SemialgebraicSystem, label: str, prefix: str,
     for vmono, p in lhs_per_v.items():
         for mono, c in p.terms.items():
             lhs_at.setdefault(mono, []).append((vmono, c))
-    for mono in sorted(support, key=lambda m: (sum(m), tuple(-e for e in m))):
+    for mono in sorted(support, key=grlex_key):
         expr = LinearExpr()
         for vmono, c in lhs_at.get(mono, ()):
             expr.add_free("V", vmono, c)
@@ -399,103 +400,91 @@ def sign_group(system: SemialgebraicSystem) -> list[int]:
             for k in range(system.dimension) if k not in pivots]
 
 
-def _split(eq: EqualitySystem, system: SemialgebraicSystem) -> EqualitySystem:
-    """eq restricted to certificates invariant under the sign group.
+def _reduce(eq: EqualitySystem, group: list[int]) -> EqualitySystem:
+    """eq restricted to certificates invariant under the sign group, less
+    the Gram monomials that its rows then force to zero.
 
-    A monomial's character is its parity against each flip of the group.
-    Each Gram block becomes one block per character class of its basis,
-    named block#k in the order the classes first appear (a block of one
-    class keeps its name); only the Gram terms inside a class and the
-    invariant monomials of V and phi_j stay, and rows left as 0 = 0 go.
-    The group average of a certificate is a certificate with the same
-    shift t: g(Sx) = g(x), f(Sx) = S f(x) and grad g(x) = S grad g(Sx) keep
-    each identity, and a sign conjugation keeps G - tI psd (or diagonally
-    dominant).  An invariant Gram is zero across classes, so nothing is
-    lost.  With the trivial group eq comes back as it is.
+    A monomial's character is its parity against each flip of group.  Each
+    Gram block becomes one block per character class of its basis, named
+    block#k in the order the classes first appear (a block of one class
+    keeps its name); only the Gram terms inside a class and the invariant
+    monomials of V and phi_j stay.  The group average of a certificate is a
+    certificate with the same shift t: g(Sx) = g(x), f(Sx) = S f(x) and
+    grad g(x) = S grad g(Sx) keep each identity, and a sign conjugation
+    keeps G - tI psd (or diagonally dominant).  An invariant Gram is zero
+    across classes, so nothing is lost.
+
+    Then a row with no free term, a zero constant and only diagonal Gram
+    terms, their coefficients of one sign, sums nonnegative diagonals to
+    zero, so each of them is zero at every feasible point; a PSD (or
+    diagonally dominant) Gram with G_kk = 0 has row and column k zero, so
+    monomial k leaves its block and every term on it leaves its rows.  That
+    repeats in exact arithmetic until no row forces another monomial.
+    Rows left as 0 = 0 and blocks left empty go.  With the trivial group
+    and nothing forced, the program is eq's.
     """
-    group = sign_group(system)
-    if not group:
-        return eq
-
     def character(mono: Mono) -> tuple[int, ...]:
         odd = _parity(mono)
         return tuple((odd & b).bit_count() & 1 for b in group)
 
-    split = EqualitySystem(free_groups={
-        name: [m for m in basis if not any(character(m))]
-        for name, basis in eq.free_groups.items()})
-    where: dict[tuple[str, int], tuple[str, int]] = {}  # (block, k) -> new
+    def remap(gram, where):
+        """The Gram terms whose two indices where maps into one part."""
+        out = {}
+        for (b, i, j), c in gram.items():
+            at_i, at_j = where.get((b, i)), where.get((b, j))
+            if at_i and at_j and at_i[0] == at_j[0]:
+                out[at_i[0], at_i[1], at_j[1]] = c
+        return out
+
+    parts: dict[str, list[Mono]] = {}
+    where: dict[tuple[str, int], tuple[str, int]] = {}  # block, k -> part, k'
     for name, block in eq.blocks.items():
         classes: dict[tuple[int, ...], list[int]] = {}
         for k, mono in enumerate(block.basis):
             classes.setdefault(character(mono), []).append(k)
         for c, members in enumerate(classes.values()):
             part = name if len(classes) == 1 else f"{name}#{c}"
-            split.blocks[part] = GramBlock(part,
-                                           [block.basis[k] for k in members])
+            parts[part] = [block.basis[k] for k in members]
             where.update(((name, k), (part, new))
                          for new, k in enumerate(members))
-    kept = {(name, mono) for name, basis in split.free_groups.items()
+    reduced = EqualitySystem(free_groups={
+        name: [m for m in basis if not any(character(m))]
+        for name, basis in eq.free_groups.items()})
+    kept = {(name, mono) for name, basis in reduced.free_groups.items()
             for mono in basis}
+    rows = []
     for label, expr in eq.rows:
-        gram = {}
-        for (b, i, j), c in expr.gram.items():
-            (bi, ni), (bj, nj) = where[b, i], where[b, j]
-            if bi == bj:
-                gram[bi, ni, nj] = c
+        gram = remap(expr.gram, where)
         free = {key: c for key, c in expr.free.items() if key in kept}
         if any(gram.values()) or any(free.values()) or expr.constant:
-            split.rows.append((label, LinearExpr(gram, free, expr.constant)))
-    return split
+            rows.append((label, gram, free, expr.constant))
 
-
-def _prune(eq: EqualitySystem) -> EqualitySystem:
-    """eq without the Gram monomials that its rows force to zero.
-
-    A row with no free term, a zero constant and only diagonal Gram terms,
-    their coefficients of one sign, sums nonnegative diagonals to zero, so
-    each of them is zero at every feasible point; a PSD (or diagonally
-    dominant) Gram with G_kk = 0 has row and column k zero, so monomial k
-    leaves its block and every term on it leaves its rows.  That repeats
-    in exact arithmetic until no row forces another monomial.  Rows left
-    as 0 = 0 and blocks left empty are dropped; nothing else changes, and
-    eq comes back as it is when nothing is forced.
-    """
-    dropped: dict[str, set[int]] = {name: set() for name in eq.blocks}
-    candidates = [list(expr.gram.items()) for _, expr in eq.rows
-                  if not expr.constant and not any(expr.free.values())]
+    dropped: set[tuple[str, int]] = set()     # (part, k) forced to zero
+    candidates = [list(gram.items()) for _, gram, free, constant in rows
+                  if not constant and not any(free.values())]
     while True:
         forced = set()
         for terms in candidates:
             live = [(b, i, j, c) for (b, i, j), c in terms
-                    if c and i not in dropped[b] and j not in dropped[b]]
+                    if c and (b, i) not in dropped and (b, j) not in dropped]
             if live and all(i == j for _, i, j, _ in live) and \
                     len({c > 0 for *_, c in live}) == 1:
                 forced.update((b, i) for b, i, _, _ in live)
         if not forced:
             break
-        for b, i in forced:
-            dropped[b].add(i)
-    if not any(dropped.values()):
-        return eq
+        dropped |= forced
 
-    pruned = EqualitySystem(free_groups=eq.free_groups)
-    index: dict[str, dict[int, int]] = {}   # block -> old position -> new
-    for name, block in eq.blocks.items():
-        keep = [k for k in range(block.size) if k not in dropped[name]]
-        index[name] = {k: new for new, k in enumerate(keep)}
+    where = {}
+    for part, basis in parts.items():
+        keep = [k for k in range(len(basis)) if (part, k) not in dropped]
+        where.update(((part, k), (part, new)) for new, k in enumerate(keep))
         if keep:
-            pruned.blocks[name] = GramBlock(name, [block.basis[k] for k in keep])
-    for label, expr in eq.rows:
-        gram = {}
-        for (b, i, j), c in expr.gram.items():
-            new = index[b]
-            if i in new and j in new:
-                gram[b, new[i], new[j]] = c
-        if any(gram.values()) or any(expr.free.values()) or expr.constant:
-            pruned.rows.append((label, LinearExpr(gram, expr.free,
-                                                  expr.constant)))
-    return pruned
+            reduced.blocks[part] = GramBlock(part, [basis[k] for k in keep])
+    for label, gram, free, constant in rows:
+        gram = remap(gram, where)
+        if any(gram.values()) or any(free.values()) or constant:
+            reduced.rows.append((label, LinearExpr(gram, free, constant)))
+    return reduced
 
 
 class _FloatLayout:
@@ -743,7 +732,7 @@ def solve_certificate(system: SemialgebraicSystem, deg_v: int,
     best_margin = None
     for slack in (0, 2):
         eq = _assemble_full(system, deg_v, slack)
-        reduced = _prune(_split(eq, system))
+        reduced = _reduce(eq, sign_group(system))
         layout = _FloatLayout(reduced)
         if tier == "sdp":
             on_sdp = None

@@ -25,7 +25,9 @@ it replaced (apply_A_per_block, apply_At_per_block), and its padded
 stack against the solver with one stack per block size that it replaced
 (solve_sdp_by_size_stacks), and the cone's section table against the
 orthant path and the one-row face path it replaced
-(orthant_cells_by_pieces, face_cells_by_row).  trajectory_csv is
+(orthant_cells_by_pieces, face_cells_by_row), and the one reduction of
+the SOS program against the sign-group split and the pruning pass it
+replaced (split_by_sign_group, prune_forced_monomials).  trajectory_csv is
 the CSV text of a trajectory, and trajectory_csv_by_cells the same text
 one repr per cell, against the chunked writer.  simplex_diameter and
 partition_diameter the longest vertex distance of a cell and of a
@@ -1107,3 +1109,106 @@ def _newton_lines_by_terms(g, gradient, hessian, ys, converged):
     lines += [f"    {y} = {y} + ({uj} + dlam*{wj})"
               for y, uj, wj in zip(ys, u, w)]
     return lines
+
+
+def split_by_sign_group(eq, system):
+    """eq restricted to certificates invariant under the sign group.
+
+    A monomial's character is its parity against each flip of the group.
+    Each Gram block becomes one block per character class of its basis,
+    named block#k in the order the classes first appear (a block of one
+    class keeps its name); only the Gram terms inside a class and the
+    invariant monomials of V and phi_j stay, and rows left as 0 = 0 go.
+    The group average of a certificate is a certificate with the same
+    shift t: g(Sx) = g(x), f(Sx) = S f(x) and grad g(x) = S grad g(Sx) keep
+    each identity, and a sign conjugation keeps G - tI psd (or diagonally
+    dominant).  An invariant Gram is zero across classes, so nothing is
+    lost.  With the trivial group eq comes back as it is.
+    """
+    from lyapcert.poly import Mono
+    from lyapcert.sos_cert import (EqualitySystem, GramBlock, LinearExpr,
+                                   _parity, sign_group)
+    group = sign_group(system)
+    if not group:
+        return eq
+
+    def character(mono: Mono) -> tuple[int, ...]:
+        odd = _parity(mono)
+        return tuple((odd & b).bit_count() & 1 for b in group)
+
+    split = EqualitySystem(free_groups={
+        name: [m for m in basis if not any(character(m))]
+        for name, basis in eq.free_groups.items()})
+    where: dict[tuple[str, int], tuple[str, int]] = {}  # (block, k) -> new
+    for name, block in eq.blocks.items():
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for k, mono in enumerate(block.basis):
+            classes.setdefault(character(mono), []).append(k)
+        for c, members in enumerate(classes.values()):
+            part = name if len(classes) == 1 else f"{name}#{c}"
+            split.blocks[part] = GramBlock(part,
+                                           [block.basis[k] for k in members])
+            where.update(((name, k), (part, new))
+                         for new, k in enumerate(members))
+    kept = {(name, mono) for name, basis in split.free_groups.items()
+            for mono in basis}
+    for label, expr in eq.rows:
+        gram = {}
+        for (b, i, j), c in expr.gram.items():
+            (bi, ni), (bj, nj) = where[b, i], where[b, j]
+            if bi == bj:
+                gram[bi, ni, nj] = c
+        free = {key: c for key, c in expr.free.items() if key in kept}
+        if any(gram.values()) or any(free.values()) or expr.constant:
+            split.rows.append((label, LinearExpr(gram, free, expr.constant)))
+    return split
+
+
+def prune_forced_monomials(eq):
+    """eq without the Gram monomials that its rows force to zero.
+
+    A row with no free term, a zero constant and only diagonal Gram terms,
+    their coefficients of one sign, sums nonnegative diagonals to zero, so
+    each of them is zero at every feasible point; a PSD (or diagonally
+    dominant) Gram with G_kk = 0 has row and column k zero, so monomial k
+    leaves its block and every term on it leaves its rows.  That repeats
+    in exact arithmetic until no row forces another monomial.  Rows left
+    as 0 = 0 and blocks left empty are dropped; nothing else changes, and
+    eq comes back as it is when nothing is forced.
+    """
+    from lyapcert.sos_cert import EqualitySystem, GramBlock, LinearExpr
+    dropped: dict[str, set[int]] = {name: set() for name in eq.blocks}
+    candidates = [list(expr.gram.items()) for _, expr in eq.rows
+                  if not expr.constant and not any(expr.free.values())]
+    while True:
+        forced = set()
+        for terms in candidates:
+            live = [(b, i, j, c) for (b, i, j), c in terms
+                    if c and i not in dropped[b] and j not in dropped[b]]
+            if live and all(i == j for _, i, j, _ in live) and \
+                    len({c > 0 for *_, c in live}) == 1:
+                forced.update((b, i) for b, i, _, _ in live)
+        if not forced:
+            break
+        for b, i in forced:
+            dropped[b].add(i)
+    if not any(dropped.values()):
+        return eq
+
+    pruned = EqualitySystem(free_groups=eq.free_groups)
+    index: dict[str, dict[int, int]] = {}   # block -> old position -> new
+    for name, block in eq.blocks.items():
+        keep = [k for k in range(block.size) if k not in dropped[name]]
+        index[name] = {k: new for new, k in enumerate(keep)}
+        if keep:
+            pruned.blocks[name] = GramBlock(name, [block.basis[k] for k in keep])
+    for label, expr in eq.rows:
+        gram = {}
+        for (b, i, j), c in expr.gram.items():
+            new = index[b]
+            if i in new and j in new:
+                gram[b, new[i], new[j]] = c
+        if any(gram.values()) or any(expr.free.values()) or expr.constant:
+            pruned.rows.append((label, LinearExpr(gram, expr.free,
+                                                  expr.constant)))
+    return pruned

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lyapcert import linprog, sos_cert
 from lyapcert.cli import main as cli_main, parse_spec
@@ -18,13 +18,14 @@ from lyapcert.poly import (Polynomial, monomials_up_to_degree, norm_squared,
 from lyapcert.sdpsolve import SdpResult, dump_sdpa_sparse
 from lyapcert.sos_cert import (EPS_PD, EqualitySystem, GramBlock, LinearExpr,
                                SemialgebraicSystem, _assemble_full,
-                               _FloatLayout, _prune, _solve_dsos_tier,
-                               _solve_sdp_tier, _split, assemble_condition_i,
+                               _FloatLayout, _reduce, _solve_dsos_tier,
+                               _solve_sdp_tier, assemble_condition_i,
                                assemble_condition_ii, assemble_condition_iii,
                                sign_group, solve_certificate)
 from lyapcert.tangency import SemialgebraicSet
 from reference import (equality_residual, gram_expand_by_fractions,
-                       gram_from_sos_terms, worst_gram_eigenvalue,
+                       gram_from_sos_terms, prune_forced_monomials,
+                       split_by_sign_group, worst_gram_eigenvalue,
                        worst_residual)
 
 
@@ -294,6 +295,15 @@ def test_certificate_multipliers_reproduce_identities():
 
 # -- pruning the forced Gram monomials --------------------------------------------
 
+def program_of(eq):
+    """Every block's name and basis, every free group, and each row's
+    label, Gram and free terms in insertion order and constant, in order."""
+    return ([(name, block.basis) for name, block in eq.blocks.items()],
+            list(eq.free_groups.items()),
+            [(label, list(expr.gram.items()), list(expr.free.items()),
+              expr.constant) for label, expr in eq.rows])
+
+
 def hand_system(*rows):
     """Grams G0 and G2 over the 1-D basis (1, x1), a free group V = {x1},
     and one row per (gram terms, free terms, constant)."""
@@ -312,7 +322,7 @@ def test_prune_drops_diagonals_summed_to_zero():
     # other row keeps its G0_11 term at its new position (0, 0)
     eq = hand_system(({("G0", 0, 0): -1, ("G2", 0, 0): -1}, [], 0),
                      ({("G0", 0, 1): -2, ("G0", 1, 1): -1}, [1], 0))
-    pruned = _prune(eq)
+    pruned = _reduce(eq, [])
     assert {n: b.basis for n, b in pruned.blocks.items()} == \
         {"G0": [(1,)], "G2": [(1,)]}
     assert [(label, expr.gram, expr.free) for label, expr in pruned.rows] == \
@@ -327,7 +337,7 @@ def test_prune_drops_diagonals_summed_to_zero():
 ], ids=["free-term", "constant", "off-diagonal", "mixed-signs"])
 def test_prune_keeps_rows_that_force_nothing(gram, free, constant):
     eq = hand_system((gram, free, constant))
-    assert _prune(eq) is eq
+    assert program_of(_reduce(eq, [])) == program_of(eq)
 
 
 def test_prune_repeats_until_nothing_changes():
@@ -336,7 +346,7 @@ def test_prune_repeats_until_nothing_changes():
     eq = hand_system(({("G0", 0, 1): -2, ("G0", 1, 1): -1}, [], 0),
                      ({("G0", 0, 0): -1}, [], 0),
                      ({("G0", 1, 1): -1, ("G2", 1, 1): 1}, [1], 0))
-    pruned = _prune(eq)
+    pruned = _reduce(eq, [])
     assert {n: b.basis for n, b in pruned.blocks.items()} == \
         {"G2": [(0,), (1,)]}
     assert [(label, expr.gram) for label, expr in pruned.rows] == \
@@ -463,7 +473,7 @@ def _tier_equalities(name, deg, slack, reduced=False):
     (split by the sign group and pruned) as solve_certificate solves it."""
     system = cusp_system() if name == "cusp" else ball_system()
     eq = _assemble_full(system, deg, slack)
-    return _FloatLayout(_prune(_split(eq, system)) if reduced else eq)
+    return _FloatLayout(_reduce(eq, sign_group(system)) if reduced else eq)
 
 
 def sdp_tier_digest(layout) -> str:
@@ -811,8 +821,6 @@ def test_trivial_group_leaves_the_program_as_it_is(tmp_path):
     spec.write_text(TILTED_SPEC)
     system = parse_spec(spec).system
     assert sign_group(system) == []
-    eq = _assemble_full(system, 2, 0)
-    assert _split(eq, system) is eq
     out = tmp_path / "out"
     find_sos(spec, "sdp", 2, out, 1, "--dump-sdpa")
     assert sha256_of(out / "sdp-deg2-s0.dat-s") == TILTED_SDPA
@@ -835,7 +843,7 @@ def test_split_keeps_the_margin(name, deg, tier, monkeypatch):
     # each Gram is zero across parity classes
     system = cusp_system() if name == "cusp" else ball_system()
     split = solve_certificate(system, deg, tier=tier)
-    monkeypatch.setattr(sos_cert, "_split", lambda eq, system: eq)
+    monkeypatch.setattr(sos_cert, "sign_group", lambda system: [])
     whole = solve_certificate(system, deg, tier=tier)
     assert split.status == whole.status == "certificate"
     assert abs(split.margin - whole.margin) <= 1e-9
@@ -847,6 +855,38 @@ def test_split_keeps_the_margin(name, deg, tier, monkeypatch):
         for i, j in itertools.combinations(range(len(classes)), 2):
             if classes[i] != classes[j]:
                 assert rec.gram[i, j] == rec.gram[j, i] == 0.0
+
+
+def by_the_two_passes(eq, system):
+    return prune_forced_monomials(split_by_sign_group(eq, system))
+
+
+@pytest.mark.parametrize("slack", [0, 2])
+@pytest.mark.parametrize("deg", [2, 4, 6])
+@pytest.mark.parametrize("name", ["cusp", "ball", "tilted"])
+def test_reduce_is_the_split_then_the_pruning(name, deg, slack, tmp_path):
+    # one pass gives the program of the two it replaced: blocks, bases,
+    # free groups, rows and their term order (the SDP bits follow it)
+    if name == "tilted":
+        spec = tmp_path / "tilted.spec"
+        spec.write_text(TILTED_SPEC)
+        system = parse_spec(spec).system
+    else:
+        system = cusp_system() if name == "cusp" else ball_system()
+    eq = _assemble_full(system, deg, slack)
+    assert program_of(_reduce(eq, sign_group(system))) == \
+        program_of(by_the_two_passes(eq, system))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_systems(), st.sampled_from([2, 4]), st.sampled_from([0, 2]))
+def test_reduce_is_the_two_passes_on_planted_systems(drawn, deg, slack):
+    n, _, gens, field = drawn
+    assume(n <= 3 and all(sum(a) <= deg for g in gens for a in g))
+    system = system_of(n, gens, field)
+    eq = _assemble_full(system, deg, slack)
+    assert program_of(_reduce(eq, sign_group(system))) == \
+        program_of(by_the_two_passes(eq, system))
 
 
 # (name, deg) -> (equality rows, largest block) of the SDP of each sos-sdp
